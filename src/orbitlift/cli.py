@@ -17,12 +17,7 @@ import numpy as np
 _NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d+)?([:,]-?\d+(\.\d+)?)*$")
 
 from . import catalog, curvedsl, invariants, lifting, regcheck, rootflow
-from .errors import (
-    NotHyperbolic,
-    NotInImageAt,
-    OrbitLiftError,
-    ToleranceViolation,
-)
+from .errors import OrbitLiftError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -331,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kdata)
 
     p = sub.add_parser("harness", help="several-variable locally-Lipschitz probe harness")
-    common(p, group=True, needs_domain=True)
+    common(p, group=True)
+    p.add_argument("--level", type=int, default=8)
     p.add_argument("--gmap", required=True, help="semicolon-separated map components in u,v")
     p.add_argument("--box", default="-1:1,-1:1", help="probe box, e.g. -1:1,-1:1")
     p.add_argument("--probes", type=int, default=7)
@@ -348,9 +344,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotHyperbolic, NotInImageAt, ToleranceViolation) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_DOMAIN
     except OrbitLiftError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_DOMAIN

@@ -47,14 +47,6 @@ class NotHyperbolicAt(NotHyperbolic):
         self.t = t
 
 
-class UnresolvedCollision(OrbitLiftError):
-    """Branch pairing at a collision stayed ambiguous at maximal refinement."""
-
-    def __init__(self, window: tuple[float, float]):
-        super().__init__(f"unresolved collision on window {window!r}")
-        self.window = window
-
-
 class UnsupportedParameter(OrbitLiftError):
     """Group family does not admit the requested size parameter."""
 

@@ -12,10 +12,18 @@ than tol^(1/multiplicity) are collapsed to a repeated root (at the cluster
 centroid, computed from the matching derivative): collisions of real roots
 are the expected regime here and must not surface as spurious complex
 pairs.
+
+The scalar inner loops (Horner evaluation, noise bounds, polynomial
+division, bisection and Newton steps) run on Python floats: each
+coefficient vector becomes a float list once per loop, and numpy arrays
+appear only at the boundary (MonicHyperbolic, RootMultiset, evaluate() on
+an array).  Every float operation keeps the order of the numpy kernels it
+replaces, so the roots are bit-identical to theirs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +38,7 @@ _TRIM_EPS = 1e-13
 # Isolation intervals narrower than this are emitted as root clusters.
 _WIDTH_FLOOR = 1e-13
 _MAX_NEWTON = 60
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +151,17 @@ def _check_tol(tol: float) -> None:
 
 # -- dense polynomial helpers (descending coefficients, c[0] = leading) -----
 
-def _horner(c: np.ndarray, x):
+def _horner(c, x):
+    """c(x) for an array or float list c.  A float x (np.float64 included)
+    takes a plain float loop with the array path's operation order."""
+    if isinstance(x, float):
+        x = float(x)
+        if not isinstance(c, list):
+            c = c.tolist()
+        out = c[0]
+        for coef in c[1:]:
+            out = out * x + coef
+        return out
     x = np.asarray(x, dtype=float)
     out = np.full(x.shape, c[0], dtype=float)
     for coef in c[1:]:
@@ -172,8 +191,20 @@ def _deriv(c: np.ndarray) -> np.ndarray:
 
 
 def _polydiv(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q, r = np.polydiv(num, den)
-    return np.atleast_1d(q), np.atleast_1d(r)
+    """np.polydiv on floats, in its exact operation order."""
+    r = [a + 0.0 for a in num.tolist()]
+    v = [b + 0.0 for b in den.tolist()]
+    scale = 1.0 / v[0]
+    q = [0.0] * max(len(r) - len(v) + 1, 1)
+    for k in range(len(r) - len(v) + 1):
+        d = q[k] = scale * r[k]
+        for i, vi in enumerate(v):
+            r[k + i] -= d * vi
+    # np.polydiv drops leading remainder terms np.allclose calls zero (atol 1e-8)
+    first = 0
+    while abs(r[first]) <= 1e-8 and first < len(r) - 1:
+        first += 1
+    return np.array(q), np.array(r[first:])
 
 
 def _normalize(c: np.ndarray) -> np.ndarray:
@@ -208,16 +239,16 @@ def _sturm_chain(c: np.ndarray, gcd_eps: float = _GCD_EPS) -> tuple[list[np.ndar
     return chain, np.ones(1)
 
 
-def _eval_noise(c: np.ndarray, x: float) -> float:
+def _eval_noise(c: list[float], x: float) -> float:
     """Rounding-noise scale of Horner evaluation at x."""
-    ax = abs(x)
+    ax = abs(float(x))
     acc = abs(c[0])
     for coef in c[1:]:
         acc = acc * ax + abs(coef)
-    return 2.0 * c.size * np.finfo(float).eps * acc
+    return 2.0 * len(c) * _EPS * acc
 
 
-def _sign_variations(chain: list[np.ndarray], x: float) -> int:
+def _sign_variations(chain: list[list[float]], x: float) -> int:
     signs = []
     for c in chain:
         v = _horner(c, x)
@@ -226,7 +257,7 @@ def _sign_variations(chain: list[np.ndarray], x: float) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _nudge_off_root(c: np.ndarray, x: float, direction: float) -> float:
+def _nudge_off_root(c: list[float], x: float, direction: float) -> float:
     """Move x by tiny steps until c(x) stands clear of evaluation noise."""
     step = 1e-12 * max(1.0, abs(x))
     for _ in range(64):
@@ -254,6 +285,7 @@ def _root_bound(c: np.ndarray) -> float:
 def _isolate(chain: list[np.ndarray], lo: float, hi: float) -> list[tuple[float, float, int]]:
     """Disjoint intervals (a, b] each holding `count` roots; count > 1 only
     when the interval has shrunk to the width floor (tight cluster)."""
+    chain = [c.tolist() for c in chain]
     sf = chain[0]
     lo = _nudge_off_root(sf, lo, -1.0)
     hi = _nudge_off_root(sf, hi, +1.0)
@@ -283,7 +315,7 @@ def _isolate(chain: list[np.ndarray], lo: float, hi: float) -> list[tuple[float,
     return out
 
 
-def _polish_simple(c: np.ndarray, dc: np.ndarray, lo: float, hi: float) -> float:
+def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> float:
     """Bisection to a tight bracket, then safeguarded Newton on c."""
     flo = _horner(c, lo)
     fhi = _horner(c, hi)
@@ -323,17 +355,17 @@ def _polish_simple(c: np.ndarray, dc: np.ndarray, lo: float, hi: float) -> float
     return x
 
 
-def _refine_on_original(c: np.ndarray, dc: np.ndarray, x: float, mult: int) -> float:
+def _refine_on_original(c: list[float], dc: list[float], x: float, mult: int) -> float:
     # Multiplicity-aware Newton recovers full accuracy on the input poly.
     for _ in range(4):
         fx = _horner(c, x)
         if abs(fx) <= 2.0 * _eval_noise(c, x):
             break
         dfx = _horner(dc, x)
-        if dfx == 0.0 or not np.isfinite(dfx):
+        if dfx == 0.0 or not math.isfinite(dfx):
             break
         step = mult * fx / dfx
-        if not np.isfinite(step) or abs(step) > 0.1 * (1.0 + abs(x)):
+        if not math.isfinite(step) or abs(step) > 0.1 * (1.0 + abs(x)):
             break
         x -= step
         if abs(step) <= 1e-16 * max(1.0, abs(x)):
@@ -349,13 +381,13 @@ def _polish_mult_root(c: np.ndarray, x: float, mult: int) -> float:
     d = c
     for _ in range(mult - 1):
         d = _deriv(d)
-    dd = _deriv(d)
+    d, dd = d.tolist(), _deriv(d).tolist()
     for _ in range(40):
         fx = _horner(d, x)
         if abs(fx) <= 2.0 * _eval_noise(d, x):
             break  # below evaluation noise: the step would be noise/noise
         dfx = _horner(dd, x)
-        if dfx == 0.0 or not np.isfinite(dfx):
+        if dfx == 0.0 or not math.isfinite(dfx):
             break
         step = fx / dfx
         if abs(step) > 0.1 * (1.0 + abs(x)):
@@ -397,8 +429,9 @@ def _real_roots_mult(
     if _deg(sf) <= 0:
         return []
     bound = _root_bound(sf)
-    dsf = _deriv(sf)
-    dc = _deriv(c)
+    # float lists for the polishing loops
+    sf, dsf = sf.tolist(), _deriv(sf).tolist()
+    c, dc = c.tolist(), _deriv(c).tolist()
     found: list[tuple[float, int]] = []
     for a, b, count in _isolate(sf_chain, -bound, bound):
         if count == 1:
@@ -452,15 +485,16 @@ def _collapse_clusters(values: np.ndarray, tol: float, c: np.ndarray | None = No
 
 def _taylor_shift(c: np.ndarray, mu: float) -> np.ndarray:
     """Coefficients of p(x + mu) by repeated synthetic division."""
-    b = c.copy()
-    n = b.size
+    b = c.tolist()
+    mu = float(mu)
+    n = len(b)
     for i in range(1, n):
         for j in range(1, n - i + 1):
             b[j] += mu * b[j - 1]
-    return b
+    return np.array(b)
 
 
-def _promotion_violation(derivs, scales, x: float, mult: int, tol: float) -> float:
+def _promotion_violation(derivs: list[list[float]], scales, x: float, mult: int, tol: float) -> float:
     """How far x is from being a mult-fold root, in units of the tol-ball.
 
     Coefficient perturbations of size tol*scale(P) move P^(j) by about
@@ -472,7 +506,7 @@ def _promotion_violation(derivs, scales, x: float, mult: int, tol: float) -> flo
     return worst
 
 
-def _healthy(derivs, scales, pairs, n: int, tol: float) -> bool:
+def _healthy(derivs: list[list[float]], scales, pairs, n: int, tol: float) -> bool:
     """Plausibility of a full root-multiset claim: every root accounted for
     and every multiplicity witnessed by vanishing lower derivatives.  A
     deficit always routes through the interlacing rebuild, which also settles
@@ -508,24 +542,25 @@ def _robust_real_roots(
     for _ in range(n):
         derivs.append(_deriv(derivs[-1]))
     scales = [1.0 + float(np.max(np.abs(d))) for d in derivs]
-    floor = max(noise_floor, 4.0 * c.size * np.finfo(float).eps * scales[0])
+    floor = max(noise_floor, 4.0 * c.size * _EPS * scales[0])
     pairs = _real_roots_mult(c)
     pairs = [(r if m == 1 else _polish_mult_root(c, r, m), m) for r, m in pairs]
-    if _healthy(derivs, scales, pairs, n, tol):
+    dfloats = [d.tolist() for d in derivs]
+    if _healthy(dfloats, scales, pairs, n, tol):
         return pairs
     tau0 = tol * scales[0]
     # differentiation amplifies inherited coefficient noise by at most n
     crit = sorted(x for x, _ in _robust_real_roots(derivs[1], tol, depth + 1, floor * n))
     bound = _root_bound(c) + 1.0
     anchors = [-bound] + crit + [bound]
-    vals = [_horner(c, a) for a in anchors]
+    vals = [_horner(dfloats[0], a) for a in anchors]
     zeroish = [abs(v) <= tau0 for v in vals]
     pairs = []
     for i in range(len(anchors) - 1):
         if zeroish[i] or zeroish[i + 1]:
             continue
         if (vals[i] > 0) != (vals[i + 1] > 0):
-            x = _polish_simple(c, derivs[1], anchors[i], anchors[i + 1])
+            x = _polish_simple(dfloats[0], dfloats[1], anchors[i], anchors[i + 1])
             pairs.append((x, 1))
     i = 1
     while i < len(anchors) - 1:
@@ -543,18 +578,18 @@ def _robust_real_roots(
         mult = min(mult, n)
         center = 0.5 * (anchors[i] + anchors[j])
         x = _polish_mult_root(c, center, mult)
-        if _promotion_violation(derivs, scales, x, mult, tol) <= 1.0:
+        if _promotion_violation(dfloats, scales, x, mult, tol) <= 1.0:
             pairs.append((x, mult))
         else:
             # adjacent clusters hide inside the run: dissect it at noise
             # resolution (tiny values still carry reliable signs)
-            pairs.extend(_dissect_run(c, derivs, scales, anchors, vals, i, j, tol, n, floor))
+            pairs.extend(_dissect_run(c, dfloats, anchors, vals, i, j, n, floor))
         i = j + 1
     pairs.sort(key=lambda p: p[0])
     return pairs
 
 
-def _dissect_run(c, derivs, scales, anchors, vals, i, j, tol, n, floor) -> list[tuple[float, int]]:
+def _dissect_run(c, derivs, anchors, vals, i, j, n, floor) -> list[tuple[float, int]]:
     """Finer structure of one zeroish anchor run.
 
     Values below the tol-ball can still sit far above evaluation noise, so
@@ -565,7 +600,7 @@ def _dissect_run(c, derivs, scales, anchors, vals, i, j, tol, n, floor) -> list[
     reliable = {}
     for k in idxs:
         v = vals[k]
-        if abs(v) > max(100.0 * _eval_noise(c, anchors[k]), floor):
+        if abs(v) > max(100.0 * _eval_noise(derivs[0], anchors[k]), floor):
             reliable[k] = 1 if v > 0 else -1
     # endpoints bracket the run and are never noise-level
     reliable.setdefault(i - 1, 1 if vals[i - 1] > 0 else -1)
@@ -582,7 +617,7 @@ def _dissect_run(c, derivs, scales, anchors, vals, i, j, tol, n, floor) -> list[
             center = 0.5 * (anchors[seeds[0]] + anchors[seeds[-1]])
             out.append((_polish_mult_root(c, center, mult), mult))
         elif reliable[a] != reliable[b]:
-            out.append((_polish_simple(c, derivs[1], anchors[a], anchors[b]), 1))
+            out.append((_polish_simple(derivs[0], derivs[1], anchors[a], anchors[b]), 1))
     return out
 
 
@@ -619,7 +654,7 @@ def _roots_with_fallback(poly: MonicHyperbolic, tol: float) -> np.ndarray | None
     tol_eff = tol * coeff_scale(poly) / scale_shift
     # rounding inside the shift leaves absolute coefficient noise at the
     # original scale; evaluated values inherit it
-    shift_noise = 4.0 * (n + 1) * np.finfo(float).eps * coeff_scale(poly) * max(1.0, abs(mu))
+    shift_noise = 4.0 * (n + 1) * _EPS * coeff_scale(poly) * max(1.0, abs(mu))
     pairs = _robust_real_roots(c, tol_eff, noise_floor=shift_noise)
     total = sum(m for _, m in pairs)
     if total < n and (n - total) % 2 == 0 and n >= 2:
@@ -627,6 +662,7 @@ def _roots_with_fallback(poly: MonicHyperbolic, tol: float) -> np.ndarray | None
         for _ in range(n):
             derivs.append(_deriv(derivs[-1]))
         scales = [1.0 + float(np.max(np.abs(d))) for d in derivs]
+        dfloats = [d.tolist() for d in derivs]
         # remaining deficit: complex pairs within the tol-ball coalesce into
         # higher multiplicities; rank candidate promotions by how cleanly the
         # lower derivatives vanish at the witness point
@@ -639,7 +675,7 @@ def _roots_with_fallback(poly: MonicHyperbolic, tol: float) -> np.ndarray | None
                 x = _polish_mult_root(c, r, m + 2)
                 if abs(x - r) > 0.5 * (1.0 + abs(r)):
                     continue  # Newton wandered off; not a local cluster
-                viol = _promotion_violation(derivs, scales, x, m + 2, tol_eff)
+                viol = _promotion_violation(dfloats, scales, x, m + 2, tol_eff)
                 cand = (viol, abs(x - r), i, x, m + 2)
                 if best is None or cand[:2] < best[:2]:
                     best = cand
@@ -648,7 +684,7 @@ def _roots_with_fallback(poly: MonicHyperbolic, tol: float) -> np.ndarray | None
                 # belongs to that cluster: let the promotion above absorb it
                 if any(abs(x0 - r) < tol ** (1.0 / (m + 2)) for r, m in pairs):
                     continue
-                viol = _promotion_violation(derivs, scales, x0, 2, tol_eff)
+                viol = _promotion_violation(dfloats, scales, x0, 2, tol_eff)
                 cand = (viol, 0.0, None, x0, 2)
                 if best is None or cand[:2] < best[:2]:
                     best = cand

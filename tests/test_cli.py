@@ -124,6 +124,15 @@ class TestKdata:
         assert run(["kdata", "--group", "Z:9"]) == EXIT_DOMAIN
 
 
+class TestHarness:
+    def test_rejects_domain(self, capsys):
+        # the probe grid always spans [-1, 1]; the flag would be ignored
+        with pytest.raises(SystemExit) as exc:
+            run(["harness", "--group", "B:2", "--gmap", "u;v", "--domain", "0:1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --domain" in capsys.readouterr().err
+
+
 class TestExamples:
     def test_catalog_listing(self, capsys):
         assert run(["examples"]) == EXIT_OK

@@ -171,3 +171,105 @@ class TestRoundTrip:
             R = np.round(base[rng.integers(0, k, n)], int(rng.integers(1, 5)))
             p = hp.from_roots(R)
             assert hp.is_hyperbolic(p) or hp.is_hyperbolic(p, 1e-7)
+
+
+def bits(a):
+    # exact bit pattern, including the sign of zero, dtype and shape
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def numpy_eval_noise(c, x):
+    # the numpy-scalar formula the float kernel replaces
+    ax = abs(x)
+    acc = abs(c[0])
+    for coef in c[1:]:
+        acc = acc * ax + abs(coef)
+    return 2.0 * c.size * np.finfo(float).eps * acc
+
+
+def numpy_taylor_shift(c, mu):
+    b = c.copy()
+    for i in range(1, b.size):
+        for j in range(1, b.size - i + 1):
+            b[j] += mu * b[j - 1]
+    return b
+
+
+class TestFloatKernels:
+    """The float kernels reproduce the numpy kernels bit for bit."""
+
+    def test_horner_scalar_matches_array_path(self):
+        rng = np.random.default_rng(21)
+        for deg in range(0, 9):
+            for _ in range(40):
+                c = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-4, 5)
+                x = rng.normal() * 10.0 ** rng.integers(-3, 4)
+                ref = hp._horner(c, np.array([x]))[0]
+                for xs in (float(x), np.float64(x)):
+                    got = hp._horner(c, xs)
+                    assert type(got) is float
+                    assert bits(got) == bits(ref)
+
+    def test_horner_degree_one(self):
+        for c, x in [([1.0, -0.0], 0.0), ([1.0, 0.0], -0.0), ([3.0, 1e-300], -1e-300), ([1.0, 2.0], 0.1)]:
+            c = np.array(c)
+            assert bits(hp._horner(c, x)) == bits(hp._horner(c, np.array([x]))[0])
+
+    def assert_same_division(self, num, den):
+        num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+        q, r = hp._polydiv(num, den)
+        q_ref, r_ref = np.polydiv(num, den)
+        assert bits(q) == bits(q_ref)
+        assert bits(r) == bits(r_ref)
+
+    def test_polydiv_random(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            m = int(rng.integers(0, 9))
+            n = int(rng.integers(0, 9))
+            self.assert_same_division(rng.normal(size=m + 1), rng.normal(size=n + 1) + 0.1)
+
+    def test_polydiv_exact_multiple(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            den = rng.integers(-5, 6, size=int(rng.integers(2, 5))).astype(float)
+            den[0] = 1.0
+            num = np.polymul(den, rng.integers(-5, 6, size=int(rng.integers(1, 5))).astype(float))
+            self.assert_same_division(num, den)
+            q, r = hp._polydiv(num, den)
+            assert r.tolist() == [0.0]
+
+    def test_polydiv_constant_divisor(self):
+        self.assert_same_division([3.0, -1.0, 0.5], [2.5])
+        self.assert_same_division([7.0], [-0.5])
+
+    def test_polydiv_signed_zeros(self):
+        # np.polydiv adds 0.0 to its inputs, which turns -0.0 into +0.0
+        self.assert_same_division([1.0, -0.0, -0.0], [1.0, 0.0])
+        self.assert_same_division([-0.0, 2.0], [-1.0, -0.0])
+
+    @pytest.mark.parametrize("lead", [
+        np.nextafter(1e-8, 0.0), 1e-8, np.nextafter(1e-8, 1.0),
+        -np.nextafter(1e-8, 0.0), -np.nextafter(1e-8, 1.0),
+    ])
+    def test_polydiv_remainder_strip_threshold(self, lead):
+        # x^3 + lead*x + 0.75 divided by x^2: remainder lead*x + 0.75
+        self.assert_same_division([1.0, 0.0, lead, 0.75], [1.0, 0.0, 0.0])
+        q, r = hp._polydiv(np.array([1.0, 0.0, lead, 0.75]), np.array([1.0, 0.0, 0.0]))
+        assert r.size == (1 if abs(lead) <= 1e-8 else 2)
+
+    def test_eval_noise_matches_numpy_formula(self):
+        rng = np.random.default_rng(24)
+        for deg in range(0, 9):
+            for _ in range(40):
+                c = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-4, 5)
+                x = np.float64(rng.normal() * 10.0 ** rng.integers(-3, 4))
+                assert bits(hp._eval_noise(c.tolist(), x)) == bits(float(numpy_eval_noise(c, x)))
+
+    def test_taylor_shift_matches_numpy(self):
+        rng = np.random.default_rng(25)
+        for deg in range(1, 9):
+            c = np.concatenate(([1.0], rng.normal(size=deg)))
+            mu = np.float64(rng.normal())
+            assert bits(hp._taylor_shift(c, mu)) == bits(numpy_taylor_shift(c, mu))
