@@ -550,15 +550,6 @@ class Grid:
         return Grid(self.t0 + i0 * child, self.t0 + i1 * child, self.level + 1, i1 - i0)
 
 
-def refine(grid: Grid, window: tuple[float, float]) -> Grid:
-    return grid.refine(window)
-
-
-def sample(curve: CoeffCurve, grid: Grid) -> np.ndarray:
-    """Coefficient vectors at each grid point; shape (len(points), n)."""
-    return curve.evaluate(grid.points)
-
-
 # -- CSV interchange --------------------------------------------------------------
 
 def write_samples_csv(path, t: np.ndarray, columns: np.ndarray, names: Sequence[str]) -> None:

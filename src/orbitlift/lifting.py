@@ -5,12 +5,12 @@ grid sample contributes its fiber (one group orbit); the lift threads one
 point per fiber.  Away from collisions the thread follows linear
 extrapolation matched to the nearest fiber point.  Where fiber points
 collide or the fiber cardinality jumps (orbit-type change), the thread is
-re-attached by the minimal-derivative-jump principle: one-sided slopes are
-estimated just outside the window, candidates are ranked by their distance
-from the linear continuation of the incoming strand (slope jump and
-curvature as tie-breakers), estimates must stabilize under window
-refinement, and windows that stay ambiguous are flagged unresolved with a
-nearest-point fallback inside.
+re-attached by the minimal-derivative-jump principle: candidates right after
+the window are ranked by their distance from the linear continuation of the
+incoming strand (slope jump and curvature as tie-breakers), and
+`windows.resolve_window` refines the window until that choice is stable.
+Windows it leaves unresolved are flagged, with a nearest-point fallback
+inside.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from .curvedsl import CoeffCurve, Grid
 from .errors import DimensionMismatch, NotInImageAt
 from .invariants import OrbitMapSigma, ReflectionGroup, fiber
 from .regcheck import VERDICT_RANK, RegularityReport
-
-_SIDE_WINDOW = 8
-_SLOPE_RTOL = 1e-3
-_MAX_LEVEL = 20
-_TIE_TOL = 1e-6
-_EPS_FACTOR = 1e-3
+from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
 
 
 @dataclass(frozen=True)
@@ -55,11 +50,26 @@ class LiftResult:
 
 def verify_lift(map_: OrbitMapSigma, lift: LiftResult, curve: CoeffCurve) -> float:
     """sup_t |sigma(lift(t)) - c(t)|; a valid lift stays below 10*tol."""
-    target = curve.evaluate(lift.grid.points)
+    return _residual(map_, lift.values, curve.evaluate(lift.grid.points))
+
+
+def _residual(map_: OrbitMapSigma, values: np.ndarray, rows: np.ndarray) -> float:
+    """sup over samples of |sigma(values[i]) - rows[i]|."""
     worst = 0.0
-    for i in range(lift.values.shape[0]):
-        worst = max(worst, float(np.max(np.abs(map_.evaluate(lift.values[i]) - target[i]))))
+    for i in range(values.shape[0]):
+        worst = max(worst, float(np.max(np.abs(map_.evaluate(values[i]) - rows[i]))))
     return worst
+
+
+def _evidence(values: np.ndarray, grid: Grid, levels: int) -> tuple[tuple[RegularityReport, ...], float]:
+    """Per-coordinate regularity reports over `levels` dyadic levels (none
+    when levels is 0), and the largest step between consecutive samples."""
+    reports = tuple(
+        regcheck.certify_samples(values[:, j], (grid.t0, grid.t1), levels)
+        for j in range(values.shape[1])
+    ) if levels else ()
+    steps = np.linalg.norm(np.diff(values, axis=0), axis=1)
+    return reports, float(steps.max()) if steps.size else 0.0
 
 
 def _fibers_at(map_: OrbitMapSigma, rows: np.ndarray, tpts: np.ndarray, tol: float):
@@ -83,27 +93,36 @@ def _nearest(f: np.ndarray, p: np.ndarray) -> int:
     return int(np.argmin(np.linalg.norm(f - p[None, :], axis=1)))
 
 
-def _track(fibers, start: np.ndarray | None = None) -> np.ndarray:
-    """Nearest-point tracking with linear extrapolation."""
-    n = len(fibers)
-    dim = fibers[0].shape[1]
-    vals = np.empty((n, dim))
-    vals[0] = fibers[0][0] if start is None else fibers[0][_nearest(fibers[0], start)]
-    for i in range(1, n):
-        pred = vals[i - 1] if i == 1 else 2.0 * vals[i - 1] - vals[i - 2]
-        vals[i] = fibers[i][_nearest(fibers[i], pred)]
+def _continue(values: np.ndarray, fibers, i: int) -> None:
+    """values[i] := the point of fibers[i] nearest the linear continuation
+    of values[i-2], values[i-1] (the previous value when i == 1)."""
+    pred = values[i - 1] if i == 1 else 2.0 * values[i - 1] - values[i - 2]
+    values[i] = fibers[i][_nearest(fibers[i], pred)]
+
+
+def _track(fibers, start: np.ndarray) -> np.ndarray:
+    """Nearest-point tracking with linear extrapolation, from the point of
+    the first fiber nearest start."""
+    vals = np.empty((len(fibers), fibers[0].shape[1]))
+    vals[0] = fibers[0][_nearest(fibers[0], start)]
+    for i in range(1, len(fibers)):
+        _continue(vals, fibers, i)
     return vals
 
 
-def _fit_vector_side(tc: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate linear slope and quadratic coefficient of a strand."""
-    dim = vals.shape[1]
-    slope = np.empty(dim)
-    quad = np.empty(dim)
-    for j in range(dim):
-        slope[j] = np.polyfit(tc, vals[:, j], 1)[0]
-        quad[j] = np.polyfit(tc, vals[:, j], 2)[0] if tc.size >= 3 else 0.0
-    return slope, quad
+def _risky(fibers, eps: float) -> np.ndarray:
+    """Samples whose fiber points come within eps of each other, or whose
+    fiber size differs from a neighbour's (an orbit-type change)."""
+    counts = [f.shape[0] for f in fibers]
+    N = len(fibers)
+    return np.array(
+        [
+            _min_pairwise(fibers[i]) < eps
+            or (i > 0 and counts[i] != counts[i - 1])
+            or (i + 1 < N and counts[i] != counts[i + 1])
+            for i in range(N)
+        ]
+    )
 
 
 @dataclass
@@ -116,55 +135,31 @@ class _WindowEstimate:
     cand_slopes: np.ndarray  # (k, dim)
     cand_quads: np.ndarray
     candidates: np.ndarray   # (k, dim) fiber points right after the window
+    run: tuple[float, float]
 
 
-def _estimate_window(map_, curve, sub: Grid, tol, eps, center_t, left_anchor, w):
-    tpts = sub.points
-    rows = curve.evaluate(tpts)
-    fibers = _fibers_at(map_, rows, tpts, tol)
-    risky = np.array(
-        [_min_pairwise(f) < eps or
-         (0 < i and len(fibers[i]) != len(fibers[i - 1])) or
-         (i + 1 < len(fibers) and len(fibers[i]) != len(fibers[i + 1]))
-         for i, f in enumerate(fibers)]
-    )
-    center_i = int(np.argmin(np.abs(tpts - center_t)))
-    if risky.any():
-        if not risky[center_i]:
-            cand = np.nonzero(risky)[0]
-            center_i = int(cand[np.argmin(np.abs(tpts[cand] - center_t))])
-        lo = hi = center_i
-        while lo - 1 >= 0 and risky[lo - 1]:
-            lo -= 1
-        while hi + 1 < tpts.size and risky[hi + 1]:
-            hi += 1
-    else:
-        lo = hi = center_i
+def _estimate_window(tpts, fibers, center_t, eps, left_anchor):
+    w = _SIDE_WINDOW
+    lo, hi = risky_run(tpts, _risky(fibers, eps), center_t)
     if lo - w < 0 or hi + 1 + 2 >= tpts.size:
         return None
-    left_vals = _track(fibers[max(lo - w, 0) : lo], start=left_anchor)
-    if left_vals.shape[0] < 2:
-        return None
-    tc_left = tpts[max(lo - w, 0) : lo] - center_t
-    ls, lq = _fit_vector_side(tc_left, left_vals)
+    left_vals = _track(fibers[lo - w : lo], left_anchor)
+    ls, lq = fit_side(tpts[lo - w : lo] - center_t, left_vals)
     cands = fibers[hi + 1]
-    fwd = min(w, tpts.size - (hi + 1))
-    cs = np.empty((cands.shape[0], cands.shape[1]))
+    right = slice(hi + 1, min(hi + 1 + w, tpts.size))
+    cs = np.empty(cands.shape)
     cq = np.empty_like(cs)
     for k in range(cands.shape[0]):
-        strand = _track(fibers[hi + 1 : hi + 1 + fwd], start=cands[k])
-        tc_right = tpts[hi + 1 : hi + 1 + fwd] - center_t
-        if strand.shape[0] < 2:
-            return None
-        cs[k], cq[k] = _fit_vector_side(tc_right, strand)
-    est = _WindowEstimate(
-        ls, lq, left_vals[-1], float(tpts[lo - 1]), float(tpts[hi + 1]), cs, cq, cands
+        cs[k], cq[k] = fit_side(tpts[right] - center_t, _track(fibers[right], cands[k]))
+    return _WindowEstimate(
+        ls, lq, left_vals[-1], float(tpts[lo - 1]), float(tpts[hi + 1]), cs, cq, cands,
+        (float(tpts[lo]), float(tpts[hi])),
     )
-    return est, (float(tpts[lo]), float(tpts[hi]))
 
 
-def _choose_candidate(est: _WindowEstimate):
-    """Candidate index, cost margin (slope units), ambiguity flag.
+def _choose_candidate(est: _WindowEstimate) -> Choice:
+    """The fiber point to leave the window by, keyed by its index and the
+    candidate count, with the cost margin in slope units.
 
     Primary cost: deviation of the candidate from the linear continuation of
     the incoming strand, normalized by the time gap so the unit matches the
@@ -174,9 +169,10 @@ def _choose_candidate(est: _WindowEstimate):
     cost = np.linalg.norm(est.candidates - predicted, axis=1) / dt
     order = np.argsort(cost, kind="stable")
     best = int(order[0])
+    k = est.candidates.shape[0]
     margin = float(cost[order[1]] - cost[order[0]]) if order.size > 1 else np.inf
     if margin > _TIE_TOL:
-        return best, margin, False
+        return Choice((k, best), margin, False, est.candidates[best])
     tied = [int(i) for i in order if cost[i] <= cost[best] + _TIE_TOL]
     scost = np.linalg.norm(est.cand_slopes - est.left_slope[None, :], axis=1)
     qcost = np.linalg.norm(est.cand_quads - est.left_quad[None, :], axis=1)
@@ -188,55 +184,15 @@ def _choose_candidate(est: _WindowEstimate):
         and scost[second] <= scost[first] + _TIE_TOL
         and qcost[second] <= qcost[first] + 1e-12 * (1 + qcost[first])
     )
-    return first, margin, ambiguous
+    return Choice((k, first), margin, ambiguous, est.candidates[first])
 
 
-def _slope_drift_vec(a: _WindowEstimate, b: _WindowEstimate) -> float:
+def _slope_drift(a: _WindowEstimate, b: _WindowEstimate) -> float:
     scale = 1.0 + max(float(np.max(np.abs(a.left_slope))), float(np.max(np.abs(b.left_slope))))
     drift = float(np.max(np.abs(a.left_slope - b.left_slope))) / scale
     if a.cand_slopes.shape == b.cand_slopes.shape:
         drift = max(drift, float(np.max(np.abs(a.cand_slopes - b.cand_slopes))) / scale)
     return drift
-
-
-def _resolve_window(map_, curve, grid, tol, eps, i0, i1, left_anchor, w):
-    tpts = grid.points
-    center_t = 0.5 * (tpts[i0] + tpts[i1])
-    base = _estimate_window(map_, curve, grid, tol, eps, center_t, left_anchor, w)
-    if base is None:
-        return None
-    est, run = base
-    window = (
-        max(grid.t0, tpts[max(i0 - w - 1, 0)]),
-        min(grid.t1, tpts[min(i1 + w + 1, tpts.size - 1)]),
-    )
-    sub = grid
-    prev_drift = np.inf
-    while sub.level < _MAX_LEVEL:
-        sub = sub.refine(window)
-        nxt = _estimate_window(map_, curve, sub, tol, eps, center_t, left_anchor, w)
-        if nxt is None:
-            return None
-        new_est, run = nxt
-        drift = _slope_drift_vec(est, new_est)
-        choice, margin, ambiguous = _choose_candidate(new_est)
-        if drift <= _SLOPE_RTOL:
-            return None if ambiguous else new_est.candidates[choice]
-        prev_choice, _, prev_amb = _choose_candidate(est)
-        same = (
-            est.candidates.shape == new_est.candidates.shape
-            and choice == prev_choice
-            and not ambiguous
-            and not prev_amb
-        )
-        slope_scale = 1.0 + float(np.max(np.abs(new_est.left_slope)))
-        if same and margin > 10.0 * drift * slope_scale and np.isfinite(prev_drift) and drift < 0.9 * prev_drift:
-            return new_est.candidates[choice]
-        prev_drift = drift
-        est = new_est
-        half = (w + 2) * sub.step * 0.5
-        window = (max(sub.t0, run[0] - half), min(sub.t1, run[1] + half))
-    return None
 
 
 def _continuity_bound(map_: OrbitMapSigma, rows: np.ndarray, scale: float, tol: float) -> float:
@@ -271,46 +227,39 @@ def lift_curve(
     dim = group.dim
     scale = max(float(np.max(np.abs(np.concatenate([f.ravel() for f in fibers])))), 1e-30)
     eps = _EPS_FACTOR * scale
-    counts = np.array([f.shape[0] for f in fibers])
-    risky = np.array(
-        [
-            _min_pairwise(fibers[i]) < eps
-            or (i > 0 and counts[i] != counts[i - 1])
-            or (i + 1 < N and counts[i] != counts[i + 1])
-            for i in range(N)
-        ]
-    )
+    risky = _risky(fibers, eps)
     values = np.empty((N, dim))
     values[0] = fibers[0][0]
     swap_log: list[tuple[int, tuple[int, int]]] = []
     unresolved: list[tuple[float, float]] = []
-    w = _SIDE_WINDOW
     i = 1
     while i < N:
         if not risky[i]:
-            pred = values[i - 1] if i == 1 else 2.0 * values[i - 1] - values[i - 2]
-            values[i] = fibers[i][_nearest(fibers[i], pred)]
+            _continue(values, fibers, i)
             i += 1
             continue
-        i0 = i
-        i1 = i
+        i0 = i1 = i
         while i1 + 1 < N and risky[i1 + 1]:
             i1 += 1
-        if i0 - 1 < max(i0 - w, 0) or i1 + 1 >= N or i0 < w + 1:
-            # window touches the domain boundary: nearest-point continuation
-            for j in range(i0, min(i1 + 2, N)):
-                pred = values[j - 1] if j == 1 else 2.0 * values[j - 1] - values[j - 2]
-                values[j] = fibers[j][_nearest(fibers[j], pred)]
-            i = i1 + 2
-            continue
-        exit_val = _resolve_window(
-            map_, curve, grid, tol, eps, i0, i1, values[i0 - 1], w
+        # a window touching the domain boundary gets nearest-point continuation
+        at_boundary = i0 <= _SIDE_WINDOW or i1 + 1 >= N
+        exit_val = None if at_boundary else resolve_window(
+            grid,
+            i0,
+            i1,
+            fibers,
+            lambda sub: _fibers_at(map_, curve.evaluate(sub.points), sub.points, tol),
+            lambda pts, sub_fibers, center_t: _estimate_window(
+                pts, sub_fibers, center_t, eps, values[i0 - 1]
+            ),
+            _slope_drift,
+            _choose_candidate,
         )
         if exit_val is None:
-            unresolved.append((float(tpts[i0]), float(tpts[i1])))
+            if not at_boundary:
+                unresolved.append((float(tpts[i0]), float(tpts[i1])))
             for j in range(i0, min(i1 + 2, N)):
-                pred = 2.0 * values[j - 1] - values[j - 2] if j >= 2 else values[j - 1]
-                values[j] = fibers[j][_nearest(fibers[j], pred)]
+                _continue(values, fibers, j)
             i = i1 + 2
             continue
         exit_idx = _nearest(fibers[i1 + 1], exit_val)
@@ -325,25 +274,13 @@ def lift_curve(
             swap_log.append((i0, (rank_in, exit_idx)))
         i = i1 + 2
 
-    residual = 0.0
-    for idx in range(N):
-        residual = max(
-            residual, float(np.max(np.abs(map_.evaluate(values[idx]) - rows[idx])))
-        )
-    reports: tuple[RegularityReport, ...] = ()
-    if grid.level >= 4 and grid.n_cells == 2**grid.level:
-        levels = min(6, grid.level)
-        reports = tuple(
-            regcheck.certify_samples(values[:, j], (grid.t0, grid.t1), levels)
-            for j in range(dim)
-        )
-    steps = np.linalg.norm(np.diff(values, axis=0), axis=1)
-    max_step = float(steps.max()) if steps.size else 0.0
+    levels = min(6, grid.level) if grid.level >= 4 and grid.n_cells == 2**grid.level else 0
+    reports, max_step = _evidence(values, grid, levels)
     return LiftResult(
         grid=grid,
         group=group,
         values=values,
-        residual=residual,
+        residual=_residual(map_, values, rows),
         reports=reports,
         swap_log=tuple(swap_log),
         unresolved=tuple(unresolved),
@@ -356,29 +293,17 @@ def transformed_lift(map_: OrbitMapSigma, lift: LiftResult, element: np.ndarray,
     """The lift moved by a fixed group element, with residual and regularity
     evidence recomputed from scratch (equivariance check support)."""
     values = lift.values @ element.T
-    rows = curve.evaluate(lift.grid.points)
-    residual = 0.0
-    for idx in range(values.shape[0]):
-        residual = max(
-            residual, float(np.max(np.abs(map_.evaluate(values[idx]) - rows[idx])))
-        )
-    reports: tuple[RegularityReport, ...] = ()
-    if lift.reports:
-        levels = len(lift.reports[0].levels)
-        reports = tuple(
-            regcheck.certify_samples(values[:, j], (lift.grid.t0, lift.grid.t1), levels)
-            for j in range(values.shape[1])
-        )
-    steps = np.linalg.norm(np.diff(values, axis=0), axis=1)
+    levels = len(lift.reports[0].levels) if lift.reports else 0
+    reports, max_step = _evidence(values, lift.grid, levels)
     return LiftResult(
         grid=lift.grid,
         group=lift.group,
         values=values,
-        residual=residual,
+        residual=_residual(map_, values, curve.evaluate(lift.grid.points)),
         reports=reports,
         swap_log=lift.swap_log,
         unresolved=lift.unresolved,
-        max_step=float(steps.max()) if steps.size else 0.0,
+        max_step=max_step,
         continuity_bound=lift.continuity_bound,
     )
 
@@ -404,16 +329,20 @@ class LipschitzHarnessReport:
 
 
 def _composed_curve(f, gamma, n: int) -> CoeffCurve:
-    """f(gamma(t)) wrapped as a coefficient curve, evaluated on demand."""
-    cache: dict[bytes, np.ndarray] = {}
+    """f(gamma(t)) wrapped as a coefficient curve, evaluated on demand.
+
+    The n columns share one evaluation of f per time array: only the last
+    array's values are kept, which serves the n column calls of one
+    CoeffCurve.evaluate."""
+    last: list = [None, None]  # [time array bytes, f values on it]
 
     def column(j):
         def comp(tarr):
             arr = np.atleast_1d(np.asarray(tarr, dtype=float))
             key = arr.tobytes()
-            if key not in cache:
-                cache[key] = np.array([f(gamma(float(t))) for t in arr])
-            out = cache[key][:, j]
+            if key != last[0]:
+                last[:] = key, np.array([f(gamma(float(t))) for t in arr])
+            out = last[1][:, j]
             return out if np.asarray(tarr).shape else float(out[0])
 
         return comp

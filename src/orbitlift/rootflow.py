@@ -3,12 +3,11 @@
 The sorted selection is the pointwise nondecreasing labelling of the roots;
 it is continuous but kinks where branches cross.  The differentiable
 selection re-pairs branch labels across each collision cluster so that
-one-sided slopes match: slopes are estimated by least squares just outside
-the cluster, the label bijection minimizes the total slope jump (min-cost
-matching, lexicographic tie-break), and slope estimates must stabilize
-under window refinement before a pairing is accepted.  Clusters whose
-pairing stays ambiguous at maximal refinement fall back to sorted labels
-inside the window and are flagged as unresolved.
+one-sided slopes match: the label bijection minimizes the total slope jump
+(min-cost matching, with curvature and then lexicographic tie-breaks), and
+`windows.resolve_window` refines the cluster until that pairing is stable.
+Clusters it leaves unresolved keep sorted labels inside the window and are
+flagged.
 """
 
 from __future__ import annotations
@@ -21,15 +20,10 @@ from . import hyperpoly
 from .assignment import minimal_jump_assignment
 from .curvedsl import CoeffCurve, Grid
 from .errors import NotHyperbolic, NotHyperbolicAt
+from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
 
 SORTED = "sorted"
 DIFFERENTIABLE = "differentiable"
-
-_SIDE_WINDOW = 8          # samples fitted on each side of a cluster
-_SLOPE_RTOL = 1e-3        # relative slope drift accepted as stable
-_MAX_LEVEL = 20           # refinement stops at this grid level
-_TIE_TOL = 1e-6           # slope-cost tie width triggering second-order costs
-_EPS_FACTOR = 1e-3        # clustering threshold = root range * this
 
 
 @dataclass(frozen=True)
@@ -128,48 +122,25 @@ class _SideSlopes:
     left_quad: np.ndarray
     right_slope: np.ndarray
     right_quad: np.ndarray
-    run_window: tuple[float, float]
-
-
-def _fit_side(tc: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear-fit slopes and quadratic-fit curvature coefficients, per branch."""
-    slopes = np.empty(vals.shape[0])
-    quads = np.empty(vals.shape[0])
-    for j in range(vals.shape[0]):
-        slopes[j] = np.polyfit(tc, vals[j], 1)[0]
-        quads[j] = np.polyfit(tc, vals[j], 2)[0] if tc.size >= 3 else 0.0
-    return slopes, quads
+    run: tuple[float, float]
 
 
 def _estimate_slopes(
     pts: np.ndarray,
     vals: np.ndarray,
-    members: tuple[int, ...],
+    members: list[int],
     eps: float,
     center_t: float,
-    w: int,
 ) -> _SideSlopes | None:
-    sub = vals[list(members)]
+    sub = vals[members]
     gaps = sub[1:] - sub[:-1]
-    small = (gaps < eps).any(axis=0)
-    center_i = int(np.argmin(np.abs(pts - center_t)))
-    if not small.any():
-        lo = hi = center_i
-    else:
-        if not small[center_i]:
-            candidates = np.nonzero(small)[0]
-            center_i = int(candidates[np.argmin(np.abs(pts[candidates] - center_t))])
-        lo = hi = center_i
-        while lo - 1 >= 0 and small[lo - 1]:
-            lo -= 1
-        while hi + 1 < pts.size and small[hi + 1]:
-            hi += 1
-    left = slice(max(lo - w, 0), lo)
-    right = slice(hi + 1, min(hi + 1 + w, pts.size))
+    lo, hi = risky_run(pts, (gaps < eps).any(axis=0), center_t)
+    left = slice(max(lo - _SIDE_WINDOW, 0), lo)
+    right = slice(hi + 1, min(hi + 1 + _SIDE_WINDOW, pts.size))
     if left.stop - left.start < 2 or right.stop - right.start < 2:
         return None
-    ls, lq = _fit_side(pts[left] - center_t, sub[:, left])
-    rs, rq = _fit_side(pts[right] - center_t, sub[:, right])
+    ls, lq = fit_side(pts[left] - center_t, sub[:, left].T)
+    rs, rq = fit_side(pts[right] - center_t, sub[:, right].T)
     return _SideSlopes(ls, lq, rs, rq, (float(pts[lo]), float(pts[hi])))
 
 
@@ -181,67 +152,11 @@ def _slope_drift(a: _SideSlopes, b: _SideSlopes) -> float:
     return drift
 
 
-def _pairing(est: _SideSlopes, tie_tol: float):
+def _pairing(est: _SideSlopes) -> Choice:
     primary = np.abs(est.left_slope[:, None] - est.right_slope[None, :])
     secondary = np.abs(est.left_quad[:, None] - est.right_quad[None, :])
-    return minimal_jump_assignment(primary, secondary, tie_tol)
-
-
-def _resolve_cluster(
-    curve: CoeffCurve,
-    grid: Grid,
-    vals: np.ndarray,
-    cl: CollisionCluster,
-    tol: float,
-    eps: float,
-):
-    """Stable slope-matched pairing for one cluster, or None if unresolved."""
-    i0, i1 = cl.index_range
-    pts = grid.points
-    center_t = 0.5 * (cl.window[0] + cl.window[1])
-    w = _SIDE_WINDOW
-    est = _estimate_slopes(pts, vals, cl.branches, eps, center_t, w)
-    if est is None:
-        return None
-    sub = grid
-    window = (
-        max(grid.t0, pts[max(i0 - w - 1, 0)]),
-        min(grid.t1, pts[min(i1 + w + 1, pts.size - 1)]),
-    )
-    prev_drift = float("inf")
-    while sub.level < _MAX_LEVEL:
-        sub = sub.refine(window)
-        sub_vals = _sorted_matrix(curve, sub, tol)
-        new_est = _estimate_slopes(sub.points, sub_vals, cl.branches, eps, center_t, w)
-        if new_est is None:
-            return None
-        drift = _slope_drift(est, new_est)
-        pairing = _pairing(new_est, _TIE_TOL)
-        if drift <= _SLOPE_RTOL:
-            return None if pairing.ambiguous else pairing
-        # Slope values still drifting (branches meet with vanishing or
-        # diverging derivatives).  Accept the pairing anyway when it repeats
-        # across refinements, its cost margin dwarfs the drift, and the drift
-        # itself is shrinking; diverging slopes (no one-sided derivative)
-        # keep a constant relative drift and stay unresolved.
-        prev_pairing = _pairing(est, _TIE_TOL)
-        slope_scale = 1.0 + float(np.max(np.abs(new_est.left_slope)))
-        if (
-            pairing.perm == prev_pairing.perm
-            and not pairing.ambiguous
-            and pairing.margin > 10.0 * drift * slope_scale
-            and np.isfinite(prev_drift)
-            and drift < 0.9 * prev_drift
-        ):
-            return pairing
-        prev_drift = drift
-        est = new_est
-        half = (w + 2) * sub.step * 0.5
-        window = (
-            max(sub.t0, new_est.run_window[0] - half),
-            min(sub.t1, new_est.run_window[1] + half),
-        )
-    return None
+    pairing = minimal_jump_assignment(primary, secondary, _TIE_TOL)
+    return Choice(pairing.perm, pairing.margin, pairing.ambiguous, pairing)
 
 
 def differentiable_selection(
@@ -284,7 +199,16 @@ def differentiable_selection(
         diameter = float(np.max(spread.max(axis=0) - spread.min(axis=0)))
         if diameter < perm_eps:
             continue  # permanent collision: any pairing is equivalent
-        pairing = _resolve_cluster(curve, grid, vals, cl, tol, eps)
+        pairing = resolve_window(
+            grid,
+            i0,
+            i1,
+            vals,
+            lambda sub: _sorted_matrix(curve, sub, tol),
+            lambda pts, sub_vals, center_t: _estimate_slopes(pts, sub_vals, members, eps, center_t),
+            _slope_drift,
+            _pairing,
+        )
         if pairing is None:
             unresolved.append(cl.window)
             continue

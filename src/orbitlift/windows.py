@@ -1,0 +1,132 @@
+"""The collision-window resolver shared by root selection and lifting.
+
+Root selection and lifting both carry a curve across a collision window by
+the minimal-derivative-jump rule.  The caller's estimate fits one-sided
+slopes by least squares on the `_SIDE_WINDOW` samples just outside the run
+of risky samples around the window's centre, and its chooser ranks the ways
+to continue across the window.  The resolver refines the window (step
+halved, restricted to the risky run plus a margin) and re-estimates until
+the choice is stable, which is one of:
+
+* the slopes drift by at most `_SLOPE_RTOL` (relative) from the previous
+  level, and the choice is not ambiguous;
+* the slopes still drift (branches meeting with vanishing or diverging
+  derivatives), but the choice has the same key as at the previous level,
+  neither choice is ambiguous, the cost margin exceeds 10 x drift x slope
+  scale, and the drift is shrinking.  Diverging slopes (no one-sided
+  derivative) keep a constant relative drift and stay unresolved.
+
+A window with no stable choice by grid level `_MAX_LEVEL`, or whose estimate
+fails, is unresolved.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
+
+from .curvedsl import Grid
+
+_SIDE_WINDOW = 8          # samples fitted on each side of a window
+_SLOPE_RTOL = 1e-3        # relative slope drift accepted as stable
+_MAX_LEVEL = 20           # refinement stops at this grid level
+_TIE_TOL = 1e-6           # cost tie width triggering second-order costs
+_EPS_FACTOR = 1e-3        # collision threshold = value scale * this
+
+
+class Choice(NamedTuple):
+    """A chooser's verdict on one estimate."""
+
+    key: Any          # equal keys at two levels mean the same choice
+    margin: float     # cost gap to the runner-up
+    ambiguous: bool   # a tie survived every tie-breaker
+    answer: Any       # what resolve_window returns when it accepts
+
+
+def fit_side(tc: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear-fit slope and quadratic-fit leading coefficient of each column
+    of vals (samples x strands) against the times tc."""
+    k = vals.shape[1]
+    slopes = np.empty(k)
+    quads = np.empty(k)
+    for j in range(k):
+        slopes[j] = np.polyfit(tc, vals[:, j], 1)[0]
+        quads[j] = np.polyfit(tc, vals[:, j], 2)[0] if tc.size >= 3 else 0.0
+    return slopes, quads
+
+
+def risky_run(pts: np.ndarray, risky: np.ndarray, center_t: float) -> tuple[int, int]:
+    """Inclusive index bounds of the run of risky samples nearest center_t,
+    or of the sample nearest center_t when no sample is risky."""
+    center_i = int(np.argmin(np.abs(pts - center_t)))
+    if risky.any() and not risky[center_i]:
+        cand = np.nonzero(risky)[0]
+        center_i = int(cand[np.argmin(np.abs(pts[cand] - center_t))])
+    lo = hi = center_i
+    while lo - 1 >= 0 and risky[lo - 1]:
+        lo -= 1
+    while hi + 1 < pts.size and risky[hi + 1]:
+        hi += 1
+    return lo, hi
+
+
+def resolve_window(
+    grid: Grid,
+    i0: int,
+    i1: int,
+    samples: Any,
+    sample: Callable[[Grid], Any],
+    estimate: Callable[[np.ndarray, Any, float], Any],
+    drift: Callable[[Any, Any], float],
+    choose: Callable[[Any], Choice],
+):
+    """Answer of the stable choice across the window grid.points[i0..i1],
+    or None when the window stays unresolved.
+
+    samples   the caller's samples on `grid` itself
+    sample    refined grid -> samples on its points
+    estimate  (points, samples, centre time) -> an estimate with the fitted
+              incoming slopes `left_slope` and the risky run's end times
+              `run`, or None when the sides cannot be fitted
+    drift     (previous estimate, estimate) -> relative slope drift
+    choose    estimate -> Choice
+    """
+    pts = grid.points
+    center_t = 0.5 * (pts[i0] + pts[i1])
+    est = estimate(pts, samples, center_t)
+    if est is None:
+        return None
+    w = _SIDE_WINDOW
+    window = (
+        max(grid.t0, pts[max(i0 - w - 1, 0)]),
+        min(grid.t1, pts[min(i1 + w + 1, pts.size - 1)]),
+    )
+    sub = grid
+    prev = None
+    prev_drift = np.inf
+    while sub.level < _MAX_LEVEL:
+        sub = sub.refine(window)
+        new_est = estimate(sub.points, sample(sub), center_t)
+        if new_est is None:
+            return None
+        d = drift(est, new_est)
+        choice = choose(new_est)
+        if d <= _SLOPE_RTOL:
+            return None if choice.ambiguous else choice.answer
+        if prev is None:
+            prev = choose(est)
+        slope_scale = 1.0 + float(np.max(np.abs(new_est.left_slope)))
+        if (
+            choice.key == prev.key
+            and not choice.ambiguous
+            and not prev.ambiguous
+            and choice.margin > 10.0 * d * slope_scale
+            and np.isfinite(prev_drift)
+            and d < 0.9 * prev_drift
+        ):
+            return choice.answer
+        est, prev, prev_drift = new_est, choice, d
+        half = (w + 2) * sub.step * 0.5
+        window = (max(sub.t0, new_est.run[0] - half), min(sub.t1, new_est.run[1] + half))
+    return None

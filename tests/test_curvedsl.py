@@ -83,7 +83,7 @@ class TestSampling:
     def test_parabola_rows(self):
         curve = cd.CoeffCurve.from_exprs(["0", "-t^2"])
         grid = cd.Grid.dyadic(-1.0, 1.0, 1)
-        rows = cd.sample(curve, grid)
+        rows = curve.evaluate(grid.points)
         assert np.allclose(rows, [[0.0, -1.0], [0.0, 0.0], [0.0, -1.0]])
 
     def test_degree_one(self):
@@ -99,7 +99,7 @@ class TestSampling:
         curve = cd.CoeffCurve.from_exprs(["sin(1/t)"])
         grid = cd.Grid.dyadic(-1.0, 1.0, 2)
         with pytest.raises(EvalError) as err:
-            cd.sample(curve, grid)
+            curve.evaluate(grid.points)
         assert err.value.t == 0.0
 
 

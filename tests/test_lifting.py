@@ -221,6 +221,25 @@ class TestLipschitzHarness:
         assert rc.VERDICT_RANK[probe.verdict] >= rc.VERDICT_RANK[rc.LIPSCHITZ]
         assert rep.verdict == lf.LipschitzHarnessReport.LIPSCHITZ_CONSISTENT
 
+    def test_composed_curve_keeps_only_the_last_array(self):
+        calls = []
+
+        def f(u):
+            calls.append(float(u[0]))
+            return np.array([u[0], 2.0 * u[0], 3.0 * u[0]])
+
+        curve = lf._composed_curve(f, lambda t: np.array([t, 0.0]), 3)
+        a, b = np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 1.0, 4)
+        rows = curve.evaluate(a)
+        # one evaluation of f per point, shared by the three columns
+        assert len(calls) == a.size
+        assert np.array_equal(rows, np.stack([a, 2.0 * a, 3.0 * a], axis=1))
+        curve.evaluate(b)
+        assert len(calls) == a.size + b.size
+        # an earlier array is no longer held: evaluating it again recomputes
+        curve.evaluate(a)
+        assert len(calls) == 2 * a.size + b.size
+
 
 class TestTheoremForms:
     """Empirical forms of the lifting regularity statements."""

@@ -1,0 +1,109 @@
+"""The shared window resolver, driven by a scripted fake caller."""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from orbitlift import curvedsl as cd
+from orbitlift import windows as wn
+
+GRID = cd.Grid.dyadic(-1.0, 1.0, 5)  # the window is the single sample t = 0
+
+
+class FakeCaller:
+    """Estimates carry their grid level; the drift and the choice at each
+    level come from the given functions of that level."""
+
+    def __init__(self, drift, choice):
+        self.drift_at = drift
+        self.choice_at = choice
+        self.levels = []  # levels of the refined grids sampled
+
+    def sample(self, sub):
+        self.levels.append(sub.level)
+        return sub.level
+
+    def estimate(self, pts, level, center_t):
+        return SimpleNamespace(level=level, left_slope=np.array([1.0]), run=(center_t, center_t))
+
+    def resolve(self):
+        return wn.resolve_window(
+            GRID,
+            16,
+            16,
+            GRID.level,
+            self.sample,
+            self.estimate,
+            lambda prev, est: self.drift_at(est.level),
+            lambda est: self.choice_at(est.level),
+        )
+
+
+def clear(level):
+    return wn.Choice("same", 100.0, False, f"level {level}")
+
+
+def shrinking(level):
+    return 0.4 * 0.5 ** (level - 6)  # stays above _SLOPE_RTOL until level 15
+
+
+class TestResolveWindow:
+    def test_stable_slopes_with_ambiguous_choice_unresolved(self):
+        caller = FakeCaller(lambda level: wn._SLOPE_RTOL, lambda level: clear(level)._replace(ambiguous=True))
+        assert caller.resolve() is None
+        assert caller.levels == [6]
+
+    def test_stable_slopes_with_clear_choice_accepted(self):
+        caller = FakeCaller(lambda level: wn._SLOPE_RTOL, clear)
+        assert caller.resolve() == "level 6"
+
+    def test_repeated_choice_with_shrinking_drift_accepted(self):
+        caller = FakeCaller(shrinking, clear)
+        # level 6 has no earlier drift to shrink from
+        assert caller.resolve() == "level 7"
+        assert caller.levels == [6, 7]
+
+    def test_ambiguous_previous_choice_keeps_refining(self):
+        caller = FakeCaller(shrinking, lambda level: clear(level)._replace(ambiguous=level == 6))
+        assert caller.resolve() == "level 8"
+        assert caller.levels == [6, 7, 8]
+
+    def test_changed_key_keeps_refining(self):
+        caller = FakeCaller(shrinking, lambda level: clear(level)._replace(key=min(level, 7)))
+        assert caller.resolve() == "level 8"
+
+    def test_small_margin_keeps_refining(self):
+        # margin 1.5 against 10 x drift x slope scale 2: accepted once drift < 0.075
+        caller = FakeCaller(shrinking, lambda level: clear(level)._replace(margin=1.5))
+        assert caller.resolve() == "level 9"
+
+    def test_max_level_unresolved(self):
+        caller = FakeCaller(lambda level: 0.5, clear)
+        assert caller.resolve() is None
+        assert caller.levels == list(range(GRID.level + 1, wn._MAX_LEVEL + 1))
+
+    def test_failed_estimate_unresolved(self):
+        caller = FakeCaller(shrinking, clear)
+        caller.estimate = lambda pts, level, center_t: None
+        assert caller.resolve() is None
+        assert caller.levels == []
+
+
+class TestHelpers:
+    def test_risky_run_nearest_to_centre(self):
+        pts = np.linspace(0.0, 1.0, 11)
+        risky = np.zeros(11, dtype=bool)
+        risky[[1, 2, 7, 8, 9]] = True
+        assert wn.risky_run(pts, risky, 0.55) == (7, 9)
+        assert wn.risky_run(pts, risky, 0.25) == (1, 2)
+
+    def test_risky_run_without_risky_samples(self):
+        pts = np.linspace(0.0, 1.0, 11)
+        assert wn.risky_run(pts, np.zeros(11, dtype=bool), 0.42) == (4, 4)
+
+    def test_fit_side_recovers_slope_and_curvature(self):
+        tc = np.linspace(-0.5, 0.5, 8)
+        vals = np.stack([3.0 * tc + 1.0, 2.0 * tc * tc - tc], axis=1)
+        slopes, quads = wn.fit_side(tc, vals)
+        assert np.allclose(slopes, [3.0, -1.0])
+        assert np.allclose(quads, [0.0, 2.0])
