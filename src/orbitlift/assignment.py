@@ -2,8 +2,12 @@
 
 Pairings are tiny (a collision involves a handful of branches), so the
 optimum is found exhaustively up to size 8 with fully deterministic
-tie-breaking; larger problems fall back to scipy's Hungarian solver with a
-lexicographic refinement pass.
+tie-breaking.  Larger problems are solved with scipy's Hungarian solver
+(imported on first use): one solve gives the optimum, and k more, each with
+one edge of the optimum forbidden, give the exact second-best cost, because
+every other assignment leaves at least one of those edges out.  There the
+result is ambiguous exactly when that margin is within tie_tol, and the
+secondary cost is not used.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 _BRUTE_LIMIT = 8
 
@@ -32,9 +35,11 @@ def minimal_jump_assignment(
 ) -> AssignmentResult:
     """Assignment minimizing total primary cost.
 
-    Assignments within tie_tol of the optimum are re-ranked by the secondary
-    cost; any ties left after that go to the lexicographically smallest
-    permutation and are flagged ambiguous.
+    Up to 8 rows, assignments within tie_tol of the optimum are re-ranked by
+    the secondary cost; any ties left after that go to the lexicographically
+    smallest permutation and are flagged ambiguous.  Above 8 rows the
+    secondary cost is ignored and any tie within tie_tol is flagged
+    ambiguous.
     """
     cost = np.asarray(primary, dtype=float)
     k = cost.shape[0]
@@ -44,11 +49,18 @@ def minimal_jump_assignment(
         return AssignmentResult((), 0.0, float("inf"), False)
     if k <= _BRUTE_LIMIT:
         return _brute_force(cost, secondary, tie_tol)
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     best = float(cost[rows, cols].sum())
-    perm = _lex_refine(cost, best, tie_tol)
-    return AssignmentResult(perm, float(cost[np.arange(k), list(perm)].sum()),
-                            float("nan"), False)
+    runner_up = float("inf")
+    for i, j in zip(rows, cols):
+        masked = cost.copy()
+        masked[i, j] = np.inf
+        r, c = linear_sum_assignment(masked)
+        runner_up = min(runner_up, float(masked[r, c].sum()))
+    margin = runner_up - best
+    return AssignmentResult(tuple(int(j) for j in cols), best, margin, margin <= tie_tol)
 
 
 def _brute_force(cost, secondary, tie_tol) -> AssignmentResult:
@@ -74,27 +86,3 @@ def _brute_force(cost, secondary, tie_tol) -> AssignmentResult:
     sec_best = sec_scored[0][0]
     sec_tied = [p for c, p in sec_scored if c <= sec_best + 1e-12 * (1.0 + abs(sec_best))]
     return AssignmentResult(sec_tied[0], best_cost, margin, len(sec_tied) > 1)
-
-
-def _lex_refine(cost, best, tie_tol) -> tuple[int, ...]:
-    """Lexicographically smallest assignment whose cost is within tie_tol of best."""
-    k = cost.shape[0]
-    fixed: list[int] = []
-    free_cols = list(range(k))
-    for i in range(k):
-        for c in sorted(free_cols):
-            trial_fixed = fixed + [c]
-            rest_rows = list(range(i + 1, k))
-            rest_cols = [x for x in free_cols if x != c]
-            if rest_rows:
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                rr, cc = linear_sum_assignment(sub)
-                rest_cost = float(sub[rr, cc].sum())
-            else:
-                rest_cost = 0.0
-            fixed_cost = sum(cost[j, trial_fixed[j]] for j in range(i + 1))
-            if fixed_cost + rest_cost <= best + tie_tol:
-                fixed = trial_fixed
-                free_cols = rest_cols
-                break
-    return tuple(fixed)

@@ -34,10 +34,13 @@ def _parse_domain(text: str) -> tuple[float, float]:
 
 
 def _parse_curve(args) -> curvedsl.CoeffCurve:
-    if getattr(args, "csv", None):
-        return curvedsl.read_curve_csv(args.csv, args.declared_class)
-    sources = curvedsl.split_top_level(args.curve)
-    return curvedsl.CoeffCurve.from_exprs(sources, args.declared_class)
+    try:
+        if args.csv:
+            return curvedsl.read_curve_csv(args.csv, args.declared_class)
+        sources = curvedsl.split_top_level(args.curve)
+        return curvedsl.CoeffCurve.from_exprs(sources, args.declared_class)
+    except (OSError, ValueError) as err:
+        raise OrbitLiftError(str(err)) from err
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -55,8 +58,11 @@ def _prefixed_report(report: regcheck.RegularityReport, prefix: str) -> list[str
 def cmd_roots(args) -> int:
     from . import hyperpoly
 
-    coeffs = [float(x) for x in curvedsl.split_top_level(args.poly)]
-    poly = hyperpoly.MonicHyperbolic(coeffs)
+    try:
+        coeffs = [float(x) for x in curvedsl.split_top_level(args.poly)]
+        poly = hyperpoly.MonicHyperbolic(coeffs)
+    except ValueError as err:
+        raise OrbitLiftError(f"--poly: {err}") from err
     values = hyperpoly.roots(poly, args.tol).values
     lines = ["tool: roots", f"degree: {len(coeffs)}", f"tol: {_fmt(args.tol)}"]
     lines += [f"root[{i}]: {_fmt(v)}" for i, v in enumerate(values)]
@@ -145,7 +151,10 @@ def cmd_certify(args) -> int:
     lines = ["tool: certify"]
     reports = []
     if args.csv:
-        t, cols, names = curvedsl.read_samples_csv(args.csv)
+        try:
+            t, cols, names = curvedsl.read_samples_csv(args.csv)
+        except (OSError, ValueError) as err:
+            raise OrbitLiftError(str(err)) from err
         domain = (float(t[0]), float(t[-1]))
         lines.append("source: csv")
         lines.append(f"columns: {cols.shape[1]}")
@@ -229,14 +238,17 @@ def cmd_harness(args) -> int:
             f"gmap needs {group.dim} components for {args.group}, got {len(gmap_sources)}"
         )
     gmap_exprs = [curvedsl.parse_curve_expr(s, variables=("u", "v")) for s in gmap_sources]
-    box = tuple(_parse_domain(part) for part in args.box.split(","))
+    try:
+        (a, b), (c, d) = (_parse_domain(part) for part in args.box.split(","))
+    except ValueError as err:
+        raise OrbitLiftError(f"--box must be a:b,c:d, got {args.box!r}") from err
 
     def f(point):
         env = {"u": point[0], "v": point[1]}
         target = np.array([curvedsl.evaluate_with_env(e, env) for e in gmap_exprs])
         return map_.evaluate(target)
 
-    probes = _make_probes(box, args.probes)
+    probes = _make_probes(((a, b), (c, d)), args.probes)
     grid = curvedsl.Grid.dyadic(-1.0, 1.0, args.level)
     rep = lifting.lipschitz_harness(group, map_, f, probes, grid, args.tol)
     lines = [
@@ -295,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="CSV output path")
         p.add_argument("--report", default=None, help="report output path (default: stdout)")
         if curve:
-            p.add_argument("--curve", default=None, help="comma-separated component expressions")
-            p.add_argument("--csv", default=None, help="curve samples CSV (header t,a1,...)")
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--curve", default=None, help="comma-separated component expressions")
+            source.add_argument("--csv", default=None, help="curve samples CSV (header t,a1,...)")
             p.add_argument("--class", dest="declared_class", default="Cinf")
         if group:
             p.add_argument("--group", required=True, help='catalog group, e.g. "A:2", "I2:5"')

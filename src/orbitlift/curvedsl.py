@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     EvalError,
@@ -435,6 +434,8 @@ class SampleComponent:
     _spline: Callable = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        from scipy.interpolate import CubicSpline
+
         ts = np.asarray(self.t_samples, dtype=float)
         vs = np.asarray(self.values, dtype=float)
         if ts.size != vs.size or ts.size < 2:
@@ -568,14 +569,14 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Returns (t, columns with shape (N, n), column names)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0].strip() != "t":
             raise ValueError(f"{path}: first CSV column must be 't'")
         names = [h.strip() for h in header[1:]]
         rows = [[float(x) for x in row] for row in reader if row]
-    data = np.asarray(rows, dtype=float)
-    if data.size == 0 or data.shape[1] != len(names) + 1:
+    if not rows or any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path}: malformed CSV body")
+    data = np.asarray(rows, dtype=float)
     return data[:, 0], data[:, 1:], names
 
 

@@ -449,34 +449,25 @@ def fiber(map_: OrbitMapSigma, y, tol: float = 1e-10) -> list[np.ndarray]:
         if near:
             raise ToleranceViolation("orbit-space point within (tol, 10*tol] of the image")
         return _dedup_points(itertools.permutations(vals))
-    if kind == "B":
-        s, near = _sqrt_spectrum(y, tol)
-        if s is None:
-            return []
-        if near:
-            raise ToleranceViolation("orbit-space point within (tol, 10*tol] of the image")
-        pts = []
-        for perm in set(itertools.permutations(s)):
-            for signs in itertools.product((1.0, -1.0), repeat=s.size):
-                pts.append(np.array(signs) * np.array(perm))
-        return _dedup_points(pts)
-    if kind == "D":
+    if kind in ("B", "D"):
         n = map_.group.dim
-        a = np.concatenate([y[: n - 1], [y[n - 1] ** 2]])
+        a = y if kind == "B" else np.concatenate([y[: n - 1], [y[n - 1] ** 2]])
         s, near = _sqrt_spectrum(a, tol)
         if s is None:
             return []
         if near:
             raise ToleranceViolation("orbit-space point within (tol, 10*tol] of the image")
-        target = y[n - 1]
-        scale = 1.0 + float(np.max(np.abs(y)))
-        has_zero = bool(np.min(s) <= (tol * scale) ** 0.5)
+        # D keeps the sign patterns whose product has the sign of y_n; with a
+        # zero coordinate both signs reach the same points
+        keep_all = kind == "B" or bool(
+            np.min(s) <= (tol * (1.0 + float(np.max(np.abs(y))))) ** 0.5
+        )
         pts = []
         for perm in set(itertools.permutations(s)):
             pv = np.array(perm)
             for signs in itertools.product((1.0, -1.0), repeat=n):
                 v = np.array(signs) * pv
-                if has_zero or _signed_product(v) * target >= 0.0:
+                if keep_all or _signed_product(v) * y[n - 1] >= 0.0:
                     pts.append(v)
         return _dedup_points(pts)
     return _fiber_dihedral(map_, y, tol)

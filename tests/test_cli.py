@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import orbitlift
 from orbitlift import catalog, regcheck
 from orbitlift.cli import EXIT_DOMAIN, EXIT_INCONCLUSIVE, EXIT_OK, main
 from orbitlift.curvedsl import read_samples_csv
@@ -173,3 +179,67 @@ class TestCatalogModule:
         for entry in catalog.CATALOG:
             if entry.flip_partner:
                 assert catalog.get(entry.flip_partner).flip_partner == entry.name
+
+
+class TestMalformedInput:
+    """Bad values from the command line end in `error: ...` and exit 2."""
+
+    @staticmethod
+    def fails_cleanly(argv, capsys):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # rejected by the argument parser
+            code = exc.code
+        assert code == EXIT_DOMAIN
+        assert "error: " in capsys.readouterr().err
+
+    def test_poly_not_a_number(self, capsys):
+        self.fails_cleanly(["roots", "--poly", "abc"], capsys)
+
+    def test_poly_nan(self, capsys):
+        self.fails_cleanly(["roots", "--poly", "nan"], capsys)
+
+    def test_select_without_curve(self, capsys):
+        self.fails_cleanly(["select", "--class", "smooth"], capsys)
+
+    def test_unknown_class_label(self, capsys):
+        self.fails_cleanly(["select", "--curve", "0,-t^2", "--class", "smooth"], capsys)
+
+    def test_box_without_second_interval(self, capsys):
+        self.fails_cleanly(["harness", "--group", "B:2", "--gmap", "u;v", "--box", "1"], capsys)
+
+    def test_csv_with_one_row(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("t,a1\n0,1\n")
+        self.fails_cleanly(["select", "--csv", str(path)], capsys)
+
+    def test_csv_with_ragged_rows(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("t,a1\n0,1\n1,2,3\n")
+        self.fails_cleanly(["select", "--csv", str(path)], capsys)
+
+    def test_certify_csv_with_ragged_rows(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("t,a1\n0,1\n1,2,3\n")
+        self.fails_cleanly(["certify", "--csv", str(path)], capsys)
+
+    def test_missing_csv(self, tmp_path, capsys):
+        self.fails_cleanly(["select", "--csv", str(tmp_path / "none.csv")], capsys)
+
+
+class TestStartup:
+    def test_cli_does_not_import_scipy(self):
+        # scipy only serves CSV curves and pairings of more than 8 branches
+        code = (
+            "import sys\n"
+            "from orbitlift.cli import main\n"
+            "assert main(['examples']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(orbitlift.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines()[-1] == "[]"

@@ -205,3 +205,22 @@ class TestMultipleCrossings:
         assert best < 1e-8
         assert len(sel.swap_log) == 3
         assert sel.unresolved == ()
+
+
+class TestLargeCrossing:
+    def test_nine_lines_through_one_sample(self):
+        # roots c*t for nine slopes c: a_j = e_j(c) t^j, all crossing at t = 0
+        import itertools
+
+        slopes = [-4, -3, -2, -1, 1, 2, 3, 4, 5]
+        sources = [
+            f"({sum(np.prod(s) for s in itertools.combinations(slopes, j))})*t^{j}"
+            for j in range(1, 10)
+        ]
+        grid = cd.Grid.dyadic(-1, 1, 6)
+        sel = rf.differentiable_selection(curve_from(*sources), grid)
+        assert sel.swap_log == ((32, tuple(range(8, -1, -1))),)
+        assert sel.unresolved == ()
+        # every branch is one whole line: its value at t = 1 is its slope
+        for branch in sel.branches:
+            assert np.max(np.abs(branch - branch[-1] * grid.points)) < 1e-8
