@@ -3,7 +3,6 @@ lifting over the orbit maps of finite reflection groups, with empirical
 regularity certification."""
 
 from . import (
-    assignment,
     catalog,
     curvedsl,
     errors,
@@ -17,7 +16,6 @@ from . import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "assignment",
     "catalog",
     "curvedsl",
     "errors",

@@ -8,6 +8,7 @@ certification is inconclusive and --strict was given.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -31,6 +32,25 @@ def _fmt(x: float) -> str:
 def _parse_domain(text: str) -> tuple[float, float]:
     lo, hi = text.split(":")
     return float(lo), float(hi)
+
+
+def _checked(convert, ok, rule: str):
+    """argparse type: convert the text, then reject values that break rule."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # names the type in argparse's messages
+    return parse
+
+
+_LEVEL = _checked(int, lambda v: v >= 0, ">= 0")
+_LEVELS = _checked(int, lambda v: v >= 4, ">= 4")
+_PROBES = _checked(int, lambda v: v >= 1, ">= 1")
+_TOL = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
 def _parse_curve(args) -> curvedsl.CoeffCurve:
@@ -300,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
 
     def common(p, curve=False, group=False, needs_domain=False):
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=_TOL, default=1e-10)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--levels", type=int, default=6, help="refinement levels examined by the certifier")
+        p.add_argument("--levels", type=_LEVELS, default=6, help="refinement levels examined by the certifier")
         p.add_argument("--strict", action="store_true")
         p.add_argument("--out", default=None, help="CSV output path")
         p.add_argument("--report", default=None, help="report output path (default: stdout)")
@@ -315,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--group", required=True, help='catalog group, e.g. "A:2", "I2:5"')
         if needs_domain:
             p.add_argument("--domain", type=_parse_domain, default=(-1.0, 1.0), metavar="a:b")
-            p.add_argument("--level", type=int, default=8)
+            p.add_argument("--level", type=_LEVEL, default=8)
 
     p = sub.add_parser("roots", help="real roots of one polynomial")
     p.add_argument("--poly", required=True, help="comma-separated a1,...,an")
@@ -340,10 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harness", help="several-variable locally-Lipschitz probe harness")
     common(p, group=True)
-    p.add_argument("--level", type=int, default=8)
+    p.add_argument("--level", type=_LEVEL, default=8)
     p.add_argument("--gmap", required=True, help="semicolon-separated map components in u,v")
     p.add_argument("--box", default="-1:1,-1:1", help="probe box, e.g. -1:1,-1:1")
-    p.add_argument("--probes", type=int, default=7)
+    p.add_argument("--probes", type=_PROBES, default=7)
     p.set_defaults(func=cmd_harness)
 
     p = sub.add_parser("examples", help="list the built-in example catalog")

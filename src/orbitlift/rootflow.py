@@ -4,31 +4,38 @@ The sorted selection is the pointwise nondecreasing labelling of the roots;
 it is continuous but kinks where branches cross.  The differentiable
 selection re-pairs branch labels across each collision cluster so that
 one-sided slopes match: the label bijection minimizes the total slope jump
-(min-cost matching, with curvature and then lexicographic tie-breaks), and
-`windows.resolve_window` refines the cluster until that pairing is stable.
-Clusters it leaves unresolved keep sorted labels inside the window and are
-flagged.
+(curvature and then lexicographic tie-breaks), and `windows.resolve_window`
+refines the cluster until that pairing is stable.  Clusters it leaves
+unresolved keep sorted labels inside the window and are flagged.
+
+The slope jump |l_i - r_j| is convex in l_i - r_j, so once rows and columns
+are sorted the cost matrix is Monge (Hoffman 1963): pairing by rank is
+optimal for any number of branches.  Bubble-sorting any other pairing
+reaches the rank order by adjacent swaps, none of which raises the cost, so
+the runner-up is one adjacent swap away and the tie margin has a closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import hyperpoly
-from .assignment import minimal_jump_assignment
 from .curvedsl import CoeffCurve, Grid
 from .errors import NotHyperbolic, NotHyperbolicAt
 from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
 
 SORTED = "sorted"
 DIFFERENTIABLE = "differentiable"
+_TIE_ENUM_LIMIT = 8   # ties among more branches are flagged, not enumerated
 
 
 @dataclass(frozen=True)
 class CollisionCluster:
-    """Maximal time window where adjacent involved branches stay within eps."""
+    """Extent of one connected set of adjacent-branch gaps below eps."""
 
     window: tuple[float, float]
     index_range: tuple[int, int]  # inclusive sample indices
@@ -69,50 +76,39 @@ def _sorted_matrix(curve: CoeffCurve, grid: Grid, tol: float) -> np.ndarray:
 
 
 def collision_clusters(b: RootBranches, eps: float) -> list[CollisionCluster]:
-    """Disjoint clusters of near-colliding adjacent branches (gap < eps)."""
+    """Clusters of near-colliding adjacent branches (gap < eps).
+
+    A cluster is one connected set of small (gap, sample) cells, where a
+    cell neighbours the cells of the adjacent gaps at the adjacent samples;
+    its window and branches are that set's extent.  A permanent pair is
+    therefore a cluster of its own and hides no other crossing.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if b.selection_kind != SORTED:
         raise ValueError("collision clustering expects a sorted selection")
     vals = b.branches
-    n, N = vals.shape
-    if n < 2:
+    if b.n < 2:
         return []
     gaps = vals[1:] - vals[:-1]          # (n-1, N)
-    small = gaps < eps
-    any_small = small.any(axis=0)
-    clusters: list[CollisionCluster] = []
+    todo = set(map(tuple, np.argwhere(gaps.T < eps).tolist()))  # small (sample, gap) cells
     t = b.grid.points
-    i = 0
-    while i < N:
-        if not any_small[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < N and any_small[j + 1]:
-            j += 1
-        # connected chains of adjacent-branch contacts within the run
-        run_small = small[:, i : j + 1].any(axis=1)
-        k = 0
-        while k < n - 1:
-            if not run_small[k]:
-                k += 1
-                continue
-            k2 = k
-            while k2 + 1 < n - 1 and run_small[k2 + 1]:
-                k2 += 1
-            members = tuple(range(k, k2 + 2))
-            chain_gaps = gaps[k : k2 + 1, i : j + 1]
-            clusters.append(
-                CollisionCluster(
-                    window=(float(t[i]), float(t[j])),
-                    index_range=(i, j),
-                    branches=members,
-                    min_gap=float(chain_gaps.min()),
-                )
-            )
-            k = k2 + 1
-        i = j + 1
+    clusters: list[CollisionCluster] = []
+    while todo:  # each cluster grows from its first (sample, gap) cell
+        stack, cells = [min(todo)], []
+        todo.remove(stack[0])
+        while stack:
+            i, k = cell = stack.pop()
+            cells.append(cell)
+            for near in itertools.product((i - 1, i, i + 1), (k - 1, k, k + 1)):
+                if near in todo:
+                    todo.remove(near)
+                    stack.append(near)
+        idx, ks = zip(*cells)
+        i0, i1 = min(idx), max(idx)
+        members = tuple(range(min(ks), max(ks) + 2))
+        min_gap = float(min(gaps[k, i] for i, k in cells))
+        clusters.append(CollisionCluster((float(t[i0]), float(t[i1])), (i0, i1), members, min_gap))
     return clusters
 
 
@@ -152,18 +148,55 @@ def _slope_drift(a: _SideSlopes, b: _SideSlopes) -> float:
     return drift
 
 
+class Pairing(NamedTuple):
+    perm: tuple[int, ...]   # left[i] continues as right[perm[i]]
+    margin: float           # slope-jump gap to the best differing pairing
+    ambiguous: bool         # a tie survived the curvature tie-break
+
+
+def minimal_jump_assignment(left, right, left_quad=None, right_quad=None) -> Pairing:
+    """Pairing of incoming slopes `left` with outgoing slopes `right` that
+    minimizes the total slope jump sum |left[i] - right[perm[i]]|.
+
+    The i-th smallest left slope takes the i-th smallest right slope (stable
+    sorts).  Up to 8 branches, pairings within _TIE_TOL of the optimum are
+    ranked by the curvature jump |left_quad - right_quad|, then
+    lexicographically.  A tie left after that, and a tie without curvatures
+    or among more than 8 branches, is flagged ambiguous.
+    """
+    left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+    k = left.size
+    rows, cols = np.argsort(left, kind="stable"), np.argsort(right, kind="stable")
+    perm = tuple(cols[np.argsort(rows)].tolist())
+    # swapping ranks i, i+1 costs twice the overlap of their slope intervals
+    a, b = left[rows], right[cols]
+    overlap = np.minimum(a[1:], b[1:]) - np.maximum(a[:-1], b[:-1])
+    margin = 2.0 * max(float(overlap.min()), 0.0) if k > 1 else float("inf")
+    if margin > _TIE_TOL:
+        return Pairing(perm, margin, False)
+    if left_quad is None or k > _TIE_ENUM_LIMIT:
+        return Pairing(perm, margin, True)
+    lq, rq = np.asarray(left_quad, dtype=float), np.asarray(right_quad, dtype=float)
+    perms = list(itertools.permutations(range(k)))
+    costs = [float(np.abs(left - right[list(p)]).sum()) for p in perms]
+    best = min(costs)
+    tied = sorted(
+        (float(np.abs(lq - rq[list(p)]).sum()), p) for p, c in zip(perms, costs) if c <= best + _TIE_TOL
+    )
+    sec_best = tied[0][0]
+    settled = [p for c, p in tied if c <= sec_best + 1e-12 * (1.0 + abs(sec_best))]
+    return Pairing(settled[0], margin, len(settled) > 1)
+
+
 def _pairing(est: _SideSlopes) -> Choice:
-    primary = np.abs(est.left_slope[:, None] - est.right_slope[None, :])
-    secondary = np.abs(est.left_quad[:, None] - est.right_quad[None, :])
-    pairing = minimal_jump_assignment(primary, secondary, _TIE_TOL)
-    return Choice(pairing.perm, pairing.margin, pairing.ambiguous, pairing)
+    p = minimal_jump_assignment(est.left_slope, est.right_slope, est.left_quad, est.right_quad)
+    return Choice(p.perm, p.margin, p.ambiguous, p.perm)
 
 
 def differentiable_selection(
     curve: CoeffCurve,
     grid: Grid,
     tol: float = 1e-10,
-    eps: float | None = None,
 ) -> RootBranches:
     """Root selection with branch labels re-paired across collisions.
 
@@ -178,8 +211,7 @@ def differentiable_selection(
     if n < 2:
         return RootBranches(grid, vals.copy(), DIFFERENTIABLE)
     value_range = float(vals.max() - vals.min())
-    if eps is None:
-        eps = _EPS_FACTOR * value_range if value_range > 0 else max(tol, 1e-12)
+    eps = _EPS_FACTOR * value_range if value_range > 0 else max(tol, 1e-12)
     perm_eps = 1e-9 * max(1.0, value_range)
     clusters = collision_clusters(sb, eps)
     out = vals.copy()
@@ -199,7 +231,7 @@ def differentiable_selection(
         diameter = float(np.max(spread.max(axis=0) - spread.min(axis=0)))
         if diameter < perm_eps:
             continue  # permanent collision: any pairing is equivalent
-        pairing = resolve_window(
+        perm = resolve_window(
             grid,
             i0,
             i1,
@@ -209,25 +241,20 @@ def differentiable_selection(
             _slope_drift,
             _pairing,
         )
-        if pairing is None:
+        if perm is None:
             unresolved.append(cl.window)
             continue
-        mapping = {members[a]: members[b] for a, b in enumerate(pairing.perm)}
+        mapping = {members[a]: members[b] for a, b in enumerate(perm)}
         if all(k == v for k, v in mapping.items()):
             continue
-        affected = [j for j in range(n) if cur[j] in mapping]
-        entry_t, exit_t = tpts[i0 - 1], tpts[i1 + 1]
-        entry_vals = {j: vals[cur[j], i0 - 1] for j in affected}
-        exit_vals = {j: vals[mapping[cur[j]], i1 + 1] for j in affected}
-        for i in range(i0, i1 + 1):
-            frac = (tpts[i] - entry_t) / (exit_t - entry_t)
-            preds = np.array(
-                [entry_vals[j] + (exit_vals[j] - entry_vals[j]) * frac for j in affected]
-            )
-            avail = vals[members, i]
-            chord = minimal_jump_assignment(np.abs(preds[:, None] - avail[None, :]))
-            for a, j in enumerate(affected):
-                out[j, i] = avail[chord.perm[a]]
+        affected = np.array([j for j in range(n) if cur[j] in mapping])
+        entry = vals[cur[affected], i0 - 1]
+        exit_ = vals[[mapping[c] for c in cur[affected]], i1 + 1]
+        frac = (tpts[i0 : i1 + 1] - tpts[i0 - 1]) / (tpts[i1 + 1] - tpts[i0 - 1])
+        preds = entry[:, None] + (exit_ - entry)[:, None] * frac
+        # the chord predictions take the sorted sample values in rank order
+        ranks = np.argsort(preds, axis=0, kind="stable")
+        out[affected[ranks], np.arange(i0, i1 + 1)] = np.sort(vals[members, i0 : i1 + 1], axis=0)
         full = np.arange(n)
         for k, v in mapping.items():
             full[k] = v

@@ -1,72 +1,89 @@
+"""The minimal-slope-jump pairing `rootflow.minimal_jump_assignment`."""
+
+import itertools
+
 import numpy as np
 import pytest
 
-from orbitlift import assignment
-from orbitlift.assignment import minimal_jump_assignment
+from orbitlift.rootflow import Pairing, minimal_jump_assignment
 
 # slopes of the nine lines c*t: sorted labels run from the largest slope on
 # the left of the crossing and from the smallest on its right
 _SLOPES = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-NINE_LINES = np.abs(_SLOPES[::-1, None] - _SLOPES[None, :])
+
+
+def brute_force(left, right, left_quad, right_quad, tie_tol=1e-6):
+    """Reference: rank every pairing by total slope jump, break ties within
+    tie_tol by the curvature jump, then lexicographically."""
+    k = len(left)
+    idx = np.arange(k)
+    primary = np.abs(left[:, None] - right[None, :])
+    secondary = np.abs(left_quad[:, None] - right_quad[None, :])
+    scored = sorted(
+        (float(primary[idx, list(p)].sum()), p) for p in itertools.permutations(range(k))
+    )
+    best_cost, best = scored[0]
+    margin = next((c - best_cost for c, p in scored[1:] if p != best), float("inf"))
+    tied = [p for c, p in scored if c <= best_cost + tie_tol]
+    sec_scored = sorted((float(secondary[idx, list(p)].sum()), p) for p in tied)
+    sec_best = sec_scored[0][0]
+    sec_tied = [p for c, p in sec_scored if c <= sec_best + 1e-12 * (1.0 + abs(sec_best))]
+    return sec_tied[0], margin, len(sec_tied) > 1
 
 
 class TestBruteForce:
     def test_unique_optimum_and_margin(self):
-        cost = np.array([[0.0, 3.0, 5.0], [2.0, 0.5, 4.0], [6.0, 1.0, 0.25]])
-        res = minimal_jump_assignment(cost)
-        assert res.perm == (0, 1, 2)
-        assert res.cost == 0.75
-        # runner-up (0, 2, 1): 0 + 4 + 1
-        assert res.margin == 4.25
+        res = minimal_jump_assignment([3.0, 0.0, 1.0], [1.25, 3.5, 0.0])
+        assert res.perm == (1, 2, 0)
+        # runner-up swaps the two lowest ranks: 1.25 + 1 + 0.5 against 0 + 0.25 + 0.5
+        assert res.margin == 2.0
         assert not res.ambiguous
 
     def test_primary_tie_settled_by_secondary(self):
-        primary = np.ones((2, 2))
-        secondary = np.array([[1.0, 0.0], [0.0, 1.0]])
-        res = minimal_jump_assignment(primary, secondary)
+        res = minimal_jump_assignment([1.0, 1.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0])
         assert res.perm == (1, 0)
         assert res.margin == 0.0
         assert not res.ambiguous
 
     def test_tie_surviving_secondary_is_ambiguous(self):
-        primary = np.ones((3, 3))
-        res = minimal_jump_assignment(primary, np.zeros((3, 3)))
+        res = minimal_jump_assignment([2.0] * 3, [2.0] * 3, [0.0] * 3, [0.0] * 3)
         assert res.perm == (0, 1, 2)
         assert res.ambiguous
 
     def test_empty(self):
-        res = minimal_jump_assignment(np.zeros((0, 0)))
-        assert res == assignment.AssignmentResult((), 0.0, float("inf"), False)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            minimal_jump_assignment(np.zeros((2, 3)))
+        assert minimal_jump_assignment([], []) == Pairing((), float("inf"), False)
 
 
 class TestLargePairings:
     def test_nine_lines(self):
-        res = minimal_jump_assignment(NINE_LINES)
+        res = minimal_jump_assignment(_SLOPES[::-1], _SLOPES)
         assert res.perm == tuple(range(8, -1, -1))
-        assert res.cost == 0.0
         assert res.margin == 2.0
         assert not res.ambiguous
 
     def test_equal_rows_are_ambiguous(self):
+        # beyond 8 branches a tie is flagged, not settled by the curvature
         rng = np.random.default_rng(5)
-        cost = rng.uniform(0.0, 1.0, (9, 9))
-        cost[6] = cost[2]
-        res = minimal_jump_assignment(cost)
-        assert res.margin <= 1e-6
+        left, right = rng.uniform(-1.0, 1.0, (2, 9))
+        left[6] = left[2]
+        res = minimal_jump_assignment(left, right, np.arange(9.0), np.zeros(9))
+        assert res.margin == 0.0
         assert res.ambiguous
 
-    def test_margin_matches_brute_force(self, monkeypatch):
+    def test_margin_matches_brute_force(self):
         rng = np.random.default_rng(11)
-        cases = [rng.uniform(0.0, 1.0, (k, k)) for k in (2, 3, 4, 5, 6) for _ in range(8)]
-        expected = [minimal_jump_assignment(c) for c in cases]
-        monkeypatch.setattr(assignment, "_BRUTE_LIMIT", 0)
-        for cost, ref in zip(cases, expected):
-            res = minimal_jump_assignment(cost)
-            assert res.cost == pytest.approx(ref.cost, abs=1e-14)
-            assert res.margin == pytest.approx(ref.margin, abs=1e-14)
-            assert not res.ambiguous
-            assert res.perm == ref.perm
+        outcomes = set()
+        for k, count in ((2, 60), (3, 60), (4, 60), (5, 40), (6, 12), (7, 6)):
+            for trial in range(count):
+                if trial % 2:  # small integers: primary and secondary ties
+                    vecs = [rng.integers(-2, 3, k).astype(float) for _ in range(4)]
+                else:
+                    vecs = [rng.normal(size=k) for _ in range(4)]
+                perm, margin, ambiguous = brute_force(*vecs)
+                res = minimal_jump_assignment(*vecs)
+                assert res.perm == perm
+                assert res.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
+                assert res.ambiguous == ambiguous
+                outcomes.add((margin <= 1e-6, ambiguous))
+        # unique optima, ties settled by the curvature and ties that survive it
+        assert outcomes == {(False, False), (True, False), (True, True)}

@@ -226,14 +226,31 @@ class TestMalformedInput:
     def test_missing_csv(self, tmp_path, capsys):
         self.fails_cleanly(["select", "--csv", str(tmp_path / "none.csv")], capsys)
 
+    def test_negative_level(self, capsys):
+        self.fails_cleanly(["select", "--curve", "0,-t^2", "--level", "-1"], capsys)
+
+    def test_zero_probes(self, capsys):
+        self.fails_cleanly(["harness", "--group", "B:2", "--gmap", "u;v", "--probes", "0"], capsys)
+
+    def test_too_few_certifier_levels(self, capsys):
+        self.fails_cleanly(["certify", "--curve", "t", "--levels", "2"], capsys)
+
+    def test_zero_tol(self, capsys):
+        self.fails_cleanly(["roots", "--poly", "1", "--tol", "0"], capsys)
+
+
+# roots c*t for c in -4..-1, 1..5, all crossing at t = 0 (as in test_rootflow's TestLargeCrossing)
+NINE_LINES = "5*t,-30*t^2,-150*t^3,273*t^4,1365*t^5,-820*t^6,-4100*t^7,576*t^8,2880*t^9"
+
 
 class TestStartup:
-    def test_cli_does_not_import_scipy(self):
-        # scipy only serves CSV curves and pairings of more than 8 branches
+    @staticmethod
+    def scipy_modules_after(argv):
+        """scipy modules loaded by a fresh interpreter that ran main(argv)."""
         code = (
             "import sys\n"
             "from orbitlift.cli import main\n"
-            "assert main(['examples']) == 0\n"
+            f"assert main({argv!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(orbitlift.__file__).resolve().parents[1])
@@ -242,4 +259,15 @@ class TestStartup:
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
-        assert out.splitlines()[-1] == "[]"
+        return out.splitlines()[-1]
+
+    def test_cli_does_not_import_scipy(self):
+        # scipy only serves CSV curves
+        assert self.scipy_modules_after(["examples"]) == "[]"
+
+    def test_nine_line_selection_does_not_import_scipy(self, tmp_path):
+        # pairing nine branches at one crossing needs no assignment solver
+        report = tmp_path / "select.txt"
+        argv = ["select", "--curve", NINE_LINES, "--level", "6", "--report", str(report)]
+        assert self.scipy_modules_after(argv) == "[]"
+        assert "swap[0].perm: 8,7,6,5,4,3,2,1,0" in report.read_text()

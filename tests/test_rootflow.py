@@ -89,6 +89,18 @@ class TestCollisionClusters:
         (cl,) = rf.collision_clusters(sel, 0.1)
         assert cl.window == (float(inside.min()), float(inside.max()))
 
+    def test_permanent_pair_is_a_cluster_of_its_own(self):
+        # roots {t, -t, 3, 3}: the pair at 3 touches for all t, the lines only at 0
+        grid = cd.Grid.dyadic(-1, 1, 9)
+        sel = rf.sorted_branches(curve_from(*PERMANENT_PAIR), grid)
+        pair, crossing = rf.collision_clusters(sel, 4e-3)
+        assert (crossing.branches, crossing.index_range) == ((0, 1), (256, 256))
+        assert (pair.branches, pair.index_range) == ((2, 3), (0, 512))
+
+
+# roots {t, -t, 3, 3}
+PERMANENT_PAIR = ("6", "9-t^2", "-6*t^2", "-9*t^2")
+
 
 class TestDifferentiableSelection:
     def test_model_crossing_exact(self):
@@ -105,6 +117,14 @@ class TestDifferentiableSelection:
         sel = rf.differentiable_selection(curve_from("2*t", "t^2"), grid)
         assert np.allclose(sel.branches, grid.points[None, :], atol=1e-9)
         assert sel.swap_log == ()
+
+    def test_crossing_beside_permanent_pair(self):
+        grid = cd.Grid.dyadic(-1, 1, 9)
+        sel = rf.differentiable_selection(curve_from(*PERMANENT_PAIR), grid)
+        assert sel.swap_log == ((256, (1, 0, 2, 3)),)
+        assert sel.unresolved == ()
+        verdicts = {rc.certify_samples(b, (-1.0, 1.0), 6).verdict for b in sel.branches}
+        assert verdicts == {rc.TWICE}
 
     def test_constant_curve(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
