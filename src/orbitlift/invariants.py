@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -432,45 +433,177 @@ def _roots_in_band(coeffs_a: np.ndarray, tol: float) -> tuple[np.ndarray | None,
         return None, False
 
 
-def fiber(map_: OrbitMapSigma, y, tol: float = 1e-10) -> list[np.ndarray]:
-    """Full preimage sigma^{-1}(y) (a single orbit), or [] when y is not in
-    the image.  Raises ToleranceViolation when y only fits within the
-    widened (tol, 10*tol] band: the input is ill-posed at this tolerance."""
+@dataclass(frozen=True, eq=False)
+class Orbit:
+    """One orbit sigma^{-1}(y), held by its point in the closed fundamental
+    chamber, which is a fundamental domain (Humphreys, Reflection Groups and
+    Coxeter Groups, ch. 1): A keeps the sorted roots, B and D the sorted
+    moduli.  The nearest point, the orbit size and the least distance
+    between two orbit points follow from that point without enumerating the
+    orbit.  I2 (at most 2m points) keeps its enumerated points instead.
+
+    Coordinates equal after rounding to 1e-10 count as one value, as in the
+    enumeration `points()`, which is what `fiber` returns."""
+
+    group: ReflectionGroup
+    spectrum: np.ndarray  # A: sorted roots; B, D: sorted moduli; I2: every point
+    parity: float = 0.0   # D: sign the product of the coordinates must have; 0: either
+
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sizes of the runs of equal rounded spectrum values, and the gaps
+        between neighbouring runs."""
+        keys = np.round(self.spectrum, _DEDUP_DECIMALS)
+        new_run = np.flatnonzero(np.diff(keys))
+        sizes = np.diff(np.concatenate([[0], new_run + 1, [keys.size]]))
+        return sizes, np.diff(self.spectrum)[new_run]
+
+    @cached_property
+    def _nonzero(self) -> np.ndarray:
+        """Moduli that do not round to 0, whose sign tells orbit points apart."""
+        return self.spectrum[np.round(self.spectrum, _DEDUP_DECIMALS) != 0.0]
+
+    @cached_property
+    def size(self) -> int:
+        if self.group.kind == "I2":
+            return len(self.spectrum)
+        sizes, _ = self._classes
+        count = math.factorial(self.spectrum.size)
+        for m in sizes:
+            count //= math.factorial(int(m))
+        if self.group.kind == "A":
+            return count
+        return count * 2 ** self._nonzero.size // (2 if self.parity else 1)
+
+    @cached_property
+    def min_distance(self) -> float:
+        """Least distance between two orbit points (inf for a single point):
+        sqrt(2) * the least gap, 2 * the least nonzero modulus for B, and
+        sqrt(2) * (s_1 + s_2) for D."""
+        if self.group.kind == "I2":
+            pts = self.spectrum
+            d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+            return float(np.min(d[np.triu_indices(len(pts), 1)])) if len(pts) > 1 else np.inf
+        _, gaps = self._classes
+        out = math.sqrt(2.0) * float(gaps.min()) if gaps.size else np.inf
+        if self.group.kind != "A" and self.parity:
+            out = min(out, math.sqrt(2.0) * float(self.spectrum[0] + self.spectrum[1]))
+        elif self.group.kind != "A" and self._nonzero.size:
+            out = min(out, 2.0 * float(self._nonzero[0]))
+        return out
+
+    @property
+    def max_abs(self) -> float:
+        """Largest |coordinate| of an orbit point."""
+        return float(np.max(np.abs(self.spectrum)))
+
+    @property
+    def first(self) -> np.ndarray:
+        """The lexicographically first orbit point, `points()[0]`."""
+        if self.group.kind == "I2":
+            return self.spectrum[0]
+        return self.nearest(np.zeros(self.group.dim))
+
+    def nearest(self, p: np.ndarray) -> np.ndarray:
+        """The orbit point nearest p, for each row of p (shape (dim,) or
+        (k, dim)); an exact tie goes to the lexicographically first point.
+
+        A puts the sorted roots in p's rank order (the rearrangement
+        inequality); B puts the sorted moduli in the rank order of |p| with
+        p's signs; D then flips, if the sign parity is wrong, the coordinate
+        with the least |v_i p_i|."""
+        p = np.asarray(p, dtype=float)
+        rows = np.atleast_2d(p)
+        if self.group.kind == "I2":
+            d = np.linalg.norm(self.spectrum[None, :, :] - rows[:, None, :], axis=2)
+            return self.spectrum[np.argmin(d, axis=1)].reshape(p.shape)
+        n = self.group.dim
+        idx = np.broadcast_to(np.arange(n), rows.shape)
+        spectrum = np.broadcast_to(self.spectrum, rows.shape)
+        v = np.empty_like(rows)
+        if self.group.kind == "A":
+            np.put_along_axis(v, np.argsort(rows, axis=1, kind="stable"), spectrum, axis=1)
+            return v.reshape(p.shape)
+        # within a tie of |p|, positive coordinates take the smallest moduli
+        # in index order and the others the largest: the lexicographic first
+        a = np.abs(rows)
+        neg = ~(rows > 0.0)
+        order = np.lexsort((np.where(neg, -idx, idx), neg, a), axis=1)
+        np.put_along_axis(v, order, spectrum, axis=1)
+        v = np.where(neg, -v, v) + 0.0  # + 0.0 turns -0.0 into 0.0
+        if self.parity:
+            wrong = np.flatnonzero((np.count_nonzero(v < 0.0, axis=1) % 2 == 1) != (self.parity < 0.0))
+            if wrong.size:
+                # the least |v_i p_i| sits at the least |p_i|, on its least
+                # modulus; a tie flips its first positive p_i, else its last
+                av, aw = np.abs(v[wrong]), a[wrong]
+                cand = aw == aw.min(axis=1, keepdims=True)
+                cand &= av == np.where(cand, av, np.inf).min(axis=1, keepdims=True)
+                pos = cand & (rows[wrong] > 0.0)
+                j = np.where(pos.any(axis=1), pos.argmax(axis=1), n - 1 - cand[:, ::-1].argmax(axis=1))
+                v[wrong, j] = -v[wrong, j]
+        return v.reshape(p.shape)
+
+    def points(self) -> list[np.ndarray]:
+        """Every orbit point, deduplicated to 1e-10 and sorted
+        lexicographically; EnumerationTooLarge past ENUM_LIMIT points."""
+        if self.group.kind == "I2":
+            return [p.copy() for p in self.spectrum]
+        if self.size > ENUM_LIMIT:
+            raise EnumerationTooLarge(f"{self.group.label} orbit has {self.size} points > {ENUM_LIMIT}")
+        if self.group.kind == "A":
+            return _dedup_points(itertools.permutations(self.spectrum))
+        pts = []
+        for perm in set(itertools.permutations(self.spectrum)):
+            pv = np.array(perm)
+            for signs in itertools.product((1.0, -1.0), repeat=pv.size):
+                v = np.array(signs) * pv
+                if not self.parity or _signed_product(v) * self.parity > 0.0:
+                    pts.append(v)
+        return _dedup_points(pts)
+
+
+def orbit_at(map_: OrbitMapSigma, y, tol: float = 1e-10) -> Orbit | None:
+    """The orbit sigma^{-1}(y), or None when y is not in the image.  Raises
+    ToleranceViolation when y only fits within the widened (tol, 10*tol]
+    band: the input is ill-posed at this tolerance."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != map_.n_invariants:
         raise DimensionMismatch(
             f"value has dim {y.size}, sigma has {map_.n_invariants} components"
         )
-    kind = map_.group.kind
-    if kind == "A":
+    group = map_.group
+    if group.kind == "A":
         vals, near = _roots_in_band(y, tol)
         if vals is None:
-            return []
+            return None
         if near:
             raise ToleranceViolation("orbit-space point within (tol, 10*tol] of the image")
-        return _dedup_points(itertools.permutations(vals))
-    if kind in ("B", "D"):
-        n = map_.group.dim
-        a = y if kind == "B" else np.concatenate([y[: n - 1], [y[n - 1] ** 2]])
+        return Orbit(group, vals)
+    if group.kind in ("B", "D"):
+        n = group.dim
+        a = y if group.kind == "B" else np.concatenate([y[: n - 1], [y[n - 1] ** 2]])
         s, near = _sqrt_spectrum(a, tol)
         if s is None:
-            return []
+            return None
         if near:
             raise ToleranceViolation("orbit-space point within (tol, 10*tol] of the image")
         # D keeps the sign patterns whose product has the sign of y_n; with a
         # zero coordinate both signs reach the same points
-        keep_all = kind == "B" or bool(
+        keep_all = group.kind == "B" or bool(
             np.min(s) <= (tol * (1.0 + float(np.max(np.abs(y))))) ** 0.5
         )
-        pts = []
-        for perm in set(itertools.permutations(s)):
-            pv = np.array(perm)
-            for signs in itertools.product((1.0, -1.0), repeat=n):
-                v = np.array(signs) * pv
-                if keep_all or _signed_product(v) * y[n - 1] >= 0.0:
-                    pts.append(v)
-        return _dedup_points(pts)
-    return _fiber_dihedral(map_, y, tol)
+        return Orbit(group, s, 0.0 if keep_all else float(np.sign(y[n - 1])))
+    pts = _fiber_dihedral(map_, y, tol)
+    return Orbit(group, np.array(pts)) if pts else None
+
+
+def fiber(map_: OrbitMapSigma, y, tol: float = 1e-10) -> list[np.ndarray]:
+    """Full preimage sigma^{-1}(y) (a single orbit), or [] when y is not in
+    the image: the enumeration of `orbit_at(map_, y, tol)`.  y may also be
+    an Orbit already solved for.  Raises ToleranceViolation as orbit_at."""
+    orb = y if isinstance(y, Orbit) else orbit_at(map_, y, tol)
+    return [] if orb is None else orb.points()
 
 
 def _sqrt_spectrum(coeffs_a: np.ndarray, tol: float) -> tuple[np.ndarray | None, bool]:

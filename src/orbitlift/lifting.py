@@ -23,7 +23,7 @@ import numpy as np
 from . import regcheck
 from .curvedsl import CoeffCurve, Grid
 from .errors import DimensionMismatch, NotInImageAt
-from .invariants import OrbitMapSigma, ReflectionGroup, fiber
+from .invariants import Orbit, OrbitMapSigma, ReflectionGroup, fiber, orbit_at
 from .regcheck import VERDICT_RANK, RegularityReport
 from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
 
@@ -72,52 +72,45 @@ def _evidence(values: np.ndarray, grid: Grid, levels: int) -> tuple[tuple[Regula
     return reports, float(steps.max()) if steps.size else 0.0
 
 
-def _fibers_at(map_: OrbitMapSigma, rows: np.ndarray, tpts: np.ndarray, tol: float):
+def _orbits_at(map_: OrbitMapSigma, rows: np.ndarray, tpts: np.ndarray, tol: float) -> list[Orbit]:
     out = []
     for i in range(rows.shape[0]):
-        pts = fiber(map_, rows[i], tol)
-        if not pts:
+        orb = orbit_at(map_, rows[i], tol)
+        if orb is None:
             raise NotInImageAt(float(tpts[i]))
-        out.append(np.asarray(pts))
+        out.append(orb)
     return out
-
-
-def _min_pairwise(f: np.ndarray) -> float:
-    if f.shape[0] < 2:
-        return np.inf
-    d = np.linalg.norm(f[:, None, :] - f[None, :, :], axis=2)
-    return float(np.min(d[np.triu_indices(f.shape[0], 1)]))
 
 
 def _nearest(f: np.ndarray, p: np.ndarray) -> int:
     return int(np.argmin(np.linalg.norm(f - p[None, :], axis=1)))
 
 
-def _continue(values: np.ndarray, fibers, i: int) -> None:
-    """values[i] := the point of fibers[i] nearest the linear continuation
+def _continue(values: np.ndarray, orbits, i: int) -> None:
+    """values[i] := the point of orbits[i] nearest the linear continuation
     of values[i-2], values[i-1] (the previous value when i == 1)."""
     pred = values[i - 1] if i == 1 else 2.0 * values[i - 1] - values[i - 2]
-    values[i] = fibers[i][_nearest(fibers[i], pred)]
+    values[i] = orbits[i].nearest(pred)
 
 
-def _track(fibers, start: np.ndarray) -> np.ndarray:
+def _track(orbits, start: np.ndarray) -> np.ndarray:
     """Nearest-point tracking with linear extrapolation, from the point of
-    the first fiber nearest start."""
-    vals = np.empty((len(fibers), fibers[0].shape[1]))
-    vals[0] = fibers[0][_nearest(fibers[0], start)]
-    for i in range(1, len(fibers)):
-        _continue(vals, fibers, i)
+    the first orbit nearest start; start may hold one strand per row."""
+    vals = np.empty((len(orbits),) + start.shape)
+    vals[0] = orbits[0].nearest(start)
+    for i in range(1, len(orbits)):
+        _continue(vals, orbits, i)
     return vals
 
 
-def _risky(fibers, eps: float) -> np.ndarray:
-    """Samples whose fiber points come within eps of each other, or whose
-    fiber size differs from a neighbour's (an orbit-type change)."""
-    counts = [f.shape[0] for f in fibers]
-    N = len(fibers)
+def _risky(orbits, eps: float) -> np.ndarray:
+    """Samples whose orbit points come within eps of each other, or whose
+    orbit size differs from a neighbour's (an orbit-type change)."""
+    counts = [o.size for o in orbits]
+    N = len(orbits)
     return np.array(
         [
-            _min_pairwise(fibers[i]) < eps
+            orbits[i].min_distance < eps
             or (i > 0 and counts[i] != counts[i - 1])
             or (i + 1 < N and counts[i] != counts[i + 1])
             for i in range(N)
@@ -134,25 +127,24 @@ class _WindowEstimate:
     exit_t: float
     cand_slopes: np.ndarray  # (k, dim)
     cand_quads: np.ndarray
-    candidates: np.ndarray   # (k, dim) fiber points right after the window
+    candidates: np.ndarray   # (k, dim) orbit points right after the window
     run: tuple[float, float]
 
 
-def _estimate_window(tpts, fibers, center_t, eps, left_anchor):
+def _estimate_window(map_, tpts, orbits, center_t, eps, left_anchor):
     w = _SIDE_WINDOW
-    lo, hi = risky_run(tpts, _risky(fibers, eps), center_t)
+    lo, hi = risky_run(tpts, _risky(orbits, eps), center_t)
     if lo - w < 0 or hi + 1 + 2 >= tpts.size:
         return None
-    left_vals = _track(fibers[lo - w : lo], left_anchor)
+    left_vals = _track(orbits[lo - w : lo], left_anchor)
     ls, lq = fit_side(tpts[lo - w : lo] - center_t, left_vals)
-    cands = fibers[hi + 1]
+    cands = np.asarray(fiber(map_, orbits[hi + 1]))
     right = slice(hi + 1, min(hi + 1 + w, tpts.size))
-    cs = np.empty(cands.shape)
-    cq = np.empty_like(cs)
-    for k in range(cands.shape[0]):
-        cs[k], cq[k] = fit_side(tpts[right] - center_t, _track(fibers[right], cands[k]))
+    tracks = _track(orbits[right], cands)
+    cs, cq = fit_side(tpts[right] - center_t, tracks.reshape(tracks.shape[0], -1))
     return _WindowEstimate(
-        ls, lq, left_vals[-1], float(tpts[lo - 1]), float(tpts[hi + 1]), cs, cq, cands,
+        ls, lq, left_vals[-1], float(tpts[lo - 1]), float(tpts[hi + 1]),
+        cs.reshape(cands.shape), cq.reshape(cands.shape), cands,
         (float(tpts[lo]), float(tpts[hi])),
     )
 
@@ -211,7 +203,7 @@ def lift_curve(
     grid: Grid,
     tol: float = 1e-10,
 ) -> LiftResult:
-    """Track one fiber point per grid sample into a lift of the curve.
+    """Track one orbit point per grid sample into a lift of the curve.
 
     Raises NotInImageAt(t) when a sample leaves sigma(V) (no silent
     projection), and propagates ToleranceViolation from ill-posed samples.
@@ -222,20 +214,20 @@ def lift_curve(
         )
     tpts = grid.points
     rows = curve.evaluate(tpts)
-    fibers = _fibers_at(map_, rows, tpts, tol)
-    N = len(fibers)
+    orbits = _orbits_at(map_, rows, tpts, tol)
+    N = len(orbits)
     dim = group.dim
-    scale = max(float(np.max(np.abs(np.concatenate([f.ravel() for f in fibers])))), 1e-30)
+    scale = max(max(o.max_abs for o in orbits), 1e-30)
     eps = _EPS_FACTOR * scale
-    risky = _risky(fibers, eps)
+    risky = _risky(orbits, eps)
     values = np.empty((N, dim))
-    values[0] = fibers[0][0]
+    values[0] = orbits[0].first
     swap_log: list[tuple[int, tuple[int, int]]] = []
     unresolved: list[tuple[float, float]] = []
     i = 1
     while i < N:
         if not risky[i]:
-            _continue(values, fibers, i)
+            _continue(values, orbits, i)
             i += 1
             continue
         i0 = i1 = i
@@ -247,10 +239,10 @@ def lift_curve(
             grid,
             i0,
             i1,
-            fibers,
-            lambda sub: _fibers_at(map_, curve.evaluate(sub.points), sub.points, tol),
-            lambda pts, sub_fibers, center_t: _estimate_window(
-                pts, sub_fibers, center_t, eps, values[i0 - 1]
+            orbits,
+            lambda sub: _orbits_at(map_, curve.evaluate(sub.points), sub.points, tol),
+            lambda pts, sub_orbits, center_t: _estimate_window(
+                map_, pts, sub_orbits, center_t, eps, values[i0 - 1]
             ),
             _slope_drift,
             _choose_candidate,
@@ -259,18 +251,19 @@ def lift_curve(
             if not at_boundary:
                 unresolved.append((float(tpts[i0]), float(tpts[i1])))
             for j in range(i0, min(i1 + 2, N)):
-                _continue(values, fibers, j)
+                _continue(values, orbits, j)
             i = i1 + 2
             continue
-        exit_idx = _nearest(fibers[i1 + 1], exit_val)
-        values[i1 + 1] = fibers[i1 + 1][exit_idx]
+        values[i1 + 1] = orbits[i1 + 1].nearest(exit_val)
         entry_t, exit_t = tpts[i0 - 1], tpts[i1 + 1]
         for j in range(i0, i1 + 1):
             frac = (tpts[j] - entry_t) / (exit_t - entry_t)
             chord = values[i0 - 1] + (values[i1 + 1] - values[i0 - 1]) * frac
-            values[j] = fibers[j][_nearest(fibers[j], chord)]
-        rank_in = _nearest(fibers[i0 - 1], values[i0 - 1])
-        if exit_idx != rank_in or fibers[i0 - 1].shape[0] != fibers[i1 + 1].shape[0]:
+            values[j] = orbits[j].nearest(chord)
+        # the swap log ranks the entry and exit points within their orbits
+        rank_in = _nearest(np.asarray(fiber(map_, orbits[i0 - 1])), values[i0 - 1])
+        exit_idx = _nearest(np.asarray(fiber(map_, orbits[i1 + 1])), values[i1 + 1])
+        if exit_idx != rank_in or orbits[i0 - 1].size != orbits[i1 + 1].size:
             swap_log.append((i0, (rank_in, exit_idx)))
         i = i1 + 2
 

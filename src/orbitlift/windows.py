@@ -46,13 +46,10 @@ class Choice(NamedTuple):
 
 def fit_side(tc: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear-fit slope and quadratic-fit leading coefficient of each column
-    of vals (samples x strands) against the times tc."""
-    k = vals.shape[1]
-    slopes = np.empty(k)
-    quads = np.empty(k)
-    for j in range(k):
-        slopes[j] = np.polyfit(tc, vals[:, j], 1)[0]
-        quads[j] = np.polyfit(tc, vals[:, j], 2)[0] if tc.size >= 3 else 0.0
+    of vals (samples x strands) against the times tc, one least-squares
+    solve per degree for all columns."""
+    slopes = np.polyfit(tc, vals, 1)[0]
+    quads = np.polyfit(tc, vals, 2)[0] if tc.size >= 3 else np.zeros(vals.shape[1])
     return slopes, quads
 
 

@@ -304,3 +304,78 @@ class TestWallCrossing:
         curve = cd.CoeffCurve.from_exprs(["0", "5e-10"])
         with pytest.raises(ToleranceViolation):
             lf.lift_curve(g, m, curve, cd.Grid.dyadic(0, 1, 4), tol=1e-10)
+
+
+def _mirror_normals(g):
+    """Unit normals of the reflecting hyperplanes of an A, B or D group."""
+    normals = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for s in (1.0,) if g.kind == "A" else (1.0, -1.0):
+                v = np.zeros(g.dim)
+                v[i], v[j] = 1.0, -s
+                normals.append(v / np.sqrt(2.0))
+        if g.kind == "B":
+            normals.append(np.eye(g.dim)[i])
+    return np.array(normals)
+
+
+def _mirror_line(g, seed, level):
+    """A line gamma(t) = c + v t, |v| = 1, meeting one reflecting hyperplane
+    at an interior grid sample with normal speed in [0.6, 0.8], and at least
+    0.1 away from every other hyperplane on [-1, 1]; returns (c, v)."""
+    normals = _mirror_normals(g)
+    pts = cd.Grid.dyadic(-1, 1, level).points
+    rng = np.random.default_rng(seed)
+    while True:
+        i = int(rng.integers(10, pts.size - 9))  # room for the 8-sample side fits
+        k = int(rng.integers(len(normals)))
+        nrm = normals[k]
+        v = rng.normal(size=g.dim)
+        v /= np.linalg.norm(v)
+        if not 0.6 <= abs(float(nrm @ v)) <= 0.8:
+            continue
+        p = rng.uniform(-3.0, 3.0, g.dim)
+        c = p - (nrm @ p) * nrm - pts[i] * v  # gamma(t_i) = p projected onto the mirror
+        # the same sign at both ends means no crossing; along a line the
+        # least distance is at an end
+        ends = np.stack([c - v, c + v]) @ np.delete(normals, k, axis=0).T
+        if np.all(np.abs(ends) >= 0.1) and np.all(np.sign(ends[0]) == np.sign(ends[1])):
+            return c, v
+
+
+def _sigma_of_line(g, c, v):
+    """sigma(c + v t) as a curve of t-polynomials."""
+    from numpy.polynomial import polynomial as P
+
+    def elementary(polys):
+        e = [np.array([1.0])] + [np.array([0.0])] * len(polys)
+        for k, r in enumerate(polys, start=1):
+            for j in range(k, 0, -1):
+                e[j] = P.polyadd(e[j], P.polymul(r, e[j - 1]))
+        return e[1:]
+
+    lines = [np.array([ci, vi]) for ci, vi in zip(c, v)]
+    if g.kind == "A":
+        comps = elementary(lines)
+    else:
+        comps = elementary([P.polymul(r, r) for r in lines])
+        if g.kind == "D":
+            comps[-1] = np.array([1.0])
+            for r in lines:
+                comps[-1] = P.polymul(comps[-1], r)
+    return cd.CoeffCurve(tuple(np.polynomial.Polynomial(cf) for cf in comps))
+
+
+class TestLargeGroups:
+    @pytest.mark.parametrize("spec", ["A:5", "B:5", "D:5"])
+    def test_line_crossing_one_mirror(self, spec):
+        g, m = group_and_map(spec)
+        c, v = _mirror_line(g, seed=1, level=6)
+        grid = cd.Grid.dyadic(-1, 1, 6)
+        lift = lf.lift_curve(g, m, _sigma_of_line(g, c, v), grid)
+        assert err_mod_group(lift.values, c + grid.points[:, None] * v, g) < 1e-7
+        assert len(lift.swap_log) == 1
+        assert lift.unresolved == ()
+        assert [r.verdict for r in lift.reports] == [rc.TWICE] * g.dim
+        assert lift.residual <= 10 * 1e-10
