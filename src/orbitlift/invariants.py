@@ -615,9 +615,14 @@ def _sqrt_spectrum(coeffs_a: np.ndarray, tol: float) -> tuple[np.ndarray | None,
     lo = float(vals.min())
     if lo < -10.0 * tol * scale:
         return None, False
-    if lo < -tol * scale:
-        return np.sqrt(np.clip(vals, 0.0, None)), True
-    return np.sqrt(np.clip(vals, 0.0, None)), near
+    # a root within the Horner noise of 0 is 0, as its square root would be
+    # sqrt(noise), far above the noise itself: a root below that noise at
+    # the coefficients' scale, or the least root when the constant term
+    # (the roots' product) is within the Horner noise at that root
+    gamma = 2.0 * (vals.size + 1) * np.finfo(float).eps
+    zero = vals <= 2.0 * gamma * scale
+    zero[0] |= abs(coeffs_a[-1]) <= gamma * np.polyval(np.abs(np.concatenate([[1.0], coeffs_a])), abs(lo))
+    return np.sqrt(np.where(zero, 0.0, vals)), near or lo < -tol * scale
 
 
 def _chebyshev_t(m: int) -> np.ndarray:

@@ -296,6 +296,19 @@ class TestWallCrossing:
         assert err_mod_group(lift.values, ref, g) < 1e-7
         assert all(r.verdict == rc.TWICE for r in lift.reports)
 
+    def test_b3_coordinate_through_zero(self):
+        # gamma = (t, 0.5-t^2, 1+0.3t): coordinate 0 passes through 0 at a
+        # sample, where it must be exactly 0, not sqrt of the rounding noise
+        g, m = group_and_map("B:3")
+        x, y, z = "t", "(0.5-t^2)", "(1+0.3*t)"
+        curve = cd.CoeffCurve.from_exprs(
+            [f"{x}^2+{y}^2+{z}^2", f"({x}*{y})^2+({x}*{z})^2+({y}*{z})^2", f"({x}*{y}*{z})^2"]
+        )
+        grid = cd.Grid.dyadic(-1, 1, 8)
+        lift = lf.lift_curve(g, m, curve, grid)
+        assert [r.verdict for r in lift.reports] == [rc.TWICE] * 3
+        assert lift.values[grid.points == 0.0, 0].tolist() == [0.0]
+
     def test_tolerance_violation_propagates(self):
         from orbitlift.errors import ToleranceViolation
 
