@@ -517,8 +517,6 @@ class Orbit:
         if self.group.kind == "I2":
             d = np.linalg.norm(self.spectrum[None, :, :] - rows[:, None, :], axis=2)
             return self.spectrum[np.argmin(d, axis=1)].reshape(p.shape)
-        n = self.group.dim
-        idx = np.broadcast_to(np.arange(n), rows.shape)
         spectrum = np.broadcast_to(self.spectrum, rows.shape)
         v = np.empty_like(rows)
         if self.group.kind == "A":
@@ -526,6 +524,8 @@ class Orbit:
             return v.reshape(p.shape)
         # within a tie of |p|, positive coordinates take the smallest moduli
         # in index order and the others the largest: the lexicographic first
+        n = self.group.dim
+        idx = np.broadcast_to(np.arange(n), rows.shape)
         a = np.abs(rows)
         neg = ~(rows > 0.0)
         order = np.lexsort((np.where(neg, -idx, idx), neg, a), axis=1)

@@ -1,16 +1,20 @@
 """Lift orbit-space curves through the invariant map, with certified regularity.
 
 A lift is a curve in V whose sigma-image reproduces the input curve.  Each
-grid sample contributes its fiber (one group orbit); the lift threads one
-point per fiber.  Away from collisions the thread follows linear
-extrapolation matched to the nearest fiber point.  Where fiber points
-collide or the fiber cardinality jumps (orbit-type change), the thread is
-re-attached by the minimal-derivative-jump principle: candidates right after
-the window are ranked by their distance from the linear continuation of the
-incoming strand (slope jump and curvature as tie-breakers), and
-`windows.resolve_window` refines the window until that choice is stable.
-Windows it leaves unresolved are flagged, with a nearest-point fallback
-inside.
+grid sample contributes its fiber, one group orbit, held as an
+`invariants.Orbit`; the lift threads one point per orbit.  Away from
+collisions the thread follows linear extrapolation matched to the nearest
+orbit point, which the orbit computes from its sorted spectrum (its point in
+the closed fundamental chamber) without listing the orbit.  Where orbit
+points collide or the orbit size jumps (orbit-type change), the thread is
+re-attached by the minimal-derivative-jump principle: the points of the
+orbit right after the window are ranked by their distance from the linear
+continuation of the incoming strand (slope jump and curvature as
+tie-breakers), and `windows.resolve_window` refines the window until that
+choice is stable.  Windows it leaves unresolved are flagged, with a
+nearest-point fallback inside.  Those exit candidates and the swap log's two
+ranks are the only orbits enumerated (by `fiber`), so a group whose orbits
+exceed `ENUM_LIMIT` points fails at its first window.
 """
 
 from __future__ import annotations

@@ -211,3 +211,108 @@ class TestFiber:
                 for gen in g.generators:
                     moved = tuple(np.round(gen @ w, 7))
                     assert moved in keys
+
+
+def _min_pairwise(f: np.ndarray) -> float:
+    """Least distance between two of the points f, over all pairs (the
+    enumeration-based oracle for Orbit.min_distance), 64 rows at a time."""
+    n = f.shape[0]
+    best = np.inf
+    for i in range(0, n - 1, 64):
+        rows = np.arange(i, min(i + 64, n - 1))
+        d = np.linalg.norm(f[rows, None, :] - f[None, i + 1 :, :], axis=2)
+        best = min(best, float(np.min(d[rows[:, None] < np.arange(i + 1, n)[None, :]])))
+    return best
+
+
+def _nearest_by_enumeration(pts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The first of pts at the least exact distance from p: floats preselect
+    the near-ties, integers (every double times 2^1074) decide them."""
+
+    def exact(x):
+        num, den = float(x).as_integer_ratio()  # den is a power of two
+        return num * (2**1074 // den)
+
+    d2 = np.sum((pts - p) ** 2, axis=1)
+    close = np.flatnonzero(d2 <= d2.min() * (1.0 + 1e-9) + 1e-300)
+    q = [exact(b) for b in p]
+    dist = [sum((exact(a) - b) ** 2 for a, b in zip(pts[k], q)) for k in close]
+    return pts[close[min(range(len(close)), key=lambda j: (dist[j], j))]]
+
+
+ORACLE_GROUPS = (
+    [f"A:{n}" for n in range(1, 7)] + [f"B:{n}" for n in range(2, 6)]
+    + [f"D:{n}" for n in range(3, 6)] + [f"I2:{m}" for m in range(2, 9)]
+)
+
+
+class TestOrbitClosedForms:
+    """Orbit's closed forms against enumeration, on every catalog group of
+    order <= 10^4."""
+
+    @staticmethod
+    def _bases(g, rng):
+        out = [rng.uniform(-2.0, 2.0, g.dim) for _ in range(3 if g.order <= 1000 else 1)]
+        if g.kind != "I2":
+            tied = rng.uniform(-2.0, 2.0, g.dim)
+            tied[1] = tied[0]
+            tied[-1] = -tied[0]
+            zero = rng.uniform(-2.0, 2.0, g.dim)
+            zero[0] = 0.0
+            out += [tied, zero]
+        return out
+
+    @staticmethod
+    def _queries(g, rng, orbit_pts):
+        out = [rng.uniform(-2.0, 2.0, g.dim) for _ in range(4)]
+        if g.kind == "I2":
+            return out
+        w = orbit_pts[int(rng.integers(len(orbit_pts)))]
+        flipped = w.copy()
+        flipped[int(rng.integers(g.dim))] *= -1.0  # for D: the wrong sign parity
+        tied = rng.uniform(-2.0, 2.0, g.dim)
+        tied[1] = tied[0]
+        signs = rng.uniform(-2.0, 2.0, g.dim)
+        signs[1] = -signs[0]
+        zero = rng.uniform(-2.0, 2.0, g.dim)
+        zero[[0, -1]] = 0.0
+        return out + [w, flipped, flipped + 0.01 * rng.standard_normal(g.dim), tied, signs,
+                      zero, np.zeros(g.dim)]
+
+    @pytest.mark.parametrize("spec", ORACLE_GROUPS)
+    def test_against_enumeration(self, spec):
+        import zlib
+
+        g = inv.parse_group(spec)
+        m = inv.orbit_map(g)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()))
+        for v in self._bases(g, rng):
+            y = inv.sigma(m, v)
+            orb = inv.orbit_at(m, y)
+            fib = np.array(inv.fiber(m, y))
+            # A, B, D: the orbit through the chamber point itself, so that
+            # the nearest point must match exactly; I2 enumerates its fiber
+            pts = np.array(inv.orbit(g, orb.first if g.kind != "I2" else v))
+            assert orb.size == len(fib) == len(pts)
+            assert np.array_equal(orb.first, fib[0])
+            want = _min_pairwise(fib)
+            assert abs(orb.min_distance - want) <= 1e-12 * want
+            for p in self._queries(g, rng, pts):
+                got = orb.nearest(p)
+                if g.kind == "I2":
+                    assert np.allclose(got, _nearest_by_enumeration(pts, p), rtol=0, atol=1e-9)
+                else:
+                    assert np.array_equal(got, _nearest_by_enumeration(pts, p)), (v, p)
+                    same = fib[(fib == got).all(axis=1)]
+                    assert np.array_equal(np.signbit(same), np.signbit(got[None, :]))  # zeros' signs too
+            batch = np.array(self._queries(g, rng, pts))
+            assert np.array_equal(orb.nearest(batch), np.array([orb.nearest(p) for p in batch]))
+
+    def test_enumeration_limit(self):
+        g = inv.parse_group("B:6")
+        m = inv.orbit_map(g)
+        orb = inv.orbit_at(m, inv.sigma(m, [0.3, 0.7, 1.1, 1.5, 1.9, 2.3]))
+        assert orb.size == 2**6 * 720
+        assert np.allclose(orb.nearest(np.arange(1.0, 7.0)), [0.3, 0.7, 1.1, 1.5, 1.9, 2.3])
+        with pytest.raises(EnumerationTooLarge):
+            inv.fiber(m, orb)
