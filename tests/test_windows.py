@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from orbitlift import curvedsl as cd
 from orbitlift import windows as wn
@@ -107,3 +108,16 @@ class TestHelpers:
         slopes, quads = wn.fit_side(tc, vals)
         assert np.allclose(slopes, [3.0, -1.0])
         assert np.allclose(quads, [0.0, 2.0])
+
+    def test_fit_side_matches_column_by_column_fits(self):
+        # one least-squares solve for all columns rounds differently from a
+        # solve per column, by a few ulp of the coefficients
+        rng = np.random.default_rng(4)
+        for tc in (np.linspace(-1e-4, 1e-4, 8), np.sort(rng.uniform(-0.3, 0.3, 8)), np.array([0.0, 0.1])):
+            vals = rng.normal(size=(tc.size, 40)) * 10.0 ** rng.integers(-3, 3, 40)
+            slopes, quads = wn.fit_side(tc, vals)
+            for j in range(vals.shape[1]):
+                fit1 = np.polyfit(tc, vals[:, j], 1)
+                fit2 = np.polyfit(tc, vals[:, j], 2) if tc.size >= 3 else np.zeros(3)
+                assert slopes[j] == pytest.approx(fit1[0], rel=1e-10, abs=1e-12 * np.abs(fit1).max())
+                assert quads[j] == pytest.approx(fit2[0], rel=1e-10, abs=1e-12 * np.abs(fit2).max())
