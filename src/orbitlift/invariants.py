@@ -615,13 +615,23 @@ def _sqrt_spectrum(coeffs_a: np.ndarray, tol: float) -> tuple[np.ndarray | None,
     lo = float(vals.min())
     if lo < -10.0 * tol * scale:
         return None, False
-    # a root within the Horner noise of 0 is 0, as its square root would be
+    # a root within rounding noise of 0 is 0, as its square root would be
     # sqrt(noise), far above the noise itself: a root below that noise at
-    # the coefficients' scale, or the least root when the constant term
-    # (the roots' product) is within the Horner noise at that root
-    gamma = 2.0 * (vals.size + 1) * np.finfo(float).eps
-    zero = vals <= 2.0 * gamma * scale
-    zero[0] |= abs(coeffs_a[-1]) <= gamma * np.polyval(np.abs(np.concatenate([[1.0], coeffs_a])), abs(lo))
+    # the scale of the largest root (not of the coefficients, which grow
+    # like its n-th power), and the least roots, one at a time, while the
+    # constant term of the polynomial with the zero roots divided out is
+    # within its Horner noise at the next root; a cluster the solver gives
+    # as one repeated value is zero as a whole or not at all
+    n = vals.size
+    gamma = 2.0 * (n + 1) * np.finfo(float).eps
+    zero = vals <= 2.0 * gamma * (1.0 + max(float(vals[-1]), 0.0))
+    c = np.abs(np.concatenate([[1.0], coeffs_a]))
+    k = 0
+    while k < n and c[n - k] <= gamma * np.polyval(c[: n - k + 1], abs(float(vals[k]))):
+        k += 1
+    if k < n:
+        k = int(np.searchsorted(vals, vals[k]))
+    zero[:k] = True
     return np.sqrt(np.where(zero, 0.0, vals)), near or lo < -tol * scale
 
 

@@ -213,6 +213,52 @@ class TestFiber:
                     assert moved in keys
 
 
+class TestSmallModuli:
+    """B/D moduli near 0: a root of the squares-polynomial within rounding
+    noise of 0 gives an exact 0, a resolved small root keeps its value."""
+
+    @staticmethod
+    def _fiber(spec, v):
+        m = inv.orbit_map(inv.parse_group(spec))
+        y = inv.sigma(m, v)
+        fib = np.array(inv.fiber(m, y))
+        worst = max(float(np.max(np.abs(inv.sigma(m, w) - y))) for w in fib)
+        assert worst <= 1e-10 * (1.0 + float(np.max(np.abs(y))))
+        return fib
+
+    @pytest.mark.parametrize(
+        "spec,v",
+        [("B:4", [100.0, 60.0, 30.0, 0.01]), ("B:5", [3.0, 2.9, 3.1, 2.8, 5e-6])],
+    )
+    def test_small_modulus_beside_large_ones(self, spec, v):
+        # the coefficients reach 3e10 (B:4) and 6e3 (B:5), so a zero test
+        # at their scale would take these roots (1e-4, 2.5e-11) for noise
+        fib = self._fiber(spec, v)
+        assert len(fib) == inv.parse_group(spec).order
+        assert np.allclose(np.min(np.abs(fib), axis=1), v[-1], rtol=1e-4, atol=0)
+
+    @pytest.mark.parametrize("spec,size", [("B:3", 24), ("D:3", 24)])
+    def test_zero_coordinate_beside_large_one(self, spec, size):
+        # the least root comes out 1.3e-11, above the noise at the largest
+        # root's scale; the product of the roots is exactly 0
+        fib = self._fiber(spec, [0.0, 0.25, 16.0])
+        assert len(fib) == size
+        assert np.all(np.sum(fib == 0.0, axis=1) == 1)
+
+    def test_two_zero_coordinates(self):
+        # both least roots come out 4.7e-12; the two trailing coefficients are 0
+        fib = self._fiber("B:4", [0.0, 0.0, 3.0, 18.0])
+        assert len(fib) == 48
+        assert np.all(np.sum(fib == 0.0, axis=1) == 2)
+
+    def test_collapsed_cluster_stays_whole(self):
+        # the solver gives the squares 0 and 1e-6 as a double root 5e-7;
+        # zeroing one of its copies would move sigma_1 by 5e-7
+        fib = self._fiber("B:4", [0.0, 0.001, 1.3, 0.7])
+        least = np.sort(np.abs(fib), axis=1)[:, :2]
+        assert np.all(least[:, 0] == least[:, 1]) and np.all(least > 0.0)
+
+
 def _min_pairwise(f: np.ndarray) -> float:
     """Least distance between two of the points f, over all pairs (the
     enumeration-based oracle for Orbit.min_distance), 64 rows at a time."""

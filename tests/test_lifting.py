@@ -309,6 +309,17 @@ class TestWallCrossing:
         assert [r.verdict for r in lift.reports] == [rc.TWICE] * 3
         assert lift.values[grid.points == 0.0, 0].tolist() == [0.0]
 
+    def test_b2_line_through_axis(self):
+        # coordinate 1 of this line is 0 at t = -1/8, where the product
+        # sigma_2 comes out as rounding noise rather than exactly 0
+        g, m = group_and_map("B:2")
+        c = np.array([-1.8617241967428813, 0.09808499207552587])
+        v = np.array([-0.6199011188010695, 0.784679936604207])
+        grid = cd.Grid.dyadic(-1, 1, 5)
+        lift = lf.lift_curve(g, m, _sigma_of_line(g, c, v), grid)
+        assert [r.verdict for r in lift.reports] == [rc.TWICE] * 2
+        assert lift.values[grid.points == -0.125, 1].tolist() == [0.0]
+
     def test_tolerance_violation_propagates(self):
         from orbitlift.errors import ToleranceViolation
 
