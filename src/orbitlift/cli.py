@@ -206,7 +206,7 @@ def cmd_certify(args) -> int:
 def cmd_kdata(args) -> int:
     group = invariants.parse_group(args.group)
     map_ = invariants.orbit_map(group)
-    kd = invariants.compute_k(group, map_, seed=args.seed)
+    kd = invariants.compute_k(group, map_)
     lines = [
         "tool: kdata",
         f"group: {kd.group_label}",
@@ -215,8 +215,6 @@ def cmd_kdata(args) -> int:
         f"invariant-degrees: {','.join(str(d) for d in map_.degrees)}",
         f"d: {kd.d_value}",
         f"k: {kd.k_value}",
-        f"seed: {args.seed}",
-        f"candidates-examined: {kd.candidates_examined}",
         f"summands: {len(kd.records)}",
     ]
     for i, rec in enumerate(kd.records):
@@ -319,56 +317,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
 
-    def common(p, curve=False, group=False, needs_domain=False):
-        p.add_argument("--tol", type=_TOL, default=1e-10)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--levels", type=_LEVELS, default=6, help="refinement levels examined by the certifier")
-        p.add_argument("--strict", action="store_true")
-        p.add_argument("--out", default=None, help="CSV output path")
+    # each subcommand takes the options its handler reads, and --report;
+    # "--curve" stands for the required choice between --curve and --csv
+    options = {
+        "--poly": dict(required=True, help="comma-separated a1,...,an"),
+        "--group": dict(required=True, help='catalog group, e.g. "A:2", "I2:5"'),
+        "--class": dict(dest="declared_class", default="Cinf"),
+        "--domain": dict(type=_parse_domain, default=(-1.0, 1.0), metavar="a:b"),
+        "--level": dict(type=_LEVEL, default=8),
+        "--gmap": dict(required=True, help="semicolon-separated map components in u,v"),
+        "--box": dict(default="-1:1,-1:1", help="probe box, e.g. -1:1,-1:1"),
+        "--probes": dict(type=_PROBES, default=7),
+        "--tol": dict(type=_TOL, default=1e-10),
+        "--levels": dict(type=_LEVELS, default=6, help="refinement levels examined by the certifier"),
+        "--strict": dict(action="store_true", help="exit 3 when a certificate is inconclusive"),
+        "--out": dict(default=None, help="CSV output path"),
+    }
+    commands = [
+        ("roots", cmd_roots, "real roots of one polynomial", ["--poly", "--tol", "--out"]),
+        ("select", cmd_select, "differentiable root-branch selection",
+         ["--curve", "--class", "--domain", "--level", "--tol", "--levels", "--strict", "--out"]),
+        ("lift", cmd_lift, "lift an orbit-space curve",
+         ["--group", "--curve", "--class", "--domain", "--level", "--tol", "--strict", "--out"]),
+        ("certify", cmd_certify, "certify the regularity of samples or an expression",
+         ["--curve", "--domain", "--level", "--levels", "--strict"]),
+        ("kdata", cmd_kdata, "invariant degrees and the constant k", ["--group"]),
+        ("harness", cmd_harness, "several-variable locally-Lipschitz probe harness",
+         ["--group", "--gmap", "--box", "--probes", "--level", "--tol", "--strict"]),
+        ("examples", cmd_examples, "list the built-in example catalog", []),
+    ]
+    for name, func, help_text, flags in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            if flag == "--curve":
+                source = p.add_mutually_exclusive_group(required=True)
+                source.add_argument("--curve", default=None, help="comma-separated component expressions")
+                source.add_argument("--csv", default=None, help="curve samples CSV (header t,a1,...)")
+            else:
+                p.add_argument(flag, **options[flag])
         p.add_argument("--report", default=None, help="report output path (default: stdout)")
-        if curve:
-            source = p.add_mutually_exclusive_group(required=True)
-            source.add_argument("--curve", default=None, help="comma-separated component expressions")
-            source.add_argument("--csv", default=None, help="curve samples CSV (header t,a1,...)")
-            p.add_argument("--class", dest="declared_class", default="Cinf")
-        if group:
-            p.add_argument("--group", required=True, help='catalog group, e.g. "A:2", "I2:5"')
-        if needs_domain:
-            p.add_argument("--domain", type=_parse_domain, default=(-1.0, 1.0), metavar="a:b")
-            p.add_argument("--level", type=_LEVEL, default=8)
-
-    p = sub.add_parser("roots", help="real roots of one polynomial")
-    p.add_argument("--poly", required=True, help="comma-separated a1,...,an")
-    common(p)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("select", help="differentiable root-branch selection")
-    common(p, curve=True, needs_domain=True)
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("lift", help="lift an orbit-space curve")
-    common(p, curve=True, group=True, needs_domain=True)
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("certify", help="certify the regularity of samples or an expression")
-    common(p, curve=True, needs_domain=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("kdata", help="invariant degrees and the constant k")
-    common(p, group=True)
-    p.set_defaults(func=cmd_kdata)
-
-    p = sub.add_parser("harness", help="several-variable locally-Lipschitz probe harness")
-    common(p, group=True)
-    p.add_argument("--level", type=_LEVEL, default=8)
-    p.add_argument("--gmap", required=True, help="semicolon-separated map components in u,v")
-    p.add_argument("--box", default="-1:1,-1:1", help="probe box, e.g. -1:1,-1:1")
-    p.add_argument("--probes", type=_PROBES, default=7)
-    p.set_defaults(func=cmd_harness)
-
-    p = sub.add_parser("examples", help="list the built-in example catalog")
-    common(p)
-    p.set_defaults(func=cmd_examples)
+        p.set_defaults(func=func)
 
     return parser
 

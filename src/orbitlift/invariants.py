@@ -10,6 +10,12 @@ Catalog families and their invariant maps sigma : V -> R^n:
 Elementary symmetric functions are evaluated on canonically sorted inputs,
 so sigma is bitwise invariant under any exactly-represented group element
 (signed permutation matrices are exact in floating point).
+
+The k-data come in closed form, without enumerating the group.  A point's
+stabilizer is the parabolic subgroup of the walls through it (Steinberg's
+theorem), so the least orbit of a nonzero point in an irreducible summand is
+n for A(n-1) (on its sum-zero summand), 2n for B(n), min(2n, 2^(n-1)) for
+D(n) and m for I2(m).
 """
 
 from __future__ import annotations
@@ -233,7 +239,7 @@ def sigma(map_: OrbitMapSigma, v) -> np.ndarray:
     return map_.evaluate(v)
 
 
-# -- orbits and stabilizers ------------------------------------------------------
+# -- orbits -----------------------------------------------------------------------
 
 def _point_key(p: np.ndarray) -> tuple:
     r = np.round(p, _DEDUP_DECIMALS)
@@ -253,19 +259,12 @@ def orbit(group: ReflectionGroup, v) -> list[np.ndarray]:
     return [pts[k] for k in sorted(pts.keys())]
 
 
-def stabilizer_order(group: ReflectionGroup, v) -> int:
-    v = np.asarray(v, dtype=float).reshape(-1)
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(v))))
-    return sum(1 for g in group.elements() if np.max(np.abs(g @ v - v)) <= tol)
-
-
-# -- k(rho): irreducible splitting and maximal isotropy ----------------------------
+# -- k(rho): maximal isotropy per irreducible summand ------------------------------
 
 @dataclass(frozen=True)
 class IrreducibleRecord:
     dim: int
-    basis: np.ndarray  # (ambient_dim, dim) orthonormal columns
-    v: np.ndarray      # chosen unit vector with maximal isotropy
+    v: np.ndarray      # unit vector with maximal isotropy in the summand
     isotropy_order: int
     orbit_size: int
 
@@ -277,142 +276,51 @@ class KData:
     d_value: int
     k_value: int
     records: tuple[IrreducibleRecord, ...]
-    candidates_examined: int
 
 
-def _split_invariant(elements, basis, rng) -> list[np.ndarray]:
-    """Split span(basis) into invariant eigenspaces of an averaged random
-    symmetric operator; empty result means no split was found."""
-    r = basis.shape[1]
-    restricted = [basis.T @ g @ basis for g in elements]
-    for _ in range(3):
-        s = rng.standard_normal((r, r))
-        s = s + s.T
-        avg = np.zeros((r, r))
-        for rg in restricted:
-            avg += rg @ s @ rg.T
-        avg /= len(restricted)
-        w, u = np.linalg.eigh(avg)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        groups = []
-        start = 0
-        for i in range(1, r + 1):
-            if i == r or w[i] - w[i - 1] > 1e-8 * scale:
-                groups.append(slice(start, i))
-                start = i
-        if len(groups) > 1:
-            return [basis @ u[:, g] for g in groups]
-    return []
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
 
 
-def _irreducible_subspaces(group: ReflectionGroup, rng) -> list[np.ndarray]:
-    elements = group.elements()
-    pending = [np.eye(group.dim)]
-    done = []
-    while pending:
-        basis = pending.pop()
-        if basis.shape[1] == 1:
-            done.append(basis)
-            continue
-        parts = _split_invariant(elements, basis, rng)
-        if parts:
-            pending.extend(parts)
-        else:
-            done.append(basis)
-    done.sort(key=lambda b: (b.shape[1], _point_key(np.abs(b[:, 0]))))
-    return done
-
-
-def _check_catalog_splitting(group: ReflectionGroup, spaces) -> None:
-    dims = sorted(b.shape[1] for b in spaces)
+def _summands(group: ReflectionGroup) -> list[tuple[int, np.ndarray, int]]:
+    """(dimension, maximal-isotropy unit vector, its orbit size) per
+    irreducible summand of V."""
+    n = group.dim
+    e0 = np.eye(n)[0]
     if group.kind == "A":
-        expected = [1, group.dim - 1] if group.dim > 1 else [1]
-        ok = dims == sorted(expected)
-        if ok and group.dim > 1:
-            one_dim = next(b for b in spaces if b.shape[1] == 1)
-            ones = np.ones(group.dim) / np.sqrt(group.dim)
-            ok = abs(abs(float(one_dim[:, 0] @ ones)) - 1.0) < 1e-8
-    elif group.kind == "I2" and group.param == 2:
-        ok = dims == [1, 1]
-    else:
-        ok = dims == [group.dim]
-    if not ok:
-        raise RuntimeError(
-            f"isotypic splitting of {group.label} disagrees with the catalog: {dims}"
-        )
+        return [(1, _unit(np.ones(n)), 1), (n - 1, _unit(e0 - 1.0 / n), n)]
+    if group.kind == "I2":
+        if group.param == 2:
+            return [(1, np.array([0.0, 1.0]), 2), (1, e0, 2)]
+        return [(2, e0, group.param)]
+    if group.kind == "D" and n == 3:
+        return [(3, _unit(np.ones(3)), 4)]
+    return [(n, e0, 2 * n)]
 
 
-def _candidate_directions(basis: np.ndarray, rng, n_random: int = 64) -> list[np.ndarray]:
-    dim, r = basis.shape
-    proj = basis @ basis.T
-    raw = [np.eye(dim)[i] for i in range(dim)]
-    raw.append(np.ones(dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros(dim)
-            e[i], e[j] = 1.0, 1.0
-            raw.append(e.copy())
-            e[j] = -1.0
-            raw.append(e.copy())
-    out = []
-    for w in raw:
-        p = proj @ w
-        norm = np.linalg.norm(p)
-        if norm > 1e-8:
-            out.append(p / norm)
-    for _ in range(n_random):
-        p = basis @ rng.standard_normal(r)
-        norm = np.linalg.norm(p)
-        if norm > 1e-8:
-            out.append(p / norm)
-    return out
+def compute_k(group: ReflectionGroup, map_: OrbitMapSigma | None = None) -> KData:
+    """k = max(d, least orbit size of a nonzero point per irreducible summand).
 
+    A point's stabilizer is the parabolic subgroup generated by the
+    reflections in the walls through it (Steinberg's theorem; Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12), so a summand's largest
+    isotropy belongs to a point on the most walls, in closed form:
 
-def compute_k(
-    group: ReflectionGroup,
-    map_: OrbitMapSigma | None = None,
-    seed: int = 0,
-) -> KData:
-    """k = max(d, orbit sizes of maximal-isotropy points per irreducible summand).
-
-    Candidate points combine structured directions (coordinate axes, the
-    diagonal, axis sums/differences, projected into each summand) with seeded
-    random unit samples; isotropy orders come from exhaustive enumeration of
-    the group elements, so the reported maximum is certified over the
-    candidate set.
+      A(n-1)  the diagonal (orbit 1) and, in the sum-zero summand, the
+              projection of e_1 (stabilizer S_(n-1), orbit n)
+      B(n)    e_1, orbit 2n
+      D(n)    e_1, orbit 2n, or the diagonal, orbit 2^(n-1): the diagonal
+              for D(3), e_1 from D(4) on (a tie of 8 at D(4))
+      I2(m)   a mirror direction, orbit m; I2(2) splits into its two axes
     """
     if map_ is None:
         map_ = orbit_map(group)
-    rng = np.random.default_rng(seed)
-    spaces = _irreducible_subspaces(group, rng)
-    _check_catalog_splitting(group, spaces)
-    records = []
-    examined = 0
-    for basis in spaces:
-        best_v = None
-        best_order = 0
-        for v in _candidate_directions(basis, rng):
-            examined += 1
-            so = stabilizer_order(group, v)
-            if so > best_order:
-                best_order = so
-                best_v = v
-        if group.order % best_order != 0:
-            raise RuntimeError(
-                f"stabilizer order {best_order} does not divide |G|={group.order}"
-            )
-        records.append(
-            IrreducibleRecord(
-                dim=basis.shape[1],
-                basis=basis,
-                v=best_v,
-                isotropy_order=best_order,
-                orbit_size=group.order // best_order,
-            )
-        )
-    d = map_.d_value
-    k = max([d] + [r.orbit_size for r in records])
-    return KData(group.label, group.order, d, k, tuple(records), examined)
+    records = tuple(
+        IrreducibleRecord(dim, v, group.order // size, size)
+        for dim, v, size in _summands(group)
+    )
+    k = max([map_.d_value] + [r.orbit_size for r in records])
+    return KData(group.label, group.order, map_.d_value, k, records)
 
 
 # -- fibers -----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import orbitlift
-from orbitlift import catalog, regcheck
+from orbitlift import catalog, invariants, regcheck
 from orbitlift.cli import EXIT_DOMAIN, EXIT_INCONCLUSIVE, EXIT_OK, main
 from orbitlift.curvedsl import read_samples_csv
 
@@ -129,6 +129,12 @@ class TestKdata:
     def test_bad_group_exit_2(self):
         assert run(["kdata", "--group", "Z:9"]) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("group,k", [("A:7", 8), ("B:6", 12), ("D:6", 12)])
+    def test_group_too_large_to_enumerate(self, group, k, capsys):
+        assert invariants.parse_group(group).order > invariants.ENUM_LIMIT
+        assert run(["kdata", "--group", group]) == EXIT_OK
+        assert f"\nk: {k}\n" in capsys.readouterr().out
+
 
 class TestHarness:
     def test_rejects_domain(self, capsys):
@@ -162,8 +168,8 @@ class TestDeterminism:
     def test_byte_identical_reruns(self, argv, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
-        run(argv + ["--seed", "7", "--report", str(a)])
-        run(argv + ["--seed", "7", "--report", str(b)])
+        run(argv + ["--report", str(a)])
+        run(argv + ["--report", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -237,6 +243,41 @@ class TestMalformedInput:
 
     def test_zero_tol(self, capsys):
         self.fails_cleanly(["roots", "--poly", "1", "--tol", "0"], capsys)
+
+    # each subcommand with its required arguments, and options it does not take
+    REQUIRED = {
+        "roots": ["--poly", "6,11,6"],
+        "select": ["--curve", "0,-t^2"],
+        "lift": ["--group", "A:1", "--curve", "0,-t^2"],
+        "certify": ["--curve", "t"],
+        "kdata": ["--group", "A:2"],
+        "harness": ["--group", "B:2", "--gmap", "u;v"],
+        "examples": [],
+    }
+    NOT_TAKEN = {
+        "roots": ["--seed", "--levels", "--strict"],
+        "select": ["--seed"],
+        "lift": ["--seed", "--levels"],
+        "certify": ["--seed", "--tol", "--out", "--class"],
+        "kdata": ["--seed", "--tol", "--levels", "--strict", "--out"],
+        "harness": ["--seed", "--levels", "--out"],
+        "examples": ["--seed", "--tol", "--levels", "--strict", "--out"],
+    }
+    VALUES = {"--seed": ["7"], "--levels": ["6"], "--strict": [], "--tol": ["1e-9"],
+              "--out": ["x.csv"], "--class": ["Cinf"]}
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [pytest.param(c, o, id=f"{c}:{o[2:]}") for c, opts in NOT_TAKEN.items() for o in opts],
+    )
+    def test_option_the_subcommand_does_not_read(self, command, option, capsys):
+        given = [option] + self.VALUES[option]
+        with pytest.raises(SystemExit) as exc:
+            run([command] + self.REQUIRED[command] + given)
+        assert exc.value.code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(given)}" in err
+        assert "Traceback" not in err
 
 
 # roots c*t for c in -4..-1, 1..5, all crossing at t = 0 (as in test_rootflow's TestLargeCrossing)

@@ -117,44 +117,73 @@ class TestOrbit:
         assert len(inv.orbit(g, [0, 0, 0])) == 1
 
 
+# every catalog group of order <= 10^4, with (d, k)
+K_DATA = (
+    [(f"A:{p}", p + 1, p + 1) for p in range(1, 7)]
+    + [(f"B:{n}", 2 * n, 2 * n) for n in range(2, 6)]
+    + [("D:3", 4, 4), ("D:4", 6, 8), ("D:5", 8, 10)]
+    + [(f"I2:{m}", m, m) for m in range(2, 13)]
+)
+
+
 class TestComputeK:
-    @pytest.mark.parametrize(
-        "spec,d,k",
-        [("A:2", 3, 3), ("B:2", 4, 4)] + [(f"I2:{m}", m, m) for m in range(3, 9)],
-    )
+    @pytest.mark.parametrize("spec,d,k", K_DATA)
     def test_catalog_values(self, spec, d, k):
         g = inv.parse_group(spec)
-        kd = inv.compute_k(g, seed=7)
+        kd = inv.compute_k(g)
         assert kd.d_value == d
         assert kd.k_value == k
 
     def test_a2_records(self):
-        kd = inv.compute_k(inv.make_group("A", 2), seed=7)
+        kd = inv.compute_k(inv.make_group("A", 2))
         # trivial summand: stabilizer = all of S3; standard summand: S2
         stats = sorted((r.dim, r.isotropy_order, r.orbit_size) for r in kd.records)
         assert stats == [(1, 6, 1), (2, 2, 3)]
 
     def test_k_formula_consistency(self):
         for spec in ["A:2", "B:2", "D:3", "I2:6"]:
-            kd = inv.compute_k(inv.parse_group(spec), seed=3)
+            kd = inv.compute_k(inv.parse_group(spec))
             assert kd.k_value == max([kd.d_value] + [r.orbit_size for r in kd.records])
             assert all(r.isotropy_order * r.orbit_size == kd.group_order for r in kd.records)
 
-    def test_certified_against_exhaustive_enumeration(self):
-        # independent recount of the stabilizer order over every element
-        for spec in ["B:2", "I2:5", "D:3"]:
-            g = inv.parse_group(spec)
-            kd = inv.compute_k(g, seed=7)
-            for rec in kd.records:
-                tol = 1e-9 * (1 + np.max(np.abs(rec.v)))
-                count = sum(
-                    1 for el in g.elements() if np.max(np.abs(el @ rec.v - rec.v)) <= tol
-                )
-                assert count == rec.isotropy_order
+    @staticmethod
+    def _stabilizer_orders(elements, points):
+        """Stabilizer order of each row of points, counted over every element."""
+        moved = np.einsum("wij,cj->wci", elements, points)
+        tol = 1e-9 * (1.0 + np.max(np.abs(points), axis=1))
+        return np.sum(np.max(np.abs(moved - points), axis=2) <= tol, axis=0)
 
-    def test_deterministic_under_seed(self):
-        a = inv.compute_k(inv.make_group("D", 3), seed=9)
-        b = inv.compute_k(inv.make_group("D", 3), seed=9)
+    def test_certified_against_exhaustive_enumeration(self):
+        # the stabilizer order of v recounted over every element, and no
+        # larger one among the summand's projections of the axes, the
+        # diagonal, the axis sums and differences, and random points; the
+        # summand is the span of v's orbit
+        rng = np.random.default_rng(5)
+        for spec, _, _ in K_DATA:
+            g = inv.parse_group(spec)
+            els = np.array(g.elements())
+            eye = np.eye(g.dim)
+            pairs = [eye[i] + sign * eye[j] for i in range(g.dim)
+                     for j in range(i + 1, g.dim) for sign in (1.0, -1.0)]
+            directions = np.vstack([eye, np.ones(g.dim)] + pairs
+                                   + list(rng.standard_normal((16, g.dim))))
+            kd = inv.compute_k(g)
+            assert sum(r.dim for r in kd.records) == g.dim, spec
+            for rec in kd.records:
+                assert abs(np.linalg.norm(rec.v) - 1.0) < 1e-14, spec
+                assert self._stabilizer_orders(els, rec.v[None, :])[0] == rec.isotropy_order, spec
+                assert rec.isotropy_order * rec.orbit_size == g.order, spec
+                _, sv, vt = np.linalg.svd(els @ rec.v)
+                basis = vt[sv > 1e-9 * sv[0]]
+                assert len(basis) == rec.dim, spec
+                cands = directions @ basis.T @ basis
+                cands = cands[np.linalg.norm(cands, axis=1) > 1e-8]
+                cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+                assert self._stabilizer_orders(els, cands).max() <= rec.isotropy_order, spec
+
+    def test_deterministic_reruns(self):
+        a = inv.compute_k(inv.make_group("D", 3))
+        b = inv.compute_k(inv.make_group("D", 3))
         assert a.k_value == b.k_value
         assert all(x.v.tobytes() == y.v.tobytes() for x, y in zip(a.records, b.records))
 
