@@ -36,7 +36,12 @@ class GridTooCoarse(OrbitLiftError):
 
 
 class NotHyperbolic(OrbitLiftError):
-    """A certified complex root pair was detected."""
+    """A certified complex root pair was detected; `index` is the row of a
+    batch it was detected in, or None."""
+
+    def __init__(self, message: str = "", index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NotHyperbolicAt(NotHyperbolic):

@@ -13,6 +13,14 @@ centroid, computed from the matching derivative): collisions of real roots
 are the expected regime here and must not surface as spurious complex
 pairs.
 
+roots_batch solves a whole block of polynomials (a sampled curve) with one
+stacked companion-matrix eigensolve.  A row's roots are accepted only when
+they are certified by sign alternation: P changes sign between consecutive
+probes and across a delta-enclosure of every root, each value standing
+clear of Horner's rounding-error bound (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 5), with every gap wide enough that no cluster
+collapse applies.  Every other row goes through the Sturm chain of roots().
+
 The scalar inner loops (Horner evaluation, noise bounds, polynomial
 division, bisection and Newton steps) run on Python floats: each
 coefficient vector becomes a float list once per loop, and numpy arrays
@@ -39,6 +47,10 @@ _TRIM_EPS = 1e-13
 _WIDTH_FLOOR = 1e-13
 _MAX_NEWTON = 60
 _EPS = float(np.finfo(float).eps)
+# roots_batch: Newton steps after the eigensolve, and the least certified
+# adjacent gap in units of tol^(1/2), the narrowest width a cluster collapses
+_BATCH_NEWTON = 3
+_GAP_MARGIN = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,21 +129,13 @@ def evaluate(poly: MonicHyperbolic, x):
     return _horner(poly.full_coeffs(), x)
 
 
-def is_hyperbolic(poly: MonicHyperbolic, tol: float = 1e-10) -> bool:
-    """True iff all roots are real up to a coefficient perturbation of tol.
+def roots(poly: MonicHyperbolic, tol: float = 1e-10) -> RootMultiset:
+    """All n real roots, sorted, with multiplicity.
 
     The real-root count comes from the sign-variation sequence of the Sturm
     chain.  When the count falls short, the tol-ball fallback looks for the
     missing complex pairs near multiple roots: a candidate point absorbs a
     pair when the matching lower derivatives vanish at tolerance scale there.
-    """
-    _check_tol(tol)
-    return _roots_with_fallback(poly, tol) is not None
-
-
-def roots(poly: MonicHyperbolic, tol: float = 1e-10) -> RootMultiset:
-    """All n real roots, sorted, with multiplicity.
-
     Raises NotHyperbolic if a certified complex pair survives the tol-ball
     fallback.  Output is deterministic for identical input.
     """
@@ -144,9 +148,98 @@ def roots(poly: MonicHyperbolic, tol: float = 1e-10) -> RootMultiset:
     return RootMultiset(vals)
 
 
+def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted roots of each row of an (N, n) block of coefficient vectors,
+    and the (N,) mask of the rows that fell back to roots().
+
+    One stacked eigensolve of the companion matrices and _BATCH_NEWTON
+    Newton steps give candidate roots r_0 < ... < r_(n-1) for every row.  A
+    row keeps them only with a certificate, every value clear of twice the
+    Horner noise bound:
+    * each adjacent gap exceeds _GAP_MARGIN * tol^(1/2), so the tol-ball
+      collapse of roots() cannot merge any two of them;
+    * P has the sign (-1)^(n-k) at n+1 probes: below r_0, at the midpoint
+      between r_(k-1) and r_k, and above r_(n-1), which makes n sign
+      changes, so n simple real roots, one between adjacent probes;
+    * P(r - d) P(r + d) < 0 with d = 1e-9 max(1, |r|), the Sturm path's own
+      bracket width, so each root lies within d of its r.
+    Every other row, and every row of degree <= 2, goes through roots()
+    unchanged and in index order.  A row roots() rejects raises
+    NotHyperbolic carrying the row index as `index`.
+    """
+    _check_tol(tol)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("rows must be an (N, n) array")
+    values = np.empty(rows.shape)
+    fell_back = np.ones(rows.shape[0], dtype=bool)
+    live = np.flatnonzero(np.isfinite(rows).all(axis=1)) if rows.shape[1] >= 3 else []
+    if len(live):
+        cand, good = _certified_roots(rows[live], tol)
+        values[live[good]] = cand[good]
+        fell_back[live[good]] = False
+    for i in np.flatnonzero(fell_back).tolist():
+        try:
+            values[i] = roots(MonicHyperbolic(rows[i]), tol).values
+        except NotHyperbolic as exc:
+            raise NotHyperbolic(f"row {i}: {exc}", index=i) from None
+    return values, fell_back
+
+
 def _check_tol(tol: float) -> None:
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
+
+
+# -- batched roots: one eigensolve, certified by sign alternation -----------
+
+def _horner_rows(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the polynomials c[i] (descending) at the points x[i, :],
+    and their Horner rounding-noise bounds, as in _eval_noise."""
+    out = np.repeat(c[:, :1], x.shape[1], axis=1)
+    acc = np.abs(out)
+    ax = np.abs(x)
+    for j in range(1, c.shape[1]):
+        out = out * x + c[:, j : j + 1]
+        acc = acc * ax + np.abs(c[:, j : j + 1])
+    return out, 2.0 * c.shape[1] * _EPS * acc
+
+
+def _certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate sorted roots of each row (degree n >= 3, finite) and the
+    mask of the rows whose candidates carry roots_batch's certificate."""
+    m, n = rows.shape
+    c = np.ones((m, n + 1))
+    c[:, 1:] = rows * (-1.0) ** np.arange(1, n + 1)
+    dc = c[:, :-1] * np.arange(n, 0, -1)
+    comp = np.zeros((m, n, n))
+    comp[:, 0, :] = -c[:, 1:]
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    with np.errstate(all="ignore"):
+        x = np.sort(np.linalg.eigvals(comp).real, axis=1)
+        # a Newton step counts only where it lowers |P|: within the Horner
+        # noise a full step can move a root away
+        fx = _horner_rows(c, x)[0]
+        for _ in range(_BATCH_NEWTON):
+            x_new = x - fx / _horner_rows(dc, x)[0]
+            f_new = _horner_rows(c, x_new)[0]
+            better = np.abs(f_new) < np.abs(fx)
+            x, fx = np.where(better, x_new, x), np.where(better, f_new, fx)
+        x.sort(axis=1)
+        d = 1e-9 * np.maximum(1.0, np.abs(x))
+        span = 1.0 + (x[:, -1:] - x[:, :1])
+        probes = np.concatenate([x[:, :1] - span, 0.5 * (x[:, :-1] + x[:, 1:]), x[:, -1:] + span], axis=1)
+        val, noise = _horner_rows(c, np.concatenate([probes, x - d, x + d], axis=1))
+        sign = (-1.0) ** (n - np.arange(n + 1))  # P's sign between roots k-1 and k
+        clear = val * np.concatenate([sign, sign[:-1], sign[1:]]) > 2.0 * noise
+        good = (
+            np.isfinite(x).all(axis=1)
+            & (np.diff(x, axis=1) > _GAP_MARGIN * math.sqrt(tol)).all(axis=1)
+            & clear.all(axis=1)
+            & (probes[:, :-1] < x - d).all(axis=1)
+            & (x + d < probes[:, 1:]).all(axis=1)
+        )
+    return x, good
 
 
 # -- dense polynomial helpers (descending coefficients, c[0] = leading) -----

@@ -64,15 +64,11 @@ def sorted_branches(curve: CoeffCurve, grid: Grid, tol: float = 1e-10) -> RootBr
 
 def _sorted_matrix(curve: CoeffCurve, grid: Grid, tol: float) -> np.ndarray:
     pts = grid.points
-    rows = curve.evaluate(pts)
-    n = curve.n
-    vals = np.empty((n, pts.size))
-    for i, t in enumerate(pts):
-        try:
-            vals[:, i] = hyperpoly.roots(hyperpoly.MonicHyperbolic(rows[i]), tol).values
-        except NotHyperbolic:
-            raise NotHyperbolicAt(float(t)) from None
-    return vals
+    try:
+        vals, _ = hyperpoly.roots_batch(curve.evaluate(pts), tol)
+    except NotHyperbolic as exc:
+        raise NotHyperbolicAt(float(pts[exc.index])) from None
+    return np.ascontiguousarray(vals.T)
 
 
 def collision_clusters(b: RootBranches, eps: float) -> list[CollisionCluster]:

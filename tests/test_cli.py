@@ -163,6 +163,8 @@ class TestDeterminism:
             ["lift", "--group", "A:1", "--curve", "0,-t^2", "--domain", "-1:1", "--level", "8"],
             ["kdata", "--group", "B:2"],
             ["examples"],
+            # roots {t, -t, 2}: batched certified roots away from the crossing
+            ["select", "--curve", "2,-t^2,-2*t^2", "--domain", "-1:1", "--level", "8"],
         ],
     )
     def test_byte_identical_reruns(self, argv, tmp_path):

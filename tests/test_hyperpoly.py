@@ -108,24 +108,35 @@ class TestRoots:
         assert np.allclose(got, [0.0, 0.0], atol=1e-6)
 
 
+def hyperbolic(p, tol=1e-10):
+    # hyperbolic up to tol: roots() does not raise NotHyperbolic
+    try:
+        hp.roots(p, tol)
+    except NotHyperbolic:
+        return False
+    return True
+
+
 class TestIsHyperbolic:
     def test_complex_pair(self):
-        assert not hp.is_hyperbolic(hp.MonicHyperbolic([0.0, 1.0]))
+        with pytest.raises(NotHyperbolic):
+            hp.roots(hp.MonicHyperbolic([0.0, 1.0]))
 
     def test_double_root(self):
-        assert hp.is_hyperbolic(hp.MonicHyperbolic([0.0, 0.0]))
+        hp.roots(hp.MonicHyperbolic([0.0, 0.0]))
 
     def test_depressed_cubic_by_discriminant(self):
         # x^3 + px + q with p=-3, q=1: discriminant -4p^3 - 27q^2 = 81 > 0
         pcoef, qcoef = -3.0, 1.0
         assert -4 * pcoef**3 - 27 * qcoef**2 == 81.0
-        assert hp.is_hyperbolic(hp.MonicHyperbolic([0.0, -3.0, -1.0]))
+        hp.roots(hp.MonicHyperbolic([0.0, -3.0, -1.0]))
 
     def test_quartic_with_complex_pair(self):
         # (x^2+4)(x-1)(x-2): two real roots only
         c = np.convolve([1.0, 0.0, 4.0], np.convolve([1.0, -1.0], [1.0, -2.0]))
         a = c[1:] * (-1.0) ** np.arange(1, 5)
-        assert not hp.is_hyperbolic(hp.MonicHyperbolic(a))
+        with pytest.raises(NotHyperbolic):
+            hp.roots(hp.MonicHyperbolic(a))
 
 
 class TestRoundTrip:
@@ -160,7 +171,7 @@ class TestRoundTrip:
         # inputs are undecidable at the default tolerance and must certify
         # at one commensurate with their conditioning.
         p = hp.from_roots(root_list)
-        assert hp.is_hyperbolic(p) or hp.is_hyperbolic(p, 1e-7)
+        assert hyperbolic(p) or hyperbolic(p, 1e-7)
 
     def test_adversarial_clusters_certify_at_conditioning_tolerance(self):
         rng = np.random.default_rng(999)
@@ -170,7 +181,7 @@ class TestRoundTrip:
             base = rng.uniform(-10, 10, k)
             R = np.round(base[rng.integers(0, k, n)], int(rng.integers(1, 5)))
             p = hp.from_roots(R)
-            assert hp.is_hyperbolic(p) or hp.is_hyperbolic(p, 1e-7)
+            assert hyperbolic(p) or hyperbolic(p, 1e-7)
 
 
 def bits(a):
@@ -273,3 +284,94 @@ class TestFloatKernels:
             c = np.concatenate(([1.0], rng.normal(size=deg)))
             mu = np.float64(rng.normal())
             assert bits(hp._taylor_shift(c, mu)) == bits(numpy_taylor_shift(c, mu))
+
+
+def delta(r):
+    # the enclosure half-width of a certified root, the Sturm bracket width
+    return 1e-9 * np.maximum(1.0, np.abs(r))
+
+
+def assert_fallbacks_match_roots(rows, values, fell_back, tol=1e-10):
+    for i in np.flatnonzero(fell_back):
+        assert bits(values[i]) == bits(hp.roots(hp.MonicHyperbolic(rows[i]), tol).values)
+
+
+class TestRootsBatch:
+    def test_separated_rows_lie_within_delta_of_roots(self):
+        rng = np.random.default_rng(31)
+        for n in range(3, 7):
+            R = rng.uniform(-10.0, 10.0, (60, n))
+            rows = np.array([hp.from_roots(r).coeffs for r in R])
+            values, fell_back = hp.roots_batch(rows)
+            assert values.shape == rows.shape
+            assert np.mean(fell_back) < 0.5
+            assert_fallbacks_match_roots(rows, values, fell_back)
+            for i in np.flatnonzero(~fell_back):
+                p = hp.MonicHyperbolic(rows[i])
+                ref = hp.roots(p).values
+                assert np.all(np.abs(values[i] - ref) <= delta(ref))
+                # the enclosure, rechecked: P changes sign across r +- delta
+                v = values[i]
+                assert np.all(hp.evaluate(p, v - delta(v)) * hp.evaluate(p, v + delta(v)) < 0)
+                # polished: |P(r)| within the Horner noise bound
+                c = p.full_coeffs().tolist()
+                assert all(abs(hp._horner(c, x)) <= hp._eval_noise(c, x) for x in v.tolist())
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_gaps_at_the_collapse_width_fall_back(self, tol):
+        # at tol 1e-6 the sign checks alone would certify the first row
+        w = np.sqrt(tol)
+        roots_list = [
+            [-1.0, 1.0, 1.0 + 0.9 * w, 3.0],    # collapses in roots()
+            [-1.0, 1.0, 1.0 + 1.1 * w, 3.0],    # kept apart, but inside the margin
+            [-1.0, 1.0, 1.5, 3.0],              # certified
+            [-1.0, 1.0, 1.0, 3.0],              # double root
+        ]
+        rows = np.array([hp.from_roots(r).coeffs for r in roots_list])
+        # a complex pair 1e-12 wide: inside the tol-ball, a double root at 2
+        near = np.convolve([1.0, -4.0, 4.0 + 1e-12], [1.0, -2.0, -15.0])
+        rows = np.vstack([rows, near[1:] * (-1.0) ** np.arange(1, 5)])
+        values, fell_back = hp.roots_batch(rows, tol)
+        assert fell_back.tolist() == [True, True, False, True, True]
+        assert_fallbacks_match_roots(rows, values, fell_back, tol)
+        assert values[0, 1] == values[0, 2]
+        assert values[1, 1] < values[1, 2]
+        assert values[4, 1] == values[4, 2]
+
+    def test_complex_pair_raises_with_the_first_failing_row(self):
+        good = hp.from_roots([1.0, 2.0, 3.0]).coeffs
+        # (x^2 + 4)(x - 1): a certified complex pair
+        bad = np.convolve([1.0, 0.0, 4.0], [1.0, -1.0])[1:] * (-1.0) ** np.arange(1, 4)
+        with pytest.raises(NotHyperbolic) as exc:
+            hp.roots_batch(np.array([good, good, bad, good, bad]))
+        assert exc.value.index == 2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_low_degree_rows_take_the_closed_form(self, n):
+        rng = np.random.default_rng(32)
+        rows = np.array([hp.from_roots(rng.uniform(-5.0, 5.0, n)).coeffs for _ in range(20)])
+        rows[3] = 0.0  # a double root at 0 when n = 2
+        values, fell_back = hp.roots_batch(rows)
+        assert fell_back.all()
+        assert_fallbacks_match_roots(rows, values, fell_back)
+
+    def test_empty_block(self):
+        values, fell_back = hp.roots_batch(np.zeros((0, 4)))
+        assert values.shape == (0, 4)
+        assert fell_back.shape == (0,)
+
+    def test_nonfinite_row_falls_back_and_is_refused(self):
+        rows = np.array([hp.from_roots([1.0, 2.0, 3.0]).coeffs, [np.inf, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            hp.roots_batch(rows)
+
+    def test_small_root_beside_large_ones(self):
+        # the squares-polynomial of the B:4 point (100, 99, 101, 0.05): the
+        # Sturm path rejects it, the batch certifies it
+        exact = np.array([0.0025, 9801.0, 1e4, 10201.0])
+        p = hp.from_roots(exact)
+        with pytest.raises(NotHyperbolic):
+            hp.roots(p)
+        values, fell_back = hp.roots_batch(p.coeffs[None, :])
+        assert not fell_back[0]
+        assert np.all(np.abs(values[0] - exact) <= delta(exact))

@@ -49,6 +49,15 @@ class TestSortedBranches:
         with pytest.raises(NotHyperbolicAt):
             rf.sorted_branches(curve_from("0", "0.25-t^2"), cd.Grid.dyadic(-1, 1, 4))
 
+    def test_not_hyperbolic_at_first_failing_sample_of_a_cubic(self):
+        # roots 3 and +-sqrt(t^2 - 0.25): a double root at t = -0.5, complex
+        # from the next sample t = -0.375 to t = 0.375; the samples before
+        # and after certify in the batch, the failing ones fall back
+        curve = curve_from("3", "0.25-t^2", "0.75-3*t^2")
+        with pytest.raises(NotHyperbolicAt) as exc:
+            rf.sorted_branches(curve, cd.Grid.dyadic(-1, 1, 4))
+        assert exc.value.t == -0.375
+
     def test_pointwise_sorted(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
         sel = rf.sorted_branches(curve_from("t", "-1-t^2", "-t"), grid)
