@@ -6,27 +6,31 @@ vector (a_1, ..., a_n):
     P(x) = x^n + sum_j (-1)^j a_j x^(n-j)
 
 so that a_j equals the j-th elementary symmetric function of the roots.
-Root extraction uses a Sturm chain for certified real-root counting and
-isolation, then bisection plus Newton polishing.  Root clusters narrower
-than tol^(1/multiplicity) are collapsed to a repeated root (at the cluster
+
+Every solve runs one pipeline.  A companion-matrix eigensolve plus guarded
+Newton steps proposes the roots, and they are accepted only when certified
+by sign alternation: P changes sign between consecutive probes and across a
+delta-enclosure of every root, each value standing clear of Horner's
+rounding-error bound (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 5), with every gap wide enough that no cluster collapse
+applies.  roots_batch runs the eigensolve of a whole block of polynomials
+(a sampled curve) as one stacked call; roots runs it on one row.
+
+A row the certificate refuses is rebuilt from critical-point interlacing:
+between consecutive real critical points P is monotone, so a reliable sign
+change there is exactly one simple root (Rolle), and a critical value lost
+in rounding noise carries a multiple root.  Root clusters narrower than
+tol^(1/multiplicity) are collapsed to a repeated root (at the cluster
 centroid, computed from the matching derivative): collisions of real roots
 are the expected regime here and must not surface as spurious complex
-pairs.
+pairs.  Complex pairs within the tolerance ball are promoted to real
+multiple roots; a pair outside it raises NotHyperbolic.
 
-roots_batch solves a whole block of polynomials (a sampled curve) with one
-stacked companion-matrix eigensolve.  A row's roots are accepted only when
-they are certified by sign alternation: P changes sign between consecutive
-probes and across a delta-enclosure of every root, each value standing
-clear of Horner's rounding-error bound (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 5), with every gap wide enough that no cluster
-collapse applies.  Every other row goes through the Sturm chain of roots().
-
-The scalar inner loops (Horner evaluation, noise bounds, polynomial
-division, bisection and Newton steps) run on Python floats: each
-coefficient vector becomes a float list once per loop, and numpy arrays
-appear only at the boundary (MonicHyperbolic, RootMultiset, evaluate() on
-an array).  Every float operation keeps the order of the numpy kernels it
-replaces, so the roots are bit-identical to theirs.
+The scalar inner loops (Horner evaluation, noise bounds, bisection and
+Newton steps) run on Python floats: each coefficient vector becomes a float
+list once per loop, and numpy arrays appear only at the boundary
+(MonicHyperbolic, RootMultiset, evaluate() on an array), and every float
+operation keeps the order of the numpy kernel it replaced.
 """
 
 from __future__ import annotations
@@ -39,12 +43,8 @@ import numpy as np
 
 from .errors import NotHyperbolic
 
-# Relative threshold below which a Sturm remainder counts as zero (gcd found).
-_GCD_EPS = 1e-11
 # Relative zero threshold for coefficient trimming.
 _TRIM_EPS = 1e-13
-# Isolation intervals narrower than this are emitted as root clusters.
-_WIDTH_FLOOR = 1e-13
 _MAX_NEWTON = 60
 _EPS = float(np.finfo(float).eps)
 # roots_batch: Newton steps after the eigensolve, and the least certified
@@ -132,40 +132,43 @@ def evaluate(poly: MonicHyperbolic, x):
 def roots(poly: MonicHyperbolic, tol: float = 1e-10) -> RootMultiset:
     """All n real roots, sorted, with multiplicity.
 
-    The real-root count comes from the sign-variation sequence of the Sturm
-    chain.  When the count falls short, the tol-ball fallback looks for the
-    missing complex pairs near multiple roots: a candidate point absorbs a
-    pair when the matching lower derivatives vanish at tolerance scale there.
-    Raises NotHyperbolic if a certified complex pair survives the tol-ball
-    fallback.  Output is deterministic for identical input.
+    A polynomial of degree >= 3 first gets roots_batch's certificate on its
+    eigensolve roots; certified, they are the answer.  Degree <= 2 takes
+    the closed forms.  Any other polynomial goes to the interlacing
+    rebuild, which counts the real roots between critical points, collapses
+    clusters narrower than tol^(1/multiplicity), and promotes complex pairs
+    inside the tol-ball to multiple roots: a candidate point absorbs a pair
+    when the matching lower derivatives vanish at tolerance scale there.
+    Raises NotHyperbolic if a complex pair remains.  Output is
+    deterministic for identical input.
     """
     _check_tol(tol)
-    vals = _roots_with_fallback(poly, tol)
-    if vals is None:
-        raise NotHyperbolic(
-            f"certified complex root pair (degree {poly.degree}, tol {tol:g})"
-        )
-    return RootMultiset(vals)
+    if poly.degree >= 3:
+        cand, good = _certified_roots(poly.coeffs[None, :], tol)
+        if good[0]:
+            return RootMultiset(cand[0])
+    return RootMultiset(_uncertified_roots(poly, tol))
 
 
 def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Sorted roots of each row of an (N, n) block of coefficient vectors,
-    and the (N,) mask of the rows that fell back to roots().
+    and the (N,) mask of the rows the certificate refused.
 
     One stacked eigensolve of the companion matrices and _BATCH_NEWTON
     Newton steps give candidate roots r_0 < ... < r_(n-1) for every row.  A
     row keeps them only with a certificate, every value clear of twice the
     Horner noise bound:
     * each adjacent gap exceeds _GAP_MARGIN * tol^(1/2), so the tol-ball
-      collapse of roots() cannot merge any two of them;
+      collapse cannot merge any two of them;
     * P has the sign (-1)^(n-k) at n+1 probes: below r_0, at the midpoint
       between r_(k-1) and r_k, and above r_(n-1), which makes n sign
       changes, so n simple real roots, one between adjacent probes;
-    * P(r - d) P(r + d) < 0 with d = 1e-9 max(1, |r|), the Sturm path's own
-      bracket width, so each root lies within d of its r.
-    Every other row, and every row of degree <= 2, goes through roots()
-    unchanged and in index order.  A row roots() rejects raises
-    NotHyperbolic carrying the row index as `index`.
+    * P(r - d) P(r + d) < 0 with d = 1e-9 max(1, |r|), so each root lies
+      within d of its r.
+    Every other row, and every row of degree <= 2, takes the fallback of
+    roots() (closed forms, else the interlacing rebuild) in index order, so
+    each row's answer is the one roots() gives.  A row the fallback rejects
+    raises NotHyperbolic carrying the row index as `index`.
     """
     _check_tol(tol)
     rows = np.asarray(rows, dtype=float)
@@ -180,10 +183,21 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
         fell_back[live[good]] = False
     for i in np.flatnonzero(fell_back).tolist():
         try:
-            values[i] = roots(MonicHyperbolic(rows[i]), tol).values
+            values[i] = _uncertified_roots(MonicHyperbolic(rows[i]), tol)
         except NotHyperbolic as exc:
             raise NotHyperbolic(f"row {i}: {exc}", index=i) from None
     return values, fell_back
+
+
+def _uncertified_roots(poly: MonicHyperbolic, tol: float) -> np.ndarray:
+    """Sorted roots of a polynomial the certificate refused (or of degree
+    <= 2), from the closed forms or the interlacing rebuild."""
+    vals = _roots_with_fallback(poly, tol)
+    if vals is None:
+        raise NotHyperbolic(
+            f"certified complex root pair (degree {poly.degree}, tol {tol:g})"
+        )
+    return np.sort(vals)
 
 
 def _check_tol(tol: float) -> None:
@@ -191,7 +205,7 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be positive")
 
 
-# -- batched roots: one eigensolve, certified by sign alternation -----------
+# -- certified roots: one stacked eigensolve, checked by sign alternation ----
 
 def _horner_rows(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of the polynomials c[i] (descending) at the points x[i, :],
@@ -207,7 +221,8 @@ def _horner_rows(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Candidate sorted roots of each row (degree n >= 3, finite) and the
-    mask of the rows whose candidates carry roots_batch's certificate."""
+    mask of the rows whose candidates carry the certificate described in
+    roots_batch; roots runs it on its one row."""
     m, n = rows.shape
     c = np.ones((m, n + 1))
     c[:, 1:] = rows * (-1.0) ** np.arange(1, n + 1)
@@ -283,55 +298,6 @@ def _deriv(c: np.ndarray) -> np.ndarray:
     return c[:-1] * np.arange(n, 0, -1)
 
 
-def _polydiv(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.polydiv on floats, in its exact operation order."""
-    r = [a + 0.0 for a in num.tolist()]
-    v = [b + 0.0 for b in den.tolist()]
-    scale = 1.0 / v[0]
-    q = [0.0] * max(len(r) - len(v) + 1, 1)
-    for k in range(len(r) - len(v) + 1):
-        d = q[k] = scale * r[k]
-        for i, vi in enumerate(v):
-            r[k + i] -= d * vi
-    # np.polydiv drops leading remainder terms np.allclose calls zero (atol 1e-8)
-    first = 0
-    while abs(r[first]) <= 1e-8 and first < len(r) - 1:
-        first += 1
-    return np.array(q), np.array(r[first:])
-
-
-def _normalize(c: np.ndarray) -> np.ndarray:
-    mag = np.max(np.abs(c))
-    return c / mag if mag > 0 else c
-
-
-def _sturm_chain(c: np.ndarray, gcd_eps: float = _GCD_EPS) -> tuple[list[np.ndarray], np.ndarray]:
-    """Sturm chain of c, with float-safe remainder truncation.
-
-    Returns (chain, gcd_part): when the remainder sequence collapses to
-    numerical zero early, the last chain element approximates gcd(c, c')
-    (nonconstant exactly when c has multiple roots).
-    """
-    c = _normalize(_trim(c))
-    chain = [c]
-    if _deg(c) == 0:
-        return chain, np.ones(1)
-    chain.append(_normalize(_trim(_deriv(c))))
-    while _deg(chain[-1]) > 0:
-        q, r = _polydiv(chain[-2], chain[-1])
-        # Division can amplify noise by max|q|; anything below that scale
-        # times gcd_eps is numerical zero.
-        amp = max(1.0, float(np.max(np.abs(q))))
-        r = np.where(np.abs(r) <= gcd_eps * amp, 0.0, r)
-        r = _trim(r)
-        if r.size == 1 and r[0] == 0.0:
-            return chain, chain[-1]
-        chain.append(_normalize(-r))
-        if len(chain) > 2 * c.size + 4:  # defensive; cannot happen for valid input
-            break
-    return chain, np.ones(1)
-
-
 def _eval_noise(c: list[float], x: float) -> float:
     """Rounding-noise scale of Horner evaluation at x."""
     ax = abs(float(x))
@@ -339,26 +305,6 @@ def _eval_noise(c: list[float], x: float) -> float:
     for coef in c[1:]:
         acc = acc * ax + abs(coef)
     return 2.0 * len(c) * _EPS * acc
-
-
-def _sign_variations(chain: list[list[float]], x: float) -> int:
-    signs = []
-    for c in chain:
-        v = _horner(c, x)
-        if abs(v) > _eval_noise(c, x):
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _nudge_off_root(c: list[float], x: float, direction: float) -> float:
-    """Move x by tiny steps until c(x) stands clear of evaluation noise."""
-    step = 1e-12 * max(1.0, abs(x))
-    for _ in range(64):
-        if abs(_horner(c, x)) > 4.0 * _eval_noise(c, x):
-            return x
-        x += direction * step
-        step *= 2.0
-    return x
 
 
 def _root_bound(c: np.ndarray) -> float:
@@ -373,39 +319,6 @@ def _root_bound(c: np.ndarray) -> float:
         if ck > 0:
             best = max(best, ck ** (1.0 / k))
     return 2.0 * best + 1.0
-
-
-def _isolate(chain: list[np.ndarray], lo: float, hi: float) -> list[tuple[float, float, int]]:
-    """Disjoint intervals (a, b] each holding `count` roots; count > 1 only
-    when the interval has shrunk to the width floor (tight cluster)."""
-    chain = [c.tolist() for c in chain]
-    sf = chain[0]
-    lo = _nudge_off_root(sf, lo, -1.0)
-    hi = _nudge_off_root(sf, hi, +1.0)
-    out: list[tuple[float, float, int]] = []
-    va0 = _sign_variations(chain, lo)
-    vb0 = _sign_variations(chain, hi)
-    stack = [(lo, hi, va0, vb0)]
-    while stack:
-        a, b, va, vb = stack.pop()
-        count = va - vb
-        if count <= 0:
-            continue
-        if count == 1:
-            out.append((a, b, 1))
-            continue
-        if b - a < _WIDTH_FLOOR * max(1.0, abs(a) + abs(b)):
-            out.append((a, b, count))
-            continue
-        mid = _nudge_off_root(sf, 0.5 * (a + b), +1.0)
-        if not (a < mid < b):
-            out.append((a, b, count))
-            continue
-        vmid = _sign_variations(chain, mid)
-        stack.append((a, mid, va, vmid))
-        stack.append((mid, b, vmid, vb))
-    out.sort(key=lambda iv: iv[0])
-    return out
 
 
 def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> float:
@@ -448,24 +361,6 @@ def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> flo
     return x
 
 
-def _refine_on_original(c: list[float], dc: list[float], x: float, mult: int) -> float:
-    # Multiplicity-aware Newton recovers full accuracy on the input poly.
-    for _ in range(4):
-        fx = _horner(c, x)
-        if abs(fx) <= 2.0 * _eval_noise(c, x):
-            break
-        dfx = _horner(dc, x)
-        if dfx == 0.0 or not math.isfinite(dfx):
-            break
-        step = mult * fx / dfx
-        if not math.isfinite(step) or abs(step) > 0.1 * (1.0 + abs(x)):
-            break
-        x -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
-    return x
-
-
 def _polish_mult_root(c: np.ndarray, x: float, mult: int) -> float:
     """Best float estimate of an m-fold root: the simple root of the
     (m-1)-th derivative.  An m-fold root is ill-conditioned in c itself
@@ -489,60 +384,6 @@ def _polish_mult_root(c: np.ndarray, x: float, mult: int) -> float:
         if abs(step) <= 1e-16 * max(1.0, abs(x)):
             break
     return x
-
-
-def _real_roots_mult(
-    c: np.ndarray, depth: int = 0, gcd_eps: float = _GCD_EPS
-) -> list[tuple[float, int]]:
-    """Distinct real roots of c with multiplicities (roots of the square-free
-    part; multiplicities recovered from the gcd recursion)."""
-    c = _trim(c)
-    n = _deg(c)
-    if n <= 0 or depth > 64:
-        return []
-    if n == 1:
-        return [(-c[1] / c[0], 1)]
-    chain, gcd = _sturm_chain(c, gcd_eps)
-    if _deg(gcd) >= 1:
-        sf, _ = _polydiv(chain[0], gcd)
-        sf = _trim(sf)
-        if _deg(sf) <= 0:
-            sf = chain[0]
-        sf_chain, g2 = _sturm_chain(sf, gcd_eps)
-        # rarely the quotient is still not square-free numerically
-        while _deg(g2) >= 1:
-            sf, _ = _polydiv(sf_chain[0], g2)
-            sf = _trim(sf)
-            if _deg(sf) <= 0:
-                break
-            sf_chain, g2 = _sturm_chain(sf, gcd_eps)
-    else:
-        sf = chain[0]
-        sf_chain = chain
-    if _deg(sf) <= 0:
-        return []
-    bound = _root_bound(sf)
-    # float lists for the polishing loops
-    sf, dsf = sf.tolist(), _deriv(sf).tolist()
-    c, dc = c.tolist(), _deriv(c).tolist()
-    found: list[tuple[float, int]] = []
-    for a, b, count in _isolate(sf_chain, -bound, bound):
-        if count == 1:
-            x = _polish_simple(sf, dsf, a, b)
-            found.append((_refine_on_original(c, dc, x, 1), 1))
-        else:
-            found.append((0.5 * (a + b), count))
-    if _deg(gcd) >= 1:
-        for r2, m2 in _real_roots_mult(gcd, depth + 1, gcd_eps):
-            if not found:
-                found.append((r2, m2 + 1))
-                continue
-            i = min(range(len(found)), key=lambda i: abs(found[i][0] - r2))
-            x, m = found[i]
-            x = _refine_on_original(c, dc, x, m + m2)
-            found[i] = (x, m + m2)
-    found.sort(key=lambda p: p[0])
-    return found
 
 
 def _collapse_clusters(values: np.ndarray, tol: float, c: np.ndarray | None = None) -> np.ndarray:
@@ -599,119 +440,66 @@ def _promotion_violation(derivs: list[list[float]], scales, x: float, mult: int,
     return worst
 
 
-def _healthy(derivs: list[list[float]], scales, pairs, n: int, tol: float) -> bool:
-    """Plausibility of a full root-multiset claim: every root accounted for
-    and every multiplicity witnessed by vanishing lower derivatives.  A
-    deficit always routes through the interlacing rebuild, which also settles
-    whether the missing roots are genuine complex pairs."""
-    if sum(m for _, m in pairs) != n:
-        return False
-    for r, m in pairs:
-        for j in range(m):
-            if abs(_horner(derivs[j], r)) > 10.0 * tol * scales[j]:
-                return False
-    return True
-
-
 def _robust_real_roots(
     c: np.ndarray, tol: float, depth: int = 0, noise_floor: float = 0.0
 ) -> list[tuple[float, int]]:
-    """All real roots with multiplicity, robust to clustered multiple roots.
+    """Real roots with multiplicity, rebuilt from critical-point interlacing.
 
-    Tries the Sturm pipeline first; when its answer fails the health checks,
-    rebuilds the multiset from critical-point interlacing (between critical
-    points a polynomial is monotone, so simple roots come from guaranteed
-    sign-change brackets; near-zero critical values carry the multiple
-    roots).  Critical points come from the same machinery recursively.
-    noise_floor is the absolute uncertainty of evaluated values inherited
-    from upstream coefficient rounding (e.g. the recentering shift)."""
+    Between consecutive real critical points (and beyond the outermost ones,
+    up to the Fujiwara bound) c is monotone, so a sign change there brackets
+    exactly one simple root.  A critical value counts as zero, carrying a
+    multiple root, only when it lies in the tol-ball and its sign is not
+    reliable: within max(twice the Horner noise bound, floor), the test the
+    certificate of roots_batch applies.  A run of zero values is one cluster
+    whose multiplicity is the run length plus one (a k-fold critical point
+    counts k times), raised by one when that disagrees with the parity of
+    the signs around the run.  Every reliable sign is honoured, so a near
+    pair splits into two simple roots and _collapse_clusters applies the
+    width rule afterwards.  Missing real roots (complex pairs) are left to
+    the caller.  Critical points come from the same rebuild, one degree
+    down.  noise_floor is the absolute uncertainty of evaluated values
+    inherited from upstream coefficient rounding (e.g. the recentering
+    shift)."""
     c = _trim(c)
     n = _deg(c)
     if n <= 0 or depth > 24:
         return []
     if n == 1:
         return [(-c[1] / c[0], 1)]
-    derivs = [c]
-    for _ in range(n):
-        derivs.append(_deriv(derivs[-1]))
-    scales = [1.0 + float(np.max(np.abs(d))) for d in derivs]
-    floor = max(noise_floor, 4.0 * c.size * _EPS * scales[0])
-    pairs = _real_roots_mult(c)
-    pairs = [(r if m == 1 else _polish_mult_root(c, r, m), m) for r, m in pairs]
-    dfloats = [d.tolist() for d in derivs]
-    if _healthy(dfloats, scales, pairs, n, tol):
-        return pairs
-    tau0 = tol * scales[0]
+    dc = _deriv(c)
+    scale = 1.0 + float(np.max(np.abs(c)))
+    floor = max(noise_floor, 4.0 * c.size * _EPS * scale)
     # differentiation amplifies inherited coefficient noise by at most n
-    crit = sorted(x for x, _ in _robust_real_roots(derivs[1], tol, depth + 1, floor * n))
+    crit = _robust_real_roots(dc, tol, depth + 1, floor * n)
+    crit = sorted(x for x, m in crit for _ in range(m))
     bound = _root_bound(c) + 1.0
     anchors = [-bound] + crit + [bound]
-    vals = [_horner(dfloats[0], a) for a in anchors]
-    zeroish = [abs(v) <= tau0 for v in vals]
+    cf, dcf = c.tolist(), dc.tolist()
+    vals = [_horner(cf, a) for a in anchors]
+    zero = [
+        abs(v) <= tol * scale and abs(v) <= max(2.0 * _eval_noise(cf, a), floor)
+        for a, v in zip(anchors, vals)
+    ]
     pairs = []
     for i in range(len(anchors) - 1):
-        if zeroish[i] or zeroish[i + 1]:
-            continue
-        if (vals[i] > 0) != (vals[i + 1] > 0):
-            x = _polish_simple(dfloats[0], dfloats[1], anchors[i], anchors[i + 1])
-            pairs.append((x, 1))
+        if not (zero[i] or zero[i + 1]) and (vals[i] > 0) != (vals[i + 1] > 0):
+            pairs.append((_polish_simple(cf, dcf, anchors[i], anchors[i + 1]), 1))
     i = 1
     while i < len(anchors) - 1:
-        if not zeroish[i]:
+        if not zero[i]:
             i += 1
             continue
         j = i
-        while j + 1 < len(anchors) - 1 and zeroish[j + 1]:
+        while j + 1 < len(anchors) - 1 and zero[j + 1]:
             j += 1
-        run_len = j - i + 1
-        mult = run_len + 1
-        signs_differ = (vals[i - 1] > 0) != (vals[j + 1] > 0)
-        if signs_differ != (mult % 2 == 1):
+        mult = j - i + 2
+        if ((vals[i - 1] > 0) != (vals[j + 1] > 0)) != (mult % 2 == 1):
             mult += 1
         mult = min(mult, n)
-        center = 0.5 * (anchors[i] + anchors[j])
-        x = _polish_mult_root(c, center, mult)
-        if _promotion_violation(dfloats, scales, x, mult, tol) <= 1.0:
-            pairs.append((x, mult))
-        else:
-            # adjacent clusters hide inside the run: dissect it at noise
-            # resolution (tiny values still carry reliable signs)
-            pairs.extend(_dissect_run(c, dfloats, anchors, vals, i, j, n, floor))
+        pairs.append((_polish_mult_root(c, 0.5 * (anchors[i] + anchors[j]), mult), mult))
         i = j + 1
     pairs.sort(key=lambda p: p[0])
     return pairs
-
-
-def _dissect_run(c, derivs, anchors, vals, i, j, n, floor) -> list[tuple[float, int]]:
-    """Finer structure of one zeroish anchor run.
-
-    Values below the tol-ball can still sit far above evaluation noise, so
-    their signs separate sub-clusters: sign changes between reliable anchors
-    give simple roots, noise-level anchors are cluster seeds whose starting
-    multiplicity follows the parity of the surrounding reliable signs."""
-    idxs = list(range(i - 1, j + 2))
-    reliable = {}
-    for k in idxs:
-        v = vals[k]
-        if abs(v) > max(100.0 * _eval_noise(derivs[0], anchors[k]), floor):
-            reliable[k] = 1 if v > 0 else -1
-    # endpoints bracket the run and are never noise-level
-    reliable.setdefault(i - 1, 1 if vals[i - 1] > 0 else -1)
-    reliable.setdefault(j + 1, 1 if vals[j + 1] > 0 else -1)
-    out: list[tuple[float, int]] = []
-    rel_order = sorted(reliable)
-    for a, b in zip(rel_order, rel_order[1:]):
-        seeds = [k for k in range(a + 1, b) if k not in reliable]
-        if seeds:
-            mult = len(seeds) + 1
-            if (reliable[a] != reliable[b]) != (mult % 2 == 1):
-                mult += 1
-            mult = min(mult, n)
-            center = 0.5 * (anchors[seeds[0]] + anchors[seeds[-1]])
-            out.append((_polish_mult_root(c, center, mult), mult))
-        elif reliable[a] != reliable[b]:
-            out.append((_polish_simple(derivs[0], derivs[1], anchors[a], anchors[b]), 1))
-    return out
 
 
 def _quadratic_roots(a1: float, a2: float, tol: float) -> np.ndarray | None:
@@ -737,6 +525,13 @@ def _roots_with_fallback(poly: MonicHyperbolic, tol: float) -> np.ndarray | None
         return np.array([poly.coeffs[0]])
     if n == 2:
         return _quadratic_roots(float(poly.coeffs[0]), float(poly.coeffs[1]), tol)
+    if poly.coeffs[-1] == 0.0:
+        # an exact root at 0: deflate it, as the centroid shift below would
+        # blur it into rounding noise
+        rest = _roots_with_fallback(MonicHyperbolic(poly.coeffs[:-1]), tol)
+        if rest is None:
+            return None
+        return _collapse_clusters(np.sort(np.append(rest, 0.0)), tol, poly.full_coeffs())
     # Recenter at the root centroid: clusters far from the origin are badly
     # conditioned in the raw coefficients, and the centroid is exact in a1.
     # The tol-ball stays anchored to the ORIGINAL coefficient scale, so the
@@ -750,7 +545,7 @@ def _roots_with_fallback(poly: MonicHyperbolic, tol: float) -> np.ndarray | None
     shift_noise = 4.0 * (n + 1) * _EPS * coeff_scale(poly) * max(1.0, abs(mu))
     pairs = _robust_real_roots(c, tol_eff, noise_floor=shift_noise)
     total = sum(m for _, m in pairs)
-    if total < n and (n - total) % 2 == 0 and n >= 2:
+    if total < n and (n - total) % 2 == 0:
         derivs = [c]
         for _ in range(n):
             derivs.append(_deriv(derivs[-1]))

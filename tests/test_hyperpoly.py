@@ -107,6 +107,31 @@ class TestRoots:
         got = hp.roots(p, 1e-10).values
         assert np.allclose(got, [0.0, 0.0], atol=1e-6)
 
+    def test_near_pair_beside_a_double_root_keeps_its_gap(self):
+        # a gap of 4.7e-5 is wider than the collapse width tol^(1/2) = 1e-5
+        gap = 4.6534644880580345e-05
+        exact = [-10.62068512] * 2 + [-3.71660794, -3.71660794 + gap, 3.62783631, 10.07129047]
+        got = hp.roots(hp.from_roots(exact)).values
+        assert got[0] == got[1]
+        assert got[3] - got[2] > 0.99 * gap
+        assert np.max(np.abs(got - np.sort(exact))) < 1e-9
+
+    def test_exact_zero_roots_are_deflated(self):
+        # a double root at 0 beside two simple ones: the B:4 squares-polynomial
+        # of (0, 0, 1, 25)
+        p = hp.MonicHyperbolic([626.0, 625.0, 0.0, 0.0])
+        assert hp.roots(p).values.tolist() == [0.0, 0.0, 1.0, 625.0]
+
+    def test_four_fold_cluster_collapses_to_its_centroid(self):
+        # a cluster 2.3e-4 wide, narrower than tol^(1/4) = 3.2e-3; each
+        # root of the derivative's triple critical point counts, so the
+        # zero critical value carries all four roots
+        cluster = [-4.346971069463818, -4.346873115528429, -4.346858284781638, -4.346736431558016]
+        got = hp.roots(hp.from_roots(cluster + [0.465977399321833, 4.4088930173543766])).values
+        assert np.all(got[:4] == got[0])
+        assert abs(got[0] - np.mean(cluster)) < 1e-8
+        assert np.allclose(got[4:], [0.465977399321833, 4.4088930173543766], rtol=0, atol=1e-12)
+
 
 def hyperbolic(p, tol=1e-10):
     # hyperbolic up to tol: roots() does not raise NotHyperbolic
@@ -173,6 +198,22 @@ class TestRoundTrip:
         p = hp.from_roots(root_list)
         assert hyperbolic(p) or hyperbolic(p, 1e-7)
 
+    def test_clusters_up_to_four_fold(self):
+        # an m-fold cluster (m <= 4) up to 1e-4 wide beside separated roots:
+        # collapsed, it is off by at most its width; resolved, each root by
+        # about (eps * scale)^(1/m)
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            m = int(rng.integers(2, 5))
+            centre = rng.uniform(-5.0, 5.0)
+            cluster = centre + 10.0 ** rng.uniform(-8.0, -4.0) * rng.uniform(0.0, 1.0, m)
+            others = [x for x in rng.uniform(-6.0, 6.0, int(rng.integers(0, 4))) if abs(x - centre) > 0.5]
+            R = np.sort(np.concatenate([cluster, others]))
+            p = hp.from_roots(R)
+            got = hp.roots(p).values
+            allow = np.ptp(cluster) + 10.0 * (np.finfo(float).eps * hp.coeff_scale(p)) ** (1.0 / m)
+            assert np.max(np.abs(got - R)) <= allow, R
+
     def test_adversarial_clusters_certify_at_conditioning_tolerance(self):
         rng = np.random.default_rng(999)
         for _ in range(150):
@@ -227,49 +268,6 @@ class TestFloatKernels:
             c = np.array(c)
             assert bits(hp._horner(c, x)) == bits(hp._horner(c, np.array([x]))[0])
 
-    def assert_same_division(self, num, den):
-        num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
-        q, r = hp._polydiv(num, den)
-        q_ref, r_ref = np.polydiv(num, den)
-        assert bits(q) == bits(q_ref)
-        assert bits(r) == bits(r_ref)
-
-    def test_polydiv_random(self):
-        rng = np.random.default_rng(22)
-        for _ in range(300):
-            m = int(rng.integers(0, 9))
-            n = int(rng.integers(0, 9))
-            self.assert_same_division(rng.normal(size=m + 1), rng.normal(size=n + 1) + 0.1)
-
-    def test_polydiv_exact_multiple(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            den = rng.integers(-5, 6, size=int(rng.integers(2, 5))).astype(float)
-            den[0] = 1.0
-            num = np.polymul(den, rng.integers(-5, 6, size=int(rng.integers(1, 5))).astype(float))
-            self.assert_same_division(num, den)
-            q, r = hp._polydiv(num, den)
-            assert r.tolist() == [0.0]
-
-    def test_polydiv_constant_divisor(self):
-        self.assert_same_division([3.0, -1.0, 0.5], [2.5])
-        self.assert_same_division([7.0], [-0.5])
-
-    def test_polydiv_signed_zeros(self):
-        # np.polydiv adds 0.0 to its inputs, which turns -0.0 into +0.0
-        self.assert_same_division([1.0, -0.0, -0.0], [1.0, 0.0])
-        self.assert_same_division([-0.0, 2.0], [-1.0, -0.0])
-
-    @pytest.mark.parametrize("lead", [
-        np.nextafter(1e-8, 0.0), 1e-8, np.nextafter(1e-8, 1.0),
-        -np.nextafter(1e-8, 0.0), -np.nextafter(1e-8, 1.0),
-    ])
-    def test_polydiv_remainder_strip_threshold(self, lead):
-        # x^3 + lead*x + 0.75 divided by x^2: remainder lead*x + 0.75
-        self.assert_same_division([1.0, 0.0, lead, 0.75], [1.0, 0.0, 0.0])
-        q, r = hp._polydiv(np.array([1.0, 0.0, lead, 0.75]), np.array([1.0, 0.0, 0.0]))
-        assert r.size == (1 if abs(lead) <= 1e-8 else 2)
-
     def test_eval_noise_matches_numpy_formula(self):
         rng = np.random.default_rng(24)
         for deg in range(0, 9):
@@ -287,7 +285,7 @@ class TestFloatKernels:
 
 
 def delta(r):
-    # the enclosure half-width of a certified root, the Sturm bracket width
+    # the enclosure half-width of a certified root
     return 1e-9 * np.maximum(1.0, np.abs(r))
 
 
@@ -366,12 +364,66 @@ class TestRootsBatch:
             hp.roots_batch(rows)
 
     def test_small_root_beside_large_ones(self):
-        # the squares-polynomial of the B:4 point (100, 99, 101, 0.05): the
-        # Sturm path rejects it, the batch certifies it
+        # the squares-polynomial of the B:4 point (100, 99, 101, 0.05): roots()
+        # certifies it as the batch does, and the point gets its whole orbit
+        from orbitlift import invariants
+
         exact = np.array([0.0025, 9801.0, 1e4, 10201.0])
         p = hp.from_roots(exact)
-        with pytest.raises(NotHyperbolic):
-            hp.roots(p)
+        got = hp.roots(p).values
+        assert np.all(np.abs(got - exact) <= delta(exact))
         values, fell_back = hp.roots_batch(p.coeffs[None, :])
         assert not fell_back[0]
-        assert np.all(np.abs(values[0] - exact) <= delta(exact))
+        assert bits(values[0]) == bits(got)
+        sigma = invariants.orbit_map(invariants.parse_group("B:4"))
+        orbit = invariants.orbit_at(sigma, sigma.evaluate(np.array([100.0, 99.0, 101.0, 0.05])))
+        assert orbit.size == 384
+
+
+def one_engine_cases():
+    # separated, clustered (gaps 1e-8 .. 1e-3), exact-multiple and
+    # non-hyperbolic polynomials of degree 1 to 8
+    rng = np.random.default_rng(77)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        kind = int(rng.integers(0, 4))
+        R = rng.uniform(-10.0, 10.0, n)
+        if kind == 1 and n >= 2:
+            i = int(rng.integers(0, n - 1))
+            R[i + 1] = R[i] + 10.0 ** rng.uniform(-8.0, -3.0)
+        elif kind == 2 and n >= 2:
+            R = np.round(R[rng.integers(0, max(1, n // 2), n)], 2)
+        p = hp.from_roots(R)
+        if kind == 3 and n >= 2:
+            # raise P by a constant: a local minimum pushed above 0 turns
+            # its two roots into a complex pair
+            c = p.coeffs.copy()
+            c[-1] += (-1.0) ** n * rng.uniform(0.5, 5.0)
+            p = hp.MonicHyperbolic(c)
+        yield p
+
+
+class TestOneEngine:
+    def test_roots_and_roots_batch_agree_bit_for_bit(self):
+        solved = {}
+        refused = 0
+        for p in one_engine_cases():
+            try:
+                single = hp.roots(p).values
+            except NotHyperbolic:
+                single = None
+            try:
+                values, _ = hp.roots_batch(p.coeffs[None, :])
+            except NotHyperbolic:
+                values = None
+            assert (single is None) == (values is None), p
+            if single is None:
+                refused += 1
+            else:
+                assert bits(single) == bits(values[0]), p
+                solved.setdefault(p.degree, []).append((p.coeffs, single))
+        assert refused > 0
+        # one stacked eigensolve gives each row the bits of its own solve
+        for pairs in solved.values():
+            values, _ = hp.roots_batch(np.array([c for c, _ in pairs]))
+            assert all(bits(v) == bits(single) for v, (_, single) in zip(values, pairs))

@@ -280,6 +280,15 @@ class TestSmallModuli:
         assert len(fib) == 48
         assert np.all(np.sum(fib == 0.0, axis=1) == 2)
 
+    def test_every_point_with_two_zero_coordinates_has_its_orbit(self):
+        # the squares-polynomial has an exact double root at 0 beside p^2
+        # and q^2; each of the 741 points has 4!/2! * 2^2 = 48 orbit points
+        m = inv.orbit_map(inv.parse_group("B:4"))
+        for p in range(1, 40):
+            for q in range(p + 1, 40):
+                orbit = inv.orbit_at(m, inv.sigma(m, [0.0, 0.0, float(p), float(q)]))
+                assert orbit is not None and orbit.size == 48, (p, q)
+
     def test_collapsed_cluster_stays_whole(self):
         # the solver gives the squares 0 and 1e-6 as a double root 5e-7;
         # zeroing one of its copies would move sigma_1 by 5e-7
