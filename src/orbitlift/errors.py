@@ -44,6 +44,16 @@ class NotHyperbolic(OrbitLiftError):
         self.index = index
 
 
+class RootSolveFailed(OrbitLiftError):
+    """A root solve whose answer fails its backward-error check: the roots
+    do not give back the coefficients, so the solve, not the polynomial, is
+    at fault.  `index` is the row of a batch it failed in, or None."""
+
+    def __init__(self, message: str = "", index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
 class NotHyperbolicAt(NotHyperbolic):
     """Curve leaves the hyperbolic locus at parameter t."""
 

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotHyperbolic
+from .errors import NotHyperbolic, RootSolveFailed
 
 # Relative zero threshold for coefficient trimming.
 _TRIM_EPS = 1e-13
@@ -115,13 +115,16 @@ def from_roots(root_values: Sequence[float] | RootMultiset) -> MonicHyperbolic:
         raise ValueError("at least one root required")
     if not np.all(np.isfinite(vals)):
         raise ValueError("roots must be finite")
-    n = vals.size
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for k, r in enumerate(vals, start=1):
+    return MonicHyperbolic(_elementary(vals.tolist()))
+
+
+def _elementary(roots: list[float]) -> list[float]:
+    """e_1..e_n of the roots, accumulated in the order given."""
+    e = [1.0] + [0.0] * len(roots)
+    for k, r in enumerate(roots, start=1):
         for j in range(k, 0, -1):
             e[j] += r * e[j - 1]
-    return MonicHyperbolic(e[1:])
+    return e[1:]
 
 
 def evaluate(poly: MonicHyperbolic, x):
@@ -168,7 +171,8 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     Every other row, and every row of degree <= 2, takes the fallback of
     roots() (closed forms, else the interlacing rebuild) in index order, so
     each row's answer is the one roots() gives.  A row the fallback rejects
-    raises NotHyperbolic carrying the row index as `index`.
+    raises NotHyperbolic, or RootSolveFailed, carrying the row index as
+    `index`.
     """
     _check_tol(tol)
     rows = np.asarray(rows, dtype=float)
@@ -184,20 +188,33 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     for i in np.flatnonzero(fell_back).tolist():
         try:
             values[i] = _uncertified_roots(MonicHyperbolic(rows[i]), tol)
-        except NotHyperbolic as exc:
-            raise NotHyperbolic(f"row {i}: {exc}", index=i) from None
+        except (NotHyperbolic, RootSolveFailed) as exc:
+            raise type(exc)(f"row {i}: {exc}", index=i) from None
     return values, fell_back
 
 
 def _uncertified_roots(poly: MonicHyperbolic, tol: float) -> np.ndarray:
     """Sorted roots of a polynomial the certificate refused (or of degree
-    <= 2), from the closed forms or the interlacing rebuild."""
+    <= 2), from the closed forms or the interlacing rebuild.  Nothing ties a
+    rebuilt answer to the coefficients as the closed forms' tol-ball rule
+    does, so it must give them back to within 10 tol^(1/m) scale, or raise
+    RootSolveFailed: m is the largest multiplicity returned, at least 2,
+    since an m-fold root stands for a cluster narrower than tol^(1/m) and
+    roots are told apart only beyond the pair width tol^(1/2)."""
     vals = _roots_with_fallback(poly, tol)
     if vals is None:
         raise NotHyperbolic(
             f"certified complex root pair (degree {poly.degree}, tol {tol:g})"
         )
-    return np.sort(vals)
+    vals = np.sort(vals)
+    if poly.degree >= 3:
+        vl = vals.tolist()
+        mult = max(2, max(vl.count(x) for x in vl))
+        miss = max(abs(e - a) for e, a in zip(_elementary(vl), poly.coeffs.tolist()))
+        if not miss <= 10.0 * tol ** (1.0 / mult) * coeff_scale(poly):
+            raise RootSolveFailed(f"roots fail the backward check: they miss the coefficients"
+                                  f" by {miss:.3g} (degree {poly.degree}, tol {tol:g})")
+    return vals
 
 
 def _check_tol(tol: float) -> None:

@@ -11,6 +11,10 @@ Elementary symmetric functions are evaluated on canonically sorted inputs,
 so sigma is bitwise invariant under any exactly-represented group element
 (signed permutation matrices are exact in floating point).
 
+A fiber sigma^{-1}(y) is one orbit: A, B and D solve for it through
+hyperpoly; I2(m) inverts (|z|^2, Re z^m) in closed form,
+z = r exp(i(+-theta + 2 pi k / m)) with m theta = arccos(y_2 / r^m).
+
 The k-data come in closed form, without enumerating the group.  A point's
 stabilizer is the parabolic subgroup of the walls through it (Steinberg's
 theorem), so the least orbit of a nonzero point in an irreducible summand is
@@ -348,7 +352,8 @@ class Orbit:
     Coxeter Groups, ch. 1): A keeps the sorted roots, B and D the sorted
     moduli.  The nearest point, the orbit size and the least distance
     between two orbit points follow from that point without enumerating the
-    orbit.  I2 (at most 2m points) keeps its enumerated points instead.
+    orbit.  I2 keeps its at most 2m points instead, which its closed form
+    gives directly.
 
     Coordinates equal after rounding to 1e-10 count as one value, as in the
     enumeration `points()`, which is what `fiber` returns."""
@@ -481,29 +486,23 @@ def orbit_at(map_: OrbitMapSigma, y, tol: float = 1e-10) -> Orbit | None:
             f"value has dim {y.size}, sigma has {map_.n_invariants} components"
         )
     group = map_.group
+    if group.kind == "I2":
+        pts = _fiber_dihedral(map_, y, tol)
+        return Orbit(group, np.array(pts)) if pts else None
+    n = group.dim
     if group.kind == "A":
-        vals, near = _roots_in_band(y, tol)
-        if vals is None:
-            return None
-        if near:
-            raise ToleranceViolation("orbit-space point within (tol, 10*tol] of the image")
-        return Orbit(group, vals)
-    if group.kind in ("B", "D"):
-        n = group.dim
+        s, near = _roots_in_band(y, tol)
+    else:
         a = y if group.kind == "B" else np.concatenate([y[: n - 1], [y[n - 1] ** 2]])
         s, near = _sqrt_spectrum(a, tol)
-        if s is None:
-            return None
-        if near:
-            raise ToleranceViolation("orbit-space point within (tol, 10*tol] of the image")
-        # D keeps the sign patterns whose product has the sign of y_n; with a
-        # zero coordinate both signs reach the same points
-        keep_all = group.kind == "B" or bool(
-            np.min(s) <= (tol * (1.0 + float(np.max(np.abs(y))))) ** 0.5
-        )
-        return Orbit(group, s, 0.0 if keep_all else float(np.sign(y[n - 1])))
-    pts = _fiber_dihedral(map_, y, tol)
-    return Orbit(group, np.array(pts)) if pts else None
+    if s is None:
+        return None
+    if near:
+        raise ToleranceViolation("orbit-space point within (tol, 10*tol] of the image")
+    # D keeps the sign patterns whose product has the sign of y_n; with a
+    # zero coordinate both signs reach the same points
+    keep_all = group.kind != "D" or bool(np.min(s) <= (tol * (1.0 + float(np.max(np.abs(y))))) ** 0.5)
+    return Orbit(group, s, 0.0 if keep_all else float(np.sign(y[n - 1])))
 
 
 def fiber(map_: OrbitMapSigma, y, tol: float = 1e-10) -> list[np.ndarray]:
@@ -543,20 +542,11 @@ def _sqrt_spectrum(coeffs_a: np.ndarray, tol: float) -> tuple[np.ndarray | None,
     return np.sqrt(np.where(zero, 0.0, vals)), near or lo < -tol * scale
 
 
-def _chebyshev_t(m: int) -> np.ndarray:
-    """T_m in the monomial basis, descending coefficients (exact integers)."""
-    prev = np.array([1.0])
-    if m == 0:
-        return prev
-    cur = np.array([1.0, 0.0])
-    for _ in range(m - 1):
-        nxt = 2.0 * np.concatenate([cur, [0.0]])
-        nxt[2:] -= prev
-        prev, cur = cur, nxt
-    return cur
-
-
 def _fiber_dihedral(map_: OrbitMapSigma, y, tol: float) -> list[np.ndarray]:
+    """sigma^{-1}(y) for I2(m) in closed form: the points
+    r (cos, sin)(+-theta + 2 pi k / m) with r^2 = y_1 and
+    r^m cos(m theta) = y_2.  Within the tol-ball of the mirror value
+    |y_2| = r^m the point lies on a mirror, where the two signs meet."""
     m = map_.group.param
     scale = 1.0 + float(np.max(np.abs(y)))
     r2, target = float(y[0]), float(y[1])
@@ -564,35 +554,31 @@ def _fiber_dihedral(map_: OrbitMapSigma, y, tol: float) -> list[np.ndarray]:
         return []
     if r2 < -tol * scale:
         raise ToleranceViolation("radius^2 within (tol, 10*tol] below zero")
-    r = np.sqrt(max(r2, 0.0))
+    r = math.sqrt(max(r2, 0.0))
     if r <= (tol * scale) ** 0.5:
         if abs(target) > 10.0 * tol * scale:
             return []
         return [np.zeros(2)]
-    c = target / r**m
-    if abs(c) > 1.0:
-        excess = (abs(c) - 1.0) * r**m
-        if excess > 10.0 * tol * scale:
-            return []
-        if excess > tol * scale:
-            raise ToleranceViolation("cos(m*theta) target within (tol, 10*tol] above 1")
-        c = np.sign(c)
-    # cos(m theta) = c in Chebyshev form: roots of (T_m(u) - c) / 2^(m-1)
-    full = _chebyshev_t(m)
-    full[-1] -= c
-    full /= full[0]
-    a = full[1:] * (-1.0) ** np.arange(1, m + 1)
-    u_roots, near = _roots_in_band(a, max(tol, 1e-12))
-    if u_roots is None or near:
-        # all m roots of T_m(u) = c are real in [-1, 1]; failure here is noise
-        u_roots, _ = _roots_in_band(a, 1e-8)
-        if u_roots is None:
-            return []
-    pts = []
-    for u in np.clip(u_roots, -1.0, 1.0):
-        sv = r * np.sqrt(max(1.0 - u * u, 0.0))
-        pts.append(np.array([r * u, sv]))
-        pts.append(np.array([r * u, -sv]))
+    rm = r**m
+    excess = abs(target) - rm
+    if excess > 10.0 * tol * scale:
+        return []
+    if excess > tol * scale:
+        raise ToleranceViolation("cos(m*theta) target within (tol, 10*tol] above 1")
+    # snap to the mirror: arccos turns a rounding error e in cos(m theta)
+    # near +-1 into an angle sqrt(2 e) / m off it
+    on_mirror = excess >= -tol * scale
+    if on_mirror:
+        theta = 0.0 if target > 0.0 else math.pi / m
+    else:
+        theta = math.acos(target / rm) / m
+    angles = theta + 2.0 * math.pi * np.arange(m) / m
+    pts = r * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    # trig of multiples of pi/2 lands a few ulp off the axes (sin(pi) =
+    # 1.2e-16); snap, so that a point on an axis has an exact zero
+    pts[np.abs(pts) <= 1e-15 * r] = 0.0
+    if not on_mirror:
+        pts = np.concatenate([pts, pts * [1.0, -1.0]])
     return _dedup_points(pts)
 
 

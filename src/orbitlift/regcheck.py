@@ -11,9 +11,9 @@ a proof.  The decision procedure watches two signals across refinement levels:
 Square-root-type branch singularities blow up at a factor of sqrt(2) per
 level, well separated from the bounded-growth regime of Lipschitz curves;
 the decay thresholds sit between the 2^{-1/2} rate of half-integer-power
-branch functions and the no-decay behaviour of corners.  All thresholds live
-in a config object so reviewers can tighten or loosen them without touching
-code, and the report always carries the raw evidence.
+branch functions and the no-decay behaviour of corners.  The thresholds are
+the module constants below, and the report always carries them and the raw
+evidence.
 """
 
 from __future__ import annotations
@@ -44,17 +44,14 @@ VERDICT_RANK = {
 }
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Decision thresholds; defaults target the catalog's separation."""
-
-    unbounded_growth: float = math.sqrt(2.0)  # per-level sup|D1| growth => blow-up
-    growth_rtol: float = 1e-3                 # slack when comparing growth ratios
-    bounded_growth: float = 1.05              # max growth still counted as bounded
-    c1_decay: float = 0.75                    # Cauchy decay factor required for C1
-    diffable_decay: float = 0.95              # strict-decay bound for differentiable
-    converged_floor: float = 1e-9             # relative floor treated as converged
-    window: int = 3                           # trailing ratios examined
+# Decision thresholds; their values target the catalog's separation.
+UNBOUNDED_GROWTH = math.sqrt(2.0)  # per-level sup|D1| growth => blow-up
+GROWTH_RTOL = 1e-3                 # slack when comparing growth ratios
+BOUNDED_GROWTH = 1.05              # max growth still counted as bounded
+C1_DECAY = 0.75                    # Cauchy decay factor required for C1
+DIFFABLE_DECAY = 0.95              # strict-decay bound for differentiable
+CONVERGED_FLOOR = 1e-9             # relative floor treated as converged
+WINDOW = 3                         # trailing ratios examined
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,6 @@ class RegularityReport:
     verdict: str
     levels: tuple[LevelEvidence, ...]
     witnesses: dict = field(compare=False)
-    thresholds: Thresholds = Thresholds()
 
     @property
     def sup_d1(self) -> np.ndarray:
@@ -91,17 +87,16 @@ class RegularityReport:
         return VERDICT_RANK[self.verdict] >= VERDICT_RANK[verdict]
 
     def to_text(self) -> str:
-        th = self.thresholds
         lines = [
             f"verdict: {self.verdict}",
             "note: empirical certificate; verdicts mean consistent-with at the"
             " sampled resolution, not proof",
             f"levels: {len(self.levels)}",
-            f"thresholds.unbounded_growth: {th.unbounded_growth:.17g}",
-            f"thresholds.bounded_growth: {th.bounded_growth:.17g}",
-            f"thresholds.c1_decay: {th.c1_decay:.17g}",
-            f"thresholds.diffable_decay: {th.diffable_decay:.17g}",
-            f"thresholds.converged_floor: {th.converged_floor:.17g}",
+            f"thresholds.unbounded_growth: {UNBOUNDED_GROWTH:.17g}",
+            f"thresholds.bounded_growth: {BOUNDED_GROWTH:.17g}",
+            f"thresholds.c1_decay: {C1_DECAY:.17g}",
+            f"thresholds.diffable_decay: {DIFFABLE_DECAY:.17g}",
+            f"thresholds.converged_floor: {CONVERGED_FLOOR:.17g}",
         ]
         for i, lv in enumerate(self.levels):
             lines.append(f"level[{i}].k: {lv.level}")
@@ -151,13 +146,8 @@ def _dyadic_points(domain: tuple[float, float], level: int) -> np.ndarray:
     return t0 + (t1 - t0) * np.arange(n + 1) / n
 
 
-def certify(
-    values: Callable[[np.ndarray], np.ndarray],
-    domain: tuple[float, float],
-    levels: int = 6,
-    thresholds: Thresholds | None = None,
-    base_level: int = 4,
-) -> RegularityReport:
+def certify(values: Callable[[np.ndarray], np.ndarray], domain: tuple[float, float],
+            levels: int = 6, base_level: int = 4) -> RegularityReport:
     """Certify the regularity class of `values` on dyadic levels
     base_level .. base_level + levels - 1.
 
@@ -172,16 +162,11 @@ def certify(
         pts = _dyadic_points(domain, k)
         ts.append(pts)
         fs.append(np.asarray(values(pts), dtype=float))
-    return _certify_tables(ts, fs, list(range(base_level, base_level + levels)),
-                           domain, thresholds or Thresholds())
+    return _certify_tables(ts, fs, list(range(base_level, base_level + levels)), domain)
 
 
-def certify_samples(
-    samples: Sequence[float],
-    domain: tuple[float, float],
-    levels: int = 6,
-    thresholds: Thresholds | None = None,
-) -> RegularityReport:
+def certify_samples(samples: Sequence[float], domain: tuple[float, float],
+                    levels: int = 6) -> RegularityReport:
     """Certify from one dense dyadic sample row (length 2^L + 1) by exact
     subsampling of the coarser levels; no interpolation touches the data."""
     f = np.asarray(samples, dtype=float)
@@ -198,10 +183,10 @@ def certify_samples(
         stride = 2 ** (top - k)
         ts.append(_dyadic_points(domain, k))
         fs.append(f[::stride])
-    return _certify_tables(ts, fs, ks, domain, thresholds or Thresholds())
+    return _certify_tables(ts, fs, ks, domain)
 
 
-def _certify_tables(ts, fs, ks, domain, th: Thresholds) -> RegularityReport:
+def _certify_tables(ts, fs, ks, domain) -> RegularityReport:
     rows = []
     d1_prev = d2_prev = t_prev = None
     witnesses = {}
@@ -237,8 +222,8 @@ def _certify_tables(ts, fs, ks, domain, th: Thresholds) -> RegularityReport:
     if max(r.sup_d1 for r in rows) <= flat_floor:
         verdict = TWICE
     else:
-        verdict = _decide(rows, th, d2_noise_floor)
-    return RegularityReport(verdict, tuple(rows), witnesses, th)
+        verdict = _decide(rows, d2_noise_floor)
+    return RegularityReport(verdict, tuple(rows), witnesses)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -248,29 +233,29 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _decide(rows: list[LevelEvidence], th: Thresholds, d2_noise_floor: float = 0.0) -> str:
+def _decide(rows: list[LevelEvidence], d2_noise_floor: float = 0.0) -> str:
     growth = [r.growth_d1 for r in rows[1:]]
-    tail = growth[-th.window:]
-    if all(g >= th.unbounded_growth * (1.0 - th.growth_rtol) for g in tail):
+    tail = growth[-WINDOW:]
+    if all(g >= UNBOUNDED_GROWTH * (1.0 - GROWTH_RTOL) for g in tail):
         return UNBOUNDED
-    if any(g > th.bounded_growth * (1.0 + th.growth_rtol) for g in tail):
+    if any(g > BOUNDED_GROWTH * (1.0 + GROWTH_RTOL) for g in tail):
         return INCONCLUSIVE
 
     max_sup1 = max(r.sup_d1 for r in rows)
     max_sup2 = max(r.sup_d2 for r in rows)
     c1_ratios = _decay_ratios([r.cauchy_d1 for r in rows[1:]],
-                              th.converged_floor * max_sup1)
-    tail1 = c1_ratios[-th.window:]
-    if all(r <= th.c1_decay for r in tail1):
+                              CONVERGED_FLOOR * max_sup1)
+    tail1 = c1_ratios[-WINDOW:]
+    if all(r <= C1_DECAY for r in tail1):
         if max_sup2 <= d2_noise_floor:
             return TWICE  # order-2 evidence is below evaluation noise
         c2_ratios = _decay_ratios([r.cauchy_d2 for r in rows[1:]],
-                                  th.converged_floor * max_sup2)
-        tail2 = c2_ratios[-th.window:]
-        if all(r <= th.c1_decay for r in tail2):
+                                  CONVERGED_FLOOR * max_sup2)
+        tail2 = c2_ratios[-WINDOW:]
+        if all(r <= C1_DECAY for r in tail2):
             return TWICE
         return C1
-    if all(r <= th.diffable_decay for r in tail1):
+    if all(r <= DIFFABLE_DECAY for r in tail1):
         return DIFFABLE
     return LIPSCHITZ
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitlift import hyperpoly as hp
-from orbitlift.errors import NotHyperbolic
+from orbitlift.errors import NotHyperbolic, RootSolveFailed
 
 
 def expand_product(roots):
@@ -427,3 +427,21 @@ class TestOneEngine:
         for pairs in solved.values():
             values, _ = hp.roots_batch(np.array([c for c, _ in pairs]))
             assert all(bits(v) == bits(single) for v, (_, single) in zip(values, pairs))
+
+
+class TestBackwardCheck:
+    """A rebuilt answer must give back its coefficients.  The squares
+    polynomial of the B:4 point (100, 100, 100, 0.05) once came back as a
+    4-fold root at 1e4, whose e_4 misses a_4 by 1e16."""
+
+    ROW = hp.from_roots([0.05**2, 1e4, 1e4, 1e4]).coeffs
+
+    def test_roots_raises(self):
+        with pytest.raises(RootSolveFailed):
+            hp.roots(hp.MonicHyperbolic(self.ROW))
+
+    def test_roots_batch_tags_the_row(self):
+        rows = np.array([hp.from_roots([1.0, 2.0, 3.0, 4.0]).coeffs, self.ROW])
+        with pytest.raises(RootSolveFailed) as info:
+            hp.roots_batch(rows)
+        assert info.value.index == 1

@@ -5,6 +5,7 @@ from orbitlift import invariants as inv
 from orbitlift.errors import (
     DimensionMismatch,
     EnumerationTooLarge,
+    RootSolveFailed,
     ToleranceViolation,
     UnsupportedParameter,
 )
@@ -242,6 +243,15 @@ class TestFiber:
                     assert moved in keys
 
 
+def test_failed_backward_check_is_not_outside_the_image():
+    """The B:4 point (100, 100, 100, 0.05) once got the 16-point orbit of
+    (100, 100, 100, 100); a solve that cannot give back y must say so, and
+    not report a point of the image as outside it."""
+    m = inv.orbit_map(inv.parse_group("B:4"))
+    with pytest.raises(RootSolveFailed):
+        inv.orbit_at(m, inv.sigma(m, [100.0, 100.0, 100.0, 0.05]))
+
+
 class TestSmallModuli:
     """B/D moduli near 0: a root of the squares-polynomial within rounding
     noise of 0 gives an exact 0, a resolved small root keeps its value."""
@@ -391,6 +401,25 @@ class TestOrbitClosedForms:
                     assert np.array_equal(np.signbit(same), np.signbit(got[None, :]))  # zeros' signs too
             batch = np.array(self._queries(g, rng, pts))
             assert np.array_equal(orb.nearest(batch), np.array([orb.nearest(p) for p in batch]))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_i2_on_and_near_mirrors(self, m):
+        """On a mirror and 1e-13, 1e-8 or 1e-3 rad off it, the fiber is an
+        orbit: m or 2m points, each next to a point of the enumerated orbit,
+        with sigma within the tol-ball of y."""
+        g = inv.parse_group(f"I2:{m}")
+        mp = inv.orbit_map(g)
+        tol = 1e-10
+        for r in (0.3, 1.0, 2.7):
+            for j in range(2 * m):  # the rays of the m mirrors
+                for off in (0.0, 1e-13, -1e-13, 1e-8, -1e-8, 1e-3, -1e-3):
+                    v = r * np.array([np.cos(np.pi * j / m + off), np.sin(np.pi * j / m + off)])
+                    y = inv.sigma(mp, v)
+                    assert inv.orbit_at(mp, y, tol).size in (1, m, 2 * m), (j, off)
+                    pts = np.array(inv.orbit(g, v))
+                    for p in inv.fiber(mp, y, tol):
+                        assert np.min(np.linalg.norm(pts - p, axis=1)) <= 1e-6
+                        assert np.max(np.abs(inv.sigma(mp, p) - y)) <= tol * (1.0 + np.max(np.abs(y)))
 
     def test_enumeration_limit(self):
         g = inv.parse_group("B:6")

@@ -211,16 +211,15 @@ class TestVerdictMonotonicity:
          lambda t: t ** 3, np.abs],
     )
     def test_higher_verdicts_satisfy_lower_thresholds(self, fn):
-        th = rc.Thresholds()
         rep = rc.certify(fn, DOM)
         rank = rc.VERDICT_RANK[rep.verdict]
         if rank >= rc.VERDICT_RANK[rc.LIPSCHITZ]:
-            tail = rep.growth_d1[-th.window:]
-            assert np.all(tail <= th.bounded_growth * (1 + th.growth_rtol))
+            tail = rep.growth_d1[-rc.WINDOW:]
+            assert np.all(tail <= rc.BOUNDED_GROWTH * (1 + rc.GROWTH_RTOL))
         if rank >= rc.VERDICT_RANK[rc.C1]:
             cauchy = np.array([lv.cauchy_d1 for lv in rep.levels[1:]])
-            floor = th.converged_floor * rep.sup_d1.max()
+            floor = rc.CONVERGED_FLOOR * rep.sup_d1.max()
             ratios = [
                 0.0 if b <= floor else b / a for a, b in zip(cauchy, cauchy[1:])
             ]
-            assert all(r <= th.c1_decay for r in ratios[-th.window:])
+            assert all(r <= rc.C1_DECAY for r in ratios[-rc.WINDOW:])
