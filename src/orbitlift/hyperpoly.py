@@ -197,10 +197,9 @@ def _uncertified_roots(poly: MonicHyperbolic, tol: float) -> np.ndarray:
     """Sorted roots of a polynomial the certificate refused (or of degree
     <= 2), from the closed forms or the interlacing rebuild.  Nothing ties a
     rebuilt answer to the coefficients as the closed forms' tol-ball rule
-    does, so it must give them back to within 10 tol^(1/m) scale, or raise
-    RootSolveFailed: m is the largest multiplicity returned, at least 2,
-    since an m-fold root stands for a cluster narrower than tol^(1/m) and
-    roots are told apart only beyond the pair width tol^(1/2)."""
+    does, so it must give them back to within 10 tol^(1/2) scale, or raise
+    RootSolveFailed: roots are told apart only beyond the pair width
+    tol^(1/2), and a collapsed cluster moves the coefficients by as much."""
     vals = _roots_with_fallback(poly, tol)
     if vals is None:
         raise NotHyperbolic(
@@ -208,10 +207,8 @@ def _uncertified_roots(poly: MonicHyperbolic, tol: float) -> np.ndarray:
         )
     vals = np.sort(vals)
     if poly.degree >= 3:
-        vl = vals.tolist()
-        mult = max(2, max(vl.count(x) for x in vl))
-        miss = max(abs(e - a) for e, a in zip(_elementary(vl), poly.coeffs.tolist()))
-        if not miss <= 10.0 * tol ** (1.0 / mult) * coeff_scale(poly):
+        miss = max(abs(e - a) for e, a in zip(_elementary(vals.tolist()), poly.coeffs.tolist()))
+        if not miss <= 10.0 * math.sqrt(tol) * coeff_scale(poly):
             raise RootSolveFailed(f"roots fail the backward check: they miss the coefficients"
                                   f" by {miss:.3g} (degree {poly.degree}, tol {tol:g})")
     return vals

@@ -545,8 +545,8 @@ def _sqrt_spectrum(coeffs_a: np.ndarray, tol: float) -> tuple[np.ndarray | None,
 def _fiber_dihedral(map_: OrbitMapSigma, y, tol: float) -> list[np.ndarray]:
     """sigma^{-1}(y) for I2(m) in closed form: the points
     r (cos, sin)(+-theta + 2 pi k / m) with r^2 = y_1 and
-    r^m cos(m theta) = y_2.  Within the tol-ball of the mirror value
-    |y_2| = r^m the point lies on a mirror, where the two signs meet."""
+    r^m cos(m theta) = y_2.  Within tol r^m below the mirror value
+    |y_2| = r^m (or the tol-ball above it) the point is on a mirror."""
     m = map_.group.param
     scale = 1.0 + float(np.max(np.abs(y)))
     r2, target = float(y[0]), float(y[1])
@@ -565,13 +565,10 @@ def _fiber_dihedral(map_: OrbitMapSigma, y, tol: float) -> list[np.ndarray]:
         return []
     if excess > tol * scale:
         raise ToleranceViolation("cos(m*theta) target within (tol, 10*tol] above 1")
-    # snap to the mirror: arccos turns a rounding error e in cos(m theta)
-    # near +-1 into an angle sqrt(2 e) / m off it
-    on_mirror = excess >= -tol * scale
-    if on_mirror:
-        theta = 0.0 if target > 0.0 else math.pi / m
-    else:
-        theta = math.acos(target / rm) / m
+    # snap to the mirror: arccos turns a (relative) rounding error e in
+    # cos(m theta) near +-1 into an angle sqrt(2 e) / m off it
+    on_mirror = excess >= -tol * rm
+    theta = math.acos(math.copysign(1.0, target) if on_mirror else target / rm) / m
     angles = theta + 2.0 * math.pi * np.arange(m) / m
     pts = r * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     # trig of multiples of pi/2 lands a few ulp off the axes (sin(pi) =

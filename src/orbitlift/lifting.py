@@ -26,7 +26,7 @@ import numpy as np
 
 from . import regcheck
 from .curvedsl import CoeffCurve, Grid
-from .errors import DimensionMismatch, NotInImageAt
+from .errors import DimensionMismatch, NotInImageAt, RootSolveFailed
 from .invariants import Orbit, OrbitMapSigma, ReflectionGroup, fiber, orbit_at
 from .regcheck import VERDICT_RANK, RegularityReport
 from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
@@ -79,7 +79,10 @@ def _evidence(values: np.ndarray, grid: Grid, levels: int) -> tuple[tuple[Regula
 def _orbits_at(map_: OrbitMapSigma, rows: np.ndarray, tpts: np.ndarray, tol: float) -> list[Orbit]:
     out = []
     for i in range(rows.shape[0]):
-        orb = orbit_at(map_, rows[i], tol)
+        try:
+            orb = orbit_at(map_, rows[i], tol)
+        except RootSolveFailed as exc:
+            raise RootSolveFailed(f"{exc} (at t={float(tpts[i])!r})") from None
         if orb is None:
             raise NotInImageAt(float(tpts[i]))
         out.append(orb)

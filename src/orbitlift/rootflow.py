@@ -25,7 +25,7 @@ import numpy as np
 
 from . import hyperpoly
 from .curvedsl import CoeffCurve, Grid
-from .errors import NotHyperbolic, NotHyperbolicAt
+from .errors import NotHyperbolic, NotHyperbolicAt, RootSolveFailed
 from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
 
 SORTED = "sorted"
@@ -68,6 +68,9 @@ def _sorted_matrix(curve: CoeffCurve, grid: Grid, tol: float) -> np.ndarray:
         vals, _ = hyperpoly.roots_batch(curve.evaluate(pts), tol)
     except NotHyperbolic as exc:
         raise NotHyperbolicAt(float(pts[exc.index])) from None
+    except RootSolveFailed as exc:
+        msg = str(exc).removeprefix(f"row {exc.index}: ")
+        raise RootSolveFailed(f"{msg} (at t={float(pts[exc.index])!r})") from None
     return np.ascontiguousarray(vals.T)
 
 

@@ -404,21 +404,26 @@ class TestOrbitClosedForms:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_i2_on_and_near_mirrors(self, m):
-        """On a mirror and 1e-13, 1e-8 or 1e-3 rad off it, the fiber is an
-        orbit: m or 2m points, each next to a point of the enumerated orbit,
-        with sigma within the tol-ball of y."""
+        """On a mirror, 1e-13, 1e-8 or 1e-3 rad off it, and mid-chamber, the
+        fiber is an orbit: m or 2m points (2m off the mirror band), each next
+        to a point of the enumerated orbit, with sigma within the tol-ball of
+        y.  The radii include one with r^m < tol, where the mirror band must
+        not grow to a whole chamber (for m = 2 such radii are the origin)."""
         g = inv.parse_group(f"I2:{m}")
         mp = inv.orbit_map(g)
         tol = 1e-10
-        for r in (0.3, 1.0, 2.7):
+        small = (0.5 * tol ** (1.0 / m),) if m > 2 else ()
+        for r in (0.3, 1.0, 2.7) + small:
             for j in range(2 * m):  # the rays of the m mirrors
-                for off in (0.0, 1e-13, -1e-13, 1e-8, -1e-8, 1e-3, -1e-3):
+                for off in (0.0, 1e-13, -1e-13, 1e-8, -1e-8, 1e-3, -1e-3, np.pi / (2 * m)):
                     v = r * np.array([np.cos(np.pi * j / m + off), np.sin(np.pi * j / m + off)])
                     y = inv.sigma(mp, v)
-                    assert inv.orbit_at(mp, y, tol).size in (1, m, 2 * m), (j, off)
+                    size = inv.orbit_at(mp, y, tol).size
+                    assert size in (1, m, 2 * m), (r, j, off)
+                    assert size == 2 * m or abs(off) < 1e-3, (r, j, off)
                     pts = np.array(inv.orbit(g, v))
                     for p in inv.fiber(mp, y, tol):
-                        assert np.min(np.linalg.norm(pts - p, axis=1)) <= 1e-6
+                        assert np.min(np.linalg.norm(pts - p, axis=1)) <= 1e-6 * r
                         assert np.max(np.abs(inv.sigma(mp, p) - y)) <= tol * (1.0 + np.max(np.abs(y)))
 
     def test_enumeration_limit(self):

@@ -6,7 +6,7 @@ from orbitlift import invariants as inv
 from orbitlift import lifting as lf
 from orbitlift import regcheck as rc
 from orbitlift import rootflow as rf
-from orbitlift.errors import NotInImageAt
+from orbitlift.errors import NotInImageAt, RootSolveFailed
 
 
 def group_and_map(spec):
@@ -59,6 +59,13 @@ class TestLiftCurve:
         curve = cd.CoeffCurve.from_exprs(["0", "1"])  # x^2 + 1: empty fiber
         with pytest.raises(NotInImageAt):
             lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 4))
+
+    def test_failed_backward_check_names_t(self):
+        g, m = group_and_map("B:4")
+        y = inv.sigma(m, [100.0, 100.0, 100.0, 0.05])
+        curve = cd.CoeffCurve.from_exprs([repr(v) for v in y.tolist()])
+        with pytest.raises(RootSolveFailed, match=r"\(at t=-1\.0\)$"):
+            lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 2))
 
     def test_no_teleporting(self):
         g, m = group_and_map("I2:5")

@@ -5,7 +5,7 @@ from orbitlift import curvedsl as cd
 from orbitlift import hyperpoly as hp
 from orbitlift import regcheck as rc
 from orbitlift import rootflow as rf
-from orbitlift.errors import NotHyperbolicAt
+from orbitlift.errors import NotHyperbolicAt, RootSolveFailed
 
 
 def curve_from(*sources):
@@ -57,6 +57,13 @@ class TestSortedBranches:
         with pytest.raises(NotHyperbolicAt) as exc:
             rf.sorted_branches(curve, cd.Grid.dyadic(-1, 1, 4))
         assert exc.value.t == -0.375
+
+    def test_failed_backward_check_names_t(self):
+        # the squares polynomial of the B:4 point (100, 100, 100, 0.05), held
+        # constant: its rebuilt roots miss the coefficients
+        row = hp.from_roots([0.05**2, 1e4, 1e4, 1e4]).coeffs
+        with pytest.raises(RootSolveFailed, match=r"backward check.*\(at t=-1\.0\)$"):
+            rf.sorted_branches(curve_from(*map(repr, row.tolist())), cd.Grid.dyadic(-1, 1, 2))
 
     def test_pointwise_sorted(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
