@@ -101,14 +101,10 @@ def get(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def curve_of(entry: CatalogEntry) -> CoeffCurve:
-    return CoeffCurve.from_exprs(list(entry.components), entry.declared_class)
-
-
 def certify_entry(entry: CatalogEntry, level: int = 10, tol: float = 1e-10):
     """Differentiable selection plus the weakest per-branch regularity report."""
     grid = Grid.dyadic(entry.domain[0], entry.domain[1], level)
-    selection = differentiable_selection(curve_of(entry), grid, tol)
+    selection = differentiable_selection(CoeffCurve.from_exprs(list(entry.components)), grid, tol)
     reports = [
         regcheck.certify_samples(branch, entry.domain, levels=6)
         for branch in selection.branches

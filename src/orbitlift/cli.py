@@ -56,9 +56,8 @@ _TOL = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 def _parse_curve(args) -> curvedsl.CoeffCurve:
     try:
         if args.csv:
-            return curvedsl.read_curve_csv(args.csv, args.declared_class)
-        sources = curvedsl.split_top_level(args.curve)
-        return curvedsl.CoeffCurve.from_exprs(sources, args.declared_class)
+            return curvedsl.read_curve_csv(args.csv)
+        return curvedsl.CoeffCurve.from_exprs(curvedsl.split_top_level(args.curve))
     except (OSError, ValueError) as err:
         raise OrbitLiftError(str(err)) from err
 
@@ -119,6 +118,10 @@ def _selection_report(args, sel: rootflow.RootBranches, reports) -> str:
 
 
 def cmd_select(args) -> int:
+    try:
+        curvedsl.check_class_label(args.declared_class)
+    except ValueError as err:
+        raise OrbitLiftError(str(err)) from err
     curve = _parse_curve(args)
     grid = curvedsl.Grid.dyadic(args.domain[0], args.domain[1], args.level)
     sel = rootflow.differentiable_selection(curve, grid, args.tol)
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("select", cmd_select, "differentiable root-branch selection",
          ["--curve", "--class", "--domain", "--level", "--tol", "--levels", "--strict", "--out"]),
         ("lift", cmd_lift, "lift an orbit-space curve",
-         ["--group", "--curve", "--class", "--domain", "--level", "--tol", "--strict", "--out"]),
+         ["--group", "--curve", "--domain", "--level", "--tol", "--strict", "--out"]),
         ("certify", cmd_certify, "certify the regularity of samples or an expression",
          ["--curve", "--domain", "--level", "--levels", "--strict"]),
         ("kdata", cmd_kdata, "invariant degrees and the constant k", ["--group"]),

@@ -37,9 +37,6 @@ _FUNCTIONS = {"abs": 1, "sin": 1, "cos": 1, "exp": 1, "pow": 2, "powabs": 2}
 class CurveExpr:
     """Base class for expression nodes; immutable and hashable."""
 
-    def __call__(self, t):
-        return evaluate_expr(self, t)
-
 
 @dataclass(frozen=True)
 class Num(CurveExpr):
@@ -237,51 +234,6 @@ def parse_curve_expr(src: str, variables: Sequence[str] = ("t",)) -> CurveExpr:
     return _Parser(src, variables).parse()
 
 
-# -- printing (round-trip stable) --------------------------------------------
-
-def expr_to_str(node: CurveExpr) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = expr_to_str(node.arg)
-        if isinstance(node.arg, (BinOp, Neg)):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        left = expr_to_str(node.left)
-        right = expr_to_str(node.right)
-        if isinstance(node.left, BinOp) and node.left.op in "+-" and node.op in "*/":
-            left = f"({left})"
-        if isinstance(node.right, (BinOp, Neg)):
-            right = f"({right})"
-        return f"{left}{node.op}{right}"
-    if isinstance(node, IntPow):
-        base = expr_to_str(node.base)
-        if not isinstance(node.base, (Num, Var, Call)):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, Call):
-        return f"{node.fn}({','.join(expr_to_str(a) for a in node.args)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def substitute(node: CurveExpr, bindings: dict[str, CurveExpr]) -> CurveExpr:
-    """Replace variables by expressions (symbolic composition)."""
-    if isinstance(node, Var):
-        return bindings.get(node.name, node)
-    if isinstance(node, Neg):
-        return Neg(substitute(node.arg, bindings))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, substitute(node.left, bindings), substitute(node.right, bindings))
-    if isinstance(node, IntPow):
-        return IntPow(substitute(node.base, bindings), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.fn, tuple(substitute(a, bindings) for a in node.args))
-    return node
-
-
 # -- evaluation ---------------------------------------------------------------
 
 def _first_bad_t(t: np.ndarray, mask: np.ndarray) -> float:
@@ -392,35 +344,20 @@ def split_top_level(src: str, sep: str = ",") -> list[str]:
 
 # -- smoothness labels ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmoothnessClass:
-    """Declared regularity label; metadata only, never inferred."""
-
-    order: int | None  # None means C^infinity
-    lipschitz_modifier: bool = False  # the ",1" in C^{k,1}
-
-    @classmethod
-    def parse(cls, text: str) -> "SmoothnessClass":
-        s = text.strip().replace("^", "").replace("{", "").replace("}", "")
-        if not s.upper().startswith("C"):
-            raise ValueError(f"not a smoothness label: {text!r}")
-        body = s[1:]
-        if body.lower() in ("inf", "oo", "infinity"):
-            return cls(None)
-        if "," in body:
-            k, m = body.split(",")
-            if m.strip() != "1":
-                raise ValueError(f"unsupported modifier in {text!r}")
-            return cls(int(k), True)
-        return cls(int(body))
-
-    @property
-    def label(self) -> str:
-        if self.order is None:
-            return "Cinf"
-        if self.lipschitz_modifier:
-            return f"C{self.order},1"
-        return f"C{self.order}"
+def check_class_label(text: str) -> None:
+    """Raise ValueError unless text is a smoothness label: C<k>, C<k>,1 or
+    Cinf, carets and braces ignored.  The label is echoed, never read."""
+    s = text.strip().replace("^", "").replace("{", "").replace("}", "")
+    if not s.upper().startswith("C"):
+        raise ValueError(f"not a smoothness label: {text!r}")
+    body = s[1:]
+    if body.lower() in ("inf", "oo", "infinity"):
+        return
+    if "," in body:
+        body, m = body.split(",")
+        if m.strip() != "1":
+            raise ValueError(f"unsupported modifier in {text!r}")
+    int(body)
 
 
 # -- coefficient curves --------------------------------------------------------
@@ -462,12 +399,9 @@ class CoeffCurve:
     """Curve t -> (a_1(t), ..., a_n(t)) given componentwise.
 
     Components are expression ASTs, sample tables, or plain callables.
-    declared_class is user-supplied metadata used for reporting only;
-    the regularity certifier provides the empirical check.
     """
 
     components: tuple
-    declared_class: SmoothnessClass = SmoothnessClass(None)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -491,9 +425,8 @@ class CoeffCurve:
         return np.stack(cols, axis=-1)
 
     @classmethod
-    def from_exprs(cls, sources: Sequence[str], declared_class="Cinf") -> "CoeffCurve":
-        cl = declared_class if isinstance(declared_class, SmoothnessClass) else SmoothnessClass.parse(declared_class)
-        return cls(tuple(parse_curve_expr(s) for s in sources), cl)
+    def from_exprs(cls, sources: Sequence[str]) -> "CoeffCurve":
+        return cls(tuple(parse_curve_expr(s) for s in sources))
 
 
 # -- grids ----------------------------------------------------------------------
@@ -580,9 +513,7 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return data[:, 0], data[:, 1:], names
 
 
-def read_curve_csv(path, declared_class="C1") -> CoeffCurve:
+def read_curve_csv(path) -> CoeffCurve:
     """Curve from dense samples; off-grid queries use cubic interpolation."""
     t, cols, _ = read_samples_csv(path)
-    comps = tuple(SampleComponent(t, cols[:, j]) for j in range(cols.shape[1]))
-    cl = declared_class if isinstance(declared_class, SmoothnessClass) else SmoothnessClass.parse(declared_class)
-    return CoeffCurve(comps, cl)
+    return CoeffCurve(tuple(SampleComponent(t, cols[:, j]) for j in range(cols.shape[1])))

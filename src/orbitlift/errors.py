@@ -81,10 +81,6 @@ class ToleranceViolation(OrbitLiftError):
 class NotInImageAt(OrbitLiftError):
     """Orbit-space curve leaves the image of the invariant map at t."""
 
-    def __init__(self, t: float, residual: float | None = None):
-        msg = f"curve value not in the orbit-map image at t={t!r}"
-        if residual is not None:
-            msg += f" (residual {residual:.3e})"
-        super().__init__(msg)
+    def __init__(self, t: float):
+        super().__init__(f"curve value not in the orbit-map image at t={t!r}")
         self.t = t
-        self.residual = residual

@@ -105,12 +105,9 @@ def coeff_scale(poly: MonicHyperbolic) -> float:
     return 1.0 + float(np.max(np.abs(poly.coeffs))) if poly.degree else 1.0
 
 
-def from_roots(root_values: Sequence[float] | RootMultiset) -> MonicHyperbolic:
+def from_roots(root_values: Sequence[float]) -> MonicHyperbolic:
     """Polynomial with the given real roots (Vieta: a_j = e_j(roots))."""
-    if isinstance(root_values, RootMultiset):
-        vals = root_values.values
-    else:
-        vals = np.sort(np.asarray(root_values, dtype=float).reshape(-1))
+    vals = np.sort(np.asarray(root_values, dtype=float).reshape(-1))
     if vals.size == 0:
         raise ValueError("at least one root required")
     if not np.all(np.isfinite(vals)):
@@ -189,7 +186,8 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
         try:
             values[i] = _uncertified_roots(MonicHyperbolic(rows[i]), tol)
         except (NotHyperbolic, RootSolveFailed) as exc:
-            raise type(exc)(f"row {i}: {exc}", index=i) from None
+            exc.index = i
+            raise
     return values, fell_back
 
 

@@ -154,18 +154,6 @@ def parse_group(spec: str) -> ReflectionGroup:
 
 # -- invariant map -------------------------------------------------------------
 
-def _esp_all(values: np.ndarray) -> np.ndarray:
-    """All elementary symmetric functions e_1..e_n of canonically sorted input."""
-    vals = np.sort(values)
-    n = vals.size
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for k, x in enumerate(vals, start=1):
-        for j in range(k, 0, -1):
-            e[j] += x * e[j - 1]
-    return e[1:]
-
-
 def _signed_product(values: np.ndarray) -> float:
     """prod(values) evaluated in canonical order (sign times sorted-|.| product)."""
     sign = 1.0
@@ -212,18 +200,13 @@ class OrbitMapSigma:
                 f"point has dim {v.size}, {self.group.label} acts on R^{self.group.dim}"
             )
         kind = self.group.kind
-        if kind == "A":
-            return _esp_all(v)
-        if kind == "B":
-            return _esp_all(v * v)
+        if kind == "I2":
+            x, y = v
+            return np.array([x * x + y * y, _re_complex_power(x, y, self.group.param)])
+        e = np.array(hyperpoly._elementary(np.sort(v if kind == "A" else v * v).tolist()))
         if kind == "D":
-            e = _esp_all(v * v)
-            out = np.empty(v.size)
-            out[:-1] = e[:-1]
-            out[-1] = _signed_product(v)
-            return out
-        x, y = v
-        return np.array([x * x + y * y, _re_complex_power(x, y, self.group.param)])
+            e[-1] = _signed_product(v)
+        return e
 
 
 def orbit_map(group: ReflectionGroup) -> OrbitMapSigma:

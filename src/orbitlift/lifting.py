@@ -26,7 +26,7 @@ import numpy as np
 
 from . import regcheck
 from .curvedsl import CoeffCurve, Grid
-from .errors import DimensionMismatch, NotInImageAt, RootSolveFailed
+from .errors import DimensionMismatch, NotInImageAt, RootSolveFailed, ToleranceViolation
 from .invariants import Orbit, OrbitMapSigma, ReflectionGroup, fiber, orbit_at
 from .regcheck import VERDICT_RANK, RegularityReport
 from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
@@ -81,8 +81,8 @@ def _orbits_at(map_: OrbitMapSigma, rows: np.ndarray, tpts: np.ndarray, tol: flo
     for i in range(rows.shape[0]):
         try:
             orb = orbit_at(map_, rows[i], tol)
-        except RootSolveFailed as exc:
-            raise RootSolveFailed(f"{exc} (at t={float(tpts[i])!r})") from None
+        except (RootSolveFailed, ToleranceViolation) as exc:
+            raise type(exc)(f"{exc} (at t={float(tpts[i])!r})") from None
         if orb is None:
             raise NotInImageAt(float(tpts[i]))
         out.append(orb)
@@ -196,8 +196,6 @@ def _slope_drift(a: _WindowEstimate, b: _WindowEstimate) -> float:
 
 def _continuity_bound(map_: OrbitMapSigma, rows: np.ndarray, scale: float, tol: float) -> float:
     """Crude no-teleporting bound: C * (max step of c)^(1/d)."""
-    if rows.shape[0] < 2:
-        return 10.0 * tol
     d = map_.d_value
     delta = float(np.max(np.abs(np.diff(rows, axis=0))))
     return 8.0 * (1.0 + scale) * delta ** (1.0 / d) + 10.0 * tol + 1e-9

@@ -151,18 +151,16 @@ def certify(values: Callable[[np.ndarray], np.ndarray], domain: tuple[float, flo
     """Certify the regularity class of `values` on dyadic levels
     base_level .. base_level + levels - 1.
 
-    `values` is called once per level with the grid points and must return
-    the sampled function (deterministically).
+    `values` is called once, with the points of the finest level, and must
+    return the sampled function (elementwise); the coarser levels are its
+    subsamples, as in certify_samples.
     """
     if levels < 4:
         raise ValueError("levels must be >= 4")
-    ts = []
-    fs = []
-    for k in range(base_level, base_level + levels):
-        pts = _dyadic_points(domain, k)
-        ts.append(pts)
-        fs.append(np.asarray(values(pts), dtype=float))
-    return _certify_tables(ts, fs, list(range(base_level, base_level + levels)), domain)
+    if base_level < 1:
+        raise GridTooCoarse("second differences need base_level >= 1 (3 samples)")
+    top = base_level + levels - 1
+    return certify_samples(values(_dyadic_points(domain, top)), domain, levels)
 
 
 def certify_samples(samples: Sequence[float], domain: tuple[float, float],

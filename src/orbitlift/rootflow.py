@@ -69,8 +69,7 @@ def _sorted_matrix(curve: CoeffCurve, grid: Grid, tol: float) -> np.ndarray:
     except NotHyperbolic as exc:
         raise NotHyperbolicAt(float(pts[exc.index])) from None
     except RootSolveFailed as exc:
-        msg = str(exc).removeprefix(f"row {exc.index}: ")
-        raise RootSolveFailed(f"{msg} (at t={float(pts[exc.index])!r})") from None
+        raise RootSolveFailed(f"{exc} (at t={float(pts[exc.index])!r})") from None
     return np.ascontiguousarray(vals.T)
 
 
@@ -211,7 +210,6 @@ def differentiable_selection(
         return RootBranches(grid, vals.copy(), DIFFERENTIABLE)
     value_range = float(vals.max() - vals.min())
     eps = _EPS_FACTOR * value_range if value_range > 0 else max(tol, 1e-12)
-    perm_eps = 1e-9 * max(1.0, value_range)
     clusters = collision_clusters(sb, eps)
     out = vals.copy()
     cur = np.arange(n)
@@ -223,13 +221,6 @@ def differentiable_selection(
         members = list(cl.branches)
         if i0 == 0 or i1 == N - 1:
             continue  # one-sided window at the domain end: keep sorted labels
-        # permanent-collision test must look beyond the window itself: a
-        # transversal crossing can collide exactly at one sample
-        lo, hi = max(i0 - _SIDE_WINDOW, 0), min(i1 + _SIDE_WINDOW, N - 1)
-        spread = vals[members, lo : hi + 1]
-        diameter = float(np.max(spread.max(axis=0) - spread.min(axis=0)))
-        if diameter < perm_eps:
-            continue  # permanent collision: any pairing is equivalent
         perm = resolve_window(
             grid,
             i0,

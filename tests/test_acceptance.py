@@ -132,23 +132,16 @@ def _smooth_positive_cases():
     cases = []
     t_of = {}
 
-    g, m = inv.parse_group("I2:4"), None
-    m = inv.orbit_map(g)
-    kd = inv.compute_k(g)
-    curve = cd.CoeffCurve.from_exprs(
-        ["1", "cos(4*t)"], f"C{kd.k_value + m.d_value}"
-    )
+    # both curves are C-infinity, so C^(k+d) for every k and d
+    curve = cd.CoeffCurve.from_exprs(["1", "cos(4*t)"])
     grid = cd.Grid.dyadic(-1.0, 1.0, 8)
     cases.append(("I2:4", curve, grid, np.stack(
         [np.cos(grid.points), np.sin(grid.points)], axis=1)))
 
-    g2 = inv.parse_group("B:2")
-    m2 = inv.orbit_map(g2)
-    kd2 = inv.compute_k(g2)
     known = lambda t: np.stack([1.0 + 0.2 * np.sin(t), 2.0 + 0.3 * np.cos(t)], axis=-1)
     e1 = "(1+0.2*sin(t))^2+(2+0.3*cos(t))^2"
     e2 = "((1+0.2*sin(t))*(2+0.3*cos(t)))^2"
-    curve2 = cd.CoeffCurve.from_exprs([e1, e2], f"C{kd2.k_value + m2.d_value}")
+    curve2 = cd.CoeffCurve.from_exprs([e1, e2])
     grid2 = cd.Grid.dyadic(-1.0, 1.0, 8)
     cases.append(("B:2", curve2, grid2, known(grid2.points)))
     return cases

@@ -259,7 +259,7 @@ class TestMalformedInput:
     NOT_TAKEN = {
         "roots": ["--seed", "--levels", "--strict"],
         "select": ["--seed"],
-        "lift": ["--seed", "--levels"],
+        "lift": ["--seed", "--levels", "--class"],
         "certify": ["--seed", "--tol", "--out", "--class"],
         "kdata": ["--seed", "--tol", "--levels", "--strict", "--out"],
         "harness": ["--seed", "--levels", "--out"],

@@ -6,7 +6,7 @@ from orbitlift import invariants as inv
 from orbitlift import lifting as lf
 from orbitlift import regcheck as rc
 from orbitlift import rootflow as rf
-from orbitlift.errors import NotInImageAt, RootSolveFailed
+from orbitlift.errors import NotInImageAt, RootSolveFailed, ToleranceViolation
 
 
 def group_and_map(spec):
@@ -66,6 +66,39 @@ class TestLiftCurve:
         curve = cd.CoeffCurve.from_exprs([repr(v) for v in y.tolist()])
         with pytest.raises(RootSolveFailed, match=r"\(at t=-1\.0\)$"):
             lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 2))
+
+    def test_tolerance_band_names_t(self):
+        # x^2 + 5e-10: inside the (tol, 10*tol] near-miss band at every t
+        g, m = group_and_map("A:1")
+        curve = cd.CoeffCurve.from_exprs(["0", "5e-10"])
+        with pytest.raises(ToleranceViolation, match=r"of the image \(at t=-1\.0\)$"):
+            lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 4))
+
+    def test_unbounded_branches_leave_the_window_unresolved(self):
+        # roots +-|t|^(1/2): no one-sided derivatives at the collision
+        g, m = group_and_map("A:1")
+        curve = cd.CoeffCurve.from_exprs(["0", "-powabs(t,1)"])
+        lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 8))
+        assert lift.unresolved == ((-0.0078125, 0.0078125),)
+        assert lift.swap_log == ()
+        assert [r.verdict for r in lift.reports] == [rc.UNBOUNDED] * 2
+
+    def test_window_at_the_domain_start_follows_nearest_points(self, monkeypatch):
+        # roots +-(t + 0.96875) cross at sample 4 of 256, too close to t0
+        # for the side fits: the window is crossed by nearest points alone
+        def no_resolve(*args, **kwargs):
+            raise AssertionError("a window at the domain end was resolved")
+
+        monkeypatch.setattr(lf, "resolve_window", no_resolve)
+        g, m = group_and_map("A:1")
+        curve = cd.CoeffCurve.from_exprs(["0", "-(t+0.96875)^2"])
+        grid = cd.Grid.dyadic(-1, 1, 8)
+        lift = lf.lift_curve(g, m, curve, grid)
+        s = grid.points + 0.96875
+        assert err_mod_group(lift.values, np.stack([s, -s], axis=1), g) < 1e-7
+        assert lift.swap_log == ()
+        assert lift.unresolved == ()
+        assert [r.verdict for r in lift.reports] == [rc.TWICE] * 2
 
     def test_no_teleporting(self):
         g, m = group_and_map("I2:5")

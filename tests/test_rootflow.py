@@ -142,6 +142,15 @@ class TestDifferentiableSelection:
         verdicts = {rc.certify_samples(b, (-1.0, 1.0), 6).verdict for b in sel.branches}
         assert verdicts == {rc.TWICE}
 
+    def test_tiny_crossing_is_flagged_not_kept_as_a_kink(self):
+        # roots +-5e-9 t, within 1e-9 of each other around the crossing: it
+        # must be swapped or flagged, never kept as sorted labels unflagged;
+        # the absolute tie width windows._TIE_TOL leaves it unresolved
+        grid = cd.Grid.dyadic(-1, 1, 8)
+        sel = rf.differentiable_selection(curve_from("0", "-2.5e-17*t^2"), grid, tol=1e-20)
+        assert sel.swap_log == ()
+        assert sel.unresolved == ((-0.0078125, 0.0078125),)
+
     def test_constant_curve(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
         sel = rf.differentiable_selection(curve_from("0", "-3", "-1"), grid)
