@@ -37,7 +37,7 @@ class GridTooCoarse(OrbitLiftError):
 
 class NotHyperbolic(OrbitLiftError):
     """A certified complex root pair was detected; `index` is the row of a
-    batch it was detected in, or None."""
+    batch it was detected in (0 when roots raises it), or None."""
 
     def __init__(self, message: str = "", index: int | None = None):
         super().__init__(message)
@@ -47,7 +47,8 @@ class NotHyperbolic(OrbitLiftError):
 class RootSolveFailed(OrbitLiftError):
     """A root solve whose answer fails its backward-error check: the roots
     do not give back the coefficients, so the solve, not the polynomial, is
-    at fault.  `index` is the row of a batch it failed in, or None."""
+    at fault.  `index` is the row of a batch it failed in (0 when roots
+    raises it), or None."""
 
     def __init__(self, message: str = "", index: int | None = None):
         super().__init__(message)

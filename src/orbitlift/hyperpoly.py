@@ -43,8 +43,6 @@ import numpy as np
 
 from .errors import NotHyperbolic, RootSolveFailed
 
-# Relative zero threshold for coefficient trimming.
-_TRIM_EPS = 1e-13
 _MAX_NEWTON = 60
 _EPS = float(np.finfo(float).eps)
 # roots_batch: Newton steps after the eigensolve, and the least certified
@@ -60,10 +58,10 @@ class MonicHyperbolic:
     coeffs: np.ndarray
 
     def __init__(self, coeffs: Sequence[float]):
-        arr = np.asarray(coeffs, dtype=float).reshape(-1).copy()
+        arr = np.array(coeffs, dtype=float).reshape(-1)
         if arr.size == 0:
             raise ValueError("polynomial must have degree >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
@@ -130,24 +128,16 @@ def evaluate(poly: MonicHyperbolic, x):
 
 
 def roots(poly: MonicHyperbolic, tol: float = 1e-10) -> RootMultiset:
-    """All n real roots, sorted, with multiplicity.
-
-    A polynomial of degree >= 3 first gets roots_batch's certificate on its
-    eigensolve roots; certified, they are the answer.  Degree <= 2 takes
-    the closed forms.  Any other polynomial goes to the interlacing
-    rebuild, which counts the real roots between critical points, collapses
-    clusters narrower than tol^(1/multiplicity), and promotes complex pairs
-    inside the tol-ball to multiple roots: a candidate point absorbs a pair
-    when the matching lower derivatives vanish at tolerance scale there.
-    Raises NotHyperbolic if a complex pair remains.  Output is
+    """All n real roots, sorted, with multiplicity: the one-row case of
+    roots_batch, so a certified eigensolve answer or else the closed forms
+    or the interlacing rebuild, which counts the real roots between critical
+    points, collapses clusters narrower than tol^(1/multiplicity), and
+    promotes complex pairs inside the tol-ball to multiple roots.  Raises
+    NotHyperbolic if a complex pair remains, RootSolveFailed if the rebuilt
+    roots fail the backward check, both with `index` 0.  Output is
     deterministic for identical input.
     """
-    _check_tol(tol)
-    if poly.degree >= 3:
-        cand, good = _certified_roots(poly.coeffs[None, :], tol)
-        if good[0]:
-            return RootMultiset(cand[0])
-    return RootMultiset(_uncertified_roots(poly, tol))
+    return RootMultiset(roots_batch(poly.coeffs[None, :], tol)[0][0])
 
 
 def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -165,23 +155,23 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
       changes, so n simple real roots, one between adjacent probes;
     * P(r - d) P(r + d) < 0 with d = 1e-9 max(1, |r|), so each root lies
       within d of its r.
-    Every other row, and every row of degree <= 2, takes the fallback of
-    roots() (closed forms, else the interlacing rebuild) in index order, so
-    each row's answer is the one roots() gives.  A row the fallback rejects
-    raises NotHyperbolic, or RootSolveFailed, carrying the row index as
-    `index`.
+    Every other row, and every row of degree <= 2, takes the fallback
+    (closed forms, else the interlacing rebuild) in index order.  A row the
+    fallback rejects raises NotHyperbolic, or RootSolveFailed, carrying the
+    row index as `index`.
     """
-    _check_tol(tol)
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("rows must be an (N, n) array")
-    values = np.empty(rows.shape)
-    fell_back = np.ones(rows.shape[0], dtype=bool)
-    live = np.flatnonzero(np.isfinite(rows).all(axis=1)) if rows.shape[1] >= 3 else []
-    if len(live):
-        cand, good = _certified_roots(rows[live], tol)
-        values[live[good]] = cand[good]
-        fell_back[live[good]] = False
+    if rows.shape[1] >= 3:
+        # a non-finite row is solved as zeros, which no certificate accepts
+        finite = np.isfinite(rows).all(axis=1)
+        values, good = _certified_roots(np.where(finite[:, None], rows, 0.0), tol)
+        fell_back = ~(finite & good)
+    else:
+        values, fell_back = np.empty(rows.shape), np.ones(rows.shape[0], dtype=bool)
     for i in np.flatnonzero(fell_back).tolist():
         try:
             values[i] = _uncertified_roots(MonicHyperbolic(rows[i]), tol)
@@ -212,11 +202,6 @@ def _uncertified_roots(poly: MonicHyperbolic, tol: float) -> np.ndarray:
     return vals
 
 
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-
-
 # -- certified roots: one stacked eigensolve, checked by sign alternation ----
 
 def _horner_rows(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +219,7 @@ def _horner_rows(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Candidate sorted roots of each row (degree n >= 3, finite) and the
     mask of the rows whose candidates carry the certificate described in
-    roots_batch; roots runs it on its one row."""
+    roots_batch."""
     m, n = rows.shape
     c = np.ones((m, n + 1))
     c[:, 1:] = rows * (-1.0) ** np.arange(1, n + 1)
@@ -291,23 +276,12 @@ def _horner(c, x):
     return out
 
 
-def _trim(c: np.ndarray) -> np.ndarray:
-    mag = np.max(np.abs(c)) if c.size else 0.0
-    if mag == 0.0:
-        return np.zeros(1)
-    keep = np.abs(c) > _TRIM_EPS * mag
-    first = int(np.argmax(keep))
-    return c[first:] if keep[first] else np.zeros(1)
-
 def _deg(c: np.ndarray) -> int:
     return c.size - 1
 
 
 def _deriv(c: np.ndarray) -> np.ndarray:
-    n = _deg(c)
-    if n == 0:
-        return np.zeros(1)
-    return c[:-1] * np.arange(n, 0, -1)
+    return c[:-1] * np.arange(_deg(c), 0, -1)
 
 
 def _eval_noise(c: list[float], x: float) -> float:
@@ -323,8 +297,6 @@ def _root_bound(c: np.ndarray) -> float:
     """Fujiwara upper bound on |roots|."""
     lead = abs(c[0])
     n = _deg(c)
-    if n == 0:
-        return 1.0
     best = 0.0
     for k in range(1, n + 1):
         ck = abs(c[k]) / lead
@@ -337,10 +309,6 @@ def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> flo
     """Bisection to a tight bracket, then safeguarded Newton on c."""
     flo = _horner(c, lo)
     fhi = _horner(c, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
     if flo * fhi < 0:
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -452,10 +420,10 @@ def _promotion_violation(derivs: list[list[float]], scales, x: float, mult: int,
     return worst
 
 
-def _robust_real_roots(
-    c: np.ndarray, tol: float, depth: int = 0, noise_floor: float = 0.0
-) -> list[tuple[float, int]]:
+def _robust_real_roots(c: np.ndarray, tol: float, noise_floor: float = 0.0) -> list[tuple[float, int]]:
     """Real roots with multiplicity, rebuilt from critical-point interlacing.
+    c is the recentred monic polynomial or one of its derivatives: its
+    leading coefficient is exact and nonzero, and its degree is >= 1.
 
     Between consecutive real critical points (and beyond the outermost ones,
     up to the Fujiwara bound) c is monotone, so a sign change there brackets
@@ -472,17 +440,14 @@ def _robust_real_roots(
     down.  noise_floor is the absolute uncertainty of evaluated values
     inherited from upstream coefficient rounding (e.g. the recentering
     shift)."""
-    c = _trim(c)
     n = _deg(c)
-    if n <= 0 or depth > 24:
-        return []
     if n == 1:
         return [(-c[1] / c[0], 1)]
     dc = _deriv(c)
     scale = 1.0 + float(np.max(np.abs(c)))
     floor = max(noise_floor, 4.0 * c.size * _EPS * scale)
     # differentiation amplifies inherited coefficient noise by at most n
-    crit = _robust_real_roots(dc, tol, depth + 1, floor * n)
+    crit = _robust_real_roots(dc, tol, floor * n)
     crit = sorted(x for x, m in crit for _ in range(m))
     bound = _root_bound(c) + 1.0
     anchors = [-bound] + crit + [bound]

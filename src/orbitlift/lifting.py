@@ -53,7 +53,9 @@ class LiftResult:
 
 
 def verify_lift(map_: OrbitMapSigma, lift: LiftResult, curve: CoeffCurve) -> float:
-    """sup_t |sigma(lift(t)) - c(t)|; a valid lift stays below 10*tol."""
+    """sup_t |sigma(lift(t)) - c(t)|, absolute, so it grows with the
+    coefficients: a valid lift stays below 10*tol*(1 + max|c|), the max
+    over the grid."""
     return _residual(map_, lift.values, curve.evaluate(lift.grid.points))
 
 

@@ -429,19 +429,50 @@ class TestOneEngine:
             assert all(bits(v) == bits(single) for v, (_, single) in zip(values, pairs))
 
 
-class TestBackwardCheck:
-    """A rebuilt answer must give back its coefficients.  The squares
-    polynomial of the B:4 point (100, 100, 100, 0.05) once came back as a
-    4-fold root at 1e4, whose e_4 misses a_4 by 1e16."""
+class TestLargeCoefficients:
+    """Once its coefficients pass 1e13, a recentred polynomial's leading 1
+    sits below 1e-13 of its largest coefficient; the rebuild must still
+    solve it at its full degree."""
 
-    ROW = hp.from_roots([0.05**2, 1e4, 1e4, 1e4]).coeffs
+    @pytest.mark.parametrize("exact", [[-7500.0, 2500.0, 2500.0, 2500.0], [0.0025, 1e4, 1e4, 1e4]])
+    def test_triple_root_beside_a_simple_one(self, exact):
+        # the second is the squares polynomial of the B:4 point (100, 100, 100, 0.05)
+        p = hp.from_roots(exact)
+        got = hp.roots(p).values
+        allow = 10.0 * (np.finfo(float).eps * hp.coeff_scale(p)) ** (1.0 / 3.0)
+        assert np.max(np.abs(got - exact)) <= allow
+        assert abs(got[0] - exact[0]) <= delta(exact[0])
+
+    def test_one_double_root_among_simple_ones_at_scale(self):
+        # scales 10 .. 1e4 give coefficients up to 1e32
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(4, 9))
+            scale = 10.0 ** rng.uniform(1.0, 4.0)
+            r = rng.uniform(-1.0, 1.0, n - 1) * scale
+            exact = np.sort(np.append(r, r[0]))
+            got = hp.roots(hp.from_roots(exact)).values
+            assert np.max(np.abs(got - exact)) <= 1e-6 * scale, exact
+
+
+class TestBackwardCheck:
+    """A rebuilt answer must give back its coefficients.  This degree-8
+    polynomial (four roots within 0.02 of -329.45, two near -322 and a
+    double root at 4099) is rebuilt into roots that miss its a_8 = 2.06e22
+    by 2.05e22."""
+
+    ROW = hp.from_roots([
+        -329.45042372721525, -329.45042372721525, -329.4682812195976, -329.4500942348529,
+        -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
+    ]).coeffs
 
     def test_roots_raises(self):
-        with pytest.raises(RootSolveFailed):
+        with pytest.raises(RootSolveFailed) as info:
             hp.roots(hp.MonicHyperbolic(self.ROW))
+        assert info.value.index == 0
 
     def test_roots_batch_tags_the_row(self):
-        rows = np.array([hp.from_roots([1.0, 2.0, 3.0, 4.0]).coeffs, self.ROW])
+        rows = np.array([hp.from_roots(np.arange(1.0, 9.0)).coeffs, self.ROW])
         with pytest.raises(RootSolveFailed) as info:
             hp.roots_batch(rows)
         assert info.value.index == 1

@@ -244,12 +244,26 @@ class TestFiber:
 
 
 def test_failed_backward_check_is_not_outside_the_image():
-    """The B:4 point (100, 100, 100, 0.05) once got the 16-point orbit of
-    (100, 100, 100, 100); a solve that cannot give back y must say so, and
-    not report a point of the image as outside it."""
-    m = inv.orbit_map(inv.parse_group("B:4"))
+    """y = sigma of an A:7 point whose root solve fails its backward check:
+    a solve that cannot give back y must say so, and not report a point of
+    the image as outside it."""
+    m = inv.orbit_map(inv.parse_group("A:7"))
+    x = [
+        -329.45042372721525, -329.45042372721525, -329.4682812195976, -329.4500942348529,
+        -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
+    ]
     with pytest.raises(RootSolveFailed):
-        inv.orbit_at(m, inv.sigma(m, [100.0, 100.0, 100.0, 0.05]))
+        inv.orbit_at(m, inv.sigma(m, x))
+
+
+def test_small_modulus_beside_a_triple_one():
+    """The B:4 point (100, 100, 100, 0.05): its squares polynomial has the
+    simple root 0.0025 beside the triple root 1e4, and its recentred form
+    has coefficients near 1.2e14."""
+    m = inv.orbit_map(inv.parse_group("B:4"))
+    orbit = inv.orbit_at(m, inv.sigma(m, [100.0, 100.0, 100.0, 0.05]))
+    assert orbit.size == 64
+    assert np.max(np.abs(orbit.spectrum - [0.05, 100.0, 100.0, 100.0])) <= 1e-8 * 100.0
 
 
 class TestSmallModuli:

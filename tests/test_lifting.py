@@ -61,11 +61,24 @@ class TestLiftCurve:
             lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 4))
 
     def test_failed_backward_check_names_t(self):
-        g, m = group_and_map("B:4")
-        y = inv.sigma(m, [100.0, 100.0, 100.0, 0.05])
+        # an A:7 point whose root solve fails its backward check, held constant
+        g, m = group_and_map("A:7")
+        y = inv.sigma(m, [
+            -329.45042372721525, -329.45042372721525, -329.4682812195976, -329.4500942348529,
+            -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
+        ])
         curve = cd.CoeffCurve.from_exprs([repr(v) for v in y.tolist()])
         with pytest.raises(RootSolveFailed, match=r"\(at t=-1\.0\)$"):
             lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 2))
+
+    def test_constant_curve_with_coefficients_near_1e12(self):
+        # sigma of the B:4 point (100, 100, 100, 0.05): its lift stays on the orbit
+        g, m = group_and_map("B:4")
+        y = inv.sigma(m, [100.0, 100.0, 100.0, 0.05])
+        curve = cd.CoeffCurve.from_exprs([repr(v) for v in y.tolist()])
+        lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 4))
+        assert lift.unresolved == ()
+        assert lf.verify_lift(m, lift, curve) <= 1e-9 * (1.0 + float(np.max(np.abs(y))))
 
     def test_tolerance_band_names_t(self):
         # x^2 + 5e-10: inside the (tol, 10*tol] near-miss band at every t

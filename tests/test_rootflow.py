@@ -59,9 +59,12 @@ class TestSortedBranches:
         assert exc.value.t == -0.375
 
     def test_failed_backward_check_names_t(self):
-        # the squares polynomial of the B:4 point (100, 100, 100, 0.05), held
-        # constant: its rebuilt roots miss the coefficients
-        row = hp.from_roots([0.05**2, 1e4, 1e4, 1e4]).coeffs
+        # a degree-8 polynomial held constant: its rebuilt roots miss the
+        # coefficients
+        row = hp.from_roots([
+            -329.45042372721525, -329.45042372721525, -329.4682812195976, -329.4500942348529,
+            -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
+        ]).coeffs
         with pytest.raises(RootSolveFailed, match=r"backward check.*\(at t=-1\.0\)$"):
             rf.sorted_branches(curve_from(*map(repr, row.tolist())), cd.Grid.dyadic(-1, 1, 2))
 
