@@ -26,11 +26,15 @@ are the expected regime here and must not surface as spurious complex
 pairs.  Complex pairs within the tolerance ball are promoted to real
 multiple roots; a pair outside it raises NotHyperbolic.
 
-The scalar inner loops (Horner evaluation, noise bounds, bisection and
-Newton steps) run on Python floats: each coefficient vector becomes a float
-list once per loop, and numpy arrays appear only at the boundary
-(MonicHyperbolic, RootMultiset, evaluate() on an array), and every float
-operation keeps the order of the numpy kernel it replaced.
+The refused rows of a block are rebuilt together, one derivative level at
+a time: the anchors of all rows are evaluated, with their Horner noise
+bounds, as one array, and the brackets of all rows are polished in one call,
+on arrays when a level has _ARRAY_BRACKETS of them and on Python floats
+below that.  The array and float forms of each kernel run the same float
+operations in the same order, so a row gets the same bits alone as in a
+block of any size.  What is left per row runs on floats: multiple-root
+polishing, the cluster collapse, and the tol-ball promotion, which rebuilds
+its derivative as a block of one row.
 """
 
 from __future__ import annotations
@@ -49,6 +53,14 @@ _EPS = float(np.finfo(float).eps)
 # adjacent gap in units of tol^(1/2), the narrowest width a cluster collapses
 _BATCH_NEWTON = 3
 _GAP_MARGIN = 2.0
+# The fallback polishes a rebuild level's brackets, and solves quadratic
+# rows, on numpy arrays from these counts on and on floats below them.  On a
+# 2-core x86 host the array kernel overtook the float loop at about 50
+# brackets of degree 2 and 100-200 of degree 4-6: each of its steps costs
+# some 50 numpy calls, and it steps as long as its slowest bracket.  The
+# closed form overtook at about 50 quadratic rows.
+_ARRAY_BRACKETS = 128
+_ARRAY_QUADRATICS = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +125,9 @@ def from_roots(root_values: Sequence[float]) -> MonicHyperbolic:
     return MonicHyperbolic(_elementary(vals.tolist()))
 
 
-def _elementary(roots: list[float]) -> list[float]:
-    """e_1..e_n of the roots, accumulated in the order given."""
+def _elementary(roots: list) -> list:
+    """e_1..e_n of the roots, accumulated in the order given.  The roots may
+    be floats or equal-length arrays, one root of every row each."""
     e = [1.0] + [0.0] * len(roots)
     for k, r in enumerate(roots, start=1):
         for j in range(k, 0, -1):
@@ -155,50 +168,71 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
       changes, so n simple real roots, one between adjacent probes;
     * P(r - d) P(r + d) < 0 with d = 1e-9 max(1, |r|), so each root lies
       within d of its r.
-    Every other row, and every row of degree <= 2, takes the fallback
-    (closed forms, else the interlacing rebuild) in index order.  A row the
-    fallback rejects raises NotHyperbolic, or RootSolveFailed, carrying the
-    row index as `index`.
+    The refused rows, and every row of degree <= 2, are solved together as
+    one block by the fallback: the closed forms, else the interlacing
+    rebuild, which runs level by level over all of them.  Each row's answer
+    is the one it gets alone.  If the fallback rejects rows, the first of
+    them raises NotHyperbolic, or RootSolveFailed, carrying its row index as
+    `index`.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("rows must be an (N, n) array")
+    finite = np.isfinite(rows).all(axis=1)
     if rows.shape[1] >= 3:
         # a non-finite row is solved as zeros, which no certificate accepts
-        finite = np.isfinite(rows).all(axis=1)
         values, good = _certified_roots(np.where(finite[:, None], rows, 0.0), tol)
         fell_back = ~(finite & good)
     else:
         values, fell_back = np.empty(rows.shape), np.ones(rows.shape[0], dtype=bool)
-    for i in np.flatnonzero(fell_back).tolist():
+    todo = fell_back.nonzero()[0]
+    stop = None
+    if rows.shape[1] == 0 or not finite.all():
+        # MonicHyperbolic refuses these rows: the first ends the block
+        stop = todo[~finite[todo] | (rows.shape[1] == 0)][0]
+        todo = todo[todo < stop]
+    if todo.size:
         try:
-            values[i] = _uncertified_roots(MonicHyperbolic(rows[i]), tol)
+            values[todo] = _uncertified_roots(rows[todo], tol)
         except (NotHyperbolic, RootSolveFailed) as exc:
-            exc.index = i
+            exc.index = int(todo[exc.index])
             raise
+    if stop is not None:
+        MonicHyperbolic(rows[stop])
     return values, fell_back
 
 
-def _uncertified_roots(poly: MonicHyperbolic, tol: float) -> np.ndarray:
-    """Sorted roots of a polynomial the certificate refused (or of degree
+def _uncertified_roots(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted roots of a block of rows the certificate refused (or of degree
     <= 2), from the closed forms or the interlacing rebuild.  Nothing ties a
     rebuilt answer to the coefficients as the closed forms' tol-ball rule
     does, so it must give them back to within 10 tol^(1/2) scale, or raise
     RootSolveFailed: roots are told apart only beyond the pair width
-    tol^(1/2), and a collapsed cluster moves the coefficients by as much."""
-    vals = _roots_with_fallback(poly, tol)
-    if vals is None:
-        raise NotHyperbolic(
-            f"certified complex root pair (degree {poly.degree}, tol {tol:g})"
-        )
-    vals = np.sort(vals)
-    if poly.degree >= 3:
-        miss = max(abs(e - a) for e, a in zip(_elementary(vals.tolist()), poly.coeffs.tolist()))
-        if not miss <= 10.0 * math.sqrt(tol) * coeff_scale(poly):
-            raise RootSolveFailed(f"roots fail the backward check: they miss the coefficients"
-                                  f" by {miss:.3g} (degree {poly.degree}, tol {tol:g})")
+    tol^(1/2), and a collapsed cluster moves the coefficients by as much.
+    The first failing row raises, with its index in the block as `index`."""
+    n = rows.shape[1]
+    vals, solved = _roots_with_fallback(rows, tol)
+    failed = ~solved
+    if n >= 3:
+        vals = np.sort(vals, axis=1)
+        e = np.array(_elementary(list(vals.T))).T
+        gap = np.abs(e - rows)
+        miss = gap[:, 0]
+        for j in range(1, n):
+            miss = np.where(gap[:, j] > miss, gap[:, j], miss)  # max(), as on floats
+        scale = 1.0 + np.max(np.abs(rows), axis=1)
+        failed |= ~(miss <= 10.0 * math.sqrt(tol) * scale)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if not solved[i]:
+            exc = NotHyperbolic(f"certified complex root pair (degree {n}, tol {tol:g})")
+        else:
+            exc = RootSolveFailed(f"roots fail the backward check: they miss the coefficients"
+                                  f" by {miss[i]:.3g} (degree {n}, tol {tol:g})")
+        exc.index = i
+        raise exc
     return vals
 
 
@@ -293,28 +327,34 @@ def _eval_noise(c: list[float], x: float) -> float:
     return 2.0 * len(c) * _EPS * acc
 
 
-def _root_bound(c: np.ndarray) -> float:
-    """Fujiwara upper bound on |roots|."""
-    lead = abs(c[0])
-    n = _deg(c)
-    best = 0.0
-    for k in range(1, n + 1):
-        ck = abs(c[k]) / lead
-        if ck > 0:
-            best = max(best, ck ** (1.0 / k))
-    return 2.0 * best + 1.0
+def _root_bounds(c: np.ndarray) -> np.ndarray:
+    """Fujiwara upper bound on |roots| of each row of c.  The powers stay
+    on floats: numpy's array power differs from C pow in the last bit."""
+    ck = np.abs(c[:, 1:]) / np.abs(c[:, :1])
+    exps = [1.0 / k for k in range(1, c.shape[1])]
+    return 2.0 * np.array([max(0.0, *map(pow, row, exps)) for row in ck.tolist()]) + 1.0
 
 
 def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> float:
-    """Bisection to a tight bracket, then safeguarded Newton on c."""
-    flo = _horner(c, lo)
-    fhi = _horner(c, hi)
+    """Bisection to a tight bracket, then safeguarded Newton on c.  Newton
+    stops when the step is below one part in 1e16, which can be less than
+    one ulp, after _MAX_NEWTON steps, or as soon as an iterate repeats: the
+    iterates then cycle, and _cycle_end names the last step's."""
+    c0, c1, dc0, dc1 = c[0], c[1:], dc[0], dc[1:]
+
+    def horner(out, rest, x):  # _horner on floats, without its dispatch
+        for coef in rest:
+            out = out * x + coef
+        return out
+
+    flo = horner(c0, c1, lo)
+    fhi = horner(c0, c1, hi)
     if flo * fhi < 0:
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            fm = _horner(c, mid)
+            fm = horner(c0, c1, mid)
             if fm == 0.0:
                 lo = hi = mid
                 break
@@ -325,9 +365,10 @@ def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> flo
             if hi - lo < 1e-9 * max(1.0, abs(mid)):
                 break
     x = 0.5 * (lo + hi)
-    for _ in range(_MAX_NEWTON):
-        fx = _horner(c, x)
-        dfx = _horner(dc, x)
+    path, seen = [], {}  # the iterates, and the step where each value came first
+    for it in range(_MAX_NEWTON):
+        fx = horner(c0, c1, x)
+        dfx = horner(dc0, dc1, x)
         if dfx == 0.0:
             break
         step = fx / dfx
@@ -337,8 +378,72 @@ def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> flo
         if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
             x = x_new
             break
+        path.append(x)
+        seen.setdefault(x, it)
+        j = seen.get(x_new)
+        if j is not None and math.copysign(1.0, x_new) == math.copysign(1.0, path[j]):
+            return path[_cycle_end(j, it)]
         x = x_new
     return x
+
+
+def _cycle_end(j: int, it: int) -> int:
+    """Where the Newton loop would end: step it returned to the iterate of
+    step j, and each step depends on the iterate alone, so the iterates
+    repeat with period it + 1 - j until the last step."""
+    return j + (_MAX_NEWTON - j) % (it + 1 - j)
+
+
+def _polish_brackets(c: np.ndarray, dc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """_polish_simple on every bracket (lo[b], hi[b]) of the polynomial c[b]
+    with derivative dc[b] at once: the same float operations in the same
+    order, each bracket leaving a loop where its scalar loop stops, so each
+    result has the bits of its scalar call."""
+
+    def horner(p, x):
+        out = p[:, 0]
+        for j in range(1, p.shape[1]):
+            out = out * x + p[:, j]
+        return out
+
+    with np.errstate(all="ignore"):
+        flo = horner(c, lo)
+        on = flo * horner(c, hi) < 0
+        for _ in range(80):
+            if not on.any():
+                break
+            mid = 0.5 * (lo + hi)
+            on &= ~((mid <= lo) | (mid >= hi))
+            fm = horner(c, mid)
+            hit = on & (fm == 0.0)
+            on &= ~hit
+            down = flo * fm < 0
+            lo = np.where(hit | (on & ~down), mid, lo)
+            hi = np.where(hit | (on & down), mid, hi)
+            flo = np.where(on & ~down, fm, flo)
+            on &= ~(hi - lo < 1e-9 * np.fmax(1.0, np.abs(mid)))
+        # Newton on the brackets still stepping, each with its iterates
+        x = 0.5 * (lo + hi)
+        out, live, path = x.copy(), np.arange(x.size), x[:, None]
+        for it in range(_MAX_NEWTON):
+            if not live.size:
+                break
+            dfx = horner(dc, x)
+            x_new = x - horner(c, x) / dfx
+            x_new = np.where((lo - 1e-8 <= x_new) & (x_new <= hi + 1e-8), x_new, 0.5 * (lo + hi))
+            halt = dfx == 0.0
+            stop = ~halt & (np.abs(x_new - x) <= 1e-16 * np.fmax(1.0, np.abs(x)))
+            seen = (path == x_new[:, None]) & (np.signbit(path) == np.signbit(x_new)[:, None])
+            cycle = ~(halt | stop) & seen.any(axis=1)
+            out[live[halt]] = x[halt]
+            out[live[stop]] = x_new[stop]
+            at = np.flatnonzero(cycle)
+            out[live[at]] = path[at, _cycle_end(seen[at].argmax(axis=1), it)]
+            go = ~(halt | stop | cycle)
+            live, c, dc, lo, hi, x = live[go], c[go], dc[go], lo[go], hi[go], x_new[go]
+            path = np.concatenate([path[go], x[:, None]], axis=1)
+        out[live] = x
+    return out
 
 
 def _polish_mult_root(c: np.ndarray, x: float, mult: int) -> float:
@@ -397,15 +502,15 @@ def _collapse_clusters(values: np.ndarray, tol: float, c: np.ndarray | None = No
     return out
 
 
-def _taylor_shift(c: np.ndarray, mu: float) -> np.ndarray:
-    """Coefficients of p(x + mu) by repeated synthetic division."""
-    b = c.tolist()
-    mu = float(mu)
-    n = len(b)
+def _taylor_shift(c: np.ndarray, mu) -> np.ndarray:
+    """Coefficients of p(x + mu) by repeated synthetic division, for one
+    row c and a float mu, or for a block of rows c and their mu."""
+    b = c.copy()
+    n = b.shape[-1]
     for i in range(1, n):
         for j in range(1, n - i + 1):
-            b[j] += mu * b[j - 1]
-    return np.array(b)
+            b[..., j] += mu * b[..., j - 1]
+    return b
 
 
 def _promotion_violation(derivs: list[list[float]], scales, x: float, mult: int, tol: float) -> float:
@@ -420,13 +525,74 @@ def _promotion_violation(derivs: list[list[float]], scales, x: float, mult: int,
     return worst
 
 
-def _robust_real_roots(c: np.ndarray, tol: float, noise_floor: float = 0.0) -> list[tuple[float, int]]:
-    """Real roots with multiplicity, rebuilt from critical-point interlacing.
-    c is the recentred monic polynomial or one of its derivatives: its
-    leading coefficient is exact and nonzero, and its degree is >= 1.
+def _expand(roots: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's roots, each as often as its multiplicity, padded with
+    +inf, and their counts."""
+    count = mult.sum(axis=1)
+    out = np.full((roots.shape[0], int(count.max(initial=0))), np.inf)
+    at = np.repeat(np.arange(roots.shape[0]), count)
+    out[at, np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)] = np.repeat(
+        roots.ravel(), mult.ravel())
+    return out, count
+
+
+def _promote(pairs: list[tuple[float, int]], c: np.ndarray, tol: float, tol_eff: float,
+             shift_noise: float) -> list[tuple[float, int]] | None:
+    """The rebuilt roots (x, multiplicity) of the recentred c, its deficit
+    filled: complex pairs within the tol-ball coalesce into higher
+    multiplicities.  Candidate promotions are ranked by how cleanly the
+    lower derivatives vanish at the witness point; None if one is out of
+    the tol-ball."""
+    n = _deg(c)
+    total = sum(m for _, m in pairs)
+    derivs = [c]
+    for _ in range(n):
+        derivs.append(_deriv(derivs[-1]))
+    scales = [1.0 + float(np.max(np.abs(d))) for d in derivs]
+    dfloats = [d.tolist() for d in derivs]
+    crit, mult = _rebuild(derivs[1][None, :], np.array([tol_eff]), np.array([shift_noise * n]))
+    crit = crit[0, mult[0] > 0].tolist()
+    while total < n:
+        best = None  # (violation, tiebreak, index-or-None, x, new_mult)
+        for i, (r, m) in enumerate(pairs):
+            if m + 2 > n:
+                continue
+            x = _polish_mult_root(c, r, m + 2)
+            if abs(x - r) > 0.5 * (1.0 + abs(r)):
+                continue  # Newton wandered off; not a local cluster
+            viol = _promotion_violation(dfloats, scales, x, m + 2, tol_eff)
+            cand = (viol, abs(x - r), i, x, m + 2)
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+        for x0 in crit:
+            # a critical point inside an existing root's collapse radius
+            # belongs to that cluster: let the promotion above absorb it
+            if any(abs(x0 - r) < tol ** (1.0 / (m + 2)) for r, m in pairs):
+                continue
+            viol = _promotion_violation(dfloats, scales, x0, 2, tol_eff)
+            cand = (viol, 0.0, None, x0, 2)
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+        if best is None or best[0] > 1.0:
+            return None
+        _, _, idx, x, new_m = best
+        if idx is None:
+            pairs.append((x, 2))
+        else:
+            pairs[idx] = (x, new_m)
+        pairs.sort(key=lambda p: p[0])
+        total += 2
+    return pairs
+
+
+def _rebuild(c: np.ndarray, tol: np.ndarray, noise_floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots with multiplicity of each row of c, rebuilt from
+    critical-point interlacing.  c is a block of recentred monic
+    polynomials: every row's leading coefficient is exact and nonzero, and
+    the degree n is >= 1.  tol and noise_floor hold one value per row.
 
     Between consecutive real critical points (and beyond the outermost ones,
-    up to the Fujiwara bound) c is monotone, so a sign change there brackets
+    up to the Fujiwara bound) P is monotone, so a sign change there brackets
     exactly one simple root.  A critical value counts as zero, carrying a
     multiple root, only when it lies in the tol-ball and its sign is not
     reliable: within max(twice the Horner noise bound, floor), the test the
@@ -436,134 +602,174 @@ def _robust_real_roots(c: np.ndarray, tol: float, noise_floor: float = 0.0) -> l
     the signs around the run.  Every reliable sign is honoured, so a near
     pair splits into two simple roots and _collapse_clusters applies the
     width rule afterwards.  Missing real roots (complex pairs) are left to
-    the caller.  Critical points come from the same rebuild, one degree
-    down.  noise_floor is the absolute uncertainty of evaluated values
-    inherited from upstream coefficient rounding (e.g. the recentering
-    shift)."""
-    n = _deg(c)
-    if n == 1:
-        return [(-c[1] / c[0], 1)]
-    dc = _deriv(c)
-    scale = 1.0 + float(np.max(np.abs(c)))
-    floor = max(noise_floor, 4.0 * c.size * _EPS * scale)
-    # differentiation amplifies inherited coefficient noise by at most n
-    crit = _robust_real_roots(dc, tol, floor * n)
-    crit = sorted(x for x, m in crit for _ in range(m))
-    bound = _root_bound(c) + 1.0
-    anchors = [-bound] + crit + [bound]
-    cf, dcf = c.tolist(), dc.tolist()
-    vals = [_horner(cf, a) for a in anchors]
-    zero = [
-        abs(v) <= tol * scale and abs(v) <= max(2.0 * _eval_noise(cf, a), floor)
-        for a, v in zip(anchors, vals)
-    ]
-    pairs = []
-    for i in range(len(anchors) - 1):
-        if not (zero[i] or zero[i + 1]) and (vals[i] > 0) != (vals[i + 1] > 0):
-            pairs.append((_polish_simple(cf, dcf, anchors[i], anchors[i + 1]), 1))
-    i = 1
-    while i < len(anchors) - 1:
-        if not zero[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(anchors) - 1 and zero[j + 1]:
-            j += 1
-        mult = j - i + 2
-        if ((vals[i - 1] > 0) != (vals[j + 1] > 0)) != (mult % 2 == 1):
-            mult += 1
-        mult = min(mult, n)
-        pairs.append((_polish_mult_root(c, 0.5 * (anchors[i] + anchors[j]), mult), mult))
-        i = j + 1
-    pairs.sort(key=lambda p: p[0])
-    return pairs
+    the caller.  The critical points are the roots of P', found the same
+    way one degree down, so the rebuild runs from degree 1 up, one level of
+    all rows at a time.  noise_floor is the absolute uncertainty of
+    evaluated values inherited from upstream coefficient rounding (e.g. the
+    recentering shift); differentiation amplifies it by at most the degree.
+
+    Returns (roots, mult): per row the roots in ascending order (ties in
+    the order they were found) and their multiplicities, padded with +inf
+    and 0."""
+    m, n = c.shape[0], c.shape[1] - 1
+    derivs = [c]
+    for d in range(n, 1, -1):
+        derivs.append(derivs[-1][:, :-1] * np.arange(d, 0, -1))  # _deriv of each row
+    scales, floors = [], []
+    for d, p in zip(range(n, 1, -1), derivs):
+        scales.append(1.0 + np.max(np.abs(p), axis=1))
+        floor = 4.0 * p.shape[1] * _EPS * scales[-1]
+        floors.append(np.where(floor > noise_floor, floor, noise_floor))
+        noise_floor = floors[-1] * d
+    roots, mult = -derivs[-1][:, 1:] / derivs[-1][:, :1], np.ones((m, 1), dtype=int)
+    for d in range(2, n + 1):
+        p, dp, scale, floor = derivs[n - d], derivs[n - d + 1], scales[n - d], floors[n - d]
+        crit, count = _expand(roots, mult) if (mult > 1).any() else (roots, mult.sum(axis=1))
+        bound = _root_bounds(p) + 1.0
+        last = count[:, None] + 1  # the upper anchor's column
+        cols = np.arange(crit.shape[1] + 2)
+        anchors = np.concatenate([-bound[:, None], crit, bound[:, None]], axis=1)
+        anchors = np.where(cols < last, anchors, bound[:, None])
+        vals, noise = _horner_rows(p, anchors)
+        size, two, floor = np.abs(vals), 2.0 * noise, floor[:, None]
+        zero = (size <= (tol * scale)[:, None]) & (size <= np.where(floor > two, floor, two))
+        pos = vals > 0
+        at, col = np.nonzero(~(zero[:, :-1] | zero[:, 1:]) & (pos[:, :-1] != pos[:, 1:]) & (cols[:-1] < last))
+        x = _polish(p, dp, at, anchors[at, col], anchors[at, col + 1])
+        runs = {}
+        for i in np.flatnonzero((zero[:, 1:-1] & (cols[1:-1] < last)).any(axis=1)).tolist():
+            a, v, z, top = anchors[i].tolist(), vals[i].tolist(), zero[i].tolist(), int(last[i, 0])
+            runs[i] = []
+            k = 1
+            while k < top:
+                if not z[k]:
+                    k += 1
+                    continue
+                j = k
+                while j + 1 < top and z[j + 1]:
+                    j += 1
+                run = j - k + 2
+                if ((v[k - 1] > 0) != (v[j + 1] > 0)) != (run % 2 == 1):
+                    run += 1
+                run = min(run, d)
+                runs[i].append((_polish_mult_root(p[i], 0.5 * (a[k] + a[j]), run), run))
+                k = j + 1
+        # in the order found: the simple roots left to right, then the runs'
+        simple = np.bincount(at, minlength=m)
+        width = max([int(simple.max(initial=0))] + [simple[i] + len(r) for i, r in runs.items()])
+        roots, mult = np.full((m, width), np.inf), np.zeros((m, width), dtype=int)
+        place = np.arange(at.size) - np.searchsorted(at, at)
+        roots[at, place], mult[at, place] = x, 1
+        for i, found in runs.items():
+            for k, (r, run) in enumerate(found, start=simple[i]):
+                roots[i, k], mult[i, k] = r, run
+        if runs or (roots[:, 1:] < roots[:, :-1]).any():
+            order = np.argsort(roots, axis=1, kind="stable")
+            roots, mult = np.take_along_axis(roots, order, 1), np.take_along_axis(mult, order, 1)
+    return roots, mult
 
 
-def _quadratic_roots(a1: float, a2: float, tol: float) -> np.ndarray | None:
-    """Closed form for x^2 - a1 x + a2 with the same tolerance-ball rule:
-    a negative discriminant within 4*tol*scale collapses to a double root
-    (|P| at the vertex is |disc|/4, matching the promotion criterion)."""
-    scale = 1.0 + max(abs(a1), abs(a2))
+def _polish(c: np.ndarray, dc: np.ndarray, at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The simple root in each bracket (lo[b], hi[b]) of the row at[b] of c
+    (derivative rows dc), by _polish_simple: on floats one bracket at a
+    time, or on arrays for _ARRAY_BRACKETS brackets or more."""
+    if at.size >= _ARRAY_BRACKETS:
+        return _polish_brackets(c[at], dc[at], lo, hi)
+    return np.array([_polish_simple(p, dp, a, b) for p, dp, a, b
+                     in zip(c[at].tolist(), dc[at].tolist(), lo.tolist(), hi.tolist())])
+
+
+def _quadratic_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted closed-form roots of each row's x^2 - a1 x + a2, and the mask
+    of the rows with real roots.  The tolerance-ball rule applies: a
+    negative discriminant within 4*tol*scale collapses to a double root
+    (|P| at the vertex is |disc|/4, matching the promotion criterion), and
+    two roots closer than tol^(1/2) merge at their mean, as in
+    _collapse_clusters.  A few rows are solved on floats, a block on
+    arrays, by the same operations."""
+    width = tol ** (1.0 / 2)
+    if rows.shape[0] < _ARRAY_QUADRATICS:
+        vals, ok = [], []
+        for a1, a2 in rows.tolist():
+            disc = a1 * a1 - 4.0 * a2
+            if disc <= 0.0:
+                vals.append((0.5 * a1, 0.5 * a1))
+                ok.append(-disc <= 4.0 * tol * (1.0 + max(abs(a1), abs(a2))))
+                continue
+            sq = math.sqrt(disc)
+            r1 = 0.5 * (a1 + sq) if a1 >= 0.0 else 0.5 * (a1 - sq)
+            r2 = a2 / r1  # |r1| >= sq / 2 > 0
+            lo, hi = (r2, r1) if r2 < r1 else (r1, r2)
+            if hi - lo < width:
+                lo = hi = (lo + hi) / 2.0
+            vals.append((lo, hi))
+            ok.append(True)
+        return np.array(vals).reshape(-1, 2), np.array(ok, dtype=bool)
+    a1, a2 = rows[:, 0], rows[:, 1]
     disc = a1 * a1 - 4.0 * a2
-    if disc <= 0.0:
-        if -disc <= 4.0 * tol * scale:
-            return np.array([0.5 * a1, 0.5 * a1])
-        return None
-    sq = np.sqrt(disc)
-    r1 = 0.5 * (a1 + sq) if a1 >= 0.0 else 0.5 * (a1 - sq)
-    r2 = a2 / r1 if r1 != 0.0 else 0.0
-    vals = np.array(sorted((r1, r2)))
-    return _collapse_clusters(vals, tol)
+    double = disc <= 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sq = np.sqrt(disc)
+        r1 = 0.5 * (a1 + np.where(a1 >= 0.0, sq, -sq))
+        r2 = a2 / r1
+    vals = np.stack([np.minimum(r1, r2), np.maximum(r1, r2)], axis=1)
+    merge = vals[:, 1] - vals[:, 0] < width
+    vals[merge] = ((vals[merge, 0] + vals[merge, 1]) / 2.0)[:, None]
+    vals[double] = 0.5 * a1[double, None]
+    scale = 1.0 + np.maximum(np.abs(a1), np.abs(a2))
+    return vals, ~double | (-disc <= 4.0 * tol * scale)
 
 
-def _roots_with_fallback(poly: MonicHyperbolic, tol: float) -> np.ndarray | None:
-    n = poly.degree
+def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of each row (not sorted), from the closed forms or the
+    interlacing rebuild, and the mask of the rows found hyperbolic."""
+    m, n = rows.shape
     if n == 1:
-        return np.array([poly.coeffs[0]])
+        return rows.copy(), np.ones(m, dtype=bool)
     if n == 2:
-        return _quadratic_roots(float(poly.coeffs[0]), float(poly.coeffs[1]), tol)
-    if poly.coeffs[-1] == 0.0:
+        return _quadratic_roots(rows, tol)
+    out, ok = np.full((m, n), np.nan), np.zeros(m, dtype=bool)
+    c = np.ones((m, n + 1))
+    c[:, 1:] = rows * (-1.0) ** np.arange(1, n + 1)
+    zero = rows[:, -1] == 0.0
+    if zero.any():
         # an exact root at 0: deflate it, as the centroid shift below would
         # blur it into rounding noise
-        rest = _roots_with_fallback(MonicHyperbolic(poly.coeffs[:-1]), tol)
-        if rest is None:
-            return None
-        return _collapse_clusters(np.sort(np.append(rest, 0.0)), tol, poly.full_coeffs())
+        rest, rest_ok = _roots_with_fallback(rows[zero, :-1], tol)
+        rest = np.sort(np.concatenate([rest, np.zeros((rest.shape[0], 1))], axis=1), axis=1)
+        for i, r in enumerate(np.flatnonzero(zero).tolist()):
+            if rest_ok[i]:
+                out[r], ok[r] = _collapse_clusters(rest[i], tol, c[r]), True
+    if zero.all():
+        return out, ok
     # Recenter at the root centroid: clusters far from the origin are badly
     # conditioned in the raw coefficients, and the centroid is exact in a1.
     # The tol-ball stays anchored to the ORIGINAL coefficient scale, so the
     # effective tolerance in the shifted frame compensates for the rescaling.
-    mu = poly.coeffs[0] / n
-    c = _taylor_shift(poly.full_coeffs(), mu)
-    scale_shift = 1.0 + float(np.max(np.abs(c)))
-    tol_eff = tol * coeff_scale(poly) / scale_shift
+    keep = np.flatnonzero(~zero)
+    mu = rows[keep, 0] / n
+    c = _taylor_shift(c[keep], mu)
+    scale = 1.0 + np.max(np.abs(rows[keep]), axis=1)
+    tol_eff = tol * scale / (1.0 + np.max(np.abs(c), axis=1))
     # rounding inside the shift leaves absolute coefficient noise at the
     # original scale; evaluated values inherit it
-    shift_noise = 4.0 * (n + 1) * _EPS * coeff_scale(poly) * max(1.0, abs(mu))
-    pairs = _robust_real_roots(c, tol_eff, noise_floor=shift_noise)
-    total = sum(m for _, m in pairs)
-    if total < n and (n - total) % 2 == 0:
-        derivs = [c]
-        for _ in range(n):
-            derivs.append(_deriv(derivs[-1]))
-        scales = [1.0 + float(np.max(np.abs(d))) for d in derivs]
-        dfloats = [d.tolist() for d in derivs]
-        # remaining deficit: complex pairs within the tol-ball coalesce into
-        # higher multiplicities; rank candidate promotions by how cleanly the
-        # lower derivatives vanish at the witness point
-        crit = [x for x, _ in _robust_real_roots(derivs[1], tol_eff, noise_floor=shift_noise * n)]
-        while total < n:
-            best = None  # (violation, tiebreak, index-or-None, x, new_mult)
-            for i, (r, m) in enumerate(pairs):
-                if m + 2 > n:
-                    continue
-                x = _polish_mult_root(c, r, m + 2)
-                if abs(x - r) > 0.5 * (1.0 + abs(r)):
-                    continue  # Newton wandered off; not a local cluster
-                viol = _promotion_violation(dfloats, scales, x, m + 2, tol_eff)
-                cand = (viol, abs(x - r), i, x, m + 2)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-            for x0 in crit:
-                # a critical point inside an existing root's collapse radius
-                # belongs to that cluster: let the promotion above absorb it
-                if any(abs(x0 - r) < tol ** (1.0 / (m + 2)) for r, m in pairs):
-                    continue
-                viol = _promotion_violation(dfloats, scales, x0, 2, tol_eff)
-                cand = (viol, 0.0, None, x0, 2)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-            if best is None or best[0] > 1.0:
-                return None
-            _, _, idx, x, new_m = best
-            if idx is None:
-                pairs.append((x, 2))
-            else:
-                pairs[idx] = (x, new_m)
-            pairs.sort(key=lambda p: p[0])
-            total += 2
-    if total < n:
-        return None
-    vals = np.concatenate([np.full(m, r) for r, m in pairs])
-    vals = np.sort(vals)[:n]
-    return _collapse_clusters(vals, tol, c) + mu
+    shift_noise = 4.0 * (n + 1) * _EPS * scale * np.fmax(1.0, np.abs(mu))
+    roots, mult = _rebuild(c, tol_eff, shift_noise)
+    flat, total = _expand(roots, mult)
+    vals, found = np.full((keep.size, n), np.nan), total == n
+    if found.any():
+        vals[found] = np.sort(flat[found, :n], axis=1)
+    for i in np.flatnonzero(~found).tolist():
+        pairs = [(x, k) for x, k in zip(roots[i].tolist(), mult[i].tolist()) if k]
+        if total[i] < n and (n - total[i]) % 2 == 0:
+            pairs = _promote(pairs, c[i], tol, float(tol_eff[i]), float(shift_noise[i]))
+        if pairs is not None and sum(k for _, k in pairs) >= n:
+            vals[i] = np.sort(np.concatenate([np.full(k, x) for x, k in pairs]))[:n]
+            found[i] = True
+    # only a gap narrower than tol^(1/2) starts a cluster
+    for i in np.flatnonzero(found & (np.diff(vals, axis=1) < tol ** (1.0 / 2)).any(axis=1)).tolist():
+        vals[i] = _collapse_clusters(vals[i], tol, c[i])
+    out[keep], ok[keep] = vals + mu[:, None], found
+    return out, ok
+
+

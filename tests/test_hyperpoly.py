@@ -283,6 +283,142 @@ class TestFloatKernels:
             mu = np.float64(rng.normal())
             assert bits(hp._taylor_shift(c, mu)) == bits(numpy_taylor_shift(c, mu))
 
+    def test_horner_rows_matches_horner(self):
+        # the rebuild evaluates its anchors on arrays and must see the bits
+        # of the float loop: values and noise bounds alike
+        rng = np.random.default_rng(26)
+        for deg in range(0, 9):
+            c = rng.normal(size=(30, deg + 1)) * 10.0 ** rng.integers(-4, 5, (30, 1))
+            x = rng.normal(size=(30, 5)) * 10.0 ** rng.integers(-3, 4, (30, 5))
+            x[0, 0], x[1, 1] = 0.0, -0.0
+            vals, noise = hp._horner_rows(c, x)
+            for i in range(30):
+                cl = c[i].tolist()
+                for k, xk in enumerate(x[i].tolist()):
+                    assert bits(vals[i, k]) == bits(np.float64(hp._horner(cl, xk)))
+                    assert bits(noise[i, k]) == bits(np.float64(hp._eval_noise(cl, xk)))
+
+    def test_root_bounds_match_the_scalar_bound(self):
+        def root_bound(c):
+            # the scalar Fujiwara bound the rebuild used one row at a time
+            lead = abs(c[0])
+            n = c.size - 1
+            best = 0.0
+            for k in range(1, n + 1):
+                ck = abs(c[k]) / lead
+                if ck > 0:
+                    best = max(best, ck ** (1.0 / k))
+            return 2.0 * best + 1.0
+
+        rng = np.random.default_rng(27)
+        for deg in range(1, 9):
+            c = rng.normal(size=(200, deg + 1)) * 10.0 ** rng.integers(-6, 7, (200, deg + 1))
+            c[:, 0] = rng.integers(1, 9, 200)
+            c[::7, -1] = 0.0
+            got = hp._root_bounds(c)
+            assert all(bits(got[i]) == bits(np.float64(root_bound(c[i]))) for i in range(200))
+
+
+def polish_simple_reference(c, dc, lo, hi, iterates=None):
+    # the bracket polish before the cycle exit, every Newton step run;
+    # `iterates` records them
+    flo = hp._horner(c, lo)
+    fhi = hp._horner(c, hi)
+    if flo * fhi < 0:
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            fm = hp._horner(c, mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if flo * fm < 0:
+                hi, fhi = mid, fm
+            else:
+                lo, flo = mid, fm
+            if hi - lo < 1e-9 * max(1.0, abs(mid)):
+                break
+    x = 0.5 * (lo + hi)
+    for _ in range(60):
+        fx = hp._horner(c, x)
+        dfx = hp._horner(dc, x)
+        if dfx == 0.0:
+            break
+        step = fx / dfx
+        x_new = x - step
+        if not (lo - 1e-8 <= x_new <= hi + 1e-8):
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
+            x = x_new
+            break
+        x = x_new
+        if iterates is not None:
+            iterates.append(x)
+    return x
+
+
+def polish_cases():
+    # (c, lo, hi): seeded isolating brackets of degree 2 to 8, plus brackets
+    # that stop the bisection on fm == 0.0 and on mid <= lo, and one without
+    # a sign change whose first Newton step is clamped
+    rng = np.random.default_rng(41)
+    cases = []
+    for deg in range(2, 9):
+        for _ in range(40):
+            r = np.sort(rng.uniform(-4.0, 4.0, deg))
+            if deg >= 3 and rng.random() < 0.5:
+                r[1] = r[0] + 10.0 ** rng.uniform(-7.0, -2.0)  # a near pair
+            c = hp.from_roots(r).full_coeffs()
+            k = int(rng.integers(0, deg))
+            lo = r[0] - rng.uniform(0.1, 2.0) if k == 0 else 0.5 * (r[k - 1] + r[k])
+            hi = r[-1] + rng.uniform(0.1, 2.0) if k == deg - 1 else 0.5 * (r[k] + r[k + 1])
+            cases.append((c, float(lo), float(hi)))
+    cases.append((np.array([1.0, -3.5, 1.5]), 0.0, 1.0))  # root 0.5 at the first midpoint
+    c = np.array([1.0, 0.0, -2.0])
+    lo = float(np.sqrt(2.0))
+    hi = float(np.nextafter(lo, np.inf) if hp._horner(c, lo) < 0 else np.nextafter(lo, -np.inf))
+    cases.append((c, min(lo, hi), max(lo, hi)))  # adjacent floats
+    cases.append((c, 5.0, 6.0))  # no sign change: Newton leaves and is clamped
+    return cases
+
+
+class TestPolishKernels:
+    def test_float_and_array_kernels_match_the_full_newton_loop(self):
+        cases = polish_cases()
+        cycles = []  # (first step, period) of each Newton cycle
+        for c, lo, hi in cases:
+            iterates = []
+            ref = polish_simple_reference(c.tolist(), hp._deriv(c).tolist(), lo, hi, iterates)
+            first = {}
+            for k, x in enumerate(iterates):
+                if x in first:
+                    cycles.append((first[x], k - first[x]))
+                    break
+                first[x] = k
+            got = hp._polish_simple(c.tolist(), hp._deriv(c).tolist(), lo, hi)
+            assert bits(got) == bits(ref), (c, lo, hi)
+        # the cycle exit is taken, on 2-cycles ending on either float and on
+        # longer cycles
+        assert {k % 2 for k, period in cycles if period == 2} == {0, 1}
+        assert sum(period == 2 for _, period in cycles) >= 10
+        assert sum(period > 2 for _, period in cycles) >= 5
+        for deg in range(2, 9):
+            group = [(c, lo, hi) for c, lo, hi in cases if c.size == deg + 1]
+            C = np.array([c for c, _, _ in group])
+            got = hp._polish_brackets(C, C[:, :-1] * np.arange(deg, 0, -1),
+                                      np.array([lo for _, lo, _ in group]),
+                                      np.array([hi for _, _, hi in group]))
+            ref = [hp._polish_simple(c.tolist(), hp._deriv(c).tolist(), lo, hi) for c, lo, hi in group]
+            assert bits(got) == bits(np.array(ref))
+
+    def test_special_brackets_take_their_exits(self):
+        *_, (c0, lo0, hi0), (c1, lo1, hi1), (c2, lo2, hi2) = polish_cases()
+        assert hp._polish_simple(c0.tolist(), hp._deriv(c0).tolist(), lo0, hi0) == 0.5
+        assert hp._horner(c1, lo1) * hp._horner(c1, hi1) < 0
+        assert np.nextafter(lo1, np.inf) == hi1
+        assert hp._polish_simple(c2.tolist(), hp._deriv(c2).tolist(), lo2, hi2) == 5.5
+
 
 def delta(r):
     # the enclosure half-width of a certified root
@@ -403,6 +539,31 @@ def one_engine_cases():
         yield p
 
 
+def clustered_block():
+    # 320 rows of degree 8, each with a double root, a triple root or a
+    # near pair, and one with an exact zero constant term: the certificate
+    # refuses them all, and every rebuild level has hundreds of brackets
+    rng = np.random.default_rng(91)
+    rows = []
+    for i in range(320):
+        r = np.round(rng.uniform(-5.0, 5.0, 8), 2)
+        if i % 3 == 0:
+            r[1] = r[0]
+        elif i % 3 == 1:
+            r[1] = r[2] = r[0]
+        else:
+            r[1] = r[0] + 10.0 ** rng.uniform(-8.0, -5.0)
+        if i == 7:
+            r[5] = 0.0
+        rows.append(hp.from_roots(r).coeffs)
+    return np.array(rows)
+
+
+# (x^2 + 1)(x - 1)...(x - 6): a complex pair far outside the tol-ball
+COMPLEX_ROW = (np.convolve([1.0, 0.0, 1.0], hp.from_roots(np.arange(1.0, 7.0)).full_coeffs())[1:]
+               * (-1.0) ** np.arange(1, 9))
+
+
 class TestOneEngine:
     def test_roots_and_roots_batch_agree_bit_for_bit(self):
         solved = {}
@@ -427,6 +588,48 @@ class TestOneEngine:
         for pairs in solved.values():
             values, _ = hp.roots_batch(np.array([c for c, _ in pairs]))
             assert all(bits(v) == bits(single) for v, (_, single) in zip(values, pairs))
+
+
+    def test_each_row_of_a_clustered_block_matches_its_own_solve(self, monkeypatch):
+        kernel, sizes = hp._polish_brackets, []
+
+        def counted(c, dc, lo, hi):
+            sizes.append(lo.size)
+            return kernel(c, dc, lo, hi)
+
+        monkeypatch.setattr(hp, "_polish_brackets", counted)
+        rows = clustered_block()
+        assert rows[7, -1] == 0.0
+        values, fell_back = hp.roots_batch(rows)
+        assert fell_back.sum() >= 300
+        assert max(sizes) >= 300  # the array kernel polished these levels
+        assert_fallbacks_match_roots(rows, values, fell_back)
+
+    def test_each_row_of_a_quadratic_block_matches_its_own_solve(self):
+        rng = np.random.default_rng(92)
+        R = rng.uniform(-5.0, 5.0, (120, 2))
+        R[::4, 1] = R[::4, 0]                                            # double
+        R[1::4, 1] = R[1::4, 0] + 10.0 ** rng.uniform(-9.0, -4.0, 30)   # near pair
+        rows = np.array([hp.from_roots(r).coeffs for r in R])
+        rows[::8, 1] += 1e-12  # a complex pair inside the tol-ball
+        assert (rows[:, 0] ** 2 - 4.0 * rows[:, 1] < 0.0).sum() >= 10
+        values, fell_back = hp.roots_batch(rows)
+        assert rows.shape[0] >= hp._ARRAY_QUADRATICS
+        assert_fallbacks_match_roots(rows, values, fell_back)
+        rows[100] = [0.0, 1.0]  # x^2 + 1
+        with pytest.raises(NotHyperbolic) as info:
+            hp.roots_batch(rows)
+        assert info.value.index == 100
+
+    @pytest.mark.parametrize("first, second", [(NotHyperbolic, RootSolveFailed),
+                                               (RootSolveFailed, NotHyperbolic)])
+    def test_the_first_failing_row_raises(self, first, second):
+        failing = {NotHyperbolic: COMPLEX_ROW, RootSolveFailed: TestBackwardCheck.ROW}
+        rows = clustered_block()
+        rows[250], rows[280] = failing[first], failing[second]
+        with pytest.raises(first) as info:
+            hp.roots_batch(rows)
+        assert info.value.index == 250
 
 
 class TestLargeCoefficients:
