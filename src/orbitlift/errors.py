@@ -76,10 +76,24 @@ class EnumerationTooLarge(OrbitLiftError):
 
 
 class ToleranceViolation(OrbitLiftError):
-    """Input sits in the near-miss band (tol, 10*tol) of the image; ill-posed."""
+    """Input sits in the near-miss band (tol, 10*tol) of the image; ill-posed.
+    `index` is the row of a block it was found in, or None."""
+
+    def __init__(self, message: str = "", index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
-class NotInImageAt(OrbitLiftError):
+class NotInImage(OrbitLiftError):
+    """An orbit-space point outside the image of the invariant map; `index`
+    is the row of a block it was found in, or None."""
+
+    def __init__(self, message: str = "", index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
+class NotInImageAt(NotInImage):
     """Orbit-space curve leaves the image of the invariant map at t."""
 
     def __init__(self, t: float):

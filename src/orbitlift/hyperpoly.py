@@ -110,11 +110,6 @@ class RootMultiset:
         return f"RootMultiset({self.values.tolist()})"
 
 
-def coeff_scale(poly: MonicHyperbolic) -> float:
-    """Residual scale 1 + max |a_j|; keeps tolerances relative."""
-    return 1.0 + float(np.max(np.abs(poly.coeffs))) if poly.degree else 1.0
-
-
 def from_roots(root_values: Sequence[float]) -> MonicHyperbolic:
     """Polynomial with the given real roots (Vieta: a_j = e_j(roots))."""
     vals = np.sort(np.asarray(root_values, dtype=float).reshape(-1))

@@ -11,9 +11,14 @@ Elementary symmetric functions are evaluated on canonically sorted inputs,
 so sigma is bitwise invariant under any exactly-represented group element
 (signed permutation matrices are exact in floating point).
 
-A fiber sigma^{-1}(y) is one orbit: A, B and D solve for it through
-hyperpoly; I2(m) inverts (|z|^2, Re z^m) in closed form,
-z = r exp(i(+-theta + 2 pi k / m)) with m theta = arccos(y_2 / r^m).
+A fiber sigma^{-1}(y) is one orbit.  The orbits of a block of values y,
+such as the samples of a curve, are solved as one block (orbits_at): A, B
+and D by one hyperpoly.roots_batch call on the whole block, I2(m) row by
+row, inverting (|z|^2, Re z^m) in closed form,
+z = r exp(i(+-theta + 2 pi k / m)) with m theta = arccos(y_2 / r^m).  The
+block holds each orbit by its chamber point and computes the orbit sizes
+and least distances over all its rows; an Orbit is a view of one row, and
+orbit_at is the one-row case of orbits_at.
 
 The k-data come in closed form, without enumerating the group.  A point's
 stabilizer is the parabolic subgroup of the walls through it (Steinberg's
@@ -27,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +40,8 @@ from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
     NotHyperbolic,
+    NotInImage,
+    RootSolveFailed,
     ToleranceViolation,
     UnsupportedParameter,
 )
@@ -168,10 +174,11 @@ def _signed_product(values: np.ndarray) -> float:
     return sign * out
 
 
-def _re_complex_power(x: float, y: float, m: int) -> float:
-    """Re((x + iy)^m) by binary powering; no trig, deterministic."""
+def _re_complex_power(x, y, m: int):
+    """Re((x + iy)^m) by binary powering, for floats or arrays; no trig,
+    deterministic."""
     rr, ri = 1.0, 0.0
-    bx, by = float(x), float(y)
+    bx, by = x, y
     e = m
     while e:
         if e & 1:
@@ -194,18 +201,42 @@ class OrbitMapSigma:
         return max(self.degrees)
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.size != self.group.dim:
+        """sigma(v) of a point v, shape (n,), or of each row of an (N, dim)
+        block, shape (N, n).  The block runs the float operations of the
+        point on arrays, in the same order, so a row gets the bits of its
+        point."""
+        v = np.asarray(v, dtype=float)
+        size = v.shape[1] if v.ndim == 2 else v.size
+        if size != self.group.dim:
             raise DimensionMismatch(
-                f"point has dim {v.size}, {self.group.label} acts on R^{self.group.dim}"
+                f"point has dim {size}, {self.group.label} acts on R^{self.group.dim}"
             )
+        if v.ndim == 2:
+            return self._evaluate_rows(v)
+        v = v.reshape(-1)
         kind = self.group.kind
         if kind == "I2":
-            x, y = v
+            x, y = float(v[0]), float(v[1])
             return np.array([x * x + y * y, _re_complex_power(x, y, self.group.param)])
         e = np.array(hyperpoly._elementary(np.sort(v if kind == "A" else v * v).tolist()))
         if kind == "D":
             e[-1] = _signed_product(v)
+        return e
+
+    def _evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
+        kind = self.group.kind
+        if kind == "I2":
+            x, y = rows[:, 0], rows[:, 1]
+            return np.stack([x * x + y * y, _re_complex_power(x, y, self.group.param)], axis=1)
+        cols = np.sort(rows if kind == "A" else rows * rows, axis=1).T
+        e = np.stack(hyperpoly._elementary(list(cols)), axis=1)
+        if kind == "D":
+            # _signed_product of every row
+            out = 1.0
+            for m in np.sort(np.abs(rows), axis=1).T:
+                out = out * m
+            odd = np.count_nonzero(rows < 0.0, axis=1) % 2 == 1
+            e[:, -1] = np.where((rows == 0.0).any(axis=1), 0.0, np.where(odd, -out, out))
         return e
 
 
@@ -312,86 +343,96 @@ def compute_k(group: ReflectionGroup, map_: OrbitMapSigma | None = None) -> KDat
 
 # -- fibers -----------------------------------------------------------------------
 
-def _roots_in_band(coeffs_a: np.ndarray, tol: float) -> tuple[np.ndarray | None, bool]:
-    """Roots of the monic polynomial with the given a-vector.
+_BAND = "orbit-space point within (tol, 10*tol] of the image"
 
-    Returns (roots, near_miss): near_miss marks success only in the widened
-    (tol, 10*tol] band."""
-    poly = hyperpoly.MonicHyperbolic(coeffs_a)
-    try:
-        return hyperpoly.roots(poly, tol).values, False
-    except NotHyperbolic:
-        pass
-    try:
-        return hyperpoly.roots(poly, 10.0 * tol).values, True
-    except NotHyperbolic:
-        return None, False
+
+@dataclass(frozen=True, eq=False)
+class OrbitBlock:
+    """The orbits sigma^{-1}(y) of the rows y of a block, such as the
+    samples of a curve.  Each is held by its point in the closed fundamental
+    chamber, which is a fundamental domain (Humphreys, Reflection Groups and
+    Coxeter Groups, ch. 1): A keeps the sorted roots, B and D the sorted
+    moduli, one row of `spectra` per orbit.  The orbit sizes and the least
+    distances between two orbit points follow from those rows without
+    enumerating an orbit, and are computed over the whole block.  I2 keeps
+    each orbit's at most 2m points instead, which its closed form gives.
+
+    Coordinates equal after rounding to 1e-10 count as one value, as in the
+    enumeration `Orbit.points()`, which is what `fiber` returns.  Indexing
+    gives an `Orbit`, a view of one row; slicing gives a block of rows."""
+
+    group: ReflectionGroup
+    spectra: np.ndarray | list  # (N, n); I2: a list of N point arrays
+    parity: np.ndarray          # D: sign the product of the coordinates must have; 0: either
+    sizes: np.ndarray           # exact orbit sizes, as Python ints
+    min_distance: np.ndarray    # least distance between two orbit points; inf for one point
+    max_abs: np.ndarray         # largest |coordinate| of an orbit point
+
+    def __len__(self) -> int:
+        return len(self.parity)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return OrbitBlock(self.group, self.spectra[i], self.parity[i], self.sizes[i],
+                              self.min_distance[i], self.max_abs[i])
+        return Orbit(self.group, self.spectra[i], float(self.parity[i]), self.sizes[i],
+                     float(self.min_distance[i]))
+
+
+def _chamber_block(group: ReflectionGroup, spectra: np.ndarray, parity: np.ndarray) -> OrbitBlock:
+    """The block of the A, B or D orbits with these chamber points.
+
+    A run of L equal rounded values divides the orbit size by L!, and B and
+    D double it for every value that does not round to 0, D halving it
+    again when the parity is fixed.  The least distance is sqrt(2) times the
+    least gap between runs, and for B also 2 times the least nonzero
+    modulus, for D with a fixed parity sqrt(2) (s_1 + s_2)."""
+    n = spectra.shape[1]
+    keys = np.round(spectra, _DEDUP_DECIMALS)
+    new_run = keys[:, 1:] != keys[:, :-1]
+    # each value's place in its run: the places of a run of L multiply to L!
+    place = np.ones(spectra.shape, dtype=np.int64)
+    for j in range(1, n):
+        place[:, j] = np.where(new_run[:, j - 1], 1, place[:, j - 1] + 1)
+    dist = math.sqrt(2.0) * np.where(new_run, np.diff(spectra, axis=1), np.inf).min(axis=1)
+    traits = [place]
+    if group.kind != "A":
+        nonzero = keys != 0.0
+        fixed = parity != 0.0
+        least = np.where(nonzero, spectra, np.inf).min(axis=1)
+        paired = math.sqrt(2.0) * (spectra[:, 0] + spectra[:, 1])
+        dist = np.minimum(dist, np.where(fixed, paired, 2.0 * least))
+        traits += [np.count_nonzero(nonzero, axis=1)[:, None], fixed[:, None]]
+    # the sizes as Python ints, computed once per distinct row of traits
+    distinct, inverse = np.unique(np.concatenate(traits, axis=1), axis=0, return_inverse=True)
+    sizes = []
+    for row in distinct.tolist():
+        size = math.factorial(n) // math.prod(row[:n])
+        if group.kind != "A":
+            size = size * 2 ** row[n] // (2 if row[n + 1] else 1)
+        sizes.append(size)
+    sizes = np.array(sizes, dtype=object)[inverse.reshape(-1)]
+    return OrbitBlock(group, spectra, parity, sizes, dist, np.max(np.abs(spectra), axis=1))
+
+
+def _least_distance(pts: np.ndarray) -> float:
+    """Least distance between two of the points, inf for one point."""
+    if len(pts) < 2:
+        return np.inf
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    return float(np.min(d[np.triu_indices(len(pts), 1)]))
 
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
-    """One orbit sigma^{-1}(y), held by its point in the closed fundamental
-    chamber, which is a fundamental domain (Humphreys, Reflection Groups and
-    Coxeter Groups, ch. 1): A keeps the sorted roots, B and D the sorted
-    moduli.  The nearest point, the orbit size and the least distance
-    between two orbit points follow from that point without enumerating the
-    orbit.  I2 keeps its at most 2m points instead, which its closed form
-    gives directly.
-
-    Coordinates equal after rounding to 1e-10 count as one value, as in the
-    enumeration `points()`, which is what `fiber` returns."""
+    """One orbit of an OrbitBlock, a view of its row, which answers the
+    nearest point without enumerating the orbit."""
 
     group: ReflectionGroup
     spectrum: np.ndarray  # A: sorted roots; B, D: sorted moduli; I2: every point
-    parity: float = 0.0   # D: sign the product of the coordinates must have; 0: either
-
-    @cached_property
-    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sizes of the runs of equal rounded spectrum values, and the gaps
-        between neighbouring runs."""
-        keys = np.round(self.spectrum, _DEDUP_DECIMALS)
-        new_run = np.flatnonzero(np.diff(keys))
-        sizes = np.diff(np.concatenate([[0], new_run + 1, [keys.size]]))
-        return sizes, np.diff(self.spectrum)[new_run]
-
-    @cached_property
-    def _nonzero(self) -> np.ndarray:
-        """Moduli that do not round to 0, whose sign tells orbit points apart."""
-        return self.spectrum[np.round(self.spectrum, _DEDUP_DECIMALS) != 0.0]
-
-    @cached_property
-    def size(self) -> int:
-        if self.group.kind == "I2":
-            return len(self.spectrum)
-        sizes, _ = self._classes
-        count = math.factorial(self.spectrum.size)
-        for m in sizes:
-            count //= math.factorial(int(m))
-        if self.group.kind == "A":
-            return count
-        return count * 2 ** self._nonzero.size // (2 if self.parity else 1)
-
-    @cached_property
-    def min_distance(self) -> float:
-        """Least distance between two orbit points (inf for a single point):
-        sqrt(2) * the least gap, 2 * the least nonzero modulus for B, and
-        sqrt(2) * (s_1 + s_2) for D."""
-        if self.group.kind == "I2":
-            pts = self.spectrum
-            d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-            return float(np.min(d[np.triu_indices(len(pts), 1)])) if len(pts) > 1 else np.inf
-        _, gaps = self._classes
-        out = math.sqrt(2.0) * float(gaps.min()) if gaps.size else np.inf
-        if self.group.kind != "A" and self.parity:
-            out = min(out, math.sqrt(2.0) * float(self.spectrum[0] + self.spectrum[1]))
-        elif self.group.kind != "A" and self._nonzero.size:
-            out = min(out, 2.0 * float(self._nonzero[0]))
-        return out
-
-    @property
-    def max_abs(self) -> float:
-        """Largest |coordinate| of an orbit point."""
-        return float(np.max(np.abs(self.spectrum)))
+    parity: float         # as OrbitBlock.parity
+    size: int
+    min_distance: float
 
     @property
     def first(self) -> np.ndarray:
@@ -401,44 +442,67 @@ class Orbit:
         return self.nearest(np.zeros(self.group.dim))
 
     def nearest(self, p: np.ndarray) -> np.ndarray:
-        """The orbit point nearest p, for each row of p (shape (dim,) or
-        (k, dim)); an exact tie goes to the lexicographically first point.
+        """The orbit point nearest p, for one point (shape (dim,)) or for
+        each row of p (shape (k, dim)); an exact tie goes to the
+        lexicographically first point.
 
         A puts the sorted roots in p's rank order (the rearrangement
         inequality); B puts the sorted moduli in the rank order of |p| with
         p's signs; D then flips, if the sign parity is wrong, the coordinate
-        with the least |v_i p_i|."""
+        with the least |v_i p_i|.  These only permute and flip signs, so a
+        point gets the same bits alone as in a block."""
         p = np.asarray(p, dtype=float)
-        rows = np.atleast_2d(p)
         if self.group.kind == "I2":
-            d = np.linalg.norm(self.spectrum[None, :, :] - rows[:, None, :], axis=2)
+            d = np.linalg.norm(self.spectrum[None, :, :] - np.atleast_2d(p)[:, None, :], axis=2)
             return self.spectrum[np.argmin(d, axis=1)].reshape(p.shape)
+        if p.ndim == 2:
+            return self._nearest_rows(p)
+        n = p.size
+        v = np.empty(n)
+        if self.group.kind == "A":
+            v[np.argsort(p, kind="stable")] = self.spectrum
+            return v
+        # within a tie of |p|, positive coordinates take the smallest moduli
+        # in index order and the others the largest: the lexicographic first
+        a, neg, idx = np.abs(p), ~(p > 0.0), np.arange(n)
+        v[np.lexsort((np.where(neg, -idx, idx), neg, a))] = self.spectrum
+        v = np.where(neg, -v, v) + 0.0  # + 0.0 turns -0.0 into 0.0
+        parity = self.parity
+        if parity and (np.count_nonzero(v < 0.0) % 2 == 1) != (parity < 0.0):
+            # the least |v_i p_i| sits at the least |p_i|, on its least
+            # modulus; a tie flips its first positive p_i, else its last
+            av = np.abs(v)
+            cand = a == a.min()
+            cand &= av == av[cand].min()
+            pos = cand & (p > 0.0)
+            j = pos.argmax() if pos.any() else n - 1 - cand[::-1].argmax()
+            v[j] = -v[j]
+        return v
+
+    def _nearest_rows(self, rows: np.ndarray) -> np.ndarray:
+        """nearest for each row of rows at once, by the same rule."""
         spectrum = np.broadcast_to(self.spectrum, rows.shape)
         v = np.empty_like(rows)
         if self.group.kind == "A":
             np.put_along_axis(v, np.argsort(rows, axis=1, kind="stable"), spectrum, axis=1)
-            return v.reshape(p.shape)
-        # within a tie of |p|, positive coordinates take the smallest moduli
-        # in index order and the others the largest: the lexicographic first
+            return v
         n = self.group.dim
         idx = np.broadcast_to(np.arange(n), rows.shape)
         a = np.abs(rows)
         neg = ~(rows > 0.0)
         order = np.lexsort((np.where(neg, -idx, idx), neg, a), axis=1)
         np.put_along_axis(v, order, spectrum, axis=1)
-        v = np.where(neg, -v, v) + 0.0  # + 0.0 turns -0.0 into 0.0
+        v = np.where(neg, -v, v) + 0.0
         if self.parity:
             wrong = np.flatnonzero((np.count_nonzero(v < 0.0, axis=1) % 2 == 1) != (self.parity < 0.0))
             if wrong.size:
-                # the least |v_i p_i| sits at the least |p_i|, on its least
-                # modulus; a tie flips its first positive p_i, else its last
                 av, aw = np.abs(v[wrong]), a[wrong]
                 cand = aw == aw.min(axis=1, keepdims=True)
                 cand &= av == np.where(cand, av, np.inf).min(axis=1, keepdims=True)
                 pos = cand & (rows[wrong] > 0.0)
                 j = np.where(pos.any(axis=1), pos.argmax(axis=1), n - 1 - cand[:, ::-1].argmax(axis=1))
                 v[wrong, j] = -v[wrong, j]
-        return v.reshape(p.shape)
+        return v
 
     def points(self) -> list[np.ndarray]:
         """Every orbit point, deduplicated to 1e-10 and sorted
@@ -459,33 +523,96 @@ class Orbit:
         return _dedup_points(pts)
 
 
+def orbits_at(map_: OrbitMapSigma, rows, tol: float = 1e-10) -> OrbitBlock:
+    """The orbits sigma^{-1}(y) of the rows y of an (N, n) block, solved as
+    a block.  A, B and D take one hyperpoly.roots_batch call on the rows'
+    polynomials: A's rows as given, B's squares polynomial (its roots are
+    the squared coordinates), D's with y_n^2 as its last coefficient.  I2
+    inverts each row in closed form.
+
+    The first row that has no orbit raises, with its row as `index`:
+    NotInImage when it is not in the image, ToleranceViolation when it
+    only fits within the widened (tol, 10*tol] band (the input is ill-posed
+    at this tolerance), or RootSolveFailed from the root solve.  A row the
+    block solve refuses is retried alone at 10*tol, after the rows before
+    it are checked."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("rows must be an (N, n) array")
+    if rows.shape[1] != map_.n_invariants:
+        raise DimensionMismatch(
+            f"value has dim {rows.shape[1]}, sigma has {map_.n_invariants} components"
+        )
+    group = map_.group
+    if group.kind == "I2":
+        return _dihedral_block(map_, rows, tol)
+    a = rows
+    if group.kind == "D":
+        # y_n^2 by pow on each scalar: numpy squares an array by a product,
+        # which can differ in the last bit
+        a = np.column_stack([rows[:, :-1], [y**2 for y in rows[:, -1]]])
+    # a row that is not finite (y_n^2 can overflow) ends the block solve
+    finite = np.isfinite(a).all(axis=1)
+    stop = a.shape[0] if finite.all() else int(np.argmin(finite))
+    failed = None
+    try:
+        vals = hyperpoly.roots_batch(a[:stop], tol)[0]
+    except (NotHyperbolic, RootSolveFailed) as exc:
+        stop, failed = exc.index, exc
+    if failed is not None:
+        vals = hyperpoly.roots_batch(a[:stop], tol)[0]
+    spectra = vals if group.kind == "A" else _sqrt_spectra(a[:stop], vals, tol)
+    if stop < a.shape[0]:
+        _refused_row(group, a, stop, failed, tol)
+    parity = np.zeros(stop)
+    if group.kind == "D":
+        # D keeps the sign patterns whose product has the sign of y_n; with
+        # a zero coordinate both signs reach the same points (the floor by
+        # pow on floats: np.sqrt can differ in the last bit)
+        floor = [(tol * (1.0 + m)) ** 0.5 for m in np.max(np.abs(rows), axis=1).tolist()]
+        parity = np.where(spectra.min(axis=1) <= floor, 0.0, np.sign(rows[:, -1]))
+    return _chamber_block(group, spectra, parity)
+
+
+def _refused_row(group: ReflectionGroup, a: np.ndarray, k: int, failed, tol: float):
+    """Raise the error of row k of the polynomial block a, which the block
+    solve refused (failed: its error, None for a row that is not finite),
+    as the row alone gives it: a row found hyperbolic only at 10*tol is in
+    the widened band, or outside the image if a B/D square lies below it."""
+    if failed is None:
+        hyperpoly.MonicHyperbolic(a[k])  # raises: the row is not finite
+    if isinstance(failed, RootSolveFailed):
+        raise failed
+    try:
+        vals = hyperpoly.roots_batch(a[k : k + 1], 10.0 * tol)[0]
+    except NotHyperbolic:
+        raise NotInImage("not in the orbit-map image", index=k) from None
+    except RootSolveFailed as exc:
+        exc.index = k
+        raise
+    if group.kind != "A":
+        try:
+            _sqrt_spectra(a[k : k + 1], vals, tol)
+        except (NotInImage, ToleranceViolation) as exc:
+            exc.index = k
+            raise
+    raise ToleranceViolation(_BAND, index=k)
+
+
 def orbit_at(map_: OrbitMapSigma, y, tol: float = 1e-10) -> Orbit | None:
-    """The orbit sigma^{-1}(y), or None when y is not in the image.  Raises
-    ToleranceViolation when y only fits within the widened (tol, 10*tol]
-    band: the input is ill-posed at this tolerance."""
+    """The orbit sigma^{-1}(y), or None when y is not in the image: the
+    one-row case of orbits_at.  Raises ToleranceViolation when y only fits
+    within the widened (tol, 10*tol] band: the input is ill-posed at this
+    tolerance."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != map_.n_invariants:
         raise DimensionMismatch(
             f"value has dim {y.size}, sigma has {map_.n_invariants} components"
         )
-    group = map_.group
-    if group.kind == "I2":
-        pts = _fiber_dihedral(map_, y, tol)
-        return Orbit(group, np.array(pts)) if pts else None
-    n = group.dim
-    if group.kind == "A":
-        s, near = _roots_in_band(y, tol)
-    else:
-        a = y if group.kind == "B" else np.concatenate([y[: n - 1], [y[n - 1] ** 2]])
-        s, near = _sqrt_spectrum(a, tol)
-    if s is None:
+    try:
+        return orbits_at(map_, y[None, :], tol)[0]
+    except NotInImage:
         return None
-    if near:
-        raise ToleranceViolation("orbit-space point within (tol, 10*tol] of the image")
-    # D keeps the sign patterns whose product has the sign of y_n; with a
-    # zero coordinate both signs reach the same points
-    keep_all = group.kind != "D" or bool(np.min(s) <= (tol * (1.0 + float(np.max(np.abs(y))))) ** 0.5)
-    return Orbit(group, s, 0.0 if keep_all else float(np.sign(y[n - 1])))
 
 
 def fiber(map_: OrbitMapSigma, y, tol: float = 1e-10) -> list[np.ndarray]:
@@ -496,15 +623,19 @@ def fiber(map_: OrbitMapSigma, y, tol: float = 1e-10) -> list[np.ndarray]:
     return [] if orb is None else orb.points()
 
 
-def _sqrt_spectrum(coeffs_a: np.ndarray, tol: float) -> tuple[np.ndarray | None, bool]:
-    """Nonnegative square roots of the roots of the squares-polynomial."""
-    vals, near = _roots_in_band(coeffs_a, tol)
-    if vals is None:
-        return None, False
-    scale = 1.0 + float(np.max(np.abs(coeffs_a)))
-    lo = float(vals.min())
-    if lo < -10.0 * tol * scale:
-        return None, False
+def _sqrt_spectra(a: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
+    """Nonnegative square roots of the roots vals of each row's
+    squares-polynomial (coefficients a).  The first row whose least root
+    lies below -tol*scale raises, with its row as `index`: NotInImage below
+    -10*tol*scale, ToleranceViolation above it."""
+    scale = 1.0 + np.max(np.abs(a), axis=1)
+    lo = np.min(vals, axis=1)
+    below = np.flatnonzero(lo < -tol * scale)
+    if below.size:
+        k = int(below[0])
+        if lo[k] < -10.0 * tol * scale[k]:
+            raise NotInImage("not in the orbit-map image", index=k)
+        raise ToleranceViolation(_BAND, index=k)
     # a root within rounding noise of 0 is 0, as its square root would be
     # sqrt(noise), far above the noise itself: a root below that noise at
     # the scale of the largest root (not of the coefficients, which grow
@@ -512,17 +643,47 @@ def _sqrt_spectrum(coeffs_a: np.ndarray, tol: float) -> tuple[np.ndarray | None,
     # constant term of the polynomial with the zero roots divided out is
     # within its Horner noise at the next root; a cluster the solver gives
     # as one repeated value is zero as a whole or not at all
-    n = vals.size
+    m, n = vals.shape
     gamma = 2.0 * (n + 1) * np.finfo(float).eps
-    zero = vals <= 2.0 * gamma * (1.0 + max(float(vals[-1]), 0.0))
-    c = np.abs(np.concatenate([[1.0], coeffs_a]))
-    k = 0
-    while k < n and c[n - k] <= gamma * np.polyval(c[: n - k + 1], abs(float(vals[k]))):
-        k += 1
-    if k < n:
-        k = int(np.searchsorted(vals, vals[k]))
-    zero[:k] = True
-    return np.sqrt(np.where(zero, 0.0, vals)), near or lo < -tol * scale
+    zero = vals <= (2.0 * gamma * (1.0 + np.maximum(vals[:, -1], 0.0)))[:, None]
+    c = np.abs(np.concatenate([np.ones((m, 1)), a], axis=1))
+    k = np.zeros(m, dtype=int)
+    live = np.arange(m)
+    for j in range(n):
+        x = np.abs(vals[live, j])
+        horner = np.zeros(live.size)  # np.polyval's operations
+        for col in range(n - j + 1):
+            horner = horner * x + c[live, col]
+        live = live[c[live, n - j] <= gamma * horner]
+        if not live.size:
+            break
+        k[live] = j + 1
+    # the whole run of values equal to the first nonzero one stays nonzero
+    at = np.take_along_axis(vals, np.minimum(k, n - 1)[:, None], axis=1)
+    k = np.where(k < n, np.count_nonzero(vals < at, axis=1), k)
+    zero |= np.arange(n) < k[:, None]
+    return np.sqrt(np.where(zero, 0.0, vals))
+
+
+def _dihedral_block(map_: OrbitMapSigma, rows: np.ndarray, tol: float) -> OrbitBlock:
+    """The I2 orbits of the rows, each from _fiber_dihedral; the first row
+    that has none raises as in orbits_at."""
+    spectra = []
+    for i, y in enumerate(rows):
+        try:
+            pts = _fiber_dihedral(map_, y, tol)
+        except ToleranceViolation as exc:
+            exc.index = i
+            raise
+        if not pts:
+            raise NotInImage("not in the orbit-map image", index=i)
+        spectra.append(np.array(pts))
+    return OrbitBlock(
+        map_.group, spectra, np.zeros(len(spectra)),
+        np.array([len(p) for p in spectra], dtype=object),
+        np.array([_least_distance(p) for p in spectra]),
+        np.array([float(np.max(np.abs(p))) for p in spectra]),
+    )
 
 
 def _fiber_dihedral(map_: OrbitMapSigma, y, tol: float) -> list[np.ndarray]:

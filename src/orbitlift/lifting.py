@@ -1,8 +1,11 @@
 """Lift orbit-space curves through the invariant map, with certified regularity.
 
 A lift is a curve in V whose sigma-image reproduces the input curve.  Each
-grid sample contributes its fiber, one group orbit, held as an
-`invariants.Orbit`; the lift threads one point per orbit.  Away from
+grid sample contributes its fiber, one group orbit.  The orbits of a grid
+are solved as one block (`invariants.orbits_at`, one root solve for the
+grid), which also gives their sizes and least distances, so the collision
+test runs over the whole grid at once; the lift threads one point per
+orbit, reading each through its row view, an `invariants.Orbit`.  Away from
 collisions the thread follows linear extrapolation matched to the nearest
 orbit point, which the orbit computes from its sorted spectrum (its point in
 the closed fundamental chamber) without listing the orbit.  Where orbit
@@ -26,8 +29,8 @@ import numpy as np
 
 from . import regcheck
 from .curvedsl import CoeffCurve, Grid
-from .errors import DimensionMismatch, NotInImageAt, RootSolveFailed, ToleranceViolation
-from .invariants import Orbit, OrbitMapSigma, ReflectionGroup, fiber, orbit_at
+from .errors import DimensionMismatch, NotInImage, NotInImageAt, RootSolveFailed, ToleranceViolation
+from .invariants import OrbitBlock, OrbitMapSigma, ReflectionGroup, fiber, orbits_at
 from .regcheck import VERDICT_RANK, RegularityReport
 from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
 
@@ -61,10 +64,7 @@ def verify_lift(map_: OrbitMapSigma, lift: LiftResult, curve: CoeffCurve) -> flo
 
 def _residual(map_: OrbitMapSigma, values: np.ndarray, rows: np.ndarray) -> float:
     """sup over samples of |sigma(values[i]) - rows[i]|."""
-    worst = 0.0
-    for i in range(values.shape[0]):
-        worst = max(worst, float(np.max(np.abs(map_.evaluate(values[i]) - rows[i]))))
-    return worst
+    return float(np.max(np.abs(map_.evaluate(values) - rows)))
 
 
 def _evidence(values: np.ndarray, grid: Grid, levels: int) -> tuple[tuple[RegularityReport, ...], float]:
@@ -78,17 +78,15 @@ def _evidence(values: np.ndarray, grid: Grid, levels: int) -> tuple[tuple[Regula
     return reports, float(steps.max()) if steps.size else 0.0
 
 
-def _orbits_at(map_: OrbitMapSigma, rows: np.ndarray, tpts: np.ndarray, tol: float) -> list[Orbit]:
-    out = []
-    for i in range(rows.shape[0]):
-        try:
-            orb = orbit_at(map_, rows[i], tol)
-        except (RootSolveFailed, ToleranceViolation) as exc:
-            raise type(exc)(f"{exc} (at t={float(tpts[i])!r})") from None
-        if orb is None:
-            raise NotInImageAt(float(tpts[i]))
-        out.append(orb)
-    return out
+def _orbits_at(map_: OrbitMapSigma, rows: np.ndarray, tpts: np.ndarray, tol: float) -> OrbitBlock:
+    """The orbits of the curve values rows at the times tpts, as one block;
+    the first sample without an orbit raises, naming its t."""
+    try:
+        return orbits_at(map_, rows, tol)
+    except NotInImage as exc:
+        raise NotInImageAt(float(tpts[exc.index])) from None
+    except (RootSolveFailed, ToleranceViolation) as exc:
+        raise type(exc)(f"{exc} (at t={float(tpts[exc.index])!r})") from None
 
 
 def _nearest(f: np.ndarray, p: np.ndarray) -> int:
@@ -112,19 +110,14 @@ def _track(orbits, start: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _risky(orbits, eps: float) -> np.ndarray:
+def _risky(orbits: OrbitBlock, eps: float) -> np.ndarray:
     """Samples whose orbit points come within eps of each other, or whose
     orbit size differs from a neighbour's (an orbit-type change)."""
-    counts = [o.size for o in orbits]
-    N = len(orbits)
-    return np.array(
-        [
-            orbits[i].min_distance < eps
-            or (i > 0 and counts[i] != counts[i - 1])
-            or (i + 1 < N and counts[i] != counts[i + 1])
-            for i in range(N)
-        ]
-    )
+    risky = orbits.min_distance < eps
+    change = orbits.sizes[1:] != orbits.sizes[:-1]
+    risky[1:] |= change
+    risky[:-1] |= change
+    return risky
 
 
 @dataclass
@@ -224,7 +217,7 @@ def lift_curve(
     orbits = _orbits_at(map_, rows, tpts, tol)
     N = len(orbits)
     dim = group.dim
-    scale = max(max(o.max_abs for o in orbits), 1e-30)
+    scale = max(float(np.max(orbits.max_abs)), 1e-30)
     eps = _EPS_FACTOR * scale
     risky = _risky(orbits, eps)
     values = np.empty((N, dim))

@@ -5,6 +5,7 @@ from orbitlift import invariants as inv
 from orbitlift.errors import (
     DimensionMismatch,
     EnumerationTooLarge,
+    NotInImage,
     RootSolveFailed,
     ToleranceViolation,
     UnsupportedParameter,
@@ -448,3 +449,96 @@ class TestOrbitClosedForms:
         assert np.allclose(orb.nearest(np.arange(1.0, 7.0)), [0.3, 0.7, 1.1, 1.5, 1.9, 2.3])
         with pytest.raises(EnumerationTooLarge):
             inv.fiber(m, orb)
+
+
+BLOCK_GROUPS = [f"A:{n}" for n in range(1, 7)] + [f"B:{n}" for n in range(2, 6)] + [
+    f"D:{n}" for n in range(3, 6)]
+
+
+def _hard_points(g, rng, count):
+    """count seeded points of g's space, most of them on or near the places
+    where an orbit degenerates: zero and near-zero coordinates, coordinates
+    equal within 1e-10 rounding, mirrors, and both signs of D's product."""
+    pts = rng.uniform(-3.0, 3.0, (count, g.dim))
+    kinds = rng.integers(0, 8, count)
+    for v, kind in zip(pts, kinds):
+        i, j = rng.choice(g.dim, 2, replace=False)
+        if kind == 1:
+            v[i] = 0.0
+        elif kind == 2:
+            v[i] = 10.0 ** rng.uniform(-12.0, -5.0) * rng.choice([-1.0, 1.0])
+        elif kind == 3:
+            v[i] = v[j] + rng.uniform(-3e-11, 3e-11)  # one value after rounding to 1e-10
+        elif kind == 4:
+            v[i] = v[j]  # a mirror of A
+        elif kind == 5:
+            v[i] = -v[j]  # a mirror of B and D
+        elif kind == 6:
+            v[:] = 0.0
+            v[: g.dim // 2] = 1.5
+        elif kind == 7:
+            v[i] = -v[i]  # for D: the other parity of a neighbour's product
+    if g.label == "B:4":
+        pts[0] = [100.0, 100.0, 100.0, 0.05]
+    return pts
+
+
+class TestBlockSigma:
+    @pytest.mark.parametrize("spec", BLOCK_GROUPS + ["I2:2", "I2:3", "I2:5", "I2:8"])
+    def test_rows_match_the_point(self, spec):
+        import zlib
+
+        g = inv.parse_group(spec)
+        m = inv.orbit_map(g)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()))
+        pts = _hard_points(g, rng, 200)
+        if g.kind == "D":
+            assert (np.prod(pts, axis=1) < 0.0).any() and (np.prod(pts, axis=1) == 0.0).any()
+        block = m.evaluate(pts)
+        assert block.shape == (len(pts), m.n_invariants)
+        for v, row in zip(pts, block):
+            assert row.tobytes() == m.evaluate(v).tobytes(), v
+
+    def test_block_dimension_mismatch(self):
+        m = inv.orbit_map(inv.make_group("B", 2))
+        with pytest.raises(DimensionMismatch):
+            m.evaluate(np.zeros((4, 3)))
+
+
+class TestOrbitsAt:
+    """A block's orbits against the one-row solve of each of its rows, on
+    blocks large enough for the root engine's array kernels."""
+
+    @pytest.mark.parametrize("spec", BLOCK_GROUPS)
+    def test_rows_match_the_one_row_solve(self, spec):
+        import zlib
+
+        g = inv.parse_group(spec)
+        m = inv.orbit_map(g)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()) + 1)
+        rows = m.evaluate(_hard_points(g, rng, 160))
+        block = inv.orbits_at(m, rows)
+        assert len(block) == len(rows)
+        if g.kind == "D":
+            assert {-1.0, 0.0, 1.0} <= set(block.parity.tolist())
+        for i, y in enumerate(rows):
+            one = inv.orbit_at(m, y)
+            orb = block[i]
+            assert orb.spectrum.tobytes() == one.spectrum.tobytes(), y
+            assert orb.parity == one.parity
+            assert orb.size == one.size
+            assert orb.min_distance == one.min_distance
+        # a slice is a block of the same rows
+        part = block[5:9]
+        assert len(part) == 4 and part[0].spectrum.tobytes() == block[5].spectrum.tobytes()
+
+    def test_first_failing_row_raises_with_its_index(self):
+        m = inv.orbit_map(inv.parse_group("B:2"))
+        good, band, outside = [2.0, 1.0], [1.0 - 3e-10, -3e-10], [0.0, 1.0]
+        with pytest.raises(ToleranceViolation) as exc:
+            inv.orbits_at(m, np.array([good, good, band, outside]))
+        assert exc.value.index == 2
+        with pytest.raises(NotInImage) as exc:
+            inv.orbits_at(m, np.array([good, outside, band]))
+        assert exc.value.index == 1
+        assert inv.orbit_at(m, outside) is None

@@ -71,6 +71,48 @@ class TestLiftCurve:
         with pytest.raises(RootSolveFailed, match=r"\(at t=-1\.0\)$"):
             lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 2))
 
+    @staticmethod
+    def _switching_curve(rows, starts):
+        """A curve equal to rows[k] from t = starts[k] on: its values change
+        at the given samples, so that a failing row need not be the first."""
+
+        def column(j):
+            return lambda t: np.select([t >= s for s in starts[::-1]], [r[j] for r in rows[::-1]])
+
+        return cd.CoeffCurve(tuple(column(j) for j in range(len(rows[0]))))
+
+    @pytest.mark.parametrize("spec,good,band,outside", [
+        # x^2 - 1, then x^2 + 5e-10 (hyperbolic only at 10*tol), then x^2 + 1
+        ("A:1", [0.0, -1.0], [0.0, 5e-10], [0.0, 1.0]),
+        # squared coordinates (1, 2), then (-3e-10, 1), then a complex pair
+        ("B:2", [3.0, 2.0], [1.0 - 3e-10, -3e-10], [0.0, 1.0]),
+    ])
+    def test_band_row_before_a_row_outside_the_image(self, spec, good, band, outside):
+        g, m = group_and_map(spec)
+        curve = self._switching_curve([good, band, outside], [-1.0, -0.25, 0.25])
+        with pytest.raises(ToleranceViolation, match=r"of the image \(at t=-0\.25\)$"):
+            lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 3))
+
+    def test_negative_square_names_its_row(self):
+        # squared coordinates (-1e-6, 1): in the image of no B:2 point;
+        # the complex pair after it must not be reported first
+        g, m = group_and_map("B:2")
+        curve = self._switching_curve([[3.0, 2.0], [1.0 - 1e-6, -1e-6], [0.0, 1.0]], [-1.0, 0.0, 0.5])
+        with pytest.raises(NotInImageAt) as exc:
+            lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 3))
+        assert exc.value.t == 0.0
+
+    def test_failed_backward_check_after_good_rows_names_its_t(self):
+        g, m = group_and_map("A:7")
+        bad = inv.sigma(m, [
+            -329.45042372721525, -329.45042372721525, -329.4682812195976, -329.4500942348529,
+            -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
+        ])
+        good = inv.sigma(m, np.arange(1.0, 9.0))
+        curve = self._switching_curve([good, bad], [-1.0, 0.5])
+        with pytest.raises(RootSolveFailed, match=r"backward check.*\(at t=0\.5\)$"):
+            lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 3))
+
     def test_constant_curve_with_coefficients_near_1e12(self):
         # sigma of the B:4 point (100, 100, 100, 0.05): its lift stays on the orbit
         g, m = group_and_map("B:4")
