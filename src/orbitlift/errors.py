@@ -84,6 +84,16 @@ class ToleranceViolation(OrbitLiftError):
         self.index = index
 
 
+class NotFinite(OrbitLiftError):
+    """An orbit-space point that is not finite, or whose solve would
+    overflow (D's y_n^2, I2's r^m): outside what the solver handles.
+    `index` is the row of a block it was found in, or None."""
+
+    def __init__(self, message: str = "", index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
 class NotInImage(OrbitLiftError):
     """An orbit-space point outside the image of the invariant map; `index`
     is the row of a block it was found in, or None."""

@@ -13,12 +13,14 @@ so sigma is bitwise invariant under any exactly-represented group element
 
 A fiber sigma^{-1}(y) is one orbit.  The orbits of a block of values y,
 such as the samples of a curve, are solved as one block (orbits_at): A, B
-and D by one hyperpoly.roots_batch call on the whole block, I2(m) row by
-row, inverting (|z|^2, Re z^m) in closed form,
+and D by one hyperpoly.roots_batch call on the whole block, I2(m) by
+inverting (|z|^2, Re z^m) in closed form on the whole block,
 z = r exp(i(+-theta + 2 pi k / m)) with m theta = arccos(y_2 / r^m).  The
 block holds each orbit by its chamber point and computes the orbit sizes
 and least distances over all its rows; an Orbit is a view of one row, and
-orbit_at is the one-row case of orbits_at.
+orbit_at is the one-row case of orbits_at.  An Orbit answers the nearest
+point, the reflection images of a point and the rank of a point in the
+lexicographic listing of the orbit, all without listing it.
 
 The k-data come in closed form, without enumerating the group.  A point's
 stabilizer is the parabolic subgroup of the walls through it (Steinberg's
@@ -29,6 +31,7 @@ D(n) and m for I2(m).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -39,6 +42,7 @@ from . import hyperpoly
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
+    NotFinite,
     NotHyperbolic,
     NotInImage,
     RootSolveFailed,
@@ -355,11 +359,13 @@ class OrbitBlock:
     moduli, one row of `spectra` per orbit.  The orbit sizes and the least
     distances between two orbit points follow from those rows without
     enumerating an orbit, and are computed over the whole block.  I2 keeps
-    each orbit's at most 2m points instead, which its closed form gives.
+    each orbit's at most 2m points instead, which its closed form gives
+    for the whole block at once.
 
     Coordinates equal after rounding to 1e-10 count as one value, as in the
-    enumeration `Orbit.points()`, which is what `fiber` returns.  Indexing
-    gives an `Orbit`, a view of one row; slicing gives a block of rows."""
+    enumeration `Orbit.points()` (`fiber`), which the tests hold the closed
+    forms to.  Indexing gives an `Orbit`, a view of one row; slicing gives a
+    block of rows."""
 
     group: ReflectionGroup
     spectra: np.ndarray | list  # (N, n); I2: a list of N point arrays
@@ -415,18 +421,11 @@ def _chamber_block(group: ReflectionGroup, spectra: np.ndarray, parity: np.ndarr
     return OrbitBlock(group, spectra, parity, sizes, dist, np.max(np.abs(spectra), axis=1))
 
 
-def _least_distance(pts: np.ndarray) -> float:
-    """Least distance between two of the points, inf for one point."""
-    if len(pts) < 2:
-        return np.inf
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    return float(np.min(d[np.triu_indices(len(pts), 1)]))
-
-
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """One orbit of an OrbitBlock, a view of its row, which answers the
-    nearest point without enumerating the orbit."""
+    nearest point, a point's reflection images and its rank without
+    enumerating the orbit."""
 
     group: ReflectionGroup
     spectrum: np.ndarray  # A: sorted roots; B, D: sorted moduli; I2: every point
@@ -504,9 +503,73 @@ class Orbit:
                 v[wrong, j] = -v[wrong, j]
         return v
 
+    def neighbours(self, pts: np.ndarray) -> np.ndarray:
+        """Orbit points that include every point joined to a row of pts by
+        an edge of the orbit's convex hull: for A, B and D the images of the
+        rows under the group's reflections, (k * reflections, dim); for I2
+        every orbit point.  A D orbit whose parity is free (a modulus near
+        0) is listed with every sign pattern, so it takes B's reflections."""
+        if self.group.kind == "I2":
+            return self.spectrum
+        kind = "B" if self.group.kind == "D" and not self.parity else self.group.kind
+        index, sign = _reflections(self.group.dim, kind)
+        return (pts[:, index] * sign).reshape(-1, self.group.dim)
+
+    def ranks(self, pts: np.ndarray) -> list[int]:
+        """The index in `points()` of each orbit point of pts, (k, dim),
+        without listing the orbit: its lexicographic rank among the orbit
+        points, with coordinates rounded to 1e-10 as there.  Each coordinate
+        adds the points that agree with it before it and are smaller there:
+        the arrangements of the values left (a multiset permutation count),
+        times their sign patterns for B and D, half of them for D with a
+        fixed parity.  I2 gives the index of the listed point nearest each."""
+        if self.group.kind == "I2":
+            d = np.linalg.norm(self.spectrum[None, :, :] - pts[:, None, :], axis=2)
+            return np.argmin(d, axis=1).tolist()
+        mods = np.round(self.spectrum, _DEDUP_DECIMALS).tolist()
+        values = sorted(set(mods))
+        signed = self.group.kind != "A"
+        fixed = signed and bool(self.parity)
+        # the values a coordinate can take, ascending, with their moduli
+        options = sorted(
+            (w, j) for j, v in enumerate(values) for w in ((-v, v) if signed and v else (v,)))
+        start = [mods.count(v) for v in values]
+        perms0 = math.factorial(len(mods)) // math.prod(math.factorial(c) for c in start)
+        out = []
+        for x in np.round(pts, _DEDUP_DECIMALS).tolist():
+            count = start.copy()
+            left, nonzero, negative = len(mods), len(mods) - mods.count(0.0), 0
+            perms = perms0
+            rank = 0
+            for s in x:
+                for w, j in options:
+                    if w >= s:
+                        break
+                    if not count[j]:
+                        continue
+                    rest = perms * count[j] // left  # arrangements after placing w
+                    if not signed:
+                        rank += rest
+                    elif not fixed:
+                        rank += rest << (nonzero - (w != 0.0))
+                    elif left > 1:
+                        rank += rest << (left - 2)
+                    elif (negative + (w < 0.0)) % 2 == (self.parity < 0.0):
+                        rank += rest
+                j = values.index(abs(s) if signed else s)
+                perms = perms * count[j] // left
+                count[j] -= 1
+                left -= 1
+                nonzero -= values[j] != 0.0
+                negative += s < 0.0
+            out.append(rank)
+        return out
+
     def points(self) -> list[np.ndarray]:
         """Every orbit point, deduplicated to 1e-10 and sorted
-        lexicographically; EnumerationTooLarge past ENUM_LIMIT points."""
+        lexicographically; EnumerationTooLarge past ENUM_LIMIT points.
+        Nothing in the package lists an orbit: this is the tests' oracle
+        for the closed forms."""
         if self.group.kind == "I2":
             return [p.copy() for p in self.spectrum]
         if self.size > ENUM_LIMIT:
@@ -523,6 +586,28 @@ class Orbit:
         return _dedup_points(pts)
 
 
+@functools.lru_cache(maxsize=None)
+def _reflections(dim: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The reflections of A(dim-1), B(dim) or D(dim) as index and sign
+    tables: reflection k maps x to sign[k] * x[index[k]].  A swaps two
+    coordinates; D also swaps them with both signs flipped; B also flips
+    one sign."""
+    index, sign = [], []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            swap = list(range(dim))
+            swap[i], swap[j] = j, i
+            index.append(swap)
+            sign.append([1.0] * dim)
+            if kind != "A":
+                index.append(swap)
+                sign.append([-1.0 if k in (i, j) else 1.0 for k in range(dim)])
+        if kind == "B":
+            index.append(list(range(dim)))
+            sign.append([-1.0 if k == i else 1.0 for k in range(dim)])
+    return np.array(index), np.array(sign)
+
+
 def orbits_at(map_: OrbitMapSigma, rows, tol: float = 1e-10) -> OrbitBlock:
     """The orbits sigma^{-1}(y) of the rows y of an (N, n) block, solved as
     a block.  A, B and D take one hyperpoly.roots_batch call on the rows'
@@ -533,7 +618,8 @@ def orbits_at(map_: OrbitMapSigma, rows, tol: float = 1e-10) -> OrbitBlock:
     The first row that has no orbit raises, with its row as `index`:
     NotInImage when it is not in the image, ToleranceViolation when it
     only fits within the widened (tol, 10*tol] band (the input is ill-posed
-    at this tolerance), or RootSolveFailed from the root solve.  A row the
+    at this tolerance), NotFinite when it is not finite or its polynomial
+    overflows, or RootSolveFailed from the root solve.  A row the
     block solve refuses is retried alone at 10*tol, after the rows before
     it are checked."""
     rows = np.asarray(rows, dtype=float)
@@ -549,8 +635,9 @@ def orbits_at(map_: OrbitMapSigma, rows, tol: float = 1e-10) -> OrbitBlock:
     a = rows
     if group.kind == "D":
         # y_n^2 by pow on each scalar: numpy squares an array by a product,
-        # which can differ in the last bit
-        a = np.column_stack([rows[:, :-1], [y**2 for y in rows[:, -1]]])
+        # which can differ in the last bit; one that overflows is refused below
+        with np.errstate(over="ignore"):
+            a = np.column_stack([rows[:, :-1], [y**2 for y in rows[:, -1]]])
     # a row that is not finite (y_n^2 can overflow) ends the block solve
     finite = np.isfinite(a).all(axis=1)
     stop = a.shape[0] if finite.all() else int(np.argmin(finite))
@@ -580,7 +667,7 @@ def _refused_row(group: ReflectionGroup, a: np.ndarray, k: int, failed, tol: flo
     as the row alone gives it: a row found hyperbolic only at 10*tol is in
     the widened band, or outside the image if a B/D square lies below it."""
     if failed is None:
-        hyperpoly.MonicHyperbolic(a[k])  # raises: the row is not finite
+        raise NotFinite("the polynomial of the orbit-space point is not finite", index=k)
     if isinstance(failed, RootSolveFailed):
         raise failed
     try:
@@ -618,7 +705,9 @@ def orbit_at(map_: OrbitMapSigma, y, tol: float = 1e-10) -> Orbit | None:
 def fiber(map_: OrbitMapSigma, y, tol: float = 1e-10) -> list[np.ndarray]:
     """Full preimage sigma^{-1}(y) (a single orbit), or [] when y is not in
     the image: the enumeration of `orbit_at(map_, y, tol)`.  y may also be
-    an Orbit already solved for.  Raises ToleranceViolation as orbit_at."""
+    an Orbit already solved for.  Raises ToleranceViolation as orbit_at.
+    The package itself lists no orbit; this is the tests' enumeration
+    oracle for the closed forms of Orbit and OrbitBlock."""
     orb = y if isinstance(y, Orbit) else orbit_at(map_, y, tol)
     return [] if orb is None else orb.points()
 
@@ -666,61 +755,83 @@ def _sqrt_spectra(a: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _dihedral_block(map_: OrbitMapSigma, rows: np.ndarray, tol: float) -> OrbitBlock:
-    """The I2 orbits of the rows, each from _fiber_dihedral; the first row
-    that has none raises as in orbits_at."""
-    spectra = []
-    for i, y in enumerate(rows):
-        try:
-            pts = _fiber_dihedral(map_, y, tol)
-        except ToleranceViolation as exc:
-            exc.index = i
-            raise
-        if not pts:
+    """The I2(m) orbits of the rows in closed form, as one block: the points
+    r (cos, sin)(+-theta + 2 pi k / m) with r^2 = y_1 and
+    r^m cos(m theta) = y_2.  Within tol r^m below the mirror value
+    |y_2| = r^m (or the tol-ball above it) the point is on a mirror, and
+    within sqrt(tol) of 0 it is the origin.  Each row's points are
+    deduplicated to 1e-10 and sorted lexicographically, as `orbit` does.
+
+    The first row that has no orbit raises as in orbits_at.  pow and acos
+    run on each row's floats: numpy's array versions can differ from them
+    in the last bit."""
+    m = map_.group.param
+    scale = 1.0 + np.max(np.abs(rows), axis=1)
+    r2, target = rows[:, 0], rows[:, 1]
+    r = np.sqrt(np.maximum(r2, 0.0))
+    origin = r <= np.array([(tol * s) ** 0.5 for s in scale.tolist()])
+    rm = np.array([_pow(x, m) for x in r.tolist()])
+    excess = np.abs(target) - rm
+    finite = np.isfinite(rows).all(axis=1) & np.isfinite(rm)
+    outside = r2 < -10.0 * tol * scale
+    below = ~outside & (r2 < -tol * scale)
+    far = np.where(origin, np.abs(target), excess) > 10.0 * tol * scale
+    near = ~origin & (excess > tol * scale)
+    bad = np.flatnonzero(~finite | outside | below | far | near)
+    if bad.size:
+        i = int(bad[0])
+        if not finite[i]:
+            raise NotFinite("orbit-space point not finite, or its r^m overflows", index=i)
+        if below[i]:
+            raise ToleranceViolation("radius^2 within (tol, 10*tol] below zero", index=i)
+        if outside[i] or far[i]:
             raise NotInImage("not in the orbit-map image", index=i)
-        spectra.append(np.array(pts))
+        raise ToleranceViolation("cos(m*theta) target within (tol, 10*tol] above 1", index=i)
+    # snap to the mirror: arccos turns a (relative) rounding error e in
+    # cos(m theta) near +-1 into an angle sqrt(2 e) / m off it
+    on_mirror = origin | (excess >= -tol * rm)
+    cosine = np.where(on_mirror, np.copysign(1.0, target), target / np.where(on_mirror, 1.0, rm))
+    theta = np.array([math.acos(c) for c in cosine.tolist()]) / m
+    angles = theta[:, None] + 2.0 * math.pi * np.arange(m) / m
+    pts = r[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    # trig of multiples of pi/2 lands a few ulp off the axes (sin(pi) =
+    # 1.2e-16); snap, so that a point on an axis has an exact zero
+    pts[np.abs(pts) <= 1e-15 * r[:, None, None]] = 0.0
+    pts[origin] = 0.0
+    pts = np.concatenate([pts, pts * [1.0, -1.0]], axis=1)
+    # a mirror row keeps its m rotations, the origin its first point; the
+    # rest are padding, which sorts last
+    count = np.where(origin, 1, np.where(on_mirror, m, 2 * m))
+    live = np.arange(2 * m) < count[:, None]
+    keys = np.where(live[:, :, None], np.round(pts, _DEDUP_DECIMALS), np.inf)
+    order = np.lexsort((keys[:, :, 1], keys[:, :, 0]), axis=1)
+    keys = np.take_along_axis(keys, order[:, :, None], axis=1)
+    pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+    # of the points with one key the first one listed stays, as in _dedup_points
+    live = np.take_along_axis(live, order, axis=1)
+    live[:, 1:] &= (keys[:, 1:] != keys[:, :-1]).any(axis=2)
+    pts = np.take_along_axis(pts, np.argsort(~live, axis=1, kind="stable")[:, :, None], axis=1)
+    sizes = live.sum(axis=1)
+    pts[np.arange(2 * m) >= sizes[:, None]] = np.nan
+    # the least distance over the pairs (j, j + shift), by the norm's own
+    # operations; O(N m) memory for any m
+    least = np.full(len(rows), np.inf)
+    for shift in range(1, 2 * m):
+        d = pts - np.roll(pts, -shift, axis=1)
+        norms = np.sqrt(d[:, :, 0] * d[:, :, 0] + d[:, :, 1] * d[:, :, 1])
+        least = np.fmin(least, np.fmin.reduce(norms, axis=1))
     return OrbitBlock(
-        map_.group, spectra, np.zeros(len(spectra)),
-        np.array([len(p) for p in spectra], dtype=object),
-        np.array([_least_distance(p) for p in spectra]),
-        np.array([float(np.max(np.abs(p))) for p in spectra]),
+        map_.group, [p[:k] for p, k in zip(pts, sizes.tolist())], np.zeros(len(rows)),
+        np.array(sizes.tolist(), dtype=object), least, np.nanmax(np.abs(pts), axis=(1, 2)),
     )
 
 
-def _fiber_dihedral(map_: OrbitMapSigma, y, tol: float) -> list[np.ndarray]:
-    """sigma^{-1}(y) for I2(m) in closed form: the points
-    r (cos, sin)(+-theta + 2 pi k / m) with r^2 = y_1 and
-    r^m cos(m theta) = y_2.  Within tol r^m below the mirror value
-    |y_2| = r^m (or the tol-ball above it) the point is on a mirror."""
-    m = map_.group.param
-    scale = 1.0 + float(np.max(np.abs(y)))
-    r2, target = float(y[0]), float(y[1])
-    if r2 < -10.0 * tol * scale:
-        return []
-    if r2 < -tol * scale:
-        raise ToleranceViolation("radius^2 within (tol, 10*tol] below zero")
-    r = math.sqrt(max(r2, 0.0))
-    if r <= (tol * scale) ** 0.5:
-        if abs(target) > 10.0 * tol * scale:
-            return []
-        return [np.zeros(2)]
-    rm = r**m
-    excess = abs(target) - rm
-    if excess > 10.0 * tol * scale:
-        return []
-    if excess > tol * scale:
-        raise ToleranceViolation("cos(m*theta) target within (tol, 10*tol] above 1")
-    # snap to the mirror: arccos turns a (relative) rounding error e in
-    # cos(m theta) near +-1 into an angle sqrt(2 e) / m off it
-    on_mirror = excess >= -tol * rm
-    theta = math.acos(math.copysign(1.0, target) if on_mirror else target / rm) / m
-    angles = theta + 2.0 * math.pi * np.arange(m) / m
-    pts = r * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    # trig of multiples of pi/2 lands a few ulp off the axes (sin(pi) =
-    # 1.2e-16); snap, so that a point on an axis has an exact zero
-    pts[np.abs(pts) <= 1e-15 * r] = 0.0
-    if not on_mirror:
-        pts = np.concatenate([pts, pts * [1.0, -1.0]])
-    return _dedup_points(pts)
+def _pow(x: float, e: int) -> float:
+    """x**e by Python's pow, inf where it overflows."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
 
 
 def _dedup_points(points) -> list[np.ndarray]:

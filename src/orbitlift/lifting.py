@@ -15,9 +15,11 @@ orbit right after the window are ranked by their distance from the linear
 continuation of the incoming strand (slope jump and curvature as
 tie-breakers), and `windows.resolve_window` refines the window until that
 choice is stable.  Windows it leaves unresolved are flagged, with a
-nearest-point fallback inside.  Those exit candidates and the swap log's two
-ranks are the only orbits enumerated (by `fiber`), so a group whose orbits
-exceed `ENUM_LIMIT` points fails at its first window.
+nearest-point fallback inside.  No orbit is listed: the exit candidates are
+the nearest point to the prediction and its reflection closure within the
+tie width, and every candidate and swap-log entry is keyed by its rank in
+its orbit, which `Orbit.ranks` counts in closed form.  So orbits of any
+size lift, past `ENUM_LIMIT` too.
 """
 
 from __future__ import annotations
@@ -29,8 +31,19 @@ import numpy as np
 
 from . import regcheck
 from .curvedsl import CoeffCurve, Grid
-from .errors import DimensionMismatch, NotInImage, NotInImageAt, RootSolveFailed, ToleranceViolation
-from .invariants import OrbitBlock, OrbitMapSigma, ReflectionGroup, fiber, orbits_at
+from .errors import (
+    DimensionMismatch,
+    NotFinite,
+    NotInImage,
+    NotInImageAt,
+    RootSolveFailed,
+    ToleranceViolation,
+)
+from .invariants import Orbit, OrbitBlock, OrbitMapSigma, ReflectionGroup, orbits_at
+
+# nothing here lists an orbit; perfbench/tracing.py wraps `lifting.fiber`
+# by name to count the calls that would, so the name stays bound
+from .invariants import fiber  # noqa: F401
 from .regcheck import VERDICT_RANK, RegularityReport
 from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
 
@@ -85,12 +98,8 @@ def _orbits_at(map_: OrbitMapSigma, rows: np.ndarray, tpts: np.ndarray, tol: flo
         return orbits_at(map_, rows, tol)
     except NotInImage as exc:
         raise NotInImageAt(float(tpts[exc.index])) from None
-    except (RootSolveFailed, ToleranceViolation) as exc:
+    except (NotFinite, RootSolveFailed, ToleranceViolation) as exc:
         raise type(exc)(f"{exc} (at t={float(tpts[exc.index])!r})") from None
-
-
-def _nearest(f: np.ndarray, p: np.ndarray) -> int:
-    return int(np.argmin(np.linalg.norm(f - p[None, :], axis=1)))
 
 
 def _continue(values: np.ndarray, orbits, i: int) -> None:
@@ -124,49 +133,88 @@ def _risky(orbits: OrbitBlock, eps: float) -> np.ndarray:
 class _WindowEstimate:
     left_slope: np.ndarray
     left_quad: np.ndarray
-    left_last: np.ndarray    # tracked position at the last sample before the window
-    left_last_t: float
-    exit_t: float
+    size: int                # points of the orbit right after the window
+    candidates: np.ndarray   # (k, dim) of its points, in rank order
+    ranks: list[int]         # their ranks in the orbit
+    cost: np.ndarray         # (k,) their distance from the prediction over the time gap
     cand_slopes: np.ndarray  # (k, dim)
     cand_quads: np.ndarray
-    candidates: np.ndarray   # (k, dim) orbit points right after the window
     run: tuple[float, float]
 
 
-def _estimate_window(map_, tpts, orbits, center_t, eps, left_anchor):
+def _estimate_window(tpts, orbits, center_t, eps, left_anchor):
     w = _SIDE_WINDOW
     lo, hi = risky_run(tpts, _risky(orbits, eps), center_t)
     if lo - w < 0 or hi + 1 + 2 >= tpts.size:
         return None
     left_vals = _track(orbits[lo - w : lo], left_anchor)
     ls, lq = fit_side(tpts[lo - w : lo] - center_t, left_vals)
-    cands = np.asarray(fiber(map_, orbits[hi + 1]))
+    # the linear continuation of the incoming strand to the exit sample;
+    # dividing by the time gap puts the cost in the slope units of the
+    # tie-breakers
+    dt = float(tpts[hi + 1]) - float(tpts[lo - 1])
+    predicted = left_vals[-1] + dt * ls
+    exit_orbit = orbits[hi + 1]
+    cands, ranks, cost = _exit_candidates(exit_orbit, predicted, dt)
     right = slice(hi + 1, min(hi + 1 + w, tpts.size))
     tracks = _track(orbits[right], cands)
     cs, cq = fit_side(tpts[right] - center_t, tracks.reshape(tracks.shape[0], -1))
     return _WindowEstimate(
-        ls, lq, left_vals[-1], float(tpts[lo - 1]), float(tpts[hi + 1]),
-        cs.reshape(cands.shape), cq.reshape(cands.shape), cands,
-        (float(tpts[lo]), float(tpts[hi])),
+        ls, lq, exit_orbit.size, cands, ranks, cost,
+        cs.reshape(cands.shape), cq.reshape(cands.shape), (float(tpts[lo]), float(tpts[hi])),
     )
 
 
+def _exit_candidates(orbit: Orbit, predicted: np.ndarray, dt: float):
+    """The points of the exit orbit that can decide a window, in rank
+    order, with their ranks and costs |x - predicted| / dt.
+
+    The cost is linear in <x, predicted> over an orbit, whose points all
+    have one norm, so it orders the vertices of the orbit's convex hull by
+    a linear function.  The runner-up to the best vertex is one of its
+    neighbours along an edge, and the vertices within _TIE_TOL of the best
+    are joined by edges among themselves.  So the nearest point, its
+    neighbours, and the neighbours of every point found within _TIE_TOL of
+    the best cost hold the best point, the runner-up and every near-tie,
+    which is all the chooser reads; the edges of the hull are reflections."""
+    found: dict[tuple, np.ndarray] = {}
+    best = np.inf
+    fresh = orbit.nearest(predicted)[None, :]
+    while fresh.size:
+        new = []
+        for p in np.concatenate([fresh, orbit.neighbours(fresh)]):
+            key = tuple(p.tolist())
+            if key not in found:
+                found[key] = p
+                new.append(p)
+        if not new:
+            break
+        pts = np.array(new)
+        cost = np.linalg.norm(pts - predicted, axis=1) / dt
+        best = min(best, float(cost.min()))
+        fresh = pts[cost <= best + _TIE_TOL]
+    # points equal after rounding are one orbit point, as in its listing
+    by_rank: dict[int, np.ndarray] = {}
+    for r, p in zip(orbit.ranks(np.array(list(found.values()))), found.values()):
+        by_rank.setdefault(r, p)
+    ranks = sorted(by_rank)
+    pts = np.array([by_rank[r] for r in ranks])
+    return pts, ranks, np.linalg.norm(pts - predicted, axis=1) / dt
+
+
 def _choose_candidate(est: _WindowEstimate) -> Choice:
-    """The fiber point to leave the window by, keyed by its index and the
-    candidate count, with the cost margin in slope units.
+    """The exit point to leave the window by, keyed by its rank and the
+    orbit size, with the cost margin in slope units.
 
     Primary cost: deviation of the candidate from the linear continuation of
     the incoming strand, normalized by the time gap so the unit matches the
     slope-jump tie-breakers used at collision points."""
-    dt = est.exit_t - est.left_last_t
-    predicted = est.left_last[None, :] + dt * est.left_slope[None, :]
-    cost = np.linalg.norm(est.candidates - predicted, axis=1) / dt
+    cost = est.cost
     order = np.argsort(cost, kind="stable")
     best = int(order[0])
-    k = est.candidates.shape[0]
     margin = float(cost[order[1]] - cost[order[0]]) if order.size > 1 else np.inf
     if margin > _TIE_TOL:
-        return Choice((k, best), margin, False, est.candidates[best])
+        return Choice((est.size, est.ranks[best]), margin, False, est.candidates[best])
     tied = [int(i) for i in order if cost[i] <= cost[best] + _TIE_TOL]
     scost = np.linalg.norm(est.cand_slopes - est.left_slope[None, :], axis=1)
     qcost = np.linalg.norm(est.cand_quads - est.left_quad[None, :], axis=1)
@@ -178,14 +226,20 @@ def _choose_candidate(est: _WindowEstimate) -> Choice:
         and scost[second] <= scost[first] + _TIE_TOL
         and qcost[second] <= qcost[first] + 1e-12 * (1 + qcost[first])
     )
-    return Choice((k, first), margin, ambiguous, est.candidates[first])
+    return Choice((est.size, est.ranks[first]), margin, ambiguous, est.candidates[first])
 
 
 def _slope_drift(a: _WindowEstimate, b: _WindowEstimate) -> float:
+    """The relative drift of the incoming slope and, when the exit orbits
+    have one size, of the slopes of the exit points of one rank."""
     scale = 1.0 + max(float(np.max(np.abs(a.left_slope))), float(np.max(np.abs(b.left_slope))))
     drift = float(np.max(np.abs(a.left_slope - b.left_slope))) / scale
-    if a.cand_slopes.shape == b.cand_slopes.shape:
-        drift = max(drift, float(np.max(np.abs(a.cand_slopes - b.cand_slopes))) / scale)
+    if a.size == b.size:
+        at = {r: i for i, r in enumerate(b.ranks)}
+        pairs = [(i, at[r]) for i, r in enumerate(a.ranks) if r in at]
+        if pairs:
+            ia, ib = np.array(pairs).T
+            drift = max(drift, float(np.max(np.abs(a.cand_slopes[ia] - b.cand_slopes[ib]))) / scale)
     return drift
 
 
@@ -242,7 +296,7 @@ def lift_curve(
             orbits,
             lambda sub: _orbits_at(map_, curve.evaluate(sub.points), sub.points, tol),
             lambda pts, sub_orbits, center_t: _estimate_window(
-                map_, pts, sub_orbits, center_t, eps, values[i0 - 1]
+                pts, sub_orbits, center_t, eps, values[i0 - 1]
             ),
             _slope_drift,
             _choose_candidate,
@@ -261,10 +315,10 @@ def lift_curve(
             chord = values[i0 - 1] + (values[i1 + 1] - values[i0 - 1]) * frac
             values[j] = orbits[j].nearest(chord)
         # the swap log ranks the entry and exit points within their orbits
-        rank_in = _nearest(np.asarray(fiber(map_, orbits[i0 - 1])), values[i0 - 1])
-        exit_idx = _nearest(np.asarray(fiber(map_, orbits[i1 + 1])), values[i1 + 1])
-        if exit_idx != rank_in or orbits[i0 - 1].size != orbits[i1 + 1].size:
-            swap_log.append((i0, (rank_in, exit_idx)))
+        rank_in = orbits[i0 - 1].ranks(values[i0 - 1 : i0])[0]
+        rank_out = orbits[i1 + 1].ranks(values[i1 + 1 : i1 + 2])[0]
+        if rank_out != rank_in or orbits[i0 - 1].size != orbits[i1 + 1].size:
+            swap_log.append((i0, (rank_in, rank_out)))
         i = i1 + 2
 
     levels = min(6, grid.level) if grid.level >= 4 and grid.n_cells == 2**grid.level else 0

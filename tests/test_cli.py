@@ -118,6 +118,14 @@ class TestLift:
         code = run(["lift", "--group", "A:1", "--curve", "0,1", "--domain", "-1:1", "--level", "4"])
         assert code == EXIT_DOMAIN
 
+    def test_overflowing_curve_exit_2(self, capsys):
+        # y_3^2 overflows at every sample but t = 0: one error line naming t
+        code = run(["lift", "--group", "D:3", "--curve", "3,3,1e200*t", "--level", "3"])
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("(at t=-1.0)\n")
+
 
 class TestKdata:
     def test_a2(self, tmp_path):

@@ -5,6 +5,7 @@ from orbitlift import invariants as inv
 from orbitlift.errors import (
     DimensionMismatch,
     EnumerationTooLarge,
+    NotFinite,
     NotInImage,
     RootSolveFailed,
     ToleranceViolation,
@@ -509,7 +510,7 @@ class TestOrbitsAt:
     """A block's orbits against the one-row solve of each of its rows, on
     blocks large enough for the root engine's array kernels."""
 
-    @pytest.mark.parametrize("spec", BLOCK_GROUPS)
+    @pytest.mark.parametrize("spec", BLOCK_GROUPS + ["I2:3", "I2:4", "I2:8"])
     def test_rows_match_the_one_row_solve(self, spec):
         import zlib
 
@@ -542,3 +543,103 @@ class TestOrbitsAt:
             inv.orbits_at(m, np.array([good, outside, band]))
         assert exc.value.index == 1
         assert inv.orbit_at(m, outside) is None
+
+    @pytest.mark.parametrize("spec,good,huge", [
+        ("D:3", [3.0, 3.0, 1.0], [3.0, 3.0, 1e200]),  # y_3^2 overflows
+        ("I2:4", [1.0, 0.0], [1e200, 0.0]),  # r^4 overflows
+        ("B:2", [2.0, 1.0], [np.nan, 1.0]),
+        ("I2:3", [1.0, 0.0], [1.0, np.inf]),
+    ])
+    def test_non_finite_row_raises_with_its_index(self, spec, good, huge):
+        m = inv.orbit_map(inv.parse_group(spec))
+        with pytest.raises(NotFinite) as exc:
+            inv.orbits_at(m, np.array([good, good, huge, good]))
+        assert exc.value.index == 2
+
+
+class TestDihedralBlock:
+    """I2 orbits solved as one block against the enumerated orbit, at the
+    rows where the closed form snaps or deduplicates."""
+
+    @pytest.mark.parametrize("m,r,angle,size", [
+        (4, 0.0, 0.0, 1),  # the origin
+        (5, 3e-6, 0.4, 1),  # within sqrt(tol) of the origin: snapped to it
+        (3, 1.0, 1e-13, 3),  # the mirror band: one point per rotation
+        (6, 2.7, -1e-12, 6),
+        (8, 1.0, 0.3, 16),
+        # r near sqrt(tol), just outside the mirror band: points and their
+        # reflections 2 r angle apart round to one key (12 of 16, 7 of 10)
+        (8, 2e-5, 2e-6, 12),
+        (5, 1.2e-5, 3e-6, 7),
+    ])
+    def test_edge_rows_match_the_orbit(self, m, r, angle, size):
+        g = inv.parse_group(f"I2:{m}")
+        mp = inv.orbit_map(g)
+        v = r * np.array([np.cos(angle), np.sin(angle)])
+        rows = mp.evaluate(np.array([[0.6, -1.3], v, [0.0, 2.0], v]))
+        block = inv.orbits_at(mp, rows, 1e-10)
+        orb = block[1]
+        pts = np.array(inv.orbit(g, v))
+        assert orb.size == size == len(orb.spectrum)
+        assert [tuple(p) for p in np.round(orb.spectrum, 10)] == sorted(
+            tuple(p) for p in np.round(orb.spectrum, 10))
+        # the orbit's distinct points, or the origin within sqrt(tol)
+        if size == 1:
+            assert orb.spectrum.tolist() == [[0.0, 0.0]] and np.max(np.abs(pts)) <= 1e-5
+        else:
+            assert len(pts) == size
+            for a, b in ((orb.spectrum, pts), (pts, orb.spectrum)):
+                assert max(np.min(np.linalg.norm(b - p, axis=1)) for p in a) <= 1e-10 * (1.0 + r)
+        # pairwise norms, not a closed form, and the same row in any block
+        want = _min_pairwise(orb.spectrum) if size > 1 else np.inf
+        assert orb.min_distance == want and block[3].min_distance == want
+        assert block.max_abs[1] == np.max(np.abs(orb.spectrum))
+        assert block[3].spectrum.tobytes() == orb.spectrum.tobytes()
+
+
+RANK_GROUPS = [f"A:{n}" for n in range(1, 6)] + [f"B:{n}" for n in range(2, 6)] + [
+    f"D:{n}" for n in range(3, 6)]
+
+
+class TestRanks:
+    @pytest.mark.parametrize("spec", RANK_GROUPS)
+    def test_rank_is_the_index_in_the_listing(self, spec):
+        """Orbit.ranks in closed form against the enumeration, on orbits
+        with repeated values, zero moduli and both D parities."""
+        import zlib
+
+        g = inv.parse_group(spec)
+        m = inv.orbit_map(g)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()) + 2)
+        bases = list(_hard_points(g, rng, 10))
+        repeated = rng.integers(1, 3, g.dim).astype(float)
+        bases += [repeated, -repeated, np.zeros(g.dim)]
+        seen = set()
+        for v in bases:
+            orb = inv.orbit_at(m, m.evaluate(v))
+            fib = np.array(inv.fiber(m, orb))
+            assert orb.ranks(fib) == list(range(len(fib))), v
+            # the points the lift holds come from nearest: same ranks
+            for p in rng.uniform(-3.0, 3.0, (4, g.dim)):
+                x = orb.nearest(p)
+                at = np.flatnonzero((np.round(fib, 10) == np.round(x, 10)).all(axis=1))
+                assert orb.ranks(x[None, :]) == at.tolist()
+            seen.add(orb.parity)
+            seen.add("zero" if (orb.spectrum == 0.0).any() else "nonzero")
+            seen.add("repeated" if orb.size < len(g.elements()) else "free")
+        assert {"zero", "repeated"} <= seen
+        if g.kind == "D":
+            assert {-1.0, 0.0, 1.0} <= seen
+
+    @pytest.mark.parametrize("spec", ["A:3", "B:3", "D:4"])
+    def test_neighbours_are_the_reflection_images(self, spec):
+        g = inv.parse_group(spec)
+        m = inv.orbit_map(g)
+        v = np.array([0.3, -1.1, 1.7, 2.3][: g.dim])
+        orb = inv.orbit_at(m, m.evaluate(v))
+        x = orb.nearest(v)
+        got = as_point_set(orb.neighbours(x[None, :]))
+        # the reflections: involutions with a single eigenvalue -1
+        refl = [el for el in g.elements()
+                if np.allclose(el @ el, np.eye(g.dim)) and np.isclose(np.trace(el), g.dim - 2)]
+        assert got == as_point_set([el @ x for el in refl])

@@ -486,6 +486,83 @@ def _sigma_of_line(g, c, v):
     return cd.CoeffCurve(tuple(np.polynomial.Polynomial(cf) for cf in comps))
 
 
+class TestExitCandidates:
+    """The exit candidates of a window, the nearest point's reflection
+    closure, against every point of the enumerated orbit: the chooser reads
+    the same best rank, margin bits and tie order from both."""
+
+    @staticmethod
+    def _full(orb, predicted, dt):
+        pts = np.array(orb.points())
+        return pts, list(range(len(pts))), np.linalg.norm(pts - predicted, axis=1) / dt
+
+    @staticmethod
+    def _estimate(size, cands, ranks, cost, left_slope):
+        # slopes that depend on the point alone, blind to its signs, so
+        # that sign flips tie on every tie-breaker
+        return lf._WindowEstimate(left_slope, 0.5 * left_slope, size, cands, ranks, cost,
+                                  cands**2, np.abs(cands), (0.0, 0.0))
+
+    @staticmethod
+    def _predictions(g, rng, orb):
+        x = orb.nearest(rng.uniform(-2.0, 2.0, g.dim))
+        tied = rng.uniform(-2.0, 2.0, g.dim)
+        tied[1] = tied[0]
+        signs = rng.uniform(-2.0, 2.0, g.dim)
+        signs[1] = -signs[0]
+        zero = rng.uniform(-2.0, 2.0, g.dim)
+        zero[0] = 0.0
+        return [rng.uniform(-2.0, 2.0, g.dim), x, x + 1e-4 * rng.standard_normal(g.dim),
+                x + 1e-9 * rng.standard_normal(g.dim), tied, signs, zero, np.zeros(g.dim)]
+
+    @pytest.mark.parametrize("spec", ["A:2", "A:4", "B:2", "B:4", "D:3", "D:4", "I2:5"])
+    def test_closure_gives_the_enumerated_choice(self, spec):
+        import zlib
+
+        g, m = group_and_map(spec)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()))
+        bases = [rng.uniform(-2.0, 2.0, g.dim) for _ in range(4)]
+        if g.kind != "I2":
+            bases[1][0] = bases[1][1]
+            bases[2][0] = 0.0
+            bases[3][0] = 1e-6  # D: a free parity, so every sign pattern
+        for v in bases:
+            orb = inv.orbit_at(m, m.evaluate(v))
+            for predicted in self._predictions(g, rng, orb):
+                for dt in (1.0, 2.0**-5, 1e-3):
+                    got = lf._exit_candidates(orb, predicted, dt)
+                    want = self._full(orb, predicted, dt)
+                    # the candidates are enumerated points, in rank order
+                    assert got[1] == sorted(got[1])
+                    assert np.array_equal(got[0], want[0][got[1]])
+                    assert got[2].tobytes() == want[2][got[1]].tobytes()
+                    # the same points, in the same order, tie within _TIE_TOL of the best
+                    ties = [
+                        [ranks[i] for i in np.argsort(cost, kind="stable")
+                         if cost[i] <= cost.min() + lf._TIE_TOL]
+                        for _, ranks, cost in (got, want)
+                    ]
+                    assert ties[0] == ties[1]
+                    left = rng.uniform(-1.0, 1.0, g.dim)
+                    a = lf._choose_candidate(self._estimate(orb.size, *got, left))
+                    b = lf._choose_candidate(self._estimate(orb.size, *want, left))
+                    assert a.key == b.key and a.ambiguous == b.ambiguous
+                    assert np.float64(a.margin).tobytes() == np.float64(b.margin).tobytes()
+                    assert np.array_equal(a.answer, b.answer)
+
+    def test_drift_compares_exit_points_of_one_rank(self):
+        def estimate(size, ranks, slopes):
+            k = len(ranks)
+            return lf._WindowEstimate(np.zeros(2), np.zeros(2), size, np.zeros((k, 2)), ranks,
+                                      np.zeros(k), np.array(slopes), np.zeros((k, 2)), (0.0, 0.0))
+
+        a = estimate(8, [1, 4], [[0.0, 0.0], [1.0, 0.0]])
+        b = estimate(8, [4, 6], [[1.0, 0.5], [9.0, 9.0]])
+        assert lf._slope_drift(a, b) == 0.5  # rank 4 alone
+        # exit orbits of two sizes: the incoming slopes alone
+        assert lf._slope_drift(a, estimate(16, [4, 6], [[1.0, 0.5], [9.0, 9.0]])) == 0.0
+
+
 class TestLargeGroups:
     @pytest.mark.parametrize("spec", ["A:5", "B:5", "D:5"])
     def test_line_crossing_one_mirror(self, spec):
@@ -498,3 +575,30 @@ class TestLargeGroups:
         assert lift.unresolved == ()
         assert [r.verdict for r in lift.reports] == [rc.TWICE] * g.dim
         assert lift.residual <= 10 * 1e-10
+
+    @pytest.mark.parametrize("spec,c,v", [
+        ("A:7", [0, 0, 2, 3, 4, 5, 6, 7], [1, -1, 0, 0, 0, 0, 0, 0]),
+        ("A:8", [0, 0, 2, 3, 4, 5, 6, 7, 8], [1, -1, 0, 0, 0, 0, 0, 0, 0]),
+        ("B:6", [0, 1, 2, 3, 4, 5], [1, 0, 0, 0, 0, 0]),
+        ("D:6", [1, 1, 2.5, 3.5, 4.5, 5.5], [1, -1, 0, 0, 0, 0]),
+    ])
+    def test_orbits_past_the_enumeration_limit(self, spec, c, v):
+        # one mirror crossed at t = 0 by orbits of 11,520 to 362,880 points,
+        # which no step of the lift lists
+        g, m = group_and_map(spec)
+        assert g.order > inv.ENUM_LIMIT
+        c, v = np.array(c, dtype=float), np.array(v, dtype=float)
+        curve = _sigma_of_line(g, c, v)
+        grid = cd.Grid.dyadic(-1, 1, 6)
+        lift = lf.lift_curve(g, m, curve, grid)
+        assert len(lift.swap_log) == 1
+        assert lift.unresolved == ()
+        scale = float(np.max(np.abs(curve.evaluate(grid.points))))
+        assert lift.residual <= 10 * 1e-10 * (1.0 + scale)
+        # each coordinate follows one coordinate of the line, up to sign for B and D
+        ref = c + grid.points[:, None] * v
+        signs = (1.0,) if g.kind == "A" else (1.0, -1.0)
+        for j in range(g.dim):
+            err = min(np.max(np.abs(lift.values[:, j] - s * ref[:, k]))
+                      for k in range(g.dim) for s in signs)
+            assert err < 1e-6, j
