@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 when the mathematics says no (non-hyperbolic input,
 curve outside the orbit-map image, ill-posed tolerance band), 3 when a
-certification is inconclusive and --strict was given.
+certification is inconclusive, or a lift's residual exceeds its bound, and
+--strict was given.
 """
 
 from __future__ import annotations
@@ -157,6 +158,7 @@ def cmd_lift(args) -> int:
         f"residual: {_fmt(lift.residual)}",
         f"max-step: {_fmt(lift.max_step)}",
         f"continuity-ok: {str(lift.continuity_ok).lower()}",
+        f"residual-ok: {str(lift.residual_ok).lower()}",
         f"swap-count: {len(lift.swap_log)}",
         f"unresolved-count: {len(lift.unresolved)}",
     ]
@@ -165,7 +167,8 @@ def cmd_lift(args) -> int:
     for j, rep in enumerate(lift.reports):
         lines.extend(_prefixed_report(rep, f"coordinate[{j}].report."))
     _emit("\n".join(lines) + "\n", args.report)
-    if args.strict and any(r.verdict == regcheck.INCONCLUSIVE for r in lift.reports):
+    if args.strict and (not lift.residual_ok
+                        or any(r.verdict == regcheck.INCONCLUSIVE for r in lift.reports)):
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
@@ -333,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--probes": dict(type=_PROBES, default=7),
         "--tol": dict(type=_TOL, default=1e-10),
         "--levels": dict(type=_LEVELS, default=6, help="refinement levels examined by the certifier"),
-        "--strict": dict(action="store_true", help="exit 3 when a certificate is inconclusive"),
+        "--strict": dict(action="store_true", help="exit 3 when a certificate is inconclusive"
+                         " or a lift's residual exceeds its bound"),
         "--out": dict(default=None, help="CSV output path"),
     }
     commands = [

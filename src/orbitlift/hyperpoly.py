@@ -47,20 +47,18 @@ import numpy as np
 
 from .errors import NotHyperbolic, RootSolveFailed
 
-_MAX_NEWTON = 60
 _EPS = float(np.finfo(float).eps)
 # roots_batch: Newton steps after the eigensolve, and the least certified
 # adjacent gap in units of tol^(1/2), the narrowest width a cluster collapses
 _BATCH_NEWTON = 3
 _GAP_MARGIN = 2.0
-# The fallback polishes a rebuild level's brackets, and solves quadratic
-# rows, on numpy arrays from these counts on and on floats below them.  On a
-# 2-core x86 host the array kernel overtook the float loop at about 50
-# brackets of degree 2 and 100-200 of degree 4-6: each of its steps costs
-# some 50 numpy calls, and it steps as long as its slowest bracket.  The
-# closed form overtook at about 50 quadratic rows.
+# The fallback polishes a rebuild level's brackets on numpy arrays from this
+# count on, and on floats below it.  On the brackets the benchmark's
+# selections and lifts polish, timed on a 2-core x86 host, the array kernel
+# overtook the float loop at about 50-60 brackets of degree 2-3 and 130-250
+# of degree 4-6: each of its steps costs some 50 numpy calls, and it steps as
+# long as its slowest bracket, which near a cluster takes up to 65 steps.
 _ARRAY_BRACKETS = 128
-_ARRAY_QUADRATICS = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,10 +329,13 @@ def _root_bounds(c: np.ndarray) -> np.ndarray:
 
 
 def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> float:
-    """Bisection to a tight bracket, then safeguarded Newton on c.  Newton
-    stops when the step is below one part in 1e16, which can be less than
-    one ulp, after _MAX_NEWTON steps, or as soon as an iterate repeats: the
-    iterates then cycle, and _cycle_end names the last step's."""
+    """The root of c in the bracket (lo, hi) by safeguarded Newton (rtsafe,
+    Numerical Recipes 9.4), from the midpoint.  Each value c(x) moves to x
+    the end of the bracket where c has its sign.  A Newton step is taken
+    when it lands strictly inside the bracket and is at most half the
+    previous move, the midpoint otherwise.  Stops at c(x) = 0, at a Newton
+    step of at most 2 eps max(1, |x|), or when no float lies strictly
+    between lo and hi."""
     c0, c1, dc0, dc1 = c[0], c[1:], dc[0], dc[1:]
 
     def horner(out, rest, x):  # _horner on floats, without its dispatch
@@ -342,58 +343,33 @@ def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> flo
             out = out * x + coef
         return out
 
-    flo = horner(c0, c1, lo)
-    fhi = horner(c0, c1, hi)
-    if flo * fhi < 0:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            fm = horner(c0, c1, mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-            if hi - lo < 1e-9 * max(1.0, abs(mid)):
-                break
-    x = 0.5 * (lo + hi)
-    path, seen = [], {}  # the iterates, and the step where each value came first
-    for it in range(_MAX_NEWTON):
+    neg = horner(c0, c1, lo) < 0.0  # c's sign at lo
+    x, move = 0.5 * (lo + hi), hi - lo
+    while True:
         fx = horner(c0, c1, x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == neg:
+            lo = x
+        else:
+            hi = x
         dfx = horner(dc0, dc1, x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
+        step = fx / dfx if dfx else math.inf
         x_new = x - step
-        if not (lo - 1e-8 <= x_new <= hi + 1e-8):
+        if abs(step) <= 2.0 * _EPS * max(1.0, abs(x)):
+            return x_new
+        if not (lo < x_new < hi and abs(step) <= 0.5 * abs(move)):
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
-            x = x_new
-            break
-        path.append(x)
-        seen.setdefault(x, it)
-        j = seen.get(x_new)
-        if j is not None and math.copysign(1.0, x_new) == math.copysign(1.0, path[j]):
-            return path[_cycle_end(j, it)]
-        x = x_new
-    return x
-
-
-def _cycle_end(j: int, it: int) -> int:
-    """Where the Newton loop would end: step it returned to the iterate of
-    step j, and each step depends on the iterate alone, so the iterates
-    repeat with period it + 1 - j until the last step."""
-    return j + (_MAX_NEWTON - j) % (it + 1 - j)
+            if x_new <= lo or x_new >= hi:
+                return x
+        move, x = x_new - x, x_new
 
 
 def _polish_brackets(c: np.ndarray, dc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """_polish_simple on every bracket (lo[b], hi[b]) of the polynomial c[b]
     with derivative dc[b] at once: the same float operations in the same
-    order, each bracket leaving a loop where its scalar loop stops, so each
-    result has the bits of its scalar call."""
+    order, each bracket leaving the block where its scalar loop returns, so
+    each result has the bits of its scalar call."""
 
     def horner(p, x):
         out = p[:, 0]
@@ -402,42 +378,26 @@ def _polish_brackets(c: np.ndarray, dc: np.ndarray, lo: np.ndarray, hi: np.ndarr
         return out
 
     with np.errstate(all="ignore"):
-        flo = horner(c, lo)
-        on = flo * horner(c, hi) < 0
-        for _ in range(80):
-            if not on.any():
-                break
+        neg = horner(c, lo) < 0.0
+        x, move = 0.5 * (lo + hi), hi - lo
+        out, live = np.empty_like(x), np.arange(x.size)
+        while live.size:
+            fx = horner(c, x)
+            root = fx == 0.0
+            side = (fx < 0.0) == neg
+            lo, hi = np.where(side, x, lo), np.where(side, hi, x)
+            step = fx / horner(dc, x)  # x/0 fails the tests below, as inf does on floats
+            x_new = x - step
+            small = np.abs(step) <= 2.0 * _EPS * np.fmax(1.0, np.abs(x))
+            newton = (lo < x_new) & (x_new < hi) & (np.abs(step) <= 0.5 * np.abs(move))
             mid = 0.5 * (lo + hi)
-            on &= ~((mid <= lo) | (mid >= hi))
-            fm = horner(c, mid)
-            hit = on & (fm == 0.0)
-            on &= ~hit
-            down = flo * fm < 0
-            lo = np.where(hit | (on & ~down), mid, lo)
-            hi = np.where(hit | (on & down), mid, hi)
-            flo = np.where(on & ~down, fm, flo)
-            on &= ~(hi - lo < 1e-9 * np.fmax(1.0, np.abs(mid)))
-        # Newton on the brackets still stepping, each with its iterates
-        x = 0.5 * (lo + hi)
-        out, live, path = x.copy(), np.arange(x.size), x[:, None]
-        for it in range(_MAX_NEWTON):
-            if not live.size:
-                break
-            dfx = horner(dc, x)
-            x_new = x - horner(c, x) / dfx
-            x_new = np.where((lo - 1e-8 <= x_new) & (x_new <= hi + 1e-8), x_new, 0.5 * (lo + hi))
-            halt = dfx == 0.0
-            stop = ~halt & (np.abs(x_new - x) <= 1e-16 * np.fmax(1.0, np.abs(x)))
-            seen = (path == x_new[:, None]) & (np.signbit(path) == np.signbit(x_new)[:, None])
-            cycle = ~(halt | stop) & seen.any(axis=1)
-            out[live[halt]] = x[halt]
-            out[live[stop]] = x_new[stop]
-            at = np.flatnonzero(cycle)
-            out[live[at]] = path[at, _cycle_end(seen[at].argmax(axis=1), it)]
-            go = ~(halt | stop | cycle)
-            live, c, dc, lo, hi, x = live[go], c[go], dc[go], lo[go], hi[go], x_new[go]
-            path = np.concatenate([path[go], x[:, None]], axis=1)
-        out[live] = x
+            flat = ~(small | newton) & ((mid <= lo) | (mid >= hi))
+            out[live] = np.where(root | flat, x, x_new)
+            x_new = np.where(newton, x_new, mid)
+            move = x_new - x
+            go = ~(root | small | flat)
+            live, c, dc, lo, hi, x, move, neg = (
+                live[go], c[go], dc[go], lo[go], hi[go], x_new[go], move[go], neg[go])
     return out
 
 
@@ -666,8 +626,8 @@ def _rebuild(c: np.ndarray, tol: np.ndarray, noise_floor: np.ndarray) -> tuple[n
 
 def _polish(c: np.ndarray, dc: np.ndarray, at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The simple root in each bracket (lo[b], hi[b]) of the row at[b] of c
-    (derivative rows dc), by _polish_simple: on floats one bracket at a
-    time, or on arrays for _ARRAY_BRACKETS brackets or more."""
+    (derivative rows dc), by _polish_simple on floats one bracket at a time,
+    or by _polish_brackets on arrays for _ARRAY_BRACKETS brackets or more."""
     if at.size >= _ARRAY_BRACKETS:
         return _polish_brackets(c[at], dc[at], lo, hi)
     return np.array([_polish_simple(p, dp, a, b) for p, dp, a, b
@@ -680,26 +640,8 @@ def _quadratic_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     negative discriminant within 4*tol*scale collapses to a double root
     (|P| at the vertex is |disc|/4, matching the promotion criterion), and
     two roots closer than tol^(1/2) merge at their mean, as in
-    _collapse_clusters.  A few rows are solved on floats, a block on
-    arrays, by the same operations."""
+    _collapse_clusters."""
     width = tol ** (1.0 / 2)
-    if rows.shape[0] < _ARRAY_QUADRATICS:
-        vals, ok = [], []
-        for a1, a2 in rows.tolist():
-            disc = a1 * a1 - 4.0 * a2
-            if disc <= 0.0:
-                vals.append((0.5 * a1, 0.5 * a1))
-                ok.append(-disc <= 4.0 * tol * (1.0 + max(abs(a1), abs(a2))))
-                continue
-            sq = math.sqrt(disc)
-            r1 = 0.5 * (a1 + sq) if a1 >= 0.0 else 0.5 * (a1 - sq)
-            r2 = a2 / r1  # |r1| >= sq / 2 > 0
-            lo, hi = (r2, r1) if r2 < r1 else (r1, r2)
-            if hi - lo < width:
-                lo = hi = (lo + hi) / 2.0
-            vals.append((lo, hi))
-            ok.append(True)
-        return np.array(vals).reshape(-1, 2), np.array(ok, dtype=bool)
     a1, a2 = rows[:, 0], rows[:, 1]
     disc = a1 * a1 - 4.0 * a2
     double = disc <= 0.0

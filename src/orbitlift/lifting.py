@@ -59,10 +59,15 @@ class LiftResult:
     unresolved: tuple[tuple[float, float], ...]
     max_step: float
     continuity_bound: float
+    residual_bound: float  # 10*tol*(1 + max|c|), the max over the grid
 
     @property
     def continuity_ok(self) -> bool:
         return self.max_step <= self.continuity_bound
+
+    @property
+    def residual_ok(self) -> bool:
+        return self.residual <= self.residual_bound
 
     def min_verdict(self) -> str:
         return min((r.verdict for r in self.reports), key=lambda v: VERDICT_RANK[v])
@@ -333,6 +338,7 @@ def lift_curve(
         unresolved=tuple(unresolved),
         max_step=max_step,
         continuity_bound=_continuity_bound(map_, rows, scale, tol),
+        residual_bound=10.0 * tol * (1.0 + float(np.max(np.abs(rows)))),
     )
 
 
@@ -352,6 +358,7 @@ def transformed_lift(map_: OrbitMapSigma, lift: LiftResult, element: np.ndarray,
         unresolved=lift.unresolved,
         max_step=max_step,
         continuity_bound=lift.continuity_bound,
+        residual_bound=lift.residual_bound,
     )
 
 

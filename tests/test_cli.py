@@ -114,6 +114,27 @@ class TestLift:
         assert np.max(np.abs(cols[:, 0] ** 2 + cols[:, 1] ** 2 - 1.0)) < 1e-9
         assert "residual: 0" in rep.read_text() or "residual: " in rep.read_text()
 
+    @pytest.mark.parametrize("group, curve, level, ok", [
+        ("D:4", "t^2,0,0,0", 10, False),
+        ("B:3", "t^2,0,0", 10, False),
+        ("I2:4", "1,cos(4*t)", 8, True),  # the README lift
+    ])
+    def test_residual_ok_line_and_strict_exit(self, tmp_path, group, curve, level, ok):
+        rep = tmp_path / "lift.txt"
+        argv = ["lift", "--group", group, "--curve", curve, "--domain", "-1:1", "--level", str(level),
+                "--report", str(rep)]
+        assert run(argv) == EXIT_OK
+        lines = rep.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("continuity-ok: "))
+        assert lines[i + 1] == f"residual-ok: {str(ok).lower()}"
+        inconclusive = any(line.endswith(".verdict: inconclusive") for line in lines)
+        strict = run(argv + ["--strict"])
+        assert strict == (EXIT_OK if ok and not inconclusive else EXIT_INCONCLUSIVE)
+        if group == "D:4":
+            # a residual 1,677 times its bound, and no certificate inconclusive:
+            # --strict exits 3 for the residual alone
+            assert not inconclusive
+
     def test_not_in_image_exit_2(self, tmp_path):
         code = run(["lift", "--group", "A:1", "--curve", "0,1", "--domain", "-1:1", "--level", "4"])
         assert code == EXIT_DOMAIN

@@ -319,49 +319,10 @@ class TestFloatKernels:
             assert all(bits(got[i]) == bits(np.float64(root_bound(c[i]))) for i in range(200))
 
 
-def polish_simple_reference(c, dc, lo, hi, iterates=None):
-    # the bracket polish before the cycle exit, every Newton step run;
-    # `iterates` records them
-    flo = hp._horner(c, lo)
-    fhi = hp._horner(c, hi)
-    if flo * fhi < 0:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            fm = hp._horner(c, mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-            if hi - lo < 1e-9 * max(1.0, abs(mid)):
-                break
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        fx = hp._horner(c, x)
-        dfx = hp._horner(dc, x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x_new = x - step
-        if not (lo - 1e-8 <= x_new <= hi + 1e-8):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-        if iterates is not None:
-            iterates.append(x)
-    return x
-
-
 def polish_cases():
-    # (c, lo, hi): seeded isolating brackets of degree 2 to 8, plus brackets
-    # that stop the bisection on fm == 0.0 and on mid <= lo, and one without
-    # a sign change whose first Newton step is clamped
+    # (c, lo, hi): seeded isolating brackets of degree 2 to 8, plus a bracket
+    # whose midpoint is the root, one of adjacent floats, and one without a
+    # sign change whose first Newton step leaves it
     rng = np.random.default_rng(41)
     cases = []
     for deg in range(2, 9):
@@ -379,30 +340,17 @@ def polish_cases():
     lo = float(np.sqrt(2.0))
     hi = float(np.nextafter(lo, np.inf) if hp._horner(c, lo) < 0 else np.nextafter(lo, -np.inf))
     cases.append((c, min(lo, hi), max(lo, hi)))  # adjacent floats
-    cases.append((c, 5.0, 6.0))  # no sign change: Newton leaves and is clamped
+    cases.append((c, 5.0, 6.0))  # no sign change: Newton leaves it
     return cases
 
 
 class TestPolishKernels:
-    def test_float_and_array_kernels_match_the_full_newton_loop(self):
+    """Both bracket kernels run one safeguarded Newton: the same bits on
+    floats and on arrays, and each answer at a sign change of P or in its
+    Horner noise."""
+
+    def test_float_and_array_kernels_give_the_same_bits(self):
         cases = polish_cases()
-        cycles = []  # (first step, period) of each Newton cycle
-        for c, lo, hi in cases:
-            iterates = []
-            ref = polish_simple_reference(c.tolist(), hp._deriv(c).tolist(), lo, hi, iterates)
-            first = {}
-            for k, x in enumerate(iterates):
-                if x in first:
-                    cycles.append((first[x], k - first[x]))
-                    break
-                first[x] = k
-            got = hp._polish_simple(c.tolist(), hp._deriv(c).tolist(), lo, hi)
-            assert bits(got) == bits(ref), (c, lo, hi)
-        # the cycle exit is taken, on 2-cycles ending on either float and on
-        # longer cycles
-        assert {k % 2 for k, period in cycles if period == 2} == {0, 1}
-        assert sum(period == 2 for _, period in cycles) >= 10
-        assert sum(period > 2 for _, period in cycles) >= 5
         for deg in range(2, 9):
             group = [(c, lo, hi) for c, lo, hi in cases if c.size == deg + 1]
             C = np.array([c for c, _, _ in group])
@@ -411,13 +359,36 @@ class TestPolishKernels:
                                       np.array([hi for _, _, hi in group]))
             ref = [hp._polish_simple(c.tolist(), hp._deriv(c).tolist(), lo, hi) for c, lo, hi in group]
             assert bits(got) == bits(np.array(ref))
+            # a bracket alone in the array block gets the same bits
+            for (c, lo, hi), r in zip(group[:5], ref):
+                one = hp._polish_brackets(c[None, :], hp._deriv(c)[None, :], np.array([lo]), np.array([hi]))
+                assert bits(one[0]) == bits(np.float64(r))
+
+    def test_answers_lie_at_a_sign_change_or_in_the_noise(self):
+        for c, lo, hi in polish_cases():
+            x = hp._polish_simple(c.tolist(), hp._deriv(c).tolist(), lo, hi)
+            assert lo <= x <= hi
+            if hp._horner(c, lo) * hp._horner(c, hi) >= 0.0:
+                continue  # (5, 6): no root to find
+            near = [x]
+            for _ in range(4):
+                near = [np.nextafter(near[0], -np.inf)] + near + [np.nextafter(near[-1], np.inf)]
+            values = hp._horner(c, np.array(near))
+            changes = bool(np.any(values[:-1] * values[1:] <= 0.0))
+            assert changes or abs(hp._horner(c, x)) <= 2.0 * hp._eval_noise(c.tolist(), x), (c, lo, hi)
 
     def test_special_brackets_take_their_exits(self):
         *_, (c0, lo0, hi0), (c1, lo1, hi1), (c2, lo2, hi2) = polish_cases()
+        # the first midpoint is the root: P(x) = 0 ends the loop there
         assert hp._polish_simple(c0.tolist(), hp._deriv(c0).tolist(), lo0, hi0) == 0.5
+        # adjacent floats: no float lies between them, so one of them is returned
         assert hp._horner(c1, lo1) * hp._horner(c1, hi1) < 0
         assert np.nextafter(lo1, np.inf) == hi1
-        assert hp._polish_simple(c2.tolist(), hp._deriv(c2).tolist(), lo2, hi2) == 5.5
+        assert hp._polish_simple(c1.tolist(), hp._deriv(c1).tolist(), lo1, hi1) in (lo1, hi1)
+        # no sign change: Newton's first step leaves the bracket and is
+        # replaced by the midpoint, so the answer never leaves it
+        assert 5.5 - hp._horner(c2, 5.5) / hp._horner(hp._deriv(c2), 5.5) < lo2
+        assert lo2 <= hp._polish_simple(c2.tolist(), hp._deriv(c2).tolist(), lo2, hi2) <= hi2
 
 
 def delta(r):
@@ -614,7 +585,6 @@ class TestOneEngine:
         rows[::8, 1] += 1e-12  # a complex pair inside the tol-ball
         assert (rows[:, 0] ** 2 - 4.0 * rows[:, 1] < 0.0).sum() >= 10
         values, fell_back = hp.roots_batch(rows)
-        assert rows.shape[0] >= hp._ARRAY_QUADRATICS
         assert_fallbacks_match_roots(rows, values, fell_back)
         rows[100] = [0.0, 1.0]  # x^2 + 1
         with pytest.raises(NotHyperbolic) as info:
@@ -679,3 +649,15 @@ class TestBackwardCheck:
         with pytest.raises(RootSolveFailed) as info:
             hp.roots_batch(rows)
         assert info.value.index == 1
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the tol-ball tests of the rebuild and "
+                       "the backward-check bound are absolute, so at scale 1e-2 every critical value "
+                       "reads as zero and seven roots 0.008 pass the check")
+    def test_two_triple_roots_at_small_scale_are_found(self):
+        # roots {-0.004, 0.0094 x3, 0.0106 x3}; scaled by 100 they solve
+        # within 1.3e-13, scaled by 3 the backward check refuses them
+        row = [0.056, 0.00125892, 1.396112e-05, 6.952518880000002e-08, -1.7217791999999753e-12,
+               -1.3935122706560001e-12, -3.956955333376e-15]
+        exact = np.array([-0.004] + [0.0094] * 3 + [0.0106] * 3)
+        got = hp.roots(hp.MonicHyperbolic(row)).values
+        assert np.max(np.abs(got - exact)) <= 1e-3 * np.max(np.abs(exact))

@@ -181,6 +181,7 @@ class TestVerifyLift:
         broken = lf.LiftResult(
             grid=lift.grid, group=lift.group, values=values, residual=np.nan,
             reports=(), swap_log=(), unresolved=(), max_step=0.0, continuity_bound=0.0,
+            residual_bound=0.0,
         )
         # oracle: sigma changes by (e1, e2) of the perturbed pair
         t_k = grid.points[k]
@@ -365,6 +366,20 @@ class TestLiftContracts:
         curve = cd.CoeffCurve.from_exprs(["1", "cos(5*t)"])
         lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 7), tol)
         assert lift.residual < 10.0 * tol
+        assert lift.residual_ok
+
+    @pytest.mark.parametrize("spec, comps", [("D:4", ["t^2", "0", "0", "0"]), ("B:3", ["t^2", "0", "0"])])
+    def test_residual_above_its_bound_is_flagged(self, spec, comps):
+        # sigma(t e_0) through the origin along a mirror: the cluster
+        # collapse puts samples off the lift (ROADMAP item 2), and the
+        # result must say so
+        g, m = group_and_map(spec)
+        curve = cd.CoeffCurve.from_exprs(comps)
+        lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 10))
+        assert lift.residual_bound == 10.0 * 1e-10 * (1.0 + 1.0)  # max|c| = 1 at t = -1
+        assert lift.residual > lift.residual_bound
+        assert not lift.residual_ok
+        assert lf.verify_lift(m, lift, curve) == lift.residual
 
     def test_dimension_mismatch(self):
         g, m = group_and_map("B:2")
