@@ -16,6 +16,8 @@ pow requires a nonnegative base whenever alpha is not an integer.
 from __future__ import annotations
 
 import csv
+import functools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -35,7 +37,16 @@ _FUNCTIONS = {"abs": 1, "sin": 1, "cos": 1, "exp": 1, "pow": 2, "powabs": 2}
 # -- abstract syntax ---------------------------------------------------------
 
 class CurveExpr:
-    """Base class for expression nodes; immutable and hashable."""
+    """Base class for expression nodes; immutable and hashable.  `_fn` is
+    the node compiled for evaluation (see below), built on first use."""
+
+    @functools.cached_property
+    def _fn(self) -> Callable[[dict], object]:
+        return _compile(self)
+
+    def __getstate__(self):
+        # closures do not pickle; a copy compiles again on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_fn"}
 
 
 @dataclass(frozen=True)
@@ -235,91 +246,130 @@ def parse_curve_expr(src: str, variables: Sequence[str] = ("t",)) -> CurveExpr:
 
 
 # -- evaluation ---------------------------------------------------------------
+#
+# Each expression is compiled once, on first use, into a tree of closures
+# cached on its node.  A closure maps an environment {variable: value} to the
+# node's value, and the same tree serves arrays (evaluate_expr,
+# CoeffCurve.evaluate) and points (evaluate_with_env).  Points stay Python
+# floats and numpy scalars, and every operation a point meets is the one its
+# row meets in an array: IEEE arithmetic, or the same numpy ufunc, so a point
+# gets the bits of its row.  Numbers stay Python floats, which broadcast.
 
-def _first_bad_t(t: np.ndarray, mask: np.ndarray) -> float:
-    idx = int(np.argmax(mask))
-    return float(np.ravel(t)[idx]) if t.shape else float(t)
+
+class _Fault(Exception):
+    """A check failed: mask marks the failing entries (a bool for a point)."""
+
+    def __init__(self, message: str, mask):
+        super().__init__(message)
+        self.message = message
+        self.mask = mask
 
 
-def _eval(node: CurveExpr, env: dict[str, np.ndarray], t: np.ndarray):
+def _check(bad, message: str) -> None:
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        raise _Fault(message, bad)
+
+
+def _compile(node: CurveExpr) -> Callable[[dict], object]:
     if isinstance(node, Num):
-        return np.full(t.shape, node.value)
+        value = node.value
+        return lambda env: value
     if isinstance(node, Var):
-        return env[node.name]
+        name = node.name
+        return lambda env: env[name]
     if isinstance(node, Neg):
-        return -_eval(node.arg, env, t)
+        arg = node.arg._fn
+        return lambda env: -arg(env)
     if isinstance(node, BinOp):
-        lv = _eval(node.left, env, t)
-        rv = _eval(node.right, env, t)
+        left, right = node.left._fn, node.right._fn
         if node.op == "+":
-            return lv + rv
+            return lambda env: left(env) + right(env)
         if node.op == "-":
-            return lv - rv
+            return lambda env: left(env) - right(env)
         if node.op == "*":
-            return lv * rv
-        bad = rv == 0.0
-        if np.any(bad):
-            raise EvalError("division by zero", _first_bad_t(t, bad))
-        return lv / rv
+            return lambda env: left(env) * right(env)
+
+        def divide(env):
+            lv, rv = left(env), right(env)
+            _check(rv == 0.0, "division by zero")
+            return lv / rv
+
+        return divide
     if isinstance(node, IntPow):
-        base = _eval(node.base, env, t)
-        if node.exponent < 0:
-            bad = base == 0.0
-            if np.any(bad):
-                raise EvalError("zero base with negative exponent", _first_bad_t(t, bad))
-        return base ** float(node.exponent)
+        return _power(node.base._fn, float(node.exponent), False)
     if isinstance(node, Call):
-        a0 = _eval(node.args[0], env, t)
-        if node.fn == "abs":
-            return np.abs(a0)
-        if node.fn == "sin":
-            return np.sin(a0)
-        if node.fn == "cos":
-            return np.cos(a0)
-        if node.fn == "exp":
-            return np.exp(a0)
-        alpha = _const_value(node.args[1])
-        if node.fn == "powabs":
-            mag = np.abs(a0)
-        else:
-            if alpha != int(alpha):
-                bad = a0 < 0.0
-                if np.any(bad):
-                    raise EvalError(
-                        "pow of negative base with non-integer exponent",
-                        _first_bad_t(t, bad),
-                    )
-            mag = a0
-        if alpha < 0:
-            bad = mag == 0.0
-            if np.any(bad):
-                raise EvalError("zero base with negative exponent", _first_bad_t(t, bad))
-        with np.errstate(invalid="ignore"):
-            return np.power(mag, alpha)
+        arg = node.args[0]._fn
+        if node.fn in ("pow", "powabs"):
+            alpha = _const_value(node.args[1])
+            return _power(arg, alpha, node.fn == "powabs")
+        ufunc = {"abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp}[node.fn]
+        return lambda env: ufunc(arg(env))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _power(base: Callable, alpha: float, absolute: bool) -> Callable:
+    """|base|^alpha when absolute, else base^alpha, which needs a
+    nonnegative base unless alpha is an integer.  Points and arrays both
+    take np.power: a numpy scalar's ** calls the C library's pow, which can
+    differ from the ufunc in the last bit."""
+    signed = not absolute and alpha != int(alpha)
+
+    def power(env):
+        b = base(env)
+        if absolute:
+            b = abs(b)
+        elif signed:
+            _check(b < 0.0, "pow of negative base with non-integer exponent")
+        if alpha < 0:
+            _check(b == 0.0, "zero base with negative exponent")
+        return np.power(b, alpha)
+
+    return power
+
+
+def _at(env: dict, mask) -> dict[str, float]:
+    """The values of the variables at the first failing entry: the first
+    entry when mask is one bool (a point, or a constant, which fails
+    everywhere)."""
+    i = int(np.argmax(mask)) if isinstance(mask, np.ndarray) else 0
+    return {k: float(np.ravel(v)[i]) if np.ndim(v) else float(v) for k, v in env.items()}
+
+
+def _run(node: CurveExpr, env: dict):
+    """The node's value on env, with numpy's floating-point warnings off: a
+    fault ends as a non-finite value, and that raises EvalError."""
+    try:
+        with np.errstate(all="ignore"):
+            out = node._fn(env)
+    except _Fault as fault:
+        raise EvalError(fault.message, _at(env, fault.mask)) from None
+    if isinstance(out, np.ndarray):
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise EvalError("non-finite value", _at(env, bad))
+    elif not math.isfinite(out):
+        raise EvalError("non-finite value", _at(env, True))
+    return out
 
 
 def evaluate_expr(node: CurveExpr, t, var: str = "t"):
     """Evaluate at scalar or array t; raises EvalError at singular points."""
     arr = np.asarray(t, dtype=float)
-    out = _eval(node, {var: arr}, arr)
-    out = np.asarray(out, dtype=float)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        raise EvalError("non-finite value", _first_bad_t(arr, bad))
     if arr.shape == ():
-        return float(out)
-    return out
+        return float(_run(node, {var: float(arr)}))
+    out = _run(node, {var: arr})
+    return out if isinstance(out, np.ndarray) else np.full(arr.shape, out)
 
 
 def evaluate_with_env(node: CurveExpr, env: dict[str, float]):
-    """Evaluate a multi-variable expression at one point."""
-    arrs = {k: np.asarray(v, dtype=float) for k, v in env.items()}
-    probe = next(iter(arrs.values()))
-    out = np.asarray(_eval(node, arrs, probe), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise EvalError("non-finite value", float(probe))
-    return float(out) if out.shape == () else out
+    """Evaluate a multi-variable expression at one point, whose coordinates
+    are floats, or at each entry of arrays of one shape.  EvalError names
+    the point."""
+    out = _run(node, env)
+    if isinstance(out, np.ndarray):
+        return out
+    shape = np.shape(next(iter(env.values())))
+    return np.full(shape, out) if shape else float(out)
 
 
 def split_top_level(src: str, sep: str = ",") -> list[str]:
@@ -389,7 +439,7 @@ class SampleComponent:
         pad = 1e-12 * (1.0 + abs(hi - lo))
         bad = (arr < lo - pad) | (arr > hi + pad)
         if np.any(bad):
-            raise EvalError("query outside the sampled range", _first_bad_t(arr, bad))
+            raise EvalError("query outside the sampled range", _at({"t": arr}, bad))
         out = self._spline(np.clip(arr, lo, hi))
         return float(out) if arr.shape == () else out
 

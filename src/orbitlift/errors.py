@@ -20,11 +20,13 @@ class ExprDomainError(OrbitLiftError):
 
 
 class EvalError(OrbitLiftError):
-    """Expression evaluation failed at a specific parameter value."""
+    """Expression evaluation failed at a specific point: `at` maps each
+    variable to its value there, such as {"t": 0.0} or {"u": 0.0, "v": -0.5}."""
 
-    def __init__(self, message: str, t: float):
-        super().__init__(f"{message} (at t={t!r})")
-        self.t = t
+    def __init__(self, message: str, at: dict[str, float]):
+        super().__init__(f"{message} (at {', '.join(f'{k}={v!r}' for k, v in at.items())})")
+        self.at = at
+        self.t = at.get("t")
 
 
 class InvalidWindow(OrbitLiftError):

@@ -20,7 +20,9 @@ block holds each orbit by its chamber point and computes the orbit sizes
 and least distances over all its rows; an Orbit is a view of one row, and
 orbit_at is the one-row case of orbits_at.  An Orbit answers the nearest
 point, the reflection images of a point and the rank of a point in the
-lexicographic listing of the orbit, all without listing it.
+lexicographic listing of the orbit, all without listing it.  A block
+answers the nearest point of each of its orbits at once; for A, B and D
+both go through one kernel, `_nearest`, a point being a one-row call.
 
 The k-data come in closed form, without enumerating the group.  A point's
 stabilizer is the parabolic subgroup of the walls through it (Steinberg's
@@ -384,6 +386,17 @@ class OrbitBlock:
         return Orbit(self.group, self.spectra[i], float(self.parity[i]), self.sizes[i],
                      float(self.min_distance[i]))
 
+    def nearest(self, p: np.ndarray) -> np.ndarray:
+        """For each orbit k, the point of it nearest p[k], where p[k] is one
+        point or several (p of shape (len, dim) or (len, s, dim)).  A, B and
+        D take one `_nearest` call for the block; I2 asks each orbit."""
+        p = np.asarray(p, dtype=float)
+        if self.group.kind == "I2":
+            return np.array([self[k].nearest(q) for k, q in enumerate(p)]).reshape(p.shape)
+        each = p[0].size // p.shape[-1]
+        spectra, parity = np.repeat(self.spectra, each, axis=0), np.repeat(self.parity, each)
+        return _nearest(self.group.kind, spectra, parity, p.reshape(spectra.shape)).reshape(p.shape)
+
 
 def _chamber_block(group: ReflectionGroup, spectra: np.ndarray, parity: np.ndarray) -> OrbitBlock:
     """The block of the A, B or D orbits with these chamber points.
@@ -421,6 +434,41 @@ def _chamber_block(group: ReflectionGroup, spectra: np.ndarray, parity: np.ndarr
     return OrbitBlock(group, spectra, parity, sizes, dist, np.max(np.abs(spectra), axis=1))
 
 
+def _nearest(kind: str, spectra: np.ndarray, parity, rows: np.ndarray) -> np.ndarray:
+    """The point nearest rows[k] of the A, B or D orbit held by spectra[k]
+    and parity[k] (as OrbitBlock holds them), for every k at once; an exact
+    tie goes to the lexicographically first point.  spectra may be one row
+    and parity one number, shared by all rows.
+
+    A puts the sorted roots in the row's rank order (the rearrangement
+    inequality); B puts the sorted moduli in the rank order of |row| with
+    the row's signs; D then flips, if the sign parity is wrong, the
+    coordinate with the least |v_i p_i|.  These only permute and flip
+    signs, so a row gets the same bits whatever block it is solved in."""
+    m, n = rows.shape
+    at = np.arange(m)[:, None]
+    v = np.empty_like(rows)
+    if kind == "A":
+        v[at, np.argsort(rows, axis=1, kind="stable")] = spectra
+        return v
+    # within a tie of |p|, positive coordinates take the smallest moduli in
+    # index order and the others the largest: the lexicographic first
+    idx = np.arange(n)
+    neg = ~(rows > 0.0)
+    order = np.lexsort((np.where(neg, -idx, idx), neg, np.abs(rows)), axis=1)
+    v[at, order] = spectra
+    v = np.where(neg, -v, v) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if kind == "D":
+        # the least |v_i p_i| sits at the least |p_i| on the least modulus,
+        # the first of the order, which among ties is the first positive
+        # p_i, else the last p_i: the flip that keeps the lexicographic first
+        odd = np.logical_xor.reduce(v < 0.0, axis=1)
+        wrong = np.flatnonzero(np.where(odd, parity > 0.0, parity < 0.0))
+        j = order[wrong, 0]
+        v[wrong, j] = -v[wrong, j]
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """One orbit of an OrbitBlock, a view of its row, which answers the
@@ -442,66 +490,14 @@ class Orbit:
 
     def nearest(self, p: np.ndarray) -> np.ndarray:
         """The orbit point nearest p, for one point (shape (dim,)) or for
-        each row of p (shape (k, dim)); an exact tie goes to the
-        lexicographically first point.
-
-        A puts the sorted roots in p's rank order (the rearrangement
-        inequality); B puts the sorted moduli in the rank order of |p| with
-        p's signs; D then flips, if the sign parity is wrong, the coordinate
-        with the least |v_i p_i|.  These only permute and flip signs, so a
-        point gets the same bits alone as in a block."""
+        each row of p (shape (k, dim)), by `_nearest` (I2: the listed point
+        nearest, the first of an exact tie)."""
         p = np.asarray(p, dtype=float)
         if self.group.kind == "I2":
             d = np.linalg.norm(self.spectrum[None, :, :] - np.atleast_2d(p)[:, None, :], axis=2)
             return self.spectrum[np.argmin(d, axis=1)].reshape(p.shape)
-        if p.ndim == 2:
-            return self._nearest_rows(p)
-        n = p.size
-        v = np.empty(n)
-        if self.group.kind == "A":
-            v[np.argsort(p, kind="stable")] = self.spectrum
-            return v
-        # within a tie of |p|, positive coordinates take the smallest moduli
-        # in index order and the others the largest: the lexicographic first
-        a, neg, idx = np.abs(p), ~(p > 0.0), np.arange(n)
-        v[np.lexsort((np.where(neg, -idx, idx), neg, a))] = self.spectrum
-        v = np.where(neg, -v, v) + 0.0  # + 0.0 turns -0.0 into 0.0
-        parity = self.parity
-        if parity and (np.count_nonzero(v < 0.0) % 2 == 1) != (parity < 0.0):
-            # the least |v_i p_i| sits at the least |p_i|, on its least
-            # modulus; a tie flips its first positive p_i, else its last
-            av = np.abs(v)
-            cand = a == a.min()
-            cand &= av == av[cand].min()
-            pos = cand & (p > 0.0)
-            j = pos.argmax() if pos.any() else n - 1 - cand[::-1].argmax()
-            v[j] = -v[j]
-        return v
-
-    def _nearest_rows(self, rows: np.ndarray) -> np.ndarray:
-        """nearest for each row of rows at once, by the same rule."""
-        spectrum = np.broadcast_to(self.spectrum, rows.shape)
-        v = np.empty_like(rows)
-        if self.group.kind == "A":
-            np.put_along_axis(v, np.argsort(rows, axis=1, kind="stable"), spectrum, axis=1)
-            return v
-        n = self.group.dim
-        idx = np.broadcast_to(np.arange(n), rows.shape)
-        a = np.abs(rows)
-        neg = ~(rows > 0.0)
-        order = np.lexsort((np.where(neg, -idx, idx), neg, a), axis=1)
-        np.put_along_axis(v, order, spectrum, axis=1)
-        v = np.where(neg, -v, v) + 0.0
-        if self.parity:
-            wrong = np.flatnonzero((np.count_nonzero(v < 0.0, axis=1) % 2 == 1) != (self.parity < 0.0))
-            if wrong.size:
-                av, aw = np.abs(v[wrong]), a[wrong]
-                cand = aw == aw.min(axis=1, keepdims=True)
-                cand &= av == np.where(cand, av, np.inf).min(axis=1, keepdims=True)
-                pos = cand & (rows[wrong] > 0.0)
-                j = np.where(pos.any(axis=1), pos.argmax(axis=1), n - 1 - cand[:, ::-1].argmax(axis=1))
-                v[wrong, j] = -v[wrong, j]
-        return v
+        rows = p.reshape(-1, p.shape[-1])
+        return _nearest(self.group.kind, self.spectrum, self.parity, rows).reshape(p.shape)
 
     def neighbours(self, pts: np.ndarray) -> np.ndarray:
         """Orbit points that include every point joined to a row of pts by

@@ -8,7 +8,8 @@ test runs over the whole grid at once; the lift threads one point per
 orbit, reading each through its row view, an `invariants.Orbit`.  Away from
 collisions the thread follows linear extrapolation matched to the nearest
 orbit point, which the orbit computes from its sorted spectrum (its point in
-the closed fundamental chamber) without listing the orbit.  Where orbit
+the closed fundamental chamber) without listing the orbit; calm runs of A, B
+and D samples are tracked as verified blocks (`_follow`).  Where orbit
 points collide or the orbit size jumps (orbit-type change), the thread is
 re-attached by the minimal-derivative-jump principle: the points of the
 orbit right after the window are ranked by their distance from the linear
@@ -114,13 +115,54 @@ def _continue(values: np.ndarray, orbits, i: int) -> None:
     values[i] = orbits[i].nearest(pred)
 
 
-def _track(orbits, start: np.ndarray) -> np.ndarray:
+def _follow(values: np.ndarray, orbits: OrbitBlock, i: int, j: int) -> None:
+    """values[i:j] := what _continue gives sample by sample, for i >= 1.
+
+    A, B and D samples go in verified blocks.  Every value of a block is
+    guessed as the point of its orbit nearest the last known value; the
+    linear continuations are made from the guesses, and their nearest
+    points found, in one call each.  The prefix whose nearest points are
+    the guesses, bit for bit, is accepted: each of its continuations was
+    made from the values the sample-by-sample loop would have, so it is
+    that loop's answer.  The first mismatch is right for the same reason,
+    and tracking resumes after it.  A block after a mismatch is at most
+    twice the accepted prefix, and doubles while whole blocks hold, so a
+    run where the guesses keep failing costs at most about two calls a
+    sample.  I2 goes sample by sample."""
+    if orbits.group.kind == "I2":
+        for k in range(i, j):
+            _continue(values, orbits, k)
+        return
+    size = j - i
+    while i < j:
+        k = min(j, i + size)
+        if k == i + 1:
+            _continue(values, orbits, i)
+            i, size = k, 2
+            continue
+        block = orbits[i:k]
+        guess = block.nearest(np.broadcast_to(values[i - 1], (k - i,) + values.shape[1:]))
+        seq = np.concatenate([values[max(i - 2, 0) : i], guess])
+        pred = 2.0 * seq[1:-1] - seq[:-2]
+        if i == 1:
+            pred = np.concatenate([values[:1], pred])
+        near = block.nearest(pred)
+        same = (near.view(np.int64) == guess.view(np.int64)).reshape(k - i, -1).all(axis=1)
+        m = k - i if same.all() else int(np.argmin(same))
+        values[i : i + m] = guess[:m]
+        if i + m == k:
+            i, size = k, 2 * size
+        else:
+            values[i + m] = near[m]
+            i, size = i + m + 1, max(1, 2 * m)
+
+
+def _track(orbits: OrbitBlock, start: np.ndarray) -> np.ndarray:
     """Nearest-point tracking with linear extrapolation, from the point of
     the first orbit nearest start; start may hold one strand per row."""
     vals = np.empty((len(orbits),) + start.shape)
     vals[0] = orbits[0].nearest(start)
-    for i in range(1, len(orbits)):
-        _continue(vals, orbits, i)
+    _follow(vals, orbits, 1, len(orbits))
     return vals
 
 
@@ -286,8 +328,11 @@ def lift_curve(
     i = 1
     while i < N:
         if not risky[i]:
-            _continue(values, orbits, i)
-            i += 1
+            j = i + 1
+            while j < N and not risky[j]:
+                j += 1
+            _follow(values, orbits, i, j)
+            i = j
             continue
         i0 = i1 = i
         while i1 + 1 < N and risky[i1 + 1]:
@@ -309,16 +354,14 @@ def lift_curve(
         if exit_val is None:
             if not at_boundary:
                 unresolved.append((float(tpts[i0]), float(tpts[i1])))
-            for j in range(i0, min(i1 + 2, N)):
-                _continue(values, orbits, j)
+            _follow(values, orbits, i0, min(i1 + 2, N))
             i = i1 + 2
             continue
         values[i1 + 1] = orbits[i1 + 1].nearest(exit_val)
         entry_t, exit_t = tpts[i0 - 1], tpts[i1 + 1]
-        for j in range(i0, i1 + 1):
-            frac = (tpts[j] - entry_t) / (exit_t - entry_t)
-            chord = values[i0 - 1] + (values[i1 + 1] - values[i0 - 1]) * frac
-            values[j] = orbits[j].nearest(chord)
+        frac = (tpts[i0 : i1 + 1] - entry_t) / (exit_t - entry_t)
+        chord = values[i0 - 1] + (values[i1 + 1] - values[i0 - 1]) * frac[:, None]
+        values[i0 : i1 + 1] = orbits[i0 : i1 + 1].nearest(chord)
         # the swap log ranks the entry and exit points within their orbits
         rank_in = orbits[i0 - 1].ranks(values[i0 - 1 : i0])[0]
         rank_out = orbits[i1 + 1].ranks(values[i1 + 1 : i1 + 2])[0]
@@ -387,7 +430,9 @@ def _composed_curve(f, gamma, n: int) -> CoeffCurve:
 
     The n columns share one evaluation of f per time array: only the last
     array's values are kept, which serves the n column calls of one
-    CoeffCurve.evaluate."""
+    CoeffCurve.evaluate.  numpy's floating-point warnings are off while f
+    runs: a value that overflows is not finite, and the orbit solve refuses
+    it, naming its t."""
     last: list = [None, None]  # [time array bytes, f values on it]
 
     def column(j):
@@ -395,7 +440,8 @@ def _composed_curve(f, gamma, n: int) -> CoeffCurve:
             arr = np.atleast_1d(np.asarray(tarr, dtype=float))
             key = arr.tobytes()
             if key != last[0]:
-                last[:] = key, np.array([f(gamma(float(t))) for t in arr])
+                with np.errstate(all="ignore"):
+                    last[:] = key, np.array([f(gamma(float(t))) for t in arr])
             out = last[1][:, j]
             return out if np.asarray(tarr).shape else float(out[0])
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,27 @@ class TestKdata:
         assert invariants.parse_group(group).order > invariants.ENUM_LIMIT
         assert run(["kdata", "--group", group]) == EXIT_OK
         assert f"\nk: {k}\n" in capsys.readouterr().out
+
+
+class TestEvaluationErrors:
+    """An expression that overflows or divides by zero ends in exit 2 and
+    one error line naming the point; numpy warns nothing first."""
+
+    @pytest.mark.parametrize("argv, where", [
+        (["lift", "--group", "B:2", "--curve", "exp(1000*t),1", "--level", "4"], "t=0.75"),
+        (["select", "--curve", "exp(1000*t),1", "--level", "4"], "t=0.75"),
+        (["harness", "--group", "B:2", "--gmap", "1+exp(1000*u);2", "--box", "-1:1,-1:1",
+          "--probes", "3", "--level", "4"], "u=0.7875, v=0.0"),
+        (["harness", "--group", "B:2", "--gmap", "1+1/u;2", "--box", "-1:1,-1:1",
+          "--probes", "3", "--level", "4"], "u=0.0, v=0.0"),
+    ])
+    def test_one_error_line_naming_the_point(self, argv, where, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"(at {where})\n")
 
 
 class TestHarness:

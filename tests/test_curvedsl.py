@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,3 +162,242 @@ class TestSmoothnessClass:
         for text in ("smooth", "C", "C1,2", "C^{1,1,1}", "Cx"):
             with pytest.raises(ValueError):
                 cd.check_class_label(text)
+
+
+# -- the compiled evaluator against the tree walker it replaced -----------------------
+
+def _oracle_bad_t(t, mask):
+    idx = int(np.argmax(mask))
+    return float(np.ravel(t)[idx]) if t.shape else float(t)
+
+
+def _oracle(node, env, t):
+    """The tree walker the compiled evaluator replaced, kept as its oracle:
+    every number a full array, every step a numpy operation on arrays (on
+    0-d arrays for a point)."""
+    if isinstance(node, cd.Num):
+        return np.full(t.shape, node.value)
+    if isinstance(node, cd.Var):
+        return env[node.name]
+    if isinstance(node, cd.Neg):
+        return -_oracle(node.arg, env, t)
+    if isinstance(node, cd.BinOp):
+        lv = _oracle(node.left, env, t)
+        rv = _oracle(node.right, env, t)
+        if node.op == "+":
+            return lv + rv
+        if node.op == "-":
+            return lv - rv
+        if node.op == "*":
+            return lv * rv
+        bad = rv == 0.0
+        if np.any(bad):
+            raise EvalError("division by zero", {"t": _oracle_bad_t(t, bad)})
+        return lv / rv
+    if isinstance(node, cd.IntPow):
+        base = _oracle(node.base, env, t)
+        if node.exponent < 0:
+            bad = base == 0.0
+            if np.any(bad):
+                raise EvalError("zero base with negative exponent", {"t": _oracle_bad_t(t, bad)})
+        return base ** float(node.exponent)
+    a0 = _oracle(node.args[0], env, t)
+    if node.fn in ("abs", "sin", "cos", "exp"):
+        return getattr(np, node.fn)(a0)
+    alpha = cd._const_value(node.args[1])
+    mag = np.abs(a0) if node.fn == "powabs" else a0
+    if node.fn == "pow" and alpha != int(alpha):
+        bad = a0 < 0.0
+        if np.any(bad):
+            raise EvalError("pow of negative base with non-integer exponent",
+                            {"t": _oracle_bad_t(t, bad)})
+    if alpha < 0:
+        bad = mag == 0.0
+        if np.any(bad):
+            raise EvalError("zero base with negative exponent", {"t": _oracle_bad_t(t, bad)})
+    return np.power(mag, alpha)
+
+
+def oracle_eval(node, t):
+    arr = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.asarray(_oracle(node, {"t": arr}, arr), dtype=float)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        raise EvalError("non-finite value", {"t": _oracle_bad_t(arr, bad)})
+    return out
+
+
+def _random_expr(rng, depth):
+    """A seeded expression tree over every node type; exponents and
+    constants are chosen so that most trees stay finite on [-2, 2]."""
+    kinds = ["num", "var"] if depth == 0 else [
+        "num", "var", "neg", "+", "-", "*", "/", "^", "abs", "sin", "cos", "exp", "pow", "powabs"]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    sub = lambda: _random_expr(rng, depth - 1)  # noqa: E731
+    if kind == "num":
+        return cd.Num(float(np.round(rng.uniform(-3.0, 3.0), int(rng.integers(0, 4)))))
+    if kind == "var":
+        return cd.Var("t")
+    if kind == "neg":
+        return cd.Neg(sub())
+    if kind in "+-*/":
+        return cd.BinOp(kind, sub(), sub())
+    if kind == "^":
+        return cd.IntPow(sub(), int(rng.integers(-3, 6)))
+    if kind in ("pow", "powabs"):
+        alpha = float(rng.choice([-1.5, -1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 1.0 / 3.0]))
+        return cd.Call(kind, (sub(), cd.Num(alpha)))
+    return cd.Call(kind, (sub(),))
+
+
+def _children(node):
+    return [getattr(node, a) for a in ("arg", "left", "right", "base") if hasattr(node, a)] + list(
+        getattr(node, "args", ()) or ())
+
+
+def _subtrees(node):
+    yield node
+    for child in _children(node):
+        yield from _subtrees(child)
+
+
+def _node_types(node):
+    return {type(s).__name__ + (f":{s.fn}" if isinstance(s, cd.Call) else "") for s in _subtrees(node)}
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except EvalError as err:
+        return None, str(err)
+
+
+class TestCompiledEvaluator:
+    TREES = 600
+
+    @staticmethod
+    def _trees():
+        rng = np.random.default_rng(2718)
+        return [_random_expr(rng, int(rng.integers(1, 5))) for _ in range(TestCompiledEvaluator.TREES)]
+
+    def test_sweep_covers_every_node_type(self):
+        seen = set().union(*(_node_types(e) for e in self._trees()))
+        assert seen == {"Num", "Var", "Neg", "BinOp", "IntPow", "Call:abs", "Call:sin", "Call:cos",
+                        "Call:exp", "Call:pow", "Call:powabs"}
+
+    def test_arrays_match_the_tree_walker_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        t = np.concatenate([rng.uniform(-2.0, 2.0, 200), [0.0, -0.0, 1.0, -1.0, 0.5]])
+        finite = 0
+        for node in self._trees():
+            want, want_err = _outcome(lambda: oracle_eval(node, t))
+            got, got_err = _outcome(lambda: cd.evaluate_expr(node, t))
+            assert got_err == want_err, node
+            if want is not None:
+                finite += 1
+                assert got.shape == t.shape and got.tobytes() == want.tobytes(), node
+        assert finite > TestCompiledEvaluator.TREES // 3
+
+    def test_a_point_gets_the_bits_of_its_row(self):
+        rng = np.random.default_rng(32)
+        t = rng.uniform(-2.0, 2.0, 40)
+        checked = 0
+        for node in self._trees():
+            rows, _ = _outcome(lambda: cd.evaluate_expr(node, t))
+            if rows is None:
+                continue
+            for k, tk in enumerate(t):
+                # a Python float, a numpy scalar, and the env form of each
+                for x in (float(tk), np.float64(tk)):
+                    assert np.float64(cd.evaluate_expr(node, x)).tobytes() == rows[k].tobytes(), node
+                    got = cd.evaluate_with_env(node, {"t": x})
+                    assert isinstance(got, float) and np.float64(got).tobytes() == rows[k].tobytes()
+                checked += 1
+        assert checked > 4000
+
+    def test_points_differ_from_the_walker_only_at_integer_powers(self):
+        """The walker took a point as a 0-d array, which numpy turns into a
+        scalar after its first operation; a scalar's ** calls the C
+        library's pow, which can differ from the ufunc in the last bit.
+        The compiled tree takes np.power, as a row does.  So wherever a
+        point's bits differ from the walker's, the innermost subtree that
+        differs is a ^n on a compound base (a bare t stays a 0-d array,
+        whose ** is the ufunc).  On this sweep that is about 0.2 % of the
+        points."""
+        rng = np.random.default_rng(33)
+        t = rng.uniform(-2.0, 2.0, 20)
+
+        def value(node, x):
+            try:
+                with np.errstate(all="ignore"):
+                    return np.float64(
+                        _oracle(node, {"t": x}, x) if isinstance(x, np.ndarray) else node._fn({"t": x}))
+            except (EvalError, cd._Fault):
+                return None
+
+        def differs(node, tk):
+            a, b = value(node, np.asarray(tk)), value(node, float(tk))
+            return a is not None and b is not None and a.tobytes() != b.tobytes()
+
+        points = differing = 0
+        for node in self._trees():
+            for tk in t:
+                points += 1
+                if not differs(node, tk):
+                    continue
+                differing += 1
+                for sub in _subtrees(node):
+                    if differs(sub, tk) and not any(differs(c, tk) for c in _children(sub)):
+                        assert isinstance(sub, cd.IntPow) and not isinstance(sub.base, cd.Var), sub
+        assert differing < 0.01 * points
+
+    def test_numbers_broadcast_and_compile_once(self):
+        node = cd.parse_curve_expr("2*3-sin(1)")
+        out = cd.evaluate_expr(node, np.zeros((2, 3)))
+        assert out.shape == (2, 3) and np.all(out == 6.0 - np.sin(1.0))
+        assert cd.evaluate_with_env(node, {"t": np.zeros(4)}).shape == (4,)
+        assert node._fn is node._fn
+
+    def test_compiled_expressions_pickle(self):
+        import pickle
+
+        node = cd.parse_curve_expr("1+t^2")
+        assert cd.evaluate_expr(node, 2.0) == 5.0
+        copy = pickle.loads(pickle.dumps(node))
+        assert copy == node and cd.evaluate_expr(copy, 2.0) == 5.0
+
+
+class TestEvalErrors:
+    T = np.array([-1.0, -0.5, 0.25, 0.5, 0.75])
+
+    @pytest.mark.parametrize("src, message, t", [
+        ("1/(t-0.25)", "division by zero", 0.25),
+        ("1/(t-0.5)^2", "division by zero", 0.5),
+        ("pow(t-0.25, -2)", "zero base with negative exponent", 0.25),
+        ("powabs(t+0.5, -1)", "zero base with negative exponent", -0.5),
+        ("pow(t, 0.5)", "pow of negative base with non-integer exponent", -1.0),
+        ("exp(1000*t)", "non-finite value", 0.75),
+        ("1/0", "division by zero", -1.0),  # a constant fails at the first t
+    ])
+    def test_each_error_names_its_t(self, src, message, t):
+        node = cd.parse_curve_expr(src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns no overflow first
+            for arg in (self.T, t):
+                with pytest.raises(EvalError) as err:
+                    cd.evaluate_expr(node, arg)
+                assert str(err.value) == f"{message} (at t={t!r})"
+                assert err.value.t == t and err.value.at == {"t": t}
+
+    def test_env_errors_name_the_point(self):
+        node = cd.parse_curve_expr("1+1/u", variables=("u", "v"))
+        with pytest.raises(EvalError) as err:
+            cd.evaluate_with_env(node, {"u": np.float64(0.0), "v": np.float64(-0.5)})
+        assert str(err.value) == "division by zero (at u=0.0, v=-0.5)"
+        assert err.value.t is None and err.value.at == {"u": 0.0, "v": -0.5}
+        node = cd.parse_curve_expr("exp(1000*v)", variables=("u", "v"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalError, match=r"^non-finite value \(at u=1\.0, v=0\.75\)$"):
+                cd.evaluate_with_env(node, {"u": np.array([1.0, 1.0]), "v": np.array([0.5, 0.75])})

@@ -617,3 +617,93 @@ class TestLargeGroups:
             err = min(np.max(np.abs(lift.values[:, j] - s * ref[:, k]))
                       for k in range(g.dim) for s in signs)
             assert err < 1e-6, j
+
+
+class TestBlockTracker:
+    """`_follow` tracks calm runs as verified blocks; it must give the bits
+    of the sample-by-sample loop (`_continue`), including where the guess
+    of a block breaks: at its first sample, in its middle or at its last."""
+
+    N = 41
+
+    @staticmethod
+    def _orbits(g, m, pts):
+        return inv.orbits_at(m, m.evaluate(pts))
+
+    @staticmethod
+    def _reference(orbits, start):
+        vals = np.empty((len(orbits),) + start.shape)
+        vals[0] = orbits[0].nearest(start)
+        for k in range(1, len(orbits)):
+            lf._continue(vals, orbits, k)
+        return vals
+
+    @staticmethod
+    def _first_break(orbits, ref, i0):
+        """The first sample from i0 on whose value is not the point of its
+        orbit nearest ref[i0 - 1], the guess of a block starting at i0."""
+        for k in range(i0, len(orbits)):
+            if orbits[k].nearest(ref[i0 - 1]).tobytes() != ref[k].tobytes():
+                return k
+        return None
+
+    # a line through one mirror: base + s * direction crosses it at s = 0
+    LINES = {
+        "A:2": ([0.0, 0.0, 3.0], [1.0, -1.0, 0.0]),
+        "B:3": ([0.0, 2.5, 4.0], [1.0, 0.0, 0.0]),
+        "D:3 fixed": ([0.7, 3.0, 3.0], [0.1, 1.0, -1.0]),
+        "D:3 free": ([0.0, 3.0, 3.0], [0.0, 1.0, -1.0]),
+        "D:4 fixed": ([0.5, 1.0, 4.0, 4.0], [0.1, 0.2, 1.0, -1.0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LINES))
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_break_in_a_run(self, name, where):
+        g, m = group_and_map(name.split()[0])
+        base, direction = (np.array(x) for x in self.LINES[name])
+        i0, N = 6, self.N
+        k = {"first": i0, "middle": i0 + 13, "last": N - 1}[where]
+        t = np.arange(N, dtype=float)
+        # the crossing lies between samples k - 1 and k
+        pts = base + (t - (k - 0.37))[:, None] * (0.05 * direction)
+        orbits = self._orbits(g, m, pts)
+        if name.endswith("fixed"):
+            assert np.all(orbits.parity != 0.0)
+        if name.endswith("free"):
+            assert np.all(orbits.parity == 0.0)
+        ref = self._reference(orbits, pts[0])
+        assert self._first_break(orbits, ref, i0) == k
+        got = ref.copy()
+        got[i0:] = np.nan
+        lf._follow(got, orbits, i0, N)
+        assert got.tobytes() == ref.tobytes()
+        assert lf._track(orbits, pts[0]).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("spec", ["A:3", "B:3", "D:3", "D:4"])
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_seeded_paths_and_strands(self, spec, zero):
+        """Smooth seeded paths, slow and fast: the fast ones cross mirrors
+        between most samples, so blocks break again and again.  A zero
+        coordinate frees the D parity.  The strands of a window's exit
+        candidates are tracked at once."""
+        import zlib
+
+        g, m = group_and_map(spec)
+        rng = np.random.default_rng(zlib.crc32(f"{spec} {zero}".encode()))
+        t = np.linspace(-1.0, 1.0, self.N)
+        for freq in (0.5, 3.0, 40.0):
+            a, b, phase = (rng.uniform(-2.0, 2.0, g.dim) for _ in range(3))
+            pts = a + b * np.sin(freq * t[:, None] + phase)
+            if zero:
+                pts[:, 0] = 0.0
+            orbits = self._orbits(g, m, pts)
+            if g.kind == "D":
+                assert np.all(orbits.parity == 0.0) if zero else np.any(orbits.parity != 0.0)
+            ref = self._reference(orbits, pts[0])
+            for i0 in (1, 2, 17):
+                got = ref.copy()
+                got[i0:] = np.nan
+                lf._follow(got, orbits, i0, self.N)
+                assert got.tobytes() == ref.tobytes(), (freq, i0)
+            starts = np.stack([pts[0], -pts[0], rng.uniform(-2.0, 2.0, g.dim)])
+            assert lf._track(orbits, starts).tobytes() == self._reference(orbits, starts).tobytes()
