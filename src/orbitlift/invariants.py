@@ -386,6 +386,19 @@ class OrbitBlock:
         return Orbit(self.group, self.spectra[i], float(self.parity[i]), self.sizes[i],
                      float(self.min_distance[i]))
 
+    def joined(self, other: "OrbitBlock", take: np.ndarray) -> "OrbitBlock":
+        """The block of the rows take of this block's rows followed by other's."""
+        def pick(a, b):
+            if isinstance(a, list):
+                ab = a + b
+                return [ab[k] for k in take.tolist()]
+            return np.concatenate([a, b])[take]
+
+        return OrbitBlock(self.group, *(
+            pick(getattr(self, f), getattr(other, f))
+            for f in ("spectra", "parity", "sizes", "min_distance", "max_abs")
+        ))
+
     def nearest(self, p: np.ndarray) -> np.ndarray:
         """For each orbit k, the point of it nearest p[k], where p[k] is one
         point or several (p of shape (len, dim) or (len, s, dim)).  A, B and

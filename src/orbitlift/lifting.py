@@ -46,7 +46,7 @@ from .invariants import Orbit, OrbitBlock, OrbitMapSigma, ReflectionGroup, orbit
 # by name to count the calls that would, so the name stays bound
 from .invariants import fiber  # noqa: F401
 from .regcheck import VERDICT_RANK, RegularityReport
-from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
+from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, reusing_sampler, risky_run
 
 
 @dataclass(frozen=True)
@@ -126,19 +126,21 @@ def _follow(values: np.ndarray, orbits: OrbitBlock, i: int, j: int) -> None:
     made from the values the sample-by-sample loop would have, so it is
     that loop's answer.  The first mismatch is right for the same reason,
     and tracking resumes after it.  A block after a mismatch is at most
-    twice the accepted prefix, and doubles while whole blocks hold, so a
-    run where the guesses keep failing costs at most about two calls a
-    sample.  I2 goes sample by sample."""
+    twice the accepted prefix, and doubles while whole blocks hold.  A
+    block that gives at most two samples for its two calls is followed by
+    `cool` samples taken one by one, and `cool` doubles while such blocks
+    repeat, until a whole block holds; so a run where the guesses keep
+    failing costs about one call a sample.  I2 goes sample by sample."""
     if orbits.group.kind == "I2":
         for k in range(i, j):
             _continue(values, orbits, k)
         return
-    size = j - i
+    size, cool, singles = j - i, 1, 0
     while i < j:
         k = min(j, i + size)
-        if k == i + 1:
+        if singles or k == i + 1:
             _continue(values, orbits, i)
-            i, size = k, 2
+            i, size, singles = i + 1, 2, max(singles - 1, 0)
             continue
         block = orbits[i:k]
         guess = block.nearest(np.broadcast_to(values[i - 1], (k - i,) + values.shape[1:]))
@@ -151,10 +153,12 @@ def _follow(values: np.ndarray, orbits: OrbitBlock, i: int, j: int) -> None:
         m = k - i if same.all() else int(np.argmin(same))
         values[i : i + m] = guess[:m]
         if i + m == k:
-            i, size = k, 2 * size
+            i, size, cool = k, 2 * size, 1
         else:
             values[i + m] = near[m]
-            i, size = i + m + 1, max(1, 2 * m)
+            i, size = i + m + 1, 2 * m
+            if m < 2:  # no better than single steps
+                singles, cool = cool, 2 * cool
 
 
 def _track(orbits: OrbitBlock, start: np.ndarray) -> np.ndarray:
@@ -344,7 +348,10 @@ def lift_curve(
             i0,
             i1,
             orbits,
-            lambda sub: _orbits_at(map_, curve.evaluate(sub.points), sub.points, tol),
+            reusing_sampler(
+                tpts, rows, orbits, curve.evaluate,
+                lambda sub_rows, pts: _orbits_at(map_, sub_rows, pts, tol), OrbitBlock.joined,
+            ),
             lambda pts, sub_orbits, center_t: _estimate_window(
                 pts, sub_orbits, center_t, eps, values[i0 - 1]
             ),

@@ -26,7 +26,7 @@ import numpy as np
 from . import hyperpoly
 from .curvedsl import CoeffCurve, Grid
 from .errors import NotHyperbolic, NotHyperbolicAt, RootSolveFailed
-from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, risky_run
+from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, reusing_sampler, risky_run
 
 SORTED = "sorted"
 DIFFERENTIABLE = "differentiable"
@@ -58,14 +58,14 @@ class RootBranches:
 
 def sorted_branches(curve: CoeffCurve, grid: Grid, tol: float = 1e-10) -> RootBranches:
     """Pointwise sorted roots of the curve; raises NotHyperbolicAt(t)."""
-    vals = _sorted_matrix(curve, grid, tol)
-    return RootBranches(grid, vals, SORTED)
-
-
-def _sorted_matrix(curve: CoeffCurve, grid: Grid, tol: float) -> np.ndarray:
     pts = grid.points
+    return RootBranches(grid, _sorted_matrix(curve.evaluate(pts), pts, tol), SORTED)
+
+
+def _sorted_matrix(rows: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted roots of the rows, one column each; a failing row names its t."""
     try:
-        vals, _ = hyperpoly.roots_batch(curve.evaluate(pts), tol)
+        vals, _ = hyperpoly.roots_batch(rows, tol)
     except NotHyperbolic as exc:
         raise NotHyperbolicAt(float(pts[exc.index])) from None
     except RootSolveFailed as exc:
@@ -203,7 +203,9 @@ def differentiable_selection(
     interior samples follow the entry-to-exit chord.  The multiset of branch
     values matches the polynomial roots at every grid point by construction.
     """
-    sb = sorted_branches(curve, grid, tol)
+    tpts = grid.points
+    rows = curve.evaluate(tpts)
+    sb = RootBranches(grid, _sorted_matrix(rows, tpts, tol), SORTED)
     vals = sb.branches
     n, N = vals.shape
     if n < 2:
@@ -215,7 +217,6 @@ def differentiable_selection(
     cur = np.arange(n)
     swaps: list[tuple[int, tuple[int, ...]]] = []
     unresolved: list[tuple[float, float]] = []
-    tpts = grid.points
     for cl in clusters:
         i0, i1 = cl.index_range
         members = list(cl.branches)
@@ -226,7 +227,11 @@ def differentiable_selection(
             i0,
             i1,
             vals,
-            lambda sub: _sorted_matrix(curve, sub, tol),
+            reusing_sampler(
+                tpts, rows, vals, curve.evaluate,
+                lambda sub_rows, pts: _sorted_matrix(sub_rows, pts, tol),
+                lambda a, b, take: np.concatenate([a, b], axis=1)[:, take],
+            ),
             lambda pts, sub_vals, center_t: _estimate_slopes(pts, sub_vals, members, eps, center_t),
             _slope_drift,
             _pairing,

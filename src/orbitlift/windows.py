@@ -18,6 +18,12 @@ the choice is stable, which is one of:
 
 A window with no stable choice by grid level `_MAX_LEVEL`, or whose estimate
 fails, is unresolved.
+
+Each level solves only the rows its parent level has not solved
+(`reusing_sampler`): a refined point whose coefficient row equals, bit for
+bit, the row of the nearest point of the level before takes that point's
+answer, and the other rows are solved as one block.  That is exact, since
+the engines' block solves give each row the answer it gets alone.
 """
 
 from __future__ import annotations
@@ -66,6 +72,40 @@ def risky_run(pts: np.ndarray, risky: np.ndarray, center_t: float) -> tuple[int,
     while hi + 1 < pts.size and risky[hi + 1]:
         hi += 1
     return lo, hi
+
+
+def matched_rows(parent_t: np.ndarray, parent_rows: np.ndarray, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each point t[k], the index of the parent point nearest it when
+    their rows are equal bit for bit, else -1."""
+    j = np.clip(np.searchsorted(parent_t, t), 1, parent_t.size - 1)
+    j -= t - parent_t[j - 1] < parent_t[j] - t
+    same = (parent_rows[j].view(np.int64) == rows.view(np.int64)).all(axis=1)
+    return np.where(same, j, -1)
+
+
+def reusing_sampler(points: np.ndarray, rows: np.ndarray, answers: Any, evaluate: Callable,
+                    solve: Callable, join: Callable) -> Callable[[Grid], Any]:
+    """A `sample` for resolve_window that solves only the rows its previous
+    level has not solved; the first previous level is the caller's grid,
+    with the coefficient rows and answers at its points.
+
+    evaluate  points -> coefficient rows
+    solve     (rows, their points) -> answers, naming a failing row's point
+    join      (previous answers, new answers, take) -> the answers of the
+              previous rows followed by the new ones, at the indices take
+    """
+    last = [points, rows, answers]
+
+    def sample(sub: Grid):
+        t = sub.points
+        rows = evaluate(t)
+        take = matched_rows(last[0], last[1], t, rows)
+        new = np.flatnonzero(take < 0)
+        take[new] = last[0].size + np.arange(new.size)
+        last[:] = t, rows, join(last[2], solve(rows[new], t[new]), take)
+        return last[2]
+
+    return sample
 
 
 def resolve_window(

@@ -707,3 +707,32 @@ class TestBlockTracker:
                 assert got.tobytes() == ref.tobytes(), (freq, i0)
             starts = np.stack([pts[0], -pts[0], rng.uniform(-2.0, 2.0, g.dim)])
             assert lf._track(orbits, starts).tobytes() == self._reference(orbits, starts).tobytes()
+
+    @pytest.mark.parametrize("spec,freqs,bound", [
+        *((spec, (1000.3, 410.1), 1.1) for spec in ("A:1", "A:2", "B:2", "D:3")),
+        *((spec, (100.3, 41.1), 0.2) for spec in ("B:2", "D:3")),
+    ])
+    def test_guesses_that_keep_failing_cost_about_one_call_a_sample(self, spec, freqs, bound, monkeypatch):
+        """sigma of (sin(1000.3 t), 1.5 + 0.3 cos(37 t), -2 + sin(410.1 t))
+        at level 10 crosses mirrors between most samples, so the guesses
+        keep failing; single steps after blocks that do no better keep the
+        run near one nearest-point call a sample.  With sin(100.3 t) and
+        sin(41.1 t) the guesses fail now and then, and blocks come back
+        after the single steps."""
+        g, m = group_and_map(spec)
+        t = cd.Grid.dyadic(-1, 1, 10).points
+        pts = np.stack([np.sin(freqs[0] * t), 1.5 + 0.3 * np.cos(37 * t), -2 + np.sin(freqs[1] * t)], axis=1)
+        orbits = self._orbits(g, m, pts[:, : g.dim])
+        ref = self._reference(orbits, pts[0, : g.dim])
+        calls = []
+        for cls in (inv.Orbit, inv.OrbitBlock):
+            def counted(self, p, _nearest=cls.nearest):
+                calls.append(1)
+                return _nearest(self, p)
+
+            monkeypatch.setattr(cls, "nearest", counted)
+        got = ref.copy()
+        got[1:] = np.nan
+        lf._follow(got, orbits, 1, t.size)
+        assert got.tobytes() == ref.tobytes()
+        assert len(calls) <= bound * (t.size - 1)

@@ -1,0 +1,283 @@
+"""Window refinement solves only the rows its parent level has not solved.
+
+`windows.matched_rows` decides which refined rows take their parent's
+answer.  The oracle is the same run with a matcher that matches nothing,
+where every level is solved in full: every level's answers, and the
+selection or lift, must be the same bits with and without reuse.
+"""
+
+import numpy as np
+import pytest
+from numpy.polynomial import polynomial as P
+
+from orbitlift import catalog
+from orbitlift import curvedsl as cd
+from orbitlift import hyperpoly
+from orbitlift import invariants as inv
+from orbitlift import lifting as lf
+from orbitlift import rootflow as rf
+from orbitlift import windows as wn
+from orbitlift.errors import NotHyperbolic, NotHyperbolicAt, NotInImageAt, RootSolveFailed
+
+
+def match_nothing(parent_t, parent_rows, t, rows):
+    return np.full(t.size, -1)
+
+
+def record_levels(monkeypatch, module) -> list:
+    """Every refined level's answers, as module's windows give them."""
+    levels = []
+    resolve = module.resolve_window
+
+    def spy(grid, i0, i1, samples, sample, *rest):
+        def recording(sub):
+            out = sample(sub)
+            levels.append(out)
+            return out
+
+        return resolve(grid, i0, i1, samples, recording, *rest)
+
+    monkeypatch.setattr(module, "resolve_window", spy)
+    return levels
+
+
+def solved_rows(monkeypatch) -> list:
+    """The bytes of every coefficient row that reaches the root solve."""
+    rows = []
+    solve = hyperpoly.roots_batch
+
+    def spy(block, tol=1e-10):
+        rows.extend(r.tobytes() for r in np.asarray(block, dtype=float))
+        return solve(block, tol)
+
+    monkeypatch.setattr(hyperpoly, "roots_batch", spy)
+    return rows
+
+
+def block_bits(block: inv.OrbitBlock) -> list:
+    spectra = block.spectra if isinstance(block.spectra, list) else [block.spectra]
+    return [s.tobytes() for s in spectra] + [
+        np.asarray(x, dtype=float).tobytes() for x in (block.parity, block.sizes, block.min_distance, block.max_abs)
+    ]
+
+
+def with_and_without_reuse(monkeypatch, module, run, bits):
+    """(result, level bits, solved rows) with reuse, then with a full
+    re-solve of every level."""
+    out = []
+    for matcher in (wn.matched_rows, match_nothing):
+        with monkeypatch.context() as m:
+            m.setattr(wn, "matched_rows", matcher)
+            levels = record_levels(m, module)
+            rows = solved_rows(m)
+            result = run()
+            out.append((result, [bits(x) for x in levels], rows))
+    return out
+
+
+def roots_curve(root_polys) -> cd.CoeffCurve:
+    """The curve whose roots are these t-polynomials (ascending
+    coefficients): its components are their elementary symmetric
+    polynomials."""
+    e = [np.array([1.0])] + [np.array([0.0])] * len(root_polys)
+    for k, r in enumerate(root_polys, start=1):
+        for j in range(k, 0, -1):
+            e[j] = P.polyadd(e[j], P.polymul(r, e[j - 1]))
+    return cd.CoeffCurve(tuple(np.polynomial.Polynomial(c) for c in e[1:]))
+
+
+def separated_curve(seed: int, degree: int) -> cd.CoeffCurve:
+    """Root lanes 7 apart; pairs of lines crossing at level-8 samples far
+    from each other and from the ends, singles smooth and alone."""
+    rng = np.random.default_rng(seed)
+    pts = cd.Grid.dyadic(-1, 1, 8).points
+    crossings = iter(sorted(rng.choice(np.arange(40, 217, 45), size=degree // 2, replace=False)))
+    roots = []
+    for lane in range(degree // 2):
+        centre, tau = 7.0 * lane, float(pts[next(crossings)])
+        slope, bend = rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)
+        for s in (slope, -slope):
+            roots.append(np.array([centre - s * tau + bend * tau * tau, s - 2 * bend * tau, bend]))
+    if degree % 2:
+        roots.append(np.array([-7.0, rng.uniform(-1, 1), 0.3]))
+    return roots_curve(roots)
+
+
+def tangent_curve() -> cd.CoeffCurve:
+    """Roots f + 0.6 s^2 and f + 1.2 s^2 with s = t - 0.25: a tangential
+    contact at t = 0.25 where both roots bend the same way."""
+    s2 = np.array([0.0625, -0.5, 1.0])
+    f = np.array([0.1, 0.4])
+    return roots_curve([P.polyadd(f, 0.6 * s2), P.polyadd(f, 1.2 * s2)])
+
+
+NON_DYADIC = ("3", "-(t-0.1)^2", "-3*(t-0.1)^2")
+
+SELECTIONS = {
+    **{f"separated-{seed}-{deg}": (lambda s=seed, d=deg: separated_curve(s, d), (-1.0, 1.0), 8)
+       for seed, deg in ((1, 3), (2, 4), (3, 5))},
+    **{e.name: (lambda e=e: cd.CoeffCurve.from_exprs(list(e.components)), e.domain, 8) for e in catalog.CATALOG},
+    "tangent": (tangent_curve, (-1.0, 1.0), 8),
+    "non-dyadic": (lambda: cd.CoeffCurve.from_exprs(list(NON_DYADIC)), (-0.3, 0.5), 8),
+}
+
+
+class TestSelectionReuse:
+    @pytest.mark.parametrize("name", sorted(SELECTIONS))
+    def test_same_bits_as_a_full_re_solve(self, name, monkeypatch):
+        make, domain, level = SELECTIONS[name]
+        curve, grid = make(), cd.Grid.dyadic(*domain, level)
+        (got, got_levels, got_rows), (want, want_levels, want_rows) = with_and_without_reuse(
+            monkeypatch, rf, lambda: rf.differentiable_selection(curve, grid), lambda v: v.tobytes())
+        assert got.branches.tobytes() == want.branches.tobytes()
+        assert (got.swap_log, got.unresolved) == (want.swap_log, want.unresolved)
+        assert got_levels == want_levels
+        if want_levels:
+            assert len(got_rows) < len(want_rows)
+
+    @pytest.mark.parametrize("name", [n for n in SELECTIONS if n.startswith("separated")] + ["tangent"])
+    def test_no_row_solved_twice_on_a_dyadic_domain(self, name, monkeypatch):
+        make, domain, level = SELECTIONS[name]
+        levels = record_levels(monkeypatch, rf)
+        rows = solved_rows(monkeypatch)
+        sel = rf.differentiable_selection(make(), cd.Grid.dyadic(*domain, level))
+        assert levels and (sel.swap_log or name == "tangent")
+        assert len(set(rows)) == len(rows)
+
+    def test_a_non_dyadic_domain_takes_both_paths(self, monkeypatch):
+        matched = []
+        match = wn.matched_rows
+
+        def spy(parent_t, parent_rows, t, rows):
+            out = match(parent_t, parent_rows, t, rows)
+            # the refined points on the parent's lattice, and of them those reused
+            shared = np.isin(np.round((t - parent_t[0]) / (parent_t[1] - parent_t[0]), 6),
+                             np.arange(parent_t.size))
+            matched.append(((out >= 0).sum(), shared.sum()))
+            return out
+
+        monkeypatch.setattr(wn, "matched_rows", spy)
+        sel = rf.differentiable_selection(cd.CoeffCurve.from_exprs(list(NON_DYADIC)), cd.Grid.dyadic(-0.3, 0.5, 8))
+        assert sel.swap_log == ((128, (1, 0, 2)),)
+        assert sel.unresolved == ()
+        reused, shared = (sum(x) for x in zip(*matched))
+        assert 0 < reused < shared
+
+
+# lines through a mirror, base + (t - t_cross) * direction: (domain, t_cross, base, direction)
+LIFTS = {
+    "A:2": ((-1.0, 1.0), 0.25, [0.0, 0.0, 3.0], [1.0, -1.0, 0.3]),
+    "B:3": ((-0.3, 0.5), 0.1, [0.0, 2.5, 4.0], [1.0, 0.2, 0.0]),
+    "D:4": ((-1.0, 1.0), -0.375, [0.5, 1.0, 4.0, 4.0], [0.1, 0.2, 1.0, -1.0]),
+    "I2:4": ((-1.0, 1.0), 0.125, [2.0, 0.0], [0.3, 1.0]),
+}
+
+
+def mirror_lift_case(spec):
+    g = inv.parse_group(spec)
+    m = inv.orbit_map(g)
+    domain, tc, base, direction = LIFTS[spec]
+    base, direction = np.array(base), np.array(direction)
+    curve = lf._composed_curve(m.evaluate, lambda t: base + (t - tc) * direction, m.n_invariants)
+    return g, m, curve, cd.Grid.dyadic(*domain, 8)
+
+
+class TestLiftReuse:
+    @pytest.mark.parametrize("spec", sorted(LIFTS))
+    def test_same_bits_as_a_full_re_solve(self, spec, monkeypatch):
+        g, m, curve, grid = mirror_lift_case(spec)
+        (got, got_levels, got_rows), (want, want_levels, want_rows) = with_and_without_reuse(
+            monkeypatch, lf, lambda: lf.lift_curve(g, m, curve, grid), block_bits)
+        assert want_levels and want.swap_log
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.swap_log, got.unresolved, got.residual) == (want.swap_log, want.unresolved, want.residual)
+        assert [r.verdict for r in got.reports] == [r.verdict for r in want.reports]
+        assert got_levels == want_levels
+        if g.kind != "I2":
+            assert len(got_rows) < len(want_rows)
+        if grid.t0 == -1.0 and g.kind != "I2":
+            assert len(set(got_rows)) == len(got_rows)
+
+
+class TestMatchedRows:
+    PARENT_T = np.linspace(0.0, 1.0, 5)
+
+    def test_a_row_one_ulp_off_or_of_another_sign_of_zero_is_solved_anew(self):
+        rows = np.array([[1.0, 0.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0], [8.0, 9.0]])
+        t = np.array([0.0, 0.25, 0.5, 0.75])
+        child = rows[:4].copy()
+        child[1, 1] = np.nextafter(3.0, 4.0)
+        child[2, 0] = np.nextafter(4.0, 0.0)
+        child[0, 1] = -0.0
+        assert wn.matched_rows(self.PARENT_T, rows, t, child).tolist() == [-1, -1, -1, 3]
+
+    def test_each_point_is_held_to_its_nearest_parent_point(self):
+        rows = np.arange(10.0).reshape(5, 2)
+        t = np.array([0.0, 0.1, 0.125, 0.2, 0.49, 0.51, 0.9, 1.0])
+        # every child row is the row of the parent point at index 1 (t = 0.25)
+        child = np.broadcast_to(rows[1], (t.size, 2)).copy()
+        assert wn.matched_rows(self.PARENT_T, rows, t, child).tolist() == [-1, -1, 1, 1, -1, -1, -1, -1]
+        child = rows[[0, 0, 0, 1, 2, 2, 4, 4]]
+        assert wn.matched_rows(self.PARENT_T, rows, t, child).tolist() == [0, 0, -1, 1, 2, 2, 4, 4]
+
+
+class TestErrorsAtARefinedLevel:
+    """A row the refinement solves anew that fails names its own t, not
+    the t of the k-th point of the whole level."""
+
+    @staticmethod
+    def poison(monkeypatch, k, error):
+        """From the second root solve on, the k-th row of the second block
+        fails wherever it is solved; returns the t of that row."""
+        calls, poisoned, level = [], [], []
+        solve, match = hyperpoly.roots_batch, wn.matched_rows
+
+        def failing(block, tol=1e-10):
+            block = np.asarray(block, dtype=float)
+            calls.append(len(block))
+            if len(calls) == 2:
+                poisoned.append(block[k].tobytes())
+            hit = [i for i, r in enumerate(block) if poisoned and r.tobytes() == poisoned[0]]
+            if hit:
+                raise error("poisoned row", index=hit[0])
+            return solve(block, tol)
+
+        def spy(parent_t, parent_rows, t, rows):
+            out = match(parent_t, parent_rows, t, rows)
+            level.append((t, out.copy()))
+            return out
+
+        monkeypatch.setattr(hyperpoly, "roots_batch", failing)
+        monkeypatch.setattr(wn, "matched_rows", spy)
+
+        def where():
+            t, out = level[0]
+            new = t[out < 0]
+            assert t[k] != new[k]
+            return float(new[k])
+
+        return where
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_select(self, k, monkeypatch):
+        curve, grid = separated_curve(2, 4), cd.Grid.dyadic(-1, 1, 8)
+        where = self.poison(monkeypatch, k, NotHyperbolic)
+        with pytest.raises(NotHyperbolicAt) as exc:
+            rf.differentiable_selection(curve, grid)
+        assert exc.value.t == where()
+        where = self.poison(monkeypatch, k, RootSolveFailed)
+        with pytest.raises(RootSolveFailed, match=r"poisoned row \(at t=(.*)\)$") as exc:
+            rf.differentiable_selection(curve, grid)
+        assert str(exc.value).endswith(f"(at t={where()!r})")
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_lift(self, k, monkeypatch):
+        g, m, curve, grid = mirror_lift_case("A:2")
+        where = self.poison(monkeypatch, k, NotHyperbolic)
+        with pytest.raises(NotInImageAt) as exc:
+            lf.lift_curve(g, m, curve, grid)
+        assert exc.value.t == where()
+        where = self.poison(monkeypatch, k, RootSolveFailed)
+        with pytest.raises(RootSolveFailed, match=r"poisoned row \(at t=(.*)\)$") as exc:
+            lf.lift_curve(g, m, curve, grid)
+        assert str(exc.value).endswith(f"(at t={where()!r})")
