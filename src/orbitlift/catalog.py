@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import regcheck
-from .curvedsl import CoeffCurve, Grid
-from .regcheck import VERDICT_RANK
-from .rootflow import differentiable_selection
+from .verdicts import C1, TWICE, UNBOUNDED, VERDICT_RANK
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         components=("0", "-t^2"),
         domain=(-1.0, 1.0),
         declared_class="Cinf",
-        expected_verdict=regcheck.C1,
+        expected_verdict=C1,
         at_least=True,
         note="roots +-t; the sorted choice kinks, the re-paired one is linear",
     ),
@@ -44,7 +41,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         components=("2*t", "t^2"),
         domain=(-1.0, 1.0),
         declared_class="Cinf",
-        expected_verdict=regcheck.TWICE,
+        expected_verdict=TWICE,
         at_least=False,
         note="identically double root t; permanent collision keeps sorted labels",
     ),
@@ -53,7 +50,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         components=("0", "-3", "-1"),
         domain=(-1.0, 1.0),
         declared_class="Cinf",
-        expected_verdict=regcheck.TWICE,
+        expected_verdict=TWICE,
         at_least=False,
         note="three constant branches",
     ),
@@ -62,7 +59,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         components=("0", "-powabs(t,3)"),
         domain=(-1.0, 1.0),
         declared_class="C2",
-        expected_verdict=regcheck.C1,
+        expected_verdict=C1,
         at_least=True,
         note="roots +-|t|^(3/2); C^2 coefficient is exactly the C^1 threshold",
         flip_partner="sqrt-cusp",
@@ -72,7 +69,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         components=("0", "-powabs(t,1)"),
         domain=(-1.0, 1.0),
         declared_class="C0,1",
-        expected_verdict=regcheck.UNBOUNDED,
+        expected_verdict=UNBOUNDED,
         at_least=False,
         note="roots +-|t|^(1/2); Lipschitz coefficient only, quotients grow ~sqrt(2)/level",
         flip_partner="cusp-3-2",
@@ -82,7 +79,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         components=("0", "-powabs(t,5)"),
         domain=(-1.0, 1.0),
         declared_class="C4",
-        expected_verdict=regcheck.C1,
+        expected_verdict=C1,
         at_least=True,
         note="roots +-|t|^(5/2), themselves twice differentiable; the sampled"
         " selection carries the root-collapse floor near 0 and certifies C1",
@@ -103,6 +100,11 @@ def get(name: str) -> CatalogEntry:
 
 def certify_entry(entry: CatalogEntry, level: int = 10, tol: float = 1e-10):
     """Differentiable selection plus the weakest per-branch regularity report."""
+    # imported here so that listing the catalog loads no numpy
+    from . import regcheck
+    from .curvedsl import CoeffCurve, Grid
+    from .rootflow import differentiable_selection
+
     grid = Grid.dyadic(entry.domain[0], entry.domain[1], level)
     selection = differentiable_selection(CoeffCurve.from_exprs(list(entry.components)), grid, tol)
     reports = [

@@ -4,6 +4,20 @@ Exit codes: 0 success, 2 when the mathematics says no (non-hyperbolic input,
 curve outside the orbit-map image, ill-posed tolerance band), 3 when a
 certification is inconclusive, or a lift's residual exceeds its bound, and
 --strict was given.
+
+Each subcommand imports the modules it runs when it runs, so start-up loads
+no more than that command needs:
+
+  roots     curvedsl, hyperpoly
+  select    curvedsl, rootflow (hyperpoly, windows), regcheck
+  lift      curvedsl, invariants, lifting (hyperpoly, windows, regcheck)
+  certify   curvedsl, regcheck
+  kdata     invariants (hyperpoly)
+  harness   curvedsl, invariants, lifting
+  examples  catalog
+
+All but `examples` load numpy; `examples` and `--help` start without it.
+scipy is loaded only to interpolate a --csv curve.
 """
 
 from __future__ import annotations
@@ -13,13 +27,10 @@ import math
 import re
 import sys
 
-import numpy as np
+from .errors import OrbitLiftError
 
 # accept option values like "-1:1" or "-1:1,-2:2" without '=' syntax
 _NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d+)?([:,]-?\d+(\.\d+)?)*$")
-
-from . import catalog, curvedsl, invariants, lifting, regcheck, rootflow
-from .errors import OrbitLiftError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -55,6 +66,8 @@ _TOL = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
 def _parse_curve(args) -> curvedsl.CoeffCurve:
+    from . import curvedsl
+
     try:
         if args.csv:
             return curvedsl.read_curve_csv(args.csv)
@@ -76,7 +89,9 @@ def _prefixed_report(report: regcheck.RegularityReport, prefix: str) -> list[str
 
 
 def cmd_roots(args) -> int:
-    from . import hyperpoly
+    import numpy as np
+
+    from . import curvedsl, hyperpoly
 
     try:
         coeffs = [float(x) for x in curvedsl.split_top_level(args.poly)]
@@ -119,6 +134,8 @@ def _selection_report(args, sel: rootflow.RootBranches, reports) -> str:
 
 
 def cmd_select(args) -> int:
+    from . import curvedsl, regcheck, rootflow
+
     try:
         curvedsl.check_class_label(args.declared_class)
     except ValueError as err:
@@ -140,6 +157,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from . import curvedsl, invariants, lifting, regcheck
+
     group = invariants.parse_group(args.group)
     map_ = invariants.orbit_map(group)
     curve = _parse_curve(args)
@@ -174,6 +193,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import curvedsl, regcheck
+
     lines = ["tool: certify"]
     reports = []
     if args.csv:
@@ -210,6 +231,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_kdata(args) -> int:
+    from . import invariants
+
     group = invariants.parse_group(args.group)
     map_ = invariants.orbit_map(group)
     kd = invariants.compute_k(group, map_)
@@ -233,6 +256,11 @@ def cmd_kdata(args) -> int:
 
 
 def _make_probes(box, count: int):
+    import numpy as np
+
+    def line(dx, dy):
+        return lambda t: np.array([cx + dx * t, cy + dy * t])
+
     (a, b), (c, d) = box
     cx, cy = 0.5 * (a + b), 0.5 * (c + d)
     hx, hy = 0.45 * (b - a), 0.45 * (d - c)
@@ -240,8 +268,7 @@ def _make_probes(box, count: int):
     n_lines = max(count - 2, 1)
     for i in range(n_lines):
         phi = np.pi * i / n_lines
-        dx, dy = hx * np.cos(phi), hy * np.sin(phi)
-        probes.append((f"line-{i}", _line_probe(cx, cy, dx, dy)))
+        probes.append((f"line-{i}", line(hx * np.cos(phi), hy * np.sin(phi))))
     if count >= 2:
         probes.append(("parabola-x", lambda t: np.array([cx + hx * t, cy + hy * (t * t - 0.5)])))
     if count >= 3:
@@ -249,11 +276,11 @@ def _make_probes(box, count: int):
     return probes[:count]
 
 
-def _line_probe(cx, cy, dx, dy):
-    return lambda t: np.array([cx + dx * t, cy + dy * t])
-
-
 def cmd_harness(args) -> int:
+    import numpy as np
+
+    from . import curvedsl, invariants, lifting
+
     group = invariants.parse_group(args.group)
     map_ = invariants.orbit_map(group)
     gmap_sources = curvedsl.split_top_level(args.gmap, ";")
@@ -295,6 +322,8 @@ def cmd_harness(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from . import catalog
+
     lines = ["tool: examples", f"entries: {len(catalog.CATALOG)}"]
     for i, e in enumerate(catalog.CATALOG):
         lines.append(f"example[{i}].name: {e.name}")

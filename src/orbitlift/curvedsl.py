@@ -487,12 +487,17 @@ class Grid:
 
     A freshly built grid has n_cells = 2^level; a refined window keeps the
     halved step of its parent, so its cell count need not be a power of two.
+    Every grid's points sit on the lattice of the grid it was refined from:
+    point k is span[0] + (span[1] - span[0]) * (first + k) / 2^level, with
+    span the first grid's ends, so a refined point has its parent's bits.
     """
 
     t0: float
     t1: float
     level: int
     n_cells: int
+    span: tuple[float, float]
+    first: int
 
     def __post_init__(self):
         if not (self.t1 > self.t0):
@@ -504,15 +509,17 @@ class Grid:
     def dyadic(cls, t0: float, t1: float, level: int) -> "Grid":
         if level < 0:
             raise ValueError("level must be >= 0")
-        return cls(float(t0), float(t1), level, 2**level)
+        t0, t1 = float(t0), float(t1)
+        return cls(t0, t1, level, 2**level, (t0, t1), 0)
 
     @property
     def step(self) -> float:
-        return (self.t1 - self.t0) / self.n_cells
+        return (self.span[1] - self.span[0]) / 2**self.level
 
     @property
     def points(self) -> np.ndarray:
-        return self.t0 + (self.t1 - self.t0) * np.arange(self.n_cells + 1) / self.n_cells
+        a, b = self.span
+        return a + (b - a) * np.arange(self.first, self.first + self.n_cells + 1) / 2**self.level
 
     def refine(self, window: tuple[float, float] | None = None) -> "Grid":
         """Halve the step, restricted to `window` (snapped outward to the
@@ -531,7 +538,10 @@ class Grid:
         i1 = min(i1, 2 * self.n_cells)
         if i1 <= i0:
             raise InvalidWindow(f"window [{w0}, {w1}] collapses on the child lattice")
-        return Grid(self.t0 + i0 * child, self.t0 + i1 * child, self.level + 1, i1 - i0)
+        a, b = self.span
+        first, end, cells = 2 * self.first + i0, 2 * self.first + i1, 2 ** (self.level + 1)
+        return Grid(a + (b - a) * first / cells, a + (b - a) * end / cells, self.level + 1,
+                    i1 - i0, self.span, first)
 
 
 # -- CSV interchange --------------------------------------------------------------

@@ -25,23 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridTooCoarse
-
-UNBOUNDED = "unbounded-derivative-detected"
-LIPSCHITZ = "lipschitz"
-DIFFABLE = "differentiable-bounded-derivative"
-C1 = "C1"
-TWICE = "twice-differentiable"
-INCONCLUSIVE = "inconclusive"
-
-#: Partial order used for "at least X" checks; failures rank below lipschitz.
-VERDICT_RANK = {
-    UNBOUNDED: -1,
-    INCONCLUSIVE: 0,
-    LIPSCHITZ: 1,
-    DIFFABLE: 2,
-    C1: 3,
-    TWICE: 4,
-}
+from .verdicts import C1, DIFFABLE, INCONCLUSIVE, LIPSCHITZ, TWICE, UNBOUNDED, VERDICT_RANK  # noqa: F401
 
 
 # Decision thresholds; their values target the catalog's separation.

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -337,31 +338,129 @@ class TestMalformedInput:
 NINE_LINES = "5*t,-30*t^2,-150*t^3,273*t^4,1365*t^5,-820*t^6,-4100*t^7,576*t^8,2880*t^9"
 
 
+def fresh_interpreter(code: str) -> str:
+    """The last line a fresh interpreter prints running code, with this
+    checkout's orbitlift on its path."""
+    src = str(Path(orbitlift.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return out.splitlines()[-1]
+
+
 class TestStartup:
     @staticmethod
-    def scipy_modules_after(argv):
-        """scipy modules loaded by a fresh interpreter that ran main(argv)."""
+    def modules_after(argv) -> set[str]:
+        """Modules loaded by a fresh interpreter that ran main(argv)."""
         code = (
-            "import sys\n"
+            "import json, sys\n"
             "from orbitlift.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "try:\n"
+            f"    code = main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "assert code == 0, code\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
         )
-        src = str(Path(orbitlift.__file__).resolve().parents[1])
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        return out.splitlines()[-1]
+        return set(json.loads(fresh_interpreter(code)))
+
+    @classmethod
+    def scipy_modules_after(cls, argv):
+        return sorted(m for m in cls.modules_after(argv) if m.split(".")[0] == "scipy")
 
     def test_cli_does_not_import_scipy(self):
         # scipy only serves CSV curves
-        assert self.scipy_modules_after(["examples"]) == "[]"
+        assert self.scipy_modules_after(["examples"]) == []
 
     def test_nine_line_selection_does_not_import_scipy(self, tmp_path):
         # pairing nine branches at one crossing needs no assignment solver
         report = tmp_path / "select.txt"
         argv = ["select", "--curve", NINE_LINES, "--level", "6", "--report", str(report)]
-        assert self.scipy_modules_after(argv) == "[]"
+        assert self.scipy_modules_after(argv) == []
         assert "swap[0].perm: 8,7,6,5,4,3,2,1,0" in report.read_text()
+
+    @staticmethod
+    def readme_commands(tmp_path) -> dict:
+        """The README's commands, each writing its report under tmp_path;
+        certify reads a CSV of the branches of x^2 - t^2 written here."""
+        t = np.linspace(-1.0, 1.0, 1025)
+        rows = "".join(f"{x:.17g},{-abs(x):.17g},{abs(x):.17g}\n" for x in t)
+        (tmp_path / "branches.csv").write_text("t,branch0,branch1\n" + rows)
+        commands = {
+            "--help": ["--help"],
+            "examples": ["examples"],
+            "roots": ["roots", "--poly", "6,11,6"],
+            "select": ["select", "--curve", "0,-t^2", "--domain", "-1:1", "--level", "6"],
+            "lift": ["lift", "--group", "I2:4", "--curve", "1,cos(4*t)", "--domain", "-1:1", "--level", "6"],
+            "certify": ["certify", "--csv", str(tmp_path / "branches.csv")],
+            "kdata": ["kdata", "--group", "A:2"],
+            "harness": ["harness", "--group", "B:2", "--gmap", "1+0.2*sin(u);2+0.3*cos(v)",
+                        "--box", "-1:1,-1:1", "--probes", "3", "--level", "5"],
+        }
+        return {name: argv if name == "--help" else argv + ["--report", str(tmp_path / f"{name}.txt")]
+                for name, argv in commands.items()}
+
+    # modules each README command must not load
+    NOT_LOADED = {
+        "--help": {"numpy", "orbitlift.catalog", "orbitlift.curvedsl"},
+        "examples": {"numpy", "orbitlift.curvedsl", "orbitlift.regcheck", "orbitlift.rootflow"},
+        "roots": {f"orbitlift.{m}" for m in ("invariants", "lifting", "rootflow", "windows", "regcheck", "catalog")},
+        "select": {"orbitlift.invariants", "orbitlift.lifting", "orbitlift.catalog"},
+        "lift": {"orbitlift.rootflow", "orbitlift.catalog"},
+        "certify": {"orbitlift.invariants", "orbitlift.lifting", "orbitlift.rootflow", "orbitlift.hyperpoly"},
+        "kdata": {"orbitlift.rootflow", "orbitlift.lifting", "orbitlift.regcheck", "orbitlift.catalog"},
+        "harness": {"orbitlift.rootflow", "orbitlift.catalog"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(NOT_LOADED))
+    def test_each_command_imports_only_what_it_runs(self, name, tmp_path):
+        loaded = self.modules_after(self.readme_commands(tmp_path)[name])
+        assert "orbitlift.cli" in loaded
+        assert loaded & self.NOT_LOADED[name] == set()
+        if name not in ("--help", "examples"):
+            assert "numpy" in loaded
+
+
+class TestPackageSurface:
+    SUBMODULES = ["catalog", "curvedsl", "errors", "hyperpoly", "invariants", "lifting", "regcheck", "rootflow"]
+
+    def test_all_and_version(self):
+        assert orbitlift.__all__ == self.SUBMODULES + ["__version__"]
+        assert orbitlift.__version__ == "0.1.0"
+
+    def test_import_loads_no_submodule(self):
+        code = (
+            "import sys\n"
+            "import orbitlift\n"
+            "print(sorted(m for m in sys.modules if m.startswith('orbitlift.') or m == 'numpy'))\n"
+        )
+        assert fresh_interpreter(code) == "[]"
+
+    def test_each_name_resolves_to_its_submodule(self):
+        code = (
+            "import sys\n"
+            "import orbitlift\n"
+            "for name in orbitlift.__all__[:-1]:\n"
+            "    assert getattr(orbitlift, name) is sys.modules['orbitlift.' + name], name\n"
+            "print('ok')\n"
+        )
+        assert fresh_interpreter(code) == "ok"
+
+    def test_star_import_binds_every_name(self):
+        code = (
+            "import types\n"
+            "from orbitlift import *\n"
+            "import orbitlift\n"
+            "names = orbitlift.__all__\n"
+            "assert all(isinstance(globals()[n], types.ModuleType) for n in names[:-1])\n"
+            "assert __version__ == orbitlift.__version__\n"
+            "print(len(names))\n"
+        )
+        assert fresh_interpreter(code) == str(len(self.SUBMODULES) + 1)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no attribute 'nosuchmodule'"):
+            orbitlift.nosuchmodule
+        assert not hasattr(orbitlift, "windows_")

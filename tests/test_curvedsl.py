@@ -123,6 +123,23 @@ class TestGrid:
         lattice = g.refine()
         assert set(np.round(r.points, 12)).issubset(set(np.round(lattice.points, 12)))
 
+    @pytest.mark.parametrize("domain", [(-0.3, 0.5), (-0.37, 0.71), (0.1, 0.7), (-1.0, 1.0)])
+    def test_refined_points_keep_their_parents_bits(self, domain):
+        # every point of a refined window that lies on its parent's lattice
+        # is the parent's float, on any domain, down a chain of windows
+        lo, hi = domain
+        g = cd.Grid.dyadic(lo, hi, 5)
+        for window in [(0.3, 0.45), (0.32, 0.4), (0.35, 0.36), None]:
+            r = g.refine(None if window is None else (lo + (hi - lo) * window[0], lo + (hi - lo) * window[1]))
+            x = (r.points - g.t0) / g.step
+            k = np.rint(x)
+            shared = np.abs(x - k) < 1e-6
+            assert shared.sum() == (r.n_cells + 1 + shared[0]) // 2
+            assert r.points[shared].tobytes() == g.points[k[shared].astype(int)].tobytes()
+            assert (r.t0, r.t1) == (r.points[0], r.points[-1])
+            assert r.step == 0.5 * g.step
+            g = r
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
