@@ -489,7 +489,8 @@ class Grid:
     halved step of its parent, so its cell count need not be a power of two.
     Every grid's points sit on the lattice of the grid it was refined from:
     point k is span[0] + (span[1] - span[0]) * (first + k) / 2^level, with
-    span the first grid's ends, so a refined point has its parent's bits.
+    span the first grid's ends, so a refined point has its parent's bits;
+    lattice index 2^level is span[1] itself.
     """
 
     t0: float
@@ -519,7 +520,10 @@ class Grid:
     @property
     def points(self) -> np.ndarray:
         a, b = self.span
-        return a + (b - a) * np.arange(self.first, self.first + self.n_cells + 1) / 2**self.level
+        pts = a + (b - a) * np.arange(self.first, self.first + self.n_cells + 1) / 2**self.level
+        if self.first + self.n_cells == 2**self.level:
+            pts[-1] = b  # a + (b - a) * n / n can be an ulp off b
+        return pts
 
     def refine(self, window: tuple[float, float] | None = None) -> "Grid":
         """Halve the step, restricted to `window` (snapped outward to the
@@ -540,8 +544,8 @@ class Grid:
             raise InvalidWindow(f"window [{w0}, {w1}] collapses on the child lattice")
         a, b = self.span
         first, end, cells = 2 * self.first + i0, 2 * self.first + i1, 2 ** (self.level + 1)
-        return Grid(a + (b - a) * first / cells, a + (b - a) * end / cells, self.level + 1,
-                    i1 - i0, self.span, first)
+        return Grid(a + (b - a) * first / cells, b if end == cells else a + (b - a) * end / cells,
+                    self.level + 1, i1 - i0, self.span, first)
 
 
 # -- CSV interchange --------------------------------------------------------------

@@ -16,13 +16,15 @@ such as the samples of a curve, are solved as one block (orbits_at): A, B
 and D by one hyperpoly.roots_batch call on the whole block, I2(m) by
 inverting (|z|^2, Re z^m) in closed form on the whole block,
 z = r exp(i(+-theta + 2 pi k / m)) with m theta = arccos(y_2 / r^m).  The
-block holds each orbit by its chamber point and computes the orbit sizes
-and least distances over all its rows; an Orbit is a view of one row, and
-orbit_at is the one-row case of orbits_at.  An Orbit answers the nearest
-point, the reflection images of a point and the rank of a point in the
-lexicographic listing of the orbit, all without listing it.  A block
-answers the nearest point of each of its orbits at once; for A, B and D
-both go through one kernel, `_nearest`, a point being a one-row call.
+block holds each orbit in one array, A, B and D by its chamber point and
+I2 by its at most 2m points, and computes the orbit sizes and least
+distances over all its rows; an Orbit is a view of one row, and orbit_at
+is the one-row case of orbits_at.  An Orbit answers the nearest point, the
+points joined to a point by an edge of the orbit's convex hull and the rank
+of a point in the lexicographic listing of the orbit, all without listing
+it.  A block answers the nearest point of each of its orbits at once; a
+point and a block go through one kernel, `_nearest` for A, B and D and
+`_listed_nearest` for I2, a point being a one-row call.
 
 The k-data come in closed form, without enumerating the group.  A point's
 stabilizer is the parabolic subgroup of the walls through it (Steinberg's
@@ -259,30 +261,6 @@ def orbit_map(group: ReflectionGroup) -> OrbitMapSigma:
     return OrbitMapSigma(group, len(degrees), degrees)
 
 
-def sigma(map_: OrbitMapSigma, v) -> np.ndarray:
-    return map_.evaluate(v)
-
-
-# -- orbits -----------------------------------------------------------------------
-
-def _point_key(p: np.ndarray) -> tuple:
-    r = np.round(p, _DEDUP_DECIMALS)
-    r[r == 0.0] = 0.0
-    return tuple(r)
-
-
-def orbit(group: ReflectionGroup, v) -> list[np.ndarray]:
-    """{g.v}, deduplicated to 1e-10, sorted lexicographically."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != group.dim:
-        raise DimensionMismatch(f"point has dim {v.size}, expected {group.dim}")
-    pts = {}
-    for g in group.elements():
-        p = g @ v
-        pts.setdefault(_point_key(p), p)
-    return [pts[k] for k in sorted(pts.keys())]
-
-
 # -- k(rho): maximal isotropy per irreducible summand ------------------------------
 
 @dataclass(frozen=True)
@@ -361,16 +339,17 @@ class OrbitBlock:
     moduli, one row of `spectra` per orbit.  The orbit sizes and the least
     distances between two orbit points follow from those rows without
     enumerating an orbit, and are computed over the whole block.  I2 keeps
-    each orbit's at most 2m points instead, which its closed form gives
-    for the whole block at once.
+    each orbit's at most 2m points instead, listed as `Orbit.points()` lists
+    them and padded with NaN to 2m, which its closed form gives for the
+    whole block at once.
 
     Coordinates equal after rounding to 1e-10 count as one value, as in the
     enumeration `Orbit.points()` (`fiber`), which the tests hold the closed
-    forms to.  Indexing gives an `Orbit`, a view of one row; slicing gives a
-    block of rows."""
+    forms to.  Indexing gives an `Orbit`, a view of one row (an I2 row
+    trimmed to its size); slicing gives a block of rows."""
 
     group: ReflectionGroup
-    spectra: np.ndarray | list  # (N, n); I2: a list of N point arrays
+    spectra: np.ndarray         # (N, n); I2: (N, 2m, 2), NaN past each row's size
     parity: np.ndarray          # D: sign the product of the coordinates must have; 0: either
     sizes: np.ndarray           # exact orbit sizes, as Python ints
     min_distance: np.ndarray    # least distance between two orbit points; inf for one point
@@ -383,29 +362,28 @@ class OrbitBlock:
         if isinstance(i, slice):
             return OrbitBlock(self.group, self.spectra[i], self.parity[i], self.sizes[i],
                               self.min_distance[i], self.max_abs[i])
-        return Orbit(self.group, self.spectra[i], float(self.parity[i]), self.sizes[i],
+        spectrum = self.spectra[i]
+        if self.group.kind == "I2":
+            spectrum = spectrum[: self.sizes[i]]
+        return Orbit(self.group, spectrum, float(self.parity[i]), self.sizes[i],
                      float(self.min_distance[i]))
 
     def joined(self, other: "OrbitBlock", take: np.ndarray) -> "OrbitBlock":
         """The block of the rows take of this block's rows followed by other's."""
-        def pick(a, b):
-            if isinstance(a, list):
-                ab = a + b
-                return [ab[k] for k in take.tolist()]
-            return np.concatenate([a, b])[take]
-
         return OrbitBlock(self.group, *(
-            pick(getattr(self, f), getattr(other, f))
+            np.concatenate([getattr(self, f), getattr(other, f)])[take]
             for f in ("spectra", "parity", "sizes", "min_distance", "max_abs")
         ))
 
     def nearest(self, p: np.ndarray) -> np.ndarray:
         """For each orbit k, the point of it nearest p[k], where p[k] is one
-        point or several (p of shape (len, dim) or (len, s, dim)).  A, B and
-        D take one `_nearest` call for the block; I2 asks each orbit."""
+        point or several (p of shape (len, dim) or (len, s, dim)), by one
+        call for the block: `_nearest` for A, B and D, `_listed_nearest`
+        for I2."""
         p = np.asarray(p, dtype=float)
         if self.group.kind == "I2":
-            return np.array([self[k].nearest(q) for k, q in enumerate(p)]).reshape(p.shape)
+            at = _listed_nearest(self.spectra, p.reshape(len(self), -1, 2))
+            return np.take_along_axis(self.spectra, at[:, :, None], axis=1).reshape(p.shape)
         each = p[0].size // p.shape[-1]
         spectra, parity = np.repeat(self.spectra, each, axis=0), np.repeat(self.parity, each)
         return _nearest(self.group.kind, spectra, parity, p.reshape(spectra.shape)).reshape(p.shape)
@@ -482,11 +460,20 @@ def _nearest(kind: str, spectra: np.ndarray, parity, rows: np.ndarray) -> np.nda
     return v
 
 
+def _listed_nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index of the listed I2 point nearest each query, for the points
+    of orbit k, points[k] (as OrbitBlock lists them, NaN past the orbit's
+    size), and its queries queries[k], (N, s, 2): the first listed point
+    wins an exact tie, and padding is never chosen."""
+    d = np.linalg.norm(points[:, None, :, :] - queries[:, :, None, :], axis=3)
+    return np.argmin(np.where(np.isnan(d), np.inf, d), axis=2)
+
+
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """One orbit of an OrbitBlock, a view of its row, which answers the
-    nearest point, a point's reflection images and its rank without
-    enumerating the orbit."""
+    nearest point, the points joined to a point by a hull edge and its rank
+    without enumerating the orbit."""
 
     group: ReflectionGroup
     spectrum: np.ndarray  # A: sorted roots; B, D: sorted moduli; I2: every point
@@ -503,23 +490,25 @@ class Orbit:
 
     def nearest(self, p: np.ndarray) -> np.ndarray:
         """The orbit point nearest p, for one point (shape (dim,)) or for
-        each row of p (shape (k, dim)), by `_nearest` (I2: the listed point
-        nearest, the first of an exact tie)."""
+        each row of p (shape (k, dim)), by `_nearest` (I2: `_listed_nearest`)."""
         p = np.asarray(p, dtype=float)
         if self.group.kind == "I2":
-            d = np.linalg.norm(self.spectrum[None, :, :] - np.atleast_2d(p)[:, None, :], axis=2)
-            return self.spectrum[np.argmin(d, axis=1)].reshape(p.shape)
+            at = _listed_nearest(self.spectrum[None], p.reshape(1, -1, 2))[0]
+            return self.spectrum[at].reshape(p.shape)
         rows = p.reshape(-1, p.shape[-1])
         return _nearest(self.group.kind, self.spectrum, self.parity, rows).reshape(p.shape)
 
     def neighbours(self, pts: np.ndarray) -> np.ndarray:
         """Orbit points that include every point joined to a row of pts by
         an edge of the orbit's convex hull: for A, B and D the images of the
-        rows under the group's reflections, (k * reflections, dim); for I2
-        every orbit point.  A D orbit whose parity is free (a modulus near
+        rows under the group's reflections, (k * reflections, dim); for I2,
+        whose orbit points lie on a circle, each row's two neighbours in
+        angle, (k * 2, dim).  A D orbit whose parity is free (a modulus near
         0) is listed with every sign pattern, so it takes B's reflections."""
         if self.group.kind == "I2":
-            return self.spectrum
+            order = np.argsort(np.arctan2(self.spectrum[:, 1], self.spectrum[:, 0]), kind="stable")
+            at = np.argsort(order)[self.ranks(pts)][:, None] + [-1, 1]
+            return self.spectrum[order[at % order.size]].reshape(-1, 2)
         kind = "B" if self.group.kind == "D" and not self.parity else self.group.kind
         index, sign = _reflections(self.group.dim, kind)
         return (pts[:, index] * sign).reshape(-1, self.group.dim)
@@ -531,10 +520,10 @@ class Orbit:
         adds the points that agree with it before it and are smaller there:
         the arrangements of the values left (a multiset permutation count),
         times their sign patterns for B and D, half of them for D with a
-        fixed parity.  I2 gives the index of the listed point nearest each."""
+        fixed parity.  I2 gives the index of the listed point nearest each
+        (`_listed_nearest`)."""
         if self.group.kind == "I2":
-            d = np.linalg.norm(self.spectrum[None, :, :] - pts[:, None, :], axis=2)
-            return np.argmin(d, axis=1).tolist()
+            return _listed_nearest(self.spectrum[None], pts[None])[0].tolist()
         mods = np.round(self.spectrum, _DEDUP_DECIMALS).tolist()
         values = sorted(set(mods))
         signed = self.group.kind != "A"
@@ -769,7 +758,8 @@ def _dihedral_block(map_: OrbitMapSigma, rows: np.ndarray, tol: float) -> OrbitB
     r^m cos(m theta) = y_2.  Within tol r^m below the mirror value
     |y_2| = r^m (or the tol-ball above it) the point is on a mirror, and
     within sqrt(tol) of 0 it is the origin.  Each row's points are
-    deduplicated to 1e-10 and sorted lexicographically, as `orbit` does.
+    deduplicated to 1e-10 and sorted lexicographically, as `Orbit.points()`
+    lists them, and padded with NaN to 2m.
 
     The first row that has no orbit raises as in orbits_at.  pow and acos
     run on each row's floats: numpy's array versions can differ from them
@@ -829,10 +819,8 @@ def _dihedral_block(map_: OrbitMapSigma, rows: np.ndarray, tol: float) -> OrbitB
         d = pts - np.roll(pts, -shift, axis=1)
         norms = np.sqrt(d[:, :, 0] * d[:, :, 0] + d[:, :, 1] * d[:, :, 1])
         least = np.fmin(least, np.fmin.reduce(norms, axis=1))
-    return OrbitBlock(
-        map_.group, [p[:k] for p, k in zip(pts, sizes.tolist())], np.zeros(len(rows)),
-        np.array(sizes.tolist(), dtype=object), least, np.nanmax(np.abs(pts), axis=(1, 2)),
-    )
+    return OrbitBlock(map_.group, pts, np.zeros(len(rows)), np.array(sizes.tolist(), dtype=object),
+                      least, np.nanmax(np.abs(pts), axis=(1, 2)))
 
 
 def _pow(x: float, e: int) -> float:
@@ -847,7 +835,7 @@ def _dedup_points(points) -> list[np.ndarray]:
     out = {}
     for p in points:
         arr = np.asarray(p, dtype=float)
-        out.setdefault(_point_key(arr), arr)
+        out.setdefault(tuple(np.round(arr, _DEDUP_DECIMALS) + 0.0), arr)  # + 0.0: -0.0 keys as 0.0
     if len(out) > ENUM_LIMIT:
         raise EnumerationTooLarge("fiber exceeds enumeration limit")
     return [out[k] for k in sorted(out.keys())]

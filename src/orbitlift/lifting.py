@@ -7,20 +7,22 @@ grid), which also gives their sizes and least distances, so the collision
 test runs over the whole grid at once; the lift threads one point per
 orbit, reading each through its row view, an `invariants.Orbit`.  Away from
 collisions the thread follows linear extrapolation matched to the nearest
-orbit point, which the orbit computes from its sorted spectrum (its point in
-the closed fundamental chamber) without listing the orbit; calm runs of A, B
-and D samples are tracked as verified blocks (`_follow`).  Where orbit
-points collide or the orbit size jumps (orbit-type change), the thread is
-re-attached by the minimal-derivative-jump principle: the points of the
-orbit right after the window are ranked by their distance from the linear
-continuation of the incoming strand (slope jump and curvature as
-tie-breakers), and `windows.resolve_window` refines the window until that
-choice is stable.  Windows it leaves unresolved are flagged, with a
-nearest-point fallback inside.  No orbit is listed: the exit candidates are
-the nearest point to the prediction and its reflection closure within the
-tie width, and every candidate and swap-log entry is keyed by its rank in
-its orbit, which `Orbit.ranks` counts in closed form.  So orbits of any
-size lift, past `ENUM_LIMIT` too.
+orbit point, which the block computes for many rows in one call, from the
+sorted spectra (points in the closed fundamental chamber) of A, B and D and
+from the listed points of I2; calm runs of every family are tracked as
+verified blocks (`_follow`).  Where orbit points collide or the orbit size
+jumps (orbit-type change), the thread is re-attached by the
+minimal-derivative-jump principle: the points of the orbit right after the
+window are ranked by their distance from the linear continuation of the
+incoming strand (slope jump and curvature as tie-breakers), and
+`windows.resolve_window` refines the window until that choice is stable.
+Windows it leaves unresolved are flagged, with a nearest-point fallback
+inside.  No orbit is listed: the exit candidates are the nearest point to
+the prediction and its closure along the edges of the orbit's convex hull
+within the tie width (reflections for A, B and D, neighbours in angle for
+I2), and every candidate and swap-log entry is keyed by its rank in its
+orbit, which `Orbit.ranks` counts in closed form.  So orbits of any size
+lift, past `ENUM_LIMIT` too.
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ def _continue(values: np.ndarray, orbits, i: int) -> None:
 def _follow(values: np.ndarray, orbits: OrbitBlock, i: int, j: int) -> None:
     """values[i:j] := what _continue gives sample by sample, for i >= 1.
 
-    A, B and D samples go in verified blocks.  Every value of a block is
-    guessed as the point of its orbit nearest the last known value; the
+    Samples of every family go in verified blocks.  Every value of a block
+    is guessed as the point of its orbit nearest the last known value; the
     linear continuations are made from the guesses, and their nearest
     points found, in one call each.  The prefix whose nearest points are
     the guesses, bit for bit, is accepted: each of its continuations was
@@ -130,11 +132,7 @@ def _follow(values: np.ndarray, orbits: OrbitBlock, i: int, j: int) -> None:
     block that gives at most two samples for its two calls is followed by
     `cool` samples taken one by one, and `cool` doubles while such blocks
     repeat, until a whole block holds; so a run where the guesses keep
-    failing costs about one call a sample.  I2 goes sample by sample."""
-    if orbits.group.kind == "I2":
-        for k in range(i, j):
-            _continue(values, orbits, k)
-        return
+    failing costs about one call a sample."""
     size, cool, singles = j - i, 1, 0
     while i < j:
         k = min(j, i + size)
@@ -227,7 +225,8 @@ def _exit_candidates(orbit: Orbit, predicted: np.ndarray, dt: float):
     are joined by edges among themselves.  So the nearest point, its
     neighbours, and the neighbours of every point found within _TIE_TOL of
     the best cost hold the best point, the runner-up and every near-tie,
-    which is all the chooser reads; the edges of the hull are reflections."""
+    which is all the chooser reads; the edges of the hull are reflections,
+    and for I2, whose orbit points lie on a circle, neighbours in angle."""
     found: dict[tuple, np.ndarray] = {}
     best = np.inf
     fresh = orbit.nearest(predicted)[None, :]

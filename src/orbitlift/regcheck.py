@@ -125,9 +125,12 @@ def difference_quotients(samples: Sequence[float], step: float, order: int = 1) 
 
 
 def _dyadic_points(domain: tuple[float, float], level: int) -> np.ndarray:
+    """The 2^level + 1 points of the dyadic grid on domain, ending at its end."""
     t0, t1 = domain
     n = 2**level
-    return t0 + (t1 - t0) * np.arange(n + 1) / n
+    pts = t0 + (t1 - t0) * np.arange(n + 1) / n
+    pts[-1] = t1
+    return pts
 
 
 def certify(values: Callable[[np.ndarray], np.ndarray], domain: tuple[float, float],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitlift import curvedsl as cd
+from orbitlift import regcheck as rc
 from orbitlift.errors import (
     EvalError,
     ExprDomainError,
@@ -139,6 +140,26 @@ class TestGrid:
             assert (r.t0, r.t1) == (r.points[0], r.points[-1])
             assert r.step == 0.5 * g.step
             g = r
+
+    @pytest.mark.parametrize("level", [1, 8, 9])
+    def test_the_last_point_is_the_domain_end(self, level):
+        # t0 + (t1 - t0) * n / n is an ulp off t1 on many non-dyadic domains,
+        # (-0.37, 0.71) at level 9 among them; a window at the end keeps it,
+        # and its other points on the parent's lattice keep the parent's bits
+        rng = np.random.default_rng(level)
+        domains = [(-0.37, 0.71)] + [tuple(np.round(np.sort(rng.uniform(-3.0, 3.0, 2)), 2))
+                                     for _ in range(300)]
+        for lo, hi in domains:
+            if lo == hi:
+                continue
+            g = cd.Grid.dyadic(lo, hi, level)
+            assert (g.points[0], g.points[-1]) == (lo, hi)
+            assert rc._dyadic_points((lo, hi), level)[-1] == hi
+            for r in (g.refine((lo + 0.6 * (hi - lo), hi)), g.refine()):
+                assert r.t1 == r.points[-1] == hi
+                k = r.first + np.arange(r.n_cells + 1)
+                even = k % 2 == 0
+                assert r.points[even].tobytes() == g.points[k[even] // 2 - g.first].tobytes()
 
 
 class TestCsv:

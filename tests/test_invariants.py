@@ -12,6 +12,8 @@ from orbitlift.errors import (
     UnsupportedParameter,
 )
 
+from enumeration import orbit
+
 
 def as_point_set(points, decimals=7):
     return sorted(tuple(np.round(p, decimals)) for p in points)
@@ -53,20 +55,20 @@ class TestMakeGroup:
 class TestSigma:
     def test_a2_elementary_symmetric(self):
         m = inv.orbit_map(inv.make_group("A", 2))
-        assert np.allclose(inv.sigma(m, [1, 2, 3]), [6, 11, 6])
+        assert np.allclose(m.evaluate([1, 2, 3]), [6, 11, 6])
 
     def test_b2_squares(self):
         m = inv.orbit_map(inv.make_group("B", 2))
-        assert np.allclose(inv.sigma(m, [1, -1]), [2, 1])
+        assert np.allclose(m.evaluate([1, -1]), [2, 1])
 
     def test_i2_4(self):
         m = inv.orbit_map(inv.make_group("I2", 4))
-        assert np.allclose(inv.sigma(m, [1, 0]), [1, 1])
+        assert np.allclose(m.evaluate([1, 0]), [1, 1])
 
     def test_d3_product_invariant(self):
         m = inv.orbit_map(inv.make_group("D", 3))
         v = np.array([1.0, 2.0, 3.0])
-        out = inv.sigma(m, v)
+        out = m.evaluate(v)
         assert out[-1] == pytest.approx(6.0)
         assert np.allclose(out[:2], [14.0, 49.0])  # e1(v^2), e2(v^2)
 
@@ -83,9 +85,9 @@ class TestSigma:
             m = inv.orbit_map(g)
             for _ in range(25):
                 v = rng.standard_normal(g.dim)
-                sv = inv.sigma(m, v)
+                sv = m.evaluate(v)
                 for gen in g.generators:
-                    assert np.max(np.abs(inv.sigma(m, gen @ v) - sv)) < 1e-10
+                    assert np.max(np.abs(m.evaluate(gen @ v) - sv)) < 1e-10
 
     def test_exact_invariance_for_signed_permutations(self):
         # signed permutation matrices are exact, so sigma matches bitwise
@@ -94,30 +96,30 @@ class TestSigma:
             g = inv.parse_group(spec)
             m = inv.orbit_map(g)
             v = rng.standard_normal(g.dim)
-            sv = inv.sigma(m, v)
+            sv = m.evaluate(v)
             for el in g.elements():
-                assert inv.sigma(m, el @ v).tobytes() == sv.tobytes()
+                assert m.evaluate(el @ v).tobytes() == sv.tobytes()
 
     def test_dimension_mismatch(self):
         m = inv.orbit_map(inv.make_group("B", 2))
         with pytest.raises(DimensionMismatch):
-            inv.sigma(m, [1.0, 2.0, 3.0])
+            m.evaluate([1.0, 2.0, 3.0])
 
 
 class TestOrbit:
     def test_a2_full_orbit(self):
         g = inv.make_group("A", 2)
-        orb = inv.orbit(g, [1, 2, 3])
+        orb = orbit(g, [1, 2, 3])
         assert len(orb) == 6
 
     def test_b2_axis(self):
         g = inv.make_group("B", 2)
-        orb = inv.orbit(g, [1, 0])
+        orb = orbit(g, [1, 0])
         assert as_point_set(orb) == as_point_set([[1, 0], [-1, 0], [0, 1], [0, -1]])
 
     def test_zero_fixed(self):
         g = inv.make_group("D", 3)
-        assert len(inv.orbit(g, [0, 0, 0])) == 1
+        assert len(orbit(g, [0, 0, 0])) == 1
 
 
 # every catalog group of order <= 10^4, with (d, k)
@@ -223,8 +225,8 @@ class TestFiber:
         rng = np.random.default_rng(zlib.crc32(spec.encode()))
         for _ in range(25):
             v = rng.uniform(-2, 2, g.dim)
-            orb = inv.orbit(g, v)
-            fib = inv.fiber(m, inv.sigma(m, v), 1e-10)
+            orb = orbit(g, v)
+            fib = inv.fiber(m, m.evaluate(v), 1e-10)
             assert len(orb) == len(fib)
             for a, b in zip(as_point_set(orb), as_point_set(fib)):
                 assert np.allclose(a, b, atol=1e-7)
@@ -235,11 +237,11 @@ class TestFiber:
             g = inv.parse_group(spec)
             m = inv.orbit_map(g)
             v = rng.uniform(-2, 2, g.dim)
-            y = inv.sigma(m, v)
+            y = m.evaluate(v)
             fib = inv.fiber(m, y, 1e-10)
             keys = set(as_point_set(fib))
             for w in fib:
-                assert np.max(np.abs(inv.sigma(m, w) - y)) < 1e-9
+                assert np.max(np.abs(m.evaluate(w) - y)) < 1e-9
                 for gen in g.generators:
                     moved = tuple(np.round(gen @ w, 7))
                     assert moved in keys
@@ -255,7 +257,7 @@ def test_failed_backward_check_is_not_outside_the_image():
         -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
     ]
     with pytest.raises(RootSolveFailed):
-        inv.orbit_at(m, inv.sigma(m, x))
+        inv.orbit_at(m, m.evaluate(x))
 
 
 def test_small_modulus_beside_a_triple_one():
@@ -263,7 +265,7 @@ def test_small_modulus_beside_a_triple_one():
     simple root 0.0025 beside the triple root 1e4, and its recentred form
     has coefficients near 1.2e14."""
     m = inv.orbit_map(inv.parse_group("B:4"))
-    orbit = inv.orbit_at(m, inv.sigma(m, [100.0, 100.0, 100.0, 0.05]))
+    orbit = inv.orbit_at(m, m.evaluate([100.0, 100.0, 100.0, 0.05]))
     assert orbit.size == 64
     assert np.max(np.abs(orbit.spectrum - [0.05, 100.0, 100.0, 100.0])) <= 1e-8 * 100.0
 
@@ -275,9 +277,9 @@ class TestSmallModuli:
     @staticmethod
     def _fiber(spec, v):
         m = inv.orbit_map(inv.parse_group(spec))
-        y = inv.sigma(m, v)
+        y = m.evaluate(v)
         fib = np.array(inv.fiber(m, y))
-        worst = max(float(np.max(np.abs(inv.sigma(m, w) - y))) for w in fib)
+        worst = max(float(np.max(np.abs(m.evaluate(w) - y))) for w in fib)
         assert worst <= 1e-10 * (1.0 + float(np.max(np.abs(y))))
         return fib
 
@@ -312,7 +314,7 @@ class TestSmallModuli:
         m = inv.orbit_map(inv.parse_group("B:4"))
         for p in range(1, 40):
             for q in range(p + 1, 40):
-                orbit = inv.orbit_at(m, inv.sigma(m, [0.0, 0.0, float(p), float(q)]))
+                orbit = inv.orbit_at(m, m.evaluate([0.0, 0.0, float(p), float(q)]))
                 assert orbit is not None and orbit.size == 48, (p, q)
 
     def test_collapsed_cluster_stays_whole(self):
@@ -397,12 +399,12 @@ class TestOrbitClosedForms:
         m = inv.orbit_map(g)
         rng = np.random.default_rng(zlib.crc32(spec.encode()))
         for v in self._bases(g, rng):
-            y = inv.sigma(m, v)
+            y = m.evaluate(v)
             orb = inv.orbit_at(m, y)
             fib = np.array(inv.fiber(m, y))
             # A, B, D: the orbit through the chamber point itself, so that
             # the nearest point must match exactly; I2 enumerates its fiber
-            pts = np.array(inv.orbit(g, orb.first if g.kind != "I2" else v))
+            pts = np.array(orbit(g, orb.first if g.kind != "I2" else v))
             assert orb.size == len(fib) == len(pts)
             assert np.array_equal(orb.first, fib[0])
             want = _min_pairwise(fib)
@@ -417,6 +419,21 @@ class TestOrbitClosedForms:
                     assert np.array_equal(np.signbit(same), np.signbit(got[None, :]))  # zeros' signs too
             batch = np.array(self._queries(g, rng, pts))
             assert np.array_equal(orb.nearest(batch), np.array([orb.nearest(p) for p in batch]))
+        if g.kind == "I2":
+            # one block of an origin, a mirror and generic rows, one call for
+            # all their queries: each row's nearest points, as it gives alone
+            mirror = 1.3 * np.array([np.cos(np.pi / g.param), np.sin(np.pi / g.param)])
+            vs = np.array([np.zeros(2), mirror] + self._bases(g, rng))
+            block = inv.orbits_at(m, m.evaluate(vs))
+            assert block.sizes[:3].tolist() == [1, g.param, 2 * g.param]
+            queries = rng.uniform(-2.0, 2.0, (len(vs), 3, 2))
+            got = block.nearest(queries)
+            assert block.nearest(queries[:, 0]).tobytes() == got[:, 0].tobytes()
+            for v, q, x, orb in zip(vs, queries, got, block):
+                assert x.tobytes() == orb.nearest(q).tobytes()
+                pts = np.array(orbit(g, v))
+                want = [_nearest_by_enumeration(pts, p) for p in q]
+                assert np.allclose(x, want, rtol=0, atol=1e-9), v
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_i2_on_and_near_mirrors(self, m):
@@ -433,19 +450,19 @@ class TestOrbitClosedForms:
             for j in range(2 * m):  # the rays of the m mirrors
                 for off in (0.0, 1e-13, -1e-13, 1e-8, -1e-8, 1e-3, -1e-3, np.pi / (2 * m)):
                     v = r * np.array([np.cos(np.pi * j / m + off), np.sin(np.pi * j / m + off)])
-                    y = inv.sigma(mp, v)
+                    y = mp.evaluate(v)
                     size = inv.orbit_at(mp, y, tol).size
                     assert size in (1, m, 2 * m), (r, j, off)
                     assert size == 2 * m or abs(off) < 1e-3, (r, j, off)
-                    pts = np.array(inv.orbit(g, v))
+                    pts = np.array(orbit(g, v))
                     for p in inv.fiber(mp, y, tol):
                         assert np.min(np.linalg.norm(pts - p, axis=1)) <= 1e-6 * r
-                        assert np.max(np.abs(inv.sigma(mp, p) - y)) <= tol * (1.0 + np.max(np.abs(y)))
+                        assert np.max(np.abs(mp.evaluate(p) - y)) <= tol * (1.0 + np.max(np.abs(y)))
 
     def test_enumeration_limit(self):
         g = inv.parse_group("B:6")
         m = inv.orbit_map(g)
-        orb = inv.orbit_at(m, inv.sigma(m, [0.3, 0.7, 1.1, 1.5, 1.9, 2.3]))
+        orb = inv.orbit_at(m, m.evaluate([0.3, 0.7, 1.1, 1.5, 1.9, 2.3]))
         assert orb.size == 2**6 * 720
         assert np.allclose(orb.nearest(np.arange(1.0, 7.0)), [0.3, 0.7, 1.1, 1.5, 1.9, 2.3])
         with pytest.raises(EnumerationTooLarge):
@@ -579,7 +596,7 @@ class TestDihedralBlock:
         rows = mp.evaluate(np.array([[0.6, -1.3], v, [0.0, 2.0], v]))
         block = inv.orbits_at(mp, rows, 1e-10)
         orb = block[1]
-        pts = np.array(inv.orbit(g, v))
+        pts = np.array(orbit(g, v))
         assert orb.size == size == len(orb.spectrum)
         assert [tuple(p) for p in np.round(orb.spectrum, 10)] == sorted(
             tuple(p) for p in np.round(orb.spectrum, 10))

@@ -47,7 +47,7 @@ class TestLiftCurve:
 
     def test_constant_curve_constant_lift(self):
         g, m = group_and_map("B:2")
-        y0 = inv.sigma(m, [0.7, 1.9])
+        y0 = m.evaluate([0.7, 1.9])
         curve = cd.CoeffCurve.from_exprs([f"{float(y0[0])!r}", f"{float(y0[1])!r}"])
         lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(0, 1, 6))
         assert lift.residual < 1e-10
@@ -63,7 +63,7 @@ class TestLiftCurve:
     def test_failed_backward_check_names_t(self):
         # an A:7 point whose root solve fails its backward check, held constant
         g, m = group_and_map("A:7")
-        y = inv.sigma(m, [
+        y = m.evaluate([
             -329.45042372721525, -329.45042372721525, -329.4682812195976, -329.4500942348529,
             -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
         ])
@@ -104,11 +104,11 @@ class TestLiftCurve:
 
     def test_failed_backward_check_after_good_rows_names_its_t(self):
         g, m = group_and_map("A:7")
-        bad = inv.sigma(m, [
+        bad = m.evaluate([
             -329.45042372721525, -329.45042372721525, -329.4682812195976, -329.4500942348529,
             -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
         ])
-        good = inv.sigma(m, np.arange(1.0, 9.0))
+        good = m.evaluate(np.arange(1.0, 9.0))
         curve = self._switching_curve([good, bad], [-1.0, 0.5])
         with pytest.raises(RootSolveFailed, match=r"backward check.*\(at t=0\.5\)$"):
             lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 3))
@@ -116,7 +116,7 @@ class TestLiftCurve:
     def test_constant_curve_with_coefficients_near_1e12(self):
         # sigma of the B:4 point (100, 100, 100, 0.05): its lift stays on the orbit
         g, m = group_and_map("B:4")
-        y = inv.sigma(m, [100.0, 100.0, 100.0, 0.05])
+        y = m.evaluate([100.0, 100.0, 100.0, 0.05])
         curve = cd.CoeffCurve.from_exprs([repr(v) for v in y.tolist()])
         lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 4))
         assert lift.unresolved == ()
@@ -187,13 +187,13 @@ class TestVerifyLift:
         t_k = grid.points[k]
         v = lift.values[k]
         w = values[k]
-        expected = np.max(np.abs(inv.sigma(m, w) - inv.sigma(m, v)))
+        expected = np.max(np.abs(m.evaluate(w) - m.evaluate(v)))
         assert expected > 0.01
         assert lf.verify_lift(m, broken, curve) >= expected - 1e-9
 
     def test_constant_zero_residual(self):
         g, m = group_and_map("I2:3")
-        y0 = inv.sigma(m, [0.5, 0.25])
+        y0 = m.evaluate([0.5, 0.25])
         curve = cd.CoeffCurve.from_exprs([f"{float(y0[0])!r}", f"{float(y0[1])!r}"])
         lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(0, 1, 6))
         assert lf.verify_lift(m, lift, curve) < 1e-12
@@ -243,7 +243,7 @@ class TestEquivariance:
             curve = cd.CoeffCurve.from_exprs(["1", "cos(4*t)"])
         else:
             v = {"B:2": [0.4, 1.3], "D:3": [0.3, 1.1, 2.4]}[spec]
-            y = inv.sigma(m, v)
+            y = m.evaluate(v)
             curve = cd.CoeffCurve.from_exprs(
                 [f"{float(yi)!r}+0.1*sin(t)*{0 if i else 1}" for i, yi in enumerate(y)]
             )
@@ -502,9 +502,10 @@ def _sigma_of_line(g, c, v):
 
 
 class TestExitCandidates:
-    """The exit candidates of a window, the nearest point's reflection
-    closure, against every point of the enumerated orbit: the chooser reads
-    the same best rank, margin bits and tie order from both."""
+    """The exit candidates of a window, the nearest point's closure along
+    the edges of the orbit's hull (reflections for A, B and D, neighbours in
+    angle for I2), against every point of the enumerated orbit: the chooser
+    reads the same best rank, margin bits and tie order from both."""
 
     @staticmethod
     def _full(orb, predicted, dt):
@@ -530,7 +531,7 @@ class TestExitCandidates:
         return [rng.uniform(-2.0, 2.0, g.dim), x, x + 1e-4 * rng.standard_normal(g.dim),
                 x + 1e-9 * rng.standard_normal(g.dim), tied, signs, zero, np.zeros(g.dim)]
 
-    @pytest.mark.parametrize("spec", ["A:2", "A:4", "B:2", "B:4", "D:3", "D:4", "I2:5"])
+    @pytest.mark.parametrize("spec", ["A:2", "A:4", "B:2", "B:4", "D:3", "D:4", "I2:5", "I2:8"])
     def test_closure_gives_the_enumerated_choice(self, spec):
         import zlib
 
@@ -541,12 +542,21 @@ class TestExitCandidates:
             bases[1][0] = bases[1][1]
             bases[2][0] = 0.0
             bases[3][0] = 1e-6  # D: a free parity, so every sign pattern
+        else:
+            # a mirror row, and the edge row of TestDihedralBlock whose points
+            # merge when rounded to 1e-10: 7 of 10 points, 12 of 16
+            r, angle, merged = {5: (1.2e-5, 3e-6, 7), 8: (2e-5, 2e-6, 12)}[g.param]
+            bases[1] = 1.3 * np.array([np.cos(np.pi / g.param), np.sin(np.pi / g.param)])
+            bases[2] = r * np.array([np.cos(angle), np.sin(angle)])
+        sizes, fewer = [], False
         for v in bases:
             orb = inv.orbit_at(m, m.evaluate(v))
+            sizes.append(orb.size)
             for predicted in self._predictions(g, rng, orb):
                 for dt in (1.0, 2.0**-5, 1e-3):
                     got = lf._exit_candidates(orb, predicted, dt)
                     want = self._full(orb, predicted, dt)
+                    fewer |= len(got[1]) < orb.size
                     # the candidates are enumerated points, in rank order
                     assert got[1] == sorted(got[1])
                     assert np.array_equal(got[0], want[0][got[1]])
@@ -564,6 +574,9 @@ class TestExitCandidates:
                     assert a.key == b.key and a.ambiguous == b.ambiguous
                     assert np.float64(a.margin).tobytes() == np.float64(b.margin).tobytes()
                     assert np.array_equal(a.answer, b.answer)
+        assert fewer
+        if g.kind == "I2":
+            assert sizes[1:3] == [g.param, merged]
 
     def test_drift_compares_exit_points_of_one_rank(self):
         def estimate(size, ranks, slopes):
@@ -654,6 +667,8 @@ class TestBlockTracker:
         "D:3 fixed": ([0.7, 3.0, 3.0], [0.1, 1.0, -1.0]),
         "D:3 free": ([0.0, 3.0, 3.0], [0.0, 1.0, -1.0]),
         "D:4 fixed": ([0.5, 1.0, 4.0, 4.0], [0.1, 0.2, 1.0, -1.0]),
+        "I2:4": ([2.0, 0.0], [0.0, 1.0]),
+        "I2:3 tilted": ([1.0, np.sqrt(3.0)], [-np.sqrt(3.0) / 2, 0.5]),  # the mirror at pi/3
     }
 
     @pytest.mark.parametrize("name", sorted(LINES))
@@ -679,13 +694,14 @@ class TestBlockTracker:
         assert got.tobytes() == ref.tobytes()
         assert lf._track(orbits, pts[0]).tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("spec", ["A:3", "B:3", "D:3", "D:4"])
+    @pytest.mark.parametrize("spec", ["A:3", "B:3", "D:3", "D:4", "I2:3", "I2:6"])
     @pytest.mark.parametrize("zero", [False, True])
     def test_seeded_paths_and_strands(self, spec, zero):
         """Smooth seeded paths, slow and fast: the fast ones cross mirrors
         between most samples, so blocks break again and again.  A zero
-        coordinate frees the D parity.  The strands of a window's exit
-        candidates are tracked at once."""
+        coordinate frees the D parity, and puts an I2 path on the y axis, a
+        mirror of I2:6.  The strands of a window's exit candidates are
+        tracked at once."""
         import zlib
 
         g, m = group_and_map(spec)
@@ -711,6 +727,9 @@ class TestBlockTracker:
     @pytest.mark.parametrize("spec,freqs,bound", [
         *((spec, (1000.3, 410.1), 1.1) for spec in ("A:1", "A:2", "B:2", "D:3")),
         *((spec, (100.3, 41.1), 0.2) for spec in ("B:2", "D:3")),
+        # sigma of I2:5 has a mirror every 36 degrees, so its guesses fail
+        # more often: blocks still halve the calls of the loop
+        *(("I2:5", freqs, bound) for freqs, bound in (((1000.3, 410.1), 1.1), ((100.3, 41.1), 0.5))),
     ])
     def test_guesses_that_keep_failing_cost_about_one_call_a_sample(self, spec, freqs, bound, monkeypatch):
         """sigma of (sin(1000.3 t), 1.5 + 0.3 cos(37 t), -2 + sin(410.1 t))

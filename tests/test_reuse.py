@@ -55,9 +55,9 @@ def solved_rows(monkeypatch) -> list:
 
 
 def block_bits(block: inv.OrbitBlock) -> list:
-    spectra = block.spectra if isinstance(block.spectra, list) else [block.spectra]
-    return [s.tobytes() for s in spectra] + [
-        np.asarray(x, dtype=float).tobytes() for x in (block.parity, block.sizes, block.min_distance, block.max_abs)
+    return [
+        np.asarray(x, dtype=float).tobytes()
+        for x in (block.spectra, block.parity, block.sizes, block.min_distance, block.max_abs)
     ]
 
 
