@@ -37,24 +37,30 @@ class GridTooCoarse(OrbitLiftError):
     """Not enough samples for the requested difference-quotient order."""
 
 
-class NotHyperbolic(OrbitLiftError):
-    """A certified complex root pair was detected; `index` is the row of a
-    batch it was detected in (0 when roots raises it), or None."""
+class RowError(OrbitLiftError):
+    """A row a block solve refuses: `index` is its row in the block (0 when
+    a one-row call raises it), or None, and `at(t)` is the same refusal
+    naming the row's parameter t instead."""
 
     def __init__(self, message: str = "", index: int | None = None):
         super().__init__(message)
         self.index = index
 
+    def at(self, t: float) -> RowError:
+        return type(self)(f"{self} (at t={t!r})")
 
-class RootSolveFailed(OrbitLiftError):
+
+class NotHyperbolic(RowError):
+    """A certified complex root pair was detected."""
+
+    def at(self, t: float) -> RowError:
+        return NotHyperbolicAt(t)
+
+
+class RootSolveFailed(RowError):
     """A root solve whose answer fails its backward-error check: the roots
     do not give back the coefficients, so the solve, not the polynomial, is
-    at fault.  `index` is the row of a batch it failed in (0 when roots
-    raises it), or None."""
-
-    def __init__(self, message: str = "", index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    at fault."""
 
 
 class NotHyperbolicAt(NotHyperbolic):
@@ -77,32 +83,21 @@ class EnumerationTooLarge(OrbitLiftError):
     """Group order exceeds the exhaustive-enumeration limit."""
 
 
-class ToleranceViolation(OrbitLiftError):
-    """Input sits in the near-miss band (tol, 10*tol) of the image; ill-posed.
-    `index` is the row of a block it was found in, or None."""
-
-    def __init__(self, message: str = "", index: int | None = None):
-        super().__init__(message)
-        self.index = index
+class ToleranceViolation(RowError):
+    """Input sits in the near-miss band (tol, 10*tol) of the image; ill-posed."""
 
 
-class NotFinite(OrbitLiftError):
-    """An orbit-space point that is not finite, or whose solve would
-    overflow (D's y_n^2, I2's r^m): outside what the solver handles.
-    `index` is the row of a block it was found in, or None."""
-
-    def __init__(self, message: str = "", index: int | None = None):
-        super().__init__(message)
-        self.index = index
+class NotFinite(RowError):
+    """A row that is not finite, or whose solve would overflow (D's y_n^2,
+    I2's r^m, a recentred polynomial or its roots): outside what the solver
+    handles."""
 
 
-class NotInImage(OrbitLiftError):
-    """An orbit-space point outside the image of the invariant map; `index`
-    is the row of a block it was found in, or None."""
+class NotInImage(RowError):
+    """An orbit-space point outside the image of the invariant map."""
 
-    def __init__(self, message: str = "", index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    def at(self, t: float) -> RowError:
+        return NotInImageAt(t)
 
 
 class NotInImageAt(NotInImage):

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotHyperbolic, RootSolveFailed
+from .errors import NotFinite, NotHyperbolic, RootSolveFailed, RowError
 
 _EPS = float(np.finfo(float).eps)
 # roots_batch: Newton steps after the eigensolve, and the least certified
@@ -140,8 +140,8 @@ def roots(poly: MonicHyperbolic, tol: float = 1e-10) -> RootMultiset:
     points, collapses clusters narrower than tol^(1/multiplicity), and
     promotes complex pairs inside the tol-ball to multiple roots.  Raises
     NotHyperbolic if a complex pair remains, RootSolveFailed if the rebuilt
-    roots fail the backward check, both with `index` 0.  Output is
-    deterministic for identical input.
+    roots fail the backward check, NotFinite if the solve overflows, each
+    with `index` 0.  Output is deterministic for identical input.
     """
     return RootMultiset(roots_batch(poly.coeffs[None, :], tol)[0][0])
 
@@ -164,15 +164,15 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     The refused rows, and every row of degree <= 2, are solved together as
     one block by the fallback: the closed forms, else the interlacing
     rebuild, which runs level by level over all of them.  Each row's answer
-    is the one it gets alone.  If the fallback rejects rows, the first of
-    them raises NotHyperbolic, or RootSolveFailed, carrying its row index as
-    `index`.
+    is the one it gets alone.  The first row refused raises, carrying its
+    row index as `index`: NotFinite for a row that is not finite, else the
+    fallback's NotHyperbolic, RootSolveFailed or NotFinite.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("rows must be an (N, n) array")
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValueError("rows must be an (N, n) array with n >= 1")
     finite = np.isfinite(rows).all(axis=1)
     if rows.shape[1] >= 3:
         # a non-finite row is solved as zeros, which no certificate accepts
@@ -180,20 +180,17 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
         fell_back = ~(finite & good)
     else:
         values, fell_back = np.empty(rows.shape), np.ones(rows.shape[0], dtype=bool)
-    todo = fell_back.nonzero()[0]
-    stop = None
-    if rows.shape[1] == 0 or not finite.all():
-        # MonicHyperbolic refuses these rows: the first ends the block
-        stop = todo[~finite[todo] | (rows.shape[1] == 0)][0]
-        todo = todo[todo < stop]
+    # the first row that is not finite ends the block
+    stop = rows.shape[0] if finite.all() else int(np.argmin(finite))
+    todo = fell_back[:stop].nonzero()[0]
     if todo.size:
         try:
             values[todo] = _uncertified_roots(rows[todo], tol)
-        except (NotHyperbolic, RootSolveFailed) as exc:
+        except RowError as exc:
             exc.index = int(todo[exc.index])
             raise
-    if stop is not None:
-        MonicHyperbolic(rows[stop])
+    if stop < rows.shape[0]:
+        raise NotFinite("coefficients must be finite", index=stop)
     return values, fell_back
 
 
@@ -204,13 +201,16 @@ def _uncertified_roots(rows: np.ndarray, tol: float) -> np.ndarray:
     does, so it must give them back to within 10 tol^(1/2) scale, or raise
     RootSolveFailed: roots are told apart only beyond the pair width
     tol^(1/2), and a collapsed cluster moves the coefficients by as much.
-    The first failing row raises, with its index in the block as `index`."""
+    The first failing row raises, with its index in the block as `index`:
+    NotFinite when its roots, or the polynomial recentred to find them,
+    overflow."""
     n = rows.shape[1]
     vals, solved = _roots_with_fallback(rows, tol)
     failed = ~solved
     if n >= 3:
         vals = np.sort(vals, axis=1)
-        e = np.array(_elementary(list(vals.T))).T
+        with np.errstate(invalid="ignore"):  # a refused row's nan or inf roots
+            e = np.array(_elementary(list(vals.T))).T
         gap = np.abs(e - rows)
         miss = gap[:, 0]
         for j in range(1, n):
@@ -219,7 +219,9 @@ def _uncertified_roots(rows: np.ndarray, tol: float) -> np.ndarray:
         failed |= ~(miss <= 10.0 * math.sqrt(tol) * scale)
     if failed.any():
         i = int(np.argmax(failed))
-        if not solved[i]:
+        if not solved[i] and np.isinf(vals[i]).any():
+            exc = NotFinite(f"the roots, or the recentred polynomial, overflow (degree {n})")
+        elif not solved[i]:
             exc = NotHyperbolic(f"certified complex root pair (degree {n}, tol {tol:g})")
         else:
             exc = RootSolveFailed(f"roots fail the backward check: they miss the coefficients"
@@ -640,26 +642,36 @@ def _quadratic_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     negative discriminant within 4*tol*scale collapses to a double root
     (|P| at the vertex is |disc|/4, matching the promotion criterion), and
     two roots closer than tol^(1/2) merge at their mean, as in
-    _collapse_clusters."""
+    _collapse_clusters.  A row whose discriminant overflows is solved as
+    x = s u, s the power of two at or below max(|a1|, |a2|^(1/2)): the
+    discriminant of u's polynomial is the row's divided by s^2, exactly; the
+    other rows take s = 1, which changes no bit."""
     width = tol ** (1.0 / 2)
     a1, a2 = rows[:, 0], rows[:, 1]
-    disc = a1 * a1 - 4.0 * a2
-    double = disc <= 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
+    s = 1.0
+    with np.errstate(all="ignore"):
+        disc = a1 * a1 - 4.0 * a2
+        big = ~np.isfinite(disc)
+        if big.any():
+            s = np.where(big, np.ldexp(1.0, np.frexp(np.fmax(np.abs(a1), np.sqrt(np.abs(a2))))[1] - 1), 1.0)
+            disc = (a1 / s) * (a1 / s) - 4.0 * (a2 / s / s)
+        b1 = a1 / s
         sq = np.sqrt(disc)
-        r1 = 0.5 * (a1 + np.where(a1 >= 0.0, sq, -sq))
+        r1 = 0.5 * (b1 + np.where(b1 >= 0.0, sq, -sq)) * s
         r2 = a2 / r1
+    double = disc <= 0.0
     vals = np.stack([np.minimum(r1, r2), np.maximum(r1, r2)], axis=1)
     merge = vals[:, 1] - vals[:, 0] < width
     vals[merge] = ((vals[merge, 0] + vals[merge, 1]) / 2.0)[:, None]
     vals[double] = 0.5 * a1[double, None]
     scale = 1.0 + np.maximum(np.abs(a1), np.abs(a2))
-    return vals, ~double | (-disc <= 4.0 * tol * scale)
+    return vals, (~double | (-disc <= 4.0 * tol * scale / s / s)) & ~np.isinf(r1)
 
 
 def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Roots of each row (not sorted), from the closed forms or the
-    interlacing rebuild, and the mask of the rows found hyperbolic."""
+    interlacing rebuild, and the mask of the rows found hyperbolic.  A row
+    refused because its roots or its recentring overflow holds an inf."""
     m, n = rows.shape
     if n == 1:
         return rows.copy(), np.ones(m, dtype=bool)
@@ -673,7 +685,8 @@ def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
         # an exact root at 0: deflate it, as the centroid shift below would
         # blur it into rounding noise
         rest, rest_ok = _roots_with_fallback(rows[zero, :-1], tol)
-        rest = np.sort(np.concatenate([rest, np.zeros((rest.shape[0], 1))], axis=1), axis=1)
+        out[zero] = np.sort(np.concatenate([rest, np.zeros((rest.shape[0], 1))], axis=1), axis=1)
+        rest = out[zero]
         for i, r in enumerate(np.flatnonzero(zero).tolist()):
             if rest_ok[i]:
                 out[r], ok[r] = _collapse_clusters(rest[i], tol, c[r]), True
@@ -685,12 +698,19 @@ def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     # effective tolerance in the shifted frame compensates for the rescaling.
     keep = np.flatnonzero(~zero)
     mu = rows[keep, 0] / n
-    c = _taylor_shift(c[keep], mu)
     scale = 1.0 + np.max(np.abs(rows[keep]), axis=1)
-    tol_eff = tol * scale / (1.0 + np.max(np.abs(c), axis=1))
-    # rounding inside the shift leaves absolute coefficient noise at the
-    # original scale; evaluated values inherit it
-    shift_noise = 4.0 * (n + 1) * _EPS * scale * np.fmax(1.0, np.abs(mu))
+    with np.errstate(all="ignore"):
+        c = _taylor_shift(c[keep], mu)
+        # rounding inside the shift leaves absolute coefficient noise at the
+        # original scale; evaluated values inherit it
+        shift_noise = 4.0 * (n + 1) * _EPS * scale * np.fmax(1.0, np.abs(mu))
+    top = np.max(np.abs(c), axis=1)
+    # a row whose shift overflows is not rebuilt: its roots read +inf
+    big = ~np.isfinite(top)
+    if big.any():
+        out[keep[big]] = np.inf
+        keep, mu, scale, c, shift_noise, top = (x[~big] for x in (keep, mu, scale, c, shift_noise, top))
+    tol_eff = tol * scale / (1.0 + top)
     roots, mult = _rebuild(c, tol_eff, shift_noise)
     flat, total = _expand(roots, mult)
     vals, found = np.full((keep.size, n), np.nan), total == n

@@ -49,7 +49,7 @@ from .errors import (
     NotFinite,
     NotHyperbolic,
     NotInImage,
-    RootSolveFailed,
+    RowError,
     ToleranceViolation,
     UnsupportedParameter,
 )
@@ -636,18 +636,16 @@ def orbits_at(map_: OrbitMapSigma, rows, tol: float = 1e-10) -> OrbitBlock:
         # which can differ in the last bit; one that overflows is refused below
         with np.errstate(over="ignore"):
             a = np.column_stack([rows[:, :-1], [y**2 for y in rows[:, -1]]])
-    # a row that is not finite (y_n^2 can overflow) ends the block solve
-    finite = np.isfinite(a).all(axis=1)
-    stop = a.shape[0] if finite.all() else int(np.argmin(finite))
-    failed = None
     try:
-        vals = hyperpoly.roots_batch(a[:stop], tol)[0]
-    except (NotHyperbolic, RootSolveFailed) as exc:
-        stop, failed = exc.index, exc
-    if failed is not None:
-        vals = hyperpoly.roots_batch(a[:stop], tol)[0]
+        vals = hyperpoly.roots_batch(a, tol)[0]
+        failed = None
+    except RowError as exc:
+        # the rows before the first refused one are checked first
+        failed = exc
+        vals = hyperpoly.roots_batch(a[: exc.index], tol)[0]
+    stop = len(vals)
     spectra = vals if group.kind == "A" else _sqrt_spectra(a[:stop], vals, tol)
-    if stop < a.shape[0]:
+    if failed is not None:
         _refused_row(group, a, stop, failed, tol)
     parity = np.zeros(stop)
     if group.kind == "D":
@@ -659,28 +657,24 @@ def orbits_at(map_: OrbitMapSigma, rows, tol: float = 1e-10) -> OrbitBlock:
     return _chamber_block(group, spectra, parity)
 
 
-def _refused_row(group: ReflectionGroup, a: np.ndarray, k: int, failed, tol: float):
+def _refused_row(group: ReflectionGroup, a: np.ndarray, k: int, failed: RowError, tol: float):
     """Raise the error of row k of the polynomial block a, which the block
-    solve refused (failed: its error, None for a row that is not finite),
-    as the row alone gives it: a row found hyperbolic only at 10*tol is in
-    the widened band, or outside the image if a B/D square lies below it."""
-    if failed is None:
+    solve refused with `failed`, as the row alone gives it: a row with no
+    real roots at tol that has them at 10*tol is in the widened band, or
+    outside the image if a B/D square lies below it."""
+    if not np.isfinite(a[k]).all():
         raise NotFinite("the polynomial of the orbit-space point is not finite", index=k)
-    if isinstance(failed, RootSolveFailed):
+    if not isinstance(failed, NotHyperbolic):
         raise failed
     try:
         vals = hyperpoly.roots_batch(a[k : k + 1], 10.0 * tol)[0]
+        if group.kind != "A":
+            _sqrt_spectra(a[k : k + 1], vals, tol)
     except NotHyperbolic:
         raise NotInImage("not in the orbit-map image", index=k) from None
-    except RootSolveFailed as exc:
+    except RowError as exc:
         exc.index = k
         raise
-    if group.kind != "A":
-        try:
-            _sqrt_spectra(a[k : k + 1], vals, tol)
-        except (NotInImage, ToleranceViolation) as exc:
-            exc.index = k
-            raise
     raise ToleranceViolation(_BAND, index=k)
 
 
@@ -757,9 +751,10 @@ def _dihedral_block(map_: OrbitMapSigma, rows: np.ndarray, tol: float) -> OrbitB
     r (cos, sin)(+-theta + 2 pi k / m) with r^2 = y_1 and
     r^m cos(m theta) = y_2.  Within tol r^m below the mirror value
     |y_2| = r^m (or the tol-ball above it) the point is on a mirror, and
-    within sqrt(tol) of 0 it is the origin.  Each row's points are
-    deduplicated to 1e-10 and sorted lexicographically, as `Orbit.points()`
-    lists them, and padded with NaN to 2m.
+    within sqrt(tol) of 0, with y_2 in the widened tol-ball, it is the
+    origin.  Each row's points are deduplicated to 1e-10 and sorted
+    lexicographically, as `Orbit.points()` lists them, and padded with NaN
+    to 2m.
 
     The first row that has no orbit raises as in orbits_at.  pow and acos
     run on each row's floats: numpy's array versions can differ from them
@@ -768,13 +763,16 @@ def _dihedral_block(map_: OrbitMapSigma, rows: np.ndarray, tol: float) -> OrbitB
     scale = 1.0 + np.max(np.abs(rows), axis=1)
     r2, target = rows[:, 0], rows[:, 1]
     r = np.sqrt(np.maximum(r2, 0.0))
+    # |y_2| reaches r^m, so the radius sqrt(tol (1 + max|y|)) grows like
+    # r^(m/2): a large y_2 is not the origin's
     origin = r <= np.array([(tol * s) ** 0.5 for s in scale.tolist()])
+    origin &= np.abs(target) <= 10.0 * tol * scale
     rm = np.array([_pow(x, m) for x in r.tolist()])
     excess = np.abs(target) - rm
     finite = np.isfinite(rows).all(axis=1) & np.isfinite(rm)
     outside = r2 < -10.0 * tol * scale
     below = ~outside & (r2 < -tol * scale)
-    far = np.where(origin, np.abs(target), excess) > 10.0 * tol * scale
+    far = ~origin & (excess > 10.0 * tol * scale)
     near = ~origin & (excess > tol * scale)
     bad = np.flatnonzero(~finite | outside | below | far | near)
     if bad.size:
@@ -812,13 +810,15 @@ def _dihedral_block(map_: OrbitMapSigma, rows: np.ndarray, tol: float) -> OrbitB
     pts = np.take_along_axis(pts, np.argsort(~live, axis=1, kind="stable")[:, :, None], axis=1)
     sizes = live.sum(axis=1)
     pts[np.arange(2 * m) >= sizes[:, None]] = np.nan
-    # the least distance over the pairs (j, j + shift), by the norm's own
-    # operations; O(N m) memory for any m
-    least = np.full(len(rows), np.inf)
-    for shift in range(1, 2 * m):
-        d = pts - np.roll(pts, -shift, axis=1)
-        norms = np.sqrt(d[:, :, 0] * d[:, :, 0] + d[:, :, 1] * d[:, :, 1])
-        least = np.fmin(least, np.fmin.reduce(norms, axis=1))
+    # the points lie on a circle, so the least distance is between two
+    # neighbours in angle: each point's to its successor, wrapping within
+    # the row's size (NaN padding sorts last)
+    order = np.argsort(np.arctan2(pts[:, :, 1], pts[:, :, 0]), axis=1)
+    ring = np.take_along_axis(pts, order[:, :, None], axis=1)
+    after = (np.arange(1, 2 * m + 1) % sizes[:, None])[:, :, None]
+    d = ring - np.take_along_axis(ring, after, axis=1)
+    least = np.fmin.reduce(np.sqrt(d[:, :, 0] * d[:, :, 0] + d[:, :, 1] * d[:, :, 1]), axis=1)
+    least[sizes == 1] = np.inf
     return OrbitBlock(map_.group, pts, np.zeros(len(rows)), np.array(sizes.tolist(), dtype=object),
                       least, np.nanmax(np.abs(pts), axis=(1, 2)))
 

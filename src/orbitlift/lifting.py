@@ -27,28 +27,24 @@ lift, past `ENUM_LIMIT` too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import regcheck
 from .curvedsl import CoeffCurve, Grid
-from .errors import (
-    DimensionMismatch,
-    NotFinite,
-    NotInImage,
-    NotInImageAt,
-    RootSolveFailed,
-    ToleranceViolation,
-)
+from .errors import DimensionMismatch
 from .invariants import Orbit, OrbitBlock, OrbitMapSigma, ReflectionGroup, orbits_at
 
 # nothing here lists an orbit; perfbench/tracing.py wraps `lifting.fiber`
 # by name to count the calls that would, so the name stays bound
 from .invariants import fiber  # noqa: F401
 from .regcheck import VERDICT_RANK, RegularityReport
-from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, reusing_sampler, risky_run
+from .windows import (
+    _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, reusing_sampler, risky_run, solved_at,
+)
 
 
 @dataclass(frozen=True)
@@ -97,17 +93,6 @@ def _evidence(values: np.ndarray, grid: Grid, levels: int) -> tuple[tuple[Regula
     ) if levels else ()
     steps = np.linalg.norm(np.diff(values, axis=0), axis=1)
     return reports, float(steps.max()) if steps.size else 0.0
-
-
-def _orbits_at(map_: OrbitMapSigma, rows: np.ndarray, tpts: np.ndarray, tol: float) -> OrbitBlock:
-    """The orbits of the curve values rows at the times tpts, as one block;
-    the first sample without an orbit raises, naming its t."""
-    try:
-        return orbits_at(map_, rows, tol)
-    except NotInImage as exc:
-        raise NotInImageAt(float(tpts[exc.index])) from None
-    except (NotFinite, RootSolveFailed, ToleranceViolation) as exc:
-        raise type(exc)(f"{exc} (at t={float(tpts[exc.index])!r})") from None
 
 
 def _continue(values: np.ndarray, orbits, i: int) -> None:
@@ -310,7 +295,7 @@ def lift_curve(
     """Track one orbit point per grid sample into a lift of the curve.
 
     Raises NotInImageAt(t) when a sample leaves sigma(V) (no silent
-    projection), and propagates ToleranceViolation from ill-posed samples.
+    projection), and any other refused sample's RowError, naming its t.
     """
     if curve.n != map_.n_invariants:
         raise DimensionMismatch(
@@ -318,7 +303,8 @@ def lift_curve(
         )
     tpts = grid.points
     rows = curve.evaluate(tpts)
-    orbits = _orbits_at(map_, rows, tpts, tol)
+    solve = functools.partial(orbits_at, map_, tol=tol)
+    orbits = solved_at(solve, rows, tpts)
     N = len(orbits)
     dim = group.dim
     scale = max(float(np.max(orbits.max_abs)), 1e-30)
@@ -348,8 +334,7 @@ def lift_curve(
             i1,
             orbits,
             reusing_sampler(
-                tpts, rows, orbits, curve.evaluate,
-                lambda sub_rows, pts: _orbits_at(map_, sub_rows, pts, tol), OrbitBlock.joined,
+                tpts, rows, orbits, curve.evaluate, solve, OrbitBlock.joined,
             ),
             lambda pts, sub_orbits, center_t: _estimate_window(
                 pts, sub_orbits, center_t, eps, values[i0 - 1]
@@ -397,18 +382,8 @@ def transformed_lift(map_: OrbitMapSigma, lift: LiftResult, element: np.ndarray,
     values = lift.values @ element.T
     levels = len(lift.reports[0].levels) if lift.reports else 0
     reports, max_step = _evidence(values, lift.grid, levels)
-    return LiftResult(
-        grid=lift.grid,
-        group=lift.group,
-        values=values,
-        residual=_residual(map_, values, curve.evaluate(lift.grid.points)),
-        reports=reports,
-        swap_log=lift.swap_log,
-        unresolved=lift.unresolved,
-        max_step=max_step,
-        continuity_bound=lift.continuity_bound,
-        residual_bound=lift.residual_bound,
-    )
+    residual = _residual(map_, values, curve.evaluate(lift.grid.points))
+    return replace(lift, values=values, residual=residual, reports=reports, max_step=max_step)
 
 
 # -- several-variable probe harness ------------------------------------------------

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .curvedsl import Grid
 from .errors import GridTooCoarse
 from .verdicts import C1, DIFFABLE, INCONCLUSIVE, LIPSCHITZ, TWICE, UNBOUNDED, VERDICT_RANK  # noqa: F401
 
@@ -124,15 +125,6 @@ def difference_quotients(samples: Sequence[float], step: float, order: int = 1) 
     return out
 
 
-def _dyadic_points(domain: tuple[float, float], level: int) -> np.ndarray:
-    """The 2^level + 1 points of the dyadic grid on domain, ending at its end."""
-    t0, t1 = domain
-    n = 2**level
-    pts = t0 + (t1 - t0) * np.arange(n + 1) / n
-    pts[-1] = t1
-    return pts
-
-
 def certify(values: Callable[[np.ndarray], np.ndarray], domain: tuple[float, float],
             levels: int = 6, base_level: int = 4) -> RegularityReport:
     """Certify the regularity class of `values` on dyadic levels
@@ -147,7 +139,7 @@ def certify(values: Callable[[np.ndarray], np.ndarray], domain: tuple[float, flo
     if base_level < 1:
         raise GridTooCoarse("second differences need base_level >= 1 (3 samples)")
     top = base_level + levels - 1
-    return certify_samples(values(_dyadic_points(domain, top)), domain, levels)
+    return certify_samples(values(Grid.dyadic(*domain, top).points), domain, levels)
 
 
 def certify_samples(samples: Sequence[float], domain: tuple[float, float],
@@ -162,12 +154,11 @@ def certify_samples(samples: Sequence[float], domain: tuple[float, float],
     if levels < 4:
         raise GridTooCoarse("need at least 4 dyadic levels of samples")
     ks = list(range(top - levels + 1, top + 1))
-    ts = []
-    fs = []
-    for k in ks:
-        stride = 2 ** (top - k)
-        ts.append(_dyadic_points(domain, k))
-        fs.append(f[::stride])
+    # a coarser level's points are the finest level's subsampled, bit for
+    # bit: (t1 - t0) * i * 2^j / 2^top scales (t1 - t0) * i by a power of two
+    t = Grid.dyadic(*domain, top).points
+    ts = [t[:: 2 ** (top - k)] for k in ks]
+    fs = [f[:: 2 ** (top - k)] for k in ks]
     return _certify_tables(ts, fs, ks, domain)
 
 

@@ -17,6 +17,7 @@ the runner-up is one adjacent swap away and the tie margin has a closed form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,8 +26,9 @@ import numpy as np
 
 from . import hyperpoly
 from .curvedsl import CoeffCurve, Grid
-from .errors import NotHyperbolic, NotHyperbolicAt, RootSolveFailed
-from .windows import _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, reusing_sampler, risky_run
+from .windows import (
+    _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, reusing_sampler, risky_run, solved_at,
+)
 
 SORTED = "sorted"
 DIFFERENTIABLE = "differentiable"
@@ -59,18 +61,13 @@ class RootBranches:
 def sorted_branches(curve: CoeffCurve, grid: Grid, tol: float = 1e-10) -> RootBranches:
     """Pointwise sorted roots of the curve; raises NotHyperbolicAt(t)."""
     pts = grid.points
-    return RootBranches(grid, _sorted_matrix(curve.evaluate(pts), pts, tol), SORTED)
+    vals = solved_at(functools.partial(_sorted_matrix, tol=tol), curve.evaluate(pts), pts)
+    return RootBranches(grid, vals, SORTED)
 
 
-def _sorted_matrix(rows: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Sorted roots of the rows, one column each; a failing row names its t."""
-    try:
-        vals, _ = hyperpoly.roots_batch(rows, tol)
-    except NotHyperbolic as exc:
-        raise NotHyperbolicAt(float(pts[exc.index])) from None
-    except RootSolveFailed as exc:
-        raise RootSolveFailed(f"{exc} (at t={float(pts[exc.index])!r})") from None
-    return np.ascontiguousarray(vals.T)
+def _sorted_matrix(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted roots of the rows, one column each."""
+    return np.ascontiguousarray(hyperpoly.roots_batch(rows, tol)[0].T)
 
 
 def collision_clusters(b: RootBranches, eps: float) -> list[CollisionCluster]:
@@ -205,7 +202,8 @@ def differentiable_selection(
     """
     tpts = grid.points
     rows = curve.evaluate(tpts)
-    sb = RootBranches(grid, _sorted_matrix(rows, tpts, tol), SORTED)
+    solve = functools.partial(_sorted_matrix, tol=tol)
+    sb = RootBranches(grid, solved_at(solve, rows, tpts), SORTED)
     vals = sb.branches
     n, N = vals.shape
     if n < 2:
@@ -228,8 +226,7 @@ def differentiable_selection(
             i1,
             vals,
             reusing_sampler(
-                tpts, rows, vals, curve.evaluate,
-                lambda sub_rows, pts: _sorted_matrix(sub_rows, pts, tol),
+                tpts, rows, vals, curve.evaluate, solve,
                 lambda a, b, take: np.concatenate([a, b], axis=1)[:, take],
             ),
             lambda pts, sub_vals, center_t: _estimate_slopes(pts, sub_vals, members, eps, center_t),

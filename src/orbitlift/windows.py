@@ -23,7 +23,9 @@ Each level solves only the rows its parent level has not solved
 (`reusing_sampler`): a refined point whose coefficient row equals, bit for
 bit, the row of the nearest point of the level before takes that point's
 answer, and the other rows are solved as one block.  That is exact, since
-the engines' block solves give each row the answer it gets alone.
+the engines' block solves give each row the answer it gets alone.  A row a
+block solve refuses, on the caller's grid or at any level, raises its
+`RowError` named by the row's t (`solved_at`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .curvedsl import Grid
+from .errors import RowError
 
 _SIDE_WINDOW = 8          # samples fitted on each side of a window
 _SLOPE_RTOL = 1e-3        # relative slope drift accepted as stable
@@ -83,6 +86,15 @@ def matched_rows(parent_t: np.ndarray, parent_rows: np.ndarray, t: np.ndarray, r
     return np.where(same, j, -1)
 
 
+def solved_at(solve: Callable, rows: np.ndarray, t: np.ndarray) -> Any:
+    """solve(rows), row k being the row at the point t[k]; a row it refuses
+    raises its RowError again, named by that row's t (`RowError.at`)."""
+    try:
+        return solve(rows)
+    except RowError as exc:
+        raise exc.at(float(t[exc.index])) from None
+
+
 def reusing_sampler(points: np.ndarray, rows: np.ndarray, answers: Any, evaluate: Callable,
                     solve: Callable, join: Callable) -> Callable[[Grid], Any]:
     """A `sample` for resolve_window that solves only the rows its previous
@@ -90,7 +102,8 @@ def reusing_sampler(points: np.ndarray, rows: np.ndarray, answers: Any, evaluate
     with the coefficient rows and answers at its points.
 
     evaluate  points -> coefficient rows
-    solve     (rows, their points) -> answers, naming a failing row's point
+    solve     rows -> answers; a refused row raises a RowError with its
+              index, which `solved_at` names by its t
     join      (previous answers, new answers, take) -> the answers of the
               previous rows followed by the new ones, at the indices take
     """
@@ -102,7 +115,7 @@ def reusing_sampler(points: np.ndarray, rows: np.ndarray, answers: Any, evaluate
         take = matched_rows(last[0], last[1], t, rows)
         new = np.flatnonzero(take < 0)
         take[new] = last[0].size + np.arange(new.size)
-        last[:] = t, rows, join(last[2], solve(rows[new], t[new]), take)
+        last[:] = t, rows, join(last[2], solved_at(solve, rows[new], t[new]), take)
         return last[2]
 
     return sample

@@ -27,6 +27,18 @@ class TestRoots:
     def test_not_hyperbolic_exit_2(self, capsys):
         assert run(["roots", "--poly", "0,1"]) == EXIT_DOMAIN
 
+    def test_overflow_gives_finite_roots_or_one_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["roots", "--poly", "1e300,1e300"]) == EXIT_OK
+            out = capsys.readouterr()
+            assert "inf" not in out.out and out.err == ""
+            assert "root[0]: 1\n" in out.out
+            # real roots near 1e-300, 1 and 1e300 whose recentring overflows
+            assert run(["roots", "--poly", "1e300,1e300,1"]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and "complex root pair" not in err
+
 
 class TestSelect:
     def test_crossing_lines_csv(self, tmp_path):

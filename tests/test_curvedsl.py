@@ -154,7 +154,10 @@ class TestGrid:
                 continue
             g = cd.Grid.dyadic(lo, hi, level)
             assert (g.points[0], g.points[-1]) == (lo, hi)
-            assert rc._dyadic_points((lo, hi), level)[-1] == hi
+            # the certifier samples on the finest level's points
+            seen = []
+            rc.certify(lambda t: seen.append(t) or np.zeros_like(t), (lo, hi), 4, max(level - 3, 1))
+            assert seen[0][-1] == hi
             for r in (g.refine((lo + 0.6 * (hi - lo), hi)), g.refine()):
                 assert r.t1 == r.points[-1] == hi
                 k = r.first + np.arange(r.n_cells + 1)

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitlift import hyperpoly as hp
-from orbitlift.errors import NotHyperbolic, RootSolveFailed
+from orbitlift.errors import NotFinite, NotHyperbolic, RootSolveFailed
 
 
 def expand_product(roots):
@@ -467,8 +469,9 @@ class TestRootsBatch:
 
     def test_nonfinite_row_falls_back_and_is_refused(self):
         rows = np.array([hp.from_roots([1.0, 2.0, 3.0]).coeffs, [np.inf, 0.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(NotFinite) as exc:
             hp.roots_batch(rows)
+        assert exc.value.index == 1
 
     def test_small_root_beside_large_ones(self):
         # the squares-polynomial of the B:4 point (100, 99, 101, 0.05): roots()
@@ -626,6 +629,62 @@ class TestLargeCoefficients:
             exact = np.sort(np.append(r, r[0]))
             got = hp.roots(hp.from_roots(exact)).values
             assert np.max(np.abs(got - exact)) <= 1e-6 * scale, exact
+
+
+class TestOverflow:
+    """A solve answers with finite roots or refuses the row: a discriminant
+    that overflows is solved in scaled form, and a polynomial whose
+    recentred coefficients overflow is refused as NotFinite, not read as a
+    complex pair."""
+
+    @pytest.mark.parametrize("coeffs, want", [
+        ([1e300, 1e300], [1.0, 1e300]),
+        ([1.7e308, -1.7e308], [-1.0, 1.7e308]),
+        ([-1.7976931348623157e308, 1.7976931348623157e308], [-1.7976931348623157e308, -1.0]),
+        ([1e200, 1e300], [1e100, 1e200]),
+    ])
+    def test_quadratic_whose_discriminant_overflows(self, coeffs, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hp.roots(hp.MonicHyperbolic(coeffs)).values
+        assert got.tolist() == want
+
+    def test_overflow_rows_leave_the_other_rows_bits(self):
+        rng = np.random.default_rng(5)
+        rows = np.array([hp.from_roots(rng.uniform(-5.0, 5.0, 2)).coeffs for _ in range(30)])
+        rows[[3, 17]] = [[0.0, 1e-12], [7.0, 12.25]]  # a tol-ball pair and a double root
+        alone, _ = hp.roots_batch(rows)
+        mixed = rows.copy()
+        mixed[[5, 20]] = [[1e300, 1e300], [0.0, 1.7e308]]
+        with pytest.raises(NotHyperbolic) as info:
+            hp.roots_batch(mixed)
+        assert info.value.index == 20
+        mixed[20] = [1.7e308, -1.7e308]
+        got, _ = hp.roots_batch(mixed)
+        keep = np.setdiff1d(np.arange(30), [5, 20])
+        assert got[keep].tobytes() == alone[keep].tobytes()
+        assert got[5].tolist() == [1.0, 1e300] and got[20].tolist() == [-1.0, 1.7e308]
+
+    @pytest.mark.parametrize("coeffs", [[1e300, 1e300, 1.0], [1e300, 1e300, 1.0, 0.0]])
+    def test_recentred_overflow_is_not_finite(self, coeffs):
+        # roots near 1e-300, 1 and 1e300 (and an exact 0, deflated first):
+        # the shift by a1/3 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFinite) as info:
+                hp.roots(hp.MonicHyperbolic(coeffs))
+        assert info.value.index == 0
+
+    def test_a_shift_that_stays_finite_is_solved(self):
+        # the triple root 1e102: its shift noise bound overflows, its shift does not
+        got = hp.roots(hp.from_roots([1e102, 1e102, 1e102])).values
+        assert np.max(np.abs(got - 1e102)) <= 1e-12 * 1e102
+
+    def test_recentred_overflow_in_a_block(self):
+        rows = np.array([hp.from_roots([1.0, 2.0, 3.0]).coeffs, [1e300, 1e300, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(NotFinite) as info:
+            hp.roots_batch(rows)
+        assert info.value.index == 1
 
 
 class TestBackwardCheck:

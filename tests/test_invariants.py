@@ -614,6 +614,23 @@ class TestDihedralBlock:
         assert block[3].spectrum.tobytes() == orb.spectrum.tobytes()
 
 
+    @pytest.mark.parametrize("m, r_lo, r_hi", [(m, 0.0, 100.0) for m in range(8, 13)] + [(200, 0.63, 1.58)])
+    def test_every_image_point_has_its_orbit(self, m, r_lo, r_hi):
+        # |y_2| reaches r^m, so sqrt(tol (1 + max|y|)) grows like r^(m/2):
+        # a large y_2 within that radius is not the origin's
+        g = inv.parse_group(f"I2:{m}")
+        mp = inv.orbit_map(g)
+        rng = np.random.default_rng(m)
+        r = rng.uniform(r_lo, r_hi, 400)
+        angle = rng.uniform(-np.pi, np.pi, 400)
+        v = r[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        block = inv.orbits_at(mp, mp.evaluate(v))
+        # the mirror snap moves a point by at most r sqrt(2 tol) / m
+        assert (np.linalg.norm(block.nearest(v) - v, axis=1) <= np.sqrt(2e-10) * (1.0 + r)).all()
+        if m == 8:
+            assert inv.orbit_at(mp, mp.evaluate([50.0, 0.0])) is not None
+
+
 RANK_GROUPS = [f"A:{n}" for n in range(1, 6)] + [f"B:{n}" for n in range(2, 6)] + [
     f"D:{n}" for n in range(3, 6)]
 

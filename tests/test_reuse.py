@@ -17,7 +17,15 @@ from orbitlift import invariants as inv
 from orbitlift import lifting as lf
 from orbitlift import rootflow as rf
 from orbitlift import windows as wn
-from orbitlift.errors import NotHyperbolic, NotHyperbolicAt, NotInImageAt, RootSolveFailed
+from orbitlift.errors import (
+    NotFinite,
+    NotHyperbolic,
+    NotHyperbolicAt,
+    NotInImageAt,
+    RootSolveFailed,
+    RowError,
+    ToleranceViolation,
+)
 
 
 def match_nothing(parent_t, parent_rows, t, rows):
@@ -267,10 +275,11 @@ class TestErrorsAtARefinedLevel:
         with pytest.raises(NotHyperbolicAt) as exc:
             rf.differentiable_selection(curve, grid)
         assert exc.value.t == where()
-        where = self.poison(monkeypatch, k, RootSolveFailed)
-        with pytest.raises(RootSolveFailed, match=r"poisoned row \(at t=(.*)\)$") as exc:
-            rf.differentiable_selection(curve, grid)
-        assert str(exc.value).endswith(f"(at t={where()!r})")
+        for error in (RootSolveFailed, NotFinite):
+            where = self.poison(monkeypatch, k, error)
+            with pytest.raises(error, match=r"poisoned row \(at t=(.*)\)$") as exc:
+                rf.differentiable_selection(curve, grid)
+            assert str(exc.value).endswith(f"(at t={where()!r})")
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_lift(self, k, monkeypatch):
@@ -279,7 +288,61 @@ class TestErrorsAtARefinedLevel:
         with pytest.raises(NotInImageAt) as exc:
             lf.lift_curve(g, m, curve, grid)
         assert exc.value.t == where()
-        where = self.poison(monkeypatch, k, RootSolveFailed)
-        with pytest.raises(RootSolveFailed, match=r"poisoned row \(at t=(.*)\)$") as exc:
-            lf.lift_curve(g, m, curve, grid)
-        assert str(exc.value).endswith(f"(at t={where()!r})")
+        for error in (RootSolveFailed, NotFinite):
+            where = self.poison(monkeypatch, k, error)
+            with pytest.raises(error, match=r"poisoned row \(at t=(.*)\)$") as exc:
+                lf.lift_curve(g, m, curve, grid)
+            assert str(exc.value).endswith(f"(at t={where()!r})")
+
+
+# the A:7 point, held constant, whose rebuilt roots miss its coefficients
+BACKWARD_ROOTS = [-329.45042372721525, -329.45042372721525, -329.4682812195976, -329.4500942348529,
+                  -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927]
+BACKWARD = "roots fail the backward check: they miss the coefficients by 2.05e+22 (degree 8, tol 1e-10)"
+
+
+def _constant(values) -> list[str]:
+    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+class TestRefusedRowsNameTheirT:
+    """Every RowError a block solve of either engine raises reaches the
+    caller through `windows.solved_at`, as its own type, naming the
+    refused row's t with the message the row's refusal has always had.
+    The overflow of a recentred polynomial is refused as NotFinite, where
+    it once read as a complex pair (select) or a point outside the image
+    (lift)."""
+
+    @pytest.mark.parametrize("exprs, level, error, message", [
+        (["0", "0.25-t^2"], 4, NotHyperbolicAt, "polynomial not hyperbolic at t=-0.375"),
+        (_constant(hyperpoly.from_roots(BACKWARD_ROOTS).coeffs), 2, RootSolveFailed,
+         f"{BACKWARD} (at t=-1.0)"),
+        (["1e300", "1e300", "1"], 4, NotFinite,
+         "the roots, or the recentred polynomial, overflow (degree 3) (at t=-1.0)"),
+    ])
+    def test_select(self, exprs, level, error, message):
+        with pytest.raises(RowError) as exc:
+            rf.differentiable_selection(cd.CoeffCurve.from_exprs(exprs), cd.Grid.dyadic(-1, 1, level))
+        assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("spec, exprs, level, error, message", [
+        ("B:2", ["1", "-1+0*t"], 4, NotInImageAt, "curve value not in the orbit-map image at t=-1.0"),
+        ("A:1", ["0", "5e-10"], 3, ToleranceViolation,
+         "orbit-space point within (tol, 10*tol] of the image (at t=-1.0)"),
+        ("I2:3", ["-3e-10", "0"], 3, ToleranceViolation,
+         "radius^2 within (tol, 10*tol] below zero (at t=-1.0)"),
+        ("I2:3", ["1", "1+5e-10"], 3, ToleranceViolation,
+         "cos(m*theta) target within (tol, 10*tol] above 1 (at t=-1.0)"),
+        ("D:3", ["3", "3", "1e200*t"], 3, NotFinite,
+         "the polynomial of the orbit-space point is not finite (at t=-1.0)"),
+        ("I2:4", ["1e200", "0"], 3, NotFinite, "orbit-space point not finite, or its r^m overflows (at t=-1.0)"),
+        ("A:2", ["1e300", "1e300", "1"], 3, NotFinite,
+         "the roots, or the recentred polynomial, overflow (degree 3) (at t=-1.0)"),
+        ("A:7", _constant(inv.orbit_map(inv.parse_group("A:7")).evaluate(BACKWARD_ROOTS)), 2, RootSolveFailed,
+         f"{BACKWARD} (at t=-1.0)"),
+    ])
+    def test_lift(self, spec, exprs, level, error, message):
+        g = inv.parse_group(spec)
+        with pytest.raises(RowError) as exc:
+            lf.lift_curve(g, inv.orbit_map(g), cd.CoeffCurve.from_exprs(exprs), cd.Grid.dyadic(-1, 1, level))
+        assert type(exc.value) is error and str(exc.value) == message

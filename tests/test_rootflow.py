@@ -68,6 +68,13 @@ class TestSortedBranches:
         with pytest.raises(RootSolveFailed, match=r"backward check.*\(at t=-1\.0\)$"):
             rf.sorted_branches(curve_from(*map(repr, row.tolist())), cd.Grid.dyadic(-1, 1, 2))
 
+    def test_overflowing_discriminant_gives_finite_branches(self):
+        # (1e300)^2 overflows; the roots 1 and 1e300 are finite
+        sel = rf.differentiable_selection(curve_from("1e300", "1e300"), cd.Grid.dyadic(-1, 1, 4))
+        assert sel.branches[:, 0].tolist() == [1.0, 1e300]
+        assert (sel.branches == sel.branches[:, :1]).all()
+        assert all(rc.certify_samples(b, (-1.0, 1.0), 4).verdict == rc.TWICE for b in sel.branches)
+
     def test_pointwise_sorted(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
         sel = rf.sorted_branches(curve_from("t", "-1-t^2", "-t"), grid)
