@@ -29,8 +29,10 @@ import sys
 
 from .errors import OrbitLiftError
 
-# accept option values like "-1:1" or "-1:1,-2:2" without '=' syntax
-_NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d+)?([:,]-?\d+(\.\d+)?)*$")
+# accept option values like "-1:1", "-1e-3:1,-2:2" or "-6e0,11,-6" without
+# '=' syntax: a negative float, then floats after ':' or ','
+_FLOAT = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
+_NEGATIVE_VALUE = re.compile(rf"^-{_FLOAT}([:,][+-]?{_FLOAT})*$")
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -293,6 +295,8 @@ def cmd_harness(args) -> int:
         (a, b), (c, d) = (_parse_domain(part) for part in args.box.split(","))
     except ValueError as err:
         raise OrbitLiftError(f"--box must be a:b,c:d, got {args.box!r}") from err
+    if not (math.isfinite(b - a) and math.isfinite(d - c)):
+        raise OrbitLiftError(f"--box must be finite, got {args.box!r}")
 
     def f(point):
         env = {"u": point[0], "v": point[1]}

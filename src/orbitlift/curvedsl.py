@@ -352,12 +352,12 @@ def _run(node: CurveExpr, env: dict):
     return out
 
 
-def evaluate_expr(node: CurveExpr, t, var: str = "t"):
+def evaluate_expr(node: CurveExpr, t):
     """Evaluate at scalar or array t; raises EvalError at singular points."""
     arr = np.asarray(t, dtype=float)
     if arr.shape == ():
-        return float(_run(node, {var: float(arr)}))
-    out = _run(node, {var: arr})
+        return float(_run(node, {"t": float(arr)}))
+    out = _run(node, {"t": arr})
     return out if isinstance(out, np.ndarray) else np.full(arr.shape, out)
 
 
@@ -483,26 +483,27 @@ class CoeffCurve:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform partition of [t0, t1]; level counts dyadic refinements.
+    """Points first .. first + n_cells of the dyadic lattice of `span`.
 
-    A freshly built grid has n_cells = 2^level; a refined window keeps the
-    halved step of its parent, so its cell count need not be a power of two.
-    Every grid's points sit on the lattice of the grid it was refined from:
-    point k is span[0] + (span[1] - span[0]) * (first + k) / 2^level, with
-    span the first grid's ends, so a refined point has its parent's bits;
-    lattice index 2^level is span[1] itself.
+    Lattice point k of a level is span[0] + (span[1] - span[0]) * k / 2^level,
+    and index 2^level is span[1] itself.  A fresh grid (`dyadic`) covers the
+    span with 2^level cells; `refine(lo, hi)` covers its points lo..hi at the
+    next level, so a window is a range of lattice indices, its cell count
+    need not be a power of two, and a refined point on its parent's lattice
+    has its parent's bits.
     """
 
-    t0: float
-    t1: float
-    level: int
-    n_cells: int
     span: tuple[float, float]
+    level: int
     first: int
+    n_cells: int
 
     def __post_init__(self):
-        if not (self.t1 > self.t0):
-            raise InvalidWindow(f"degenerate domain [{self.t0}, {self.t1}]")
+        a, b = self.span
+        if not (b > a):
+            raise InvalidWindow(f"degenerate domain [{a}, {b}]")
+        if not math.isfinite(b - a):
+            raise InvalidWindow(f"domain [{a}, {b}] has infinite length")
         if self.n_cells < 1:
             raise InvalidWindow("grid needs at least one cell")
 
@@ -510,8 +511,15 @@ class Grid:
     def dyadic(cls, t0: float, t1: float, level: int) -> "Grid":
         if level < 0:
             raise ValueError("level must be >= 0")
-        t0, t1 = float(t0), float(t1)
-        return cls(t0, t1, level, 2**level, (t0, t1), 0)
+        return cls((float(t0), float(t1)), level, 0, 2**level)
+
+    @property
+    def t0(self) -> float:
+        return float(self.points[0])
+
+    @property
+    def t1(self) -> float:
+        return float(self.points[-1])
 
     @property
     def step(self) -> float:
@@ -525,27 +533,12 @@ class Grid:
             pts[-1] = b  # a + (b - a) * n / n can be an ulp off b
         return pts
 
-    def refine(self, window: tuple[float, float] | None = None) -> "Grid":
-        """Halve the step, restricted to `window` (snapped outward to the
-        child lattice so refined points stay nested in later refinements)."""
-        if window is None:
-            window = (self.t0, self.t1)
-        w0, w1 = float(window[0]), float(window[1])
-        if not (w1 > w0):
-            raise InvalidWindow(f"degenerate window [{w0}, {w1}]")
-        if w0 < self.t0 - 1e-12 or w1 > self.t1 + 1e-12:
-            raise InvalidWindow(f"window [{w0}, {w1}] outside domain [{self.t0}, {self.t1}]")
-        child = 0.5 * self.step
-        i0 = int(np.floor((w0 - self.t0) / child + 1e-9))
-        i1 = int(np.ceil((w1 - self.t0) / child - 1e-9))
-        i0 = max(i0, 0)
-        i1 = min(i1, 2 * self.n_cells)
-        if i1 <= i0:
-            raise InvalidWindow(f"window [{w0}, {w1}] collapses on the child lattice")
-        a, b = self.span
-        first, end, cells = 2 * self.first + i0, 2 * self.first + i1, 2 ** (self.level + 1)
-        return Grid(a + (b - a) * first / cells, b if end == cells else a + (b - a) * end / cells,
-                    self.level + 1, i1 - i0, self.span, first)
+    def refine(self, lo: int, hi: int) -> "Grid":
+        """Halve the step over this grid's points lo..hi, clipped to the grid."""
+        lo, hi = max(lo, 0), min(hi, self.n_cells)
+        if hi <= lo:
+            raise InvalidWindow(f"empty window {lo}..{hi} of a grid of {self.n_cells} cells")
+        return Grid(self.span, self.level + 1, 2 * (self.first + lo), 2 * (hi - lo))
 
 
 # -- CSV interchange --------------------------------------------------------------

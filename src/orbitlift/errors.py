@@ -30,7 +30,8 @@ class EvalError(OrbitLiftError):
 
 
 class InvalidWindow(OrbitLiftError):
-    """Refinement window is degenerate or outside the grid domain."""
+    """A domain that is empty, of infinite length or too short to sample,
+    or an empty refinement window."""
 
 
 class GridTooCoarse(OrbitLiftError):

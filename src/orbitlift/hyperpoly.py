@@ -428,13 +428,13 @@ def _polish_mult_root(c: np.ndarray, x: float, mult: int) -> float:
     return x
 
 
-def _collapse_clusters(values: np.ndarray, tol: float, c: np.ndarray | None = None) -> np.ndarray:
+def _collapse_clusters(values: np.ndarray, tol: float, c: np.ndarray) -> np.ndarray:
     """Merge sorted root values into repeated cluster roots per the
     width < tol^(1/multiplicity) rule.
 
-    The merged value starts from the cluster mean; when the full coefficient
-    vector is available, the matching derivative root (the cluster centroid,
-    well conditioned) replaces the mean unless it leaves the cluster."""
+    The merged value starts from the cluster mean; the matching derivative
+    root of the coefficients c (the cluster centroid, well conditioned)
+    replaces the mean unless it leaves the cluster."""
     out = values.copy()
     i = 0
     while i < out.size:
@@ -449,7 +449,7 @@ def _collapse_clusters(values: np.ndarray, tol: float, c: np.ndarray | None = No
         if j - i > 1:
             spread = float(out[j - 1] - out[i])
             merged = float(np.mean(out[i:j]))
-            if c is not None and spread > 0.0:
+            if spread > 0.0:
                 size = j - i
                 polished = _polish_mult_root(c, merged, size)
                 if abs(polished - merged) <= spread + tol ** (1.0 / size):

@@ -173,7 +173,7 @@ class _WindowEstimate:
     cost: np.ndarray         # (k,) their distance from the prediction over the time gap
     cand_slopes: np.ndarray  # (k, dim)
     cand_quads: np.ndarray
-    run: tuple[float, float]
+    run: tuple[int, int]     # first and last index of the risky run
 
 
 def _estimate_window(tpts, orbits, center_t, eps, left_anchor):
@@ -195,7 +195,7 @@ def _estimate_window(tpts, orbits, center_t, eps, left_anchor):
     cs, cq = fit_side(tpts[right] - center_t, tracks.reshape(tracks.shape[0], -1))
     return _WindowEstimate(
         ls, lq, exit_orbit.size, cands, ranks, cost,
-        cs.reshape(cands.shape), cq.reshape(cands.shape), (float(tpts[lo]), float(tpts[hi])),
+        cs.reshape(cands.shape), cq.reshape(cands.shape), (lo, hi),
     )
 
 
@@ -393,7 +393,6 @@ class ProbeResult:
     name: str
     lipschitz_estimate: float  # sup over the whole probe
     verdict: str
-    windows: tuple[tuple[float, float, float], ...] = ()  # (t_lo, t_hi, local sup)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curvedsl import Grid
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, InvalidWindow
 from .verdicts import C1, DIFFABLE, INCONCLUSIVE, LIPSCHITZ, TWICE, UNBOUNDED, VERDICT_RANK  # noqa: F401
 
 
@@ -168,6 +168,9 @@ def _certify_tables(ts, fs, ks, domain) -> RegularityReport:
     witnesses = {}
     value_scale = max(float(np.max(np.abs(f))) for f in fs)
     h_min = (domain[1] - domain[0]) / 2 ** max(ks)
+    if h_min * h_min == 0.0:
+        raise InvalidWindow(f"domain [{domain[0]}, {domain[1]}] is too short for level {max(ks)}:"
+                            f" its step {h_min!r} squares to 0")
     # quotients that never rise above evaluation-noise level carry no signal
     # and must not drive the verdict: order-1 noise scales like eps*V/h,
     # order-2 like eps*V/h^2 (exact lines recovered through a solver leave

@@ -5,8 +5,10 @@ it is continuous but kinks where branches cross.  The differentiable
 selection re-pairs branch labels across each collision cluster so that
 one-sided slopes match: the label bijection minimizes the total slope jump
 (curvature and then lexicographic tie-breaks), and `windows.resolve_window`
-refines the cluster until that pairing is stable.  Clusters it leaves
-unresolved keep sorted labels inside the window and are flagged.
+refines the cluster until that pairing is stable.  A cluster is its range of
+sample indices and its sorted branches, and a pairing is a `windows.Choice`
+keyed by its permutation.  Clusters left unresolved keep sorted labels
+inside the window and are flagged by their end times.
 
 The slope jump |l_i - r_j| is convex in l_i - r_j, so once rows and columns
 are sorted the cost matrix is Monge (Hoffman 1963): pairing by rank is
@@ -20,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,26 +31,13 @@ from .windows import (
     _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, reusing_sampler, risky_run, solved_at,
 )
 
-SORTED = "sorted"
-DIFFERENTIABLE = "differentiable"
 _TIE_ENUM_LIMIT = 8   # ties among more branches are flagged, not enumerated
-
-
-@dataclass(frozen=True)
-class CollisionCluster:
-    """Extent of one connected set of adjacent-branch gaps below eps."""
-
-    window: tuple[float, float]
-    index_range: tuple[int, int]  # inclusive sample indices
-    branches: tuple[int, ...]     # involved sorted-branch indices (contiguous)
-    min_gap: float
 
 
 @dataclass(frozen=True)
 class RootBranches:
     grid: Grid
     branches: np.ndarray  # (n, N); row j is branch j sampled over the grid
-    selection_kind: str
     swap_log: tuple[tuple[int, tuple[int, ...]], ...] = ()
     unresolved: tuple[tuple[float, float], ...] = ()
 
@@ -62,7 +50,7 @@ def sorted_branches(curve: CoeffCurve, grid: Grid, tol: float = 1e-10) -> RootBr
     """Pointwise sorted roots of the curve; raises NotHyperbolicAt(t)."""
     pts = grid.points
     vals = solved_at(functools.partial(_sorted_matrix, tol=tol), curve.evaluate(pts), pts)
-    return RootBranches(grid, vals, SORTED)
+    return RootBranches(grid, vals)
 
 
 def _sorted_matrix(rows: np.ndarray, tol: float) -> np.ndarray:
@@ -70,25 +58,21 @@ def _sorted_matrix(rows: np.ndarray, tol: float) -> np.ndarray:
     return np.ascontiguousarray(hyperpoly.roots_batch(rows, tol)[0].T)
 
 
-def collision_clusters(b: RootBranches, eps: float) -> list[CollisionCluster]:
-    """Clusters of near-colliding adjacent branches (gap < eps).
+def collision_clusters(vals: np.ndarray, eps: float) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Clusters of near-colliding adjacent branches (gap < eps) among the
+    sorted branches vals (n, N), each as (i0, i1, branches): its first and
+    last sample index and its sorted-branch indices, which are contiguous.
 
     A cluster is one connected set of small (gap, sample) cells, where a
     cell neighbours the cells of the adjacent gaps at the adjacent samples;
-    its window and branches are that set's extent.  A permanent pair is
+    its samples and branches are that set's extent.  A permanent pair is
     therefore a cluster of its own and hides no other crossing.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if b.selection_kind != SORTED:
-        raise ValueError("collision clustering expects a sorted selection")
-    vals = b.branches
-    if b.n < 2:
-        return []
     gaps = vals[1:] - vals[:-1]          # (n-1, N)
     todo = set(map(tuple, np.argwhere(gaps.T < eps).tolist()))  # small (sample, gap) cells
-    t = b.grid.points
-    clusters: list[CollisionCluster] = []
+    clusters = []
     while todo:  # each cluster grows from its first (sample, gap) cell
         stack, cells = [min(todo)], []
         todo.remove(stack[0])
@@ -100,10 +84,7 @@ def collision_clusters(b: RootBranches, eps: float) -> list[CollisionCluster]:
                     todo.remove(near)
                     stack.append(near)
         idx, ks = zip(*cells)
-        i0, i1 = min(idx), max(idx)
-        members = tuple(range(min(ks), max(ks) + 2))
-        min_gap = float(min(gaps[k, i] for i, k in cells))
-        clusters.append(CollisionCluster((float(t[i0]), float(t[i1])), (i0, i1), members, min_gap))
+        clusters.append((min(idx), max(idx), tuple(range(min(ks), max(ks) + 2))))
     return clusters
 
 
@@ -113,7 +94,7 @@ class _SideSlopes:
     left_quad: np.ndarray
     right_slope: np.ndarray
     right_quad: np.ndarray
-    run: tuple[float, float]
+    run: tuple[int, int]  # first and last index of the risky run
 
 
 def _estimate_slopes(
@@ -132,7 +113,7 @@ def _estimate_slopes(
         return None
     ls, lq = fit_side(pts[left] - center_t, sub[:, left].T)
     rs, rq = fit_side(pts[right] - center_t, sub[:, right].T)
-    return _SideSlopes(ls, lq, rs, rq, (float(pts[lo]), float(pts[hi])))
+    return _SideSlopes(ls, lq, rs, rq, (lo, hi))
 
 
 def _slope_drift(a: _SideSlopes, b: _SideSlopes) -> float:
@@ -143,15 +124,12 @@ def _slope_drift(a: _SideSlopes, b: _SideSlopes) -> float:
     return drift
 
 
-class Pairing(NamedTuple):
-    perm: tuple[int, ...]   # left[i] continues as right[perm[i]]
-    margin: float           # slope-jump gap to the best differing pairing
-    ambiguous: bool         # a tie survived the curvature tie-break
-
-
-def minimal_jump_assignment(left, right, left_quad=None, right_quad=None) -> Pairing:
+def minimal_jump_assignment(left, right, left_quad=None, right_quad=None) -> Choice:
     """Pairing of incoming slopes `left` with outgoing slopes `right` that
-    minimizes the total slope jump sum |left[i] - right[perm[i]]|.
+    minimizes the total slope jump sum |left[i] - right[perm[i]]|, as a
+    Choice whose key and answer are perm (left[i] continues as
+    right[perm[i]]) and whose margin is the slope-jump gap to the best
+    differing pairing.
 
     The i-th smallest left slope takes the i-th smallest right slope (stable
     sorts).  Up to 8 branches, pairings within _TIE_TOL of the optimum are
@@ -168,9 +146,9 @@ def minimal_jump_assignment(left, right, left_quad=None, right_quad=None) -> Pai
     overlap = np.minimum(a[1:], b[1:]) - np.maximum(a[:-1], b[:-1])
     margin = 2.0 * max(float(overlap.min()), 0.0) if k > 1 else float("inf")
     if margin > _TIE_TOL:
-        return Pairing(perm, margin, False)
+        return Choice(perm, margin, False, perm)
     if left_quad is None or k > _TIE_ENUM_LIMIT:
-        return Pairing(perm, margin, True)
+        return Choice(perm, margin, True, perm)
     lq, rq = np.asarray(left_quad, dtype=float), np.asarray(right_quad, dtype=float)
     perms = list(itertools.permutations(range(k)))
     costs = [float(np.abs(left - right[list(p)]).sum()) for p in perms]
@@ -180,12 +158,7 @@ def minimal_jump_assignment(left, right, left_quad=None, right_quad=None) -> Pai
     )
     sec_best = tied[0][0]
     settled = [p for c, p in tied if c <= sec_best + 1e-12 * (1.0 + abs(sec_best))]
-    return Pairing(settled[0], margin, len(settled) > 1)
-
-
-def _pairing(est: _SideSlopes) -> Choice:
-    p = minimal_jump_assignment(est.left_slope, est.right_slope, est.left_quad, est.right_quad)
-    return Choice(p.perm, p.margin, p.ambiguous, p.perm)
+    return Choice(settled[0], margin, len(settled) > 1, settled[0])
 
 
 def differentiable_selection(
@@ -203,21 +176,18 @@ def differentiable_selection(
     tpts = grid.points
     rows = curve.evaluate(tpts)
     solve = functools.partial(_sorted_matrix, tol=tol)
-    sb = RootBranches(grid, solved_at(solve, rows, tpts), SORTED)
-    vals = sb.branches
+    vals = solved_at(solve, rows, tpts)
     n, N = vals.shape
     if n < 2:
-        return RootBranches(grid, vals.copy(), DIFFERENTIABLE)
+        return RootBranches(grid, vals)
     value_range = float(vals.max() - vals.min())
     eps = _EPS_FACTOR * value_range if value_range > 0 else max(tol, 1e-12)
-    clusters = collision_clusters(sb, eps)
     out = vals.copy()
     cur = np.arange(n)
     swaps: list[tuple[int, tuple[int, ...]]] = []
     unresolved: list[tuple[float, float]] = []
-    for cl in clusters:
-        i0, i1 = cl.index_range
-        members = list(cl.branches)
+    for i0, i1, branches in collision_clusters(vals, eps):
+        members = list(branches)
         if i0 == 0 or i1 == N - 1:
             continue  # one-sided window at the domain end: keep sorted labels
         perm = resolve_window(
@@ -231,10 +201,10 @@ def differentiable_selection(
             ),
             lambda pts, sub_vals, center_t: _estimate_slopes(pts, sub_vals, members, eps, center_t),
             _slope_drift,
-            _pairing,
+            lambda est: minimal_jump_assignment(est.left_slope, est.right_slope, est.left_quad, est.right_quad),
         )
         if perm is None:
-            unresolved.append(cl.window)
+            unresolved.append((float(tpts[i0]), float(tpts[i1])))
             continue
         mapping = {members[a]: members[b] for a, b in enumerate(perm)}
         if all(k == v for k, v in mapping.items()):
@@ -254,4 +224,4 @@ def differentiable_selection(
         for j in affected:
             cur[j] = mapping[cur[j]]
             out[j, i1 + 1 :] = vals[cur[j], i1 + 1 :]
-    return RootBranches(grid, out, DIFFERENTIABLE, tuple(swaps), tuple(unresolved))
+    return RootBranches(grid, out, tuple(swaps), tuple(unresolved))

@@ -4,9 +4,12 @@ Root selection and lifting both carry a curve across a collision window by
 the minimal-derivative-jump rule.  The caller's estimate fits one-sided
 slopes by least squares on the `_SIDE_WINDOW` samples just outside the run
 of risky samples around the window's centre, and its chooser ranks the ways
-to continue across the window.  The resolver refines the window (step
-halved, restricted to the risky run plus a margin) and re-estimates until
-the choice is stable, which is one of:
+to continue across the window.  The resolver refines the window and
+re-estimates until the choice is stable.  A window is a range of lattice
+point indices (`Grid.refine`): the first level halves the step over the
+window and `_SIDE_WINDOW + 1` points on each side, and each later level
+over the estimate's risky run and `(_SIDE_WINDOW + 2) // 2` points on each
+side.  The choice is stable when either
 
 * the slopes drift by at most `_SLOPE_RTOL` (relative) from the previous
   level, and the choice is not ambiguous;
@@ -137,8 +140,9 @@ def resolve_window(
     samples   the caller's samples on `grid` itself
     sample    refined grid -> samples on its points
     estimate  (points, samples, centre time) -> an estimate with the fitted
-              incoming slopes `left_slope` and the risky run's end times
-              `run`, or None when the sides cannot be fitted
+              incoming slopes `left_slope` and the risky run's first and
+              last point indices `run`, or None when the sides cannot be
+              fitted
     drift     (previous estimate, estimate) -> relative slope drift
     choose    estimate -> Choice
     """
@@ -147,16 +151,13 @@ def resolve_window(
     est = estimate(pts, samples, center_t)
     if est is None:
         return None
-    w = _SIDE_WINDOW
-    window = (
-        max(grid.t0, pts[max(i0 - w - 1, 0)]),
-        min(grid.t1, pts[min(i1 + w + 1, pts.size - 1)]),
-    )
+    lo, hi = i0 - _SIDE_WINDOW - 1, i1 + _SIDE_WINDOW + 1
+    side = (_SIDE_WINDOW + 2) // 2
     sub = grid
     prev = None
     prev_drift = np.inf
     while sub.level < _MAX_LEVEL:
-        sub = sub.refine(window)
+        sub = sub.refine(lo, hi)
         new_est = estimate(sub.points, sample(sub), center_t)
         if new_est is None:
             return None
@@ -177,6 +178,5 @@ def resolve_window(
         ):
             return choice.answer
         est, prev, prev_drift = new_est, choice, d
-        half = (w + 2) * sub.step * 0.5
-        window = (max(sub.t0, new_est.run[0] - half), min(sub.t1, new_est.run[1] + half))
+        lo, hi = new_est.run[0] - side, new_est.run[1] + side
     return None

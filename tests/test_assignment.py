@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from orbitlift.rootflow import Pairing, minimal_jump_assignment
+from orbitlift.rootflow import minimal_jump_assignment
+from orbitlift.windows import Choice
 
 # slopes of the nine lines c*t: sorted labels run from the largest slope on
 # the left of the crossing and from the smallest on its right
@@ -34,30 +35,30 @@ def brute_force(left, right, left_quad, right_quad, tie_tol=1e-6):
 class TestBruteForce:
     def test_unique_optimum_and_margin(self):
         res = minimal_jump_assignment([3.0, 0.0, 1.0], [1.25, 3.5, 0.0])
-        assert res.perm == (1, 2, 0)
+        assert res.key == (1, 2, 0)
         # runner-up swaps the two lowest ranks: 1.25 + 1 + 0.5 against 0 + 0.25 + 0.5
         assert res.margin == 2.0
         assert not res.ambiguous
 
     def test_primary_tie_settled_by_secondary(self):
         res = minimal_jump_assignment([1.0, 1.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0])
-        assert res.perm == (1, 0)
+        assert res.key == (1, 0)
         assert res.margin == 0.0
         assert not res.ambiguous
 
     def test_tie_surviving_secondary_is_ambiguous(self):
         res = minimal_jump_assignment([2.0] * 3, [2.0] * 3, [0.0] * 3, [0.0] * 3)
-        assert res.perm == (0, 1, 2)
+        assert res.key == (0, 1, 2)
         assert res.ambiguous
 
     def test_empty(self):
-        assert minimal_jump_assignment([], []) == Pairing((), float("inf"), False)
+        assert minimal_jump_assignment([], []) == Choice((), float("inf"), False, ())
 
 
 class TestLargePairings:
     def test_nine_lines(self):
         res = minimal_jump_assignment(_SLOPES[::-1], _SLOPES)
-        assert res.perm == tuple(range(8, -1, -1))
+        assert res.key == tuple(range(8, -1, -1))
         assert res.margin == 2.0
         assert not res.ambiguous
 
@@ -81,7 +82,7 @@ class TestLargePairings:
                     vecs = [rng.normal(size=k) for _ in range(4)]
                 perm, margin, ambiguous = brute_force(*vecs)
                 res = minimal_jump_assignment(*vecs)
-                assert res.perm == perm
+                assert res.key == perm
                 assert res.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
                 assert res.ambiguous == ambiguous
                 outcomes.add((margin <= 1e-6, ambiguous))

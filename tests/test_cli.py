@@ -200,6 +200,50 @@ class TestEvaluationErrors:
         assert err.endswith(f"(at {where})\n")
 
 
+class TestDomainErrors:
+    """A domain of infinite length, or so short that its finest step
+    squares to 0, ends in exit 2 and one error line; numpy warns nothing."""
+
+    @pytest.mark.parametrize("argv, says", [
+        (["select", "--curve", "0,-t^2", "--domain", "0:inf"], "infinite length"),
+        (["select", "--curve", "0,-t^2", "--domain", "-1e308:1e308"], "infinite length"),
+        (["lift", "--group", "B:2", "--curve", "1+t,t", "--domain", "0:inf"], "infinite length"),
+        (["certify", "--curve", "t", "--domain", "0:inf"], "infinite length"),
+        (["harness", "--group", "B:2", "--gmap", "u;v", "--box", "0:inf,-1:1", "--probes", "3",
+          "--level", "4"], "--box must be finite"),
+        (["select", "--curve", "0,-t^2", "--domain", "0:1e-300", "--level", "4"], "squares to 0"),
+        (["certify", "--curve", "t", "--domain", "0:1e-300"], "squares to 0"),
+    ])
+    def test_one_error_line(self, argv, says, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+
+    def test_short_domain_still_certifies(self, capsys):
+        # a step of 1e-153 squares to 1e-306, a normal float
+        assert run(["certify", "--curve", "t", "--domain", "0:1e-150", "--level", "10"]) == EXIT_OK
+        assert "column[f].verdict: twice-differentiable\n" in capsys.readouterr().out
+
+
+class TestNegativeValues:
+    """A negative option value in float syntax needs no '='."""
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--curve", "0,-t^2", "--level", "6", "--domain", "-1e-3:1"],
+        ["roots", "--poly", "-6e0,11,-6"],
+        ["harness", "--group", "B:2", "--gmap", "u;v", "--probes", "3", "--level", "4",
+         "--box", "-1e-1:1,-1:1"],
+    ], ids=["domain", "poly", "box"])
+    def test_exponent_notation(self, argv, capsys):
+        assert run(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == EXIT_OK
+        with_equals = capsys.readouterr().out
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out == with_equals
+
+
 class TestHarness:
     def test_rejects_domain(self, capsys):
         # the probe grid always spans [-1, 1]; the flag would be ignored

@@ -90,53 +90,50 @@ class TestSampling:
 
 
 class TestGrid:
+    # a window is a range of the grid's point indices
     def test_window_refinement(self):
         g = cd.Grid.dyadic(-1.0, 1.0, 3)
-        r = g.refine((-0.25, 0.25))
+        r = g.refine(3, 5)  # the points -0.25 .. 0.25
         assert r.level == 4
-        assert np.allclose(r.points, [-0.25, -0.125, 0.0, 0.125, 0.25])
+        assert r.points.tolist() == [-0.25, -0.125, 0.0, 0.125, 0.25]
 
     def test_full_refinement_doubles(self):
         g = cd.Grid.dyadic(0.0, 2.0, 4)
-        r = g.refine()
+        r = g.refine(0, g.n_cells)
         assert r.points.size == 2 * (g.points.size - 1) + 1
 
     def test_degenerate_window(self):
         g = cd.Grid.dyadic(0.0, 1.0, 2)
-        with pytest.raises(InvalidWindow):
-            g.refine((0.5, 0.5))
+        for lo, hi in ((2, 2), (3, 1)):
+            with pytest.raises(InvalidWindow):
+                g.refine(lo, hi)
 
-    def test_window_outside_domain(self):
+    def test_window_is_clipped_to_the_grid(self):
         g = cd.Grid.dyadic(0.0, 1.0, 2)
+        assert g.refine(-3, 9) == g.refine(0, g.n_cells)
+        assert g.refine(2, 9) == g.refine(2, g.n_cells)
         with pytest.raises(InvalidWindow):
-            g.refine((0.5, 1.5))
+            g.refine(5, 9)  # nothing of it is on the grid
 
     def test_nesting(self):
         g = cd.Grid.dyadic(-1.0, 1.0, 3)
-        fine = g.refine()
-        coarse_set = set(np.round(g.points, 12))
-        fine_set = set(np.round(fine.points, 12))
-        assert coarse_set.issubset(fine_set)
+        fine = g.refine(0, g.n_cells)
+        assert fine.points[::2].tobytes() == g.points.tobytes()
 
-    def test_snapped_window_stays_on_lattice(self):
+    def test_window_stays_on_lattice(self):
         g = cd.Grid.dyadic(-1.0, 1.0, 3)
-        r = g.refine((-0.3, 0.22))
-        lattice = g.refine()
-        assert set(np.round(r.points, 12)).issubset(set(np.round(lattice.points, 12)))
+        r = g.refine(2, 5)
+        lattice = g.refine(0, g.n_cells)
+        assert r.points.tobytes() == lattice.points[4:11].tobytes()
 
     @pytest.mark.parametrize("domain", [(-0.3, 0.5), (-0.37, 0.71), (0.1, 0.7), (-1.0, 1.0)])
     def test_refined_points_keep_their_parents_bits(self, domain):
         # every point of a refined window that lies on its parent's lattice
         # is the parent's float, on any domain, down a chain of windows
-        lo, hi = domain
-        g = cd.Grid.dyadic(lo, hi, 5)
-        for window in [(0.3, 0.45), (0.32, 0.4), (0.35, 0.36), None]:
-            r = g.refine(None if window is None else (lo + (hi - lo) * window[0], lo + (hi - lo) * window[1]))
-            x = (r.points - g.t0) / g.step
-            k = np.rint(x)
-            shared = np.abs(x - k) < 1e-6
-            assert shared.sum() == (r.n_cells + 1 + shared[0]) // 2
-            assert r.points[shared].tobytes() == g.points[k[shared].astype(int)].tobytes()
+        g = cd.Grid.dyadic(*domain, 5)
+        for lo, hi in [(9, 15), (2, 9), (5, 8), (0, 6)]:
+            r = g.refine(lo, hi)
+            assert r.points[::2].tobytes() == g.points[lo : hi + 1].tobytes()
             assert (r.t0, r.t1) == (r.points[0], r.points[-1])
             assert r.step == 0.5 * g.step
             g = r
@@ -158,11 +155,21 @@ class TestGrid:
             seen = []
             rc.certify(lambda t: seen.append(t) or np.zeros_like(t), (lo, hi), 4, max(level - 3, 1))
             assert seen[0][-1] == hi
-            for r in (g.refine((lo + 0.6 * (hi - lo), hi)), g.refine()):
+            for first in (int(0.6 * g.n_cells), 0):
+                r = g.refine(first, g.n_cells)
                 assert r.t1 == r.points[-1] == hi
-                k = r.first + np.arange(r.n_cells + 1)
-                even = k % 2 == 0
-                assert r.points[even].tobytes() == g.points[k[even] // 2 - g.first].tobytes()
+                assert r.points[::2].tobytes() == g.points[first:].tobytes()
+
+    def test_ends_are_the_first_and_last_points(self):
+        # t0 and t1 are derived, not stored: on non-dyadic domains, down a
+        # chain of windows, they are the grid's end points
+        rng = np.random.default_rng(23)
+        for lo, hi in [(-0.37, 0.71), (10.1, 10.6), (-0.21, 0.9), (1000.1, 1000.6)]:
+            g = cd.Grid.dyadic(lo, hi, 6)
+            for _ in range(8):
+                a = int(rng.integers(-2, g.n_cells))
+                g = g.refine(a, max(a, 0) + int(rng.integers(1, 12)))
+                assert (g.t0, g.t1) == (g.points[0], g.points[-1])
 
 
 class TestCsv:

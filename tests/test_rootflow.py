@@ -29,7 +29,6 @@ class TestSortedBranches:
         t = grid.points
         assert np.allclose(sel.branches[0], -np.abs(t), atol=1e-12)
         assert np.allclose(sel.branches[1], np.abs(t), atol=1e-12)
-        assert sel.selection_kind == rf.SORTED
 
     def test_double_root_line(self):
         grid = cd.Grid.dyadic(-1, 1, 5)
@@ -82,46 +81,62 @@ class TestSortedBranches:
 
 
 class TestCollisionClusters:
+    # a cluster is (first sample index, last sample index, sorted branches)
     def test_crossing_cluster(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
         sel = rf.sorted_branches(curve_from("0", "-t^2"), grid)
-        clusters = rf.collision_clusters(sel, 0.1)
+        clusters = rf.collision_clusters(sel.branches, 0.1)
         assert len(clusters) == 1
-        (cl,) = clusters
-        assert cl.branches == (0, 1)
-        assert cl.window[0] < 0 < cl.window[1]
-        assert cl.min_gap == 0.0
+        ((i0, i1, branches),) = clusters
+        assert branches == (0, 1)
+        assert grid.points[i0] < 0 < grid.points[i1]
+        assert (sel.branches[1] - sel.branches[0])[i0 : i1 + 1].min() == 0.0
 
     def test_separated_branches_no_cluster(self):
         grid = cd.Grid.dyadic(-1, 1, 5)
         # constant roots {0, 5}: e1 = 5, e2 = 0
         sel = rf.sorted_branches(curve_from("5", "0"), grid)
-        assert rf.collision_clusters(sel, 0.1) == []
+        assert rf.collision_clusters(sel.branches, 0.1) == []
 
     def test_third_branch_not_involved(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
         # roots {t, -t, 2}: e1 = 2, e2 = -t^2, e3 = -2 t^2
         sel = rf.sorted_branches(curve_from("2", "-t^2", "-2*t^2"), grid)
-        clusters = rf.collision_clusters(sel, 0.1)
+        clusters = rf.collision_clusters(sel.branches, 0.1)
         assert len(clusters) == 1
-        assert clusters[0].branches == (0, 1)
+        assert clusters[0][2] == (0, 1)
 
     def test_derived_gap_table(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
         sel = rf.sorted_branches(curve_from("2", "-t^2", "-2*t^2"), grid)
         # oracle: involved window is exactly where the sampled gap drops below eps
         gaps = sel.branches[1] - sel.branches[0]
-        inside = grid.points[gaps < 0.1]
-        (cl,) = rf.collision_clusters(sel, 0.1)
-        assert cl.window == (float(inside.min()), float(inside.max()))
+        inside = np.flatnonzero(gaps < 0.1)
+        ((i0, i1, _),) = rf.collision_clusters(sel.branches, 0.1)
+        assert (i0, i1) == (inside.min(), inside.max())
 
     def test_permanent_pair_is_a_cluster_of_its_own(self):
         # roots {t, -t, 3, 3}: the pair at 3 touches for all t, the lines only at 0
         grid = cd.Grid.dyadic(-1, 1, 9)
         sel = rf.sorted_branches(curve_from(*PERMANENT_PAIR), grid)
-        pair, crossing = rf.collision_clusters(sel, 4e-3)
-        assert (crossing.branches, crossing.index_range) == ((0, 1), (256, 256))
-        assert (pair.branches, pair.index_range) == ((2, 3), (0, 512))
+        pair, crossing = rf.collision_clusters(sel.branches, 4e-3)
+        assert crossing == (256, 256, (0, 1))
+        assert pair == (0, 512, (2, 3))
+
+    @pytest.mark.xfail(strict=True, reason="a crossing between two samples is missed"
+                       " (CHANGES.md, FOUND line on collision_clusters)")
+    def test_crossing_between_samples_is_found(self):
+        # roots +-(t - 0.3) cross at t = 0.3, between the level-8 samples
+        # 0.296875 and 0.3046875, where both sampled gaps are above eps;
+        # level 10 finds the crossing and both branches certify C2 there
+        curve = curve_from("0", "-(t-0.3)^2")
+        found = rf.differentiable_selection(curve, cd.Grid.dyadic(-1, 1, 10))
+        assert len(found.swap_log) == 1
+        assert {rc.certify_samples(b, (-1.0, 1.0), 6).verdict for b in found.branches} == {rc.TWICE}
+        sel = rf.differentiable_selection(curve, cd.Grid.dyadic(-1, 1, 8))
+        verdicts = {rc.certify_samples(b, (-1.0, 1.0), 6).verdict for b in sel.branches}
+        assert len(sel.swap_log) + len(sel.unresolved) == 1
+        assert verdicts == {rc.TWICE}
 
 
 # roots {t, -t, 3, 3}
@@ -213,10 +228,9 @@ class TestDifferentiableSelection:
         curve = curve_from("0", "-t^2")
         sel = rf.differentiable_selection(curve, grid)
         srt = rf.sorted_branches(curve, grid)
-        clusters = rf.collision_clusters(srt, 2e-3)
         mask = np.ones(grid.points.size, bool)
-        for cl in clusters:
-            mask[cl.index_range[0] : cl.index_range[1] + 1] = False
+        for i0, i1, _ in rf.collision_clusters(srt.branches, 2e-3):
+            mask[i0 : i1 + 1] = False
         assert np.allclose(
             np.sort(sel.branches[:, mask], axis=0), srt.branches[:, mask], atol=0
         )

@@ -25,7 +25,9 @@ class FakeCaller:
         return sub.level
 
     def estimate(self, pts, level, center_t):
-        return SimpleNamespace(level=level, left_slope=np.array([1.0]), run=(center_t, center_t))
+        # the risky run is the point at the centre, as point indices
+        i = int(np.argmin(np.abs(pts - center_t)))
+        return SimpleNamespace(level=level, left_slope=np.array([1.0]), run=(i, i))
 
     def resolve(self):
         return wn.resolve_window(
@@ -82,6 +84,16 @@ class TestResolveWindow:
         caller = FakeCaller(lambda level: 0.5, clear)
         assert caller.resolve() is None
         assert caller.levels == list(range(GRID.level + 1, wn._MAX_LEVEL + 1))
+
+    def test_windows_are_lattice_index_ranges(self):
+        # level 6 covers the window and 9 points on each side, each later level
+        # the risky run and 5 points on each side, all centred on t = 0
+        caller = FakeCaller(lambda level: 0.5, clear)
+        grids = []
+        caller.sample = lambda sub: grids.append(sub) or sub.level
+        caller.resolve()
+        assert [(g.first, g.n_cells) for g in grids[:3]] == [(14, 36), (54, 20), (118, 20)]
+        assert all(2 * g.first + g.n_cells == 2**g.level for g in grids)
 
     def test_failed_estimate_unresolved(self):
         caller = FakeCaller(shrinking, clear)
