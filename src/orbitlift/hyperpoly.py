@@ -27,13 +27,17 @@ pairs.  Complex pairs within the tolerance ball are promoted to real
 multiple roots; a pair outside it raises NotHyperbolic.
 
 The refused rows of a block are rebuilt together, one derivative level at
-a time: the anchors of all rows are evaluated, with their Horner noise
-bounds, as one array, and the brackets of all rows are polished in one call,
-on arrays when a level has _ARRAY_BRACKETS of them and on Python floats
-below that.  The array and float forms of each kernel run the same float
-operations in the same order, so a row gets the same bits alone as in a
-block of any size.  What is left per row runs on floats: multiple-root
-polishing, the cluster collapse, and the tol-ball promotion, which rebuilds
+a time.  The anchors of all rows are evaluated, with their Horner noise
+bounds, as one array.  The brackets of all rows are polished in one call:
+on arrays while _ARRAY_BRACKETS or more of them are live, then on Python
+floats, each straggler resumed where the arrays left it.  The runs of zero
+values of all rows are polished as multiple roots by one Newton per
+multiplicity.  The cluster collapse then runs once over every row with a
+near gap, its widths scanned column by column and its multiple roots again
+polished by one Newton per cluster size.  The array and float forms of a
+kernel run the same float operations in the same order, and a cluster's
+mean is summed in np.mean's order, so a row gets the same bits alone as in
+a block of any size.  Only the tol-ball promotion runs per row; it rebuilds
 its derivative as a block of one row.
 """
 
@@ -52,13 +56,16 @@ _EPS = float(np.finfo(float).eps)
 # adjacent gap in units of tol^(1/2), the narrowest width a cluster collapses
 _BATCH_NEWTON = 3
 _GAP_MARGIN = 2.0
-# The fallback polishes a rebuild level's brackets on numpy arrays from this
-# count on, and on floats below it.  On the brackets the benchmark's
-# selections and lifts polish, timed on a 2-core x86 host, the array kernel
-# overtook the float loop at about 50-60 brackets of degree 2-3 and 130-250
-# of degree 4-6: each of its steps costs some 50 numpy calls, and it steps as
-# long as its slowest bracket, which near a cluster takes up to 65 steps.
-_ARRAY_BRACKETS = 128
+# The bracket polish steps on numpy arrays while this many brackets or more
+# are live, and hands the stragglers to the float loop.  An array step costs
+# some 50 numpy calls however few brackets are left, and near a cluster the
+# slowest bracket takes up to 65 steps.  Timed on the 37,000 brackets of the
+# select-clustered rounds of seeds 1-3 (2-core x86 host, best of 21), every
+# handoff count from 16 to 256 polishes them in 45-61 ms, within the host's
+# noise of each other; arrays to the last bracket take 62 ms and floats
+# alone 499 ms.  No level of those seeds' select and lift rounds has more
+# than 10 brackets: they run on floats only.
+_ARRAY_BRACKETS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +242,8 @@ def _uncertified_roots(rows: np.ndarray, tol: float) -> np.ndarray:
 
 def _horner_rows(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of the polynomials c[i] (descending) at the points x[i, :],
-    and their Horner rounding-noise bounds, as in _eval_noise."""
+    and their Horner rounding-noise bounds: 2 (deg + 1) eps times the
+    polynomial |c[i]| at |x|."""
     out = np.repeat(c[:, :1], x.shape[1], axis=1)
     acc = np.abs(out)
     ax = np.abs(x)
@@ -313,28 +321,26 @@ def _deriv(c: np.ndarray) -> np.ndarray:
     return c[:-1] * np.arange(_deg(c), 0, -1)
 
 
-def _eval_noise(c: list[float], x: float) -> float:
-    """Rounding-noise scale of Horner evaluation at x."""
-    ax = abs(float(x))
-    acc = abs(c[0])
-    for coef in c[1:]:
-        acc = acc * ax + abs(coef)
-    return 2.0 * len(c) * _EPS * acc
-
-
 def _root_bounds(c: np.ndarray) -> np.ndarray:
-    """Fujiwara upper bound on |roots| of each row of c.  The powers stay
-    on floats: numpy's array power differs from C pow in the last bit."""
+    """Fujiwara upper bound on |roots| of each row of c, with the bits of C
+    pow: numpy's array power can differ from it in the last bit, so it only
+    picks each row's candidates for the largest power, which pow recomputes."""
     ck = np.abs(c[:, 1:]) / np.abs(c[:, :1])
-    exps = [1.0 / k for k in range(1, c.shape[1])]
-    return 2.0 * np.array([max(0.0, *map(pow, row, exps)) for row in ck.tolist()]) + 1.0
+    exps = 1.0 / np.arange(1, c.shape[1])
+    near = np.power(ck, exps)
+    at, col = np.nonzero(near >= near.max(axis=1, keepdims=True) * (1.0 - 16.0 * _EPS))
+    # the others lie further below the largest than pow can move it
+    near[at, col] = [pow(a, e) for a, e in zip(ck[at, col].tolist(), exps[col].tolist())]
+    return 2.0 * near.max(axis=1) + 1.0
 
 
-def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> float:
+def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float, x: float | None = None,
+                   move: float = 0.0, neg: bool = False) -> float:
     """The root of c in the bracket (lo, hi) by safeguarded Newton (rtsafe,
-    Numerical Recipes 9.4), from the midpoint.  Each value c(x) moves to x
-    the end of the bracket where c has its sign.  A Newton step is taken
-    when it lands strictly inside the bracket and is at most half the
+    Numerical Recipes 9.4), from the midpoint, or resumed at the iterate x
+    after a move of move, neg telling c's sign at lo.  Each value c(x) moves
+    to x the end of the bracket where c has its sign.  A Newton step is
+    taken when it lands strictly inside the bracket and is at most half the
     previous move, the midpoint otherwise.  Stops at c(x) = 0, at a Newton
     step of at most 2 eps max(1, |x|), or when no float lies strictly
     between lo and hi."""
@@ -345,8 +351,9 @@ def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> flo
             out = out * x + coef
         return out
 
-    neg = horner(c0, c1, lo) < 0.0  # c's sign at lo
-    x, move = 0.5 * (lo + hi), hi - lo
+    if x is None:
+        neg = horner(c0, c1, lo) < 0.0  # c's sign at lo
+        x, move = 0.5 * (lo + hi), hi - lo
     while True:
         fx = horner(c0, c1, x)
         if fx == 0.0:
@@ -368,10 +375,15 @@ def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float) -> flo
 
 
 def _polish_brackets(c: np.ndarray, dc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """_polish_simple on every bracket (lo[b], hi[b]) of the polynomial c[b]
-    with derivative dc[b] at once: the same float operations in the same
-    order, each bracket leaving the block where its scalar loop returns, so
-    each result has the bits of its scalar call."""
+    """The simple root in each bracket (lo[b], hi[b]) of the polynomial c[b]
+    with derivative dc[b]: _polish_simple's steps on arrays while
+    _ARRAY_BRACKETS or more brackets are live, each bracket leaving the block
+    where the float loop returns, and the float loop, resumed from each
+    bracket's state, for the rest.  Both run the same float operations in
+    the same order, so each result has the bits of the float loop alone."""
+    if lo.size < _ARRAY_BRACKETS:
+        return np.array([_polish_simple(*b) for b in zip(c.tolist(), dc.tolist(), lo.tolist(), hi.tolist())],
+                        dtype=float)
 
     def horner(p, x):
         out = p[:, 0]
@@ -383,79 +395,126 @@ def _polish_brackets(c: np.ndarray, dc: np.ndarray, lo: np.ndarray, hi: np.ndarr
         neg = horner(c, lo) < 0.0
         x, move = 0.5 * (lo + hi), hi - lo
         out, live = np.empty_like(x), np.arange(x.size)
-        while live.size:
+        while live.size >= _ARRAY_BRACKETS:
             fx = horner(c, x)
             root = fx == 0.0
             side = (fx < 0.0) == neg
             lo, hi = np.where(side, x, lo), np.where(side, hi, x)
             step = fx / horner(dc, x)  # x/0 fails the tests below, as inf does on floats
-            x_new = x - step
-            small = np.abs(step) <= 2.0 * _EPS * np.fmax(1.0, np.abs(x))
-            newton = (lo < x_new) & (x_new < hi) & (np.abs(step) <= 0.5 * np.abs(move))
+            x_new, size = x - step, np.abs(step)
+            small = size <= 2.0 * _EPS * np.fmax(1.0, np.abs(x))
+            newton = (lo < x_new) & (x_new < hi) & (size <= 0.5 * np.abs(move))
             mid = 0.5 * (lo + hi)
             flat = ~(small | newton) & ((mid <= lo) | (mid >= hi))
             out[live] = np.where(root | flat, x, x_new)
             x_new = np.where(newton, x_new, mid)
-            move = x_new - x
+            move, x = x_new - x, x_new
             go = ~(root | small | flat)
-            live, c, dc, lo, hi, x, move, neg = (
-                live[go], c[go], dc[go], lo[go], hi[go], x_new[go], move[go], neg[go])
+            if not go.all():  # while no bracket leaves, the arrays stay as they are
+                live, c, dc, lo, hi, x, move, neg = (
+                    live[go], c[go], dc[go], lo[go], hi[go], x[go], move[go], neg[go])
+    out[live] = [_polish_simple(*state) for state in zip(
+        c.tolist(), dc.tolist(), lo.tolist(), hi.tolist(), x.tolist(), move.tolist(), neg.tolist())]
     return out
 
 
-def _polish_mult_root(c: np.ndarray, x: float, mult: int) -> float:
-    """Best float estimate of an m-fold root: the simple root of the
-    (m-1)-th derivative.  An m-fold root is ill-conditioned in c itself
-    (cluster radius ~ eps^(1/m)); the derivative root is its centroid and
-    moves only linearly with coefficient perturbations."""
+def _polish_mult_root(c: np.ndarray, x: np.ndarray, mult: int) -> np.ndarray:
+    """Best float estimate of an m-fold root of each row of c near x[k]:
+    the simple root of the row's (m-1)-th derivative, by Newton from x[k].
+    An m-fold root is ill-conditioned in c itself (cluster radius
+    ~ eps^(1/m)); the derivative root is its centroid and moves only
+    linearly with coefficient perturbations.  A row stops after 40 steps,
+    at a value within twice its Horner noise bound (the step would be
+    noise/noise), at a derivative that is 0 or not finite, before a wild
+    step of more than 0.1 (1 + |x|) (x is not in this root's basin), or
+    after a step of at most 1e-16 max(1, |x|).  Each row gets the bits of
+    its own solve."""
     d = c
     for _ in range(mult - 1):
-        d = _deriv(d)
-    d, dd = d.tolist(), _deriv(d).tolist()
-    for _ in range(40):
-        fx = _horner(d, x)
-        if abs(fx) <= 2.0 * _eval_noise(d, x):
-            break  # below evaluation noise: the step would be noise/noise
-        dfx = _horner(dd, x)
-        if dfx == 0.0 or not math.isfinite(dfx):
-            break
-        step = fx / dfx
-        if abs(step) > 0.1 * (1.0 + abs(x)):
-            break  # wild step: x is not in this root's basin
-        x -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
+        d = d[:, :-1] * np.arange(d.shape[1] - 1, 0, -1)  # the rows' _deriv
+    dd, ad, bound = d[:, :-1] * np.arange(d.shape[1] - 1, 0, -1), np.abs(d), 2.0 * d.shape[1] * _EPS
+    x = np.array(x, dtype=float)
+    live = np.arange(x.size)
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            if not live.size:
+                break
+            at = x[live]
+            ax = np.abs(at)
+            fx, acc, dfx = d[:, 0], ad[:, 0], dd[:, 0]
+            for j in range(1, d.shape[1]):  # _horner_rows, on one point per row
+                fx, acc = fx * at + d[:, j], acc * ax + ad[:, j]
+            for j in range(1, dd.shape[1]):
+                dfx = dfx * at + dd[:, j]
+            step = fx / dfx
+            size = np.abs(step)
+            go = ~((np.abs(fx) <= 2.0 * (bound * acc)) | (dfx == 0.0) | ~np.isfinite(dfx)
+                   | (size > 0.1 * (1.0 + ax)))
+            at = np.where(go, at - step, at)
+            x[live] = at
+            go &= size > 1e-16 * np.fmax(1.0, np.abs(at))
+            if not go.all():
+                live, d, ad, dd = live[go], d[go], ad[go], dd[go]
     return x
 
 
-def _collapse_clusters(values: np.ndarray, tol: float, c: np.ndarray) -> np.ndarray:
-    """Merge sorted root values into repeated cluster roots per the
-    width < tol^(1/multiplicity) rule.
+def _mean_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """The sum of the equal-length arrays terms, elementwise, in the order
+    np.add.reduce sums a run of floats (numpy's pairwise summation): in turn
+    below 8 terms, in 8 interleaved partial sums up to 128, by halves
+    beyond."""
+    n = len(terms)
+    if n < 8:
+        out = terms[0]
+        for t in terms[1:]:
+            out = out + t
+        return out
+    if n <= 128:
+        r = terms[:8]
+        for i in range(8, n - n % 8, 8):
+            r = [a + b for a, b in zip(r, terms[i:i + 8])]
+        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in terms[n - n % 8:]:
+            out = out + t
+        return out
+    half = n // 2 - (n // 2) % 8
+    return _mean_sum(terms[:half]) + _mean_sum(terms[half:])
 
-    The merged value starts from the cluster mean; the matching derivative
-    root of the coefficients c (the cluster centroid, well conditioned)
-    replaces the mean unless it leaves the cluster."""
+
+def _collapse_clusters(values: np.ndarray, tol: float, c: np.ndarray) -> np.ndarray:
+    """Each row of sorted root values with its clusters merged into
+    repeated roots, c holding the rows' coefficients.  A cluster grows from
+    its least root while the next one lies closer to it than
+    tol^(1/size), size counting that root.
+
+    The merged value starts from the cluster mean (np.mean's bits); the
+    matching derivative root of the row's c (the cluster centroid, well
+    conditioned) replaces the mean unless it leaves the cluster."""
+    m, n = values.shape
+    width = np.array([math.inf] + [tol ** (1.0 / size) for size in range(1, n + 1)])
+    start = np.zeros((m, n), dtype=int)  # the column each root's cluster starts at
+    rows = np.arange(m)
+    for j in range(1, n):
+        first = start[:, j - 1]
+        joins = values[:, j] - values[rows, first] < width[j - first + 1]
+        start[:, j] = np.where(joins, first, j)
+    ends = np.ones((m, n), dtype=bool)
+    ends[:, :-1] = start[:, 1:] != start[:, :-1]
+    at, last = np.nonzero(ends)
+    first = start[at, last]
+    size = last - first + 1
     out = values.copy()
-    i = 0
-    while i < out.size:
-        j = i + 1
-        while j < out.size:
-            width = out[j] - out[i]
-            size = j - i + 1
-            if width < tol ** (1.0 / size):
-                j += 1
-            else:
-                break
-        if j - i > 1:
-            spread = float(out[j - 1] - out[i])
-            merged = float(np.mean(out[i:j]))
-            if spread > 0.0:
-                size = j - i
-                polished = _polish_mult_root(c, merged, size)
-                if abs(polished - merged) <= spread + tol ** (1.0 / size):
-                    merged = polished
-            out[i:j] = merged
-        i = j
+    for s in set(size[size > 1].tolist()):
+        r, f = at[size == s], first[size == s]
+        terms = [values[r, f + k] for k in range(s)]
+        merged = (0.0 + _mean_sum(terms)) / s  # np.mean adds the sum to 0.0, then divides
+        spread = terms[-1] - terms[0]
+        move = spread > 0.0
+        if move.any():
+            polished = _polish_mult_root(c[r[move]], merged[move], s)
+            near = np.abs(polished - merged[move]) <= spread[move] + width[s]
+            merged[move] = np.where(near, polished, merged[move])
+        out[r[:, None], f[:, None] + np.arange(s)] = merged[:, None]
     return out
 
 
@@ -514,7 +573,7 @@ def _promote(pairs: list[tuple[float, int]], c: np.ndarray, tol: float, tol_eff:
         for i, (r, m) in enumerate(pairs):
             if m + 2 > n:
                 continue
-            x = _polish_mult_root(c, r, m + 2)
+            x = float(_polish_mult_root(c[None, :], [r], m + 2)[0])
             if abs(x - r) > 0.5 * (1.0 + abs(r)):
                 continue  # Newton wandered off; not a local cluster
             viol = _promotion_violation(dfloats, scales, x, m + 2, tol_eff)
@@ -592,48 +651,32 @@ def _rebuild(c: np.ndarray, tol: np.ndarray, noise_floor: np.ndarray) -> tuple[n
         zero = (size <= (tol * scale)[:, None]) & (size <= np.where(floor > two, floor, two))
         pos = vals > 0
         at, col = np.nonzero(~(zero[:, :-1] | zero[:, 1:]) & (pos[:, :-1] != pos[:, 1:]) & (cols[:-1] < last))
-        x = _polish(p, dp, at, anchors[at, col], anchors[at, col + 1])
-        runs = {}
-        for i in np.flatnonzero((zero[:, 1:-1] & (cols[1:-1] < last)).any(axis=1)).tolist():
-            a, v, z, top = anchors[i].tolist(), vals[i].tolist(), zero[i].tolist(), int(last[i, 0])
-            runs[i] = []
-            k = 1
-            while k < top:
-                if not z[k]:
-                    k += 1
-                    continue
-                j = k
-                while j + 1 < top and z[j + 1]:
-                    j += 1
-                run = j - k + 2
-                if ((v[k - 1] > 0) != (v[j + 1] > 0)) != (run % 2 == 1):
-                    run += 1
-                run = min(run, d)
-                runs[i].append((_polish_mult_root(p[i], 0.5 * (a[k] + a[j]), run), run))
-                k = j + 1
+        x = _polish_brackets(p[at], dp[at], anchors[at, col], anchors[at, col + 1])
+        # each run of zero values between the anchors is one cluster
+        inner = zero & (cols >= 1) & (cols < last)
+        rr, k = np.nonzero(inner[:, 1:] & ~inner[:, :-1])
         # in the order found: the simple roots left to right, then the runs'
         simple = np.bincount(at, minlength=m)
-        width = max([int(simple.max(initial=0))] + [simple[i] + len(r) for i, r in runs.items()])
+        width = int((simple + np.bincount(rr, minlength=m)).max(initial=0))
         roots, mult = np.full((m, width), np.inf), np.zeros((m, width), dtype=int)
         place = np.arange(at.size) - np.searchsorted(at, at)
         roots[at, place], mult[at, place] = x, 1
-        for i, found in runs.items():
-            for k, (r, run) in enumerate(found, start=simple[i]):
-                roots[i, k], mult[i, k] = r, run
-        if runs or (roots[:, 1:] < roots[:, :-1]).any():
+        if rr.size:
+            k += 1  # each run's first column, j its last
+            j = np.nonzero(inner[:, :-1] & ~inner[:, 1:])[1]
+            run = j - k + 2
+            run += (pos[rr, k - 1] != pos[rr, j + 1]) != (run % 2 == 1)
+            run = np.minimum(run, d)
+            xr = 0.5 * (anchors[rr, k] + anchors[rr, j])
+            for fold in set(run.tolist()):
+                sel = run == fold
+                xr[sel] = _polish_mult_root(p[rr[sel]], xr[sel], fold)
+            place = simple[rr] + np.arange(rr.size) - np.searchsorted(rr, rr)
+            roots[rr, place], mult[rr, place] = xr, run
+        if rr.size or (roots[:, 1:] < roots[:, :-1]).any():
             order = np.argsort(roots, axis=1, kind="stable")
             roots, mult = np.take_along_axis(roots, order, 1), np.take_along_axis(mult, order, 1)
     return roots, mult
-
-
-def _polish(c: np.ndarray, dc: np.ndarray, at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The simple root in each bracket (lo[b], hi[b]) of the row at[b] of c
-    (derivative rows dc), by _polish_simple on floats one bracket at a time,
-    or by _polish_brackets on arrays for _ARRAY_BRACKETS brackets or more."""
-    if at.size >= _ARRAY_BRACKETS:
-        return _polish_brackets(c[at], dc[at], lo, hi)
-    return np.array([_polish_simple(p, dp, a, b) for p, dp, a, b
-                     in zip(c[at].tolist(), dc[at].tolist(), lo.tolist(), hi.tolist())])
 
 
 def _quadratic_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -684,14 +727,8 @@ def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     if zero.any():
         # an exact root at 0: deflate it, as the centroid shift below would
         # blur it into rounding noise
-        rest, rest_ok = _roots_with_fallback(rows[zero, :-1], tol)
+        rest, ok[zero] = _roots_with_fallback(rows[zero, :-1], tol)
         out[zero] = np.sort(np.concatenate([rest, np.zeros((rest.shape[0], 1))], axis=1), axis=1)
-        rest = out[zero]
-        for i, r in enumerate(np.flatnonzero(zero).tolist()):
-            if rest_ok[i]:
-                out[r], ok[r] = _collapse_clusters(rest[i], tol, c[r]), True
-    if zero.all():
-        return out, ok
     # Recenter at the root centroid: clusters far from the origin are badly
     # conditioned in the raw coefficients, and the centroid is exact in a1.
     # The tol-ball stays anchored to the ORIGINAL coefficient scale, so the
@@ -700,33 +737,36 @@ def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     mu = rows[keep, 0] / n
     scale = 1.0 + np.max(np.abs(rows[keep]), axis=1)
     with np.errstate(all="ignore"):
-        c = _taylor_shift(c[keep], mu)
+        c[keep] = _taylor_shift(c[keep], mu)
         # rounding inside the shift leaves absolute coefficient noise at the
         # original scale; evaluated values inherit it
         shift_noise = 4.0 * (n + 1) * _EPS * scale * np.fmax(1.0, np.abs(mu))
-    top = np.max(np.abs(c), axis=1)
+    top = np.max(np.abs(c[keep]), axis=1)
     # a row whose shift overflows is not rebuilt: its roots read +inf
     big = ~np.isfinite(top)
     if big.any():
         out[keep[big]] = np.inf
-        keep, mu, scale, c, shift_noise, top = (x[~big] for x in (keep, mu, scale, c, shift_noise, top))
+        keep, mu, scale, shift_noise, top = (x[~big] for x in (keep, mu, scale, shift_noise, top))
     tol_eff = tol * scale / (1.0 + top)
-    roots, mult = _rebuild(c, tol_eff, shift_noise)
-    flat, total = _expand(roots, mult)
-    vals, found = np.full((keep.size, n), np.nan), total == n
-    if found.any():
-        vals[found] = np.sort(flat[found, :n], axis=1)
-    for i in np.flatnonzero(~found).tolist():
-        pairs = [(x, k) for x, k in zip(roots[i].tolist(), mult[i].tolist()) if k]
-        if total[i] < n and (n - total[i]) % 2 == 0:
-            pairs = _promote(pairs, c[i], tol, float(tol_eff[i]), float(shift_noise[i]))
-        if pairs is not None and sum(k for _, k in pairs) >= n:
-            vals[i] = np.sort(np.concatenate([np.full(k, x) for x, k in pairs]))[:n]
-            found[i] = True
-    # only a gap narrower than tol^(1/2) starts a cluster
-    for i in np.flatnonzero(found & (np.diff(vals, axis=1) < tol ** (1.0 / 2)).any(axis=1)).tolist():
-        vals[i] = _collapse_clusters(vals[i], tol, c[i])
-    out[keep], ok[keep] = vals + mu[:, None], found
+    if keep.size:
+        roots, mult = _rebuild(c[keep], tol_eff, shift_noise)
+        flat, total = _expand(roots, mult)
+        vals, found = np.full((keep.size, n), np.nan), total == n
+        if found.any():
+            vals[found] = np.sort(flat[found, :n], axis=1)
+        for i in np.flatnonzero(~found).tolist():
+            pairs = [(x, k) for x, k in zip(roots[i].tolist(), mult[i].tolist()) if k]
+            if total[i] < n and (n - total[i]) % 2 == 0:
+                pairs = _promote(pairs, c[keep[i]], tol, float(tol_eff[i]), float(shift_noise[i]))
+            if pairs is not None and sum(k for _, k in pairs) >= n:
+                vals[i] = np.sort(np.concatenate([np.full(k, x) for x, k in pairs]))[:n]
+                found[i] = True
+        out[keep], ok[keep] = vals, found
+    # only a gap narrower than tol^(1/2) starts a cluster; the deflated rows'
+    # clusters collapse with their own coefficients, the others' recentred
+    near = np.flatnonzero(ok)
+    near = near[(np.diff(out[near], axis=1) < tol ** (1.0 / 2)).any(axis=1)]
+    if near.size:
+        out[near] = _collapse_clusters(out[near], tol, c[near])
+    out[keep] += mu[:, None]
     return out, ok
-
-

@@ -159,7 +159,8 @@ def certify_samples(samples: Sequence[float], domain: tuple[float, float],
     t = Grid.dyadic(*domain, top).points
     ts = [t[:: 2 ** (top - k)] for k in ks]
     fs = [f[:: 2 ** (top - k)] for k in ks]
-    return _certify_tables(ts, fs, ks, domain)
+    with np.errstate(over="ignore", invalid="ignore"):  # _certify_tables refuses an overflow
+        return _certify_tables(ts, fs, ks, domain)
 
 
 def _certify_tables(ts, fs, ks, domain) -> RegularityReport:
@@ -168,9 +169,9 @@ def _certify_tables(ts, fs, ks, domain) -> RegularityReport:
     witnesses = {}
     value_scale = max(float(np.max(np.abs(f))) for f in fs)
     h_min = (domain[1] - domain[0]) / 2 ** max(ks)
+    too_short = f"domain [{domain[0]}, {domain[1]}] is too short for level {max(ks)}:"
     if h_min * h_min == 0.0:
-        raise InvalidWindow(f"domain [{domain[0]}, {domain[1]}] is too short for level {max(ks)}:"
-                            f" its step {h_min!r} squares to 0")
+        raise InvalidWindow(f"{too_short} its step {h_min!r} squares to 0")
     # quotients that never rise above evaluation-noise level carry no signal
     # and must not drive the verdict: order-1 noise scales like eps*V/h,
     # order-2 like eps*V/h^2 (exact lines recovered through a solver leave
@@ -198,6 +199,12 @@ def _certify_tables(ts, fs, ks, domain) -> RegularityReport:
         witnesses["sup_d1"] = (float(t[np.argmax(np.abs(d1))]), sup1)
         witnesses["sup_d2"] = (float(t[np.argmax(np.abs(d2))]), sup2)
         d1_prev, d2_prev, t_prev = d1, d2, t
+    # an overflow leaves an inf or a nan in a floor, a sup or a Cauchy difference
+    first, *later = rows
+    evidence = [flat_floor, d2_noise_floor, first.sup_d1, first.sup_d2]
+    evidence += [v for r in later for v in (r.sup_d1, r.sup_d2, r.cauchy_d1, r.cauchy_d2)]
+    if not all(map(math.isfinite, evidence)):
+        raise InvalidWindow(f"{too_short} the difference quotients of values up to {value_scale:g} overflow")
     if max(r.sup_d1 for r in rows) <= flat_floor:
         verdict = TWICE
     else:

@@ -202,7 +202,8 @@ class TestEvaluationErrors:
 
 class TestDomainErrors:
     """A domain of infinite length, or so short that its finest step
-    squares to 0, ends in exit 2 and one error line; numpy warns nothing."""
+    squares to 0 or its difference quotients overflow, ends in exit 2 and
+    one error line; numpy warns nothing."""
 
     @pytest.mark.parametrize("argv, says", [
         (["select", "--curve", "0,-t^2", "--domain", "0:inf"], "infinite length"),
@@ -213,6 +214,8 @@ class TestDomainErrors:
           "--level", "4"], "--box must be finite"),
         (["select", "--curve", "0,-t^2", "--domain", "0:1e-300", "--level", "4"], "squares to 0"),
         (["certify", "--curve", "t", "--domain", "0:1e-300"], "squares to 0"),
+        (["certify", "--curve", "1e300*t", "--domain", "0:1e-100", "--level", "10"], "overflow"),
+        (["certify", "--curve", "1e300*t", "--domain", "0:1e-158", "--level", "10"], "overflow"),
     ])
     def test_one_error_line(self, argv, says, capsys):
         with warnings.catch_warnings():

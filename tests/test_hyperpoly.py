@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_kernels
 from orbitlift import hyperpoly as hp
 from orbitlift.errors import NotFinite, NotHyperbolic, RootSolveFailed
 
@@ -276,7 +277,7 @@ class TestFloatKernels:
             for _ in range(40):
                 c = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-4, 5)
                 x = np.float64(rng.normal() * 10.0 ** rng.integers(-3, 4))
-                assert bits(hp._eval_noise(c.tolist(), x)) == bits(float(numpy_eval_noise(c, x)))
+                assert bits(scalar_kernels.eval_noise(c.tolist(), x)) == bits(float(numpy_eval_noise(c, x)))
 
     def test_taylor_shift_matches_numpy(self):
         rng = np.random.default_rng(25)
@@ -298,7 +299,7 @@ class TestFloatKernels:
                 cl = c[i].tolist()
                 for k, xk in enumerate(x[i].tolist()):
                     assert bits(vals[i, k]) == bits(np.float64(hp._horner(cl, xk)))
-                    assert bits(noise[i, k]) == bits(np.float64(hp._eval_noise(cl, xk)))
+                    assert bits(noise[i, k]) == bits(np.float64(scalar_kernels.eval_noise(cl, xk)))
 
     def test_root_bounds_match_the_scalar_bound(self):
         def root_bound(c):
@@ -346,25 +347,76 @@ def polish_cases():
     return cases
 
 
-class TestPolishKernels:
-    """Both bracket kernels run one safeguarded Newton: the same bits on
-    floats and on arrays, and each answer at a sign change of P or in its
-    Horner noise."""
+def large_bracket_blocks():
+    # per degree 2 to 8, one block of 320 isolating brackets whose roots half
+    # the time sit beside a near root 1e-9 .. 1e-3 away, so that the array
+    # stage runs dozens of steps before its stragglers go to the float loop
+    rng = np.random.default_rng(43)
+    for deg in range(2, 9):
+        group = []
+        for _ in range(320):
+            r = np.sort(rng.uniform(-4.0, 4.0, deg))
+            k = int(rng.integers(0, deg))
+            if rng.random() < 0.5:
+                near = k + 1 if k + 1 < deg else k - 1
+                r[near] = r[k] + np.sign(near - k) * 10.0 ** rng.uniform(-9.0, -3.0)
+                r = np.sort(r)
+            lo = r[0] - rng.uniform(0.1, 2.0) if k == 0 else 0.5 * (r[k - 1] + r[k])
+            hi = r[-1] + rng.uniform(0.1, 2.0) if k == deg - 1 else 0.5 * (r[k] + r[k + 1])
+            group.append((hp.from_roots(r).full_coeffs(), float(lo), float(hi)))
+        yield deg, group
 
-    def test_float_and_array_kernels_give_the_same_bits(self):
+
+def polish_block(group):
+    C = np.array([c for c, _, _ in group])
+    return hp._polish_brackets(C, C[:, :-1] * np.arange(C.shape[1] - 1, 0, -1),
+                               np.array([lo for _, lo, _ in group]), np.array([hi for _, _, hi in group]))
+
+
+class TestPolishKernels:
+    """Both stages of the bracket polish run one safeguarded Newton: the
+    same bits on floats and on arrays, and each answer at a sign change of P
+    or in its Horner noise."""
+
+    def test_float_and_array_kernels_give_the_same_bits(self, monkeypatch):
+        # every bracket of these groups of ~40 stays on arrays to its end
+        monkeypatch.setattr(hp, "_ARRAY_BRACKETS", 1)
         cases = polish_cases()
         for deg in range(2, 9):
             group = [(c, lo, hi) for c, lo, hi in cases if c.size == deg + 1]
-            C = np.array([c for c, _, _ in group])
-            got = hp._polish_brackets(C, C[:, :-1] * np.arange(deg, 0, -1),
-                                      np.array([lo for _, lo, _ in group]),
-                                      np.array([hi for _, _, hi in group]))
+            got = polish_block(group)
             ref = [hp._polish_simple(c.tolist(), hp._deriv(c).tolist(), lo, hi) for c, lo, hi in group]
             assert bits(got) == bits(np.array(ref))
             # a bracket alone in the array block gets the same bits
             for (c, lo, hi), r in zip(group[:5], ref):
                 one = hp._polish_brackets(c[None, :], hp._deriv(c)[None, :], np.array([lo]), np.array([hi]))
                 assert bits(one[0]) == bits(np.float64(r))
+
+    def test_stragglers_resume_on_floats_with_the_same_bits(self, monkeypatch):
+        kernel, resumed = hp._polish_simple, []
+
+        def counted(c, dc, lo, hi, x=None, move=0.0, neg=False):
+            resumed.append(x is not None and (x != 0.5 * (lo + hi) or move != hi - lo))
+            return kernel(c, dc, lo, hi, x, move, neg)
+
+        for deg, group in large_bracket_blocks():
+            ref = [hp._polish_simple(c.tolist(), hp._deriv(c).tolist(), lo, hi) for c, lo, hi in group]
+            monkeypatch.setattr(hp, "_polish_simple", counted)
+            del resumed[:]
+            got = polish_block(group)
+            # the array stage finished most brackets and handed the last
+            # ones over mid-flight
+            assert 0 < len(resumed) < hp._ARRAY_BRACKETS < len(group)
+            assert all(resumed), deg
+            assert bits(got) == bits(np.array(ref)), deg
+            # below the handoff count a block runs on floats from the start
+            del resumed[:]
+            few = polish_block(group[:hp._ARRAY_BRACKETS - 1])
+            assert len(resumed) == hp._ARRAY_BRACKETS - 1 and not any(resumed)
+            assert bits(few) == bits(np.array(ref[:hp._ARRAY_BRACKETS - 1]))
+            monkeypatch.undo()
+            for (c, lo, hi), r in zip(group[:3], ref):
+                assert bits(polish_block([(c, lo, hi)])[0]) == bits(np.float64(r))
 
     def test_answers_lie_at_a_sign_change_or_in_the_noise(self):
         for c, lo, hi in polish_cases():
@@ -377,7 +429,7 @@ class TestPolishKernels:
                 near = [np.nextafter(near[0], -np.inf)] + near + [np.nextafter(near[-1], np.inf)]
             values = hp._horner(c, np.array(near))
             changes = bool(np.any(values[:-1] * values[1:] <= 0.0))
-            assert changes or abs(hp._horner(c, x)) <= 2.0 * hp._eval_noise(c.tolist(), x), (c, lo, hi)
+            assert changes or abs(hp._horner(c, x)) <= 2.0 * scalar_kernels.eval_noise(c.tolist(), x), (c, lo, hi)
 
     def test_special_brackets_take_their_exits(self):
         *_, (c0, lo0, hi0), (c1, lo1, hi1), (c2, lo2, hi2) = polish_cases()
@@ -391,6 +443,119 @@ class TestPolishKernels:
         # replaced by the midpoint, so the answer never leaves it
         assert 5.5 - hp._horner(c2, 5.5) / hp._horner(hp._deriv(c2), 5.5) < lo2
         assert lo2 <= hp._polish_simple(c2.tolist(), hp._deriv(c2).tolist(), lo2, hi2) <= hi2
+
+
+def mult_root_cases():
+    # (c, x0, mult): rows with an m-fold cluster (m = 2..5, spread 0 or
+    # 1e-12 .. 1e-4) among simple roots, started near the cluster, far off
+    # (a wild first step), at the cluster itself, and at a critical point of
+    # the derivative Newton runs on
+    rng = np.random.default_rng(45)
+    cases = []
+    for mult in range(2, 6):
+        for _ in range(60):
+            centre = rng.uniform(-3.0, 3.0)
+            spread = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-12.0, -4.0)
+            r = np.concatenate([centre + spread * np.linspace(-0.5, 0.5, mult),
+                                rng.uniform(-6.0, 6.0, int(rng.integers(0, 4)))])
+            c = hp.from_roots(r).full_coeffs() * 10.0 ** rng.integers(-3, 4)
+            x0 = centre + 10.0 ** rng.uniform(-9.0, 0.0) * rng.choice([-1.0, 1.0])
+            cases.append((c, float(x0), mult))
+        cases.append((c, float(centre) + 1e6, mult))
+        cases.append((hp.from_roots([1.0] * mult).full_coeffs(), 1.0, mult))
+    d = np.array([1.0, 0.0, -1.0, 0.0])  # x^3 - x: x^2 - 1/3 has no slope at 0
+    cases.append((d, 0.0, 2))
+    return cases
+
+
+def collapse_rows():
+    # (values, c) for tol 1e-10, degree 8: the sorted roots of random rows
+    # with a 2..5-fold near cluster; a double root 0.3 read 1e-6 off, which
+    # the polish moves back, and 1e-4 off, beyond the pair width 1e-5, where
+    # the mean stays; an 8-root cluster whose mean np.mean sums pairwise, a
+    # zero-spread cluster, a row with an exact zero root (the deflation
+    # path's raw coefficients), and a row holding nan
+    rng = np.random.default_rng(46)
+    rows = []
+    for _ in range(120):
+        m = int(rng.integers(2, 6))
+        centre = rng.uniform(-3.0, 3.0)
+        r = np.concatenate([centre + 10.0 ** rng.uniform(-9.0, -5.0) * np.sort(rng.uniform(0.0, 1.0, m)),
+                            rng.uniform(-6.0, 6.0, 8 - m)])
+        rows.append((np.sort(r), np.sort(r)))
+    double = np.array([-2.0, 0.3, 0.3, 1.0, 2.0, 3.0, 4.0, 5.0])
+    for off in (1e-6, 1e-4):
+        rows.append((double + np.array([0.0, off, off + 1e-9, 0.0, 0.0, 0.0, 0.0, 0.0]), double))
+    rows.append(0.3 + 1e-9 * np.array([0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 11.0, 13.0]))
+    rows.append(np.array([-2.0, 0.7, 0.7, 0.7, 1.5, 2.5, 3.5, 4.5]))
+    rows.append(np.array([-1.0, 0.0, 2e-9, 3e-9, 1.0, 2.0, 3.0, 4.0]))
+    rows.append(np.array([-1.0, 1.0, 1.0 + 1e-8, np.nan, 2.0, 3.0, 4.0, 5.0]))
+    rows[-4:] = [(r, np.nan_to_num(r)) for r in rows[-4:]]
+    values = np.array([v for v, _ in rows])
+    c = np.array([hp.from_roots(r).full_coeffs() for _, r in rows])
+    return values, c
+
+
+class TestBlockKernels:
+    """The multiple-root Newton and the cluster collapse run on blocks of
+    rows and give each row the bits of the scalar oracles in
+    tests/scalar_kernels.py, alone or inside any block."""
+
+    def test_mult_root_newton_matches_the_scalar_loop(self):
+        cases = mult_root_cases()
+        for mult in range(2, 6):
+            group = [(c, x0) for c, x0, m in cases if m == mult]
+            for size in sorted({c.size for c, _ in group}):
+                C = np.array([c for c, _ in group if c.size == size])
+                x0 = np.array([x for c, x in group if c.size == size])
+                got = hp._polish_mult_root(C, x0, mult)
+                ref = [scalar_kernels.polish_mult_root(c, x, mult) for c, x in zip(C, x0.tolist())]
+                assert bits(got) == bits(np.array(ref))
+                assert bits(hp._polish_mult_root(C[:1], x0[:1], mult)) == bits(np.array(ref[:1]))
+        # the exits: x already at its cluster, and a slope of 0
+        c, x0, _ = cases[-2]
+        assert hp._polish_mult_root(c[None, :], np.array([x0]), 5)[0] == 1.0
+        assert hp._polish_mult_root(cases[-1][0][None, :], np.array([0.0]), 2)[0] == 0.0
+
+    def test_collapse_matches_the_scalar_collapse(self):
+        values, c = collapse_rows()
+        eight = values[-4]
+        # the pairwise sum np.mean takes differs from a running sum here
+        assert np.mean(eight) != sum(eight.tolist(), 0.0) / 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hp._collapse_clusters(values, 1e-10, c)
+        ref = np.array([scalar_kernels.collapse_clusters(v, 1e-10, p) for v, p in zip(values, c)])
+        assert bits(got) == bits(ref)
+        assert np.unique(got[-4]).size == 1 and np.unique(got[-3]).size == 6
+        assert np.isnan(got[-1, 3]) and got[-1, 1] == got[-1, 2]
+        moved, kept = got[-6, 1], got[-5, 1]
+        assert abs(moved - 0.3) < 1e-9 and kept == np.mean(values[-5, 1:3])
+        for i in (0, 5, len(values) - 6, len(values) - 4, len(values) - 2, len(values) - 1):
+            assert bits(hp._collapse_clusters(values[i:i + 1], 1e-10, c[i:i + 1])) == bits(ref[i:i + 1])
+
+    def test_mean_sum_is_np_mean_order(self):
+        rng = np.random.default_rng(47)
+        for n in list(range(1, 40)) + [127, 128, 129, 200, 300]:
+            terms = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-8, 9, (n, 5))
+            got = (0.0 + hp._mean_sum(list(terms))) / n
+            assert bits(got) == bits(np.array([np.mean(terms[:, k]) for k in range(5)])), n
+
+    def test_deflated_row_collapses_with_its_raw_coefficients(self):
+        # roots {0, 2e-9, 3e-9, 1, 2}: the constant term is exactly 0, so the
+        # fallback deflates the 0 and collapses the cluster with the row's
+        # own coefficients, in the block as alone
+        rows = np.array([hp.from_roots([0.0, 2e-9, 3e-9, 1.0, 2.0]).coeffs,
+                         hp.from_roots([-1.0, 0.5, 0.5 + 1e-9, 1.0, 2.0]).coeffs])
+        assert rows[0, -1] == 0.0
+        got, ok = hp._roots_with_fallback(rows, 1e-10)
+        assert ok.all()
+        rest, _ = hp._roots_with_fallback(rows[:1, :-1], 1e-10)
+        c = np.concatenate(([1.0], rows[0] * (-1.0) ** np.arange(1, 6)))
+        ref = scalar_kernels.collapse_clusters(np.sort(np.append(rest[0], 0.0)), 1e-10, c)
+        assert bits(got[0]) == bits(ref)
+        assert got[0, 0] == got[0, 1] == got[0, 2] != 0.0
+        assert bits(hp._roots_with_fallback(rows[:1], 1e-10)[0][0]) == bits(got[0])
 
 
 def delta(r):
@@ -422,7 +587,7 @@ class TestRootsBatch:
                 assert np.all(hp.evaluate(p, v - delta(v)) * hp.evaluate(p, v + delta(v)) < 0)
                 # polished: |P(r)| within the Horner noise bound
                 c = p.full_coeffs().tolist()
-                assert all(abs(hp._horner(c, x)) <= hp._eval_noise(c, x) for x in v.tolist())
+                assert all(abs(hp._horner(c, x)) <= scalar_kernels.eval_noise(c, x) for x in v.tolist())
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
     def test_gaps_at_the_collapse_width_fall_back(self, tol):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orbitlift import regcheck as rc
-from orbitlift.errors import GridTooCoarse
+from orbitlift.errors import GridTooCoarse, InvalidWindow
 
 DOM = (-1.0, 1.0)
 
@@ -126,6 +126,16 @@ class TestSamplesPath:
     def test_rejects_non_dyadic(self):
         with pytest.raises(GridTooCoarse):
             rc.certify_samples(np.zeros(100), DOM)
+
+    @pytest.mark.parametrize("samples, domain", [
+        # the noise floor 1e-12 V / h^2 overflows: 1e300 t over h = 1e-103
+        (1e300 * np.linspace(0.0, 1e-100, 1025), (0.0, 1e-100)),
+        # the floors are finite (1e297), the second quotients 4e300 / h^2 are not
+        (1e300 * (-1.0) ** np.arange(65), (0.0, 64 * 3e-5)),
+    ], ids=["floor", "quotient"])
+    def test_overflowing_quotients_are_refused(self, samples, domain):
+        with pytest.raises(InvalidWindow, match="overflow"):
+            rc.certify_samples(samples, domain, levels=4)
 
 
 class TestReportText:
