@@ -118,7 +118,6 @@ def _selection_report(args, sel: rootflow.RootBranches, reports) -> str:
         f"domain: {_fmt(args.domain[0])}:{_fmt(args.domain[1])}",
         f"level: {args.level}",
         f"tol: {_fmt(args.tol)}",
-        f"declared-class: {args.declared_class}",
         f"branches: {sel.n}",
         f"swap-count: {len(sel.swap_log)}",
     ]
@@ -138,10 +137,6 @@ def _selection_report(args, sel: rootflow.RootBranches, reports) -> str:
 def cmd_select(args) -> int:
     from . import curvedsl, regcheck, rootflow
 
-    try:
-        curvedsl.check_class_label(args.declared_class)
-    except ValueError as err:
-        raise OrbitLiftError(str(err)) from err
     curve = _parse_curve(args)
     grid = curvedsl.Grid.dyadic(args.domain[0], args.domain[1], args.level)
     sel = rootflow.differentiable_selection(curve, grid, args.tol)
@@ -361,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--poly": dict(required=True, help="comma-separated a1,...,an"),
         "--group": dict(required=True, help='catalog group, e.g. "A:2", "I2:5"'),
-        "--class": dict(dest="declared_class", default="Cinf"),
         "--domain": dict(type=_parse_domain, default=(-1.0, 1.0), metavar="a:b"),
         "--level": dict(type=_LEVEL, default=8),
         "--gmap": dict(required=True, help="semicolon-separated map components in u,v"),
@@ -376,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = [
         ("roots", cmd_roots, "real roots of one polynomial", ["--poly", "--tol", "--out"]),
         ("select", cmd_select, "differentiable root-branch selection",
-         ["--curve", "--class", "--domain", "--level", "--tol", "--levels", "--strict", "--out"]),
+         ["--curve", "--domain", "--level", "--tol", "--levels", "--strict", "--out"]),
         ("lift", cmd_lift, "lift an orbit-space curve",
          ["--group", "--curve", "--domain", "--level", "--tol", "--strict", "--out"]),
         ("certify", cmd_certify, "certify the regularity of samples or an expression",

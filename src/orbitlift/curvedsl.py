@@ -392,24 +392,6 @@ def split_top_level(src: str, sep: str = ",") -> list[str]:
     return [p.strip() for p in parts]
 
 
-# -- smoothness labels ---------------------------------------------------------
-
-def check_class_label(text: str) -> None:
-    """Raise ValueError unless text is a smoothness label: C<k>, C<k>,1 or
-    Cinf, carets and braces ignored.  The label is echoed, never read."""
-    s = text.strip().replace("^", "").replace("{", "").replace("}", "")
-    if not s.upper().startswith("C"):
-        raise ValueError(f"not a smoothness label: {text!r}")
-    body = s[1:]
-    if body.lower() in ("inf", "oo", "infinity"):
-        return
-    if "," in body:
-        body, m = body.split(",")
-        if m.strip() != "1":
-            raise ValueError(f"unsupported modifier in {text!r}")
-    int(body)
-
-
 # -- coefficient curves --------------------------------------------------------
 
 @dataclass(frozen=True)

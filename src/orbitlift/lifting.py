@@ -15,14 +15,16 @@ jumps (orbit-type change), the thread is re-attached by the
 minimal-derivative-jump principle: the points of the orbit right after the
 window are ranked by their distance from the linear continuation of the
 incoming strand (slope jump and curvature as tie-breakers), and
-`windows.resolve_window` refines the window until that choice is stable.
-Windows it leaves unresolved are flagged, with a nearest-point fallback
-inside.  No orbit is listed: the exit candidates are the nearest point to
-the prediction and its closure along the edges of the orbit's convex hull
-within the tie width (reflections for A, B and D, neighbours in angle for
-I2), and every candidate and swap-log entry is keyed by its rank in its
-orbit, which `Orbit.ranks` counts in closed form.  So orbits of any size
-lift, past `ENUM_LIMIT` too.
+`windows.resolve_window` refines the window until that choice is stable;
+each refined level takes the orbits of its parent's points by lattice index
+and solves only the points between them, as one block
+(`windows.reusing_sampler`).  Windows it leaves unresolved are flagged,
+with a nearest-point fallback inside.  No orbit is listed: the exit
+candidates are the nearest point to the prediction and its closure along
+the edges of the orbit's convex hull within the tie width (reflections for
+A, B and D, neighbours in angle for I2), and every candidate and swap-log
+entry is keyed by its rank in its orbit, which `Orbit.ranks` counts in
+closed form.  So orbits of any size lift, past `ENUM_LIMIT` too.
 """
 
 from __future__ import annotations
@@ -333,9 +335,7 @@ def lift_curve(
             i0,
             i1,
             orbits,
-            reusing_sampler(
-                tpts, rows, orbits, curve.evaluate, solve, OrbitBlock.joined,
-            ),
+            reusing_sampler(grid, orbits, curve.evaluate, solve, OrbitBlock.joined),
             lambda pts, sub_orbits, center_t: _estimate_window(
                 pts, sub_orbits, center_t, eps, values[i0 - 1]
             ),

@@ -174,9 +174,8 @@ def differentiable_selection(
     values matches the polynomial roots at every grid point by construction.
     """
     tpts = grid.points
-    rows = curve.evaluate(tpts)
     solve = functools.partial(_sorted_matrix, tol=tol)
-    vals = solved_at(solve, rows, tpts)
+    vals = solved_at(solve, curve.evaluate(tpts), tpts)
     n, N = vals.shape
     if n < 2:
         return RootBranches(grid, vals)
@@ -196,7 +195,7 @@ def differentiable_selection(
             i1,
             vals,
             reusing_sampler(
-                tpts, rows, vals, curve.evaluate, solve,
+                grid, vals, curve.evaluate, solve,
                 lambda a, b, take: np.concatenate([a, b], axis=1)[:, take],
             ),
             lambda pts, sub_vals, center_t: _estimate_slopes(pts, sub_vals, members, eps, center_t),

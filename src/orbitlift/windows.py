@@ -22,11 +22,11 @@ side.  The choice is stable when either
 A window with no stable choice by grid level `_MAX_LEVEL`, or whose estimate
 fails, is unresolved.
 
-Each level solves only the rows its parent level has not solved
-(`reusing_sampler`): a refined point whose coefficient row equals, bit for
-bit, the row of the nearest point of the level before takes that point's
-answer, and the other rows are solved as one block.  That is exact, since
-the engines' block solves give each row the answer it gets alone.  A row a
+Each level solves only the points its parent level does not hold
+(`reusing_sampler`): a refined level's even points are its parent's points,
+with their bits, so they take the parent's answers by index, and its odd
+points are evaluated and solved as one block.  That is exact, since the
+engines' block solves give each row the answer it gets alone.  A row a
 block solve refuses, on the caller's grid or at any level, raises its
 `RowError` named by the row's t (`solved_at`).
 """
@@ -80,15 +80,6 @@ def risky_run(pts: np.ndarray, risky: np.ndarray, center_t: float) -> tuple[int,
     return lo, hi
 
 
-def matched_rows(parent_t: np.ndarray, parent_rows: np.ndarray, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each point t[k], the index of the parent point nearest it when
-    their rows are equal bit for bit, else -1."""
-    j = np.clip(np.searchsorted(parent_t, t), 1, parent_t.size - 1)
-    j -= t - parent_t[j - 1] < parent_t[j] - t
-    same = (parent_rows[j].view(np.int64) == rows.view(np.int64)).all(axis=1)
-    return np.where(same, j, -1)
-
-
 def solved_at(solve: Callable, rows: np.ndarray, t: np.ndarray) -> Any:
     """solve(rows), row k being the row at the point t[k]; a row it refuses
     raises its RowError again, named by that row's t (`RowError.at`)."""
@@ -98,28 +89,31 @@ def solved_at(solve: Callable, rows: np.ndarray, t: np.ndarray) -> Any:
         raise exc.at(float(t[exc.index])) from None
 
 
-def reusing_sampler(points: np.ndarray, rows: np.ndarray, answers: Any, evaluate: Callable,
-                    solve: Callable, join: Callable) -> Callable[[Grid], Any]:
-    """A `sample` for resolve_window that solves only the rows its previous
-    level has not solved; the first previous level is the caller's grid,
-    with the coefficient rows and answers at its points.
+def reusing_sampler(grid: Grid, answers: Any, evaluate: Callable, solve: Callable,
+                    join: Callable) -> Callable[[Grid], Any]:
+    """A `sample` for resolve_window that solves only the points its parent
+    level does not hold; the first parent level is the caller's grid, with
+    its answers.  A level sub = parent.refine(lo, hi) takes its point 2j
+    from the parent's point lo + j, whose bits it has (`Grid.refine`), and
+    solves its odd points as one block.
 
     evaluate  points -> coefficient rows
     solve     rows -> answers; a refused row raises a RowError with its
               index, which `solved_at` names by its t
-    join      (previous answers, new answers, take) -> the answers of the
-              previous rows followed by the new ones, at the indices take
+    join      (parent answers, new answers, take) -> the answers of the
+              parent's points followed by the new ones, at the indices take
     """
-    last = [points, rows, answers]
+    last = [grid, answers]
 
     def sample(sub: Grid):
-        t = sub.points
-        rows = evaluate(t)
-        take = matched_rows(last[0], last[1], t, rows)
-        new = np.flatnonzero(take < 0)
-        take[new] = last[0].size + np.arange(new.size)
-        last[:] = t, rows, join(last[2], solved_at(solve, rows[new], t[new]), take)
-        return last[2]
+        parent, held = last
+        lo = sub.first // 2 - parent.first
+        odd = sub.points[1::2]
+        take = np.empty(sub.n_cells + 1, dtype=np.intp)
+        take[0::2] = np.arange(lo, lo + odd.size + 1)
+        take[1::2] = parent.n_cells + 1 + np.arange(odd.size)
+        last[:] = sub, join(held, solved_at(solve, evaluate(odd), odd), take)
+        return last[1]
 
     return sample
 

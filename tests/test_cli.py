@@ -319,10 +319,7 @@ class TestMalformedInput:
         self.fails_cleanly(["roots", "--poly", "nan"], capsys)
 
     def test_select_without_curve(self, capsys):
-        self.fails_cleanly(["select", "--class", "smooth"], capsys)
-
-    def test_unknown_class_label(self, capsys):
-        self.fails_cleanly(["select", "--curve", "0,-t^2", "--class", "smooth"], capsys)
+        self.fails_cleanly(["select", "--level", "4"], capsys)
 
     def test_box_without_second_interval(self, capsys):
         self.fails_cleanly(["harness", "--group", "B:2", "--gmap", "u;v", "--box", "1"], capsys)
@@ -369,7 +366,7 @@ class TestMalformedInput:
     }
     NOT_TAKEN = {
         "roots": ["--seed", "--levels", "--strict"],
-        "select": ["--seed"],
+        "select": ["--seed", "--class"],
         "lift": ["--seed", "--levels", "--class"],
         "certify": ["--seed", "--tol", "--out", "--class"],
         "kdata": ["--seed", "--tol", "--levels", "--strict", "--out"],

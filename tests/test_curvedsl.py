@@ -196,22 +196,6 @@ class TestCsv:
             curve.evaluate(np.array([1.5]))
 
 
-class TestSmoothnessClass:
-    @pytest.mark.parametrize(
-        "text,label",
-        [("C0", "C0"), ("C^1", "C1"), ("C0,1", "C0,1"), ("Cinf", "Cinf"), ("C12", "C12")],
-    )
-    def test_parse_label(self, text, label):
-        # each spelling and its canonical form pass the label check
-        cd.check_class_label(text)
-        cd.check_class_label(label)
-
-    def test_reject_garbage(self):
-        for text in ("smooth", "C", "C1,2", "C^{1,1,1}", "Cx"):
-            with pytest.raises(ValueError):
-                cd.check_class_label(text)
-
-
 # -- the compiled evaluator against the tree walker it replaced -----------------------
 
 def _oracle_bad_t(t, mask):

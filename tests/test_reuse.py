@@ -1,9 +1,10 @@
-"""Window refinement solves only the rows its parent level has not solved.
+"""Window refinement solves only the points its parent level does not hold.
 
-`windows.matched_rows` decides which refined rows take their parent's
-answer.  The oracle is the same run with a matcher that matches nothing,
-where every level is solved in full: every level's answers, and the
-selection or lift, must be the same bits with and without reuse.
+`windows.reusing_sampler` takes a refined level's even points from its
+parent by lattice index and solves its odd points.  The oracle is the same
+run with a sampler that solves every point of every level: every level's
+answers, and the selection or lift, must be the same bits with and without
+reuse.
 """
 
 import numpy as np
@@ -28,8 +29,9 @@ from orbitlift.errors import (
 )
 
 
-def match_nothing(parent_t, parent_rows, t, rows):
-    return np.full(t.size, -1)
+def solving_everything(grid, answers, evaluate, solve, join):
+    """A sampler that solves every point of every level."""
+    return lambda sub: wn.solved_at(solve, evaluate(sub.points), sub.points)
 
 
 def record_levels(monkeypatch, module) -> list:
@@ -47,6 +49,35 @@ def record_levels(monkeypatch, module) -> list:
 
     monkeypatch.setattr(module, "resolve_window", spy)
     return levels
+
+
+def trace_refinement(monkeypatch, module):
+    """(levels, evaluated): levels() gives each refined level of module's
+    windows as its grid and the point arrays `CoeffCurve.evaluate` got while
+    that level was sampled; evaluated holds every point array evaluated,
+    the caller's grid first."""
+    evaluated, marks = [], []
+    resolve, evaluate = module.resolve_window, cd.CoeffCurve.evaluate
+
+    def spy_resolve(grid, i0, i1, samples, sample, *rest):
+        def recording(sub):
+            marks.append((sub, len(evaluated)))
+            return sample(sub)
+
+        return resolve(grid, i0, i1, samples, recording, *rest)
+
+    def spy_evaluate(self, t):
+        evaluated.append(np.array(t, dtype=float))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(module, "resolve_window", spy_resolve)
+    monkeypatch.setattr(cd.CoeffCurve, "evaluate", spy_evaluate)
+
+    def levels():
+        ends = [start for _, start in marks[1:]] + [len(evaluated)]
+        return [(sub, evaluated[start:end]) for (sub, start), end in zip(marks, ends)]
+
+    return levels, evaluated
 
 
 def solved_rows(monkeypatch) -> list:
@@ -73,9 +104,9 @@ def with_and_without_reuse(monkeypatch, module, run, bits):
     """(result, level bits, solved rows) with reuse, then with a full
     re-solve of every level."""
     out = []
-    for matcher in (wn.matched_rows, match_nothing):
+    for sampler in (module.reusing_sampler, solving_everything):
         with monkeypatch.context() as m:
-            m.setattr(wn, "matched_rows", matcher)
+            m.setattr(module, "reusing_sampler", sampler)
             levels = record_levels(m, module)
             rows = solved_rows(m)
             result = run()
@@ -153,25 +184,24 @@ class TestSelectionReuse:
         assert len(set(rows)) == len(rows)
 
     def test_a_non_dyadic_domain_takes_both_paths(self, monkeypatch):
-        matched = []
-        match = wn.matched_rows
-
-        def spy(parent_t, parent_rows, t, rows):
-            out = match(parent_t, parent_rows, t, rows)
-            # the refined points on the parent's lattice, and of them those reused
-            shared = np.isin(np.round((t - parent_t[0]) / (parent_t[1] - parent_t[0]), 6),
-                             np.arange(parent_t.size))
-            matched.append(((out >= 0).sum(), shared.sum(), t.size))
-            return out
-
-        monkeypatch.setattr(wn, "matched_rows", spy)
-        sel = rf.differentiable_selection(cd.CoeffCurve.from_exprs(list(NON_DYADIC)), cd.Grid.dyadic(-0.3, 0.5, 8))
+        levels, _ = trace_refinement(monkeypatch, rf)
+        grid = cd.Grid.dyadic(-0.3, 0.5, 8)
+        sel = rf.differentiable_selection(cd.CoeffCurve.from_exprs(list(NON_DYADIC)), grid)
         assert sel.swap_log == ((128, (1, 0, 2)),)
         assert sel.unresolved == ()
-        # every refined point on the parent's lattice has the parent's bits,
-        # so it is reused; the points between them are solved anew
-        reused, shared, points = (sum(x) for x in zip(*matched))
-        assert 0 < reused == shared < points
+        assert levels()
+        parent_t = grid.points
+        for sub, (new,) in levels():
+            t = sub.points
+            # the refined points on the parent's lattice, found by their values,
+            # have the parent's bits and are taken from it; the points between
+            # them are solved anew
+            shared = np.isin(np.round((t - parent_t[0]) / (parent_t[1] - parent_t[0]), 6),
+                             np.arange(parent_t.size))
+            assert np.isin(t[shared].view(np.int64), parent_t.view(np.int64)).all()
+            assert new.tobytes() == t[~shared].tobytes()
+            assert 0 < shared.sum() < t.size
+            parent_t = t
 
 
 # lines through a mirror, base + (t - t_cross) * direction: (domain, t_cross, base, direction)
@@ -209,26 +239,43 @@ class TestLiftReuse:
             assert len(set(got_rows)) == len(got_rows)
 
 
-class TestMatchedRows:
-    PARENT_T = np.linspace(0.0, 1.0, 5)
+# a selection and a lift with one resolved window each, on a dyadic and a
+# non-dyadic domain: (module, SELECTIONS or LIFTS key)
+ONE_WINDOW = {
+    "select-dyadic": (rf, "separated-1-3"),
+    "select-non-dyadic": (rf, "non-dyadic"),
+    "lift-dyadic": (lf, "A:2"),
+    "lift-non-dyadic": (lf, "B:3"),
+}
 
-    def test_a_row_one_ulp_off_or_of_another_sign_of_zero_is_solved_anew(self):
-        rows = np.array([[1.0, 0.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0], [8.0, 9.0]])
-        t = np.array([0.0, 0.25, 0.5, 0.75])
-        child = rows[:4].copy()
-        child[1, 1] = np.nextafter(3.0, 4.0)
-        child[2, 0] = np.nextafter(4.0, 0.0)
-        child[0, 1] = -0.0
-        assert wn.matched_rows(self.PARENT_T, rows, t, child).tolist() == [-1, -1, -1, 3]
 
-    def test_each_point_is_held_to_its_nearest_parent_point(self):
-        rows = np.arange(10.0).reshape(5, 2)
-        t = np.array([0.0, 0.1, 0.125, 0.2, 0.49, 0.51, 0.9, 1.0])
-        # every child row is the row of the parent point at index 1 (t = 0.25)
-        child = np.broadcast_to(rows[1], (t.size, 2)).copy()
-        assert wn.matched_rows(self.PARENT_T, rows, t, child).tolist() == [-1, -1, 1, 1, -1, -1, -1, -1]
-        child = rows[[0, 0, 0, 1, 2, 2, 4, 4]]
-        assert wn.matched_rows(self.PARENT_T, rows, t, child).tolist() == [0, 0, -1, 1, 2, 2, 4, 4]
+class TestOnlyNewPointsAreSolved:
+    """A refined level's even points are its parent's points: the level
+    evaluates and solves only its odd points."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_WINDOW))
+    def test_each_level_evaluates_its_odd_points_once(self, name, monkeypatch):
+        module, key = ONE_WINDOW[name]
+        if module is rf:
+            make, domain, level = SELECTIONS[key]
+            curve, grid = make(), cd.Grid.dyadic(*domain, level)
+            run = lambda: rf.differentiable_selection(curve, grid)  # noqa: E731
+        else:
+            g, m, curve, grid = mirror_lift_case(key)
+            run = lambda: lf.lift_curve(g, m, curve, grid)  # noqa: E731
+        levels, evaluated = trace_refinement(monkeypatch, module)
+        rows = solved_rows(monkeypatch)
+        result = run()
+        assert len(result.swap_log) == 1 and result.unresolved == ()
+        assert levels()
+        for sub, calls in levels():
+            assert [t.tobytes() for t in calls] == [sub.points[1::2].tobytes()]
+        # the caller's grid and every level's points, each evaluated and
+        # solved once
+        points = np.sort(np.concatenate(evaluated))
+        every = np.unique(np.concatenate([grid.points] + [sub.points for sub, _ in levels()]))
+        assert points.tobytes() == every.tobytes()
+        assert len(rows) == points.size
 
 
 class TestErrorsAtARefinedLevel:
@@ -236,11 +283,11 @@ class TestErrorsAtARefinedLevel:
     the t of the k-th point of the whole level."""
 
     @staticmethod
-    def poison(monkeypatch, k, error):
+    def poison(monkeypatch, module, k, error):
         """From the second root solve on, the k-th row of the second block
         fails wherever it is solved; returns the t of that row."""
-        calls, poisoned, level = [], [], []
-        solve, match = hyperpoly.roots_batch, wn.matched_rows
+        calls, poisoned = [], []
+        solve = hyperpoly.roots_batch
 
         def failing(block, tol=1e-10):
             block = np.asarray(block, dtype=float)
@@ -252,18 +299,12 @@ class TestErrorsAtARefinedLevel:
                 raise error("poisoned row", index=hit[0])
             return solve(block, tol)
 
-        def spy(parent_t, parent_rows, t, rows):
-            out = match(parent_t, parent_rows, t, rows)
-            level.append((t, out.copy()))
-            return out
-
         monkeypatch.setattr(hyperpoly, "roots_batch", failing)
-        monkeypatch.setattr(wn, "matched_rows", spy)
+        levels, _ = trace_refinement(monkeypatch, module)
 
         def where():
-            t, out = level[0]
-            new = t[out < 0]
-            assert t[k] != new[k]
+            sub, (new,) = levels()[0]
+            assert sub.points[k] != new[k]
             return float(new[k])
 
         return where
@@ -271,12 +312,12 @@ class TestErrorsAtARefinedLevel:
     @pytest.mark.parametrize("k", [1, 5])
     def test_select(self, k, monkeypatch):
         curve, grid = separated_curve(2, 4), cd.Grid.dyadic(-1, 1, 8)
-        where = self.poison(monkeypatch, k, NotHyperbolic)
+        where = self.poison(monkeypatch, rf, k, NotHyperbolic)
         with pytest.raises(NotHyperbolicAt) as exc:
             rf.differentiable_selection(curve, grid)
         assert exc.value.t == where()
         for error in (RootSolveFailed, NotFinite):
-            where = self.poison(monkeypatch, k, error)
+            where = self.poison(monkeypatch, rf, k, error)
             with pytest.raises(error, match=r"poisoned row \(at t=(.*)\)$") as exc:
                 rf.differentiable_selection(curve, grid)
             assert str(exc.value).endswith(f"(at t={where()!r})")
@@ -284,12 +325,12 @@ class TestErrorsAtARefinedLevel:
     @pytest.mark.parametrize("k", [1, 5])
     def test_lift(self, k, monkeypatch):
         g, m, curve, grid = mirror_lift_case("A:2")
-        where = self.poison(monkeypatch, k, NotHyperbolic)
+        where = self.poison(monkeypatch, lf, k, NotHyperbolic)
         with pytest.raises(NotInImageAt) as exc:
             lf.lift_curve(g, m, curve, grid)
         assert exc.value.t == where()
         for error in (RootSolveFailed, NotFinite):
-            where = self.poison(monkeypatch, k, error)
+            where = self.poison(monkeypatch, lf, k, error)
             with pytest.raises(error, match=r"poisoned row \(at t=(.*)\)$") as exc:
                 lf.lift_curve(g, m, curve, grid)
             assert str(exc.value).endswith(f"(at t={where()!r})")
