@@ -18,8 +18,9 @@ incoming strand (slope jump and curvature as tie-breakers), and
 `windows.resolve_window` refines the window until that choice is stable;
 each refined level takes the orbits of its parent's points by lattice index
 and solves only the points between them, as one block
-(`windows.reusing_sampler`).  Windows it leaves unresolved are flagged,
-with a nearest-point fallback inside.  No orbit is listed: the exit
+(`windows.resolve_windows`, one window at a time, since each window's exit
+anchors the next).  Windows it leaves unresolved are flagged, with a
+nearest-point fallback inside.  No orbit is listed: the exit
 candidates are the nearest point to the prediction and its closure along
 the edges of the orbit's convex hull within the tie width (reflections for
 A, B and D, neighbours in angle for I2), and every candidate and swap-log
@@ -45,7 +46,7 @@ from .invariants import Orbit, OrbitBlock, OrbitMapSigma, ReflectionGroup, orbit
 from .invariants import fiber  # noqa: F401
 from .regcheck import VERDICT_RANK, RegularityReport
 from .windows import (
-    _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, reusing_sampler, risky_run, solved_at,
+    _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, resolve_windows, risky_run, solved_at,
 )
 
 
@@ -330,18 +331,11 @@ def lift_curve(
             i1 += 1
         # a window touching the domain boundary gets nearest-point continuation
         at_boundary = i0 <= _SIDE_WINDOW or i1 + 1 >= N
-        exit_val = None if at_boundary else resolve_window(
-            grid,
-            i0,
-            i1,
-            orbits,
-            reusing_sampler(grid, orbits, curve.evaluate, solve, OrbitBlock.joined),
-            lambda pts, sub_orbits, center_t: _estimate_window(
-                pts, sub_orbits, center_t, eps, values[i0 - 1]
-            ),
-            _slope_drift,
-            _choose_candidate,
-        )
+        # the window's exit anchors the next window: one window at a time
+        estimate = functools.partial(_estimate_window, eps=eps, left_anchor=values[i0 - 1])
+        exit_val = None if at_boundary else resolve_windows(grid, orbits, curve.evaluate, solve, OrbitBlock.joined, [
+            resolve_window(grid, i0, i1, orbits, estimate, _slope_drift, _choose_candidate),
+        ])[0]
         if exit_val is None:
             if not at_boundary:
                 unresolved.append((float(tpts[i0]), float(tpts[i1])))
@@ -448,14 +442,7 @@ def lipschitz_harness(
     for name, gamma in probes:
         composed = _composed_curve(f, gamma, map_.n_invariants)
         lift = lift_curve(group, map_, composed, grid, tol)
-        h = grid.step
-        quots = np.stack(
-            [
-                regcheck.difference_quotients(lift.values[:, j], h, 1)
-                for j in range(lift.values.shape[1])
-            ],
-            axis=1,
-        )
+        quots = regcheck.difference_quotients(lift.values, grid.step, 1)
         lip = float(np.max(np.linalg.norm(quots, axis=1)))
         verdict = lift.min_verdict() if lift.reports else regcheck.INCONCLUSIVE
         results.append(ProbeResult(name, lip, verdict))

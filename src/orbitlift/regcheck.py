@@ -99,18 +99,19 @@ class RegularityReport:
 
 
 def difference_quotients(samples: Sequence[float], step: float, order: int = 1) -> np.ndarray:
-    """Difference quotients on a uniform grid, same length as samples.
+    """Difference quotients on a uniform grid along axis 0 of samples, an
+    (N,) or (N, m) array, same shape as samples.
 
     Order 1: central (f(t+h) - f(t-h)) / (2h), one-sided at the ends.
     Order 2: (f(t+h) - 2 f(t) + f(t-h)) / h^2; the end entries replicate the
     adjacent interior value (the same formula anchored one node in, still
     exact on quadratics).
     """
-    f = np.asarray(samples, dtype=float)
+    f = np.atleast_1d(np.asarray(samples, dtype=float))
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if f.size < order + 1:
-        raise GridTooCoarse(f"need at least {order + 1} samples, got {f.size}")
+    if len(f) < order + 1:
+        raise GridTooCoarse(f"need at least {order + 1} samples, got {len(f)}")
     h = float(step)
     if order == 1:
         out = np.empty_like(f)
@@ -165,9 +166,7 @@ def certify_samples(samples: Sequence[float], domain: tuple[float, float],
 
 def _certify_tables(ts, fs, ks, domain) -> RegularityReport:
     rows = []
-    d1_prev = d2_prev = t_prev = None
-    witnesses = {}
-    value_scale = max(float(np.max(np.abs(f))) for f in fs)
+    value_scale = float(np.max(np.abs(fs[-1])))  # the finest row holds every coarser point
     h_min = (domain[1] - domain[0]) / 2 ** max(ks)
     too_short = f"domain [{domain[0]}, {domain[1]}] is too short for level {max(ks)}:"
     if h_min * h_min == 0.0:
@@ -178,27 +177,30 @@ def _certify_tables(ts, fs, ks, domain) -> RegularityReport:
     # last-ulp wiggles in the second differences)
     flat_floor = 1e-12 * value_scale / h_min
     d2_noise_floor = 1e-12 * value_scale / (h_min * h_min)
+    prev = None
     for t, f, k in zip(ts, fs, ks):
         h = t[1] - t[0]
         d1 = difference_quotients(f, h, 1)
         d2 = difference_quotients(f, h, 2)
-        sup1 = float(np.max(np.abs(d1)))
-        sup2 = float(np.max(np.abs(d2)))
-        if d1_prev is None:
+        abs1, abs2 = np.abs(d1), np.abs(d2)
+        sup1, sup2 = float(abs1.max()), float(abs2.max())
+        if prev is None:
             c1 = c2 = growth = float("nan")
         else:
+            t_prev, d1_prev, d2_prev = prev
             diff1 = np.abs(d1 - np.interp(t, t_prev, d1_prev))
             diff2 = np.abs(d2 - np.interp(t, t_prev, d2_prev))
-            c1 = float(np.max(diff1))
-            c2 = float(np.max(diff2))
-            prev_sup = rows[-1].sup_d1
-            growth = _ratio(sup1, prev_sup)
-            witnesses["cauchy_d1"] = (float(t[np.argmax(diff1)]), c1)
-            witnesses["cauchy_d2"] = (float(t[np.argmax(diff2)]), c2)
+            c1, c2 = float(diff1.max()), float(diff2.max())
+            growth = _ratio(sup1, rows[-1].sup_d1)
         rows.append(LevelEvidence(k, float(h), sup1, sup2, c1, c2, growth))
-        witnesses["sup_d1"] = (float(t[np.argmax(np.abs(d1))]), sup1)
-        witnesses["sup_d2"] = (float(t[np.argmax(np.abs(d2))]), sup2)
-        d1_prev, d2_prev, t_prev = d1, d2, t
+        prev = t, d1, d2
+    # the witnesses are the finest level's, the only ones reported
+    witnesses = {
+        "sup_d1": (float(t[np.argmax(abs1)]), sup1),
+        "sup_d2": (float(t[np.argmax(abs2)]), sup2),
+        "cauchy_d1": (float(t[np.argmax(diff1)]), c1),
+        "cauchy_d2": (float(t[np.argmax(diff2)]), c2),
+    }
     # an overflow leaves an inf or a nan in a floor, a sup or a Cauchy difference
     first, *later = rows
     evidence = [flat_floor, d2_noise_floor, first.sup_d1, first.sup_d2]

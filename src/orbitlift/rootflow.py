@@ -5,9 +5,11 @@ it is continuous but kinks where branches cross.  The differentiable
 selection re-pairs branch labels across each collision cluster so that
 one-sided slopes match: the label bijection minimizes the total slope jump
 (curvature and then lexicographic tie-breaks), and `windows.resolve_window`
-refines the cluster until that pairing is stable.  A cluster is its range of
-sample indices and its sorted branches, and a pairing is a `windows.Choice`
-keyed by its permutation.  Clusters left unresolved keep sorted labels
+refines the cluster until that pairing is stable.  No cluster's pairing
+depends on another's, so all of them refine in lockstep
+(`windows.resolve_windows`) before the pairings apply in order.  A cluster
+is its range of sample indices and its sorted branches, and a pairing is a
+`windows.Choice` keyed by its permutation.  Clusters left unresolved keep sorted labels
 inside the window and are flagged by their end times.
 
 The slope jump |l_i - r_j| is convex in l_i - r_j, so once rows and columns
@@ -28,7 +30,7 @@ import numpy as np
 from . import hyperpoly
 from .curvedsl import CoeffCurve, Grid
 from .windows import (
-    _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, reusing_sampler, risky_run, solved_at,
+    _EPS_FACTOR, _SIDE_WINDOW, _TIE_TOL, Choice, fit_side, resolve_window, resolve_windows, risky_run, solved_at,
 )
 
 _TIE_ENUM_LIMIT = 8   # ties among more branches are flagged, not enumerated
@@ -98,10 +100,10 @@ class _SideSlopes:
 
 
 def _estimate_slopes(
-    pts: np.ndarray,
-    vals: np.ndarray,
     members: list[int],
     eps: float,
+    pts: np.ndarray,
+    vals: np.ndarray,
     center_t: float,
 ) -> _SideSlopes | None:
     sub = vals[members]
@@ -185,23 +187,20 @@ def differentiable_selection(
     cur = np.arange(n)
     swaps: list[tuple[int, tuple[int, ...]]] = []
     unresolved: list[tuple[float, float]] = []
-    for i0, i1, branches in collision_clusters(vals, eps):
+    # one-sided windows at the domain ends keep sorted labels
+    clusters = [c for c in collision_clusters(vals, eps) if c[0] > 0 and c[1] < N - 1]
+    perms = resolve_windows(
+        grid, vals, curve.evaluate, solve, lambda a, b, take: np.concatenate([a, b], axis=1)[:, take],
+        [
+            resolve_window(
+                grid, i0, i1, vals, functools.partial(_estimate_slopes, list(branches), eps), _slope_drift,
+                lambda est: minimal_jump_assignment(est.left_slope, est.right_slope, est.left_quad, est.right_quad),
+            )
+            for i0, i1, branches in clusters
+        ],
+    )
+    for (i0, i1, branches), perm in zip(clusters, perms):
         members = list(branches)
-        if i0 == 0 or i1 == N - 1:
-            continue  # one-sided window at the domain end: keep sorted labels
-        perm = resolve_window(
-            grid,
-            i0,
-            i1,
-            vals,
-            reusing_sampler(
-                grid, vals, curve.evaluate, solve,
-                lambda a, b, take: np.concatenate([a, b], axis=1)[:, take],
-            ),
-            lambda pts, sub_vals, center_t: _estimate_slopes(pts, sub_vals, members, eps, center_t),
-            _slope_drift,
-            lambda est: minimal_jump_assignment(est.left_slope, est.right_slope, est.left_quad, est.right_quad),
-        )
         if perm is None:
             unresolved.append((float(tpts[i0]), float(tpts[i1])))
             continue

@@ -2,14 +2,15 @@
 
 Root selection and lifting both carry a curve across a collision window by
 the minimal-derivative-jump rule.  The caller's estimate fits one-sided
-slopes by least squares on the `_SIDE_WINDOW` samples just outside the run
-of risky samples around the window's centre, and its chooser ranks the ways
-to continue across the window.  The resolver refines the window and
-re-estimates until the choice is stable.  A window is a range of lattice
-point indices (`Grid.refine`): the first level halves the step over the
-window and `_SIDE_WINDOW + 1` points on each side, and each later level
-over the estimate's risky run and `(_SIDE_WINDOW + 2) // 2` points on each
-side.  The choice is stable when either
+slopes and curvatures by least squares, in closed form (`fit_side`), on the
+`_SIDE_WINDOW` samples just outside the run of risky samples around the
+window's centre, and its chooser ranks the ways to continue across the
+window.  The resolver refines the window and re-estimates until the choice
+is stable.  A window is a range of lattice point indices (`Grid.refine`):
+the first level halves the step over the window and `_SIDE_WINDOW + 1`
+points on each side, and each later level over the estimate's risky run
+and `(_SIDE_WINDOW + 2) // 2` points on each side.  The choice is stable
+when either
 
 * the slopes drift by at most `_SLOPE_RTOL` (relative) from the previous
   level, and the choice is not ambiguous;
@@ -22,13 +23,15 @@ side.  The choice is stable when either
 A window with no stable choice by grid level `_MAX_LEVEL`, or whose estimate
 fails, is unresolved.
 
-Each level solves only the points its parent level does not hold
-(`reusing_sampler`): a refined level's even points are its parent's points,
-with their bits, so they take the parent's answers by index, and its odd
-points are evaluated and solved as one block.  That is exact, since the
-engines' block solves give each row the answer it gets alone.  A row a
-block solve refuses, on the caller's grid or at any level, raises its
-`RowError` named by the row's t (`solved_at`).
+A window's resolver is a stepper (`resolve_window`) that asks for one
+refined level at a time, and `resolve_windows` refines the live windows of
+a grid in lockstep.  Each level solves only the points its parent level
+does not hold: a refined level's even points are its parent's points, with
+their bits, so they take the parent's answers by index, and the odd points
+of every live window's next level are evaluated and solved as one block.
+That is exact, since the engines' block solves give each row the answer it
+gets alone.  A row a block solve refuses, on the caller's grid or at any
+level, raises its `RowError` named by the row's t (`solved_at`).
 """
 
 from __future__ import annotations
@@ -58,11 +61,19 @@ class Choice(NamedTuple):
 
 def fit_side(tc: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear-fit slope and quadratic-fit leading coefficient of each column
-    of vals (samples x strands) against the times tc, one least-squares
-    solve per degree for all columns."""
-    slopes = np.polyfit(tc, vals, 1)[0]
-    quads = np.polyfit(tc, vals, 2)[0] if tc.size >= 3 else np.zeros(vals.shape[1])
-    return slopes, quads
+    of vals (samples x strands) against the times tc, by least squares in
+    closed form: on the centred times x the slope is x.y / x.x, and the
+    leading coefficient is q.y / q.q, where q is x^2 made orthogonal to 1
+    and x.  With fewer than 3 samples the leading coefficient is 0."""
+    x = tc - tc.sum() / tc.size
+    xx = x @ x
+    slopes = x @ vals / xx
+    if tc.size < 3:
+        return slopes, np.zeros(vals.shape[1])
+    q = x * x
+    q -= q.sum() / q.size
+    q -= (q @ x / xx) * x
+    return slopes, q @ vals / (q @ q)
 
 
 def risky_run(pts: np.ndarray, risky: np.ndarray, center_t: float) -> tuple[int, int]:
@@ -89,33 +100,47 @@ def solved_at(solve: Callable, rows: np.ndarray, t: np.ndarray) -> Any:
         raise exc.at(float(t[exc.index])) from None
 
 
-def reusing_sampler(grid: Grid, answers: Any, evaluate: Callable, solve: Callable,
-                    join: Callable) -> Callable[[Grid], Any]:
-    """A `sample` for resolve_window that solves only the points its parent
-    level does not hold; the first parent level is the caller's grid, with
-    its answers.  A level sub = parent.refine(lo, hi) takes its point 2j
-    from the parent's point lo + j, whose bits it has (`Grid.refine`), and
-    solves its odd points as one block.
+def resolve_windows(grid: Grid, answers: Any, evaluate: Callable, solve: Callable, join: Callable,
+                    steppers: list) -> list:
+    """The answers of the window steppers (`resolve_window`) of the caller's
+    grid, whose answers are `answers`, refined in lockstep: each round
+    evaluates and solves the odd points of the next level of every live
+    window as one block.  A level sub = parent.refine(lo, hi) takes its
+    point 2j from the parent's point lo + j, whose bits it has
+    (`Grid.refine`), and its odd points from the block.
 
     evaluate  points -> coefficient rows
     solve     rows -> answers; a refused row raises a RowError with its
               index, which `solved_at` names by its t
-    join      (parent answers, new answers, take) -> the answers of the
-              parent's points followed by the new ones, at the indices take
+    join      (parent answers, block answers, take) -> the answers of the
+              parent's points followed by the block's, at the indices take
     """
-    last = [grid, answers]
+    out = [None] * len(steppers)
+    asks = []  # (index, stepper, its last level, that level's answers, the level it asks for)
 
-    def sample(sub: Grid):
-        parent, held = last
-        lo = sub.first // 2 - parent.first
-        odd = sub.points[1::2]
-        take = np.empty(sub.n_cells + 1, dtype=np.intp)
-        take[0::2] = np.arange(lo, lo + odd.size + 1)
-        take[1::2] = parent.n_cells + 1 + np.arange(odd.size)
-        last[:] = sub, join(held, solved_at(solve, evaluate(odd), odd), take)
-        return last[1]
+    def advance(k, stepper, level, held, samples):
+        try:
+            asks.append((k, stepper, level, held, stepper.send(samples)))
+        except StopIteration as done:
+            out[k] = done.value
 
-    return sample
+    for k, stepper in enumerate(steppers):
+        advance(k, stepper, grid, answers, None)
+    while asks:
+        todo = asks[:]
+        asks.clear()
+        odd = np.concatenate([sub.points[1::2] for *_, sub in todo])
+        block = solved_at(solve, evaluate(odd), odd)
+        start = 0
+        for k, stepper, parent, held, sub in todo:
+            lo, m = sub.first // 2 - parent.first, sub.n_cells // 2
+            take = np.empty(sub.n_cells + 1, dtype=np.intp)
+            take[0::2] = np.arange(lo, lo + m + 1)
+            take[1::2] = parent.n_cells + 1 + start + np.arange(m)
+            start += m
+            held = join(held, block, take)
+            advance(k, stepper, sub, held, held)
+    return out
 
 
 def resolve_window(
@@ -123,16 +148,16 @@ def resolve_window(
     i0: int,
     i1: int,
     samples: Any,
-    sample: Callable[[Grid], Any],
     estimate: Callable[[np.ndarray, Any, float], Any],
     drift: Callable[[Any, Any], float],
     choose: Callable[[Any], Choice],
 ):
-    """Answer of the stable choice across the window grid.points[i0..i1],
-    or None when the window stays unresolved.
+    """A stepper for the window grid.points[i0..i1]: a generator that yields
+    each refined grid it needs sampled and is sent its samples, and that
+    returns the answer of the stable choice across the window, or None when
+    the window stays unresolved.  `resolve_windows` drives it.
 
     samples   the caller's samples on `grid` itself
-    sample    refined grid -> samples on its points
     estimate  (points, samples, centre time) -> an estimate with the fitted
               incoming slopes `left_slope` and the risky run's first and
               last point indices `run`, or None when the sides cannot be
@@ -152,7 +177,7 @@ def resolve_window(
     prev_drift = np.inf
     while sub.level < _MAX_LEVEL:
         sub = sub.refine(lo, hi)
-        new_est = estimate(sub.points, sample(sub), center_t)
+        new_est = estimate(sub.points, (yield sub), center_t)
         if new_est is None:
             return None
         d = drift(est, new_est)

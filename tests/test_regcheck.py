@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import certify_oracle
+from orbitlift import catalog
+from orbitlift import curvedsl as cd
 from orbitlift import regcheck as rc
+from orbitlift import rootflow as rf
 from orbitlift.errors import GridTooCoarse, InvalidWindow
 
 DOM = (-1.0, 1.0)
@@ -28,6 +34,15 @@ class TestDifferenceQuotients:
     def test_too_coarse(self):
         with pytest.raises(GridTooCoarse):
             rc.difference_quotients([1.0, 2.0], 1.0, 2)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_columns_keep_the_bits_of_their_own_call(self, order):
+        rng = np.random.default_rng(order)
+        block = rng.normal(size=(33, 5)) * 10.0 ** rng.integers(-3, 3, 5)
+        got = rc.difference_quotients(block, 0.0625, order)
+        assert got.shape == block.shape
+        for j in range(block.shape[1]):
+            assert got[:, j].tobytes() == rc.difference_quotients(block[:, j], 0.0625, order).tobytes()
 
 
 class TestCertifyVerdicts:
@@ -136,6 +151,73 @@ class TestSamplesPath:
     def test_overflowing_quotients_are_refused(self, samples, domain):
         with pytest.raises(InvalidWindow, match="overflow"):
             rc.certify_samples(samples, domain, levels=4)
+
+
+def oracle_report(samples, domain, levels=6):
+    """certify_samples with the oracle's tables in place of the lean pass."""
+    with mock.patch.object(rc, "_certify_tables", certify_oracle.certify_tables):
+        return rc.certify_samples(samples, domain, levels)
+
+
+def catalog_branches():
+    """(branch row, domain) of every catalog entry's selection at level 8."""
+    for entry in catalog.CATALOG:
+        grid = cd.Grid.dyadic(*entry.domain, 8)
+        sel = rf.differentiable_selection(cd.CoeffCurve.from_exprs(list(entry.components)), grid)
+        for j, branch in enumerate(sel.branches):
+            yield pytest.param(branch, entry.domain, id=f"{entry.name}-{j}")
+
+
+def seeded_rows():
+    """(row, domain): a random walk, noise, a smooth row and a spike, on a
+    dyadic and a non-dyadic domain."""
+    rng = np.random.default_rng(26)
+    t = cd.Grid.dyadic(-0.3, 0.5, 9).points
+    rows = {
+        "walk": np.cumsum(rng.normal(size=513)),
+        "noise": rng.normal(size=513) * 1e-7,
+        "smooth": np.sin(7 * t) * 1e5 + np.abs(t - 0.1) ** 1.5,
+        "spike": np.where(np.arange(513) == 301, 1.0, 0.0),
+    }
+    for name, row in rows.items():
+        for domain in ((-1.0, 1.0), (-0.3, 0.5)):
+            yield pytest.param(row, domain, id=f"{name}-{domain[0]}:{domain[1]}")
+
+
+class TestLeanPass:
+    """The lean certificate pass against the loop it replaced
+    (tests/certify_oracle.py)."""
+
+    @pytest.mark.parametrize("row, domain", [*catalog_branches(), *seeded_rows()])
+    def test_same_text_as_the_oracle(self, row, domain):
+        for levels in (4, 6):
+            assert rc.certify_samples(row, domain, levels).to_text() == oracle_report(row, domain, levels).to_text()
+
+    @pytest.mark.parametrize("samples, domain", [
+        (1e300 * np.linspace(0.0, 1e-100, 1025), (0.0, 1e-100)),
+        (1e300 * (-1.0) ** np.arange(65), (0.0, 64 * 3e-5)),
+    ], ids=["floor", "quotient"])
+    def test_overflow_refused_by_both(self, samples, domain):
+        messages = []
+        for certify in (rc.certify_samples, oracle_report):
+            with pytest.raises(InvalidWindow, match="overflow") as exc:
+                certify(samples, domain, 4)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_witnesses_are_the_finest_levels(self):
+        # a kink at t = 0.2, between the points of every level: the largest
+        # quotients sit at the points next to it, which differ from level to level
+        t = cd.Grid.dyadic(-1.0, 1.0, 9).points
+        f = np.abs(t - 0.2) - 0.3 * t * t
+        rep = rc.certify_samples(f, (-1.0, 1.0), 6)
+        h = t[1] - t[0]
+        d1, d2 = rc.difference_quotients(f, h, 1), rc.difference_quotients(f, h, 2)
+        assert rep.witnesses["sup_d1"] == (float(t[np.argmax(np.abs(d1))]), rep.levels[-1].sup_d1)
+        assert rep.witnesses["sup_d2"] == (float(t[np.argmax(np.abs(d2))]), rep.levels[-1].sup_d2)
+        assert rep.witnesses["cauchy_d1"][1] == rep.levels[-1].cauchy_d1
+        assert rep.witnesses["cauchy_d2"][1] == rep.levels[-1].cauchy_d2
+        assert list(rep.witnesses) == ["sup_d1", "sup_d2", "cauchy_d1", "cauchy_d2"]
 
 
 class TestReportText:

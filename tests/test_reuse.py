@@ -1,10 +1,11 @@
 """Window refinement solves only the points its parent level does not hold.
 
-`windows.reusing_sampler` takes a refined level's even points from its
-parent by lattice index and solves its odd points.  The oracle is the same
-run with a sampler that solves every point of every level: every level's
-answers, and the selection or lift, must be the same bits with and without
-reuse.
+`windows.resolve_windows` takes a refined level's even points from its
+parent by lattice index and solves its odd points, those of all live
+windows as one block.  The oracle is the same run with a driver that
+resolves each window alone and solves every point of every level: every
+level's answers, and the selection or lift, must be the same bits with and
+without reuse.
 """
 
 import numpy as np
@@ -29,53 +30,80 @@ from orbitlift.errors import (
 )
 
 
-def solving_everything(grid, answers, evaluate, solve, join):
-    """A sampler that solves every point of every level."""
-    return lambda sub: wn.solved_at(solve, evaluate(sub.points), sub.points)
+def drive(stepper, sample):
+    """The answer of a window stepper whose levels sample samples."""
+    samples = None
+    try:
+        while True:
+            samples = sample(stepper.send(samples))
+    except StopIteration as done:
+        return done.value
+
+
+def solving_everything(grid, answers, evaluate, solve, join, steppers):
+    """A driver that resolves each window alone and solves every point of
+    every level."""
+    return [drive(s, lambda sub: wn.solved_at(solve, evaluate(sub.points), sub.points)) for s in steppers]
+
+
+def one_at_a_time(grid, answers, evaluate, solve, join, steppers):
+    """The windows driven by `windows.resolve_windows` one by one."""
+    return [wn.resolve_windows(grid, answers, evaluate, solve, join, [s])[0] for s in steppers]
+
+
+def recording(stepper, sent):
+    """The stepper, appending to sent the samples of every level it is sent."""
+    samples = None
+    try:
+        while True:
+            samples = yield stepper.send(samples)
+            sent.append(samples)
+    except StopIteration as done:
+        return done.value
 
 
 def record_levels(monkeypatch, module) -> list:
-    """Every refined level's answers, as module's windows give them."""
+    """Every refined level's answers, as module's windows are sent them:
+    one list per window, in the order the windows are made."""
     levels = []
     resolve = module.resolve_window
 
-    def spy(grid, i0, i1, samples, sample, *rest):
-        def recording(sub):
-            out = sample(sub)
-            levels.append(out)
-            return out
-
-        return resolve(grid, i0, i1, samples, recording, *rest)
+    def spy(*args):
+        levels.append([])
+        return recording(resolve(*args), levels[-1])
 
     monkeypatch.setattr(module, "resolve_window", spy)
     return levels
 
 
 def trace_refinement(monkeypatch, module):
-    """(levels, evaluated): levels() gives each refined level of module's
-    windows as its grid and the point arrays `CoeffCurve.evaluate` got while
-    that level was sampled; evaluated holds every point array evaluated,
-    the caller's grid first."""
-    evaluated, marks = [], []
+    """(levels, evaluated): levels() gives each round of refinement of
+    module's windows as the grids it refines and the points
+    `CoeffCurve.evaluate` got for them; evaluated holds every point array
+    evaluated, the caller's grid first."""
+    evaluated, asked = [], []
     resolve, evaluate = module.resolve_window, cd.CoeffCurve.evaluate
 
-    def spy_resolve(grid, i0, i1, samples, sample, *rest):
-        def recording(sub):
-            marks.append((sub, len(evaluated)))
-            return sample(sub)
-
-        return resolve(grid, i0, i1, samples, recording, *rest)
+    def asking(stepper):
+        samples = None
+        try:
+            while True:
+                sub = stepper.send(samples)
+                asked.append((sub, len(evaluated)))  # sampled by evaluated[len(evaluated)]
+                samples = yield sub
+        except StopIteration as done:
+            return done.value
 
     def spy_evaluate(self, t):
         evaluated.append(np.array(t, dtype=float))
         return evaluate(self, t)
 
-    monkeypatch.setattr(module, "resolve_window", spy_resolve)
+    monkeypatch.setattr(module, "resolve_window", lambda *args: asking(resolve(*args)))
     monkeypatch.setattr(cd.CoeffCurve, "evaluate", spy_evaluate)
 
     def levels():
-        ends = [start for _, start in marks[1:]] + [len(evaluated)]
-        return [(sub, evaluated[start:end]) for (sub, start), end in zip(marks, ends)]
+        rounds = sorted({k for _, k in asked})
+        return [([sub for sub, j in asked if j == k], evaluated[k]) for k in rounds]
 
     return levels, evaluated
 
@@ -101,16 +129,16 @@ def block_bits(block: inv.OrbitBlock) -> list:
 
 
 def with_and_without_reuse(monkeypatch, module, run, bits):
-    """(result, level bits, solved rows) with reuse, then with a full
-    re-solve of every level."""
+    """(result, level bits per window, solved rows) with reuse, then with
+    each window alone and a full re-solve of every level."""
     out = []
-    for sampler in (module.reusing_sampler, solving_everything):
+    for driver in (module.resolve_windows, solving_everything):
         with monkeypatch.context() as m:
-            m.setattr(module, "reusing_sampler", sampler)
+            m.setattr(module, "resolve_windows", driver)
             levels = record_levels(m, module)
             rows = solved_rows(m)
             result = run()
-            out.append((result, [bits(x) for x in levels], rows))
+            out.append((result, [[bits(x) for x in window] for window in levels], rows))
     return out
 
 
@@ -171,7 +199,7 @@ class TestSelectionReuse:
         assert got.branches.tobytes() == want.branches.tobytes()
         assert (got.swap_log, got.unresolved) == (want.swap_log, want.unresolved)
         assert got_levels == want_levels
-        if want_levels:
+        if any(want_levels):
             assert len(got_rows) < len(want_rows)
 
     @pytest.mark.parametrize("name", [n for n in SELECTIONS if n.startswith("separated")] + ["tangent"])
@@ -180,7 +208,7 @@ class TestSelectionReuse:
         levels = record_levels(monkeypatch, rf)
         rows = solved_rows(monkeypatch)
         sel = rf.differentiable_selection(make(), cd.Grid.dyadic(*domain, level))
-        assert levels and (sel.swap_log or name == "tangent")
+        assert any(levels) and (sel.swap_log or name == "tangent")
         assert len(set(rows)) == len(rows)
 
     def test_a_non_dyadic_domain_takes_both_paths(self, monkeypatch):
@@ -191,7 +219,7 @@ class TestSelectionReuse:
         assert sel.unresolved == ()
         assert levels()
         parent_t = grid.points
-        for sub, (new,) in levels():
+        for (sub,), new in levels():
             t = sub.points
             # the refined points on the parent's lattice, found by their values,
             # have the parent's bits and are taken from it; the points between
@@ -202,6 +230,35 @@ class TestSelectionReuse:
             assert new.tobytes() == t[~shared].tobytes()
             assert 0 < shared.sum() < t.size
             parent_t = t
+
+
+class TestLockstep:
+    """The windows of one selection refine in lockstep: one root solve per
+    level for all of them, with the answers each window gets alone."""
+
+    def test_one_block_per_level(self, monkeypatch):
+        # roots {0, 3t - 1.5, 3t + 1.5}: crossings at t = -0.5 and t = 0.5
+        curve = cd.CoeffCurve.from_exprs(["-6*t", "9*t^2-2.25", "0"])
+        grid = cd.Grid.dyadic(-1.0, 1.0, 8)
+        runs = []
+        for driver in (rf.resolve_windows, one_at_a_time):
+            with monkeypatch.context() as m:
+                m.setattr(rf, "resolve_windows", driver)
+                levels = record_levels(m, rf)
+                blocks = []
+                solve = rf._sorted_matrix
+                m.setattr(rf, "_sorted_matrix", lambda rows, tol: blocks.append(len(rows)) or solve(rows, tol))
+                runs.append((rf.differentiable_selection(curve, grid), [len(w) for w in levels], blocks))
+        (got, got_levels, got_blocks), (alone, alone_levels, alone_blocks) = runs
+        assert got.swap_log == alone.swap_log == ((64, (1, 0, 2)), (192, (0, 2, 1)))
+        assert got.branches.tobytes() == alone.branches.tobytes()
+        assert got.unresolved == alone.unresolved == ()
+        assert got_levels == alone_levels == [1, 1]
+        # the grid, then one block per level holding both windows' new points
+        assert len(got_blocks) == 1 + max(got_levels)
+        assert len(alone_blocks) == 1 + sum(alone_levels)
+        assert got_blocks[0] == alone_blocks[0] == grid.n_cells + 1
+        assert sum(got_blocks[1:]) == sum(alone_blocks[1:])
 
 
 # lines through a mirror, base + (t - t_cross) * direction: (domain, t_cross, base, direction)
@@ -228,7 +285,7 @@ class TestLiftReuse:
         g, m, curve, grid = mirror_lift_case(spec)
         (got, got_levels, got_rows), (want, want_levels, want_rows) = with_and_without_reuse(
             monkeypatch, lf, lambda: lf.lift_curve(g, m, curve, grid), block_bits)
-        assert want_levels and want.swap_log
+        assert any(want_levels) and want.swap_log
         assert got.values.tobytes() == want.values.tobytes()
         assert (got.swap_log, got.unresolved, got.residual) == (want.swap_log, want.unresolved, want.residual)
         assert [r.verdict for r in got.reports] == [r.verdict for r in want.reports]
@@ -267,13 +324,13 @@ class TestOnlyNewPointsAreSolved:
         rows = solved_rows(monkeypatch)
         result = run()
         assert len(result.swap_log) == 1 and result.unresolved == ()
-        assert levels()
-        for sub, calls in levels():
-            assert [t.tobytes() for t in calls] == [sub.points[1::2].tobytes()]
+        assert levels() and len(evaluated) == 1 + len(levels())
+        for (sub,), new in levels():
+            assert new.tobytes() == sub.points[1::2].tobytes()
         # the caller's grid and every level's points, each evaluated and
         # solved once
         points = np.sort(np.concatenate(evaluated))
-        every = np.unique(np.concatenate([grid.points] + [sub.points for sub, _ in levels()]))
+        every = np.unique(np.concatenate([grid.points] + [sub.points for (sub,), _ in levels()]))
         assert points.tobytes() == every.tobytes()
         assert len(rows) == points.size
 
@@ -303,7 +360,7 @@ class TestErrorsAtARefinedLevel:
         levels, _ = trace_refinement(monkeypatch, module)
 
         def where():
-            sub, (new,) = levels()[0]
+            (sub, *_), new = levels()[0]
             assert sub.points[k] != new[k]
             return float(new[k])
 

@@ -30,16 +30,21 @@ class FakeCaller:
         return SimpleNamespace(level=level, left_slope=np.array([1.0]), run=(i, i))
 
     def resolve(self):
-        return wn.resolve_window(
+        stepper = wn.resolve_window(
             GRID,
             16,
             16,
             GRID.level,
-            self.sample,
             self.estimate,
             lambda prev, est: self.drift_at(est.level),
             lambda est: self.choice_at(est.level),
         )
+        samples = None
+        try:
+            while True:
+                samples = self.sample(stepper.send(samples))
+        except StopIteration as done:
+            return done.value
 
 
 def clear(level):
@@ -48,6 +53,15 @@ def clear(level):
 
 def shrinking(level):
     return 0.4 * 0.5 ** (level - 6)  # stays above _SLOPE_RTOL until level 15
+
+
+# sides of 2, 3 and 8 samples at the step of the level-9 lattice on
+# 10.1:10.6, ending near 0 and near the far domain's crossing at t = 10.35
+SIDES = [(n, end) for n in (2, 3, 8) for end in (0.0, 10.35)]
+
+
+def side_times(n, end):
+    return end + 2.0**-10 * np.arange(-n, 0)
 
 
 class TestResolveWindow:
@@ -133,3 +147,33 @@ class TestHelpers:
                 fit2 = np.polyfit(tc, vals[:, j], 2) if tc.size >= 3 else np.zeros(3)
                 assert slopes[j] == pytest.approx(fit1[0], rel=1e-10, abs=1e-12 * np.abs(fit1).max())
                 assert quads[j] == pytest.approx(fit2[0], rel=1e-10, abs=1e-12 * np.abs(fit2).max())
+
+    @pytest.mark.parametrize("n, end", SIDES)
+    def test_fit_side_recovers_exact_lines_and_quadratics(self, n, end):
+        t = side_times(n, end)
+        x = t - t[0]  # exact, and so are the values below
+        vals = np.stack([3.0 + 2.0 * x, 3.0 - 2.0 * x + 0.5 * x * x, -1.5 * x * x], axis=1)
+        slopes, quads = wn.fit_side(t, vals)
+        # the rounding of values up to 3 over the side's span, and its square
+        rounding = 64 * np.finfo(float).eps * 3.0
+        assert slopes[0] == pytest.approx(2.0, rel=0, abs=rounding / x[-1])
+        want = [0.0, 0.5, -1.5] if n >= 3 else [0.0, 0.0, 0.0]
+        assert quads == pytest.approx(want, rel=0, abs=rounding / x[-1] ** 2)
+
+    @pytest.mark.parametrize("n, end", SIDES)
+    def test_fit_side_matches_polyfit(self, n, end):
+        # np.polyfit on times near 10.35 loses up to 1e-8 of the leading
+        # coefficients to its Vandermonde matrix; the times less the first
+        # one (an exact subtraction) have the same leading coefficients
+        rng = np.random.default_rng(n)
+        t = side_times(n, end)
+        vals = rng.normal(size=(n, 40)) * 10.0 ** rng.integers(-3, 3, 40)
+        slopes, quads = wn.fit_side(t, vals)
+        for j in range(vals.shape[1]):
+            fit1 = np.polyfit(t - t[0], vals[:, j], 1)
+            assert slopes[j] == pytest.approx(fit1[0], rel=0, abs=1e-12 * np.abs(fit1).max())
+            if n >= 3:
+                fit2 = np.polyfit(t - t[0], vals[:, j], 2)
+                assert quads[j] == pytest.approx(fit2[0], rel=0, abs=1e-12 * np.abs(fit2).max())
+            else:
+                assert quads[j] == 0.0
