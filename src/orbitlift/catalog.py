@@ -107,10 +107,7 @@ def certify_entry(entry: CatalogEntry, level: int = 10, tol: float = 1e-10):
 
     grid = Grid.dyadic(entry.domain[0], entry.domain[1], level)
     selection = differentiable_selection(CoeffCurve.from_exprs(list(entry.components)), grid, tol)
-    reports = [
-        regcheck.certify_samples(branch, entry.domain, levels=6)
-        for branch in selection.branches
-    ]
+    reports = regcheck.certify_samples(selection.branches.T, entry.domain, levels=6)
     weakest = min(reports, key=lambda r: VERDICT_RANK[r.verdict])
     return selection, reports, weakest
 

@@ -140,10 +140,7 @@ def cmd_select(args) -> int:
     curve = _parse_curve(args)
     grid = curvedsl.Grid.dyadic(args.domain[0], args.domain[1], args.level)
     sel = rootflow.differentiable_selection(curve, grid, args.tol)
-    reports = [
-        regcheck.certify_samples(branch, args.domain, args.levels)
-        for branch in sel.branches
-    ]
+    reports = regcheck.certify_samples(sel.branches.T, args.domain, args.levels)
     if args.out:
         names = [f"branch{j}" for j in range(sel.n)]
         curvedsl.write_samples_csv(args.out, grid.points, sel.branches.T, names)
@@ -202,9 +199,7 @@ def cmd_certify(args) -> int:
         domain = (float(t[0]), float(t[-1]))
         lines.append("source: csv")
         lines.append(f"columns: {cols.shape[1]}")
-        for j in range(cols.shape[1]):
-            rep = regcheck.certify_samples(cols[:, j], domain, args.levels)
-            reports.append((names[j], rep))
+        reports += zip(names, regcheck.certify_samples(cols, domain, args.levels))
     else:
         expr = curvedsl.parse_curve_expr(args.curve)
         lines.append("source: expr")

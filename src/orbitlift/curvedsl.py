@@ -335,12 +335,12 @@ def _at(env: dict, mask) -> dict[str, float]:
     return {k: float(np.ravel(v)[i]) if np.ndim(v) else float(v) for k, v in env.items()}
 
 
+@np.errstate(all="ignore")  # a decorator enters it afresh on every call
 def _run(node: CurveExpr, env: dict):
     """The node's value on env, with numpy's floating-point warnings off: a
     fault ends as a non-finite value, and that raises EvalError."""
     try:
-        with np.errstate(all="ignore"):
-            out = node._fn(env)
+        out = node._fn(env)
     except _Fault as fault:
         raise EvalError(fault.message, _at(env, fault.mask)) from None
     if isinstance(out, np.ndarray):
@@ -368,8 +368,8 @@ def evaluate_with_env(node: CurveExpr, env: dict[str, float]):
     out = _run(node, env)
     if isinstance(out, np.ndarray):
         return out
-    shape = np.shape(next(iter(env.values())))
-    return np.full(shape, out) if shape else float(out)
+    first = next(iter(env.values()))  # a constant on arrays fills their shape
+    return np.full(first.shape, out) if isinstance(first, np.ndarray) and first.ndim else float(out)
 
 
 def split_top_level(src: str, sep: str = ",") -> list[str]:
@@ -549,6 +549,10 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     if not rows or any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path}: malformed CSV body")
     data = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: non-finite {['t', *names][j]} = {data[i, j]} at t={data[i, 0]}")
     return data[:, 0], data[:, 1:], names
 
 

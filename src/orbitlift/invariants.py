@@ -168,7 +168,14 @@ def parse_group(spec: str) -> ReflectionGroup:
 
 # -- invariant map -------------------------------------------------------------
 
-def _signed_product(values: np.ndarray) -> float:
+def _sorted(values: list) -> list:
+    """The floats sorted as np.sort sorts them: NaNs last."""
+    if math.isnan(sum(values)):  # a NaN, or inf - inf
+        return sorted([x for x in values if x == x]) + [x for x in values if x != x]
+    return sorted(values)
+
+
+def _signed_product(values) -> float:
     """prod(values) evaluated in canonical order (sign times sorted-|.| product)."""
     sign = 1.0
     for x in values:
@@ -177,7 +184,7 @@ def _signed_product(values: np.ndarray) -> float:
         elif x == 0:
             return 0.0
     out = 1.0
-    for m in np.sort(np.abs(values)):
+    for m in _sorted([abs(x) for x in values]):
         out *= m
     return sign * out
 
@@ -210,9 +217,9 @@ class OrbitMapSigma:
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
         """sigma(v) of a point v, shape (n,), or of each row of an (N, dim)
-        block, shape (N, n).  The block runs the float operations of the
-        point on arrays, in the same order, so a row gets the bits of its
-        point."""
+        block, shape (N, n).  A point runs as Python floats; the block runs
+        the float operations of the point on arrays, in the same order, so a
+        row gets the bits of its point."""
         v = np.asarray(v, dtype=float)
         size = v.shape[1] if v.ndim == 2 else v.size
         if size != self.group.dim:
@@ -221,15 +228,14 @@ class OrbitMapSigma:
             )
         if v.ndim == 2:
             return self._evaluate_rows(v)
-        v = v.reshape(-1)
+        x = v.ravel().tolist()
         kind = self.group.kind
         if kind == "I2":
-            x, y = float(v[0]), float(v[1])
-            return np.array([x * x + y * y, _re_complex_power(x, y, self.group.param)])
-        e = np.array(hyperpoly._elementary(np.sort(v if kind == "A" else v * v).tolist()))
+            return np.array([x[0] * x[0] + x[1] * x[1], _re_complex_power(x[0], x[1], self.group.param)])
+        e = hyperpoly._elementary(_sorted(x if kind == "A" else [a * a for a in x]))
         if kind == "D":
-            e[-1] = _signed_product(v)
-        return e
+            e[-1] = _signed_product(x)
+        return np.array(e)
 
     def _evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         kind = self.group.kind

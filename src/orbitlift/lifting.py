@@ -25,7 +25,8 @@ candidates are the nearest point to the prediction and its closure along
 the edges of the orbit's convex hull within the tie width (reflections for
 A, B and D, neighbours in angle for I2), and every candidate and swap-log
 entry is keyed by its rank in its orbit, which `Orbit.ranks` counts in
-closed form.  So orbits of any size lift, past `ENUM_LIMIT` too.
+closed form.  So orbits of any size lift, past `ENUM_LIMIT` too.  One
+certificate call covers all coordinates of a lift.
 """
 
 from __future__ import annotations
@@ -90,10 +91,7 @@ def _residual(map_: OrbitMapSigma, values: np.ndarray, rows: np.ndarray) -> floa
 def _evidence(values: np.ndarray, grid: Grid, levels: int) -> tuple[tuple[RegularityReport, ...], float]:
     """Per-coordinate regularity reports over `levels` dyadic levels (none
     when levels is 0), and the largest step between consecutive samples."""
-    reports = tuple(
-        regcheck.certify_samples(values[:, j], (grid.t0, grid.t1), levels)
-        for j in range(values.shape[1])
-    ) if levels else ()
+    reports = tuple(regcheck.certify_samples(values, (grid.t0, grid.t1), levels)) if levels else ()
     steps = np.linalg.norm(np.diff(values, axis=0), axis=1)
     return reports, float(steps.max()) if steps.size else 0.0
 
@@ -415,7 +413,7 @@ def _composed_curve(f, gamma, n: int) -> CoeffCurve:
             key = arr.tobytes()
             if key != last[0]:
                 with np.errstate(all="ignore"):
-                    last[:] = key, np.array([f(gamma(float(t))) for t in arr])
+                    last[:] = key, np.array([f(gamma(t)) for t in arr.tolist()])
             out = last[1][:, j]
             return out if np.asarray(tarr).shape else float(out[0])
 

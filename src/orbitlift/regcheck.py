@@ -12,12 +12,14 @@ Square-root-type branch singularities blow up at a factor of sqrt(2) per
 level, well separated from the bounded-growth regime of Lipschitz curves;
 the decay thresholds sit between the 2^{-1/2} rate of half-integer-power
 branch functions and the no-decay behaviour of corners.  The thresholds are
-the module constants below, and the report always carries them and the raw
-evidence.
+the module constants below; the report carries them and the raw evidence.
+`certify_samples` certifies the columns of a block in one pass over every
+level, each with the bits of its own call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -112,17 +114,21 @@ def difference_quotients(samples: Sequence[float], step: float, order: int = 1) 
         raise ValueError("order must be 1 or 2")
     if len(f) < order + 1:
         raise GridTooCoarse(f"need at least {order + 1} samples, got {len(f)}")
-    h = float(step)
-    if order == 1:
-        out = np.empty_like(f)
-        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-        out[0] = (f[1] - f[0]) / h
-        out[-1] = (f[-1] - f[-2]) / h
-        return out
+    return _quotients(f.T, np.full(len(f), float(step)), np.array([0]), np.array([len(f) - 1]), order).T
+
+
+def _quotients(f: np.ndarray, steps: np.ndarray, starts: np.ndarray, ends: np.ndarray, order: int) -> np.ndarray:
+    """difference_quotients along the last axis of f, of its runs from each
+    start to each end, on the step `steps` gives each sample's run."""
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-    out[0] = out[1]
-    out[-1] = out[-2]
+    if order == 1:
+        out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * steps[1:-1])
+        out[..., starts] = (f[..., starts + 1] - f[..., starts]) / steps[starts]
+        out[..., ends] = (f[..., ends] - f[..., ends - 1]) / steps[ends]
+    else:
+        out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / (steps[1:-1] * steps[1:-1])
+        out[..., starts] = out[..., starts + 1]
+        out[..., ends] = out[..., ends - 1]
     return out
 
 
@@ -143,75 +149,89 @@ def certify(values: Callable[[np.ndarray], np.ndarray], domain: tuple[float, flo
     return certify_samples(values(Grid.dyadic(*domain, top).points), domain, levels)
 
 
-def certify_samples(samples: Sequence[float], domain: tuple[float, float],
-                    levels: int = 6) -> RegularityReport:
-    """Certify from one dense dyadic sample row (length 2^L + 1) by exact
-    subsampling of the coarser levels; no interpolation touches the data."""
-    f = np.asarray(samples, dtype=float)
-    top = int(round(math.log2(f.size - 1))) if f.size > 1 else 0
-    if f.size != 2**top + 1:
-        raise GridTooCoarse(f"need 2^L + 1 samples, got {f.size}")
+@np.errstate(all="ignore")  # an overflow, or a step of 0, is refused below
+def certify_samples(samples, domain: tuple[float, float], levels: int = 6) -> RegularityReport | list[RegularityReport]:
+    """Certify from dense dyadic samples (2^L + 1 rows) by exact subsampling
+    of the coarser levels; no interpolation touches the data.  An (N,) row
+    gives its report, an (N, m) block a list of m reports: each column gets
+    the bits of its own call, and a block raises the InvalidWindow of its
+    first column that would.  The levels lie end to end: one pass over
+    every level and column, then a verdict per column."""
+    f = np.atleast_2d(np.asarray(samples, dtype=float).T)  # a column of samples per row
+    size = f.shape[-1]
+    top = int(round(math.log2(size - 1))) if size > 1 else 0
+    if size != 2**top + 1:
+        raise GridTooCoarse(f"need 2^L + 1 samples, got {size}")
     levels = min(levels, top)
     if levels < 4:
         raise GridTooCoarse("need at least 4 dyadic levels of samples")
-    ks = list(range(top - levels + 1, top + 1))
-    # a coarser level's points are the finest level's subsampled, bit for
-    # bit: (t1 - t0) * i * 2^j / 2^top scales (t1 - t0) * i by a power of two
-    t = Grid.dyadic(*domain, top).points
-    ts = [t[:: 2 ** (top - k)] for k in ks]
-    fs = [f[:: 2 ** (top - k)] for k in ks]
-    with np.errstate(over="ignore", invalid="ignore"):  # _certify_tables refuses an overflow
-        return _certify_tables(ts, fs, ks, domain)
-
-
-def _certify_tables(ts, fs, ks, domain) -> RegularityReport:
-    rows = []
-    value_scale = float(np.max(np.abs(fs[-1])))  # the finest row holds every coarser point
-    h_min = (domain[1] - domain[0]) / 2 ** max(ks)
-    too_short = f"domain [{domain[0]}, {domain[1]}] is too short for level {max(ks)}:"
+    h_min = (domain[1] - domain[0]) / 2**top
+    too_short = f"domain [{domain[0]}, {domain[1]}] is too short for level {top}:"
     if h_min * h_min == 0.0:
         raise InvalidWindow(f"{too_short} its step {h_min!r} squares to 0")
     # quotients that never rise above evaluation-noise level carry no signal
     # and must not drive the verdict: order-1 noise scales like eps*V/h,
     # order-2 like eps*V/h^2 (exact lines recovered through a solver leave
     # last-ulp wiggles in the second differences)
+    value_scale = np.max(np.abs(f), axis=1)  # the finest level holds every point
     flat_floor = 1e-12 * value_scale / h_min
     d2_noise_floor = 1e-12 * value_scale / (h_min * h_min)
-    prev = None
-    for t, f, k in zip(ts, fs, ks):
-        h = t[1] - t[0]
-        d1 = difference_quotients(f, h, 1)
-        d2 = difference_quotients(f, h, 2)
-        abs1, abs2 = np.abs(d1), np.abs(d2)
-        sup1, sup2 = float(abs1.max()), float(abs2.max())
-        if prev is None:
-            c1 = c2 = growth = float("nan")
-        else:
-            t_prev, d1_prev, d2_prev = prev
-            diff1 = np.abs(d1 - np.interp(t, t_prev, d1_prev))
-            diff2 = np.abs(d2 - np.interp(t, t_prev, d2_prev))
-            c1, c2 = float(diff1.max()), float(diff2.max())
-            growth = _ratio(sup1, rows[-1].sup_d1)
-        rows.append(LevelEvidence(k, float(h), sup1, sup2, c1, c2, growth))
-        prev = t, d1, d2
+    index, t, starts, ends, ks, hs, steps, interp = _levels(tuple(domain), top, levels)
+    # rows of order-1 quotients, then rows of order 2
+    d = np.concatenate([_quotients(f.take(index, 1), steps, starts, ends, order) for order in (1, 2)])
+    abs_d = np.abs(d)
+    # each point after the first level against the level before
+    diff = np.abs(d[:, starts[1] :] - interp(d))
+    sup1, sup2 = np.maximum.reduceat(abs_d, starts, axis=1).reshape(2, -1, levels).tolist()
+    cauchy = np.maximum.reduceat(diff, starts[1:] - starts[1], axis=1)
+    c1, c2 = np.insert(cauchy, 0, np.nan, axis=1).reshape(2, -1, levels).tolist()
     # the witnesses are the finest level's, the only ones reported
-    witnesses = {
-        "sup_d1": (float(t[np.argmax(abs1)]), sup1),
-        "sup_d2": (float(t[np.argmax(abs2)]), sup2),
-        "cauchy_d1": (float(t[np.argmax(diff1)]), c1),
-        "cauchy_d2": (float(t[np.argmax(diff2)]), c2),
-    }
-    # an overflow leaves an inf or a nan in a floor, a sup or a Cauchy difference
-    first, *later = rows
-    evidence = [flat_floor, d2_noise_floor, first.sup_d1, first.sup_d2]
-    evidence += [v for r in later for v in (r.sup_d1, r.sup_d2, r.cauchy_d1, r.cauchy_d2)]
-    if not all(map(math.isfinite, evidence)):
-        raise InvalidWindow(f"{too_short} the difference quotients of values up to {value_scale:g} overflow")
-    if max(r.sup_d1 for r in rows) <= flat_floor:
-        verdict = TWICE
-    else:
-        verdict = _decide(rows, d2_noise_floor)
-    return RegularityReport(verdict, tuple(rows), witnesses)
+    finest = np.concatenate([abs_d[:, starts[-1] :], diff[:, starts[-1] - starts[1] :]])
+    at = t[starts[-1] + np.argmax(finest, axis=1)].reshape(4, -1).T.tolist()
+    reports = []
+    for j, (scale, flat, noise) in enumerate(zip(value_scale.tolist(), flat_floor.tolist(), d2_noise_floor.tolist())):
+        growth = [float("nan")] + [_ratio(b, a) for a, b in zip(sup1[j], sup1[j][1:])]
+        rows = list(map(LevelEvidence, ks, hs, sup1[j], sup2[j], c1[j], c2[j], growth))
+        values = (sup1[j][-1], sup2[j][-1], c1[j][-1], c2[j][-1])
+        witnesses = dict(zip(("sup_d1", "sup_d2", "cauchy_d1", "cauchy_d2"), zip(at[j], values)))
+        # an overflow leaves an inf or a nan in a floor, a sup or a Cauchy difference
+        if not all(map(math.isfinite, [flat, noise, *sup1[j], *sup2[j], *c1[j][1:], *c2[j][1:]])):
+            raise InvalidWindow(f"{too_short} the difference quotients of values up to {scale:g} overflow")
+        verdict = TWICE if max(sup1[j]) <= flat else _decide(rows, noise)
+        reports.append(RegularityReport(verdict, tuple(rows), witnesses))
+    return reports if np.ndim(samples) == 2 else reports[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _levels(domain: tuple[float, float], top: int, levels: int):
+    """The dyadic levels top - levels + 1 .. top laid end to end: each point's
+    index at the finest level and its time, each level's first and last
+    place, each level and its step, each point's step, and `interp`.  A coarser level's
+    points are the finest level's subsampled, bit for bit: (t1 - t0) * i *
+    2^j / 2^top scales (t1 - t0) * i by a power of two."""
+    ks = range(top - levels + 1, top + 1)
+    idx = [np.arange(0, 2**top + 1, 2 ** (top - k)) for k in ks]
+    ends = np.cumsum([i.size for i in idx]) - 1
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    index = np.concatenate(idx)
+    t = Grid.dyadic(*domain, top).points[index]
+    h = t[starts + 1] - t[starts]
+    # each point x after the first level, and the last point xp[j] <= x of the level before
+    j = np.concatenate([np.searchsorted(t[s0 : e0 + 1], t[s1 : e1 + 1], "right") - 1 + s0
+                        for s0, e0, s1, e1 in zip(starts, ends, starts[1:], ends[1:])])
+    x, x0, x1 = t[starts[1] :], t[j], t[j + 1]
+    exact = x == x0  # its value is taken as it is
+    width = np.where(exact, 1.0, x1 - x0)
+
+    def interp(d: np.ndarray) -> np.ndarray:
+        """np.interp(x, xp, each row of d at xp) on arrays: each row gets its own call's bits."""
+        y0, y1 = d.take(j, 1), d.take(j + 1, 1)
+        slope = (y1 - y0) / width
+        # a nan one way is tried the other way, then the flat value
+        y = np.where(np.isnan(y := slope * (x - x0) + y0), slope * (x - x1) + y1, y)
+        return np.where(exact, y0, np.where(np.isnan(y) & (y0 == y1), y0, y))
+
+    return index, t, starts, ends, ks, h.tolist(), np.repeat(h, ends - starts + 1), interp
 
 
 def _ratio(num: float, den: float) -> float:

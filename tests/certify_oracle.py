@@ -1,14 +1,27 @@
-"""The tests' oracle for `orbitlift.regcheck._certify_tables`: the loop that
-takes the value scale over the rows of every level, and the witnesses at
-every level, keeping the last.  The lean pass, which takes both from the
-finest level alone, must give the same report text, bit for bit."""
+"""The tests' oracle for `orbitlift.regcheck.certify_samples`: one row at a
+time, with `np.interp` for the Cauchy differences, the value scale over the
+rows of every level, and the witnesses at every level, keeping the last.
+The block pass, which certifies every column of a block at once, writes
+`np.interp` on arrays and takes the scale and the witnesses from the finest
+level alone, must give each column the same report text, bit for bit."""
 
 import math
 
 import numpy as np
 
 from orbitlift import regcheck as rc
+from orbitlift.curvedsl import Grid
 from orbitlift.errors import InvalidWindow
+
+
+def certify_row(samples, domain, levels=6) -> rc.RegularityReport:
+    """The report of one dyadic row, levels as certify_samples takes them."""
+    f = np.asarray(samples, dtype=float)
+    top = int(round(math.log2(f.size - 1)))
+    ks = list(range(top - min(levels, top) + 1, top + 1))
+    t = Grid.dyadic(*domain, top).points
+    with np.errstate(over="ignore", invalid="ignore"):
+        return certify_tables([t[:: 2 ** (top - k)] for k in ks], [f[:: 2 ** (top - k)] for k in ks], ks, domain)
 
 
 def certify_tables(ts, fs, ks, domain) -> rc.RegularityReport:

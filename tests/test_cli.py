@@ -339,6 +339,16 @@ class TestMalformedInput:
         path.write_text("t,a1\n0,1\n1,2,3\n")
         self.fails_cleanly(["certify", "--csv", str(path)], capsys)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [["certify"], ["select"], ["lift", "--group", "B:2"]])
+    def test_non_finite_csv_sample_is_refused_at_read_time(self, command, value, tmp_path, capsys):
+        t = np.linspace(-1.0, 1.0, 257).tolist()
+        lines = [f"{x!r},{value if i == 3 else repr(1.0 + x * x)},2" for i, x in enumerate(t)]
+        path = tmp_path / "samples.csv"
+        path.write_text("t,x,y\n" + "\n".join(lines) + "\n")
+        assert run([*command, "--csv", str(path)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: {path}: non-finite x = {float(value)} at t={t[3]!r}\n"
+
     def test_missing_csv(self, tmp_path, capsys):
         self.fails_cleanly(["select", "--csv", str(tmp_path / "none.csv")], capsys)
 

@@ -433,3 +433,44 @@ class TestEvalErrors:
             warnings.simplefilter("error")
             with pytest.raises(EvalError, match=r"^non-finite value \(at u=1\.0, v=0\.75\)$"):
                 cd.evaluate_with_env(node, {"u": np.array([1.0, 1.0]), "v": np.array([0.5, 0.75])})
+
+
+class TestEnvPoints:
+    """evaluate_with_env at a point against its entry of the array
+    evaluation, bit for bit, errors included."""
+
+    SOURCES = ["1.1+0.2*sin(u+0.3)", "2.9+0.25*cos(v-0.2)", "u*v-2/(v+3)", "powabs(u,1.5)+v^3",
+               "exp(u)-cos(v)*u^2", "pow(u+2,0.5)", "3", "-v"]
+
+    def test_a_point_gets_the_bits_of_its_entry(self):
+        rng = np.random.default_rng(34)
+        u, v = rng.uniform(-1.5, 1.5, 64), rng.uniform(-1.5, 1.5, 64)
+        for src in self.SOURCES:
+            node = cd.parse_curve_expr(src, variables=("u", "v"))
+            rows = cd.evaluate_with_env(node, {"u": u, "v": v})
+            assert rows.shape == u.shape
+            for k in range(u.size):
+                # Python floats, and the numpy scalars of an array's entries
+                for x, y in ((float(u[k]), float(v[k])), (u[k], v[k])):
+                    got = cd.evaluate_with_env(node, {"u": x, "v": y})
+                    assert type(got) is float and np.float64(got).tobytes() == rows[k].tobytes(), src
+
+    @pytest.mark.parametrize("src, message", [
+        ("1/(u-0.25)", "division by zero"),
+        ("pow(v-u, 0.5)", "pow of negative base with non-integer exponent"),
+        ("exp(800*u)", "non-finite value"),
+    ])
+    def test_errors_name_the_same_point(self, src, message):
+        node = cd.parse_curve_expr(src, variables=("u", "v"))
+        u, v = np.array([-0.5, 0.0, 0.25, 1.0]), np.array([0.5, 0.5, 0.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalError) as rows_err:
+                cd.evaluate_with_env(node, {"u": u, "v": v})
+            assert str(rows_err.value).startswith(message)
+            k = int(np.flatnonzero(u == rows_err.value.at["u"])[0])
+            for x, y in ((float(u[k]), float(v[k])), (u[k], v[k])):
+                with pytest.raises(EvalError) as point_err:
+                    cd.evaluate_with_env(node, {"u": x, "v": y})
+                assert str(point_err.value) == str(rows_err.value)
+                assert point_err.value.at == rows_err.value.at

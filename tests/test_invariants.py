@@ -523,6 +523,74 @@ class TestBlockSigma:
             m.evaluate(np.zeros((4, 3)))
 
 
+POINT_GROUPS = [f"A:{n}" for n in range(1, 5)] + [f"B:{n}" for n in range(2, 5)] + ["D:3", "D:4"] + [
+    f"I2:{n}" for n in range(3, 7)]
+
+
+def _sorted_sigma(m, v):
+    """sigma of the point v through np.sort, as the point form computed it
+    before it ran on Python floats: the tests' oracle."""
+    from orbitlift import hyperpoly
+
+    if m.group.kind == "I2":
+        x, y = float(v[0]), float(v[1])
+        return np.array([x * x + y * y, inv._re_complex_power(x, y, m.group.param)])
+    e = np.array(hyperpoly._elementary(np.sort(v if m.group.kind == "A" else v * v).tolist()))
+    if m.group.kind == "D":
+        out = 1.0
+        for a in np.sort(np.abs(v)):
+            out *= a
+        e[-1] = 0.0 if (v == 0.0).any() else (-1.0) ** np.count_nonzero(v < 0.0) * out
+    return e
+
+
+def _bits(a):
+    """The bits of a, every NaN as one: the sign and payload of a NaN are
+    no result (np.sort keeps them in some numpy builds and not in others)."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+class TestPointSigma:
+    """The point form of sigma, on Python floats, against the row form and
+    against its former np.sort path, bit for bit."""
+
+    @pytest.mark.parametrize("spec", POINT_GROUPS)
+    def test_point_matches_rows_and_the_sorted_form(self, spec):
+        import zlib
+
+        g = inv.parse_group(spec)
+        m = inv.orbit_map(g)
+        n = g.dim
+        rng = np.random.default_rng(zlib.crc32(spec.encode()))
+        pts = [
+            np.full(n, 1.5),                                 # every coordinate repeated
+            np.resize([0.0, -0.0], n),                       # both zeros
+            np.resize([-0.0, 2.0, -2.0], n),                 # a zero (D's product), a mirror of B and D
+            np.resize([1e200, -3e200, 2.5], n),              # squares and products overflow to inf
+            np.resize([1e160, 1e160, -1e160], n),            # e_k overflows and cancels: inf - inf
+            np.resize([np.nan, 1.0], n),                     # a NaN first
+            np.concatenate([np.full(n - 1, 0.5), [np.nan]]), # a NaN last
+            np.resize([np.inf, -np.inf, 1.0], n),
+        ]
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e200, -1e200, np.inf, np.nan])
+        pts += list(rng.choice(values, (60, n))) + list(rng.uniform(-3.0, 3.0, (20, n)))
+        with np.errstate(all="ignore"):
+            rows = m.evaluate(np.array(pts))
+            for v, row in zip(pts, rows):
+                point = m.evaluate(v)
+                assert _bits(point) == _bits(row), v
+                assert _bits(point) == _bits(_sorted_sigma(m, v)), v
+
+    def test_floats_sort_as_np_sort_sorts_them(self):
+        # NaNs last; the order of 0.0 and -0.0, a tie that np.sort does not
+        # keep stable, moves no bit of sigma (the tests above hold both)
+        rng = np.random.default_rng(27)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e200, -np.inf, np.inf, np.nan])
+        for n in range(1, 9):
+            for v in rng.choice(values, (200, n)):
+                assert _bits(np.array(inv._sorted(v.tolist())) + 0.0) == _bits(np.sort(v) + 0.0), v
+
+
 class TestOrbitsAt:
     """A block's orbits against the one-row solve of each of its rows, on
     blocks large enough for the root engine's array kernels."""

@@ -1,4 +1,5 @@
-from unittest import mock
+
+import re
 
 import numpy as np
 import pytest
@@ -153,10 +154,7 @@ class TestSamplesPath:
             rc.certify_samples(samples, domain, levels=4)
 
 
-def oracle_report(samples, domain, levels=6):
-    """certify_samples with the oracle's tables in place of the lean pass."""
-    with mock.patch.object(rc, "_certify_tables", certify_oracle.certify_tables):
-        return rc.certify_samples(samples, domain, levels)
+oracle_report = certify_oracle.certify_row
 
 
 def catalog_branches():
@@ -315,3 +313,137 @@ class TestVerdictMonotonicity:
                 0.0 if b <= floor else b / a for a, b in zip(cauchy, cauchy[1:])
             ]
             assert all(r <= rc.C1_DECAY for r in ratios[-rc.WINDOW:])
+
+
+def sigma_of_line(spec, p, q):
+    """sigma(p + t q) as a coefficient curve, and its group and map."""
+    from orbitlift import invariants as inv
+
+    group = inv.parse_group(spec)
+    sigma = inv.orbit_map(group)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+
+    def column(j):
+        return lambda t: sigma.evaluate(p + np.multiply.outer(t, q))[..., j]
+
+    return cd.CoeffCurve(tuple(column(j) for j in range(sigma.n_invariants))), group, sigma
+
+
+# lines through V, each crossing a mirror of its group inside -1:1
+LIFTED_LINES = {
+    "A:3": ([0.3, -0.4, 1.1, 2.0], [1.0, 1.5, -0.5, 0.2]),
+    "B:4": ([0.3, 1.2, -2.0, 2.9], [1.0, -0.5, 0.4, 0.3]),
+    "D:4": ([0.25, 1.3, -2.1, 3.0], [-1.0, 0.6, 0.3, -0.2]),
+    "I2:5": ([0.9, 0.2], [0.1, 0.8]),
+}
+
+
+class TestBlockCertificate:
+    """The block form of certify_samples against the per-column oracle,
+    column by column and bit for bit."""
+
+    @staticmethod
+    def assert_each_column(reports, block, domain, levels):
+        assert len(reports) == block.shape[1]
+        for j, rep in enumerate(reports):
+            want = certify_oracle.certify_row(block[:, j], domain, levels)
+            assert rep.to_text() == want.to_text()
+            assert rep.witnesses == want.witnesses
+
+    @pytest.mark.parametrize("spec", sorted(LIFTED_LINES))
+    @pytest.mark.parametrize("level", range(5, 11))
+    def test_lift_values(self, spec, level):
+        from orbitlift import lifting
+
+        curve, group, sigma = sigma_of_line(spec, *LIFTED_LINES[spec])
+        lift = lifting.lift_curve(group, sigma, curve, cd.Grid.dyadic(-1.0, 1.0, level))
+        levels = min(6, level)
+        self.assert_each_column(lift.reports, lift.values, DOM, levels)
+        for lv in (4, levels):
+            self.assert_each_column(rc.certify_samples(lift.values, DOM, lv), lift.values, DOM, lv)
+
+    def test_constant_column_takes_the_flat_floor(self):
+        t = cd.Grid.dyadic(-0.3, 0.5, 8).points
+        block = np.stack([t * t, np.full(t.size, 3.0), np.abs(t - 0.1), np.zeros(t.size)], axis=1)
+        reports = rc.certify_samples(block, (-0.3, 0.5), 6)
+        self.assert_each_column(reports, block, (-0.3, 0.5), 6)
+        assert reports[1].verdict == reports[3].verdict == rc.TWICE
+
+    def test_a_row_is_a_block_of_one_column(self):
+        t = cd.Grid.dyadic(-1.0, 1.0, 9).points
+        row = np.abs(t - 0.2) ** 1.5
+        (rep,) = rc.certify_samples(row[:, None], DOM, 6)
+        assert rep.to_text() == rc.certify_samples(row, DOM, 6).to_text()
+
+    def test_points_that_collide_above_two_to_the_53(self):
+        # steps of 1 where the spacing of floats reaches 2: points collide,
+        # and np.interp takes the last of equal points, as the block must
+        domain = (2.0**53 - 64, 2.0**53 + 64)
+        t = cd.Grid.dyadic(*domain, 7).points
+        assert (np.diff(t) == 0.0).any() and t[1] - t[0] == 1.0
+        s = np.arange(t.size, dtype=float)
+        block = np.stack([np.sin(s / 10), (s - 100.0) ** 2, np.abs(s - 77.0)], axis=1)
+        self.assert_each_column(rc.certify_samples(block, domain, 6), block, domain, 6)
+        # one level finer the first step rounds to 0: refused, with no warning
+        s = np.arange(257, dtype=float)
+        with pytest.raises(InvalidWindow, match="overflow"):
+            rc.certify_samples(np.stack([s, s * s], axis=1), domain, 6)
+
+    def test_first_overflowing_column_raises_the_loops_text(self):
+        # the second and third columns overflow their second quotients, at
+        # different value scales; the loop raised at the second
+        domain = (0.0, 64 * 3e-5)
+        wiggle = (-1.0) ** np.arange(65)
+        block = np.stack([np.linspace(0.0, 1.0, 65), 1e300 * wiggle, 1.5e300 * wiggle], axis=1)
+        with pytest.raises(InvalidWindow) as want:
+            for j in range(block.shape[1]):
+                certify_oracle.certify_row(block[:, j], domain, 4)
+        with pytest.raises(InvalidWindow) as got:
+            rc.certify_samples(block, domain, 4)
+        assert str(got.value) == str(want.value)
+        assert "values up to 1e+300 overflow" in str(got.value)
+
+    def test_step_that_squares_to_zero_is_refused(self):
+        block = np.zeros((17, 3))
+        with pytest.raises(InvalidWindow) as want:
+            certify_oracle.certify_row(block[:, 0], (0.0, 1e-300), 4)
+        with pytest.raises(InvalidWindow) as got:
+            rc.certify_samples(block, (0.0, 1e-300), 4)
+        assert str(got.value) == str(want.value)
+        assert "squares to 0" in str(got.value)
+
+
+class TestOneCertificateCallPerResult:
+    @staticmethod
+    def calls(run):
+        from unittest import mock
+
+        with mock.patch.object(rc, "certify_samples", wraps=rc.certify_samples) as spy:
+            run()
+        return spy.call_count
+
+    def test_lift_curve(self):
+        from orbitlift import lifting
+
+        curve, group, sigma = sigma_of_line("B:4", *LIFTED_LINES["B:4"])
+        grid = cd.Grid.dyadic(-1.0, 1.0, 8)
+        assert self.calls(lambda: lifting.lift_curve(group, sigma, curve, grid)) == 1
+
+    def test_select_command(self, capsys):
+        from orbitlift.cli import main
+
+        assert self.calls(lambda: main(["select", "--curve=-6*t,9*t^2-2.25,0", "--level", "8"])) == 1
+        assert len(re.findall(r"^\w+\[\w+\]\.verdict: ", capsys.readouterr().out, re.M)) == 3
+
+    def test_certify_csv(self, tmp_path, capsys):
+        from orbitlift.cli import main
+
+        t = cd.Grid.dyadic(-1.0, 1.0, 8).points
+        path = tmp_path / "three.csv"
+        cd.write_samples_csv(path, t, np.stack([t, t * t, np.abs(t)], axis=1), ["a", "b", "c"])
+        assert self.calls(lambda: main(["certify", "--csv", str(path)])) == 1
+        assert len(re.findall(r"^\w+\[\w+\]\.verdict: ", capsys.readouterr().out, re.M)) == 3
+
+    def test_catalog_entry(self):
+        entry = catalog.get("constant-cubic")
+        assert self.calls(lambda: catalog.certify_entry(entry, level=8)) == 1
