@@ -197,6 +197,17 @@ def cmd_certify(args) -> int:
         except (OSError, ValueError) as err:
             raise OrbitLiftError(str(err)) from err
         domain = (float(t[0]), float(t[-1]))
+        # 2^L + 1 rows are the samples of the level-L dyadic grid of the
+        # domain: a t off its point by more than 1e-9 of the span is refused
+        level = (t.size - 1).bit_length() - 1
+        if t.size == 2**level + 1:
+            grid = curvedsl.Grid.dyadic(*domain, level).points
+            off = (abs(t - grid) > 1e-9 * (domain[1] - domain[0])).nonzero()[0]
+            if off.size:
+                k = int(off[0])
+                raise OrbitLiftError(f"{args.csv}: t={float(t[k])!r} in row {k} is off the level-{level}"
+                                     f" dyadic grid of [{domain[0]!r}, {domain[1]!r}], whose point {k} is"
+                                     f" {float(grid[k])!r}")
         lines.append("source: csv")
         lines.append(f"columns: {cols.shape[1]}")
         reports += zip(names, regcheck.certify_samples(cols, domain, args.levels))
@@ -381,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
             if flag == "--curve":
                 source = p.add_mutually_exclusive_group(required=True)
                 source.add_argument("--curve", default=None, help="comma-separated component expressions")
-                source.add_argument("--csv", default=None, help="curve samples CSV (header t,a1,...)")
+                source.add_argument("--csv", default=None, help="curve samples CSV (header t,a1,...)" + (
+                    "; 2^L + 1 rows must hold the level-L dyadic grid's t" if name == "certify" else ""))
             else:
                 p.add_argument(flag, **options[flag])
         p.add_argument("--report", default=None, help="report output path (default: stdout)")

@@ -168,9 +168,11 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
       changes, so n simple real roots, one between adjacent probes;
     * P(r - d) P(r + d) < 0 with d = 1e-9 max(1, |r|), so each root lies
       within d of its r.
-    The refused rows, and every row of degree <= 2, are solved together as
-    one block by the fallback: the closed forms, else the interlacing
-    rebuild, which runs level by level over all of them.  Each row's answer
+    The signs are evaluated only for the rows whose candidates are finite
+    and pass the gap test; the others are refused without them.  The
+    refused rows, and every row of degree <= 2, are solved together as one
+    block by the fallback: the closed forms, else the interlacing rebuild,
+    which runs level by level over all of them.  Each row's answer
     is the one it gets alone.  The first row refused raises, carrying its
     row index as `index`: NotFinite for a row that is not finite, else the
     fallback's NotHyperbolic, RootSolveFailed or NotFinite.
@@ -244,19 +246,22 @@ def _horner_rows(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of the polynomials c[i] (descending) at the points x[i, :],
     and their Horner rounding-noise bounds: 2 (deg + 1) eps times the
     polynomial |c[i]| at |x|."""
+    return _horner_values(c, x), 2.0 * c.shape[1] * _EPS * _horner_values(np.abs(c), np.abs(x))
+
+
+def _horner_values(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The values of _horner_rows alone, by the same operations."""
     out = np.repeat(c[:, :1], x.shape[1], axis=1)
-    acc = np.abs(out)
-    ax = np.abs(x)
     for j in range(1, c.shape[1]):
         out = out * x + c[:, j : j + 1]
-        acc = acc * ax + np.abs(c[:, j : j + 1])
-    return out, 2.0 * c.shape[1] * _EPS * acc
+    return out
 
 
 def _certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Candidate sorted roots of each row (degree n >= 3, finite) and the
     mask of the rows whose candidates carry the certificate described in
-    roots_batch."""
+    roots_batch.  The Newton steps need only values, and the signs are
+    evaluated only for the rows that pass the finite and gap tests."""
     m, n = rows.shape
     c = np.ones((m, n + 1))
     c[:, 1:] = rows * (-1.0) ** np.arange(1, n + 1)
@@ -268,26 +273,22 @@ def _certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
         x = np.sort(np.linalg.eigvals(comp).real, axis=1)
         # a Newton step counts only where it lowers |P|: within the Horner
         # noise a full step can move a root away
-        fx = _horner_rows(c, x)[0]
+        fx = _horner_values(c, x)
         for _ in range(_BATCH_NEWTON):
-            x_new = x - fx / _horner_rows(dc, x)[0]
-            f_new = _horner_rows(c, x_new)[0]
+            x_new = x - fx / _horner_values(dc, x)
+            f_new = _horner_values(c, x_new)
             better = np.abs(f_new) < np.abs(fx)
             x, fx = np.where(better, x_new, x), np.where(better, f_new, fx)
         x.sort(axis=1)
-        d = 1e-9 * np.maximum(1.0, np.abs(x))
-        span = 1.0 + (x[:, -1:] - x[:, :1])
-        probes = np.concatenate([x[:, :1] - span, 0.5 * (x[:, :-1] + x[:, 1:]), x[:, -1:] + span], axis=1)
-        val, noise = _horner_rows(c, np.concatenate([probes, x - d, x + d], axis=1))
+        good = np.isfinite(x).all(axis=1) & (np.diff(x, axis=1) > _GAP_MARGIN * math.sqrt(tol)).all(axis=1)
+        xs, cs = x[good], c[good]
+        d = 1e-9 * np.maximum(1.0, np.abs(xs))
+        span = 1.0 + (xs[:, -1:] - xs[:, :1])
+        probes = np.concatenate([xs[:, :1] - span, 0.5 * (xs[:, :-1] + xs[:, 1:]), xs[:, -1:] + span], axis=1)
+        val, noise = _horner_rows(cs, np.concatenate([probes, xs - d, xs + d], axis=1))
         sign = (-1.0) ** (n - np.arange(n + 1))  # P's sign between roots k-1 and k
         clear = val * np.concatenate([sign, sign[:-1], sign[1:]]) > 2.0 * noise
-        good = (
-            np.isfinite(x).all(axis=1)
-            & (np.diff(x, axis=1) > _GAP_MARGIN * math.sqrt(tol)).all(axis=1)
-            & clear.all(axis=1)
-            & (probes[:, :-1] < x - d).all(axis=1)
-            & (x + d < probes[:, 1:]).all(axis=1)
-        )
+        good[good] = clear.all(axis=1) & (probes[:, :-1] < xs - d).all(axis=1) & (xs + d < probes[:, 1:]).all(axis=1)
     return x, good
 
 
@@ -675,7 +676,7 @@ def _rebuild(c: np.ndarray, tol: np.ndarray, noise_floor: np.ndarray) -> tuple[n
             roots[rr, place], mult[rr, place] = xr, run
         if rr.size or (roots[:, 1:] < roots[:, :-1]).any():
             order = np.argsort(roots, axis=1, kind="stable")
-            roots, mult = np.take_along_axis(roots, order, 1), np.take_along_axis(mult, order, 1)
+            roots, mult = roots[np.arange(m)[:, None], order], mult[np.arange(m)[:, None], order]
     return roots, mult
 
 

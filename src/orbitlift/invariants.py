@@ -389,7 +389,7 @@ class OrbitBlock:
         p = np.asarray(p, dtype=float)
         if self.group.kind == "I2":
             at = _listed_nearest(self.spectra, p.reshape(len(self), -1, 2))
-            return np.take_along_axis(self.spectra, at[:, :, None], axis=1).reshape(p.shape)
+            return self.spectra[np.arange(len(self))[:, None], at].reshape(p.shape)
         each = p[0].size // p.shape[-1]
         spectra, parity = np.repeat(self.spectra, each, axis=0), np.repeat(self.parity, each)
         return _nearest(self.group.kind, spectra, parity, p.reshape(spectra.shape)).reshape(p.shape)
@@ -402,7 +402,11 @@ def _chamber_block(group: ReflectionGroup, spectra: np.ndarray, parity: np.ndarr
     D double it for every value that does not round to 0, D halving it
     again when the parity is fixed.  The least distance is sqrt(2) times the
     least gap between runs, and for B also 2 times the least nonzero
-    modulus, for D with a fixed parity sqrt(2) (s_1 + s_2)."""
+    modulus, for D with a fixed parity sqrt(2) (s_1 + s_2).  The sizes are
+    Python ints, computed once per distinct row of traits (the places in
+    the runs; for B and D also the nonzero count and the fixed parity): one
+    lexsort puts equal trait rows together, and each row that differs from
+    the one before it starts the next distinct row."""
     n = spectra.shape[1]
     keys = np.round(spectra, _DEDUP_DECIMALS)
     new_run = keys[:, 1:] != keys[:, :-1]
@@ -419,15 +423,20 @@ def _chamber_block(group: ReflectionGroup, spectra: np.ndarray, parity: np.ndarr
         paired = math.sqrt(2.0) * (spectra[:, 0] + spectra[:, 1])
         dist = np.minimum(dist, np.where(fixed, paired, 2.0 * least))
         traits += [np.count_nonzero(nonzero, axis=1)[:, None], fixed[:, None]]
-    # the sizes as Python ints, computed once per distinct row of traits
-    distinct, inverse = np.unique(np.concatenate(traits, axis=1), axis=0, return_inverse=True)
+    traits = np.concatenate(traits, axis=1)
+    order = np.lexsort(traits.T)
+    ranked = traits[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
     sizes = []
-    for row in distinct.tolist():
+    for row in ranked[new].tolist():
         size = math.factorial(n) // math.prod(row[:n])
         if group.kind != "A":
             size = size * 2 ** row[n] // (2 if row[n + 1] else 1)
         sizes.append(size)
-    sizes = np.array(sizes, dtype=object)[inverse.reshape(-1)]
+    sizes = np.array(sizes, dtype=object)[inverse]
     return OrbitBlock(group, spectra, parity, sizes, dist, np.max(np.abs(spectra), axis=1))
 
 
@@ -471,7 +480,8 @@ def _listed_nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     of orbit k, points[k] (as OrbitBlock lists them, NaN past the orbit's
     size), and its queries queries[k], (N, s, 2): the first listed point
     wins an exact tie, and padding is never chosen."""
-    d = np.linalg.norm(points[:, None, :, :] - queries[:, :, None, :], axis=3)
+    diff = points[:, None, :, :] - queries[:, :, None, :]
+    d = np.sqrt(np.add.reduce(diff * diff, axis=3))
     return np.argmin(np.where(np.isnan(d), np.inf, d), axis=2)
 
 
@@ -746,7 +756,7 @@ def _sqrt_spectra(a: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
             break
         k[live] = j + 1
     # the whole run of values equal to the first nonzero one stays nonzero
-    at = np.take_along_axis(vals, np.minimum(k, n - 1)[:, None], axis=1)
+    at = vals[np.arange(m), np.minimum(k, n - 1)][:, None]
     k = np.where(k < n, np.count_nonzero(vals < at, axis=1), k)
     zero |= np.arange(n) < k[:, None]
     return np.sqrt(np.where(zero, 0.0, vals))
@@ -808,21 +818,19 @@ def _dihedral_block(map_: OrbitMapSigma, rows: np.ndarray, tol: float) -> OrbitB
     live = np.arange(2 * m) < count[:, None]
     keys = np.where(live[:, :, None], np.round(pts, _DEDUP_DECIMALS), np.inf)
     order = np.lexsort((keys[:, :, 1], keys[:, :, 0]), axis=1)
-    keys = np.take_along_axis(keys, order[:, :, None], axis=1)
-    pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+    at = np.arange(len(rows))[:, None]
+    keys, pts, live = keys[at, order], pts[at, order], live[at, order]
     # of the points with one key the first one listed stays, as in _dedup_points
-    live = np.take_along_axis(live, order, axis=1)
     live[:, 1:] &= (keys[:, 1:] != keys[:, :-1]).any(axis=2)
-    pts = np.take_along_axis(pts, np.argsort(~live, axis=1, kind="stable")[:, :, None], axis=1)
+    pts = pts[at, np.argsort(~live, axis=1, kind="stable")]
     sizes = live.sum(axis=1)
     pts[np.arange(2 * m) >= sizes[:, None]] = np.nan
     # the points lie on a circle, so the least distance is between two
     # neighbours in angle: each point's to its successor, wrapping within
     # the row's size (NaN padding sorts last)
     order = np.argsort(np.arctan2(pts[:, :, 1], pts[:, :, 0]), axis=1)
-    ring = np.take_along_axis(pts, order[:, :, None], axis=1)
-    after = (np.arange(1, 2 * m + 1) % sizes[:, None])[:, :, None]
-    d = ring - np.take_along_axis(ring, after, axis=1)
+    ring = pts[at, order]
+    d = ring - ring[at, np.arange(1, 2 * m + 1) % sizes[:, None]]
     least = np.fmin.reduce(np.sqrt(d[:, :, 0] * d[:, :, 0] + d[:, :, 1] * d[:, :, 1]), axis=1)
     least[sizes == 1] = np.inf
     return OrbitBlock(map_.group, pts, np.zeros(len(rows)), np.array(sizes.tolist(), dtype=object),

@@ -92,7 +92,7 @@ def _evidence(values: np.ndarray, grid: Grid, levels: int) -> tuple[tuple[Regula
     """Per-coordinate regularity reports over `levels` dyadic levels (none
     when levels is 0), and the largest step between consecutive samples."""
     reports = tuple(regcheck.certify_samples(values, (grid.t0, grid.t1), levels)) if levels else ()
-    steps = np.linalg.norm(np.diff(values, axis=0), axis=1)
+    steps = _norms(np.diff(values, axis=0))
     return reports, float(steps.max()) if steps.size else 0.0
 
 
@@ -213,29 +213,39 @@ def _exit_candidates(orbit: Orbit, predicted: np.ndarray, dt: float):
     the best cost hold the best point, the runner-up and every near-tie,
     which is all the chooser reads; the edges of the hull are reflections,
     and for I2, whose orbit points lie on a circle, neighbours in angle."""
-    found: dict[tuple, np.ndarray] = {}
+    batches, seen = [], set()
     best = np.inf
     fresh = orbit.nearest(predicted)[None, :]
     while fresh.size:
-        new = []
-        for p in np.concatenate([fresh, orbit.neighbours(fresh)]):
-            key = tuple(p.tolist())
-            if key not in found:
-                found[key] = p
-                new.append(p)
+        cand = np.concatenate([fresh, orbit.neighbours(fresh)])
+        # each point's bytes, with -0.0 as 0.0, key it as its tuple would
+        keys = (cand + 0.0).view(np.dtype((np.void, 8 * cand.shape[1]))).ravel().tolist()
+        new = {}
+        for i, key in enumerate(keys):
+            if key not in seen:
+                new.setdefault(key, i)
         if not new:
             break
-        pts = np.array(new)
-        cost = np.linalg.norm(pts - predicted, axis=1) / dt
+        seen.update(new)
+        pts = cand[list(new.values())]
+        batches.append(pts)
+        cost = _norms(pts - predicted) / dt
         best = min(best, float(cost.min()))
         fresh = pts[cost <= best + _TIE_TOL]
     # points equal after rounding are one orbit point, as in its listing
-    by_rank: dict[int, np.ndarray] = {}
-    for r, p in zip(orbit.ranks(np.array(list(found.values()))), found.values()):
-        by_rank.setdefault(r, p)
+    found = np.concatenate(batches)
+    by_rank: dict[int, int] = {}
+    for i, r in enumerate(orbit.ranks(found)):
+        by_rank.setdefault(r, i)
     ranks = sorted(by_rank)
-    pts = np.array([by_rank[r] for r in ranks])
-    return pts, ranks, np.linalg.norm(pts - predicted, axis=1) / dt
+    pts = found[[by_rank[r] for r in ranks]]
+    return pts, ranks, _norms(pts - predicted) / dt
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of x, by the operations
+    np.linalg.norm(x, axis=1) runs on a real array."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def _choose_candidate(est: _WindowEstimate) -> Choice:
@@ -252,8 +262,8 @@ def _choose_candidate(est: _WindowEstimate) -> Choice:
     if margin > _TIE_TOL:
         return Choice((est.size, est.ranks[best]), margin, False, est.candidates[best])
     tied = [int(i) for i in order if cost[i] <= cost[best] + _TIE_TOL]
-    scost = np.linalg.norm(est.cand_slopes - est.left_slope[None, :], axis=1)
-    qcost = np.linalg.norm(est.cand_quads - est.left_quad[None, :], axis=1)
+    scost = _norms(est.cand_slopes - est.left_slope[None, :])
+    qcost = _norms(est.cand_quads - est.left_quad[None, :])
     tied.sort(key=lambda i: (scost[i], qcost[i], i))
     first, second = tied[0], tied[1] if len(tied) > 1 else None
     margin = float(scost[second] - scost[first]) if second is not None else margin
@@ -441,7 +451,7 @@ def lipschitz_harness(
         composed = _composed_curve(f, gamma, map_.n_invariants)
         lift = lift_curve(group, map_, composed, grid, tol)
         quots = regcheck.difference_quotients(lift.values, grid.step, 1)
-        lip = float(np.max(np.linalg.norm(quots, axis=1)))
+        lip = float(np.max(_norms(quots)))
         verdict = lift.min_verdict() if lift.reports else regcheck.INCONCLUSIVE
         results.append(ProbeResult(name, lip, verdict))
     if all(VERDICT_RANK[r.verdict] >= VERDICT_RANK[regcheck.LIPSCHITZ] for r in results):

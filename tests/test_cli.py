@@ -113,6 +113,39 @@ class TestCertify:
         }
         assert sel_lines == cert_lines
 
+    def test_csv_off_the_dyadic_grid_is_refused(self, tmp_path, capsys):
+        """sqrt(t) sampled at t = (i/256)^2 reads i/256 in every row, which
+        on the uniform grid of [0, 1] would certify twice-differentiable."""
+        path = tmp_path / "sqrt.csv"
+        path.write_text("t,x\n" + "".join(f"{(i / 256) ** 2!r},{i / 256!r}\n" for i in range(257)))
+        assert run(["certify", "--csv", str(path)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            f"error: {path}: t=1.52587890625e-05 in row 1 is off the level-8 dyadic grid"
+            " of [0.0, 1.0], whose point 1 is 0.00390625\n")
+
+    def test_select_csv_on_a_non_dyadic_domain_certifies_as_select_does(self, tmp_path):
+        """The t column of `select --out` on -0.3:0.5 is the grid's, and
+        certify gives each column select's certificate, line for line."""
+        sel_csv, sel_rep, cert_rep = tmp_path / "sel.csv", tmp_path / "sel.txt", tmp_path / "cert.txt"
+        run(["select", "--curve", "3,-(t-0.1)^2,-3*(t-0.1)^2", "--domain", "-0.3:0.5", "--level", "8",
+             "--out", str(sel_csv), "--report", str(sel_rep)])
+        assert run(["certify", "--csv", str(sel_csv), "--report", str(cert_rep)]) == EXIT_OK
+        sel = [line for line in sel_rep.read_text().splitlines() if ".report." in line]
+        cert = [line for line in cert_rep.read_text().splitlines() if ".report." in line]
+        assert len(cert) > 3 and cert == [
+            line.replace("branch[", "column[branch", 1) for line in sel]
+
+    def test_t_column_to_12_digits_passes(self, tmp_path):
+        from orbitlift.curvedsl import Grid
+
+        t = Grid.dyadic(-0.3, 0.5, 8).points
+        path = tmp_path / "short.csv"
+        path.write_text("t,x\n" + "".join(f"{x:.12g},{x * x!r}\n" for x in t.tolist()))
+        assert any(float(f"{x:.12g}") != x for x in t.tolist())
+        rep = tmp_path / "cert.txt"
+        assert run(["certify", "--csv", str(path), "--report", str(rep)]) == EXIT_OK
+        assert f"column[x].verdict: {regcheck.TWICE}" in rep.read_text()
+
 
 class TestLift:
     def test_dihedral_circle(self, tmp_path):

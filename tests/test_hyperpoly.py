@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import generic_kernels
 import scalar_kernels
 from orbitlift import hyperpoly as hp
 from orbitlift.errors import NotFinite, NotHyperbolic, RootSolveFailed
@@ -566,6 +567,52 @@ def delta(r):
 def assert_fallbacks_match_roots(rows, values, fell_back, tol=1e-10):
     for i in np.flatnonzero(fell_back):
         assert bits(values[i]) == bits(hp.roots(hp.MonicHyperbolic(rows[i]), tol).values)
+
+
+def certificate_block(n, rng):
+    """Rows of degree n of every kind the certificate meets, shuffled:
+    separated roots (certified), repeated roots and complex pairs (refused
+    at the gap test), roots 3e-5 apart (past the gap margin, refused by
+    the signs), zero rows (as roots_batch solves a row that is not
+    finite) and rows whose Horner values overflow."""
+    rows = []
+    for _ in range(6):
+        rows.append(hp.from_roots(np.sort(rng.uniform(-9.0, 9.0, n)) + 0.2 * np.arange(n)).coeffs)
+        r = rng.uniform(-3.0, 3.0, n)
+        r[1] = r[0]
+        rows.append(hp.from_roots(r).coeffs)
+        r[:3] = 1.0 + rng.uniform(0.5, 2.0) + 3e-5 * np.arange(3)
+        rows.append(hp.from_roots(r).coeffs)
+        # (x^2 + 1) times a polynomial with real roots
+        rest = np.poly(rng.uniform(-2.0, 2.0, n - 2))
+        rows.append(np.polymul([1.0, 0.0, 1.0], rest)[1:] * (-1.0) ** np.arange(1, n + 1))
+        rows.append(np.zeros(n))
+        rows.append(np.full(n, 10.0 ** rng.uniform(150, 300)))
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+class TestLeanCertificate:
+    """_certified_roots takes the Newton steps on values alone and evaluates
+    the signs only for the rows that pass the finite and gap tests: every
+    row keeps the candidates and the verdict of the certificate evaluated on
+    all rows (tests/generic_kernels.py), bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_the_all_rows_certificate(self, n):
+        rng = np.random.default_rng(2800 + n)
+        block = certificate_block(n, rng)
+        x, good = hp._certified_roots(block, 1e-10)
+        want_x, want_good = generic_kernels.certified_roots(block, 1e-10)
+        assert bits(x) == bits(want_x) and good.tolist() == want_good.tolist()
+        # every kind occurs: certified, refused at the gap or finite test,
+        # and refused by the signs alone
+        with np.errstate(invalid="ignore"):
+            gaps = np.isfinite(x).all(axis=1) & (np.diff(x, axis=1) > hp._GAP_MARGIN * 1e-5).all(axis=1)
+        assert good.any() and (~gaps).any() and (gaps & ~good).any()
+        for rows in (block[:1], block[~gaps], block[gaps], block[:0]):
+            x, good = hp._certified_roots(rows, 1e-10)
+            want_x, want_good = generic_kernels.certified_roots(rows, 1e-10)
+            assert bits(x) == bits(want_x) and good.tolist() == want_good.tolist()
 
 
 class TestRootsBatch:

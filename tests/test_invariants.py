@@ -12,6 +12,7 @@ from orbitlift.errors import (
     UnsupportedParameter,
 )
 
+import generic_kernels
 from enumeration import orbit
 
 
@@ -697,6 +698,72 @@ class TestDihedralBlock:
         assert (np.linalg.norm(block.nearest(v) - v, axis=1) <= np.sqrt(2e-10) * (1.0 + r)).all()
         if m == 8:
             assert inv.orbit_at(mp, mp.evaluate([50.0, 0.0])) is not None
+
+
+def _chamber_rows(g, rng, count):
+    """Sorted chamber rows with ties (after rounding to 1e-10 too), zeros,
+    and for D parities of both signs and free ones."""
+    vals = rng.integers(0 if g.kind != "A" else -2, 4, (count, g.dim)) * rng.uniform(0.5, 2.0, (count, 1))
+    vals = vals + rng.choice([0.0, 0.0, 1e-12, 1e-3], (count, g.dim))
+    spectra = np.sort(vals, axis=1)
+    parity = rng.choice([-1.0, 0.0, 1.0], count) if g.kind == "D" else np.zeros(count)
+    return spectra, parity
+
+
+def _i2_rows(m, rng, count):
+    """sigma of I2 points: generic ones, on mirrors, at and near the origin."""
+    r = rng.uniform(0.0, 3.0, count)
+    angle = rng.uniform(-np.pi, np.pi, count)
+    angle[::4] = np.pi / m * rng.integers(0, 2 * m, angle[::4].size)
+    r[1::7] = 0.0
+    r[2::7] = 3e-6
+    v = r[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    return inv.orbit_map(inv.parse_group(f"I2:{m}")).evaluate(v)
+
+
+class TestLeanKernels:
+    """The block kernels' lean forms against their forms with numpy's
+    generic helpers (tests/generic_kernels.py), bit for bit: orbit sizes by
+    one lexsort against np.unique(axis=0), and fancy gathers and
+    sqrt(add.reduce) norms against np.take_along_axis and np.linalg.norm."""
+
+    @pytest.mark.parametrize("rows", [1, 33, 513])
+    @pytest.mark.parametrize("spec", ["A:2", "A:5", "B:3", "B:5", "D:3", "D:5"])
+    def test_chamber_block_matches_unique(self, spec, rows):
+        import zlib
+
+        g = inv.parse_group(spec)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()) + rows)
+        spectra, parity = _chamber_rows(g, rng, rows)
+        got = inv._chamber_block(g, spectra, parity)
+        want = generic_kernels.chamber_block(g, spectra, parity)
+        assert got.sizes.dtype == object and got.sizes.tolist() == want.sizes.tolist()
+        assert got.min_distance.tobytes() == want.min_distance.tobytes()
+        assert got.max_abs.tobytes() == want.max_abs.tobytes()
+        if rows == 513:
+            assert len(set(got.sizes.tolist())) >= 3
+
+    @pytest.mark.parametrize("m", [3, 4, 8])
+    def test_dihedral_block_and_nearest_match_the_generic_gathers(self, m):
+        g = inv.parse_group(f"I2:{m}")
+        mp = inv.orbit_map(g)
+        rng = np.random.default_rng(2800 + m)
+        rows = _i2_rows(m, rng, 65)
+        got = inv._dihedral_block(mp, rows, 1e-10)
+        want = generic_kernels.dihedral_block(mp, rows, 1e-10)
+        # NaN padding past each row's size, and rows of 1, m and 2m points
+        assert {1, m, 2 * m} <= set(got.sizes.tolist()) and np.isnan(got.spectra).any()
+        for f in ("spectra", "min_distance", "max_abs"):
+            assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+        assert got.sizes.tolist() == want.sizes.tolist()
+        # queries with signed zeros, one and three per orbit
+        for shape in ((65, 2), (65, 3, 2)):
+            p = rng.uniform(-3.0, 3.0, shape) * rng.choice([0.0, -0.0, 1.0], shape)
+            assert (np.signbit(p) & (p == 0.0)).any()
+            assert got.nearest(p).tobytes() == generic_kernels.block_nearest(want, p).tobytes()
+            q = p.reshape(65, -1, 2)
+            assert inv._listed_nearest(got.spectra, q).tolist() == generic_kernels.listed_nearest(
+                want.spectra, q).tolist()
 
 
 RANK_GROUPS = [f"A:{n}" for n in range(1, 6)] + [f"B:{n}" for n in range(2, 6)] + [

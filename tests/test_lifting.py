@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import generic_kernels
+
 from orbitlift import curvedsl as cd
 from orbitlift import invariants as inv
 from orbitlift import lifting as lf
@@ -578,6 +580,27 @@ class TestExitCandidates:
         if g.kind == "I2":
             assert sizes[1:3] == [g.param, merged]
 
+    @pytest.mark.parametrize("spec", ["A:3", "B:3", "D:4", "I2:5"])
+    def test_byte_keys_match_tuple_keys(self, spec):
+        """Keyed by their bytes with -0.0 as 0.0, the candidates are the
+        points tuple keys found, bit for bit, signed zeros included."""
+        import zlib
+
+        g, m = group_and_map(spec)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()) + 28)
+        signed_zero = False
+        for _ in range(6):
+            v = rng.uniform(-2.0, 2.0, g.dim)
+            v[0] = 0.0
+            orb = inv.orbit_at(m, m.evaluate(v))
+            for predicted in self._predictions(g, rng, orb):
+                got = lf._exit_candidates(orb, predicted, 2.0**-5)
+                want = generic_kernels.exit_candidates(orb, predicted, 2.0**-5)
+                assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+                assert got[2].tobytes() == want[2].tobytes()
+                signed_zero |= bool((np.signbit(got[0]) & (got[0] == 0.0)).any())
+        assert signed_zero or g.kind in ("A", "I2")  # B and D flip signs of zeros
+
     def test_drift_compares_exit_points_of_one_rank(self):
         def estimate(size, ranks, slopes):
             k = len(ranks)
@@ -589,6 +612,15 @@ class TestExitCandidates:
         assert lf._slope_drift(a, b) == 0.5  # rank 4 alone
         # exit orbits of two sizes: the incoming slopes alone
         assert lf._slope_drift(a, estimate(16, [4, 6], [[1.0, 0.5], [9.0, 9.0]])) == 0.0
+
+
+def test_norms_match_linalg_norm():
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((64, 4)) * 10.0 ** rng.integers(-160, 160, (64, 4))
+    x[::5] *= rng.choice([0.0, -0.0], (13, 4))
+    x[1, 2], x[2, 0], x[3, 3] = np.nan, np.inf, -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert lf._norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
 
 
 class TestLargeGroups:
