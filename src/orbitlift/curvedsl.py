@@ -250,10 +250,13 @@ def parse_curve_expr(src: str, variables: Sequence[str] = ("t",)) -> CurveExpr:
 # Each expression is compiled once, on first use, into a tree of closures
 # cached on its node.  A closure maps an environment {variable: value} to the
 # node's value, and the same tree serves arrays (evaluate_expr,
-# CoeffCurve.evaluate) and points (evaluate_with_env).  Points stay Python
-# floats and numpy scalars, and every operation a point meets is the one its
-# row meets in an array: IEEE arithmetic, or the same numpy ufunc, so a point
-# gets the bits of its row.  Numbers stay Python floats, which broadcast.
+# CoeffCurve.evaluate) and points (evaluate_with_env).  Arrays run under one
+# np.errstate(all="ignore") per call.  At a point, coordinates and numbers are
+# Python floats (float() is exact; numbers broadcast against arrays), so
+# + - * / and negation are the IEEE operations of the array entry and raise
+# no numpy warning (a zero divisor is refused first), and a ufunc enters
+# np.errstate only for an argument that could raise a flag (_guarded).  A
+# flag moves no bit, so a point gets the bits of its entry.
 
 
 class _Fault(Exception):
@@ -272,16 +275,19 @@ def _check(bad, message: str) -> None:
 
 def _compile(node: CurveExpr) -> Callable[[dict], object]:
     if isinstance(node, Num):
-        value = node.value
+        value = float(node.value)
         return lambda env: value
     if isinstance(node, Var):
         name = node.name
-        return lambda env: env[name]
+        return lambda env: v if isinstance(v := env[name], np.ndarray) else float(v)
     if isinstance(node, Neg):
         arg = node.arg._fn
         return lambda env: -arg(env)
     if isinstance(node, BinOp):
-        left, right = node.left._fn, node.right._fn
+        left, right, value = node.left._fn, node.right._fn, _const_value(node.left)
+        if value is not None and node.op != "/":  # a constant left operand is read once
+            return {"+": lambda env: value + right(env), "-": lambda env: value - right(env),
+                    "*": lambda env: value * right(env)}[node.op]
         if node.op == "+":
             return lambda env: left(env) + right(env)
         if node.op == "-":
@@ -302,20 +308,38 @@ def _compile(node: CurveExpr) -> Callable[[dict], object]:
         if node.fn in ("pow", "powabs"):
             alpha = _const_value(node.args[1])
             return _power(arg, alpha, node.fn == "powabs")
-        ufunc = {"abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp}[node.fn]
-        return lambda env: ufunc(arg(env))
+        if node.fn == "abs":
+            return lambda env: abs(arg(env))  # fabs, for Python floats and arrays alike
+        ufunc = {"sin": np.sin, "cos": np.cos, "exp": np.exp}[node.fn]
+        return _guarded(ufunc, arg, -1.0, 708.0 if node.fn == "exp" else math.inf)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _guarded(fn: Callable, arg: Callable, lo: float, hi: float) -> Callable:
+    """fn of arg's value: of arrays under _run_arrays' errstate, of a point x
+    as a Python float, in np.errstate unless lo < |x| < hi (no flag there)."""
+
+    def call(env):
+        x = arg(env)
+        if type(x) is not float:
+            return fn(x)
+        if lo < abs(x) < hi:
+            return float(fn(x))
+        with np.errstate(all="ignore"):
+            return float(fn(x))
+
+    return call
 
 
 def _power(base: Callable, alpha: float, absolute: bool) -> Callable:
     """|base|^alpha when absolute, else base^alpha, which needs a
     nonnegative base unless alpha is an integer.  Points and arrays both
-    take np.power: a numpy scalar's ** calls the C library's pow, which can
-    differ from the ufunc in the last bit."""
+    take np.power: a Python float's ** calls the C library's pow, which can
+    differ from the ufunc in the last bit.  A point base with
+    2^-e < |base| < 2^e has its power in the normal range."""
     signed = not absolute and alpha != int(alpha)
 
-    def power(env):
-        b = base(env)
+    def power(b):
         if absolute:
             b = abs(b)
         elif signed:
@@ -324,7 +348,8 @@ def _power(base: Callable, alpha: float, absolute: bool) -> Callable:
             _check(b == 0.0, "zero base with negative exponent")
         return np.power(b, alpha)
 
-    return power
+    e = min(1000.0 / abs(alpha), 1022.0) if alpha else 1022.0
+    return _guarded(power, base, 2.0**-e, 2.0**e)
 
 
 def _at(env: dict, mask) -> dict[str, float]:
@@ -335,9 +360,8 @@ def _at(env: dict, mask) -> dict[str, float]:
     return {k: float(np.ravel(v)[i]) if np.ndim(v) else float(v) for k, v in env.items()}
 
 
-@np.errstate(all="ignore")  # a decorator enters it afresh on every call
 def _run(node: CurveExpr, env: dict):
-    """The node's value on env, with numpy's floating-point warnings off: a
+    """The node's value on env, a point or arrays (see _run_arrays): a
     fault ends as a non-finite value, and that raises EvalError."""
     try:
         out = node._fn(env)
@@ -352,24 +376,29 @@ def _run(node: CurveExpr, env: dict):
     return out
 
 
+_run_arrays = np.errstate(all="ignore")(_run)  # a decorator enters it afresh on every call
+
+
 def evaluate_expr(node: CurveExpr, t):
     """Evaluate at scalar or array t; raises EvalError at singular points."""
     arr = np.asarray(t, dtype=float)
     if arr.shape == ():
         return float(_run(node, {"t": float(arr)}))
-    out = _run(node, {"t": arr})
+    out = _run_arrays(node, {"t": arr})
     return out if isinstance(out, np.ndarray) else np.full(arr.shape, out)
 
 
 def evaluate_with_env(node: CurveExpr, env: dict[str, float]):
     """Evaluate a multi-variable expression at one point, whose coordinates
     are floats, or at each entry of arrays of one shape.  EvalError names
-    the point."""
-    out = _run(node, env)
-    if isinstance(out, np.ndarray):
-        return out
-    first = next(iter(env.values()))  # a constant on arrays fills their shape
-    return np.full(first.shape, out) if isinstance(first, np.ndarray) and first.ndim else float(out)
+    the point.  A point runs on Python floats, enters np.errstate only where
+    a ufunc's argument could raise a flag, and gets the bits of its entry."""
+    for v in env.values():
+        if isinstance(v, np.ndarray):
+            out = _run_arrays(node, env)
+            # a constant on arrays fills their shape
+            return out if isinstance(out, np.ndarray) or not v.ndim else np.full(v.shape, out)
+    return _run(node, env)
 
 
 def split_top_level(src: str, sep: str = ",") -> list[str]:

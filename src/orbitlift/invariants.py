@@ -217,18 +217,17 @@ class OrbitMapSigma:
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
         """sigma(v) of a point v, shape (n,), or of each row of an (N, dim)
-        block, shape (N, n).  A point runs as Python floats; the block runs
-        the float operations of the point on arrays, in the same order, so a
-        row gets the bits of its point."""
-        v = np.asarray(v, dtype=float)
-        size = v.shape[1] if v.ndim == 2 else v.size
-        if size != self.group.dim:
-            raise DimensionMismatch(
-                f"point has dim {size}, {self.group.label} acts on R^{self.group.dim}"
-            )
-        if v.ndim == 2:
-            return self._evaluate_rows(v)
-        x = v.ravel().tolist()
+        block, shape (N, n).  A point runs as Python floats (one tolist() of
+        a 1-D float64 array); the block runs the float operations of the
+        point on arrays, in the same order, so a row gets its point's bits."""
+        if type(v) is not np.ndarray or v.ndim != 1 or v.dtype != float:
+            v = np.asarray(v, dtype=float)
+            if v.ndim == 2:
+                return self._evaluate_rows(v)
+            v = v.ravel()
+        x = v.tolist()
+        if len(x) != self.group.dim:
+            raise DimensionMismatch(f"point has dim {len(x)}, {self.group.label} acts on R^{self.group.dim}")
         kind = self.group.kind
         if kind == "I2":
             return np.array([x[0] * x[0] + x[1] * x[1], _re_complex_power(x[0], x[1], self.group.param)])
@@ -238,6 +237,8 @@ class OrbitMapSigma:
         return np.array(e)
 
     def _evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
+        if rows.shape[1] != self.group.dim:
+            raise DimensionMismatch(f"point has dim {rows.shape[1]}, {self.group.label} acts on R^{self.group.dim}")
         kind = self.group.kind
         if kind == "I2":
             x, y = rows[:, 0], rows[:, 1]

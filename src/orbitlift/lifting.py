@@ -32,7 +32,7 @@ certificate call covers all coordinates of a lift.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,13 +74,6 @@ class LiftResult:
 
     def min_verdict(self) -> str:
         return min((r.verdict for r in self.reports), key=lambda v: VERDICT_RANK[v])
-
-
-def verify_lift(map_: OrbitMapSigma, lift: LiftResult, curve: CoeffCurve) -> float:
-    """sup_t |sigma(lift(t)) - c(t)|, absolute, so it grows with the
-    coefficients: a valid lift stays below 10*tol*(1 + max|c|), the max
-    over the grid."""
-    return _residual(map_, lift.values, curve.evaluate(lift.grid.points))
 
 
 def _residual(map_: OrbitMapSigma, values: np.ndarray, rows: np.ndarray) -> float:
@@ -376,16 +369,6 @@ def lift_curve(
         continuity_bound=_continuity_bound(map_, rows, scale, tol),
         residual_bound=10.0 * tol * (1.0 + float(np.max(np.abs(rows)))),
     )
-
-
-def transformed_lift(map_: OrbitMapSigma, lift: LiftResult, element: np.ndarray, curve: CoeffCurve) -> LiftResult:
-    """The lift moved by a fixed group element, with residual and regularity
-    evidence recomputed from scratch (equivariance check support)."""
-    values = lift.values @ element.T
-    levels = len(lift.reports[0].levels) if lift.reports else 0
-    reports, max_step = _evidence(values, lift.grid, levels)
-    residual = _residual(map_, values, curve.evaluate(lift.grid.points))
-    return replace(lift, values=values, residual=residual, reports=reports, max_step=max_step)
 
 
 # -- several-variable probe harness ------------------------------------------------

@@ -68,26 +68,38 @@ def collision_clusters(vals: np.ndarray, eps: float) -> list[tuple[int, int, tup
     A cluster is one connected set of small (gap, sample) cells, where a
     cell neighbours the cells of the adjacent gaps at the adjacent samples;
     its samples and branches are that set's extent.  A permanent pair is
-    therefore a cluster of its own and hides no other crossing.
+    therefore a cluster of its own and hides no other crossing.  A gap's
+    small cells are runs of samples (np.diff of the padded mask), and runs
+    of adjacent gaps whose samples overlap or touch join (union-find).
+    Clusters come in the order of their least (sample, gap) cell.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    gaps = vals[1:] - vals[:-1]          # (n-1, N)
-    todo = set(map(tuple, np.argwhere(gaps.T < eps).tolist()))  # small (sample, gap) cells
-    clusters = []
-    while todo:  # each cluster grows from its first (sample, gap) cell
-        stack, cells = [min(todo)], []
-        todo.remove(stack[0])
-        while stack:
-            i, k = cell = stack.pop()
-            cells.append(cell)
-            for near in itertools.product((i - 1, i, i + 1), (k - 1, k, k + 1)):
-                if near in todo:
-                    todo.remove(near)
-                    stack.append(near)
-        idx, ks = zip(*cells)
-        clusters.append((min(idx), max(idx), tuple(range(min(ks), max(ks) + 2))))
-    return clusters
+    small = (vals[1:] - vals[:-1]) < eps  # (n-1, N)
+    pad = np.zeros((small.shape[0], 1), dtype=np.int8)
+    edges = np.diff(np.concatenate([pad, small.view(np.int8), pad], axis=1), axis=1)
+    gap, start = np.nonzero(edges == 1)   # starts and ends both in (gap, sample)
+    end = np.nonzero(edges == -1)[1] - 1  # order, so the k-th of each is one run
+    # a run (k, s, e) joins the runs lo..hi-1 of gap k + 1: before lo they
+    # end before s - 1, from hi on they start after e + 1
+    width = small.shape[1] + 2  # gap * width + sample orders the cells as the runs
+    lo = np.searchsorted(gap * width + end, (gap + 1) * width + start - 1).tolist()
+    hi = np.searchsorted(gap * width + start, (gap + 1) * width + end + 1, "right").tolist()
+    root = list(range(gap.size))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a in range(gap.size):
+        for b in range(lo[a], hi[a]):
+            root[find(b)] = find(a)
+    clusters: dict[int, list] = {}
+    for a, (k, s, e) in enumerate(zip(gap.tolist(), start.tolist(), end.tolist())):
+        c = clusters.setdefault(find(a), [(s, k), s, e, k, k])  # least cell, samples, gaps
+        c[:] = min(c[0], (s, k)), min(c[1], s), max(c[2], e), min(c[3], k), max(c[4], k)
+    return [(i0, i1, tuple(range(k0, k1 + 2))) for _, i0, i1, k0, k1 in sorted(clusters.values())]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from orbitlift import rootflow as rf
 from orbitlift.cli import _make_probes, main
 
 from enumeration import orbit
+import lift_checks
 
 PASS = "ACCEPTANCE {num} ({name}): PASS"
 
@@ -160,7 +161,7 @@ def test_criterion_7_lift_contract():
         group = inv.parse_group(spec)
         map_ = inv.orbit_map(group)
         lift = lf.lift_curve(group, map_, curve, grid, 1e-10)
-        assert lf.verify_lift(map_, lift, curve) < 1e-8, spec
+        assert lift_checks.verify_lift(map_, lift, curve) < 1e-8, spec
 
     # C^(k+d) curves built from sigma of known smooth maps: twice-differentiable
     # certificates and recovery of the map up to one global group element
@@ -168,7 +169,7 @@ def test_criterion_7_lift_contract():
         group = inv.parse_group(spec)
         map_ = inv.orbit_map(group)
         lift = lf.lift_curve(group, map_, curve, grid, 1e-10)
-        assert lf.verify_lift(map_, lift, curve) < 1e-8, spec
+        assert lift_checks.verify_lift(map_, lift, curve) < 1e-8, spec
         assert all(r.verdict == rc.TWICE for r in lift.reports), spec
         best = min(
             float(np.max(np.abs(lift.values - known @ el.T)))
@@ -223,7 +224,7 @@ def test_criterion_9_equivariance():
         elements = group.elements()
         for _ in range(3):
             el = elements[int(rng.integers(0, len(elements)))]
-            moved = lf.transformed_lift(map_, lift, el, curve)
+            moved = lift_checks.transformed_lift(map_, lift, el, curve)
             assert moved.residual == lift.residual, spec  # bitwise
             base = sorted(r.to_text() for r in lift.reports)
             got = sorted(r.to_text() for r in moved.reports)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -455,8 +456,90 @@ class TestEnvPoints:
                     got = cd.evaluate_with_env(node, {"u": x, "v": y})
                     assert type(got) is float and np.float64(got).tobytes() == rows[k].tobytes(), src
 
+    # every node kind, with the ufunc arguments that take the guarded branch
+    # (not finite, exp past its range, a power outside the normal range)
+    KINDS = ["u", "-u", "u+v", "u-v", "u*v", "u/(v+3)", "-(u*v)", "(u-v)^3", "abs(u)", "abs(-u)",
+             "sin(u)", "cos(u)", "exp(u)", "exp(700*u)", "exp(709.7*u)", "exp(-800*u)", "exp(-exp(1000*u))",
+             "sin(1e308*u)", "cos(u/1e-300)", "powabs(u,0.5)", "powabs(u,800)", "pow(u+2,-400)",
+             "pow(u, 3)", "pow(u, -2)", "powabs(u*1e-300, 2.5)", "u^0", "powabs(u, 1e-3)",
+             # constant left operands, read once
+             "2.5-u", "-0.5*u", "(1/3)*u+v", "2^3*u", "(0-0)/(v+2)"]
+    POINTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 1e-300, -3e-320, 1.0001, 0.999, 2.0, 1.5e-5])
+
+    def test_each_node_kind_gets_the_bits_of_its_entry(self):
+        u, v = np.meshgrid(self.POINTS, self.POINTS[:5])
+        u, v = u.ravel(), v.ravel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for src in self.KINDS:
+                node = cd.parse_curve_expr(src, variables=("u", "v"))
+                try:
+                    rows = cd.evaluate_with_env(node, {"u": u, "v": v})
+                except EvalError:
+                    rows = None
+                for k in range(u.size):
+                    for x, y in ((float(u[k]), float(v[k])), (u[k], v[k])):
+                        try:
+                            got = cd.evaluate_with_env(node, {"u": x, "v": y})
+                        except EvalError:
+                            assert rows is None or not np.isfinite(rows[k]), (src, x, y)
+                            continue
+                        assert type(got) is float, src
+                        if rows is not None:  # one failing entry fails the arrays
+                            assert np.float64(got).tobytes() == rows[k].tobytes(), (src, x, y)
+                        else:
+                            one = cd.evaluate_with_env(node, {"u": u[k:k + 1], "v": v[k:k + 1]})
+                            assert np.float64(got).tobytes() == one.tobytes(), (src, x, y)
+
+    @pytest.mark.parametrize("src, at, value", [
+        ("exp(1000*u)", 0.7875, None),
+        ("sin(1e308*10*u)", 0.5, None),
+        ("powabs(u+2,800)", 0.45, None),
+        ("0*exp(1000*u)", 0.7875, None),
+        ("exp(-exp(1000*u))", 0.7875, 0.0),
+        ("exp(-exp(1000*u))", 0.0, math.exp(-1.0)),
+    ])
+    def test_points_raise_no_warning(self, src, at, value):
+        node = cd.parse_curve_expr(src, variables=("u", "v"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (at, np.float64(at)):
+                if value is None:
+                    with pytest.raises(EvalError, match="non-finite value"):
+                        cd.evaluate_with_env(node, {"u": u, "v": 0.0})
+                else:
+                    assert cd.evaluate_with_env(node, {"u": u, "v": 0.0}) == value
+
+    def test_a_finite_point_enters_no_errstate(self, monkeypatch):
+        entered, seen = [], []
+        errstate = np.errstate
+
+        def spy(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        class Env(dict):
+            """Records numpy's error state whenever the tree reads a variable."""
+
+            def __getitem__(self, key):
+                seen.append(np.geterr())
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(np, "errstate", spy)
+        for src in self.SOURCES + ["exp(700*u)", "powabs(u,800)", "pow(v+2,-400)", "abs(u)-u^3"]:
+            node = cd.parse_curve_expr(src, variables=("u", "v"))
+            for x, y in ((0.6, -0.4), (np.float64(0.9), np.float64(0.7))):
+                cd.evaluate_with_env(node, Env(u=x, v=y))
+        assert entered == []
+        assert seen and all(state == np.geterr() for state in seen)
+        # an argument that could raise a flag does enter it
+        with pytest.raises(EvalError):
+            cd.evaluate_with_env(cd.parse_curve_expr("exp(1000*u)", ("u",)), {"u": 0.7875})
+        assert entered == [{"all": "ignore"}]
+
     @pytest.mark.parametrize("src, message", [
         ("1/(u-0.25)", "division by zero"),
+        ("(1/0)*u", "division by zero"),
         ("pow(v-u, 0.5)", "pow of negative base with non-integer exponent"),
         ("exp(800*u)", "non-finite value"),
     ])

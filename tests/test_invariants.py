@@ -582,6 +582,25 @@ class TestPointSigma:
                 assert _bits(point) == _bits(row), v
                 assert _bits(point) == _bits(_sorted_sigma(m, v)), v
 
+    @pytest.mark.parametrize("spec", POINT_GROUPS)
+    def test_every_point_form_gives_the_bits_of_a_float_array(self, spec):
+        # a 1-D float64 array runs by one tolist(); lists, integer arrays,
+        # strided views and other byte orders take np.asarray first
+        import zlib
+
+        g = inv.parse_group(spec)
+        m = inv.orbit_map(g)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()) + 7)
+        for ints in rng.integers(-4, 5, (10, g.dim)):
+            v = ints.astype(float)
+            want = _bits(m.evaluate(v))
+            strided = np.stack([v, -v], axis=1)[:, 0]
+            for form in (ints, ints.tolist(), v.tolist(), tuple(v.tolist()), strided, v.astype(">f8"), v[None, :]):
+                assert _bits(np.ravel(m.evaluate(form))) == want, (form, spec)
+        for bad in (np.zeros(g.dim + 1), [0.0] * (g.dim + 1), np.zeros((3, g.dim + 1))):
+            with pytest.raises(DimensionMismatch, match=f"point has dim {g.dim + 1}, {spec} acts on R\\^{g.dim}"):
+                m.evaluate(bad)
+
     def test_floats_sort_as_np_sort_sorts_them(self):
         # NaNs last; the order of 0.0 and -0.0, a tie that np.sort does not
         # keep stable, moves no bit of sigma (the tests above hold both)

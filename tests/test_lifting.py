@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import generic_kernels
+import lift_checks
 
 from orbitlift import curvedsl as cd
 from orbitlift import invariants as inv
@@ -122,7 +123,7 @@ class TestLiftCurve:
         curve = cd.CoeffCurve.from_exprs([repr(v) for v in y.tolist()])
         lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 4))
         assert lift.unresolved == ()
-        assert lf.verify_lift(m, lift, curve) <= 1e-9 * (1.0 + float(np.max(np.abs(y))))
+        assert lift_checks.verify_lift(m, lift, curve) <= 1e-9 * (1.0 + float(np.max(np.abs(y))))
 
     def test_tolerance_band_names_t(self):
         # x^2 + 5e-10: inside the (tol, 10*tol] near-miss band at every t
@@ -170,7 +171,7 @@ class TestVerifyLift:
         g, m = group_and_map("A:1")
         curve = cd.CoeffCurve.from_exprs(["0", "-t^2"])
         lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 8))
-        assert lf.verify_lift(m, lift, curve) < 1e-8
+        assert lift_checks.verify_lift(m, lift, curve) < 1e-8
 
     def test_perturbation_detected(self):
         g, m = group_and_map("A:1")
@@ -191,14 +192,14 @@ class TestVerifyLift:
         w = values[k]
         expected = np.max(np.abs(m.evaluate(w) - m.evaluate(v)))
         assert expected > 0.01
-        assert lf.verify_lift(m, broken, curve) >= expected - 1e-9
+        assert lift_checks.verify_lift(m, broken, curve) >= expected - 1e-9
 
     def test_constant_zero_residual(self):
         g, m = group_and_map("I2:3")
         y0 = m.evaluate([0.5, 0.25])
         curve = cd.CoeffCurve.from_exprs([f"{float(y0[0])!r}", f"{float(y0[1])!r}"])
         lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(0, 1, 6))
-        assert lf.verify_lift(m, lift, curve) < 1e-12
+        assert lift_checks.verify_lift(m, lift, curve) < 1e-12
 
 
 class TestAConsistency:
@@ -254,7 +255,7 @@ class TestEquivariance:
         rng = np.random.default_rng(4)
         elements = g.elements()
         el = elements[int(rng.integers(0, len(elements)))]
-        moved = lf.transformed_lift(m, lift, el, curve)
+        moved = lift_checks.transformed_lift(m, lift, el, curve)
         assert moved.residual == lift.residual  # bitwise equal floats
         base_reports = sorted(r.to_text() for r in lift.reports)
         moved_reports = sorted(r.to_text() for r in moved.reports)
@@ -265,7 +266,7 @@ class TestEquivariance:
         curve = cd.CoeffCurve.from_exprs(["1", "cos(3*t)"])
         lift = lf.lift_curve(g, m, curve, cd.Grid.dyadic(-1, 1, 7))
         el = g.elements()[2]
-        moved = lf.transformed_lift(m, lift, el, curve)
+        moved = lift_checks.transformed_lift(m, lift, el, curve)
         assert abs(moved.residual - lift.residual) < 1e-12
 
 
@@ -381,7 +382,7 @@ class TestLiftContracts:
         assert lift.residual_bound == 10.0 * 1e-10 * (1.0 + 1.0)  # max|c| = 1 at t = -1
         assert lift.residual > lift.residual_bound
         assert not lift.residual_ok
-        assert lf.verify_lift(m, lift, curve) == lift.residual
+        assert lift_checks.verify_lift(m, lift, curve) == lift.residual
 
     def test_dimension_mismatch(self):
         g, m = group_and_map("B:2")

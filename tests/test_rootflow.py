@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import clusters_oracle
 from orbitlift import curvedsl as cd
 from orbitlift import hyperpoly as hp
 from orbitlift import regcheck as rc
@@ -122,6 +123,43 @@ class TestCollisionClusters:
         pair, crossing = rf.collision_clusters(sel.branches, 4e-3)
         assert crossing == (256, 256, (0, 1))
         assert pair == (0, 512, (2, 3))
+
+    @staticmethod
+    def _gaps(*rows):
+        """Sorted branches whose adjacent gaps are `rows` (1 small, 0 not)."""
+        small = np.array(rows, dtype=float)
+        return np.vstack([np.zeros(small.shape[1]), np.cumsum(1.0 - small, axis=0)])
+
+    def test_cells_touching_only_diagonally_join(self):
+        vals = self._gaps([1, 1, 0, 0, 0, 0],
+                          [0, 0, 1, 0, 0, 0],
+                          [0, 0, 0, 0, 1, 0],
+                          [0, 0, 0, 0, 0, 1])
+        assert rf.collision_clusters(vals, 0.5) == [(0, 2, (0, 1, 2)), (4, 5, (2, 3, 4))]
+        assert rf.collision_clusters(vals, 0.5) == clusters_oracle.flood_clusters(vals, 0.5)
+
+    def test_two_clusters_at_one_sample(self):
+        # gaps 0 and 2 are small at sample 3; gap 1 between them never is
+        vals = self._gaps([0, 0, 0, 1, 1, 0],
+                          [0, 0, 0, 0, 0, 0],
+                          [1, 0, 0, 1, 0, 0])
+        got = rf.collision_clusters(vals, 0.5)
+        assert got == [(0, 0, (2, 3)), (3, 4, (0, 1)), (3, 3, (2, 3))]
+        assert got == clusters_oracle.flood_clusters(vals, 0.5)
+
+    def test_permanent_pair_matches_the_flood_fill(self):
+        grid = cd.Grid.dyadic(-1, 1, 9)
+        vals = rf.sorted_branches(curve_from(*PERMANENT_PAIR), grid).branches
+        for eps in (4e-3, 0.1, 1.0, 3.5):
+            assert rf.collision_clusters(vals, eps) == clusters_oracle.flood_clusters(vals, eps), eps
+
+    def test_random_blocks_match_the_flood_fill(self):
+        rng = np.random.default_rng(29)
+        for _ in range(600):
+            n, N = int(rng.integers(1, 7)), int(rng.integers(1, 41))
+            vals = np.sort(rng.uniform(0.0, 1.0, (n, N)), axis=0)
+            eps = float(rng.choice([1e-3, 0.05, 0.2, 0.5]))
+            assert rf.collision_clusters(vals, eps) == clusters_oracle.flood_clusters(vals, eps), (n, N, eps)
 
     @pytest.mark.xfail(strict=True, reason="a crossing between two samples is missed"
                        " (CHANGES.md, FOUND line on collision_clusters)")
