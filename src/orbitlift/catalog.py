@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .verdicts import C1, TWICE, UNBOUNDED, VERDICT_RANK
+from .verdicts import C1, TWICE, UNBOUNDED
 
 
 @dataclass(frozen=True)
@@ -96,23 +96,3 @@ def get(name: str) -> CatalogEntry:
         if entry.name == name:
             return entry
     raise KeyError(f"no catalog entry named {name!r}")
-
-
-def certify_entry(entry: CatalogEntry, level: int = 10, tol: float = 1e-10):
-    """Differentiable selection plus the weakest per-branch regularity report."""
-    # imported here so that listing the catalog loads no numpy
-    from . import regcheck
-    from .curvedsl import CoeffCurve, Grid
-    from .rootflow import differentiable_selection
-
-    grid = Grid.dyadic(entry.domain[0], entry.domain[1], level)
-    selection = differentiable_selection(CoeffCurve.from_exprs(list(entry.components)), grid, tol)
-    reports = regcheck.certify_samples(selection.branches.T, entry.domain, levels=6)
-    weakest = min(reports, key=lambda r: VERDICT_RANK[r.verdict])
-    return selection, reports, weakest
-
-
-def verdict_matches(entry: CatalogEntry, verdict: str) -> bool:
-    if entry.at_least:
-        return VERDICT_RANK[verdict] >= VERDICT_RANK[entry.expected_verdict]
-    return verdict == entry.expected_verdict

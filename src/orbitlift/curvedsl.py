@@ -209,6 +209,8 @@ class _Parser:
             exponent = _const_value(args[1])
             if exponent is None:
                 raise ExprSyntaxError(f"{name} exponent must be a constant", pos)
+            if not math.isfinite(exponent):
+                raise ExprDomainError(f"{name} exponent {exponent!r} is not finite")
             if name == "pow":
                 base_val = _const_value(args[0])
                 if (

@@ -26,23 +26,28 @@ are the expected regime here and must not surface as spurious complex
 pairs.  Complex pairs within the tolerance ball are promoted to real
 multiple roots; a pair outside it raises NotHyperbolic.
 
-The refused rows of a block are rebuilt together, one derivative level at
-a time.  The anchors of all rows are evaluated, with their Horner noise
-bounds, as one array.  The brackets of all rows are polished in one call:
-on arrays while _ARRAY_BRACKETS or more of them are live, then on Python
-floats, each straggler resumed where the arrays left it.  The runs of zero
-values of all rows are polished as multiple roots by one Newton per
-multiplicity.  The cluster collapse then runs once over every row with a
-near gap, its widths scanned column by column and its multiple roots again
-polished by one Newton per cluster size.  The array and float forms of a
-kernel run the same float operations in the same order, and a cluster's
-mean is summed in np.mean's order, so a row gets the same bits alone as in
-a block of any size.  Only the tol-ball promotion runs per row; it rebuilds
-its derivative as a block of one row.
+A block of more than _FLOAT_ROWS refused rows is rebuilt together, one
+derivative level at a time.  The anchors of all rows are evaluated, with
+their Horner noise bounds, as one array.  The brackets of all rows are
+polished in one call: on arrays while _ARRAY_BRACKETS or more of them are
+live, then on Python floats, each straggler resumed where the arrays left
+it.  The runs of zero values of all rows are polished as multiple roots by
+one Newton per multiplicity.  The cluster collapse then runs once over
+every row with a near gap, its widths scanned column by column and its
+multiple roots again polished by one Newton per cluster size.  A smaller
+block, such as the one crossing row of a curve that the certificate
+refuses at a collision, is solved one row at a time on Python floats (the
+row form, _row_roots), which spares it the block kernels' fixed numpy
+costs per level.  The array and float forms of a kernel run the same float
+operations in the same order, both forms sort as np.sort does, and a
+cluster's mean is summed in np.mean's order, so a row gets the same bits
+alone, in the row form or in a block of any size.  The tol-ball promotion
+runs per row in both forms, on Python floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -66,6 +71,11 @@ _GAP_MARGIN = 2.0
 # alone 499 ms.  No level of those seeds' select and lift rounds has more
 # than 10 brackets: they run on floats only.
 _ARRAY_BRACKETS = 64
+# _uncertified_roots solves a block of degree >= 3 with at most this many rows
+# one row at a time on Python floats (_row_roots).  On blocks of 1-12 rows of
+# degree 3-8 that each hold a double root (2-core x86 host, best of 15), that
+# takes 0.14-0.27 of the block kernels' time on 1 row, 0.81-0.96 on 8, 0.95-1.06 on 10.
+_FLOAT_ROWS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,16 +125,6 @@ class RootMultiset:
         return f"RootMultiset({self.values.tolist()})"
 
 
-def from_roots(root_values: Sequence[float]) -> MonicHyperbolic:
-    """Polynomial with the given real roots (Vieta: a_j = e_j(roots))."""
-    vals = np.sort(np.asarray(root_values, dtype=float).reshape(-1))
-    if vals.size == 0:
-        raise ValueError("at least one root required")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("roots must be finite")
-    return MonicHyperbolic(_elementary(vals.tolist()))
-
-
 def _elementary(roots: list) -> list:
     """e_1..e_n of the roots, accumulated in the order given.  The roots may
     be floats or equal-length arrays, one root of every row each."""
@@ -170,10 +170,12 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
       within d of its r.
     The signs are evaluated only for the rows whose candidates are finite
     and pass the gap test; the others are refused without them.  The
-    refused rows, and every row of degree <= 2, are solved together as one
-    block by the fallback: the closed forms, else the interlacing rebuild,
-    which runs level by level over all of them.  Each row's answer
-    is the one it gets alone.  The first row refused raises, carrying its
+    refused rows, and every row of degree <= 2, are solved together by the
+    fallback: the closed forms, else the interlacing rebuild, which runs
+    level by level over a block of more than _FLOAT_ROWS of them and one
+    row at a time on Python floats over a smaller one, by the same float
+    operations in the same order.  Each row's answer is the one it gets
+    alone.  The first row refused raises, carrying its
     row index as `index`: NotFinite for a row that is not finite, else the
     fallback's NotHyperbolic, RootSolveFailed or NotFinite.
     """
@@ -212,8 +214,20 @@ def _uncertified_roots(rows: np.ndarray, tol: float) -> np.ndarray:
     tol^(1/2), and a collapsed cluster moves the coefficients by as much.
     The first failing row raises, with its index in the block as `index`:
     NotFinite when its roots, or the polynomial recentred to find them,
-    overflow."""
-    n = rows.shape[1]
+    overflow.  A block of degree >= 3 and at most _FLOAT_ROWS rows is solved
+    and checked one row at a time on Python floats (_row_roots), by the
+    block's operations in the block's order, so it gets the same bits."""
+    m, n = rows.shape
+    if n >= 3 and m <= _FLOAT_ROWS:
+        out = []
+        for i, row in enumerate(rows.tolist()):
+            vals, solved = _row_roots(row, tol)
+            vals = _row_sort(vals)
+            miss = max(abs(ej - aj) for ej, aj in zip(_elementary(vals), row))  # max(), as in the block
+            if not (solved and miss <= 10.0 * math.sqrt(tol) * (1.0 + max(map(abs, row)))):
+                raise _refusal(i, n, tol, solved, any(map(math.isinf, vals)), miss)
+            out.append(vals)
+        return np.array(out)
     vals, solved = _roots_with_fallback(rows, tol)
     failed = ~solved
     if n >= 3:
@@ -228,16 +242,21 @@ def _uncertified_roots(rows: np.ndarray, tol: float) -> np.ndarray:
         failed |= ~(miss <= 10.0 * math.sqrt(tol) * scale)
     if failed.any():
         i = int(np.argmax(failed))
-        if not solved[i] and np.isinf(vals[i]).any():
-            exc = NotFinite(f"the roots, or the recentred polynomial, overflow (degree {n})")
-        elif not solved[i]:
-            exc = NotHyperbolic(f"certified complex root pair (degree {n}, tol {tol:g})")
-        else:
-            exc = RootSolveFailed(f"roots fail the backward check: they miss the coefficients"
-                                  f" by {miss[i]:.3g} (degree {n}, tol {tol:g})")
-        exc.index = i
-        raise exc
+        raise _refusal(i, n, tol, solved[i], np.isinf(vals[i]).any(), miss[i] if solved[i] else None)
     return vals
+
+
+def _refusal(index: int, n: int, tol: float, solved: bool, overflow: bool, miss) -> RowError:
+    """The error of a failing row of _uncertified_roots."""
+    if not solved and overflow:
+        exc = NotFinite(f"the roots, or the recentred polynomial, overflow (degree {n})")
+    elif not solved:
+        exc = NotHyperbolic(f"certified complex root pair (degree {n}, tol {tol:g})")
+    else:
+        exc = RootSolveFailed(f"roots fail the backward check: they miss the coefficients"
+                              f" by {miss:.3g} (degree {n}, tol {tol:g})")
+    exc.index = index
+    return exc
 
 
 # -- certified roots: one stacked eigensolve, checked by sign alternation ----
@@ -314,12 +333,12 @@ def _horner(c, x):
     return out
 
 
-def _deg(c: np.ndarray) -> int:
-    return c.size - 1
-
-
-def _deriv(c: np.ndarray) -> np.ndarray:
-    return c[:-1] * np.arange(_deg(c), 0, -1)
+def _deriv(c):
+    """The derivative of c: a float list, or an array holding one row's
+    coefficients along its last axis."""
+    if isinstance(c, list):
+        return [a * k for a, k in zip(c, range(len(c) - 1, 0, -1))]
+    return c[..., :-1] * np.arange(c.shape[-1] - 1, 0, -1)
 
 
 def _root_bounds(c: np.ndarray) -> np.ndarray:
@@ -432,8 +451,8 @@ def _polish_mult_root(c: np.ndarray, x: np.ndarray, mult: int) -> np.ndarray:
     its own solve."""
     d = c
     for _ in range(mult - 1):
-        d = d[:, :-1] * np.arange(d.shape[1] - 1, 0, -1)  # the rows' _deriv
-    dd, ad, bound = d[:, :-1] * np.arange(d.shape[1] - 1, 0, -1), np.abs(d), 2.0 * d.shape[1] * _EPS
+        d = _deriv(d)
+    dd, ad, bound = _deriv(d), np.abs(d), 2.0 * d.shape[1] * _EPS
     x = np.array(x, dtype=float)
     live = np.arange(x.size)
     with np.errstate(all="ignore"):
@@ -519,14 +538,15 @@ def _collapse_clusters(values: np.ndarray, tol: float, c: np.ndarray) -> np.ndar
     return out
 
 
-def _taylor_shift(c: np.ndarray, mu) -> np.ndarray:
-    """Coefficients of p(x + mu) by repeated synthetic division, for one
-    row c and a float mu, or for a block of rows c and their mu."""
-    b = c.copy()
-    n = b.shape[-1]
+def _taylor_shift(c, mu) -> list:
+    """Coefficients of p(x + mu) by repeated synthetic division.  Each item
+    of c is one coefficient: a float, with mu a float, or an array of one
+    coefficient of every row, with mu holding the rows' shifts."""
+    b = list(c)
+    n = len(b)
     for i in range(1, n):
         for j in range(1, n - i + 1):
-            b[..., j] += mu * b[..., j - 1]
+            b[j] = b[j] + mu * b[j - 1]
     return b
 
 
@@ -553,31 +573,29 @@ def _expand(roots: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return out, count
 
 
-def _promote(pairs: list[tuple[float, int]], c: np.ndarray, tol: float, tol_eff: float,
+def _promote(pairs: list[tuple[float, int]], c: list[float], tol: float, tol_eff: float,
              shift_noise: float) -> list[tuple[float, int]] | None:
     """The rebuilt roots (x, multiplicity) of the recentred c, its deficit
     filled: complex pairs within the tol-ball coalesce into higher
     multiplicities.  Candidate promotions are ranked by how cleanly the
     lower derivatives vanish at the witness point; None if one is out of
     the tol-ball."""
-    n = _deg(c)
+    n = len(c) - 1
     total = sum(m for _, m in pairs)
     derivs = [c]
     for _ in range(n):
         derivs.append(_deriv(derivs[-1]))
-    scales = [1.0 + float(np.max(np.abs(d))) for d in derivs]
-    dfloats = [d.tolist() for d in derivs]
-    crit, mult = _rebuild(derivs[1][None, :], np.array([tol_eff]), np.array([shift_noise * n]))
-    crit = crit[0, mult[0] > 0].tolist()
+    scales = [1.0 + max(map(abs, d)) for d in derivs]
+    crit = [x for x, _ in _row_rebuild(derivs[1], tol_eff, shift_noise * n)]
     while total < n:
         best = None  # (violation, tiebreak, index-or-None, x, new_mult)
         for i, (r, m) in enumerate(pairs):
             if m + 2 > n:
                 continue
-            x = float(_polish_mult_root(c[None, :], [r], m + 2)[0])
+            x = _row_polish_mult_root(c, r, m + 2)
             if abs(x - r) > 0.5 * (1.0 + abs(r)):
                 continue  # Newton wandered off; not a local cluster
-            viol = _promotion_violation(dfloats, scales, x, m + 2, tol_eff)
+            viol = _promotion_violation(derivs, scales, x, m + 2, tol_eff)
             cand = (viol, abs(x - r), i, x, m + 2)
             if best is None or cand[:2] < best[:2]:
                 best = cand
@@ -586,7 +604,7 @@ def _promote(pairs: list[tuple[float, int]], c: np.ndarray, tol: float, tol_eff:
             # belongs to that cluster: let the promotion above absorb it
             if any(abs(x0 - r) < tol ** (1.0 / (m + 2)) for r, m in pairs):
                 continue
-            viol = _promotion_violation(dfloats, scales, x0, 2, tol_eff)
+            viol = _promotion_violation(derivs, scales, x0, 2, tol_eff)
             cand = (viol, 0.0, None, x0, 2)
             if best is None or cand[:2] < best[:2]:
                 best = cand
@@ -630,8 +648,8 @@ def _rebuild(c: np.ndarray, tol: np.ndarray, noise_floor: np.ndarray) -> tuple[n
     and 0."""
     m, n = c.shape[0], c.shape[1] - 1
     derivs = [c]
-    for d in range(n, 1, -1):
-        derivs.append(derivs[-1][:, :-1] * np.arange(d, 0, -1))  # _deriv of each row
+    for _ in range(n - 1):
+        derivs.append(_deriv(derivs[-1]))
     scales, floors = [], []
     for d, p in zip(range(n, 1, -1), derivs):
         scales.append(1.0 + np.max(np.abs(p), axis=1))
@@ -738,7 +756,7 @@ def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     mu = rows[keep, 0] / n
     scale = 1.0 + np.max(np.abs(rows[keep]), axis=1)
     with np.errstate(all="ignore"):
-        c[keep] = _taylor_shift(c[keep], mu)
+        c[keep] = np.array(_taylor_shift(c[keep].T, mu)).T
         # rounding inside the shift leaves absolute coefficient noise at the
         # original scale; evaluated values inherit it
         shift_noise = 4.0 * (n + 1) * _EPS * scale * np.fmax(1.0, np.abs(mu))
@@ -758,7 +776,7 @@ def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
         for i in np.flatnonzero(~found).tolist():
             pairs = [(x, k) for x, k in zip(roots[i].tolist(), mult[i].tolist()) if k]
             if total[i] < n and (n - total[i]) % 2 == 0:
-                pairs = _promote(pairs, c[keep[i]], tol, float(tol_eff[i]), float(shift_noise[i]))
+                pairs = _promote(pairs, c[keep[i]].tolist(), tol, float(tol_eff[i]), float(shift_noise[i]))
             if pairs is not None and sum(k for _, k in pairs) >= n:
                 vals[i] = np.sort(np.concatenate([np.full(k, x) for x, k in pairs]))[:n]
                 found[i] = True
@@ -771,3 +789,132 @@ def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
         out[near] = _collapse_clusters(out[near], tol, c[near])
     out[keep] += mu[:, None]
     return out, ok
+
+
+# -- the row form: a few refused rows, one at a time on Python floats ---------
+#
+# Each function runs its block kernel's float operations in the same order on
+# one row, so a row gets the same bits in either form.  Where numpy returns
+# inf or nan, Python float arithmetic raises only on a zero divisor, which
+# every division below excludes as its block kernel does, and on a pow that
+# overflows, which a root of a float cannot.
+
+def _row_sort(values: list[float]) -> list[float]:
+    """values sorted as np.sort sorts them, nan last."""
+    return sorted(values, key=lambda v: (v != v, v))
+
+
+def _row_roots(row: list[float], tol: float) -> tuple[list[float], bool]:
+    """_roots_with_fallback on one row of degree n >= 3: its roots and
+    whether it was found hyperbolic."""
+    n = len(row)
+    c = [1.0] + [a if j % 2 else -a for j, a in enumerate(row)]
+    if row[-1] == 0.0:
+        if n == 3:
+            rest, ok = _quadratic_roots(np.array([row[:-1]]), tol)
+            rest, ok = rest[0].tolist(), bool(ok[0])
+        else:
+            rest, ok = _row_roots(row[:-1], tol)
+        out = _row_sort(rest + [0.0])
+        # the collapse leaves a row without a gap narrower than tol^(1/2) as it is
+        return (_row_collapse_clusters(out, tol, c) if ok else out), ok
+    mu = row[0] / n
+    scale = 1.0 + max(map(abs, row))
+    c = _taylor_shift(c, mu)
+    shift_noise = 4.0 * (n + 1) * _EPS * scale * max(1.0, abs(mu))
+    if not all(map(math.isfinite, c)):
+        return [math.inf] * n, False
+    tol_eff = tol * scale / (1.0 + max(map(abs, c)))
+    pairs = _row_rebuild(c, tol_eff, shift_noise)
+    total = sum(k for _, k in pairs)
+    if total < n and (n - total) % 2 == 0:
+        pairs = _promote(pairs, c, tol, tol_eff, shift_noise)
+    if pairs is None or sum(k for _, k in pairs) < n:
+        return [math.nan] * n, False
+    out = _row_collapse_clusters(_row_sort([x for x, k in pairs for _ in range(k)])[:n], tol, c)
+    return [x + mu for x in out], True
+
+
+def _row_rebuild(c: list[float], tol: float, noise_floor: float) -> list[tuple[float, int]]:
+    """_rebuild on one row: its roots and their multiplicities, as pairs."""
+    n = len(c) - 1
+    derivs = [c]
+    for _ in range(n - 1):
+        derivs.append(_deriv(derivs[-1]))
+    scales, floors = [], []
+    for d, p in zip(range(n, 1, -1), derivs):
+        scales.append(1.0 + max(map(abs, p)))
+        floor = 4.0 * len(p) * _EPS * scales[-1]
+        floors.append(floor if floor > noise_floor else noise_floor)
+        noise_floor = floors[-1] * d
+    pairs = [(-derivs[-1][1] / derivs[-1][0], 1)]
+    for d in range(2, n + 1):
+        p, dp, scale, floor = derivs[n - d], derivs[n - d + 1], scales[n - d], floors[n - d]
+        bound = _row_root_bound(p) + 1.0
+        anchors = [-bound] + [x for x, k in pairs for _ in range(k)] + [bound]
+        vals = [_horner(p, x) for x in anchors]
+        absp, lim = [abs(a) for a in p], 2.0 * len(p) * _EPS
+        zero = []
+        for x, v in zip(anchors, vals):
+            two = 2.0 * (lim * _horner(absp, abs(x)))
+            zero.append(abs(v) <= tol * scale and abs(v) <= (floor if floor > two else two))
+        pos = [v > 0 for v in vals]
+        pairs = [(_polish_simple(p, dp, anchors[k], anchors[k + 1]), 1) for k in range(len(anchors) - 1)
+                 if not (zero[k] or zero[k + 1]) and pos[k] != pos[k + 1]]
+        # each run of zero values between the anchors, columns k to end - 1, is one cluster
+        simple, end = len(pairs), 1
+        for is_zero, cols in itertools.groupby(zero[1:-1]):
+            k, end = end, end + len(list(cols))
+            if is_zero:
+                run = end - k + 1
+                run = min(run + ((pos[k - 1] != pos[end]) != (run % 2 == 1)), d)
+                pairs.append((_row_polish_mult_root(p, 0.5 * (anchors[k] + anchors[end - 1]), run), run))
+        if len(pairs) > simple or any(b[0] < a[0] for a, b in zip(pairs, pairs[1:])):
+            pairs.sort(key=lambda pair: (pair[0] != pair[0], pair[0]))
+    return pairs
+
+
+def _row_root_bound(p: list[float]) -> float:
+    """_root_bounds of one row: C pow of every term gives the largest the
+    block finds, since pow and np.power differ by less than its margin."""
+    return 2.0 * max(pow(abs(a) / abs(p[0]), 1.0 / k) for k, a in enumerate(p[1:], 1)) + 1.0
+
+
+def _row_polish_mult_root(c: list[float], x: float, mult: int) -> float:
+    """_polish_mult_root on one row, from the float x."""
+    d = c
+    for _ in range(mult - 1):
+        d = _deriv(d)
+    dd, ad, bound = _deriv(d), [abs(a) for a in d], 2.0 * len(d) * _EPS
+    for _ in range(40):
+        ax = abs(x)
+        fx, acc, dfx = _horner(d, x), _horner(ad, ax), _horner(dd, x)
+        if abs(fx) <= 2.0 * (bound * acc) or dfx == 0.0 or not math.isfinite(dfx):
+            break
+        step = fx / dfx
+        if abs(step) > 0.1 * (1.0 + ax):
+            break
+        x -= step
+        if not abs(step) > 1e-16 * max(1.0, abs(x)):
+            break
+    return x
+
+
+def _row_collapse_clusters(values: list[float], tol: float, c: list[float]) -> list[float]:
+    """_collapse_clusters on one row of sorted values."""
+    out, i = values[:], 0
+    while i < len(values):
+        j = i + 1
+        while j < len(values) and values[j] - values[i] < tol ** (1.0 / (j - i + 1)):
+            j += 1
+        size, terms = j - i, values[i:j]
+        if size > 1:
+            merged = (0.0 + _mean_sum(terms)) / size
+            spread = terms[-1] - terms[0]
+            if spread > 0.0:
+                polished = _row_polish_mult_root(c, merged, size)
+                if abs(polished - merged) <= spread + tol ** (1.0 / size):
+                    merged = polished
+            out[i:j] = [merged] * size
+        i = j
+    return out

@@ -16,6 +16,8 @@ from orbitlift.cli import _make_probes, main
 
 from enumeration import orbit
 import lift_checks
+from catalog_checks import certify_entry
+from polys import from_roots
 
 PASS = "ACCEPTANCE {num} ({name}): PASS"
 
@@ -32,7 +34,7 @@ def test_criterion_1_vieta_round_trip():
     for _ in range(500):
         n = int(rng.integers(1, 9))
         R = np.sort(rng.uniform(-10.0, 10.0, n))
-        got = hp.roots(hp.from_roots(R), 1e-10).values
+        got = hp.roots(from_roots(R), 1e-10).values
         assert got.size == n
         assert np.max(np.abs(got - R)) < 1e-7
     report(1, "Vieta round trip, 500 multisets at 1e-7")
@@ -62,13 +64,13 @@ def test_criterion_2_crossing_resolution():
 
 
 def test_criterion_3_regularity_separation():
-    _, _, crossing = catalog.certify_entry(catalog.get("crossing-lines"), level=10)
+    _, _, crossing = certify_entry(catalog.get("crossing-lines"), level=10)
     assert crossing.at_least(rc.C1)
 
-    _, _, cusp32 = catalog.certify_entry(catalog.get("cusp-3-2"), level=10)
+    _, _, cusp32 = certify_entry(catalog.get("cusp-3-2"), level=10)
     assert cusp32.at_least(rc.C1)
 
-    _, reports, sqrt_cusp = catalog.certify_entry(catalog.get("sqrt-cusp"), level=10)
+    _, reports, sqrt_cusp = certify_entry(catalog.get("sqrt-cusp"), level=10)
     assert sqrt_cusp.verdict == rc.UNBOUNDED
     flagged = [r for r in reports if r.verdict == rc.UNBOUNDED]
     assert flagged
@@ -81,8 +83,8 @@ def test_criterion_3_regularity_separation():
 def test_criterion_4_sharpness_flip():
     upper = catalog.get("cusp-3-2")
     lower = catalog.get(upper.flip_partner)
-    _, _, upper_rep = catalog.certify_entry(upper, level=10)
-    _, _, lower_rep = catalog.certify_entry(lower, level=10)
+    _, _, upper_rep = certify_entry(upper, level=10)
+    _, _, lower_rep = certify_entry(lower, level=10)
     assert upper_rep.at_least(rc.C1)
     assert lower_rep.verdict in (rc.UNBOUNDED, rc.INCONCLUSIVE)
     report(4, "lowering the declared class flips C1 -> unbounded/inconclusive")

@@ -13,6 +13,8 @@ from orbitlift import catalog, invariants, regcheck
 from orbitlift.cli import EXIT_DOMAIN, EXIT_INCONCLUSIVE, EXIT_OK, main
 from orbitlift.curvedsl import read_samples_csv
 
+from catalog_checks import certify_entry, verdict_matches
+
 
 def run(args):
     return main(args)
@@ -235,8 +237,9 @@ class TestEvaluationErrors:
 
 class TestDomainErrors:
     """A domain of infinite length, or so short that its finest step
-    squares to 0 or its difference quotients overflow, ends in exit 2 and
-    one error line; numpy warns nothing."""
+    squares to 0 or its difference quotients overflow, and a pow or powabs
+    exponent that is not finite, end in exit 2 and one error line; numpy
+    warns nothing."""
 
     @pytest.mark.parametrize("argv, says", [
         (["select", "--curve", "0,-t^2", "--domain", "0:inf"], "infinite length"),
@@ -249,6 +252,15 @@ class TestDomainErrors:
         (["certify", "--curve", "t", "--domain", "0:1e-300"], "squares to 0"),
         (["certify", "--curve", "1e300*t", "--domain", "0:1e-100", "--level", "10"], "overflow"),
         (["certify", "--curve", "1e300*t", "--domain", "0:1e-158", "--level", "10"], "overflow"),
+        (["certify", "--curve", "pow(t,1e400)", "--level", "4"], "pow exponent inf is not finite"),
+        (["certify", "--curve", "pow(t,-1e400)", "--level", "4"], "pow exponent -inf is not finite"),
+        (["certify", "--curve", "pow(t,1e400-1e400)", "--level", "4"], "pow exponent nan is not finite"),
+        (["certify", "--curve", "powabs(t,1e400)", "--level", "4"], "powabs exponent inf is not finite"),
+        (["select", "--curve", "0,pow(t,1e400)", "--level", "4"], "pow exponent inf is not finite"),
+        (["lift", "--group", "B:2", "--curve", "1,powabs(t,1e400)", "--level", "4"],
+         "powabs exponent inf is not finite"),
+        (["harness", "--group", "B:2", "--gmap", "pow(u,1e400);2", "--box", "-1:1,-1:1", "--probes", "3",
+          "--level", "4"], "pow exponent inf is not finite"),
     ])
     def test_one_error_line(self, argv, says, capsys):
         with warnings.catch_warnings():
@@ -322,8 +334,8 @@ class TestDeterminism:
 class TestCatalogModule:
     def test_all_entries_certify_as_expected(self):
         for entry in catalog.CATALOG:
-            _, _, weakest = catalog.certify_entry(entry, level=10)
-            assert catalog.verdict_matches(entry, weakest.verdict), (
+            _, _, weakest = certify_entry(entry, level=10)
+            assert verdict_matches(entry, weakest.verdict), (
                 entry.name, weakest.verdict,
             )
 

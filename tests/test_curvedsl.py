@@ -47,6 +47,17 @@ class TestParser:
         with pytest.raises(ExprDomainError):
             cd.parse_curve_expr("pow(-2, 0.5)")
 
+    @pytest.mark.parametrize("src, says", [
+        ("pow(t,1e400)", "pow exponent inf"),
+        ("pow(t,-1e400)", "pow exponent -inf"),
+        ("pow(t,1e400-1e400)", "pow exponent nan"),
+        ("powabs(t,1e400)", "powabs exponent inf"),
+        ("powabs(u,-1e400)", "powabs exponent -inf"),
+    ])
+    def test_non_finite_exponent_rejected_at_parse(self, src, says):
+        with pytest.raises(ExprDomainError, match=f"^{says} is not finite$"):
+            cd.parse_curve_expr(src, ("t", "u"))
+
     def test_pow_negative_at_runtime(self):
         ast = cd.parse_curve_expr("pow(t, 0.5)")
         with pytest.raises(EvalError):

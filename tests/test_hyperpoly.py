@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import generic_kernels
+from polys import from_roots
 import scalar_kernels
 from orbitlift import hyperpoly as hp
-from orbitlift.errors import NotFinite, NotHyperbolic, RootSolveFailed
+from orbitlift.errors import NotFinite, NotHyperbolic, RootSolveFailed, RowError
 
 
 def expand_product(roots):
@@ -21,16 +24,16 @@ def expand_product(roots):
 
 class TestFromRoots:
     def test_double_zero(self):
-        p = hp.from_roots([0.0, 0.0])
+        p = from_roots([0.0, 0.0])
         assert p.degree == 2
         assert np.allclose(p.coeffs, [0.0, 0.0])
 
     def test_pm_one(self):
-        p = hp.from_roots([-1.0, 1.0])
+        p = from_roots([-1.0, 1.0])
         assert np.allclose(p.coeffs, [0.0, -1.0])  # x^2 - 1
 
     def test_one_two_three(self):
-        p = hp.from_roots([1.0, 2.0, 3.0])
+        p = from_roots([1.0, 2.0, 3.0])
         # oracle: (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
         oracle = expand_product([1.0, 2.0, 3.0])
         assert np.allclose(oracle, [1.0, -6.0, 11.0, -6.0])
@@ -39,7 +42,7 @@ class TestFromRoots:
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            hp.from_roots([np.nan, 1.0])
+            from_roots([np.nan, 1.0])
 
 
 class TestEvaluate:
@@ -79,7 +82,7 @@ class TestRoots:
         rng = np.random.default_rng(3)
         for _ in range(50):
             R = np.sort(rng.uniform(-10, 10, 6))
-            p = hp.from_roots(R)
+            p = from_roots(R)
             got = hp.roots(p, 1e-10).values
             res = np.max(np.abs(hp.evaluate(p, got)))
             assert res <= 1e-10 * (1.0 + np.max(np.abs(p.coeffs)))
@@ -89,18 +92,18 @@ class TestRoots:
             hp.roots(hp.MonicHyperbolic([0.0, 1.0]))
 
     def test_triple_root(self):
-        p = hp.from_roots([1.3, 1.3, 1.3, -2.0])
+        p = from_roots([1.3, 1.3, 1.3, -2.0])
         assert np.allclose(hp.roots(p).values, [-2.0, 1.3, 1.3, 1.3], atol=1e-9)
 
     def test_deterministic(self):
-        p = hp.from_roots([0.3, 0.3, -5.0, 2.2])
+        p = from_roots([0.3, 0.3, -5.0, 2.2])
         a = hp.roots(p).values
         b = hp.roots(p).values
         assert a.tobytes() == b.tobytes()
 
     def test_near_double_collapses(self):
         # gap below tol^(1/2) collapses to the cluster mean
-        p = hp.from_roots([1.0, 1.0 + 1e-8])
+        p = from_roots([1.0, 1.0 + 1e-8])
         got = hp.roots(p, 1e-10).values
         assert got[0] == got[1]
         assert abs(got[0] - 1.0) < 1e-7
@@ -115,7 +118,7 @@ class TestRoots:
         # a gap of 4.7e-5 is wider than the collapse width tol^(1/2) = 1e-5
         gap = 4.6534644880580345e-05
         exact = [-10.62068512] * 2 + [-3.71660794, -3.71660794 + gap, 3.62783631, 10.07129047]
-        got = hp.roots(hp.from_roots(exact)).values
+        got = hp.roots(from_roots(exact)).values
         assert got[0] == got[1]
         assert got[3] - got[2] > 0.99 * gap
         assert np.max(np.abs(got - np.sort(exact))) < 1e-9
@@ -131,7 +134,7 @@ class TestRoots:
         # root of the derivative's triple critical point counts, so the
         # zero critical value carries all four roots
         cluster = [-4.346971069463818, -4.346873115528429, -4.346858284781638, -4.346736431558016]
-        got = hp.roots(hp.from_roots(cluster + [0.465977399321833, 4.4088930173543766])).values
+        got = hp.roots(from_roots(cluster + [0.465977399321833, 4.4088930173543766])).values
         assert np.all(got[:4] == got[0])
         assert abs(got[0] - np.mean(cluster)) < 1e-8
         assert np.allclose(got[4:], [0.465977399321833, 4.4088930173543766], rtol=0, atol=1e-12)
@@ -174,7 +177,7 @@ class TestRoundTrip:
         for _ in range(100):
             n = int(rng.integers(1, 9))
             R = np.sort(rng.uniform(-10.0, 10.0, n))
-            got = hp.roots(hp.from_roots(R), 1e-10).values
+            got = hp.roots(from_roots(R), 1e-10).values
             assert got.size == n
             assert np.max(np.abs(got - R)) < 1e-7
 
@@ -182,8 +185,8 @@ class TestRoundTrip:
         rng = np.random.default_rng(7)
         R = np.sort(rng.uniform(-5.0, 5.0, 6))
         s = 3.25
-        base = hp.roots(hp.from_roots(R)).values
-        shifted = hp.roots(hp.from_roots(R + s)).values
+        base = hp.roots(from_roots(R)).values
+        shifted = hp.roots(from_roots(R + s)).values
         assert np.max(np.abs(shifted - (base + s))) < 1e-7
 
     @settings(max_examples=60, deadline=None)
@@ -199,7 +202,7 @@ class TestRoundTrip:
         # boundary than the coefficient rounding of from_roots itself; such
         # inputs are undecidable at the default tolerance and must certify
         # at one commensurate with their conditioning.
-        p = hp.from_roots(root_list)
+        p = from_roots(root_list)
         assert hyperbolic(p) or hyperbolic(p, 1e-7)
 
     def test_clusters_up_to_four_fold(self):
@@ -213,7 +216,7 @@ class TestRoundTrip:
             cluster = centre + 10.0 ** rng.uniform(-8.0, -4.0) * rng.uniform(0.0, 1.0, m)
             others = [x for x in rng.uniform(-6.0, 6.0, int(rng.integers(0, 4))) if abs(x - centre) > 0.5]
             R = np.sort(np.concatenate([cluster, others]))
-            p = hp.from_roots(R)
+            p = from_roots(R)
             got = hp.roots(p).values
             allow = np.ptp(cluster) + 10.0 * (np.finfo(float).eps * (1.0 + np.max(np.abs(p.coeffs)))) ** (1.0 / m)
             assert np.max(np.abs(got - R)) <= allow, R
@@ -225,7 +228,7 @@ class TestRoundTrip:
             k = int(rng.integers(1, n + 1))
             base = rng.uniform(-10, 10, k)
             R = np.round(base[rng.integers(0, k, n)], int(rng.integers(1, 5)))
-            p = hp.from_roots(R)
+            p = from_roots(R)
             assert hyperbolic(p) or hyperbolic(p, 1e-7)
 
 
@@ -321,6 +324,7 @@ class TestFloatKernels:
             c[::7, -1] = 0.0
             got = hp._root_bounds(c)
             assert all(bits(got[i]) == bits(np.float64(root_bound(c[i]))) for i in range(200))
+            assert all(bits(got[i]) == bits(np.float64(hp._row_root_bound(c[i].tolist()))) for i in range(200))
 
 
 def polish_cases():
@@ -334,7 +338,7 @@ def polish_cases():
             r = np.sort(rng.uniform(-4.0, 4.0, deg))
             if deg >= 3 and rng.random() < 0.5:
                 r[1] = r[0] + 10.0 ** rng.uniform(-7.0, -2.0)  # a near pair
-            c = hp.from_roots(r).full_coeffs()
+            c = from_roots(r).full_coeffs()
             k = int(rng.integers(0, deg))
             lo = r[0] - rng.uniform(0.1, 2.0) if k == 0 else 0.5 * (r[k - 1] + r[k])
             hi = r[-1] + rng.uniform(0.1, 2.0) if k == deg - 1 else 0.5 * (r[k] + r[k + 1])
@@ -364,7 +368,7 @@ def large_bracket_blocks():
                 r = np.sort(r)
             lo = r[0] - rng.uniform(0.1, 2.0) if k == 0 else 0.5 * (r[k - 1] + r[k])
             hi = r[-1] + rng.uniform(0.1, 2.0) if k == deg - 1 else 0.5 * (r[k] + r[k + 1])
-            group.append((hp.from_roots(r).full_coeffs(), float(lo), float(hi)))
+            group.append((from_roots(r).full_coeffs(), float(lo), float(hi)))
         yield deg, group
 
 
@@ -459,11 +463,11 @@ def mult_root_cases():
             spread = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-12.0, -4.0)
             r = np.concatenate([centre + spread * np.linspace(-0.5, 0.5, mult),
                                 rng.uniform(-6.0, 6.0, int(rng.integers(0, 4)))])
-            c = hp.from_roots(r).full_coeffs() * 10.0 ** rng.integers(-3, 4)
+            c = from_roots(r).full_coeffs() * 10.0 ** rng.integers(-3, 4)
             x0 = centre + 10.0 ** rng.uniform(-9.0, 0.0) * rng.choice([-1.0, 1.0])
             cases.append((c, float(x0), mult))
         cases.append((c, float(centre) + 1e6, mult))
-        cases.append((hp.from_roots([1.0] * mult).full_coeffs(), 1.0, mult))
+        cases.append((from_roots([1.0] * mult).full_coeffs(), 1.0, mult))
     d = np.array([1.0, 0.0, -1.0, 0.0])  # x^3 - x: x^2 - 1/3 has no slope at 0
     cases.append((d, 0.0, 2))
     return cases
@@ -493,14 +497,14 @@ def collapse_rows():
     rows.append(np.array([-1.0, 1.0, 1.0 + 1e-8, np.nan, 2.0, 3.0, 4.0, 5.0]))
     rows[-4:] = [(r, np.nan_to_num(r)) for r in rows[-4:]]
     values = np.array([v for v, _ in rows])
-    c = np.array([hp.from_roots(r).full_coeffs() for _, r in rows])
+    c = np.array([from_roots(r).full_coeffs() for _, r in rows])
     return values, c
 
 
 class TestBlockKernels:
     """The multiple-root Newton and the cluster collapse run on blocks of
-    rows and give each row the bits of the scalar oracles in
-    tests/scalar_kernels.py, alone or inside any block."""
+    rows, and on one row of Python floats, and give each row the bits of the
+    scalar oracles in tests/scalar_kernels.py, alone or inside any block."""
 
     def test_mult_root_newton_matches_the_scalar_loop(self):
         cases = mult_root_cases()
@@ -513,6 +517,8 @@ class TestBlockKernels:
                 ref = [scalar_kernels.polish_mult_root(c, x, mult) for c, x in zip(C, x0.tolist())]
                 assert bits(got) == bits(np.array(ref))
                 assert bits(hp._polish_mult_root(C[:1], x0[:1], mult)) == bits(np.array(ref[:1]))
+                rows = [hp._row_polish_mult_root(c.tolist(), x, mult) for c, x in zip(C, x0.tolist())]
+                assert bits(np.array(rows)) == bits(np.array(ref))
         # the exits: x already at its cluster, and a slope of 0
         c, x0, _ = cases[-2]
         assert hp._polish_mult_root(c[None, :], np.array([x0]), 5)[0] == 1.0
@@ -528,6 +534,8 @@ class TestBlockKernels:
             got = hp._collapse_clusters(values, 1e-10, c)
         ref = np.array([scalar_kernels.collapse_clusters(v, 1e-10, p) for v, p in zip(values, c)])
         assert bits(got) == bits(ref)
+        rows = [hp._row_collapse_clusters(v.tolist(), 1e-10, p.tolist()) for v, p in zip(values, c)]
+        assert bits(np.array(rows)) == bits(ref)
         assert np.unique(got[-4]).size == 1 and np.unique(got[-3]).size == 6
         assert np.isnan(got[-1, 3]) and got[-1, 1] == got[-1, 2]
         moved, kept = got[-6, 1], got[-5, 1]
@@ -546,8 +554,8 @@ class TestBlockKernels:
         # roots {0, 2e-9, 3e-9, 1, 2}: the constant term is exactly 0, so the
         # fallback deflates the 0 and collapses the cluster with the row's
         # own coefficients, in the block as alone
-        rows = np.array([hp.from_roots([0.0, 2e-9, 3e-9, 1.0, 2.0]).coeffs,
-                         hp.from_roots([-1.0, 0.5, 0.5 + 1e-9, 1.0, 2.0]).coeffs])
+        rows = np.array([from_roots([0.0, 2e-9, 3e-9, 1.0, 2.0]).coeffs,
+                         from_roots([-1.0, 0.5, 0.5 + 1e-9, 1.0, 2.0]).coeffs])
         assert rows[0, -1] == 0.0
         got, ok = hp._roots_with_fallback(rows, 1e-10)
         assert ok.all()
@@ -577,12 +585,12 @@ def certificate_block(n, rng):
     finite) and rows whose Horner values overflow."""
     rows = []
     for _ in range(6):
-        rows.append(hp.from_roots(np.sort(rng.uniform(-9.0, 9.0, n)) + 0.2 * np.arange(n)).coeffs)
+        rows.append(from_roots(np.sort(rng.uniform(-9.0, 9.0, n)) + 0.2 * np.arange(n)).coeffs)
         r = rng.uniform(-3.0, 3.0, n)
         r[1] = r[0]
-        rows.append(hp.from_roots(r).coeffs)
+        rows.append(from_roots(r).coeffs)
         r[:3] = 1.0 + rng.uniform(0.5, 2.0) + 3e-5 * np.arange(3)
-        rows.append(hp.from_roots(r).coeffs)
+        rows.append(from_roots(r).coeffs)
         # (x^2 + 1) times a polynomial with real roots
         rest = np.poly(rng.uniform(-2.0, 2.0, n - 2))
         rows.append(np.polymul([1.0, 0.0, 1.0], rest)[1:] * (-1.0) ** np.arange(1, n + 1))
@@ -620,7 +628,7 @@ class TestRootsBatch:
         rng = np.random.default_rng(31)
         for n in range(3, 7):
             R = rng.uniform(-10.0, 10.0, (60, n))
-            rows = np.array([hp.from_roots(r).coeffs for r in R])
+            rows = np.array([from_roots(r).coeffs for r in R])
             values, fell_back = hp.roots_batch(rows)
             assert values.shape == rows.shape
             assert np.mean(fell_back) < 0.5
@@ -646,7 +654,7 @@ class TestRootsBatch:
             [-1.0, 1.0, 1.5, 3.0],              # certified
             [-1.0, 1.0, 1.0, 3.0],              # double root
         ]
-        rows = np.array([hp.from_roots(r).coeffs for r in roots_list])
+        rows = np.array([from_roots(r).coeffs for r in roots_list])
         # a complex pair 1e-12 wide: inside the tol-ball, a double root at 2
         near = np.convolve([1.0, -4.0, 4.0 + 1e-12], [1.0, -2.0, -15.0])
         rows = np.vstack([rows, near[1:] * (-1.0) ** np.arange(1, 5)])
@@ -658,7 +666,7 @@ class TestRootsBatch:
         assert values[4, 1] == values[4, 2]
 
     def test_complex_pair_raises_with_the_first_failing_row(self):
-        good = hp.from_roots([1.0, 2.0, 3.0]).coeffs
+        good = from_roots([1.0, 2.0, 3.0]).coeffs
         # (x^2 + 4)(x - 1): a certified complex pair
         bad = np.convolve([1.0, 0.0, 4.0], [1.0, -1.0])[1:] * (-1.0) ** np.arange(1, 4)
         with pytest.raises(NotHyperbolic) as exc:
@@ -668,7 +676,7 @@ class TestRootsBatch:
     @pytest.mark.parametrize("n", [1, 2])
     def test_low_degree_rows_take_the_closed_form(self, n):
         rng = np.random.default_rng(32)
-        rows = np.array([hp.from_roots(rng.uniform(-5.0, 5.0, n)).coeffs for _ in range(20)])
+        rows = np.array([from_roots(rng.uniform(-5.0, 5.0, n)).coeffs for _ in range(20)])
         rows[3] = 0.0  # a double root at 0 when n = 2
         values, fell_back = hp.roots_batch(rows)
         assert fell_back.all()
@@ -680,7 +688,7 @@ class TestRootsBatch:
         assert fell_back.shape == (0,)
 
     def test_nonfinite_row_falls_back_and_is_refused(self):
-        rows = np.array([hp.from_roots([1.0, 2.0, 3.0]).coeffs, [np.inf, 0.0, 0.0]])
+        rows = np.array([from_roots([1.0, 2.0, 3.0]).coeffs, [np.inf, 0.0, 0.0]])
         with pytest.raises(NotFinite) as exc:
             hp.roots_batch(rows)
         assert exc.value.index == 1
@@ -691,7 +699,7 @@ class TestRootsBatch:
         from orbitlift import invariants
 
         exact = np.array([0.0025, 9801.0, 1e4, 10201.0])
-        p = hp.from_roots(exact)
+        p = from_roots(exact)
         got = hp.roots(p).values
         assert np.all(np.abs(got - exact) <= delta(exact))
         values, fell_back = hp.roots_batch(p.coeffs[None, :])
@@ -715,7 +723,7 @@ def one_engine_cases():
             R[i + 1] = R[i] + 10.0 ** rng.uniform(-8.0, -3.0)
         elif kind == 2 and n >= 2:
             R = np.round(R[rng.integers(0, max(1, n // 2), n)], 2)
-        p = hp.from_roots(R)
+        p = from_roots(R)
         if kind == 3 and n >= 2:
             # raise P by a constant: a local minimum pushed above 0 turns
             # its two roots into a complex pair
@@ -741,12 +749,12 @@ def clustered_block():
             r[1] = r[0] + 10.0 ** rng.uniform(-8.0, -5.0)
         if i == 7:
             r[5] = 0.0
-        rows.append(hp.from_roots(r).coeffs)
+        rows.append(from_roots(r).coeffs)
     return np.array(rows)
 
 
 # (x^2 + 1)(x - 1)...(x - 6): a complex pair far outside the tol-ball
-COMPLEX_ROW = (np.convolve([1.0, 0.0, 1.0], hp.from_roots(np.arange(1.0, 7.0)).full_coeffs())[1:]
+COMPLEX_ROW = (np.convolve([1.0, 0.0, 1.0], from_roots(np.arange(1.0, 7.0)).full_coeffs())[1:]
                * (-1.0) ** np.arange(1, 9))
 
 
@@ -796,7 +804,7 @@ class TestOneEngine:
         R = rng.uniform(-5.0, 5.0, (120, 2))
         R[::4, 1] = R[::4, 0]                                            # double
         R[1::4, 1] = R[1::4, 0] + 10.0 ** rng.uniform(-9.0, -4.0, 30)   # near pair
-        rows = np.array([hp.from_roots(r).coeffs for r in R])
+        rows = np.array([from_roots(r).coeffs for r in R])
         rows[::8, 1] += 1e-12  # a complex pair inside the tol-ball
         assert (rows[:, 0] ** 2 - 4.0 * rows[:, 1] < 0.0).sum() >= 10
         values, fell_back = hp.roots_batch(rows)
@@ -825,7 +833,7 @@ class TestLargeCoefficients:
     @pytest.mark.parametrize("exact", [[-7500.0, 2500.0, 2500.0, 2500.0], [0.0025, 1e4, 1e4, 1e4]])
     def test_triple_root_beside_a_simple_one(self, exact):
         # the second is the squares polynomial of the B:4 point (100, 100, 100, 0.05)
-        p = hp.from_roots(exact)
+        p = from_roots(exact)
         got = hp.roots(p).values
         allow = 10.0 * (np.finfo(float).eps * (1.0 + np.max(np.abs(p.coeffs)))) ** (1.0 / 3.0)
         assert np.max(np.abs(got - exact)) <= allow
@@ -839,7 +847,7 @@ class TestLargeCoefficients:
             scale = 10.0 ** rng.uniform(1.0, 4.0)
             r = rng.uniform(-1.0, 1.0, n - 1) * scale
             exact = np.sort(np.append(r, r[0]))
-            got = hp.roots(hp.from_roots(exact)).values
+            got = hp.roots(from_roots(exact)).values
             assert np.max(np.abs(got - exact)) <= 1e-6 * scale, exact
 
 
@@ -863,7 +871,7 @@ class TestOverflow:
 
     def test_overflow_rows_leave_the_other_rows_bits(self):
         rng = np.random.default_rng(5)
-        rows = np.array([hp.from_roots(rng.uniform(-5.0, 5.0, 2)).coeffs for _ in range(30)])
+        rows = np.array([from_roots(rng.uniform(-5.0, 5.0, 2)).coeffs for _ in range(30)])
         rows[[3, 17]] = [[0.0, 1e-12], [7.0, 12.25]]  # a tol-ball pair and a double root
         alone, _ = hp.roots_batch(rows)
         mixed = rows.copy()
@@ -889,11 +897,11 @@ class TestOverflow:
 
     def test_a_shift_that_stays_finite_is_solved(self):
         # the triple root 1e102: its shift noise bound overflows, its shift does not
-        got = hp.roots(hp.from_roots([1e102, 1e102, 1e102])).values
+        got = hp.roots(from_roots([1e102, 1e102, 1e102])).values
         assert np.max(np.abs(got - 1e102)) <= 1e-12 * 1e102
 
     def test_recentred_overflow_in_a_block(self):
-        rows = np.array([hp.from_roots([1.0, 2.0, 3.0]).coeffs, [1e300, 1e300, 1.0], [0.0, 1.0, 0.0]])
+        rows = np.array([from_roots([1.0, 2.0, 3.0]).coeffs, [1e300, 1e300, 1.0], [0.0, 1.0, 0.0]])
         with pytest.raises(NotFinite) as info:
             hp.roots_batch(rows)
         assert info.value.index == 1
@@ -905,7 +913,7 @@ class TestBackwardCheck:
     double root at 4099) is rebuilt into roots that miss its a_8 = 2.06e22
     by 2.05e22."""
 
-    ROW = hp.from_roots([
+    ROW = from_roots([
         -329.45042372721525, -329.45042372721525, -329.4682812195976, -329.4500942348529,
         -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
     ]).coeffs
@@ -916,7 +924,7 @@ class TestBackwardCheck:
         assert info.value.index == 0
 
     def test_roots_batch_tags_the_row(self):
-        rows = np.array([hp.from_roots(np.arange(1.0, 9.0)).coeffs, self.ROW])
+        rows = np.array([from_roots(np.arange(1.0, 9.0)).coeffs, self.ROW])
         with pytest.raises(RootSolveFailed) as info:
             hp.roots_batch(rows)
         assert info.value.index == 1
@@ -932,3 +940,119 @@ class TestBackwardCheck:
         exact = np.array([-0.004] + [0.0094] * 3 + [0.0106] * 3)
         got = hp.roots(hp.MonicHyperbolic(row)).values
         assert np.max(np.abs(got - exact)) <= 1e-3 * np.max(np.abs(exact))
+
+
+def row_form_rows():
+    """(degree, row) of degree 3 to 6, twelve of each kind: exact double
+    and triple roots, near pairs 1e-9 .. 1e-4 apart, exact zero roots (the
+    deflation), a double root nudged into a complex pair inside the tol-ball
+    (promoted) or outside it, a complex pair far outside, a recentring that
+    overflows, a triple root whose constant term moves, which the backward
+    check may refuse, a double root among roots of size 10 .. 1e4 (the
+    recentring's noise sets the floor), and three roots 1e-6 .. 1e-3 apart,
+    around the collapse widths; then rows named in the tests above."""
+    rng = np.random.default_rng(30)
+    rows = []
+    for n in range(3, 7):
+        for kind in range(10):
+            for _ in range(12):
+                r = np.round(rng.uniform(-4.0, 4.0, n), 2) * 10.0 ** rng.integers(-1, 2)
+                if kind in (0, 4):
+                    r[1] = r[0]
+                elif kind in (1, 7):
+                    r[1] = r[2] = r[0]
+                elif kind == 2:
+                    r[1] = r[0] + 10.0 ** rng.uniform(-9.0, -4.0)
+                elif kind == 3:
+                    r[0] = 0.0
+                    r[1] = 0.0 if rng.random() < 0.5 else r[2]
+                elif kind == 8:
+                    r = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(1.0, 4.0)
+                    r[1] = r[0]
+                elif kind == 9:
+                    r[1:3] = r[0] + np.sort(10.0 ** rng.uniform(-6.0, -3.0, 2))
+                row = from_roots(r).coeffs.copy()
+                if kind == 4:
+                    row[-1] += (-1.0) ** n * 10.0 ** rng.uniform(-16.0, -6.0)
+                elif kind == 5:  # (x^2 + 1) times real roots
+                    full = np.convolve([1.0, 0.0, 1.0], from_roots(r[:n - 2]).full_coeffs())
+                    row = full[1:] * (-1.0) ** np.arange(1, n + 1)
+                elif kind == 6:
+                    row = np.full(n, 10.0 ** rng.uniform(200.0, 300.0))
+                    row[rng.integers(1, n)] = 1.0
+                elif kind == 7:
+                    row[-1] += 10.0 ** rng.uniform(-9.0, -5.0)
+                rows.append((n, row))
+    for row in ([0.0, -3.0, 2.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1e300, 1e300, 1.0], [1e300, 1e300, 1.0, 0.0],
+                from_roots([1e102] * 3).coeffs, from_roots([0.0, 2e-9, 3e-9, 1.0, 2.0]).coeffs):
+        rows.append((len(row), np.array(row, dtype=float)))
+    return rows
+
+
+def solve(rows, tol=1e-10):
+    """_uncertified_roots' roots, or its error's type, index and message."""
+    try:
+        return hp._uncertified_roots(np.array(rows, dtype=float), tol)
+    except RowError as exc:
+        return type(exc), exc.index, str(exc)
+
+
+def same(a, b):
+    return bits(a) == bits(b) if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) else a == b
+
+
+class TestRowForm:
+    """A refused block of degree >= 3 with at most _FLOAT_ROWS rows is solved
+    one row at a time on Python floats.  Every row gets the bits, or the
+    error type, index and message, that the block kernels give it."""
+
+    def test_the_form_follows_the_row_count(self, monkeypatch):
+        kernel, calls = hp._row_roots, []
+        monkeypatch.setattr(hp, "_row_roots", lambda row, tol: calls.append(row) or kernel(row, tol))
+        rows = np.array([from_roots([1.0, 1.0, 2.0 + k]).coeffs for k in range(hp._FLOAT_ROWS + 1)])
+        hp._uncertified_roots(rows[:-1], 1e-10)
+        assert len(calls) == hp._FLOAT_ROWS
+        hp._uncertified_roots(rows, 1e-10)
+        assert len(calls) == hp._FLOAT_ROWS
+
+    def test_recorded_calls(self, monkeypatch):
+        # every call of degree >= 3 that perfbench's select and lift rounds
+        # (seeds 1-6) make: the crossing rows the certificate refuses
+        with open(Path(__file__).with_name("few_row_calls.json")) as fh:
+            data = json.load(fh)
+        calls = [np.array(call["rows"]) for call in data["calls"]]
+        assert len(calls) == 94 and max(len(rows) for rows in calls) <= hp._FLOAT_ROWS
+        floats = [solve(rows, data["tol"]) for rows in calls]
+        monkeypatch.setattr(hp, "_FLOAT_ROWS", 0)
+        assert all(same(a, solve(rows, data["tol"])) for a, rows in zip(floats, calls))
+
+    def test_each_row_alone(self, monkeypatch):
+        rows = [row for _, row in row_form_rows()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floats = [solve([row]) for row in rows]
+        monkeypatch.setattr(hp, "_FLOAT_ROWS", 0)
+        for row, a in zip(rows, floats):
+            assert same(a, solve([row])), row
+        kinds = {"ok" if isinstance(a, np.ndarray) else a[0] for a in floats}
+        assert kinds == {"ok", NotHyperbolic, NotFinite, RootSolveFailed}
+
+    def test_blocks_at_and_past_the_row_count(self):
+        # K rows run on floats, the same rows and one more on the block kernels
+        rng = np.random.default_rng(31)
+        k = hp._FLOAT_ROWS
+        outcomes = set()
+        for n in range(3, 7):
+            group = [row for deg, row in row_form_rows() if deg == n]
+            group = [group[i] for i in rng.permutation(len(group))]
+            extra = from_roots([0.5, 0.5] + list(range(1, n - 1))).coeffs
+            for i in range(0, len(group) - k + 1, k):
+                block = np.array(group[i:i + k])
+                got, past = solve(block), solve(np.vstack([block, extra]))
+                if isinstance(got, np.ndarray):
+                    assert bits(got) == bits(past[:k])
+                else:
+                    assert got == past
+                    outcomes.add(got[:2])
+        assert len({index for _, index in outcomes}) > 3
+

@@ -29,6 +29,8 @@ from orbitlift.errors import (
     ToleranceViolation,
 )
 
+from polys import from_roots
+
 
 def drive(stepper, sample):
     """The answer of a window stepper whose levels sample samples."""
@@ -413,7 +415,7 @@ class TestRefusedRowsNameTheirT:
 
     @pytest.mark.parametrize("exprs, level, error, message", [
         (["0", "0.25-t^2"], 4, NotHyperbolicAt, "polynomial not hyperbolic at t=-0.375"),
-        (_constant(hyperpoly.from_roots(BACKWARD_ROOTS).coeffs), 2, RootSolveFailed,
+        (_constant(from_roots(BACKWARD_ROOTS).coeffs), 2, RootSolveFailed,
          f"{BACKWARD} (at t=-1.0)"),
         (["1e300", "1e300", "1"], 4, NotFinite,
          "the roots, or the recentred polynomial, overflow (degree 3) (at t=-1.0)"),

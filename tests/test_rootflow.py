@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import clusters_oracle
+from polys import from_roots
 from orbitlift import curvedsl as cd
 from orbitlift import hyperpoly as hp
 from orbitlift import regcheck as rc
@@ -61,7 +62,7 @@ class TestSortedBranches:
     def test_failed_backward_check_names_t(self):
         # a degree-8 polynomial held constant: its rebuilt roots miss the
         # coefficients
-        row = hp.from_roots([
+        row = from_roots([
             -329.45042372721525, -329.45042372721525, -329.4682812195976, -329.4500942348529,
             -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
         ]).coeffs
