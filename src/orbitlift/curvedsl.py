@@ -171,7 +171,9 @@ class _Parser:
             num = self.take()
             if num[0] != "num" or "." in num[1] or "e" in num[1].lower():
                 raise ExprSyntaxError("^ takes an integer exponent", num[2])
-            return IntPow(base, int(num[1]))
+            if not math.isfinite(float(num[1])):
+                raise ExprDomainError(f"^ exponent {float(num[1])!r} is not finite")
+            return IntPow(base, int(num[1].lstrip("0") or "0"))
         return base
 
     def atom(self) -> CurveExpr:

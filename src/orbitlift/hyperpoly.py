@@ -43,6 +43,18 @@ operations in the same order, both forms sort as np.sort does, and a
 cluster's mean is summed in np.mean's order, so a row gets the same bits
 alone, in the row form or in a block of any size.  The tol-ball promotion
 runs per row in both forms, on Python floats.
+
+roots_batch does this work in one of two orders.  Certificate first, the
+default, runs the eigensolve on every row and rebuilds the rows it refuses.
+Proof first runs where the certificate would refuse most rows: a finite
+block of degree >= 3 and at least _PROOF_ROWS rows (a sampled curve) whose
+first and last rows both show an eigenvalue gap of at most the
+certificate's least gap.  There every row is rebuilt first.  A row whose
+rebuilt roots prove, by Rouché's theorem at its narrowest pair, that P has
+two roots closer than any certificate allows, or a complex pair, falls
+back without the eigensolve, and only the other rows go through the
+certificate.  Both orders give every row the same bits and every refused
+block the same error.
 """
 
 from __future__ import annotations
@@ -50,13 +62,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NotFinite, NotHyperbolic, RootSolveFailed, RowError
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # roots_batch: Newton steps after the eigensolve, and the least certified
 # adjacent gap in units of tol^(1/2), the narrowest width a cluster collapses
 _BATCH_NEWTON = 3
@@ -76,6 +89,13 @@ _ARRAY_BRACKETS = 64
 # degree 3-8 that each hold a double root (2-core x86 host, best of 15), that
 # takes 0.14-0.27 of the block kernels' time on 1 row, 0.81-0.96 on 8, 0.95-1.06 on 10.
 _FLOAT_ROWS = 8
+# roots_batch solves a finite block of degree >= 3 with at least this many
+# rows proof first when the eigenvalues of its first and last rows show a
+# cluster.  On blocks of degree 3-6 that each hold a double root (2-core x86
+# host, best of 15), proof first takes 1.15-1.38 of the certificate-first
+# time on 8 rows, 0.95-1.04 on 48, 0.93-1.01 on 64, 0.86-0.90 on 128 and
+# 0.80-0.83 on 257; the probe adds 2-5 % to a separated block of 257 rows.
+_PROOF_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +198,15 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     alone.  The first row refused raises, carrying its
     row index as `index`: NotFinite for a row that is not finite, else the
     fallback's NotHyperbolic, RootSolveFailed or NotFinite.
+
+    That is the certificate-first order.  A finite block of degree >= 3
+    with at least _PROOF_ROWS rows runs proof first when one eigensolve of
+    its first and last rows finds a gap of at most _GAP_MARGIN * tol^(1/2)
+    in both: every row is rebuilt, without raising; the rows that
+    _refused_by_proof shows the certificate must refuse fall back at once;
+    the others go through the certificate as above, and the first refused
+    row that failed its rebuild raises.  The mask, every root and every
+    error are those of the certificate-first order.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -185,6 +214,8 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError("rows must be an (N, n) array with n >= 1")
     finite = np.isfinite(rows).all(axis=1)
+    if rows.shape[1] >= 3 and rows.shape[0] >= _PROOF_ROWS and finite.all() and _clustered_ends(rows, tol):
+        return _proof_first(rows, tol)
     if rows.shape[1] >= 3:
         # a non-finite row is solved as zeros, which no certificate accepts
         values, good = _certified_roots(np.where(finite[:, None], rows, 0.0), tol)
@@ -228,8 +259,19 @@ def _uncertified_roots(rows: np.ndarray, tol: float) -> np.ndarray:
                 raise _refusal(i, n, tol, solved, any(map(math.isinf, vals)), miss)
             out.append(vals)
         return np.array(out)
+    vals, failed, refusal = _checked_roots(rows, tol)
+    if failed.any():
+        raise refusal(int(np.argmax(failed)))
+    return vals
+
+
+def _checked_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, Callable[[int], RowError]]:
+    """The block form of _uncertified_roots without raising: the sorted
+    roots of every row, the mask of the rows that fail, and the error of a
+    failing row given its index in the block."""
+    n = rows.shape[1]
     vals, solved = _roots_with_fallback(rows, tol)
-    failed = ~solved
+    failed, miss = ~solved, None
     if n >= 3:
         vals = np.sort(vals, axis=1)
         with np.errstate(invalid="ignore"):  # a refused row's nan or inf roots
@@ -240,10 +282,8 @@ def _uncertified_roots(rows: np.ndarray, tol: float) -> np.ndarray:
             miss = np.where(gap[:, j] > miss, gap[:, j], miss)  # max(), as on floats
         scale = 1.0 + np.max(np.abs(rows), axis=1)
         failed |= ~(miss <= 10.0 * math.sqrt(tol) * scale)
-    if failed.any():
-        i = int(np.argmax(failed))
-        raise _refusal(i, n, tol, solved[i], np.isinf(vals[i]).any(), miss[i] if solved[i] else None)
-    return vals
+    return vals, failed, lambda i: _refusal(i, n, tol, solved[i], np.isinf(vals[i]).any(),
+                                            miss[i] if solved[i] else None)
 
 
 def _refusal(index: int, n: int, tol: float, solved: bool, overflow: bool, miss) -> RowError:
@@ -282,14 +322,10 @@ def _certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     roots_batch.  The Newton steps need only values, and the signs are
     evaluated only for the rows that pass the finite and gap tests."""
     m, n = rows.shape
-    c = np.ones((m, n + 1))
-    c[:, 1:] = rows * (-1.0) ** np.arange(1, n + 1)
+    c = _descending(rows)
     dc = c[:, :-1] * np.arange(n, 0, -1)
-    comp = np.zeros((m, n, n))
-    comp[:, 0, :] = -c[:, 1:]
-    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
     with np.errstate(all="ignore"):
-        x = np.sort(np.linalg.eigvals(comp).real, axis=1)
+        x = _eigenvalues(c)
         # a Newton step counts only where it lowers |P|: within the Horner
         # noise a full step can move a root away
         fx = _horner_values(c, x)
@@ -309,6 +345,94 @@ def _certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
         clear = val * np.concatenate([sign, sign[:-1], sign[1:]]) > 2.0 * noise
         good[good] = clear.all(axis=1) & (probes[:, :-1] < xs - d).all(axis=1) & (xs + d < probes[:, 1:]).all(axis=1)
     return x, good
+
+
+def _descending(rows: np.ndarray) -> np.ndarray:
+    """The descending power-basis coefficients [1, -a1, +a2, ...] of each row."""
+    c = np.ones((rows.shape[0], rows.shape[1] + 1))
+    c[:, 1:] = rows * (-1.0) ** np.arange(1, rows.shape[1] + 1)
+    return c
+
+
+def _eigenvalues(c: np.ndarray) -> np.ndarray:
+    """The sorted real parts of the eigenvalues of each row's companion
+    matrix, by one stacked eigensolve."""
+    m, n = c.shape[0], c.shape[1] - 1
+    comp = np.zeros((m, n, n))
+    comp[:, 0, :] = -c[:, 1:]
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.sort(np.linalg.eigvals(comp).real, axis=1)
+
+
+# -- proof first: refuse the clustered rows of a block before the eigensolve --
+
+def _clustered_ends(rows: np.ndarray, tol: float) -> bool:
+    """Whether the eigenvalues of both the first and the last row show a gap
+    of at most _GAP_MARGIN tol^(1/2), by one eigensolve of the two."""
+    with np.errstate(all="ignore"):
+        gaps = np.diff(_eigenvalues(_descending(rows[[0, -1]])), axis=1)
+    return bool((gaps <= _GAP_MARGIN * math.sqrt(tol)).any(axis=1).all())
+
+
+def _proof_first(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """roots_batch on a finite block of degree >= 3, proof first: every row
+    is rebuilt, the rows whose rebuilt roots prove that the certificate
+    refuses them fall back without the eigensolve, and only the others go
+    through the certificate.  Each row gets the bits, and a refused row the
+    error, that the certificate-first order gives it."""
+    with np.errstate(all="ignore"):
+        values, failed, refusal = _checked_roots(rows, tol)
+    todo = np.flatnonzero(~_refused_by_proof(rows, values, tol))
+    x, good = _certified_roots(rows[todo], tol)
+    certified = todo[good]
+    values[certified] = x[good]
+    fell_back = np.ones(rows.shape[0], dtype=bool)
+    fell_back[certified] = False
+    if (fell_back & failed).any():
+        raise refusal(int(np.argmax(fell_back & failed)))
+    return values, fell_back
+
+
+def _refused_by_proof(rows: np.ndarray, values: np.ndarray, tol: float) -> np.ndarray:
+    """The mask of the rows that the certificate provably refuses, given
+    their sorted rebuilt roots (any finite values will do: they only pick
+    the point the proof is made at).
+
+    Let mu be the midpoint of a row's narrowest adjacent pair of values,
+    b_j the Taylor coefficients of P at mu (_taylor_shift), each within
+    4 (n+1) eps B_j of its exact value, B_j the same shift of |P|'s
+    coefficients at |mu|, G = _GAP_MARGIN tol^(1/2) and
+    d = 1e-9 max(1, |mu| + n G + 1), which bounds the certificate's
+    enclosure half-width of any root near mu.  If for some k >= 2 and
+    rho = (k-1)/2 (G - 2d)(1 - 1e-6)
+        (|b_k| - noise_k) rho^k > (1 + 1e-9) sum_(j != k) (|b_j| + noise_j) rho^j,
+    then on the circle |x - mu| = rho the term b_k (x - mu)^k outweighs
+    the rest, and by Rouché's theorem P has k roots within rho of mu.  If they
+    are all real, two of them lie less than G - 2d apart, so no two
+    candidates within d of them can be G apart, as a certificate needs; if
+    one is not real, P cannot make the n sign changes the certificate
+    needs.  The margins 1e-6 and 1e-9 cover the rounding of the test
+    itself; a row is not tested where G - 2d is not positive or rho^n is
+    not a normal float."""
+    m, n = rows.shape
+    gap = _GAP_MARGIN * math.sqrt(tol)
+    c = _descending(rows)
+    proven = np.zeros(m, dtype=bool)
+    with np.errstate(all="ignore"):
+        at = np.argmin(np.diff(values, axis=1), axis=1)
+        mid = 0.5 * (values[np.arange(m), at] + values[np.arange(m), at + 1])
+        # |b_n| .. |b_0|, each an array over the rows
+        b = np.abs(np.array(_taylor_shift(list(c.T), mid)))
+        noise = 4.0 * (n + 1) * _EPS * np.array(_taylor_shift(list(np.abs(c).T), np.abs(mid)))
+        width = (gap - 2.0 * 1e-9 * np.fmax(1.0, np.abs(mid) + n * gap + 1.0)) * (1.0 - 1e-6)
+        high, low = b + noise, b - noise
+        powers = np.arange(n, -1, -1)[:, None]
+        for k in range(2, n + 1):
+            terms = high * (0.5 * (k - 1) * width) ** powers
+            rest = np.concatenate([terms[: n - k], terms[n - k + 1 :]]).sum(axis=0)
+            proven |= low[n - k] * (0.5 * (k - 1) * width) ** k > (1.0 + 1e-9) * rest
+        proven &= (width > 0.0) & ((0.5 * width) ** n >= _TINY)
+    return proven & np.isfinite(values).all(axis=1)
 
 
 # -- dense polynomial helpers (descending coefficients, c[0] = leading) -----
@@ -740,8 +864,7 @@ def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     if n == 2:
         return _quadratic_roots(rows, tol)
     out, ok = np.full((m, n), np.nan), np.zeros(m, dtype=bool)
-    c = np.ones((m, n + 1))
-    c[:, 1:] = rows * (-1.0) ** np.arange(1, n + 1)
+    c = _descending(rows)
     zero = rows[:, -1] == 0.0
     if zero.any():
         # an exact root at 0: deflate it, as the centroid shift below would

@@ -409,7 +409,8 @@ def _chamber_block(group: ReflectionGroup, spectra: np.ndarray, parity: np.ndarr
     lexsort puts equal trait rows together, and each row that differs from
     the one before it starts the next distinct row."""
     n = spectra.shape[1]
-    keys = np.round(spectra, _DEDUP_DECIMALS)
+    with np.errstate(over="ignore"):  # a value too large to scale by 10^_DEDUP_DECIMALS rounds to inf
+        keys = np.round(spectra, _DEDUP_DECIMALS)
     new_run = keys[:, 1:] != keys[:, :-1]
     # each value's place in its run: the places of a run of L multiply to L!
     place = np.ones(spectra.shape, dtype=np.int64)
@@ -750,8 +751,9 @@ def _sqrt_spectra(a: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
     for j in range(n):
         x = np.abs(vals[live, j])
         horner = np.zeros(live.size)  # np.polyval's operations
-        for col in range(n - j + 1):
-            horner = horner * x + c[live, col]
+        with np.errstate(over="ignore"):  # a bound that overflows holds any constant term
+            for col in range(n - j + 1):
+                horner = horner * x + c[live, col]
         live = live[c[live, n - j] <= gamma * horner]
         if not live.size:
             break

@@ -96,6 +96,7 @@ def _continue(values: np.ndarray, orbits, i: int) -> None:
     values[i] = orbits[i].nearest(pred)
 
 
+@np.errstate(over="ignore")  # a continuation of values near the largest float overflows to inf
 def _follow(values: np.ndarray, orbits: OrbitBlock, i: int, j: int) -> None:
     """values[i:j] := what _continue gives sample by sample, for i >= 1.
 

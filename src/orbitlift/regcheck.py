@@ -177,14 +177,16 @@ def certify_samples(samples, domain: tuple[float, float], levels: int = 6) -> Re
     flat_floor = 1e-12 * value_scale / h_min
     d2_noise_floor = 1e-12 * value_scale / (h_min * h_min)
     index, t, starts, ends, ks, hs, steps, interp = _levels(tuple(domain), top, levels)
-    # rows of order-1 quotients, then rows of order 2
-    d = np.concatenate([_quotients(f.take(index, 1), steps, starts, ends, order) for order in (1, 2)])
+    # rows of order-1 quotients, then rows of order 2, of every level's samples end to end
+    laid = f.take(index, 1)
+    d = np.concatenate([_quotients(laid, steps, starts, ends, order) for order in (1, 2)])
     abs_d = np.abs(d)
     # each point after the first level against the level before
     diff = np.abs(d[:, starts[1] :] - interp(d))
     sup1, sup2 = np.maximum.reduceat(abs_d, starts, axis=1).reshape(2, -1, levels).tolist()
-    cauchy = np.maximum.reduceat(diff, starts[1:] - starts[1], axis=1)
-    c1, c2 = np.insert(cauchy, 0, np.nan, axis=1).reshape(2, -1, levels).tolist()
+    cauchy = np.full((len(d), levels), np.nan)  # the first level has no level before it
+    cauchy[:, 1:] = np.maximum.reduceat(diff, starts[1:] - starts[1], axis=1)
+    c1, c2 = cauchy.reshape(2, -1, levels).tolist()
     # the witnesses are the finest level's, the only ones reported
     finest = np.concatenate([abs_d[:, starts[-1] :], diff[:, starts[-1] - starts[1] :]])
     at = t[starts[-1] + np.argmax(finest, axis=1)].reshape(4, -1).T.tolist()

@@ -4,8 +4,10 @@ forms replaced them.  The certificate of `hyperpoly._certified_roots` is
 evaluated on every row and its Newton steps take the values of
 `_horner_rows`; `invariants._chamber_block` groups its trait rows by
 `np.unique(axis=0)`; the gathers are `np.take_along_axis` and the norms
-`np.linalg.norm`; `lifting._exit_candidates` keys its points by tuples.
-The lean forms must give every row these bits."""
+`np.linalg.norm`; `lifting._exit_candidates` keys its points by tuples;
+`hyperpoly.roots_batch` runs the certificate on every row of degree >= 3
+before the fallback.  The lean forms must give every row these bits, and
+every refused block its error."""
 
 import math
 
@@ -14,6 +16,7 @@ import numpy as np
 from orbitlift import hyperpoly as hp
 from orbitlift import invariants as inv
 from orbitlift import lifting as lf
+from orbitlift.errors import NotFinite, RowError
 
 
 def certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -47,6 +50,27 @@ def certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
             & (x + d < probes[:, 1:]).all(axis=1)
         )
     return x, good
+
+
+def certificate_first_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """hyperpoly.roots_batch, certificate first on every block."""
+    finite = np.isfinite(rows).all(axis=1)
+    if rows.shape[1] >= 3:
+        values, good = hp._certified_roots(np.where(finite[:, None], rows, 0.0), tol)
+        fell_back = ~(finite & good)
+    else:
+        values, fell_back = np.empty(rows.shape), np.ones(rows.shape[0], dtype=bool)
+    stop = rows.shape[0] if finite.all() else int(np.argmin(finite))
+    todo = fell_back[:stop].nonzero()[0]
+    if todo.size:
+        try:
+            values[todo] = hp._uncertified_roots(rows[todo], tol)
+        except RowError as exc:
+            exc.index = int(todo[exc.index])
+            raise
+    if stop < rows.shape[0]:
+        raise NotFinite("coefficients must be finite", index=stop)
+    return values, fell_back
 
 
 def chamber_block(group, spectra: np.ndarray, parity: np.ndarray) -> inv.OrbitBlock:

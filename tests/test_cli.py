@@ -197,6 +197,24 @@ class TestLift:
         assert err.endswith("(at t=-1.0)\n")
 
 
+class TestValuesNearTheLargestFloat:
+    """Values near the largest float overflow the zero-root noise bound of
+    the B squares, the orbit keys and the lift's linear continuation: numpy
+    warns nothing, and the lift reports or refuses as before."""
+
+    def test_b2_point_with_a_huge_square(self, capsys):
+        assert run(["lift", "--group", "B:2", "--curve", "1e308,t", "--level", "4"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "\nresidual: 1e+308\nmax-step: 1e+154\n" in out
+        assert "\ncoordinate[0].verdict: unbounded-derivative-detected\n" in out
+
+    def test_a1_point_near_the_largest_float(self, capsys):
+        assert run(["lift", "--group", "A:1", "--curve", "1e308-1,1e-320", "--level", "4"]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err == ("error: domain [-1.0, 1.0] is too short for level 4: the difference"
+                       " quotients of values up to 1e+308 overflow\n")
+
+
 class TestKdata:
     def test_a2(self, tmp_path):
         rep = tmp_path / "kd.txt"
@@ -261,6 +279,13 @@ class TestDomainErrors:
          "powabs exponent inf is not finite"),
         (["harness", "--group", "B:2", "--gmap", "pow(u,1e400);2", "--box", "-1:1,-1:1", "--probes", "3",
           "--level", "4"], "pow exponent inf is not finite"),
+        # a ^ exponent too large for a float
+        (["certify", "--curve", "t^" + "9" * 400, "--level", "4"], "^ exponent inf is not finite"),
+        (["select", "--curve", "0,-t^" + "9" * 400, "--level", "4"], "^ exponent inf is not finite"),
+        (["lift", "--group", "B:2", "--curve", "1+t^" + "9" * 400 + ",t", "--level", "4"],
+         "^ exponent inf is not finite"),
+        (["harness", "--group", "B:2", "--gmap", "u^" + "9" * 400 + ";2", "--box", "-1:1,-1:1", "--probes", "3",
+          "--level", "4"], "^ exponent inf is not finite"),
     ])
     def test_one_error_line(self, argv, says, capsys):
         with warnings.catch_warnings():
@@ -269,6 +294,11 @@ class TestDomainErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert says in err
+
+    def test_integer_exponent_with_leading_zeros(self, capsys):
+        # more digits than int() converts from a string, the value 2
+        assert run(["certify", "--curve", "t^" + "0" * 5000 + "2", "--level", "10"]) == EXIT_OK
+        assert "column[f].verdict: twice-differentiable\n" in capsys.readouterr().out
 
     def test_short_domain_still_certifies(self, capsys):
         # a step of 1e-153 squares to 1e-306, a normal float

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -1056,3 +1057,127 @@ class TestRowForm:
                     outcomes.add(got[:2])
         assert len({index for _, index in outcomes}) > 3
 
+
+
+def sweep_rows(rng, count):
+    """(degree, row) of degree 3 to 7 at scales 1e-2 .. 1e4, each with an
+    exact double root or a pair 1e-7 .. 3e-5 apart, which straddles the
+    certificate's least gap 2e-5 at tol 1e-10."""
+    rows = []
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        r = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-2.0, 4.0)
+        r[1] = r[0] + (0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-7.0, math.log10(3e-5)))
+        rows.append((n, from_roots(r).coeffs))
+    return rows
+
+
+def batch(rows, tol=1e-10):
+    """roots_batch's roots and mask, or its error's type, index and message."""
+    try:
+        return hp.roots_batch(rows, tol)
+    except RowError as exc:
+        return type(exc), exc.index, str(exc)
+
+
+def same_outcome(a, b):
+    if isinstance(a[0], np.ndarray) and isinstance(b[0], np.ndarray):
+        return bits(a[0]) == bits(b[0]) and a[1].tolist() == b[1].tolist()
+    return a == b
+
+
+def oracle(rows, tol=1e-10):
+    try:
+        return generic_kernels.certificate_first_roots(rows, tol)
+    except RowError as exc:
+        return type(exc), exc.index, str(exc)
+
+
+class TestProofFirst:
+    """A finite block of degree >= 3 with at least _PROOF_ROWS rows whose
+    first and last rows show a cluster is rebuilt first, and only the rows
+    that the Rouché test cannot refuse go through the certificate.  Every
+    row gets the bits, the mask and the error of the certificate-first
+    order (tests/generic_kernels.py)."""
+
+    def test_the_proof_refuses_only_what_the_certificate_refuses(self):
+        rng = np.random.default_rng(3101)
+        proven_total = 0
+        rows = sweep_rows(rng, 4000)
+        for n in range(3, 8):
+            block = np.array([row for deg, row in rows if deg == n])
+            with np.errstate(all="ignore"):
+                values = hp._checked_roots(block, 1e-10)[0]
+            proven = hp._refused_by_proof(block, values, 1e-10)
+            _, good = hp._certified_roots(block[proven], 1e-10)
+            assert not good.any()
+            proven_total += int(proven.sum())
+            # the certificate accepts some of the rest: the proof leaves them to it
+            assert hp._certified_roots(block[~proven], 1e-10)[1].any()
+        assert proven_total > 1500
+
+    def test_the_proof_leaves_triple_roots_and_wide_pairs(self):
+        rows = np.array([from_roots(r).coeffs for r in (
+            [1.0, 1.0, 1.0, 3.0], [1.0, 1.0 + 3e-5, 2.0, 3.0], [1.0, 1.0, 2.0, 3.0], [1.0, 1.0 + 1e-7, 2.0, 3.0])])
+        values = hp._checked_roots(rows, 1e-10)[0]
+        assert hp._refused_by_proof(rows, values, 1e-10).tolist() == [False, False, True, True]
+        # a row that is not finite proves nothing
+        values[3, 0] = np.nan
+        assert not hp._refused_by_proof(rows, values, 1e-10)[3]
+
+    @pytest.mark.parametrize("size", [0, 1, 36])
+    def test_orders_agree(self, monkeypatch, size):
+        k = hp._PROOF_ROWS + size
+        rng = np.random.default_rng(3102 + size)
+        seen = set()
+        for n in range(3, 7):
+            kinds = [row for deg, row in row_form_rows() if deg == n]
+            separated = [from_roots(np.sort(rng.uniform(-9.0, 9.0, n)) + 0.5 * np.arange(n)).coeffs
+                         for _ in range(k)]
+            double = [from_roots([c, c] + list(np.arange(1.0, n - 1.0))).coeffs for c in rng.uniform(-3.0, 3.0, k)]
+            mixed = np.array(kinds + separated + double)[rng.permutation(len(kinds) + 2 * k)][:k]
+            alone = [oracle(np.array([row]))[0] for row in kinds]
+            passing = [row for row, got in zip(kinds, alone) if not isinstance(got, type)]
+            # the first row of each error
+            failing = list({got: row for got, row in reversed(list(zip(alone, kinds)))
+                            if isinstance(got, type)}.values())
+            # certified, while the rebuild misses the coefficients by 2e300
+            certified_but_failing = from_roots([1e100, 2e100, 3e100] + [0.5] * (n - 3)).coeffs
+            blocks = [
+                mixed,
+                np.array(double[:1] + list(mixed[1:-1]) + double[-1:]),
+                np.array(double[:1] + (passing + separated)[: k - 2] + double[-1:]),
+                np.array(double[:1] + separated[1:]),
+                np.array(double[: k // 2] + [certified_but_failing] + double[k // 2 + 1:]),
+                np.array(double[: k // 2] + failing + double[k // 2 + len(failing):]),
+                np.array(double),
+            ]
+            for block in blocks:
+                assert len(block) == k
+                want = oracle(block)
+                seen.add(want[0] if isinstance(want[0], type) else "ok")
+                assert same_outcome(batch(block), want)
+                for proof_first in (True, False):
+                    monkeypatch.setattr(hp, "_clustered_ends", lambda rows, tol: proof_first)
+                    assert same_outcome(batch(block), want)
+                monkeypatch.undo()
+        assert seen == {"ok", NotHyperbolic, NotFinite, RootSolveFailed}
+
+    def test_the_order_follows_the_block(self, monkeypatch):
+        kernel, calls = hp._certified_roots, []
+        monkeypatch.setattr(hp, "_certified_roots", lambda rows, tol: calls.append(len(rows)) or kernel(rows, tol))
+        k = hp._PROOF_ROWS
+        double = np.array([from_roots([c, c, 3.0]).coeffs for c in np.linspace(-1.0, 1.0, k)])
+        triple = np.array([from_roots([c, c, c, 3.5]).coeffs for c in np.linspace(-4.0, -3.0, k)])
+        separated = np.array([from_roots([c, 2.0, 3.0]).coeffs for c in np.linspace(-1.0, 1.0, k)])
+        hp.roots_batch(double)  # every row proven
+        hp.roots_batch(double[1:])  # too few rows to probe
+        hp.roots_batch(triple)  # the shift's noise hides b_3 of a triple root this far out
+        hp.roots_batch(np.vstack([double[:-1], separated[-1:]]))  # the last row is separated
+        hp.roots_batch(separated)
+        assert calls == [0, k - 1, k, k, k]
+        # a block holding a row that is not finite takes the certificate first
+        calls.clear()
+        with pytest.raises(NotFinite):
+            hp.roots_batch(np.vstack([double[:-1], [np.inf, 0.0, 0.0]]))
+        assert calls == [k]
