@@ -17,7 +17,7 @@ no more than that command needs:
   examples  catalog
 
 All but `examples` load numpy; `examples` and `--help` start without it.
-scipy is loaded only to interpolate a --csv curve.
+A --csv curve is exactly its file's rows (curvedsl.read_curve_csv).
 """
 
 from __future__ import annotations
@@ -67,15 +67,19 @@ _PROBES = _checked(int, lambda v: v >= 1, ">= 1")
 _TOL = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
-def _parse_curve(args) -> curvedsl.CoeffCurve:
+def _curve_and_grid(args) -> tuple[curvedsl.CoeffCurve, curvedsl.Grid]:
+    """The curve of --curve or --csv and the dyadic grid to sample it on:
+    --domain (default -1:1) at --level (default 8), or a CSV's own domain at
+    most at its own level, which is the default (curvedsl.read_curve_csv)."""
     from . import curvedsl
 
     try:
         if args.csv:
-            return curvedsl.read_curve_csv(args.csv)
-        return curvedsl.CoeffCurve.from_exprs(curvedsl.split_top_level(args.curve))
+            return curvedsl.read_curve_csv(args.csv, args.domain, args.level)
+        curve = curvedsl.CoeffCurve.from_exprs(curvedsl.split_top_level(args.curve))
     except (OSError, ValueError) as err:
         raise OrbitLiftError(str(err)) from err
+    return curve, curvedsl.Grid.dyadic(*(args.domain or (-1.0, 1.0)), 8 if args.level is None else args.level)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -115,8 +119,8 @@ def _selection_report(args, sel: rootflow.RootBranches, reports) -> str:
     lines = [
         "tool: select",
         f"curve: {source}",
-        f"domain: {_fmt(args.domain[0])}:{_fmt(args.domain[1])}",
-        f"level: {args.level}",
+        f"domain: {_fmt(sel.grid.span[0])}:{_fmt(sel.grid.span[1])}",
+        f"level: {sel.grid.level}",
         f"tol: {_fmt(args.tol)}",
         f"branches: {sel.n}",
         f"swap-count: {len(sel.swap_log)}",
@@ -137,10 +141,9 @@ def _selection_report(args, sel: rootflow.RootBranches, reports) -> str:
 def cmd_select(args) -> int:
     from . import curvedsl, regcheck, rootflow
 
-    curve = _parse_curve(args)
-    grid = curvedsl.Grid.dyadic(args.domain[0], args.domain[1], args.level)
+    curve, grid = _curve_and_grid(args)
     sel = rootflow.differentiable_selection(curve, grid, args.tol)
-    reports = regcheck.certify_samples(sel.branches.T, args.domain, args.levels)
+    reports = regcheck.certify_samples(sel.branches.T, grid.span, args.levels)
     if args.out:
         names = [f"branch{j}" for j in range(sel.n)]
         curvedsl.write_samples_csv(args.out, grid.points, sel.branches.T, names)
@@ -155,8 +158,7 @@ def cmd_lift(args) -> int:
 
     group = invariants.parse_group(args.group)
     map_ = invariants.orbit_map(group)
-    curve = _parse_curve(args)
-    grid = curvedsl.Grid.dyadic(args.domain[0], args.domain[1], args.level)
+    curve, grid = _curve_and_grid(args)
     lift = lifting.lift_curve(group, map_, curve, grid, args.tol)
     if args.out:
         names = [f"x{j + 1}" for j in range(group.dim)]
@@ -165,8 +167,8 @@ def cmd_lift(args) -> int:
         "tool: lift",
         f"group: {args.group}",
         f"curve: {args.curve if args.curve else f'csv:{args.csv}'}",
-        f"domain: {_fmt(args.domain[0])}:{_fmt(args.domain[1])}",
-        f"level: {args.level}",
+        f"domain: {_fmt(grid.span[0])}:{_fmt(grid.span[1])}",
+        f"level: {grid.level}",
         f"tol: {_fmt(args.tol)}",
         f"residual: {_fmt(lift.residual)}",
         f"max-step: {_fmt(lift.max_step)}",
@@ -192,25 +194,11 @@ def cmd_certify(args) -> int:
     lines = ["tool: certify"]
     reports = []
     if args.csv:
-        try:
-            t, cols, names = curvedsl.read_samples_csv(args.csv)
-        except (OSError, ValueError) as err:
-            raise OrbitLiftError(str(err)) from err
-        domain = (float(t[0]), float(t[-1]))
-        # 2^L + 1 rows are the samples of the level-L dyadic grid of the
-        # domain: a t off its point by more than 1e-9 of the span is refused
-        level = (t.size - 1).bit_length() - 1
-        if t.size == 2**level + 1:
-            grid = curvedsl.Grid.dyadic(*domain, level).points
-            off = (abs(t - grid) > 1e-9 * (domain[1] - domain[0])).nonzero()[0]
-            if off.size:
-                k = int(off[0])
-                raise OrbitLiftError(f"{args.csv}: t={float(t[k])!r} in row {k} is off the level-{level}"
-                                     f" dyadic grid of [{domain[0]!r}, {domain[1]!r}], whose point {k} is"
-                                     f" {float(grid[k])!r}")
+        curve, grid = _curve_and_grid(args)
         lines.append("source: csv")
-        lines.append(f"columns: {cols.shape[1]}")
-        reports += zip(names, regcheck.certify_samples(cols, domain, args.levels))
+        lines.append(f"columns: {curve.n}")
+        names = [column.name for column in curve.components]
+        reports += zip(names, regcheck.certify_samples(curve.evaluate(grid.points), grid.span, args.levels))
     else:
         expr = curvedsl.parse_curve_expr(args.curve)
         lines.append("source: expr")
@@ -218,9 +206,9 @@ def cmd_certify(args) -> int:
         lines.append("columns: 1")
         rep = regcheck.certify(
             lambda pts: curvedsl.evaluate_expr(expr, pts),
-            args.domain,
+            args.domain or (-1.0, 1.0),
             levels=args.levels,
-            base_level=max(1, args.level - args.levels + 1),
+            base_level=max(1, (8 if args.level is None else args.level) - args.levels + 1),
         )
         reports.append(("f", rep))
     for name, rep in reports:
@@ -358,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
 
     # each subcommand takes the options its handler reads, and --report;
-    # "--curve" stands for the required choice between --curve and --csv
+    # "--curve" stands for the required choice between --curve and --csv, and
+    # for the --domain and --level of its grid, whose defaults a --csv file sets
     options = {
         "--poly": dict(required=True, help="comma-separated a1,...,an"),
         "--group": dict(required=True, help='catalog group, e.g. "A:2", "I2:5"'),
-        "--domain": dict(type=_parse_domain, default=(-1.0, 1.0), metavar="a:b"),
         "--level": dict(type=_LEVEL, default=8),
         "--gmap": dict(required=True, help="semicolon-separated map components in u,v"),
         "--box": dict(default="-1:1,-1:1", help="probe box, e.g. -1:1,-1:1"),
@@ -376,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = [
         ("roots", cmd_roots, "real roots of one polynomial", ["--poly", "--tol", "--out"]),
         ("select", cmd_select, "differentiable root-branch selection",
-         ["--curve", "--domain", "--level", "--tol", "--levels", "--strict", "--out"]),
+         ["--curve", "--tol", "--levels", "--strict", "--out"]),
         ("lift", cmd_lift, "lift an orbit-space curve",
-         ["--group", "--curve", "--domain", "--level", "--tol", "--strict", "--out"]),
+         ["--group", "--curve", "--tol", "--strict", "--out"]),
         ("certify", cmd_certify, "certify the regularity of samples or an expression",
-         ["--curve", "--domain", "--level", "--levels", "--strict"]),
+         ["--curve", "--levels", "--strict"]),
         ("kdata", cmd_kdata, "invariant degrees and the constant k", ["--group"]),
         ("harness", cmd_harness, "several-variable locally-Lipschitz probe harness",
          ["--group", "--gmap", "--box", "--probes", "--level", "--tol", "--strict"]),
@@ -392,8 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
             if flag == "--curve":
                 source = p.add_mutually_exclusive_group(required=True)
                 source.add_argument("--curve", default=None, help="comma-separated component expressions")
-                source.add_argument("--csv", default=None, help="curve samples CSV (header t,a1,...)" + (
-                    "; 2^L + 1 rows must hold the level-L dyadic grid's t" if name == "certify" else ""))
+                source.add_argument("--csv", default=None, help="curve rows CSV (header t,a1,...): 2^D + 1"
+                                    " rows on the level-D dyadic grid of [t_first, t_last], and no value between")
+                p.add_argument("--domain", type=_parse_domain, default=None, metavar="a:b",
+                               help="default -1:1; a --csv curve's is its file's")
+                p.add_argument("--level", type=_LEVEL, default=None,
+                               help="default 8; a --csv curve's is at most, and by default, its file's D")
             else:
                 p.add_argument(flag, **options[flag])
         p.add_argument("--report", default=None, help="report output path (default: stdout)")

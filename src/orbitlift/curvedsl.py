@@ -19,7 +19,7 @@ import csv
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import (
     EvalError,
     ExprDomainError,
     ExprSyntaxError,
+    GridTooCoarse,
     InvalidWindow,
 )
 
@@ -428,42 +429,10 @@ def split_top_level(src: str, sep: str = ",") -> list[str]:
 # -- coefficient curves --------------------------------------------------------
 
 @dataclass(frozen=True)
-class SampleComponent:
-    """Dense samples with piecewise-cubic interpolation for off-grid queries."""
-
-    t_samples: np.ndarray
-    values: np.ndarray
-    _spline: Callable = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        from scipy.interpolate import CubicSpline
-
-        ts = np.asarray(self.t_samples, dtype=float)
-        vs = np.asarray(self.values, dtype=float)
-        if ts.size != vs.size or ts.size < 2:
-            raise ValueError("sample table needs matching t/value columns, >= 2 rows")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        object.__setattr__(self, "t_samples", ts)
-        object.__setattr__(self, "values", vs)
-        object.__setattr__(self, "_spline", CubicSpline(ts, vs))
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        lo, hi = self.t_samples[0], self.t_samples[-1]
-        pad = 1e-12 * (1.0 + abs(hi - lo))
-        bad = (arr < lo - pad) | (arr > hi + pad)
-        if np.any(bad):
-            raise EvalError("query outside the sampled range", _at({"t": arr}, bad))
-        out = self._spline(np.clip(arr, lo, hi))
-        return float(out) if arr.shape == () else out
-
-
-@dataclass(frozen=True)
 class CoeffCurve:
     """Curve t -> (a_1(t), ..., a_n(t)) given componentwise.
 
-    Components are expression ASTs, sample tables, or plain callables.
+    Components are expression ASTs, CSV columns (`LatticeColumn`), or plain callables.
     """
 
     components: tuple
@@ -476,6 +445,12 @@ class CoeffCurve:
     @property
     def n(self) -> int:
         return len(self.components)
+
+    @property
+    def finest_level(self) -> float:
+        """The finest dyadic grid level the curve has values on: a CSV
+        curve's own (`read_curve_csv`), inf for one with a value at every t."""
+        return min((c.grid.level for c in self.components if isinstance(c, LatticeColumn)), default=math.inf)
 
     def evaluate(self, t) -> np.ndarray:
         """Rows of coefficient vectors; shape (len(t), n)."""
@@ -589,7 +564,50 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return data[:, 0], data[:, 1:], names
 
 
-def read_curve_csv(path) -> CoeffCurve:
-    """Curve from dense samples; off-grid queries use cubic interpolation."""
-    t, cols, _ = read_samples_csv(path)
-    return CoeffCurve(tuple(SampleComponent(t, cols[:, j]) for j in range(cols.shape[1])))
+@dataclass(frozen=True, eq=False)
+class LatticeColumn:
+    """A CSV column: values[k] at point k of `grid`, the file's level-D
+    dyadic grid, and no other value (EvalError).  Grids of level L <= D on
+    its domain hold only its points, bit for bit: the scale factors are
+    powers of two."""
+
+    grid: Grid
+    values: np.ndarray
+    name: str
+
+    def __call__(self, t):
+        pts, arr = self.grid.points, np.asarray(t, dtype=float)
+        k = np.minimum(np.searchsorted(pts, arr), pts.size - 1)
+        off = pts[k] != arr
+        if off.any():
+            raise EvalError(f"{self.name}: t is off the level-{self.grid.level} dyadic grid of its rows",
+                            _at({"t": arr}, off))
+        return self.values[k]
+
+
+def read_curve_csv(path, domain=None, level=None) -> tuple[CoeffCurve, Grid]:
+    """The curve a CSV file holds, and the grid to read it on.
+
+    The file must hold 2^D + 1 rows on the level-D dyadic grid of
+    [t_first, t_last], each t within 1e-9 of the span of its point.  Its
+    curve is then exactly its rows (`LatticeColumn`), read on the level-L
+    dyadic grid of the file's domain, L = `level` or D; a level above D, or
+    a `domain` other than the file's, is refused."""
+    t, cols, names = read_samples_csv(path)
+    span = (float(t[0]), float(t[-1]))
+    top = (t.size - 1).bit_length() - 1
+    if t.size != 2**top + 1:
+        raise GridTooCoarse(f"need 2^L + 1 samples, got {t.size}")
+    rows = Grid.dyadic(*span, top)
+    off = (abs(t - rows.points) > 1e-9 * (span[1] - span[0])).nonzero()[0]
+    if off.size:
+        k = int(off[0])
+        raise ValueError(f"{path}: t={float(t[k])!r} in row {k} is off the level-{top} dyadic grid"
+                         f" of [{span[0]!r}, {span[1]!r}], whose point {k} is {float(rows.points[k])!r}")
+    if domain is not None and tuple(domain) != span:
+        raise ValueError(f"{path}: its rows sample [{span[0]!r}, {span[1]!r}],"
+                         f" not the domain [{domain[0]!r}, {domain[1]!r}]")
+    if level is not None and level > top:
+        raise ValueError(f"{path}: its {t.size} rows hold the level-{top} dyadic grid, coarser than level {level}")
+    curve = CoeffCurve(tuple(LatticeColumn(rows, cols[:, j], name) for j, name in enumerate(names)))
+    return curve, Grid.dyadic(*span, top if level is None else level)

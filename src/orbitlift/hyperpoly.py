@@ -48,7 +48,7 @@ roots_batch does this work in one of two orders.  Certificate first, the
 default, runs the eigensolve on every row and rebuilds the rows it refuses.
 Proof first runs where the certificate would refuse most rows: a finite
 block of degree >= 3 and at least _PROOF_ROWS rows (a sampled curve) whose
-first and last rows both show an eigenvalue gap of at most the
+first, middle and last rows all show an eigenvalue gap of at most the
 certificate's least gap.  There every row is rebuilt first.  A row whose
 rebuilt roots prove, by Rouché's theorem at its narrowest pair, that P has
 two roots closer than any certificate allows, or a complex pair, falls
@@ -90,9 +90,9 @@ _ARRAY_BRACKETS = 64
 # takes 0.14-0.27 of the block kernels' time on 1 row, 0.81-0.96 on 8, 0.95-1.06 on 10.
 _FLOAT_ROWS = 8
 # roots_batch solves a finite block of degree >= 3 with at least this many
-# rows proof first when the eigenvalues of its first and last rows show a
-# cluster.  On blocks of degree 3-6 that each hold a double root (2-core x86
-# host, best of 15), proof first takes 1.15-1.38 of the certificate-first
+# rows proof first when the eigenvalues of its first, middle and last rows
+# show a cluster.  On blocks of degree 3-6 that each hold a double root
+# (2-core x86 host, best of 15), proof first takes 1.15-1.38 of the certificate-first
 # time on 8 rows, 0.95-1.04 on 48, 0.93-1.01 on 64, 0.86-0.90 on 128 and
 # 0.80-0.83 on 257; the probe adds 2-5 % to a separated block of 257 rows.
 _PROOF_ROWS = 64
@@ -116,12 +116,6 @@ class MonicHyperbolic:
     @property
     def degree(self) -> int:
         return self.coeffs.size
-
-    def full_coeffs(self) -> np.ndarray:
-        """Descending power-basis coefficients [1, -a1, +a2, ...]."""
-        n = self.degree
-        signs = (-1.0) ** np.arange(1, n + 1)
-        return np.concatenate(([1.0], signs * self.coeffs))
 
     def __repr__(self) -> str:
         return f"MonicHyperbolic(degree={self.degree}, coeffs={self.coeffs.tolist()})"
@@ -153,11 +147,6 @@ def _elementary(roots: list) -> list:
         for j in range(k, 0, -1):
             e[j] += r * e[j - 1]
     return e[1:]
-
-
-def evaluate(poly: MonicHyperbolic, x):
-    """Horner evaluation; accepts scalars or arrays."""
-    return _horner(poly.full_coeffs(), x)
 
 
 def roots(poly: MonicHyperbolic, tol: float = 1e-10) -> RootMultiset:
@@ -201,11 +190,11 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
 
     That is the certificate-first order.  A finite block of degree >= 3
     with at least _PROOF_ROWS rows runs proof first when one eigensolve of
-    its first and last rows finds a gap of at most _GAP_MARGIN * tol^(1/2)
-    in both: every row is rebuilt, without raising; the rows that
-    _refused_by_proof shows the certificate must refuse fall back at once;
-    the others go through the certificate as above, and the first refused
-    row that failed its rebuild raises.  The mask, every root and every
+    its first, middle and last rows finds a gap of at most
+    _GAP_MARGIN * tol^(1/2) in all three: every row is rebuilt, without
+    raising; the rows that _refused_by_proof shows the certificate must
+    refuse fall back at once; the others go through the certificate as
+    above, and the first refused row that failed its rebuild raises.  The mask, every root and every
     error are those of the certificate-first order.
     """
     if not (tol > 0.0):
@@ -367,10 +356,11 @@ def _eigenvalues(c: np.ndarray) -> np.ndarray:
 # -- proof first: refuse the clustered rows of a block before the eigensolve --
 
 def _clustered_ends(rows: np.ndarray, tol: float) -> bool:
-    """Whether the eigenvalues of both the first and the last row show a gap
-    of at most _GAP_MARGIN tol^(1/2), by one eigensolve of the two."""
+    """Whether the eigenvalues of the first, the middle and the last row all
+    show a gap of at most _GAP_MARGIN tol^(1/2), by one eigensolve of the
+    three."""
     with np.errstate(all="ignore"):
-        gaps = np.diff(_eigenvalues(_descending(rows[[0, -1]])), axis=1)
+        gaps = np.diff(_eigenvalues(_descending(rows[[0, len(rows) // 2, -1]])), axis=1)
     return bool((gaps <= _GAP_MARGIN * math.sqrt(tol)).any(axis=1).all())
 
 

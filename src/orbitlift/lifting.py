@@ -336,7 +336,7 @@ def lift_curve(
         # the window's exit anchors the next window: one window at a time
         estimate = functools.partial(_estimate_window, eps=eps, left_anchor=values[i0 - 1])
         exit_val = None if at_boundary else resolve_windows(grid, orbits, curve.evaluate, solve, OrbitBlock.joined, [
-            resolve_window(grid, i0, i1, orbits, estimate, _slope_drift, _choose_candidate),
+            resolve_window(grid, i0, i1, orbits, estimate, _slope_drift, _choose_candidate, curve.finest_level),
         ])[0]
         if exit_val is None:
             if not at_boundary:

@@ -48,13 +48,6 @@ class RootBranches:
         return self.branches.shape[0]
 
 
-def sorted_branches(curve: CoeffCurve, grid: Grid, tol: float = 1e-10) -> RootBranches:
-    """Pointwise sorted roots of the curve; raises NotHyperbolicAt(t)."""
-    pts = grid.points
-    vals = solved_at(functools.partial(_sorted_matrix, tol=tol), curve.evaluate(pts), pts)
-    return RootBranches(grid, vals)
-
-
 def _sorted_matrix(rows: np.ndarray, tol: float) -> np.ndarray:
     """Sorted roots of the rows, one column each."""
     return np.ascontiguousarray(hyperpoly.roots_batch(rows, tol)[0].T)
@@ -182,7 +175,7 @@ def differentiable_selection(
 ) -> RootBranches:
     """Root selection with branch labels re-paired across collisions.
 
-    Away from clusters this agrees with sorted_branches; at each resolved
+    Away from clusters this agrees with the sorted roots; at each resolved
     cluster the labels are re-paired by the minimal-slope-jump matching and
     interior samples follow the entry-to-exit chord.  The multiset of branch
     values matches the polynomial roots at every grid point by construction.
@@ -207,6 +200,7 @@ def differentiable_selection(
             resolve_window(
                 grid, i0, i1, vals, functools.partial(_estimate_slopes, list(branches), eps), _slope_drift,
                 lambda est: minimal_jump_assignment(est.left_slope, est.right_slope, est.left_quad, est.right_quad),
+                curve.finest_level,
             )
             for i0, i1, branches in clusters
         ],

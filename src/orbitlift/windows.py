@@ -20,8 +20,8 @@ when either
   scale, and the drift is shrinking.  Diverging slopes (no one-sided
   derivative) keep a constant relative drift and stay unresolved.
 
-A window with no stable choice by grid level `_MAX_LEVEL`, or whose estimate
-fails, is unresolved.
+A window with no stable choice by grid level `_MAX_LEVEL`, or by the curve's
+`finest_level` (a CSV curve's own), or whose estimate fails, is unresolved.
 
 A window's resolver is a stepper (`resolve_window`) that asks for one
 refined level at a time, and `resolve_windows` refines the live windows of
@@ -151,6 +151,7 @@ def resolve_window(
     estimate: Callable[[np.ndarray, Any, float], Any],
     drift: Callable[[Any, Any], float],
     choose: Callable[[Any], Choice],
+    finest: float,
 ):
     """A stepper for the window grid.points[i0..i1]: a generator that yields
     each refined grid it needs sampled and is sent its samples, and that
@@ -164,6 +165,8 @@ def resolve_window(
               fitted
     drift     (previous estimate, estimate) -> relative slope drift
     choose    estimate -> Choice
+    finest    the finest level the curve has values on: refinement stops
+              there or at _MAX_LEVEL, whichever comes first
     """
     pts = grid.points
     center_t = 0.5 * (pts[i0] + pts[i1])
@@ -175,7 +178,7 @@ def resolve_window(
     sub = grid
     prev = None
     prev_drift = np.inf
-    while sub.level < _MAX_LEVEL:
+    while sub.level < min(finest, _MAX_LEVEL):
         sub = sub.refine(lo, hi)
         new_est = estimate(sub.points, (yield sub), center_t)
         if new_est is None:

@@ -17,7 +17,7 @@ from orbitlift.cli import _make_probes, main
 from enumeration import orbit
 import lift_checks
 from catalog_checks import certify_entry
-from polys import from_roots
+from polys import from_roots, sorted_branches
 
 PASS = "ACCEPTANCE {num} ({name}): PASS"
 
@@ -52,7 +52,7 @@ def test_criterion_2_crossing_resolution():
     )
     assert err < 1e-8
 
-    srt = rf.sorted_branches(curve, grid, 1e-10)
+    srt = sorted_branches(curve, grid, 1e-10)
     d1 = rc.difference_quotients(srt.branches[1], grid.step, 1)
     mid = t.size // 2
     jump = d1[mid + 1] - d1[mid - 1]

@@ -197,6 +197,104 @@ class TestLift:
         assert err.endswith("(at t=-1.0)\n")
 
 
+def write_curve_csv(path, curve: str, level: int, domain=(-1.0, 1.0)):
+    """The coefficient rows of an expression curve on the level-`level`
+    dyadic grid of the domain, written as a CSV curve."""
+    from orbitlift.curvedsl import CoeffCurve, Grid, split_top_level, write_samples_csv
+
+    c = CoeffCurve.from_exprs(split_top_level(curve))
+    t = Grid.dyadic(*domain, level).points
+    write_samples_csv(path, t, c.evaluate(t), [f"a{j + 1}" for j in range(c.n)])
+    return path
+
+
+class TestCsvCurves:
+    """A CSV curve is exactly its rows: 2^D + 1 rows on the level-D dyadic
+    grid of its domain, read on that domain at level D or coarser, with
+    collision windows refined no further than level D."""
+
+    # 17 rows (level 4) of the roots {|t - 0.03| + 1, -1}: the kink lies between two rows
+    KINK = "abs(t-0.03),-(abs(t-0.03)+1)"
+
+    def test_kinked_branch_certifies_no_more_than_lipschitz(self, tmp_path, capsys):
+        path = write_curve_csv(tmp_path / "kink.csv", self.KINK, 4)
+        accepted = 0
+        for level in range(5):
+            rep = tmp_path / f"select{level}.txt"
+            code = run(["select", "--csv", str(path), "--level", str(level), "--report", str(rep)])
+            if code == EXIT_DOMAIN:  # fewer than 4 levels to certify
+                continue
+            accepted += 1
+            assert code == EXIT_OK
+            verdicts = [line.split(": ")[1] for line in rep.read_text().splitlines()
+                        if line.startswith("branch[") and ".report." not in line and ".verdict: " in line]
+            # the constant root -1, and the kinked branch
+            assert verdicts == [regcheck.TWICE, regcheck.LIPSCHITZ]
+        assert accepted == 1  # level 4, the default
+        capsys.readouterr()
+        # the spline this reader replaced made up rows here and read the branch twice-differentiable
+        assert run(["select", "--csv", str(path), "--level", "10"]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: its 17 rows hold the level-4 dyadic grid, coarser than level 10\n"
+
+    @pytest.mark.parametrize("curve", [
+        "0,-t^2",                     # roots {t, -t}: a crossing at sample 128
+        "3,-(t-0.1)^2,-3*(t-0.1)^2",  # roots {3, t - 0.1, 0.1 - t}: a crossing between samples
+    ])
+    def test_rows_at_level_10_read_at_level_8_give_the_curve_run(self, curve, tmp_path):
+        """The crossing's window settles by level 10 on the expression, so
+        the rows of level 10 hold every point its refinement reads."""
+        path = write_curve_csv(tmp_path / "rows.csv", curve, 10)
+        reports = {}
+        for source in (["--curve", curve], ["--csv", str(path)]):
+            rep, out = tmp_path / "select.txt", tmp_path / "branches.csv"
+            assert run(["select", *source, "--level", "8", "--report", str(rep), "--out", str(out)]) == EXIT_OK
+            lines = rep.read_text().splitlines()
+            assert lines[1].startswith("curve: ")
+            reports[source[0]] = (lines[:1] + lines[2:], out.read_bytes())
+        assert reports["--curve"] == reports["--csv"]
+        assert "swap-count: 1" in reports["--csv"][0]
+
+    def test_lift_of_rows_at_level_10_read_at_level_8_gives_the_curve_run(self, tmp_path):
+        curve = "5+t^2,4+5*t^2,4*t^2"  # one B mirror crossing, as in the CI lift
+        path = write_curve_csv(tmp_path / "rows.csv", curve, 10)
+        reports = {}
+        for source in (["--curve", curve], ["--csv", str(path)]):
+            rep = tmp_path / "lift.txt"
+            assert run(["lift", "--group", "B:3", *source, "--level", "8", "--report", str(rep)]) == EXIT_OK
+            lines = rep.read_text().splitlines()
+            reports[source[0]] = lines[:2] + lines[3:]
+        assert reports["--curve"] == reports["--csv"]
+        assert "swap-count: 1" in reports["--csv"]
+
+    def test_window_past_the_rows_is_unresolved(self, tmp_path):
+        """At the rows' own level no window can refine: the crossing keeps
+        sorted labels and is reported unresolved."""
+        path = write_curve_csv(tmp_path / "rows.csv", "0,-t^2", 8)
+        rep = tmp_path / "select.txt"
+        assert run(["select", "--csv", str(path), "--report", str(rep)]) == EXIT_OK
+        lines = rep.read_text().splitlines()
+        for line in ("domain: -1:1", "level: 8", "swap-count: 0", "unresolved-count: 1"):
+            assert line in lines
+
+    @pytest.mark.parametrize("command", [["certify"], ["select"], ["lift", "--group", "A:1"]])
+    @pytest.mark.parametrize("option, says", [
+        (["--domain", "0:1"], "its rows sample [-0.5, 1.0], not the domain [0.0, 1.0]"),
+        (["--level", "6"], "its 33 rows hold the level-5 dyadic grid, coarser than level 6"),
+    ])
+    def test_domain_or_level_the_rows_do_not_hold_is_refused(self, command, option, says, tmp_path, capsys):
+        path = write_curve_csv(tmp_path / "rows.csv", "2*t,t^2-1", 5, (-0.5, 1.0))
+        assert run([*command, "--csv", str(path), *option]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: {path}: {says}\n"
+
+    def test_row_count_is_refused_by_every_subcommand(self, tmp_path, capsys):
+        path = tmp_path / "rows.csv"
+        path.write_text("t,a1,a2\n" + "".join(f"{x!r},0,{-x * x!r}\n" for x in np.linspace(-1.0, 1.0, 100).tolist()))
+        for command in (["certify"], ["select"], ["lift", "--group", "A:1"]):
+            assert run([*command, "--csv", str(path)]) == EXIT_DOMAIN
+            assert capsys.readouterr().err == "error: need 2^L + 1 samples, got 100\n"
+
+
 class TestValuesNearTheLargestFloat:
     """Values near the largest float overflow the zero-root noise bound of
     the B squares, the orbit keys and the lift's linear continuation: numpy
@@ -493,34 +591,43 @@ def fresh_interpreter(code: str) -> str:
 
 class TestStartup:
     @staticmethod
-    def modules_after(argv) -> set[str]:
-        """Modules loaded by a fresh interpreter that ran main(argv)."""
+    def modules_after(*argvs) -> set[str]:
+        """Modules loaded by a fresh interpreter that ran main(argv) for
+        each of argvs in turn."""
         code = (
             "import json, sys\n"
             "from orbitlift.cli import main\n"
-            "try:\n"
-            f"    code = main({argv!r})\n"
-            "except SystemExit as exc:\n"
-            "    code = exc.code\n"
-            "assert code == 0, code\n"
+            f"for argv in {list(argvs)!r}:\n"
+            "    try:\n"
+            "        code = main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "    assert code == 0, (argv, code)\n"
             "print(json.dumps(sorted(sys.modules)))\n"
         )
         return set(json.loads(fresh_interpreter(code)))
 
     @classmethod
-    def scipy_modules_after(cls, argv):
-        return sorted(m for m in cls.modules_after(argv) if m.split(".")[0] == "scipy")
+    def scipy_modules_after(cls, *argvs):
+        return sorted(m for m in cls.modules_after(*argvs) if m.split(".")[0] == "scipy")
 
-    def test_cli_does_not_import_scipy(self):
-        # scipy only serves CSV curves
-        assert self.scipy_modules_after(["examples"]) == []
+    def test_cli_does_not_import_scipy(self, tmp_path):
+        # every subcommand, CSV curves included, which are read at their rows
+        rows = str(write_curve_csv(tmp_path / "rows.csv", "0,-t^2", 6))
+        csv_curves = [["select", "--csv", rows, "--report", str(tmp_path / "select-csv.txt")],
+                      ["lift", "--group", "A:1", "--csv", rows, "--report", str(tmp_path / "lift-csv.txt")]]
+        assert self.scipy_modules_after(*self.readme_commands(tmp_path).values(), *csv_curves) == []
 
     def test_nine_line_selection_does_not_import_scipy(self, tmp_path):
-        # pairing nine branches at one crossing needs no assignment solver
-        report = tmp_path / "select.txt"
-        argv = ["select", "--curve", NINE_LINES, "--level", "6", "--report", str(report)]
-        assert self.scipy_modules_after(argv) == []
-        assert "swap[0].perm: 8,7,6,5,4,3,2,1,0" in report.read_text()
+        # pairing nine branches at one crossing needs no assignment solver,
+        # for the expression and for its rows at level 8 read at level 6
+        rows = str(write_curve_csv(tmp_path / "rows.csv", NINE_LINES, 8))
+        reports = [tmp_path / "select.txt", tmp_path / "select-csv.txt"]
+        argvs = [["select", *source, "--level", "6", "--report", str(report)]
+                 for source, report in zip([["--curve", NINE_LINES], ["--csv", rows]], reports)]
+        assert self.scipy_modules_after(*argvs) == []
+        for report in reports:
+            assert "swap[0].perm: 8,7,6,5,4,3,2,1,0" in report.read_text()
 
     @staticmethod
     def readme_commands(tmp_path) -> dict:

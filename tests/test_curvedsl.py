@@ -13,6 +13,7 @@ from orbitlift.errors import (
     EvalError,
     ExprDomainError,
     ExprSyntaxError,
+    GridTooCoarse,
     InvalidWindow,
 )
 
@@ -197,17 +198,53 @@ class TestCsv:
         assert np.array_equal(t, t2)
         assert np.array_equal(cols, cols2)
 
-    def test_curve_from_csv_interpolates(self, tmp_path):
+    @staticmethod
+    def cube_csv(tmp_path, lo=-1.0, hi=1.0, level=5):
         path = tmp_path / "curve.csv"
-        t = np.linspace(-1, 1, 33)
-        cols = (t**3).reshape(-1, 1)
-        cd.write_samples_csv(path, t, cols, ["a1"])
-        curve = cd.read_curve_csv(path)
-        # cubic data reproduced at off-grid points by the cubic interpolant
-        q = np.array([-0.123, 0.4567])
-        assert np.allclose(curve.evaluate(q)[:, 0], q**3, atol=1e-4)
-        with pytest.raises(EvalError):
-            curve.evaluate(np.array([1.5]))
+        t = cd.Grid.dyadic(lo, hi, level).points
+        cd.write_samples_csv(path, t, (t**3).reshape(-1, 1), ["a1"])
+        return path, t**3
+
+    def test_curve_from_csv_is_its_rows(self, tmp_path):
+        path, cube = self.cube_csv(tmp_path, -0.3, 0.5)
+        curve, grid = cd.read_curve_csv(path)
+        assert (grid.span, grid.level, curve.finest_level) == ((-0.3, 0.5), 5, 5)
+        assert curve.evaluate(grid.points)[:, 0].tobytes() == cube.tobytes()
+        # every coarser grid of the domain, and every refined window up to
+        # level 5, reads the rows at its points' lattice indices
+        coarse = cd.read_curve_csv(path, level=2)[1]
+        assert coarse.level == 2
+        assert curve.evaluate(coarse.points)[:, 0].tobytes() == cube[::8].tobytes()
+        window = coarse.refine(1, 3).refine(0, 3).refine(2, 5)
+        assert (window.level, window.first) == (5, 12)
+        assert curve.evaluate(window.points)[:, 0].tobytes() == cube[12:19].tobytes()
+        assert cd.CoeffCurve.from_exprs(["t"]).finest_level == math.inf
+
+    def test_off_lattice_t_raises_eval_error(self, tmp_path):
+        path, _ = self.cube_csv(tmp_path)
+        curve, grid = cd.read_curve_csv(path)
+        finer = grid.refine(0, 1)  # its odd point lies between rows 0 and 1
+        for t in (finer.points[1], 0.1, 1.5, -1.0 - 2.0**-52, np.nan):
+            with pytest.raises(EvalError, match=r"a1: t is off the level-5 dyadic grid of its rows"):
+                curve.evaluate(np.array([0.0, t]))
+        with pytest.raises(EvalError) as exc:
+            curve.evaluate(0.1)
+        assert exc.value.t == 0.1
+
+    def test_level_above_the_rows_or_another_domain_is_refused(self, tmp_path):
+        path, _ = self.cube_csv(tmp_path)
+        assert cd.read_curve_csv(path, (-1.0, 1.0), 5)[1].level == 5
+        with pytest.raises(ValueError, match="rows hold the level-5 dyadic grid, coarser than level 6"):
+            cd.read_curve_csv(path, level=6)
+        with pytest.raises(ValueError, match=re.escape("rows sample [-1.0, 1.0], not the domain [0.0, 1.0]")):
+            cd.read_curve_csv(path, (0.0, 1.0))
+
+    def test_row_count_must_be_one_more_than_a_power_of_two(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        t = np.linspace(-1.0, 1.0, 33)
+        cd.write_samples_csv(path, t[:-1], t[:-1].reshape(-1, 1), ["a1"])
+        with pytest.raises(GridTooCoarse, match=re.escape("need 2^L + 1 samples, got 32")):
+            cd.read_curve_csv(path)
 
 
 # -- the compiled evaluator against the tree walker it replaced -----------------------

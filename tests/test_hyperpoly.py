@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import generic_kernels
-from polys import from_roots
+from polys import evaluate, from_roots, full_coeffs
 import scalar_kernels
 from orbitlift import hyperpoly as hp
 from orbitlift.errors import NotFinite, NotHyperbolic, RootSolveFailed, RowError
@@ -39,7 +39,7 @@ class TestFromRoots:
         oracle = expand_product([1.0, 2.0, 3.0])
         assert np.allclose(oracle, [1.0, -6.0, 11.0, -6.0])
         assert np.allclose(p.coeffs, [6.0, 11.0, 6.0])
-        assert np.allclose(p.full_coeffs(), oracle)
+        assert np.allclose(full_coeffs(p), oracle)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -49,20 +49,20 @@ class TestFromRoots:
 class TestEvaluate:
     def test_square_minus_one(self):
         p = hp.MonicHyperbolic([0.0, -1.0])
-        assert hp.evaluate(p, 2.0) == 3.0
+        assert evaluate(p, 2.0) == 3.0
 
     def test_square(self):
         p = hp.MonicHyperbolic([0.0, 0.0])
-        assert hp.evaluate(p, 5.0) == 25.0
+        assert evaluate(p, 5.0) == 25.0
 
     def test_cubic_at_four(self):
         # x^3 - 6x^2 + 11x - 6 at 4: 64 - 96 + 44 - 6 = 6
         p = hp.MonicHyperbolic([6.0, 11.0, 6.0])
-        assert hp.evaluate(p, 4.0) == pytest.approx(6.0, abs=1e-12)
+        assert evaluate(p, 4.0) == pytest.approx(6.0, abs=1e-12)
 
     def test_vectorized(self):
         p = hp.MonicHyperbolic([0.0, -1.0])
-        out = hp.evaluate(p, np.array([0.0, 1.0, 2.0]))
+        out = evaluate(p, np.array([0.0, 1.0, 2.0]))
         assert np.allclose(out, [-1.0, 0.0, 3.0])
 
 
@@ -85,7 +85,7 @@ class TestRoots:
             R = np.sort(rng.uniform(-10, 10, 6))
             p = from_roots(R)
             got = hp.roots(p, 1e-10).values
-            res = np.max(np.abs(hp.evaluate(p, got)))
+            res = np.max(np.abs(evaluate(p, got)))
             assert res <= 1e-10 * (1.0 + np.max(np.abs(p.coeffs)))
 
     def test_not_hyperbolic_raises(self):
@@ -339,7 +339,7 @@ def polish_cases():
             r = np.sort(rng.uniform(-4.0, 4.0, deg))
             if deg >= 3 and rng.random() < 0.5:
                 r[1] = r[0] + 10.0 ** rng.uniform(-7.0, -2.0)  # a near pair
-            c = from_roots(r).full_coeffs()
+            c = full_coeffs(from_roots(r))
             k = int(rng.integers(0, deg))
             lo = r[0] - rng.uniform(0.1, 2.0) if k == 0 else 0.5 * (r[k - 1] + r[k])
             hi = r[-1] + rng.uniform(0.1, 2.0) if k == deg - 1 else 0.5 * (r[k] + r[k + 1])
@@ -369,7 +369,7 @@ def large_bracket_blocks():
                 r = np.sort(r)
             lo = r[0] - rng.uniform(0.1, 2.0) if k == 0 else 0.5 * (r[k - 1] + r[k])
             hi = r[-1] + rng.uniform(0.1, 2.0) if k == deg - 1 else 0.5 * (r[k] + r[k + 1])
-            group.append((from_roots(r).full_coeffs(), float(lo), float(hi)))
+            group.append((full_coeffs(from_roots(r)), float(lo), float(hi)))
         yield deg, group
 
 
@@ -464,11 +464,11 @@ def mult_root_cases():
             spread = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-12.0, -4.0)
             r = np.concatenate([centre + spread * np.linspace(-0.5, 0.5, mult),
                                 rng.uniform(-6.0, 6.0, int(rng.integers(0, 4)))])
-            c = from_roots(r).full_coeffs() * 10.0 ** rng.integers(-3, 4)
+            c = full_coeffs(from_roots(r)) * 10.0 ** rng.integers(-3, 4)
             x0 = centre + 10.0 ** rng.uniform(-9.0, 0.0) * rng.choice([-1.0, 1.0])
             cases.append((c, float(x0), mult))
         cases.append((c, float(centre) + 1e6, mult))
-        cases.append((from_roots([1.0] * mult).full_coeffs(), 1.0, mult))
+        cases.append((full_coeffs(from_roots([1.0] * mult)), 1.0, mult))
     d = np.array([1.0, 0.0, -1.0, 0.0])  # x^3 - x: x^2 - 1/3 has no slope at 0
     cases.append((d, 0.0, 2))
     return cases
@@ -498,7 +498,7 @@ def collapse_rows():
     rows.append(np.array([-1.0, 1.0, 1.0 + 1e-8, np.nan, 2.0, 3.0, 4.0, 5.0]))
     rows[-4:] = [(r, np.nan_to_num(r)) for r in rows[-4:]]
     values = np.array([v for v, _ in rows])
-    c = np.array([from_roots(r).full_coeffs() for _, r in rows])
+    c = np.array([full_coeffs(from_roots(r)) for _, r in rows])
     return values, c
 
 
@@ -640,9 +640,9 @@ class TestRootsBatch:
                 assert np.all(np.abs(values[i] - ref) <= delta(ref))
                 # the enclosure, rechecked: P changes sign across r +- delta
                 v = values[i]
-                assert np.all(hp.evaluate(p, v - delta(v)) * hp.evaluate(p, v + delta(v)) < 0)
+                assert np.all(evaluate(p, v - delta(v)) * evaluate(p, v + delta(v)) < 0)
                 # polished: |P(r)| within the Horner noise bound
-                c = p.full_coeffs().tolist()
+                c = full_coeffs(p).tolist()
                 assert all(abs(hp._horner(c, x)) <= scalar_kernels.eval_noise(c, x) for x in v.tolist())
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
@@ -755,7 +755,7 @@ def clustered_block():
 
 
 # (x^2 + 1)(x - 1)...(x - 6): a complex pair far outside the tol-ball
-COMPLEX_ROW = (np.convolve([1.0, 0.0, 1.0], from_roots(np.arange(1.0, 7.0)).full_coeffs())[1:]
+COMPLEX_ROW = (np.convolve([1.0, 0.0, 1.0], full_coeffs(from_roots(np.arange(1.0, 7.0))))[1:]
                * (-1.0) ** np.arange(1, 9))
 
 
@@ -976,7 +976,7 @@ def row_form_rows():
                 if kind == 4:
                     row[-1] += (-1.0) ** n * 10.0 ** rng.uniform(-16.0, -6.0)
                 elif kind == 5:  # (x^2 + 1) times real roots
-                    full = np.convolve([1.0, 0.0, 1.0], from_roots(r[:n - 2]).full_coeffs())
+                    full = np.convolve([1.0, 0.0, 1.0], full_coeffs(from_roots(r[:n - 2])))
                     row = full[1:] * (-1.0) ** np.arange(1, n + 1)
                 elif kind == 6:
                     row = np.full(n, 10.0 ** rng.uniform(200.0, 300.0))
@@ -1095,7 +1095,7 @@ def oracle(rows, tol=1e-10):
 
 class TestProofFirst:
     """A finite block of degree >= 3 with at least _PROOF_ROWS rows whose
-    first and last rows show a cluster is rebuilt first, and only the rows
+    first, middle and last rows show a cluster is rebuilt first, and only the rows
     that the Rouché test cannot refuse go through the certificate.  Every
     row gets the bits, the mask and the error of the certificate-first
     order (tests/generic_kernels.py)."""
@@ -1176,8 +1176,24 @@ class TestProofFirst:
         hp.roots_batch(np.vstack([double[:-1], separated[-1:]]))  # the last row is separated
         hp.roots_batch(separated)
         assert calls == [0, k - 1, k, k, k]
+        # the middle row is separated, too
+        calls.clear()
+        hp.roots_batch(np.vstack([double[: k // 2], separated[k // 2: k // 2 + 1], double[k // 2 + 1:]]))
+        assert calls == [k]
         # a block holding a row that is not finite takes the certificate first
         calls.clear()
         with pytest.raises(NotFinite):
             hp.roots_batch(np.vstack([double[:-1], [np.inf, 0.0, 0.0]]))
         assert calls == [k]
+
+    def test_a_block_whose_middle_is_separated_goes_certificate_first(self, monkeypatch):
+        """Roots {t^2, 1, 5} on the level-8 grid of [-1, 1] collide only at
+        t = -1 and t = 1: the ends of the block cluster and its middle row
+        does not, so no row is rebuilt before the certificate has seen it."""
+        kernel, calls = hp._certified_roots, []
+        monkeypatch.setattr(hp, "_certified_roots", lambda rows, tol: calls.append(len(rows)) or kernel(rows, tol))
+        block = np.array([from_roots([t * t, 1.0, 5.0]).coeffs for t in np.linspace(-1.0, 1.0, 257)])
+        got = batch(block)
+        assert calls == [257]
+        assert got[1][[0, -1]].all()  # the certificate refuses both ends
+        assert same_outcome(got, oracle(block))

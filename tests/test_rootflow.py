@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import clusters_oracle
-from polys import from_roots
+from polys import from_roots, sorted_branches
 from orbitlift import curvedsl as cd
 from orbitlift import hyperpoly as hp
 from orbitlift import regcheck as rc
@@ -27,28 +27,28 @@ def branch_error(branches, targets):
 class TestSortedBranches:
     def test_pm_t(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
-        sel = rf.sorted_branches(curve_from("0", "-t^2"), grid)
+        sel = sorted_branches(curve_from("0", "-t^2"), grid)
         t = grid.points
         assert np.allclose(sel.branches[0], -np.abs(t), atol=1e-12)
         assert np.allclose(sel.branches[1], np.abs(t), atol=1e-12)
 
     def test_double_root_line(self):
         grid = cd.Grid.dyadic(-1, 1, 5)
-        sel = rf.sorted_branches(curve_from("2*t", "t^2"), grid)
+        sel = sorted_branches(curve_from("2*t", "t^2"), grid)
         assert np.allclose(sel.branches, grid.points[None, :], atol=1e-9)
 
     def test_constant_cubic(self):
         grid = cd.Grid.dyadic(-1, 1, 4)
         poly = hp.MonicHyperbolic([0.0, -3.0, -1.0])
         expected = hp.roots(poly).values
-        sel = rf.sorted_branches(curve_from("0", "-3", "-1"), grid)
+        sel = sorted_branches(curve_from("0", "-3", "-1"), grid)
         for j in range(3):
             assert np.allclose(sel.branches[j], expected[j], atol=1e-12)
 
     def test_not_hyperbolic_at(self):
         # roots of x^2 - (t^2 - 0.25): complex for |t| < 0.5
         with pytest.raises(NotHyperbolicAt):
-            rf.sorted_branches(curve_from("0", "0.25-t^2"), cd.Grid.dyadic(-1, 1, 4))
+            sorted_branches(curve_from("0", "0.25-t^2"), cd.Grid.dyadic(-1, 1, 4))
 
     def test_not_hyperbolic_at_first_failing_sample_of_a_cubic(self):
         # roots 3 and +-sqrt(t^2 - 0.25): a double root at t = -0.5, complex
@@ -56,7 +56,7 @@ class TestSortedBranches:
         # and after certify in the batch, the failing ones fall back
         curve = curve_from("3", "0.25-t^2", "0.75-3*t^2")
         with pytest.raises(NotHyperbolicAt) as exc:
-            rf.sorted_branches(curve, cd.Grid.dyadic(-1, 1, 4))
+            sorted_branches(curve, cd.Grid.dyadic(-1, 1, 4))
         assert exc.value.t == -0.375
 
     def test_failed_backward_check_names_t(self):
@@ -67,7 +67,7 @@ class TestSortedBranches:
             -324.316343471285, -320.7466372923879, 4099.102688577927, 4099.102688577927,
         ]).coeffs
         with pytest.raises(RootSolveFailed, match=r"backward check.*\(at t=-1\.0\)$"):
-            rf.sorted_branches(curve_from(*map(repr, row.tolist())), cd.Grid.dyadic(-1, 1, 2))
+            sorted_branches(curve_from(*map(repr, row.tolist())), cd.Grid.dyadic(-1, 1, 2))
 
     def test_overflowing_discriminant_gives_finite_branches(self):
         # (1e300)^2 overflows; the roots 1 and 1e300 are finite
@@ -78,7 +78,7 @@ class TestSortedBranches:
 
     def test_pointwise_sorted(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
-        sel = rf.sorted_branches(curve_from("t", "-1-t^2", "-t"), grid)
+        sel = sorted_branches(curve_from("t", "-1-t^2", "-t"), grid)
         assert np.all(np.diff(sel.branches, axis=0) >= -1e-12)
 
 
@@ -86,7 +86,7 @@ class TestCollisionClusters:
     # a cluster is (first sample index, last sample index, sorted branches)
     def test_crossing_cluster(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
-        sel = rf.sorted_branches(curve_from("0", "-t^2"), grid)
+        sel = sorted_branches(curve_from("0", "-t^2"), grid)
         clusters = rf.collision_clusters(sel.branches, 0.1)
         assert len(clusters) == 1
         ((i0, i1, branches),) = clusters
@@ -97,20 +97,20 @@ class TestCollisionClusters:
     def test_separated_branches_no_cluster(self):
         grid = cd.Grid.dyadic(-1, 1, 5)
         # constant roots {0, 5}: e1 = 5, e2 = 0
-        sel = rf.sorted_branches(curve_from("5", "0"), grid)
+        sel = sorted_branches(curve_from("5", "0"), grid)
         assert rf.collision_clusters(sel.branches, 0.1) == []
 
     def test_third_branch_not_involved(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
         # roots {t, -t, 2}: e1 = 2, e2 = -t^2, e3 = -2 t^2
-        sel = rf.sorted_branches(curve_from("2", "-t^2", "-2*t^2"), grid)
+        sel = sorted_branches(curve_from("2", "-t^2", "-2*t^2"), grid)
         clusters = rf.collision_clusters(sel.branches, 0.1)
         assert len(clusters) == 1
         assert clusters[0][2] == (0, 1)
 
     def test_derived_gap_table(self):
         grid = cd.Grid.dyadic(-1, 1, 6)
-        sel = rf.sorted_branches(curve_from("2", "-t^2", "-2*t^2"), grid)
+        sel = sorted_branches(curve_from("2", "-t^2", "-2*t^2"), grid)
         # oracle: involved window is exactly where the sampled gap drops below eps
         gaps = sel.branches[1] - sel.branches[0]
         inside = np.flatnonzero(gaps < 0.1)
@@ -120,7 +120,7 @@ class TestCollisionClusters:
     def test_permanent_pair_is_a_cluster_of_its_own(self):
         # roots {t, -t, 3, 3}: the pair at 3 touches for all t, the lines only at 0
         grid = cd.Grid.dyadic(-1, 1, 9)
-        sel = rf.sorted_branches(curve_from(*PERMANENT_PAIR), grid)
+        sel = sorted_branches(curve_from(*PERMANENT_PAIR), grid)
         pair, crossing = rf.collision_clusters(sel.branches, 4e-3)
         assert crossing == (256, 256, (0, 1))
         assert pair == (0, 512, (2, 3))
@@ -150,7 +150,7 @@ class TestCollisionClusters:
 
     def test_permanent_pair_matches_the_flood_fill(self):
         grid = cd.Grid.dyadic(-1, 1, 9)
-        vals = rf.sorted_branches(curve_from(*PERMANENT_PAIR), grid).branches
+        vals = sorted_branches(curve_from(*PERMANENT_PAIR), grid).branches
         for eps in (4e-3, 0.1, 1.0, 3.5):
             assert rf.collision_clusters(vals, eps) == clusters_oracle.flood_clusters(vals, eps), eps
 
@@ -234,7 +234,7 @@ class TestDifferentiableSelection:
         got = sorted(np.median(s) for s in slopes)
         assert got == pytest.approx([-sigma, sigma], abs=1e-6)
         # the sorted selection has a slope discontinuity at the crossing
-        srt = rf.sorted_branches(curve, grid)
+        srt = sorted_branches(curve, grid)
         d_sorted = rc.difference_quotients(srt.branches[1], h, 1)
         assert np.max(d_sorted) > sigma - 1e-6
         assert np.min(d_sorted) < -sigma + 1e-6
@@ -259,14 +259,14 @@ class TestDifferentiableSelection:
         grid = cd.Grid.dyadic(-1, 1, 8)
         curve = curve_from("t", "-1*powabs(t,1)", "-t*t*t")
         sel = rf.differentiable_selection(curve, grid)
-        srt = rf.sorted_branches(curve, grid)
+        srt = sorted_branches(curve, grid)
         assert np.allclose(np.sort(sel.branches, axis=0), srt.branches, atol=1e-7)
 
     def test_selection_matches_sorted_off_clusters(self):
         grid = cd.Grid.dyadic(-1, 1, 9)
         curve = curve_from("0", "-t^2")
         sel = rf.differentiable_selection(curve, grid)
-        srt = rf.sorted_branches(curve, grid)
+        srt = sorted_branches(curve, grid)
         mask = np.ones(grid.points.size, bool)
         for i0, i1, _ in rf.collision_clusters(srt.branches, 2e-3):
             mask[i0 : i1 + 1] = False
@@ -290,7 +290,7 @@ class TestContinuityBound:
         for sources in (["0", "-t^2"], ["0", "-powabs(t,3)"], ["2*t", "t^2"]):
             grid = cd.Grid.dyadic(-1, 1, 9)
             sel = rf.differentiable_selection(curve_from(*sources), grid)
-            srt = rf.sorted_branches(curve_from(*sources), grid)
+            srt = sorted_branches(curve_from(*sources), grid)
             sorted_step = np.max(np.abs(np.diff(srt.branches, axis=1)))
             diff_step = np.max(np.abs(np.diff(sel.branches, axis=1)))
             assert diff_step <= 3.0 * sorted_step + 1e-12

@@ -1,5 +1,6 @@
 """The shared window resolver, driven by a scripted fake caller."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,7 @@ class FakeCaller:
         i = int(np.argmin(np.abs(pts - center_t)))
         return SimpleNamespace(level=level, left_slope=np.array([1.0]), run=(i, i))
 
-    def resolve(self):
+    def resolve(self, finest=math.inf):
         stepper = wn.resolve_window(
             GRID,
             16,
@@ -38,6 +39,7 @@ class FakeCaller:
             self.estimate,
             lambda prev, est: self.drift_at(est.level),
             lambda est: self.choice_at(est.level),
+            finest,
         )
         samples = None
         try:
@@ -98,6 +100,17 @@ class TestResolveWindow:
         caller = FakeCaller(lambda level: 0.5, clear)
         assert caller.resolve() is None
         assert caller.levels == list(range(GRID.level + 1, wn._MAX_LEVEL + 1))
+
+    @pytest.mark.parametrize("finest, levels", [
+        (5, []), (8, [6, 7, 8]), (wn._MAX_LEVEL + 4, range(6, wn._MAX_LEVEL + 1)),
+    ])
+    def test_refinement_stops_at_the_curves_finest_level(self, finest, levels):
+        """A CSV curve has no value past its own level: a window still
+        unstable there is unresolved, and one stable there is accepted."""
+        caller = FakeCaller(lambda level: 0.5, clear)
+        assert caller.resolve(finest) is None
+        assert caller.levels == list(levels)
+        assert FakeCaller(shrinking, clear).resolve(finest=7) == "level 7"
 
     def test_windows_are_lattice_index_ranges(self):
         # level 6 covers the window and 9 points on each side, each later level
