@@ -17,7 +17,8 @@ no more than that command needs:
   examples  catalog
 
 All but `examples` load numpy; `examples` and `--help` start without it.
-A --csv curve is exactly its file's rows (curvedsl.read_curve_csv).
+A --csv curve is exactly its file's rows, and certify --csv names each
+column's report by the file's header (curvedsl.read_curve_csv).
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ _PROBES = _checked(int, lambda v: v >= 1, ">= 1")
 _TOL = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
-def _curve_and_grid(args) -> tuple[curvedsl.CoeffCurve, curvedsl.Grid]:
-    """The curve of --curve or --csv and the dyadic grid to sample it on:
+def _curve_and_grid(args) -> tuple[curvedsl.CoeffCurve, curvedsl.Grid, list[str]]:
+    """The curve of --curve or --csv, the dyadic grid to sample it on, and
+    its component names (a CSV's columns, or the --curve expressions):
     --domain (default -1:1) at --level (default 8), or a CSV's own domain at
     most at its own level, which is the default (curvedsl.read_curve_csv)."""
     from . import curvedsl
@@ -76,10 +78,12 @@ def _curve_and_grid(args) -> tuple[curvedsl.CoeffCurve, curvedsl.Grid]:
     try:
         if args.csv:
             return curvedsl.read_curve_csv(args.csv, args.domain, args.level)
-        curve = curvedsl.CoeffCurve.from_exprs(curvedsl.split_top_level(args.curve))
+        sources = curvedsl.split_top_level(args.curve)
+        curve = curvedsl.CoeffCurve.from_exprs(sources)
     except (OSError, ValueError) as err:
         raise OrbitLiftError(str(err)) from err
-    return curve, curvedsl.Grid.dyadic(*(args.domain or (-1.0, 1.0)), 8 if args.level is None else args.level)
+    grid = curvedsl.Grid.dyadic(*(args.domain or (-1.0, 1.0)), 8 if args.level is None else args.level)
+    return curve, grid, sources
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -141,7 +145,7 @@ def _selection_report(args, sel: rootflow.RootBranches, reports) -> str:
 def cmd_select(args) -> int:
     from . import curvedsl, regcheck, rootflow
 
-    curve, grid = _curve_and_grid(args)
+    curve, grid, _ = _curve_and_grid(args)
     sel = rootflow.differentiable_selection(curve, grid, args.tol)
     reports = regcheck.certify_samples(sel.branches.T, grid.span, args.levels)
     if args.out:
@@ -158,7 +162,7 @@ def cmd_lift(args) -> int:
 
     group = invariants.parse_group(args.group)
     map_ = invariants.orbit_map(group)
-    curve, grid = _curve_and_grid(args)
+    curve, grid, _ = _curve_and_grid(args)
     lift = lifting.lift_curve(group, map_, curve, grid, args.tol)
     if args.out:
         names = [f"x{j + 1}" for j in range(group.dim)]
@@ -194,10 +198,9 @@ def cmd_certify(args) -> int:
     lines = ["tool: certify"]
     reports = []
     if args.csv:
-        curve, grid = _curve_and_grid(args)
+        curve, grid, names = _curve_and_grid(args)
         lines.append("source: csv")
         lines.append(f"columns: {curve.n}")
-        names = [column.name for column in curve.components]
         reports += zip(names, regcheck.certify_samples(curve.evaluate(grid.points), grid.span, args.levels))
     else:
         expr = curvedsl.parse_curve_expr(args.curve)

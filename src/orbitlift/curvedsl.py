@@ -1,4 +1,9 @@
-"""Coefficient-curve expression language, sampling, and dyadic grids.
+"""Coefficient-curve expression language, coefficient curves, dyadic grids
+and CSV interchange.
+
+A coefficient curve (`CoeffCurve`) is one function from an array of times
+to its rows of coefficients: the stacked values of its expressions
+(`CoeffCurve.from_exprs`), or the rows of a CSV file (`read_curve_csv`).
 
 Grammar (see docs/grammar.md for the EBNF):
 
@@ -254,14 +259,14 @@ def parse_curve_expr(src: str, variables: Sequence[str] = ("t",)) -> CurveExpr:
 #
 # Each expression is compiled once, on first use, into a tree of closures
 # cached on its node.  A closure maps an environment {variable: value} to the
-# node's value, and the same tree serves arrays (evaluate_expr,
-# CoeffCurve.evaluate) and points (evaluate_with_env).  Arrays run under one
-# np.errstate(all="ignore") per call.  At a point, coordinates and numbers are
-# Python floats (float() is exact; numbers broadcast against arrays), so
-# + - * / and negation are the IEEE operations of the array entry and raise
-# no numpy warning (a zero divisor is refused first), and a ufunc enters
-# np.errstate only for an argument that could raise a flag (_guarded).  A
-# flag moves no bit, so a point gets the bits of its entry.
+# node's value, and the same tree serves arrays (evaluate_expr, whose values
+# CoeffCurve.from_exprs stacks) and points (evaluate_with_env).  Arrays run
+# under one np.errstate(all="ignore") per call.  At a point, coordinates and
+# numbers are Python floats (float() is exact; numbers broadcast against
+# arrays), so + - * / and negation are the IEEE operations of the array entry
+# and raise no numpy warning (a zero divisor is refused first), and a ufunc
+# enters np.errstate only for an argument that could raise a flag (_guarded).
+# A flag moves no bit, so a point gets the bits of its entry.
 
 
 class _Fault(Exception):
@@ -430,43 +435,28 @@ def split_top_level(src: str, sep: str = ",") -> list[str]:
 
 @dataclass(frozen=True)
 class CoeffCurve:
-    """Curve t -> (a_1(t), ..., a_n(t)) given componentwise.
+    """Curve t -> (a_1(t), ..., a_n(t)): `rows` maps a 1-D array of times
+    to their coefficient rows, shape (len(t), n).  `finest_level` is the
+    finest dyadic grid level the curve has values on: a CSV curve's own
+    (`read_curve_csv`), inf for one with a value at every t."""
 
-    Components are expression ASTs, CSV columns (`LatticeColumn`), or plain callables.
-    """
-
-    components: tuple
+    rows: Callable[[np.ndarray], np.ndarray]
+    n: int
+    finest_level: float = math.inf
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+        if self.n < 1:
             raise ValueError("curve needs at least one component")
 
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-    @property
-    def finest_level(self) -> float:
-        """The finest dyadic grid level the curve has values on: a CSV
-        curve's own (`read_curve_csv`), inf for one with a value at every t."""
-        return min((c.grid.level for c in self.components if isinstance(c, LatticeColumn)), default=math.inf)
-
     def evaluate(self, t) -> np.ndarray:
-        """Rows of coefficient vectors; shape (len(t), n)."""
+        """Rows of coefficient vectors: shape (len(t), n), or (n,) at a scalar t."""
         arr = np.asarray(t, dtype=float)
-        cols = []
-        for comp in self.components:
-            if isinstance(comp, CurveExpr):
-                vals = evaluate_expr(comp, arr)
-            else:
-                vals = comp(arr)
-            cols.append(np.broadcast_to(np.asarray(vals, dtype=float), arr.shape))
-        return np.stack(cols, axis=-1)
+        return self.rows(arr.reshape(-1)).reshape(arr.shape + (self.n,))
 
     @classmethod
     def from_exprs(cls, sources: Sequence[str]) -> "CoeffCurve":
-        return cls(tuple(parse_curve_expr(s) for s in sources))
+        exprs = [parse_curve_expr(s) for s in sources]
+        return cls(lambda t: np.stack([evaluate_expr(e, t) for e in exprs], axis=-1), len(exprs))
 
 
 # -- grids ----------------------------------------------------------------------
@@ -564,50 +554,39 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return data[:, 0], data[:, 1:], names
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeColumn:
-    """A CSV column: values[k] at point k of `grid`, the file's level-D
-    dyadic grid, and no other value (EvalError).  Grids of level L <= D on
-    its domain hold only its points, bit for bit: the scale factors are
-    powers of two."""
-
-    grid: Grid
-    values: np.ndarray
-    name: str
-
-    def __call__(self, t):
-        pts, arr = self.grid.points, np.asarray(t, dtype=float)
-        k = np.minimum(np.searchsorted(pts, arr), pts.size - 1)
-        off = pts[k] != arr
-        if off.any():
-            raise EvalError(f"{self.name}: t is off the level-{self.grid.level} dyadic grid of its rows",
-                            _at({"t": arr}, off))
-        return self.values[k]
-
-
-def read_curve_csv(path, domain=None, level=None) -> tuple[CoeffCurve, Grid]:
-    """The curve a CSV file holds, and the grid to read it on.
+def read_curve_csv(path, domain=None, level=None) -> tuple[CoeffCurve, Grid, list[str]]:
+    """The curve a CSV file holds, the grid to read it on, and its column names.
 
     The file must hold 2^D + 1 rows on the level-D dyadic grid of
     [t_first, t_last], each t within 1e-9 of the span of its point.  Its
-    curve is then exactly its rows (`LatticeColumn`), read on the level-L
-    dyadic grid of the file's domain, L = `level` or D; a level above D, or
-    a `domain` other than the file's, is refused."""
+    curve is then exactly its rows: a t is answered by the row of the
+    level-D point it equals, and any other t raises EvalError.  It is read
+    on the level-L dyadic grid of the file's domain, L = `level` or D,
+    whose points are level-D points bit for bit (the scale factors are
+    powers of two); a level above D, or a `domain` other than the file's,
+    is refused."""
     t, cols, names = read_samples_csv(path)
     span = (float(t[0]), float(t[-1]))
     top = (t.size - 1).bit_length() - 1
     if t.size != 2**top + 1:
-        raise GridTooCoarse(f"need 2^L + 1 samples, got {t.size}")
-    rows = Grid.dyadic(*span, top)
-    off = (abs(t - rows.points) > 1e-9 * (span[1] - span[0])).nonzero()[0]
+        raise GridTooCoarse(f"{path}: need 2^L + 1 samples, got {t.size}")
+    pts = Grid.dyadic(*span, top).points
+    off = (abs(t - pts) > 1e-9 * (span[1] - span[0])).nonzero()[0]
     if off.size:
         k = int(off[0])
         raise ValueError(f"{path}: t={float(t[k])!r} in row {k} is off the level-{top} dyadic grid"
-                         f" of [{span[0]!r}, {span[1]!r}], whose point {k} is {float(rows.points[k])!r}")
+                         f" of [{span[0]!r}, {span[1]!r}], whose point {k} is {float(pts[k])!r}")
     if domain is not None and tuple(domain) != span:
         raise ValueError(f"{path}: its rows sample [{span[0]!r}, {span[1]!r}],"
                          f" not the domain [{domain[0]!r}, {domain[1]!r}]")
     if level is not None and level > top:
         raise ValueError(f"{path}: its {t.size} rows hold the level-{top} dyadic grid, coarser than level {level}")
-    curve = CoeffCurve(tuple(LatticeColumn(rows, cols[:, j], name) for j, name in enumerate(names)))
-    return curve, Grid.dyadic(*span, top if level is None else level)
+
+    def rows(at):
+        k = np.minimum(np.searchsorted(pts, at), pts.size - 1)
+        off = pts[k] != at
+        if off.any():
+            raise EvalError(f"{path}: t is off the level-{top} dyadic grid of its rows", _at({"t": at}, off))
+        return cols[k]
+
+    return CoeffCurve(rows, len(names), top), Grid.dyadic(*span, top if level is None else level), names

@@ -242,7 +242,7 @@ def _uncertified_roots(rows: np.ndarray, tol: float) -> np.ndarray:
         out = []
         for i, row in enumerate(rows.tolist()):
             vals, solved = _row_roots(row, tol)
-            vals = _row_sort(vals)
+            vals = _sorted(vals)
             miss = max(abs(ej - aj) for ej, aj in zip(_elementary(vals), row))  # max(), as in the block
             if not (solved and miss <= 10.0 * math.sqrt(tol) * (1.0 + max(map(abs, row)))):
                 raise _refusal(i, n, tol, solved, any(map(math.isinf, vals)), miss)
@@ -427,23 +427,11 @@ def _refused_by_proof(rows: np.ndarray, values: np.ndarray, tol: float) -> np.nd
 
 # -- dense polynomial helpers (descending coefficients, c[0] = leading) -----
 
-def _horner(c, x):
-    """c(x) for an array or float list c.  A float x (np.float64 included)
-    takes a plain float loop with the array path's operation order."""
-    if isinstance(x, float):
-        x = float(x)
-        if not isinstance(c, list):
-            c = c.tolist()
-        out = c[0]
-        for coef in c[1:]:
-            out = out * x + coef
-        return out
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, c[0], dtype=float)
+def _horner(c: list[float], x: float) -> float:
+    """c(x) on Python floats, by the operations of _horner_values."""
+    out = c[0]
     for coef in c[1:]:
         out = out * x + coef
-    if out.shape == ():
-        return float(out)
     return out
 
 
@@ -480,7 +468,7 @@ def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float, x: flo
     between lo and hi."""
     c0, c1, dc0, dc1 = c[0], c[1:], dc[0], dc[1:]
 
-    def horner(out, rest, x):  # _horner on floats, without its dispatch
+    def horner(out, rest, x):  # _horner, with c's head and tail split once
         for coef in rest:
             out = out * x + coef
         return out
@@ -912,9 +900,11 @@ def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
 # every division below excludes as its block kernel does, and on a pow that
 # overflows, which a root of a float cannot.
 
-def _row_sort(values: list[float]) -> list[float]:
-    """values sorted as np.sort sorts them, nan last."""
-    return sorted(values, key=lambda v: (v != v, v))
+def _sorted(values: list[float]) -> list[float]:
+    """The floats sorted as np.sort sorts them: NaNs last."""
+    if math.isnan(sum(values)):  # a NaN, or inf - inf
+        return sorted([x for x in values if x == x]) + [x for x in values if x != x]
+    return sorted(values)
 
 
 def _row_roots(row: list[float], tol: float) -> tuple[list[float], bool]:
@@ -928,7 +918,7 @@ def _row_roots(row: list[float], tol: float) -> tuple[list[float], bool]:
             rest, ok = rest[0].tolist(), bool(ok[0])
         else:
             rest, ok = _row_roots(row[:-1], tol)
-        out = _row_sort(rest + [0.0])
+        out = _sorted(rest + [0.0])
         # the collapse leaves a row without a gap narrower than tol^(1/2) as it is
         return (_row_collapse_clusters(out, tol, c) if ok else out), ok
     mu = row[0] / n
@@ -944,7 +934,7 @@ def _row_roots(row: list[float], tol: float) -> tuple[list[float], bool]:
         pairs = _promote(pairs, c, tol, tol_eff, shift_noise)
     if pairs is None or sum(k for _, k in pairs) < n:
         return [math.nan] * n, False
-    out = _row_collapse_clusters(_row_sort([x for x, k in pairs for _ in range(k)])[:n], tol, c)
+    out = _row_collapse_clusters(_sorted([x for x, k in pairs for _ in range(k)])[:n], tol, c)
     return [x + mu for x in out], True
 
 

@@ -168,13 +168,6 @@ def parse_group(spec: str) -> ReflectionGroup:
 
 # -- invariant map -------------------------------------------------------------
 
-def _sorted(values: list) -> list:
-    """The floats sorted as np.sort sorts them: NaNs last."""
-    if math.isnan(sum(values)):  # a NaN, or inf - inf
-        return sorted([x for x in values if x == x]) + [x for x in values if x != x]
-    return sorted(values)
-
-
 def _signed_product(values) -> float:
     """prod(values) evaluated in canonical order (sign times sorted-|.| product)."""
     sign = 1.0
@@ -184,7 +177,7 @@ def _signed_product(values) -> float:
         elif x == 0:
             return 0.0
     out = 1.0
-    for m in _sorted([abs(x) for x in values]):
+    for m in hyperpoly._sorted([abs(x) for x in values]):
         out *= m
     return sign * out
 
@@ -231,7 +224,7 @@ class OrbitMapSigma:
         kind = self.group.kind
         if kind == "I2":
             return np.array([x[0] * x[0] + x[1] * x[1], _re_complex_power(x[0], x[1], self.group.param)])
-        e = hyperpoly._elementary(_sorted(x if kind == "A" else [a * a for a in x]))
+        e = hyperpoly._elementary(hyperpoly._sorted(x if kind == "A" else [a * a for a in x]))
         if kind == "D":
             e[-1] = _signed_product(x)
         return np.array(e)

@@ -392,28 +392,15 @@ class LipschitzHarnessReport:
 
 
 def _composed_curve(f, gamma, n: int) -> CoeffCurve:
-    """f(gamma(t)) wrapped as a coefficient curve, evaluated on demand.
+    """f(gamma(t)) as a coefficient curve: one evaluation of f per t, with
+    numpy's floating-point warnings off while f runs: a value that
+    overflows is not finite, and the orbit solve refuses it, naming its t."""
 
-    The n columns share one evaluation of f per time array: only the last
-    array's values are kept, which serves the n column calls of one
-    CoeffCurve.evaluate.  numpy's floating-point warnings are off while f
-    runs: a value that overflows is not finite, and the orbit solve refuses
-    it, naming its t."""
-    last: list = [None, None]  # [time array bytes, f values on it]
+    @np.errstate(all="ignore")  # a decorator enters it afresh on every call
+    def rows(t):
+        return np.array([f(gamma(s)) for s in t.tolist()], dtype=float)
 
-    def column(j):
-        def comp(tarr):
-            arr = np.atleast_1d(np.asarray(tarr, dtype=float))
-            key = arr.tobytes()
-            if key != last[0]:
-                with np.errstate(all="ignore"):
-                    last[:] = key, np.array([f(gamma(t)) for t in arr.tolist()])
-            out = last[1][:, j]
-            return out if np.asarray(tarr).shape else float(out[0])
-
-        return comp
-
-    return CoeffCurve(tuple(column(j) for j in range(n)))
+    return CoeffCurve(rows, n)
 
 
 def lipschitz_harness(

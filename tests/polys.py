@@ -27,8 +27,9 @@ def full_coeffs(poly: hp.MonicHyperbolic) -> np.ndarray:
 
 
 def evaluate(poly: hp.MonicHyperbolic, x):
-    """Horner evaluation; accepts scalars or arrays."""
-    return hp._horner(full_coeffs(poly), x)
+    """Horner evaluation (hyperpoly._horner_values); accepts scalars or arrays."""
+    x = np.asarray(x, dtype=float)
+    return hp._horner_values(full_coeffs(poly)[None, :], x.reshape(1, -1)).reshape(x.shape)
 
 
 def sorted_branches(curve, grid, tol: float = 1e-10) -> rf.RootBranches:

@@ -292,7 +292,7 @@ class TestCsvCurves:
         path.write_text("t,a1,a2\n" + "".join(f"{x!r},0,{-x * x!r}\n" for x in np.linspace(-1.0, 1.0, 100).tolist()))
         for command in (["certify"], ["select"], ["lift", "--group", "A:1"]):
             assert run([*command, "--csv", str(path)]) == EXIT_DOMAIN
-            assert capsys.readouterr().err == "error: need 2^L + 1 samples, got 100\n"
+            assert capsys.readouterr().err == f"error: {path}: need 2^L + 1 samples, got 100\n"
 
 
 class TestValuesNearTheLargestFloat:

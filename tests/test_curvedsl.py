@@ -96,6 +96,20 @@ class TestSampling:
         row = curve.evaluate(np.array([-0.25]))[0]
         assert np.allclose(row, [0.0, -0.25])
 
+    def test_rows_are_the_expressions_bit_for_bit(self):
+        sources = ["sin(3*t)+powabs(t,1.5)", "2.5", "exp(t)/(1+t^2)", "-7"]
+        curve = cd.CoeffCurve.from_exprs(sources)
+        exprs = [cd.parse_curve_expr(s) for s in sources]
+        t = cd.Grid.dyadic(-1.0, 1.0, 6).points
+        rows = curve.evaluate(t)
+        assert rows.shape == (t.size, 4)
+        for j, e in enumerate(exprs):
+            assert rows[:, j].tobytes() == np.asarray(cd.evaluate_expr(e, t)).tobytes()
+        for x in (0.3, -1.0, 0.7071067811865476):
+            row = curve.evaluate(x)
+            assert row.shape == (4,)
+            assert row.tobytes() == np.array([cd.evaluate_expr(e, x) for e in exprs]).tobytes()
+
     def test_eval_error_carries_t(self):
         curve = cd.CoeffCurve.from_exprs(["sin(1/t)"])
         grid = cd.Grid.dyadic(-1.0, 1.0, 2)
@@ -207,8 +221,8 @@ class TestCsv:
 
     def test_curve_from_csv_is_its_rows(self, tmp_path):
         path, cube = self.cube_csv(tmp_path, -0.3, 0.5)
-        curve, grid = cd.read_curve_csv(path)
-        assert (grid.span, grid.level, curve.finest_level) == ((-0.3, 0.5), 5, 5)
+        curve, grid, names = cd.read_curve_csv(path)
+        assert (grid.span, grid.level, curve.finest_level, names) == ((-0.3, 0.5), 5, 5, ["a1"])
         assert curve.evaluate(grid.points)[:, 0].tobytes() == cube.tobytes()
         # every coarser grid of the domain, and every refined window up to
         # level 5, reads the rows at its points' lattice indices
@@ -222,14 +236,14 @@ class TestCsv:
 
     def test_off_lattice_t_raises_eval_error(self, tmp_path):
         path, _ = self.cube_csv(tmp_path)
-        curve, grid = cd.read_curve_csv(path)
+        curve, grid, _ = cd.read_curve_csv(path)
         finer = grid.refine(0, 1)  # its odd point lies between rows 0 and 1
         for t in (finer.points[1], 0.1, 1.5, -1.0 - 2.0**-52, np.nan):
-            with pytest.raises(EvalError, match=r"a1: t is off the level-5 dyadic grid of its rows"):
-                curve.evaluate(np.array([0.0, t]))
-        with pytest.raises(EvalError) as exc:
-            curve.evaluate(0.1)
-        assert exc.value.t == 0.1
+            for at in (np.array([0.0, t]), t):
+                with pytest.raises(EvalError, match=re.escape(f"{path}: t is off the level-5 dyadic grid of its rows"
+                                                              f" (at t={float(t)!r})")) as exc:
+                    curve.evaluate(at)
+                assert repr(exc.value.t) == repr(float(t))
 
     def test_level_above_the_rows_or_another_domain_is_refused(self, tmp_path):
         path, _ = self.cube_csv(tmp_path)
@@ -243,7 +257,7 @@ class TestCsv:
         path = tmp_path / "curve.csv"
         t = np.linspace(-1.0, 1.0, 33)
         cd.write_samples_csv(path, t[:-1], t[:-1].reshape(-1, 1), ["a1"])
-        with pytest.raises(GridTooCoarse, match=re.escape("need 2^L + 1 samples, got 32")):
+        with pytest.raises(GridTooCoarse, match=re.escape(f"{path}: need 2^L + 1 samples, got 32")):
             cd.read_curve_csv(path)
 
 

@@ -264,17 +264,14 @@ class TestFloatKernels:
         for deg in range(0, 9):
             for _ in range(40):
                 c = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-4, 5)
-                x = rng.normal() * 10.0 ** rng.integers(-3, 4)
-                ref = hp._horner(c, np.array([x]))[0]
-                for xs in (float(x), np.float64(x)):
-                    got = hp._horner(c, xs)
-                    assert type(got) is float
-                    assert bits(got) == bits(ref)
+                x = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+                got = hp._horner(c.tolist(), x)
+                assert type(got) is float
+                assert bits(got) == bits(hp._horner_values(c[None, :], np.array([[x]]))[0, 0])
 
     def test_horner_degree_one(self):
         for c, x in [([1.0, -0.0], 0.0), ([1.0, 0.0], -0.0), ([3.0, 1e-300], -1e-300), ([1.0, 2.0], 0.1)]:
-            c = np.array(c)
-            assert bits(hp._horner(c, x)) == bits(hp._horner(c, np.array([x]))[0])
+            assert bits(hp._horner(c, x)) == bits(hp._horner_values(np.array([c]), np.array([[x]]))[0, 0])
 
     def test_eval_noise_matches_numpy_formula(self):
         rng = np.random.default_rng(24)
@@ -347,7 +344,7 @@ def polish_cases():
     cases.append((np.array([1.0, -3.5, 1.5]), 0.0, 1.0))  # root 0.5 at the first midpoint
     c = np.array([1.0, 0.0, -2.0])
     lo = float(np.sqrt(2.0))
-    hi = float(np.nextafter(lo, np.inf) if hp._horner(c, lo) < 0 else np.nextafter(lo, -np.inf))
+    hi = float(np.nextafter(lo, np.inf) if hp._horner(c.tolist(), lo) < 0 else np.nextafter(lo, -np.inf))
     cases.append((c, min(lo, hi), max(lo, hi)))  # adjacent floats
     cases.append((c, 5.0, 6.0))  # no sign change: Newton leaves it
     return cases
@@ -428,26 +425,26 @@ class TestPolishKernels:
         for c, lo, hi in polish_cases():
             x = hp._polish_simple(c.tolist(), hp._deriv(c).tolist(), lo, hi)
             assert lo <= x <= hi
-            if hp._horner(c, lo) * hp._horner(c, hi) >= 0.0:
+            if hp._horner(c.tolist(), lo) * hp._horner(c.tolist(), hi) >= 0.0:
                 continue  # (5, 6): no root to find
             near = [x]
             for _ in range(4):
                 near = [np.nextafter(near[0], -np.inf)] + near + [np.nextafter(near[-1], np.inf)]
-            values = hp._horner(c, np.array(near))
+            values = hp._horner_values(c[None, :], np.array([near]))[0]
             changes = bool(np.any(values[:-1] * values[1:] <= 0.0))
-            assert changes or abs(hp._horner(c, x)) <= 2.0 * scalar_kernels.eval_noise(c.tolist(), x), (c, lo, hi)
+            assert changes or abs(hp._horner(c.tolist(), x)) <= 2.0 * scalar_kernels.eval_noise(c.tolist(), x), (c, lo, hi)
 
     def test_special_brackets_take_their_exits(self):
         *_, (c0, lo0, hi0), (c1, lo1, hi1), (c2, lo2, hi2) = polish_cases()
         # the first midpoint is the root: P(x) = 0 ends the loop there
         assert hp._polish_simple(c0.tolist(), hp._deriv(c0).tolist(), lo0, hi0) == 0.5
         # adjacent floats: no float lies between them, so one of them is returned
-        assert hp._horner(c1, lo1) * hp._horner(c1, hi1) < 0
+        assert hp._horner(c1.tolist(), lo1) * hp._horner(c1.tolist(), hi1) < 0
         assert np.nextafter(lo1, np.inf) == hi1
         assert hp._polish_simple(c1.tolist(), hp._deriv(c1).tolist(), lo1, hi1) in (lo1, hi1)
         # no sign change: Newton's first step leaves the bracket and is
         # replaced by the midpoint, so the answer never leaves it
-        assert 5.5 - hp._horner(c2, 5.5) / hp._horner(hp._deriv(c2), 5.5) < lo2
+        assert 5.5 - hp._horner(c2.tolist(), 5.5) / hp._horner(hp._deriv(c2.tolist()), 5.5) < lo2
         assert lo2 <= hp._polish_simple(c2.tolist(), hp._deriv(c2).tolist(), lo2, hi2) <= hi2
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orbitlift import hyperpoly as hp
 from orbitlift import invariants as inv
 from orbitlift.errors import (
     DimensionMismatch,
@@ -608,7 +609,7 @@ class TestPointSigma:
         values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e200, -np.inf, np.inf, np.nan])
         for n in range(1, 9):
             for v in rng.choice(values, (200, n)):
-                assert _bits(np.array(inv._sorted(v.tolist())) + 0.0) == _bits(np.sort(v) + 0.0), v
+                assert _bits(np.array(hp._sorted(v.tolist())) + 0.0) == _bits(np.sort(v) + 0.0), v
 
 
 class TestOrbitsAt:

@@ -79,10 +79,10 @@ class TestLiftCurve:
         """A curve equal to rows[k] from t = starts[k] on: its values change
         at the given samples, so that a failing row need not be the first."""
 
-        def column(j):
-            return lambda t: np.select([t >= s for s in starts[::-1]], [r[j] for r in rows[::-1]])
+        def at(t):
+            return np.select([(t >= s)[:, None] for s in starts[::-1]], [np.asarray(r) for r in rows[::-1]])
 
-        return cd.CoeffCurve(tuple(column(j) for j in range(len(rows[0]))))
+        return cd.CoeffCurve(at, len(rows[0]))
 
     @pytest.mark.parametrize("spec,good,band,outside", [
         # x^2 - 1, then x^2 + 5e-10 (hyperbolic only at 10*tol), then x^2 + 1
@@ -320,7 +320,7 @@ class TestLipschitzHarness:
         assert rc.VERDICT_RANK[probe.verdict] >= rc.VERDICT_RANK[rc.LIPSCHITZ]
         assert rep.verdict == lf.LipschitzHarnessReport.LIPSCHITZ_CONSISTENT
 
-    def test_composed_curve_keeps_only_the_last_array(self):
+    def test_composed_curve_calls_f_once_per_t(self):
         calls = []
 
         def f(u):
@@ -328,16 +328,14 @@ class TestLipschitzHarness:
             return np.array([u[0], 2.0 * u[0], 3.0 * u[0]])
 
         curve = lf._composed_curve(f, lambda t: np.array([t, 0.0]), 3)
-        a, b = np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 1.0, 4)
-        rows = curve.evaluate(a)
-        # one evaluation of f per point, shared by the three columns
-        assert len(calls) == a.size
-        assert np.array_equal(rows, np.stack([a, 2.0 * a, 3.0 * a], axis=1))
-        curve.evaluate(b)
-        assert len(calls) == a.size + b.size
-        # an earlier array is no longer held: evaluating it again recomputes
+        a = np.linspace(-1.0, 1.0, 5)
+        # one evaluation of f per t gives all three coordinates
+        assert np.array_equal(curve.evaluate(a), np.stack([a, 2.0 * a, 3.0 * a], axis=1))
+        assert calls == a.tolist()
+        # nothing is kept: each evaluate calls f again, once per t
+        assert np.array_equal(curve.evaluate(0.5), [0.5, 1.0, 1.5])
         curve.evaluate(a)
-        assert len(calls) == 2 * a.size + b.size
+        assert calls == a.tolist() + [0.5] + a.tolist()
 
 
 class TestTheoremForms:
@@ -501,7 +499,7 @@ def _sigma_of_line(g, c, v):
             comps[-1] = np.array([1.0])
             for r in lines:
                 comps[-1] = P.polymul(comps[-1], r)
-    return cd.CoeffCurve(tuple(np.polynomial.Polynomial(cf) for cf in comps))
+    return cd.CoeffCurve(lambda t: np.stack([np.polynomial.Polynomial(cf)(t) for cf in comps], axis=-1), len(comps))
 
 
 class TestExitCandidates:

@@ -324,10 +324,7 @@ def sigma_of_line(spec, p, q):
     sigma = inv.orbit_map(group)
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
 
-    def column(j):
-        return lambda t: sigma.evaluate(p + np.multiply.outer(t, q))[..., j]
-
-    return cd.CoeffCurve(tuple(column(j) for j in range(sigma.n_invariants))), group, sigma
+    return cd.CoeffCurve(lambda t: sigma.evaluate(p + np.multiply.outer(t, q)), sigma.n_invariants), group, sigma
 
 
 # lines through V, each crossing a mirror of its group inside -1:1

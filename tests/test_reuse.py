@@ -152,7 +152,7 @@ def roots_curve(root_polys) -> cd.CoeffCurve:
     for k, r in enumerate(root_polys, start=1):
         for j in range(k, 0, -1):
             e[j] = P.polyadd(e[j], P.polymul(r, e[j - 1]))
-    return cd.CoeffCurve(tuple(np.polynomial.Polynomial(c) for c in e[1:]))
+    return cd.CoeffCurve(lambda t: np.stack([np.polynomial.Polynomial(c)(t) for c in e[1:]], axis=-1), len(e) - 1)
 
 
 def separated_curve(seed: int, degree: int) -> cd.CoeffCurve:
