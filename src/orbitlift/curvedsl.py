@@ -494,14 +494,6 @@ class Grid:
         return cls((float(t0), float(t1)), level, 0, 2**level)
 
     @property
-    def t0(self) -> float:
-        return float(self.points[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.points[-1])
-
-    @property
     def step(self) -> float:
         return (self.span[1] - self.span[0]) / 2**self.level
 
@@ -524,10 +516,8 @@ class Grid:
 # -- CSV interchange --------------------------------------------------------------
 
 def write_samples_csv(path, t: np.ndarray, columns: np.ndarray, names: Sequence[str]) -> None:
-    """Header `t,<names...>`, one row per grid point, 17 significant digits."""
-    columns = np.atleast_2d(np.asarray(columns, dtype=float))
-    if columns.shape[0] != np.asarray(t).size:
-        columns = columns.T
+    """Header `t,<names...>`, then row i of the (N, n) `columns` after t[i],
+    17 significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", *names])

@@ -27,22 +27,23 @@ pairs.  Complex pairs within the tolerance ball are promoted to real
 multiple roots; a pair outside it raises NotHyperbolic.
 
 A block of more than _FLOAT_ROWS refused rows is rebuilt together, one
-derivative level at a time.  The anchors of all rows are evaluated, with
-their Horner noise bounds, as one array.  The brackets of all rows are
-polished in one call: on arrays while _ARRAY_BRACKETS or more of them are
-live, then on Python floats, each straggler resumed where the arrays left
-it.  The runs of zero values of all rows are polished as multiple roots by
-one Newton per multiplicity.  The cluster collapse then runs once over
-every row with a near gap, its widths scanned column by column and its
-multiple roots again polished by one Newton per cluster size.  A smaller
-block, such as the one crossing row of a curve that the certificate
-refuses at a collision, is solved one row at a time on Python floats (the
-row form, _row_roots), which spares it the block kernels' fixed numpy
-costs per level.  The array and float forms of a kernel run the same float
-operations in the same order, both forms sort as np.sort does, and a
-cluster's mean is summed in np.mean's order, so a row gets the same bits
-alone, in the row form or in a block of any size.  The tol-ball promotion
-runs per row in both forms, on Python floats.
+derivative level at a time.  This block form vectorizes the common rows;
+the row form (_row_roots, one row at a time on Python floats) solves every
+uncommon one: an exact root at 0, a recentring that overflows, a rebuild
+short of n real roots.  The anchors of all rows are evaluated, with their
+Horner noise bounds, as one array.  The brackets of all rows are polished
+in one call: on arrays while _ARRAY_BRACKETS or more of them are live, then
+on Python floats, each straggler resumed where the arrays left it.  The
+runs of zero values of all rows are polished as multiple roots by one
+Newton per multiplicity.  The cluster collapse then runs once over every
+row with a near gap, its widths scanned column by column and its multiple
+roots again polished by one Newton per cluster size.  A smaller block, such
+as the one crossing row of a curve that the certificate refuses at a
+collision, is solved in the row form whole, which spares it the block
+kernels' fixed numpy costs per level.  The array and float forms of a
+kernel run the same float operations in the same order, both forms sort as
+np.sort does, and a cluster's mean is summed in np.mean's order, so a row
+gets the same bits alone, in the row form or in a block of any size.
 
 roots_batch does this work in one of two orders.  Certificate first, the
 default, runs the eigensolve on every row and rebuilds the rows it refuses.
@@ -312,8 +313,8 @@ def _certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     evaluated only for the rows that pass the finite and gap tests."""
     m, n = rows.shape
     c = _descending(rows)
-    dc = c[:, :-1] * np.arange(n, 0, -1)
     with np.errstate(all="ignore"):
+        dc = c[:, :-1] * np.arange(n, 0, -1)
         x = _eigenvalues(c)
         # a Newton step counts only where it lowers |P|: within the Horner
         # noise a full step can move a root away
@@ -501,12 +502,10 @@ def _polish_brackets(c: np.ndarray, dc: np.ndarray, lo: np.ndarray, hi: np.ndarr
     with derivative dc[b]: _polish_simple's steps on arrays while
     _ARRAY_BRACKETS or more brackets are live, each bracket leaving the block
     where the float loop returns, and the float loop, resumed from each
-    bracket's state, for the rest.  Both run the same float operations in
-    the same order, so each result has the bits of the float loop alone."""
-    if lo.size < _ARRAY_BRACKETS:
-        return np.array([_polish_simple(*b) for b in zip(c.tolist(), dc.tolist(), lo.tolist(), hi.tolist())],
-                        dtype=float)
-
+    bracket's state, for the rest (from the starting state, midpoint, width
+    and sign at lo, when fewer brackets come in).  Both run the same float
+    operations in the same order, so each result has the bits of the float
+    loop alone."""
     def horner(p, x):
         out = p[:, 0]
         for j in range(1, p.shape[1]):
@@ -835,64 +834,49 @@ def _quadratic_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
 def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Roots of each row (not sorted), from the closed forms or the
     interlacing rebuild, and the mask of the rows found hyperbolic.  A row
-    refused because its roots or its recentring overflow holds an inf."""
+    refused because its roots or its recentring overflow holds an inf.
+
+    The block form vectorizes the common rows, those whose recentring stays
+    finite and whose rebuild finds exactly n real roots.  Every other row
+    gets what the row form (_row_roots) gives it: an exact root at 0, a
+    recentring that overflows, a rebuild short of n real roots (the tol-ball
+    promotion) or past them."""
     m, n = rows.shape
     if n == 1:
         return rows.copy(), np.ones(m, dtype=bool)
     if n == 2:
         return _quadratic_roots(rows, tol)
-    out, ok = np.full((m, n), np.nan), np.zeros(m, dtype=bool)
-    c = _descending(rows)
-    zero = rows[:, -1] == 0.0
-    if zero.any():
-        # an exact root at 0: deflate it, as the centroid shift below would
-        # blur it into rounding noise
-        rest, ok[zero] = _roots_with_fallback(rows[zero, :-1], tol)
-        out[zero] = np.sort(np.concatenate([rest, np.zeros((rest.shape[0], 1))], axis=1), axis=1)
     # Recenter at the root centroid: clusters far from the origin are badly
     # conditioned in the raw coefficients, and the centroid is exact in a1.
     # The tol-ball stays anchored to the ORIGINAL coefficient scale, so the
     # effective tolerance in the shifted frame compensates for the rescaling.
-    keep = np.flatnonzero(~zero)
-    mu = rows[keep, 0] / n
-    scale = 1.0 + np.max(np.abs(rows[keep]), axis=1)
+    mu = rows[:, 0] / n
+    scale = 1.0 + np.max(np.abs(rows), axis=1)
+    out, ok = np.empty((m, n)), np.zeros(m, dtype=bool)
     with np.errstate(all="ignore"):
-        c[keep] = np.array(_taylor_shift(c[keep].T, mu)).T
+        c = np.array(_taylor_shift(_descending(rows).T, mu)).T
         # rounding inside the shift leaves absolute coefficient noise at the
         # original scale; evaluated values inherit it
         shift_noise = 4.0 * (n + 1) * _EPS * scale * np.fmax(1.0, np.abs(mu))
-    top = np.max(np.abs(c[keep]), axis=1)
-    # a row whose shift overflows is not rebuilt: its roots read +inf
-    big = ~np.isfinite(top)
-    if big.any():
-        out[keep[big]] = np.inf
-        keep, mu, scale, shift_noise, top = (x[~big] for x in (keep, mu, scale, shift_noise, top))
-    tol_eff = tol * scale / (1.0 + top)
-    if keep.size:
-        roots, mult = _rebuild(c[keep], tol_eff, shift_noise)
+        top = np.max(np.abs(c), axis=1)
+        tol_eff = tol * scale / (1.0 + top)
+        # an exact root at 0 would blur into the shift's rounding noise
+        keep = np.flatnonzero((rows[:, -1] != 0.0) & np.isfinite(top))
+        roots, mult = _rebuild(c[keep], tol_eff[keep], shift_noise[keep])
         flat, total = _expand(roots, mult)
-        vals, found = np.full((keep.size, n), np.nan), total == n
-        if found.any():
-            vals[found] = np.sort(flat[found, :n], axis=1)
-        for i in np.flatnonzero(~found).tolist():
-            pairs = [(x, k) for x, k in zip(roots[i].tolist(), mult[i].tolist()) if k]
-            if total[i] < n and (n - total[i]) % 2 == 0:
-                pairs = _promote(pairs, c[keep[i]].tolist(), tol, float(tol_eff[i]), float(shift_noise[i]))
-            if pairs is not None and sum(k for _, k in pairs) >= n:
-                vals[i] = np.sort(np.concatenate([np.full(k, x) for x, k in pairs]))[:n]
-                found[i] = True
-        out[keep], ok[keep] = vals, found
-    # only a gap narrower than tol^(1/2) starts a cluster; the deflated rows'
-    # clusters collapse with their own coefficients, the others' recentred
-    near = np.flatnonzero(ok)
-    near = near[(np.diff(out[near], axis=1) < tol ** (1.0 / 2)).any(axis=1)]
-    if near.size:
-        out[near] = _collapse_clusters(out[near], tol, c[near])
-    out[keep] += mu[:, None]
+        keep, vals = keep[total == n], np.sort(flat[total == n, :n], axis=1).reshape(-1, n)
+        # only a gap narrower than tol^(1/2) starts a cluster
+        near = (np.diff(vals, axis=1) < tol ** (1.0 / 2)).any(axis=1)
+        if near.any():
+            vals[near] = _collapse_clusters(vals[near], tol, c[keep[near]])
+        out[keep], ok[keep] = vals + mu[keep, None], True
+    for i in np.flatnonzero(~ok).tolist():
+        out[i], ok[i] = _row_roots(rows[i].tolist(), tol)
     return out, ok
 
 
-# -- the row form: a few refused rows, one at a time on Python floats ---------
+# -- the row form: a few refused rows, or the uncommon rows of a block, one at
+# a time on Python floats ----------------------------------------------------
 #
 # Each function runs its block kernel's float operations in the same order on
 # one row, so a row gets the same bits in either form.  Where numpy returns
@@ -909,7 +893,9 @@ def _sorted(values: list[float]) -> list[float]:
 
 def _row_roots(row: list[float], tol: float) -> tuple[list[float], bool]:
     """_roots_with_fallback on one row of degree n >= 3: its roots and
-    whether it was found hyperbolic."""
+    whether it was found hyperbolic.  It alone decides what an uncommon row
+    gets: an exact root at 0 is deflated, a recentring that overflows reads
+    +inf, and a rebuild short of n real roots is promoted in the tol-ball."""
     n = len(row)
     c = [1.0] + [a if j % 2 else -a for j, a in enumerate(row)]
     if row[-1] == 0.0:

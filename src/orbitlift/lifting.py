@@ -32,6 +32,7 @@ certificate call covers all coordinates of a lift.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -84,7 +85,7 @@ def _residual(map_: OrbitMapSigma, values: np.ndarray, rows: np.ndarray) -> floa
 def _evidence(values: np.ndarray, grid: Grid, levels: int) -> tuple[tuple[RegularityReport, ...], float]:
     """Per-coordinate regularity reports over `levels` dyadic levels (none
     when levels is 0), and the largest step between consecutive samples."""
-    reports = tuple(regcheck.certify_samples(values, (grid.t0, grid.t1), levels)) if levels else ()
+    reports = tuple(regcheck.certify_samples(values, grid.span, levels)) if levels else ()
     steps = _norms(np.diff(values, axis=0))
     return reports, float(steps.max()) if steps.size else 0.0
 
@@ -238,8 +239,14 @@ def _exit_candidates(orbit: Orbit, predicted: np.ndarray, dt: float):
 
 def _norms(x: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row of x, by the operations
-    np.linalg.norm(x, axis=1) runs on a real array."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    np.linalg.norm(x, axis=1) runs on a real array; a row whose sum of
+    squares overflows gets math.hypot's norm instead, finite wherever the
+    norm is a float."""
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.add.reduce(x * x, axis=1))
+    for i in np.flatnonzero(out == np.inf).tolist():
+        out[i] = math.hypot(*x[i].tolist())
+    return out
 
 
 def _choose_candidate(est: _WindowEstimate) -> Choice:

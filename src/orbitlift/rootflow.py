@@ -186,7 +186,7 @@ def differentiable_selection(
     n, N = vals.shape
     if n < 2:
         return RootBranches(grid, vals)
-    value_range = float(vals.max() - vals.min())
+    value_range = float(vals.max()) - float(vals.min())  # inf, not a numpy warning, on overflow
     eps = _EPS_FACTOR * value_range if value_range > 0 else max(tol, 1e-12)
     out = vals.copy()
     cur = np.arange(n)

@@ -6,8 +6,10 @@ evaluated on every row and its Newton steps take the values of
 `np.unique(axis=0)`; the gathers are `np.take_along_axis` and the norms
 `np.linalg.norm`; `lifting._exit_candidates` keys its points by tuples;
 `hyperpoly.roots_batch` runs the certificate on every row of degree >= 3
-before the fallback.  The lean forms must give every row these bits, and
-every refused block its error."""
+before the fallback; `hyperpoly._roots_with_fallback` deflates exact zero
+roots, refuses an overflowing recentring and promotes a short rebuild on
+the block, without the row form.  The lean forms must give every row these
+bits, and every refused block its error."""
 
 import math
 
@@ -71,6 +73,51 @@ def certificate_first_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, n
     if stop < rows.shape[0]:
         raise NotFinite("coefficients must be finite", index=stop)
     return values, fell_back
+
+
+def roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """hyperpoly._roots_with_fallback with every uncommon row on the block."""
+    m, n = rows.shape
+    if n == 1:
+        return rows.copy(), np.ones(m, dtype=bool)
+    if n == 2:
+        return hp._quadratic_roots(rows, tol)
+    out, ok = np.full((m, n), np.nan), np.zeros(m, dtype=bool)
+    c = hp._descending(rows)
+    zero = rows[:, -1] == 0.0
+    if zero.any():
+        rest, ok[zero] = roots_with_fallback(rows[zero, :-1], tol)
+        out[zero] = np.sort(np.concatenate([rest, np.zeros((rest.shape[0], 1))], axis=1), axis=1)
+    keep = np.flatnonzero(~zero)
+    mu = rows[keep, 0] / n
+    scale = 1.0 + np.max(np.abs(rows[keep]), axis=1)
+    with np.errstate(all="ignore"):
+        c[keep] = np.array(hp._taylor_shift(c[keep].T, mu)).T
+        shift_noise = 4.0 * (n + 1) * hp._EPS * scale * np.fmax(1.0, np.abs(mu))
+        top = np.max(np.abs(c[keep]), axis=1)
+        big = ~np.isfinite(top)
+        out[keep[big]] = np.inf
+        keep, mu, scale, shift_noise, top = (x[~big] for x in (keep, mu, scale, shift_noise, top))
+        tol_eff = tol * scale / (1.0 + top)
+        roots, mult = hp._rebuild(c[keep], tol_eff, shift_noise)
+        flat, total = hp._expand(roots, mult)
+        vals, found = np.full((keep.size, n), np.nan), total == n
+        vals[found] = np.sort(flat[found, :n], axis=1).reshape(-1, n)
+        for i in np.flatnonzero(~found).tolist():
+            pairs = [(x, k) for x, k in zip(roots[i].tolist(), mult[i].tolist()) if k]
+            if total[i] < n and (n - total[i]) % 2 == 0:
+                pairs = hp._promote(pairs, c[keep[i]].tolist(), tol, float(tol_eff[i]), float(shift_noise[i]))
+            if pairs is not None and sum(k for _, k in pairs) >= n:
+                vals[i] = np.sort(np.concatenate([np.full(k, x) for x, k in pairs]))[:n]
+                found[i] = True
+        out[keep], ok[keep] = vals, found
+        # the deflated rows collapse with their own coefficients, the others with their recentred ones
+        near = np.flatnonzero(ok)
+        near = near[(np.diff(out[near], axis=1) < tol ** (1.0 / 2)).any(axis=1)]
+        if near.size:
+            out[near] = hp._collapse_clusters(out[near], tol, c[near])
+        out[keep] += mu[:, None]
+    return out, ok
 
 
 def chamber_block(group, spectra: np.ndarray, parity: np.ndarray) -> inv.OrbitBlock:

@@ -163,7 +163,6 @@ class TestGrid:
         for lo, hi in [(9, 15), (2, 9), (5, 8), (0, 6)]:
             r = g.refine(lo, hi)
             assert r.points[::2].tobytes() == g.points[lo : hi + 1].tobytes()
-            assert (r.t0, r.t1) == (r.points[0], r.points[-1])
             assert r.step == 0.5 * g.step
             g = r
 
@@ -186,19 +185,17 @@ class TestGrid:
             assert seen[0][-1] == hi
             for first in (int(0.6 * g.n_cells), 0):
                 r = g.refine(first, g.n_cells)
-                assert r.t1 == r.points[-1] == hi
+                assert r.points[-1] == hi
                 assert r.points[::2].tobytes() == g.points[first:].tobytes()
 
     def test_ends_are_the_first_and_last_points(self):
-        # t0 and t1 are derived, not stored: on non-dyadic domains, down a
-        # chain of windows, they are the grid's end points
-        rng = np.random.default_rng(23)
+        # a fresh grid's first and last points are its span, bit for bit, on
+        # non-dyadic domains at every level: a lift certifies its samples on
+        # grid.span, which stands for them
         for lo, hi in [(-0.37, 0.71), (10.1, 10.6), (-0.21, 0.9), (1000.1, 1000.6)]:
-            g = cd.Grid.dyadic(lo, hi, 6)
-            for _ in range(8):
-                a = int(rng.integers(-2, g.n_cells))
-                g = g.refine(a, max(a, 0) + int(rng.integers(1, 12)))
-                assert (g.t0, g.t1) == (g.points[0], g.points[-1])
+            for level in range(11):
+                g = cd.Grid.dyadic(lo, hi, level)
+                assert g.points[[0, -1]].tobytes() == np.array(g.span).tobytes()
 
 
 class TestCsv:

@@ -1025,18 +1025,32 @@ class TestRowForm:
         assert all(same(a, solve(rows, data["tol"])) for a, rows in zip(floats, calls))
 
     def test_each_row_alone(self, monkeypatch):
+        # the block kernels hand their uncommon rows to the row form, so
+        # each row is also checked against the block fallback that solves
+        # those rows on the block (tests/generic_kernels.py)
         rows = [row for _, row in row_form_rows()]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             floats = [solve([row]) for row in rows]
+        kernel, handed = hp._row_roots, []
+        monkeypatch.setattr(hp, "_row_roots", lambda row, tol: handed.append(row) or kernel(row, tol))
         monkeypatch.setattr(hp, "_FLOAT_ROWS", 0)
-        for row, a in zip(rows, floats):
-            assert same(a, solve([row])), row
+        blocks = [solve([row]) for row in rows]
+        monkeypatch.setattr(hp, "_roots_with_fallback", generic_kernels.roots_with_fallback)
+        for row, a, b in zip(rows, floats, blocks):
+            assert same(a, b) and same(a, solve([row])), row
         kinds = {"ok" if isinstance(a, np.ndarray) else a[0] for a in floats}
         assert kinds == {"ok", NotHyperbolic, NotFinite, RootSolveFailed}
+        # the block kernels handed the row form exact zero roots, overflowing
+        # recentrings and promotions: the oracle, not the row form, checked those
+        handed = set(map(tuple, handed))
+        uncommon = {"zero" if row[-1] == 0.0 else "ok" if isinstance(a, np.ndarray) else a[0]
+                    for row, a in zip(rows, floats) if tuple(row.tolist()) in handed}
+        assert {"zero", "ok", NotFinite} <= uncommon
 
-    def test_blocks_at_and_past_the_row_count(self):
-        # K rows run on floats, the same rows and one more on the block kernels
+    def test_blocks_at_and_past_the_row_count(self, monkeypatch):
+        # K rows run on floats, the same rows and one more on the block
+        # kernels, and on the block fallback that keeps every row on them
         rng = np.random.default_rng(31)
         k = hp._FLOAT_ROWS
         outcomes = set()
@@ -1047,12 +1061,61 @@ class TestRowForm:
             for i in range(0, len(group) - k + 1, k):
                 block = np.array(group[i:i + k])
                 got, past = solve(block), solve(np.vstack([block, extra]))
+                with monkeypatch.context() as patch:
+                    patch.setattr(hp, "_roots_with_fallback", generic_kernels.roots_with_fallback)
+                    want = solve(np.vstack([block, extra]))
                 if isinstance(got, np.ndarray):
-                    assert bits(got) == bits(past[:k])
+                    assert bits(got) == bits(past[:k]) == bits(want[:k])
                 else:
-                    assert got == past
+                    assert got == past == want
                     outcomes.add(got[:2])
         assert len({index for _, index in outcomes}) > 3
+
+
+class TestUncommonRowsInABlock:
+    """A block of more than _FLOAT_ROWS rows rebuilds its common rows on the
+    block kernels and hands the others to the row form: an exact zero
+    root, a recentring that overflows, and a rebuild short of n real roots.
+    Each row gets the roots, the mask or the error it gets alone."""
+
+    ORDINARY = [from_roots([c, c, 2.0, 3.0]).coeffs for c in np.linspace(-0.875, 1.125, hp._FLOAT_ROWS + 1)]
+    ZERO = from_roots([0.0, 1.5, 1.5, 3.0]).coeffs
+    OVERFLOW = np.array([1e250, 1e250, 1e250, 1.0])
+
+    @staticmethod
+    def promoted():
+        # the double root 0.5 nudged into a complex pair inside the tol-ball
+        row = from_roots([0.5, 0.5, 2.0, 3.0]).coeffs.copy()
+        row[-1] += 1e-13
+        return row
+
+    def test_each_row_gets_its_own_answer(self, monkeypatch):
+        rows = self.ORDINARY[:3] + [self.ZERO] + self.ORDINARY[3:6] + [self.promoted()] + self.ORDINARY[6:]
+        assert len(rows) > hp._FLOAT_ROWS and self.ZERO[-1] == 0.0
+        alone = [batch(np.array([row])) for row in rows + [self.OVERFLOW]]
+        assert alone[-1] == (NotFinite, 0, "the roots, or the recentred polynomial, overflow (degree 4)")
+        promoted = alone[7][0][0]
+        assert promoted[0] == promoted[1] and np.allclose(promoted, [0.5, 0.5, 2.0, 3.0], atol=1e-12)
+        kernel, handed = hp._row_roots, []
+        monkeypatch.setattr(hp, "_row_roots", lambda row, tol: handed.append(row) or kernel(row, tol))
+        values, fell_back = hp.roots_batch(np.array(rows))
+        # the block kernels solved the ordinary rows, the row form the others
+        assert [row for row in handed if len(row) == 4] == [rows[3].tolist(), rows[7].tolist()]
+        for i, (vals, mask) in enumerate(alone[:-1]):
+            assert bits(values[i]) == bits(vals[0]) and fell_back[i] == mask[0], i
+        del handed[:]
+        for at in (0, 5, len(rows)):
+            block = np.array(rows[:at] + [self.OVERFLOW] + rows[at:])
+            assert batch(block) == (NotFinite, at, alone[-1][2])
+            assert self.OVERFLOW.tolist() in handed
+        # the block fallback that keeps every row on the block kernels agrees
+        monkeypatch.setattr(hp, "_roots_with_fallback", generic_kernels.roots_with_fallback)
+        assert same_outcome(batch(np.array(rows)), (values, fell_back))
+
+    def test_an_empty_block_and_a_block_of_uncommon_rows(self):
+        for rows in (np.empty((0, 4)), np.array([self.ZERO, self.promoted()] * 5)):
+            values, ok = hp._roots_with_fallback(rows, 1e-10)
+            assert values.shape == rows.shape and ok.all()
 
 
 
