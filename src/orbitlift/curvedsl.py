@@ -401,14 +401,21 @@ def evaluate_expr(node: CurveExpr, t):
 def evaluate_with_env(node: CurveExpr, env: dict[str, float]):
     """Evaluate a multi-variable expression at one point, whose coordinates
     are floats, or at each entry of arrays of one shape.  EvalError names
-    the point.  A point runs on Python floats, enters np.errstate only where
-    a ufunc's argument could raise a flag, and gets the bits of its entry."""
+    the point.  A point runs the compiled node on Python floats, with
+    _run's checks, enters np.errstate only where a ufunc's argument could
+    raise a flag, and gets the bits of its entry."""
     for v in env.values():
         if isinstance(v, np.ndarray):
             out = _run_arrays(node, env)
             # a constant on arrays fills their shape
             return out if isinstance(out, np.ndarray) or not v.ndim else np.full(v.shape, out)
-    return _run(node, env)
+    try:
+        out = node._fn(env)
+    except _Fault as fault:
+        raise EvalError(fault.message, _at(env, fault.mask)) from None
+    if not math.isfinite(out):
+        raise EvalError("non-finite value", _at(env, True))
+    return out
 
 
 def split_top_level(src: str, sep: str = ",") -> list[str]:

@@ -144,9 +144,13 @@ def _elementary(roots: list) -> list:
     """e_1..e_n of the roots, accumulated in the order given.  The roots may
     be floats or equal-length arrays, one root of every row each."""
     e = [1.0] + [0.0] * len(roots)
-    for k, r in enumerate(roots, start=1):
-        for j in range(k, 0, -1):
+    k = 0
+    for r in roots:
+        k += 1
+        j = k
+        while j:  # j = k, ..., 1: no range object per root
             e[j] += r * e[j - 1]
+            j -= 1
     return e[1:]
 
 
@@ -374,11 +378,12 @@ def _proof_first(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         values, failed, refusal = _checked_roots(rows, tol)
     todo = np.flatnonzero(~_refused_by_proof(rows, values, tol))
-    x, good = _certified_roots(rows[todo], tol)
-    certified = todo[good]
-    values[certified] = x[good]
     fell_back = np.ones(rows.shape[0], dtype=bool)
-    fell_back[certified] = False
+    if todo.size:  # no certificate pass when the proof refuses every row
+        x, good = _certified_roots(rows[todo], tol)
+        certified = todo[good]
+        values[certified] = x[good]
+        fell_back[certified] = False
     if (fell_back & failed).any():
         raise refusal(int(np.argmax(fell_back & failed)))
     return values, fell_back

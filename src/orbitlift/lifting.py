@@ -25,8 +25,16 @@ candidates are the nearest point to the prediction and its closure along
 the edges of the orbit's convex hull within the tie width (reflections for
 A, B and D, neighbours in angle for I2), and every candidate and swap-log
 entry is keyed by its rank in its orbit, which `Orbit.ranks` counts in
-closed form.  So orbits of any size lift, past `ENUM_LIMIT` too.  One
-certificate call covers all coordinates of a lift.
+closed form; each candidate's neighbours are sought once.  So orbits of
+any size lift, past `ENUM_LIMIT` too.  One certificate call covers all
+coordinates of a lift.
+
+A lift is two steps: the solve of the grid's rows, and the tracking and
+certificates on the solved block (`_track_and_certify`).  `lift_curve`
+runs both on one curve and adds the residual and the continuity bound.
+The several-variable harness (`lipschitz_harness`) solves the grid rows
+of all its probes as one block and runs the second step on each probe's
+slice of it.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import numpy as np
 
 from . import regcheck
 from .curvedsl import CoeffCurve, Grid
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, RowError
 from .invariants import Orbit, OrbitBlock, OrbitMapSigma, ReflectionGroup, orbits_at
 
 # nothing here lists an orbit; perfbench/tracing.py wraps `lifting.fiber`
@@ -74,7 +82,12 @@ class LiftResult:
         return self.residual <= self.residual_bound
 
     def min_verdict(self) -> str:
-        return min((r.verdict for r in self.reports), key=lambda v: VERDICT_RANK[v])
+        return _min_verdict(self.reports)
+
+
+def _min_verdict(reports: Sequence[RegularityReport]) -> str:
+    """The weakest verdict of the reports."""
+    return min((r.verdict for r in reports), key=lambda v: VERDICT_RANK[v])
 
 
 def _residual(map_: OrbitMapSigma, values: np.ndarray, rows: np.ndarray) -> float:
@@ -210,9 +223,11 @@ def _exit_candidates(orbit: Orbit, predicted: np.ndarray, dt: float):
     and for I2, whose orbit points lie on a circle, neighbours in angle."""
     batches, seen = [], set()
     best = np.inf
-    fresh = orbit.nearest(predicted)[None, :]
-    while fresh.size:
-        cand = np.concatenate([fresh, orbit.neighbours(fresh)])
+    near = orbit.nearest(predicted)[None, :]
+    # each point is expanded once: the nearest point first, whatever its
+    # cost, then each new point within _TIE_TOL of the best
+    cand, expanded = np.concatenate([near, orbit.neighbours(near)]), 1
+    while True:
         # each point's bytes, with -0.0 as 0.0, key it as its tuple would
         keys = (cand + 0.0).view(np.dtype((np.void, 8 * cand.shape[1]))).ravel().tolist()
         new = {}
@@ -226,7 +241,10 @@ def _exit_candidates(orbit: Orbit, predicted: np.ndarray, dt: float):
         batches.append(pts)
         cost = _norms(pts - predicted) / dt
         best = min(best, float(cost.min()))
-        fresh = pts[cost <= best + _TIE_TOL]
+        fresh = pts[expanded:][cost[expanded:] <= best + _TIE_TOL]
+        if not fresh.size:
+            break
+        cand, expanded = orbit.neighbours(fresh), 0
     # points equal after rounding are one orbit point, as in its listing
     found = np.concatenate(batches)
     by_rank: dict[int, int] = {}
@@ -297,32 +315,19 @@ def _continuity_bound(map_: OrbitMapSigma, rows: np.ndarray, scale: float, tol: 
     return 8.0 * (1.0 + scale) * delta ** (1.0 / d) + 10.0 * tol + 1e-9
 
 
-def lift_curve(
-    group: ReflectionGroup,
-    map_: OrbitMapSigma,
-    curve: CoeffCurve,
-    grid: Grid,
-    tol: float = 1e-10,
-) -> LiftResult:
-    """Track one orbit point per grid sample into a lift of the curve.
-
-    Raises NotInImageAt(t) when a sample leaves sigma(V) (no silent
-    projection), and any other refused sample's RowError, naming its t.
-    """
-    if curve.n != map_.n_invariants:
-        raise DimensionMismatch(
-            f"curve has {curve.n} components, sigma has {map_.n_invariants}"
-        )
+def _track_and_certify(
+    orbits: OrbitBlock, curve: CoeffCurve, grid: Grid, solve: Callable,
+) -> tuple[np.ndarray, tuple[RegularityReport, ...], tuple, tuple, float]:
+    """The lift through the solved orbits of the curve's samples on grid,
+    with its certificates: the values (N, dim), the regularity reports, the
+    swap log, the unresolved windows and the largest step.  Windows refine
+    by evaluating the curve and solving with solve, rows -> OrbitBlock."""
     tpts = grid.points
-    rows = curve.evaluate(tpts)
-    solve = functools.partial(orbits_at, map_, tol=tol)
-    orbits = solved_at(solve, rows, tpts)
     N = len(orbits)
-    dim = group.dim
     scale = max(float(np.max(orbits.max_abs)), 1e-30)
     eps = _EPS_FACTOR * scale
     risky = _risky(orbits, eps)
-    values = np.empty((N, dim))
+    values = np.empty((N, orbits.group.dim))
     values[0] = orbits[0].first
     swap_log: list[tuple[int, tuple[int, int]]] = []
     unresolved: list[tuple[float, float]] = []
@@ -365,14 +370,39 @@ def lift_curve(
 
     levels = min(6, grid.level) if grid.level >= 4 and grid.n_cells == 2**grid.level else 0
     reports, max_step = _evidence(values, grid, levels)
+    return values, reports, tuple(swap_log), tuple(unresolved), max_step
+
+
+def lift_curve(
+    group: ReflectionGroup,
+    map_: OrbitMapSigma,
+    curve: CoeffCurve,
+    grid: Grid,
+    tol: float = 1e-10,
+) -> LiftResult:
+    """Track one orbit point per grid sample into a lift of the curve.
+
+    Raises NotInImageAt(t) when a sample leaves sigma(V) (no silent
+    projection), and any other refused sample's RowError, naming its t.
+    """
+    if curve.n != map_.n_invariants:
+        raise DimensionMismatch(
+            f"curve has {curve.n} components, sigma has {map_.n_invariants}"
+        )
+    tpts = grid.points
+    rows = curve.evaluate(tpts)
+    solve = functools.partial(orbits_at, map_, tol=tol)
+    orbits = solved_at(solve, rows, tpts)
+    values, reports, swap_log, unresolved, max_step = _track_and_certify(orbits, curve, grid, solve)
+    scale = max(float(np.max(orbits.max_abs)), 1e-30)
     return LiftResult(
         grid=grid,
         group=group,
         values=values,
         residual=_residual(map_, values, rows),
         reports=reports,
-        swap_log=tuple(swap_log),
-        unresolved=tuple(unresolved),
+        swap_log=swap_log,
+        unresolved=unresolved,
         max_step=max_step,
         continuity_bound=_continuity_bound(map_, rows, scale, tol),
         residual_bound=10.0 * tol * (1.0 + float(np.max(np.abs(rows)))),
@@ -421,17 +451,43 @@ def lipschitz_harness(
     """Certify local Lipschitz behaviour of the lift of f along probe curves.
 
     Each probe gamma is a smooth curve into the domain of f; f(gamma(t)) is
-    lifted with lift_curve and the probe's Lipschitz constant is the sup of
-    the Euclidean norm of the lift's first difference quotients.
+    lifted as lift_curve lifts it, and the probe's Lipschitz constant is the
+    sup of the Euclidean norm of the lift's first difference quotients.  The
+    probes' rows on the grid are solved as one block, and each probe is
+    tracked and certified on its slice of it (`_track_and_certify`); block
+    solves give each row the answer it gets alone, so each probe gets its
+    lift_curve values and reports.  An error is the one the probes raise
+    lifted in turn: a probe whose rows fail to evaluate or solve raises
+    after the probes before it are lifted, whose windows may raise first.
     """
+    tpts = grid.points
+    solve = functools.partial(orbits_at, map_, tol=tol)
+    curves, rows, failed = [], [], None
+    for _, gamma in probes:
+        curves.append(_composed_curve(f, gamma, map_.n_invariants))
+        try:
+            rows.append(curves[-1].evaluate(tpts))
+        except Exception as exc:  # raised once the probes before it are lifted
+            failed = exc
+            break
+    try:
+        orbits = solve(np.concatenate(rows)) if rows else None
+    except RowError as exc:
+        # the block's first refused row is its probe's first: the probes
+        # before that one solve alone
+        k, i = divmod(exc.index, tpts.size)
+        failed, rows = exc.at(float(tpts[i])), rows[:k]
+        orbits = solve(np.concatenate(rows)) if rows else None
     results = []
-    for name, gamma in probes:
-        composed = _composed_curve(f, gamma, map_.n_invariants)
-        lift = lift_curve(group, map_, composed, grid, tol)
-        quots = regcheck.difference_quotients(lift.values, grid.step, 1)
+    for k, (name, _) in enumerate(probes[: len(rows)]):
+        at = slice(k * tpts.size, (k + 1) * tpts.size)
+        values, reports, *_ = _track_and_certify(orbits[at], curves[k], grid, solve)
+        quots = regcheck.difference_quotients(values, grid.step, 1)
         lip = float(np.max(_norms(quots)))
-        verdict = lift.min_verdict() if lift.reports else regcheck.INCONCLUSIVE
+        verdict = _min_verdict(reports) if reports else regcheck.INCONCLUSIVE
         results.append(ProbeResult(name, lip, verdict))
+    if failed is not None:
+        raise failed
     if all(VERDICT_RANK[r.verdict] >= VERDICT_RANK[regcheck.LIPSCHITZ] for r in results):
         overall = LipschitzHarnessReport.LIPSCHITZ_CONSISTENT
     elif any(r.verdict == regcheck.UNBOUNDED for r in results):

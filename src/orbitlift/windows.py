@@ -78,17 +78,18 @@ def fit_side(tc: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def risky_run(pts: np.ndarray, risky: np.ndarray, center_t: float) -> tuple[int, int]:
     """Inclusive index bounds of the run of risky samples nearest center_t,
-    or of the sample nearest center_t when no sample is risky."""
+    or of the sample nearest center_t when no sample is risky; risky is a
+    bool array, one byte a sample."""
     center_i = int(np.argmin(np.abs(pts - center_t)))
-    if risky.any() and not risky[center_i]:
-        cand = np.nonzero(risky)[0]
+    if not risky[center_i]:
+        cand = np.flatnonzero(risky)
+        if not cand.size:
+            return center_i, center_i
         center_i = int(cand[np.argmin(np.abs(pts[cand] - center_t))])
-    lo = hi = center_i
-    while lo - 1 >= 0 and risky[lo - 1]:
-        lo -= 1
-    while hi + 1 < pts.size and risky[hi + 1]:
-        hi += 1
-    return lo, hi
+    # the run ends at the calm samples (zero bytes) either side of its centre, or at an end
+    flags = risky.tobytes()
+    hi = flags.find(b"\0", center_i)
+    return flags.rfind(b"\0", 0, center_i) + 1, (hi if hi >= 0 else pts.size) - 1
 
 
 def solved_at(solve: Callable, rows: np.ndarray, t: np.ndarray) -> Any:

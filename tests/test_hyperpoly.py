@@ -206,6 +206,15 @@ class TestRoundTrip:
         p = from_roots(root_list)
         assert hyperbolic(p) or hyperbolic(p, 1e-7)
 
+    @pytest.mark.xfail(strict=True, raises=RootSolveFailed,
+                       reason="the rounded 4-fold root rebuilds as 9.10016 and 9.10156 x3; the collapse "
+                              "grows a cluster only while its first pair is within tol^(1/2), so the "
+                              "four stay apart and the backward check refuses them")
+    def test_a_four_fold_root_beside_a_tiny_double_root(self):
+        # an input test_from_roots_always_hyperbolic draws about once in 30 seeds
+        p = from_roots([9.1015625] * 4 + [7.488492421122002e-69] * 2)
+        assert hyperbolic(p) or hyperbolic(p, 1e-7)
+
     def test_clusters_up_to_four_fold(self):
         # an m-fold cluster (m <= 4) up to 1e-4 wide beside separated roots:
         # collapsed, it is off by at most its width; resolved, each root by
@@ -1230,12 +1239,12 @@ class TestProofFirst:
         double = np.array([from_roots([c, c, 3.0]).coeffs for c in np.linspace(-1.0, 1.0, k)])
         triple = np.array([from_roots([c, c, c, 3.5]).coeffs for c in np.linspace(-4.0, -3.0, k)])
         separated = np.array([from_roots([c, 2.0, 3.0]).coeffs for c in np.linspace(-1.0, 1.0, k)])
-        hp.roots_batch(double)  # every row proven
+        hp.roots_batch(double)  # every row proven: no certificate call
         hp.roots_batch(double[1:])  # too few rows to probe
         hp.roots_batch(triple)  # the shift's noise hides b_3 of a triple root this far out
         hp.roots_batch(np.vstack([double[:-1], separated[-1:]]))  # the last row is separated
         hp.roots_batch(separated)
-        assert calls == [0, k - 1, k, k, k]
+        assert calls == [k - 1, k, k, k]
         # the middle row is separated, too
         calls.clear()
         hp.roots_batch(np.vstack([double[: k // 2], separated[k // 2: k // 2 + 1], double[k // 2 + 1:]]))

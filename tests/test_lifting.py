@@ -340,6 +340,119 @@ class TestLipschitzHarness:
         assert calls == a.tolist() + [0.5] + a.tolist()
 
 
+def _gmap_f(group, map_, gmap):
+    """The harness's f of the command line: sigma of the gmap at a point."""
+    exprs = [cd.parse_curve_expr(src, variables=("u", "v")) for src in gmap.split(";")]
+
+    def f(point):
+        env = {"u": point[0], "v": point[1]}
+        return map_.evaluate(np.array([cd.evaluate_with_env(e, env) for e in exprs]))
+
+    return f
+
+
+def _lift_each_probe(group, map_, f, probes, grid, tol=1e-10):
+    """The harness's probes lifted one by one with lift_curve, in turn: the
+    lifts, and each probe's name, estimate and verdict."""
+    lifts, out = [], []
+    for name, gamma in probes:
+        lift = lf.lift_curve(group, map_, lf._composed_curve(f, gamma, map_.n_invariants), grid, tol)
+        quots = rc.difference_quotients(lift.values, grid.step, 1)
+        verdict = lift.min_verdict() if lift.reports else rc.INCONCLUSIVE
+        lifts.append(lift)
+        out.append((name, float(np.max(lf._norms(quots))), verdict))
+    return lifts, out
+
+
+class TestStackedHarness:
+    """The harness solves every probe's grid rows in one block and tracks
+    each probe on its slice: each probe gets what lift_curve gives it alone,
+    and an error is the one the probes raise lifted in turn."""
+
+    @staticmethod
+    def _seeded_gmap():
+        rng = np.random.default_rng(35)
+        a1, b1, b2, gap, p1, p2 = rng.uniform([0.8, 0.1, 0.1, 0.5, -1.0, -1.0], [1.2, 0.3, 0.3, 1.0, 1.0, 1.0]).tolist()
+        a2 = a1 + b1 + b2 + gap
+        return f"{a1!r}+{b1!r}*sin(u+{p1!r});{a2!r}+{b2!r}*cos(v+{p2!r})"
+
+    @pytest.mark.parametrize("gmap, level, windows", [
+        ("1+0.2*sin(u);2+0.3*cos(v)", 9, 0),
+        ("seeded", 8, 0),
+        ("u;0.3+v", 8, 6),
+    ])
+    def test_stacked_probes_match_lift_curve(self, monkeypatch, gmap, level, windows):
+        from orbitlift import cli
+
+        gmap = self._seeded_gmap() if gmap == "seeded" else gmap
+        g, m = group_and_map("B:2")
+        f = _gmap_f(g, m, gmap)
+        probes = cli._make_probes(((-1.0, 1.0), (-1.0, 1.0)), 7)
+        grid = cd.Grid.dyadic(-1.0, 1.0, level)
+        solves, opened, tracked = [], [], []
+        solve, window, track = lf.orbits_at, lf.resolve_window, lf._track_and_certify
+        monkeypatch.setattr(lf, "orbits_at", lambda map_, rows, tol: solves.append(len(rows)) or solve(map_, rows, tol))
+        monkeypatch.setattr(lf, "resolve_window", lambda *a: opened.append(a[1]) or window(*a))
+        monkeypatch.setattr(lf, "_track_and_certify", lambda *a: tracked.append(track(*a)) or tracked[-1])
+        rep = lf.lipschitz_harness(g, m, f, probes, grid)
+        monkeypatch.undo()
+        # one solve for the base rows of every probe; the windows solve
+        # only their refined points
+        n = grid.points.size
+        assert solves[0] == len(probes) * n
+        assert all(k < n for k in solves[1:])
+        assert len(opened) == windows and (len(solves) > 1) == (windows > 0)
+        lifts, want = _lift_each_probe(g, m, f, probes, grid)
+        got = [(p.name, p.lipschitz_estimate, p.verdict) for p in rep.probes]
+        assert [(a, np.float64(b).tobytes(), c) for a, b, c in got] == \
+            [(a, np.float64(b).tobytes(), c) for a, b, c in want]
+        assert len(tracked) == len(lifts)
+        for (values, reports, swaps, unresolved, _), lift in zip(tracked, lifts):
+            assert values.tobytes() == lift.values.tobytes()
+            # repr: the reports' missing evidence is nan, which equals nothing
+            assert repr(reports) == repr(lift.reports)
+            assert swaps == lift.swap_log and unresolved == lift.unresolved
+        assert rep.verdict == lf.LipschitzHarnessReport.LIPSCHITZ_CONSISTENT
+
+    @staticmethod
+    def _failing_f(first, second):
+        """f on the probes [t, 0] and [t, 5] of B:2 through (u, 0.3 + v):
+        the first crosses a mirror at u = 0, which opens a window.  Each
+        probe fails as told: 'window' at a refined point of its window,
+        'base' at its grid sample u = 0.75 (f raises), 'solve' there (a
+        value outside the image, which the orbit solve refuses)."""
+        g, m = group_and_map("B:2")
+
+        def f(point):
+            u, v = float(point[0]), float(point[1])
+            how = first if v == 0.0 else second
+            if how == "window" and u * 32.0 != round(u * 32.0) and abs(u) < 0.1:
+                raise ValueError(f"window at u={u!r}")
+            if how == "base" and u == 0.75:
+                raise ValueError(f"base at u={u!r}")
+            if how == "solve" and u == 0.75:
+                return np.array([1.0, 1.0])
+            return m.evaluate(np.array([u, 0.3 + v]))
+
+        return g, m, f
+
+    @pytest.mark.parametrize("first, second, raised", [
+        ("window", "base", "window at u="), ("window", "solve", "window at u="),
+        ("solve", "base", "image at t=0.75"), ("base", "solve", "base at u=0.75"),
+        ("ok", "solve", "image at t=0.75"), ("ok", "base", "base at u=0.75"),
+        ("solve", "solve", "image at t=0.75"),
+    ])
+    def test_the_error_is_the_one_of_the_probes_in_turn(self, first, second, raised):
+        g, m, f = self._failing_f(first, second)
+        probes = [("a", lambda t: np.array([t, 0.0])), ("b", lambda t: np.array([t, 5.0]))]
+        grid = cd.Grid.dyadic(-1.0, 1.0, 5)
+        with pytest.raises(Exception) as want:
+            _lift_each_probe(g, m, f, probes, grid)
+        with pytest.raises(Exception) as got:
+            lf.lipschitz_harness(g, m, f, probes, grid)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert raised in str(got.value)
+
 class TestTheoremForms:
     """Empirical forms of the lifting regularity statements."""
 
@@ -534,12 +647,8 @@ class TestExitCandidates:
         return [rng.uniform(-2.0, 2.0, g.dim), x, x + 1e-4 * rng.standard_normal(g.dim),
                 x + 1e-9 * rng.standard_normal(g.dim), tied, signs, zero, np.zeros(g.dim)]
 
-    @pytest.mark.parametrize("spec", ["A:2", "A:4", "B:2", "B:4", "D:3", "D:4", "I2:5", "I2:8"])
-    def test_closure_gives_the_enumerated_choice(self, spec):
-        import zlib
-
-        g, m = group_and_map(spec)
-        rng = np.random.default_rng(zlib.crc32(spec.encode()))
+    @staticmethod
+    def _bases(g, rng):
         bases = [rng.uniform(-2.0, 2.0, g.dim) for _ in range(4)]
         if g.kind != "I2":
             bases[1][0] = bases[1][1]
@@ -548,9 +657,20 @@ class TestExitCandidates:
         else:
             # a mirror row, and the edge row of TestDihedralBlock whose points
             # merge when rounded to 1e-10: 7 of 10 points, 12 of 16
-            r, angle, merged = {5: (1.2e-5, 3e-6, 7), 8: (2e-5, 2e-6, 12)}[g.param]
+            r, angle, _ = TestExitCandidates._MERGED[g.param]
             bases[1] = 1.3 * np.array([np.cos(np.pi / g.param), np.sin(np.pi / g.param)])
             bases[2] = r * np.array([np.cos(angle), np.sin(angle)])
+        return bases
+
+    _MERGED = {5: (1.2e-5, 3e-6, 7), 8: (2e-5, 2e-6, 12)}
+
+    @pytest.mark.parametrize("spec", ["A:2", "A:4", "B:2", "B:4", "D:3", "D:4", "I2:5", "I2:8"])
+    def test_closure_gives_the_enumerated_choice(self, spec):
+        import zlib
+
+        g, m = group_and_map(spec)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()))
+        bases = self._bases(g, rng)
         sizes, fewer = [], False
         for v in bases:
             orb = inv.orbit_at(m, m.evaluate(v))
@@ -579,7 +699,34 @@ class TestExitCandidates:
                     assert np.array_equal(a.answer, b.answer)
         assert fewer
         if g.kind == "I2":
-            assert sizes[1:3] == [g.param, merged]
+            assert sizes[1:3] == [g.param, self._MERGED[g.param][2]]
+
+    @pytest.mark.parametrize("spec", ["A:2", "A:4", "B:2", "B:4", "D:3", "D:4", "I2:5", "I2:8"])
+    def test_each_point_is_expanded_once(self, spec, monkeypatch):
+        """Orbit.neighbours sees each point once, the nearest point
+        included, and the candidates are those of the search that expands
+        the nearest point again (`generic_kernels.exit_candidates`), ties
+        included."""
+        import zlib
+
+        g, m = group_and_map(spec)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()) + 35)
+        expanded, neighbours = [], inv.Orbit.neighbours
+        monkeypatch.setattr(inv.Orbit, "neighbours", lambda orb, pts: expanded.append(pts) or neighbours(orb, pts))
+        ties = 0
+        for v in self._bases(g, rng):
+            orb = inv.orbit_at(m, m.evaluate(v))
+            for predicted in self._predictions(g, rng, orb):
+                for dt in (1.0, 2.0**-5, 1e-3):
+                    expanded.clear()
+                    got = lf._exit_candidates(orb, predicted, dt)
+                    keys = [tuple((p + 0.0).tolist()) for p in np.concatenate(expanded)]
+                    assert len(keys) == len(set(keys))
+                    want = generic_kernels.exit_candidates(orb, predicted, dt)
+                    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+                    assert got[2].tobytes() == want[2].tobytes()
+                    ties += int(np.sum(got[2] <= got[2].min() + lf._TIE_TOL)) > 1
+        assert ties
 
     @pytest.mark.parametrize("spec", ["A:3", "B:3", "D:4", "I2:5"])
     def test_byte_keys_match_tuple_keys(self, spec):

@@ -141,6 +141,38 @@ class TestHelpers:
         pts = np.linspace(0.0, 1.0, 11)
         assert wn.risky_run(pts, np.zeros(11, dtype=bool), 0.42) == (4, 4)
 
+    @staticmethod
+    def _loop_risky_run(pts, risky, center_t):
+        # the run walked sample by sample from the risky sample nearest center_t
+        center_i = int(np.argmin(np.abs(pts - center_t)))
+        if risky.any() and not risky[center_i]:
+            cand = np.nonzero(risky)[0]
+            center_i = int(cand[np.argmin(np.abs(pts[cand] - center_t))])
+        lo = hi = center_i
+        while lo - 1 >= 0 and risky[lo - 1]:
+            lo -= 1
+        while hi + 1 < pts.size and risky[hi + 1]:
+            hi += 1
+        return lo, hi
+
+    def test_risky_run_matches_the_sample_walk(self):
+        rng = np.random.default_rng(35)
+        seen = set()
+        for trial in range(3000):
+            n = int(rng.integers(1, 40))
+            pts = np.sort(rng.uniform(-1.0, 1.0, n)) if trial % 2 else np.linspace(-1.0, 1.0, n)
+            risky = rng.uniform(size=n) < rng.choice([0.0, 0.2, 0.6, 0.95, 1.0])
+            center_t = float(rng.uniform(-1.2, 1.2))
+            got = wn.risky_run(pts, risky, center_t)
+            assert got == self._loop_risky_run(pts, risky, center_t), (pts, risky, center_t)
+            assert all(type(i) is int for i in got)
+            centre = int(np.argmin(np.abs(pts - center_t)))
+            seen.add("none" if not risky.any() else "calm centre" if not risky[centre] else "risky centre")
+            if risky.any():
+                seen.update({"first"} if got[0] == 0 else set())
+                seen.update({"last"} if got[1] == n - 1 else set())
+        assert seen == {"none", "calm centre", "risky centre", "first", "last"}
+
     def test_fit_side_recovers_slope_and_curvature(self):
         tc = np.linspace(-0.5, 0.5, 8)
         vals = np.stack([3.0 * tc + 1.0, 2.0 * tc * tc - tc], axis=1)
