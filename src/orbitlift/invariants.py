@@ -350,7 +350,7 @@ class OrbitBlock:
 
     group: ReflectionGroup
     spectra: np.ndarray         # (N, n); I2: (N, 2m, 2), NaN past each row's size
-    parity: np.ndarray          # D: sign the product of the coordinates must have; 0: either
+    parity: np.ndarray          # D: sign the product of the coordinates must have; 0: a coordinate is 0
     sizes: np.ndarray           # exact orbit sizes, as Python ints
     min_distance: np.ndarray    # least distance between two orbit points; inf for one point
     max_abs: np.ndarray         # largest |coordinate| of an orbit point
@@ -514,8 +514,8 @@ class Orbit:
         an edge of the orbit's convex hull: for A, B and D the images of the
         rows under the group's reflections, (k * reflections, dim); for I2,
         whose orbit points lie on a circle, each row's two neighbours in
-        angle, (k * 2, dim).  A D orbit whose parity is free (a modulus near
-        0) is listed with every sign pattern, so it takes B's reflections."""
+        angle, (k * 2, dim).  A D orbit whose parity is free (a coordinate
+        is 0) is listed with every sign pattern, so it takes B's reflections."""
         if self.group.kind == "I2":
             order = np.argsort(np.arctan2(self.spectrum[:, 1], self.spectrum[:, 0]), kind="stable")
             at = np.argsort(order)[self.ranks(pts)][:, None] + [-1, 1]
@@ -661,10 +661,9 @@ def orbits_at(map_: OrbitMapSigma, rows, tol: float = 1e-10) -> OrbitBlock:
     parity = np.zeros(stop)
     if group.kind == "D":
         # D keeps the sign patterns whose product has the sign of y_n; with
-        # a zero coordinate both signs reach the same points (the floor by
-        # pow on floats: np.sqrt can differ in the last bit)
-        floor = [(tol * (1.0 + m)) ** 0.5 for m in np.max(np.abs(rows), axis=1).tolist()]
-        parity = np.where(spectra.min(axis=1) <= floor, 0.0, np.sign(rows[:, -1]))
+        # a zero coordinate, one _sqrt_spectra wrote as 0 (the least, as
+        # spectra are sorted), both signs reach the same points
+        parity = np.where(spectra[:, 0] == 0.0, 0.0, np.sign(rows[:, -1]))
     return _chamber_block(group, spectra, parity)
 
 

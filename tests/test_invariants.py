@@ -326,6 +326,29 @@ class TestSmallModuli:
         least = np.sort(np.abs(fib), axis=1)[:, :2]
         assert np.all(least[:, 0] == least[:, 1]) and np.all(least > 0.0)
 
+    @pytest.mark.parametrize("spec", [f"B:{n}" for n in range(2, 6)] + [f"D:{n}" for n in range(3, 6)])
+    def test_one_zero_rule_for_sizes_and_parity(self, spec):
+        # one coordinate at +-c 10^-k, k = 0..12: a modulus the solve keeps
+        # nonzero fixes D's parity, so no block describes two D orbits (a
+        # free parity beside a nonzero modulus would double D's sizes)
+        g = inv.parse_group(spec)
+        m = inv.orbit_map(g)
+        rng = np.random.default_rng(36)
+        pts = rng.uniform(-3.0, 3.0, (13, 20, g.dim))
+        small = rng.choice([-1.0, 1.0], (13, 20)) * rng.uniform(1.0, 10.0, (13, 20))
+        pts[:, :, 0] = small * 10.0 ** -np.arange(13)[:, None]
+        pts = pts.reshape(-1, g.dim)
+        block = inv.orbits_at(m, m.evaluate(pts))
+        zero = block.spectra == 0.0
+        assert np.array_equal(np.round(block.spectra, 10) == 0.0, zero)
+        if g.kind == "D":
+            assert np.array_equal(block.parity == 0.0, zero[:, 0])
+        for i in range(len(block)):
+            orb = block[i]
+            assert g.order % orb.size == 0, pts[i]
+            if g.order <= 400:
+                assert orb.size == len(orbit(g, orb.first)), pts[i]
+
 
 def _min_pairwise(f: np.ndarray) -> float:
     """Least distance between two of the points f, over all pairs (the

@@ -653,7 +653,7 @@ class TestExitCandidates:
         if g.kind != "I2":
             bases[1][0] = bases[1][1]
             bases[2][0] = 0.0
-            bases[3][0] = 1e-6  # D: a free parity, so every sign pattern
+            bases[3][0] = 1e-6  # a small nonzero modulus: D's parity stays fixed
         else:
             # a mirror row, and the edge row of TestDihedralBlock whose points
             # merge when rounded to 1e-10: 7 of 10 points, 12 of 16
@@ -943,3 +943,58 @@ class TestBlockTracker:
         lf._follow(got, orbits, 1, t.size)
         assert got.tobytes() == ref.tobytes()
         assert len(calls) <= bound * (t.size - 1)
+
+
+class TestNearZeroCoordinate:
+    """D lines of perfbench's lift inputs (level 5) on which a coordinate
+    passes within 6e-5 of 0 at a sample.  A free parity beside a nonzero
+    modulus takes the other parity's point there: a lift off the line (seed
+    35001), or one whose sigma misses the curve (the other three).  Checked
+    against the group's elements, as `fiber` and `Orbit.points` share the
+    parity rule of the code under test."""
+
+    @pytest.mark.parametrize("spec,c,v", [
+        # seed 35001, lift D:4 #22: coordinate 1 is -5.1e-6 at t = -0.125
+        ("D:4", [-2.345920769694515, 0.005337833146743405, -1.0964516067428978, 2.399834457253638],
+         [-0.09500790457502088, 0.04274343260679288, 0.6323920475191301, -0.7676110963709515]),
+        # seed 1474, lift D:3 #20: coordinate 0 is -4.8e-6 at t = -1
+        ("D:3", [0.6931445639343805, -1.7342149527649031, 1.5173299799982922],
+         [0.6931493625445022, 0.16615900600685937, 0.7013808850595821]),
+        # seed 1509, lift D:3 #20: coordinate 2 is 2.4e-5 at t = -1
+        ("D:3", [0.8894792504698845, 2.42844268188326, 0.5809614236302624],
+         [-0.40631996548316485, 0.7052773881685638, 0.580937080403626]),
+        # seed 1827, lift D:4 #23: coordinate 3 is -5.5e-5 at t = -0.9375
+        ("D:4", [2.0163250661410963, 1.726387229261923, 0.09719884506537152, -0.4339949143142638],
+         [-0.5188081313515625, -0.5719654416687738, -0.43525330596626677, -0.46286954536411207]),
+    ], ids=["seed35001", "seed1474", "seed1509", "seed1827"])
+    def test_lift_is_one_element_times_the_line(self, spec, c, v):
+        g, m = group_and_map(spec)
+        c, v = np.array(c), np.array(v)
+        curve = _sigma_of_line(g, c, v)
+        grid = cd.Grid.dyadic(-1, 1, 5)
+        lift = lf.lift_curve(g, m, curve, grid)
+        t = grid.points
+        # sigma from its definitions: e_j of the squares, the product last
+        got = np.stack([np.poly(row)[1:] * (-1.0) ** np.arange(1, g.dim + 1) for row in lift.values**2])
+        got[:, -1] = np.prod(lift.values, axis=1)
+        target = curve.evaluate(t)
+        assert np.max(np.abs(got - target)) <= 1e-8 * (1.0 + np.max(np.abs(target)))
+        # perfbench's checks.lift_bounds: the allowed distance from w.gamma
+        gamma = c + t[:, None] * v
+        eps, scale = np.finfo(float).eps, 1.0 + np.max(np.abs(gamma))
+        d = np.min(np.abs(gamma @ _mirror_normals(g).T), axis=1)
+        with np.errstate(divide="ignore"):
+            near = np.minimum(eps * scale * scale / d, np.sqrt(eps * scale) * scale)
+        collapse = np.sqrt(1e-10) * scale
+        bound = 1e-8 * scale + 64.0 * near + np.where(d < 2.0 * collapse, collapse, 0.0)
+        # between unresolved windows, lift = w.gamma for one element w
+        inside = np.zeros(t.size, dtype=bool)
+        for lo, hi in lift.unresolved:
+            inside |= (t >= lo) & (t <= hi)
+        elements = np.array(g.elements())
+        for seg in np.split(np.arange(t.size), np.flatnonzero(inside)):
+            seg = seg[~inside[seg]]
+            if seg.size:
+                moved = np.einsum("wij,nj->wni", elements, gamma[seg])
+                dev = np.max(np.abs(moved - lift.values[seg]), axis=2) / bound[seg]
+                assert np.min(np.max(dev, axis=1)) <= 1.0
