@@ -77,13 +77,13 @@ _BATCH_NEWTON = 3
 _GAP_MARGIN = 2.0
 # The bracket polish steps on numpy arrays while this many brackets or more
 # are live, and hands the stragglers to the float loop.  An array step costs
-# some 50 numpy calls however few brackets are left, and near a cluster the
-# slowest bracket takes up to 65 steps.  Timed on the 37,000 brackets of the
-# select-clustered rounds of seeds 1-3 (2-core x86 host, best of 21), every
-# handoff count from 16 to 256 polishes them in 45-61 ms, within the host's
-# noise of each other; arrays to the last bracket take 62 ms and floats
-# alone 499 ms.  No level of those seeds' select and lift rounds has more
-# than 10 brackets: they run on floats only.
+# 30 numpy calls plus 4n - 2 for the Horner passes at degree n, however few
+# brackets are left, and near a cluster the slowest bracket takes up to 68
+# steps.  Timed on the 37,008 brackets (51 calls) of the select-clustered
+# rounds of seeds 1-3 (2-core x86 Xeon host, numpy 2.4, best of 21), every
+# handoff count from 16 to 256 polishes them in 30-36 ms; arrays to the last
+# bracket take 36 ms and floats alone 299 ms.  The select and lift rounds of
+# those seeds polish no block: their rebuilds run in the row form.
 _ARRAY_BRACKETS = 64
 # _uncertified_roots solves a block of degree >= 3 with at most this many rows
 # one row at a time on Python floats (_row_roots).  On blocks of 1-12 rows of
@@ -458,7 +458,7 @@ def _root_bounds(c: np.ndarray) -> np.ndarray:
     near = np.power(ck, exps)
     at, col = np.nonzero(near >= near.max(axis=1, keepdims=True) * (1.0 - 16.0 * _EPS))
     # the others lie further below the largest than pow can move it
-    near[at, col] = [pow(a, e) for a, e in zip(ck[at, col].tolist(), exps[col].tolist())]
+    near[at, col] = list(map(pow, ck[at, col].tolist(), exps[col].tolist()))
     return 2.0 * near.max(axis=1) + 1.0
 
 
@@ -504,43 +504,50 @@ def _polish_simple(c: list[float], dc: list[float], lo: float, hi: float, x: flo
 
 def _polish_brackets(c: np.ndarray, dc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The simple root in each bracket (lo[b], hi[b]) of the polynomial c[b]
-    with derivative dc[b]: _polish_simple's steps on arrays while
-    _ARRAY_BRACKETS or more brackets are live, each bracket leaving the block
-    where the float loop returns, and the float loop, resumed from each
-    bracket's state, for the rest (from the starting state, midpoint, width
-    and sign at lo, when fewer brackets come in).  Both run the same float
-    operations in the same order, so each result has the bits of the float
-    loop alone."""
-    def horner(p, x):
-        out = p[:, 0]
-        for j in range(1, p.shape[1]):
-            out = out * x + p[:, j]
+    of degree >= 2 with derivative dc[b]: _polish_simple's steps on arrays of
+    coefficient columns while _ARRAY_BRACKETS or more brackets are live, then
+    the float loop, resumed from each live bracket's state (its starting
+    state when fewer come in).  A bracket's result is written where the float
+    loop returns, and its slot steps on, unread, until a quarter of the slots
+    have stopped or fewer than _ARRAY_BRACKETS brackets are live.  Both run
+    the same float operations in the same order, so each result has the bits
+    of the float loop alone."""
+    def horner(cols, x):  # out * x + col, in place after the first product
+        out = cols[0] * x + cols[1]
+        for col in cols[2:]:
+            out *= x
+            out += col
         return out
 
+    out = np.empty(lo.size)
     with np.errstate(all="ignore"):
-        neg = horner(c, lo) < 0.0
-        x, move = 0.5 * (lo + hi), hi - lo
-        out, live = np.empty_like(x), np.arange(x.size)
-        while live.size >= _ARRAY_BRACKETS:
-            fx = horner(c, x)
+        ct, dct = c.T.copy(), dc.T.copy()
+        cols, dcols, at, alive = list(ct), list(dct), np.arange(lo.size), np.ones(lo.size, dtype=bool)
+        neg = horner(cols, lo) < 0.0
+        x, move, live = 0.5 * (lo + hi), hi - lo, lo.size
+        while live >= _ARRAY_BRACKETS:
+            fx = horner(cols, x)
             root = fx == 0.0
             side = (fx < 0.0) == neg
             lo, hi = np.where(side, x, lo), np.where(side, hi, x)
-            step = fx / horner(dc, x)  # x/0 fails the tests below, as inf does on floats
+            step = fx / horner(dcols, x)  # x/0 fails the tests below, as inf does on floats
             x_new, size = x - step, np.abs(step)
             small = size <= 2.0 * _EPS * np.fmax(1.0, np.abs(x))
             newton = (lo < x_new) & (x_new < hi) & (size <= 0.5 * np.abs(move))
-            mid = 0.5 * (lo + hi)
-            flat = ~(small | newton) & ((mid <= lo) | (mid >= hi))
-            out[live] = np.where(root | flat, x, x_new)
-            x_new = np.where(newton, x_new, mid)
-            move, x = x_new - x, x_new
-            go = ~(root | small | flat)
-            if not go.all():  # while no bracket leaves, the arrays stay as they are
-                live, c, dc, lo, hi, x, move, neg = (
-                    live[go], c[go], dc[go], lo[go], hi[go], x[go], move[go], neg[go])
-    out[live] = [_polish_simple(*state) for state in zip(
-        c.tolist(), dc.tolist(), lo.tolist(), hi.tolist(), x.tolist(), move.tolist(), neg.tolist())]
+            # a midpoint stops the bracket when no float lies between lo and hi
+            x_next = np.where(newton, x_new, 0.5 * (lo + hi))
+            stop = (root | small | (x_next <= lo) | (x_next >= hi)) & alive
+            stopped = np.count_nonzero(stop)
+            if stopped:
+                out[at[stop]] = np.where(small & ~root, x_new, x)[stop]
+                alive, live = alive & ~stop, live - stopped
+            move, x = x_next - x, x_next
+            if stopped and (4 * (x.size - live) >= x.size or live < _ARRAY_BRACKETS):
+                at, ct, dct, lo, hi, x, move, neg = (
+                    at[alive], ct[:, alive], dct[:, alive], lo[alive], hi[alive], x[alive], move[alive], neg[alive])
+                cols, dcols, alive = list(ct), list(dct), np.ones(live, dtype=bool)
+    out[at] = [_polish_simple(*state) for state in zip(
+        ct.T.tolist(), dct.T.tolist(), lo.tolist(), hi.tolist(), x.tolist(), move.tolist(), neg.tolist())]
     return out
 
 
@@ -560,12 +567,13 @@ def _polish_mult_root(c: np.ndarray, x: np.ndarray, mult: int) -> np.ndarray:
         d = _deriv(d)
     dd, ad, bound = _deriv(d), np.abs(d), 2.0 * d.shape[1] * _EPS
     x = np.array(x, dtype=float)
-    live = np.arange(x.size)
+    # a stopped row's steps are masked, so it keeps its result, until the
+    # stopped rows are a quarter of the arrays and leave them
+    at, live, alive = x.copy(), np.arange(x.size), np.ones(x.size, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(40):
             if not live.size:
                 break
-            at = x[live]
             ax = np.abs(at)
             fx, acc, dfx = d[:, 0], ad[:, 0], dd[:, 0]
             for j in range(1, d.shape[1]):  # _horner_rows, on one point per row
@@ -574,13 +582,14 @@ def _polish_mult_root(c: np.ndarray, x: np.ndarray, mult: int) -> np.ndarray:
                 dfx = dfx * at + dd[:, j]
             step = fx / dfx
             size = np.abs(step)
-            go = ~((np.abs(fx) <= 2.0 * (bound * acc)) | (dfx == 0.0) | ~np.isfinite(dfx)
-                   | (size > 0.1 * (1.0 + ax)))
+            go = alive & ~((np.abs(fx) <= 2.0 * (bound * acc)) | (dfx == 0.0) | ~np.isfinite(dfx)
+                           | (size > 0.1 * (1.0 + ax)))
             at = np.where(go, at - step, at)
-            x[live] = at
-            go &= size > 1e-16 * np.fmax(1.0, np.abs(at))
-            if not go.all():
-                live, d, ad, dd = live[go], d[go], ad[go], dd[go]
+            alive = go & (size > 1e-16 * np.fmax(1.0, np.abs(at)))
+            if 4 * np.count_nonzero(alive) <= 3 * alive.size:
+                x[live] = at
+                live, at, d, ad, dd, alive = live[alive], at[alive], d[alive], ad[alive], dd[alive], alive[alive]
+    x[live] = at
     return x
 
 
@@ -767,26 +776,34 @@ def _rebuild(c: np.ndarray, tol: np.ndarray, noise_floor: np.ndarray) -> tuple[n
         p, dp, scale, floor = derivs[n - d], derivs[n - d + 1], scales[n - d], floors[n - d]
         crit, count = _expand(roots, mult) if (mult > 1).any() else (roots, mult.sum(axis=1))
         bound = _root_bounds(p) + 1.0
+        full = bool((count == d - 1).all())  # every row has d - 1 critical points: no anchor to mask
         last = count[:, None] + 1  # the upper anchor's column
         cols = np.arange(crit.shape[1] + 2)
         anchors = np.concatenate([-bound[:, None], crit, bound[:, None]], axis=1)
-        anchors = np.where(cols < last, anchors, bound[:, None])
+        if not full:
+            anchors = np.where(cols < last, anchors, bound[:, None])
         vals, noise = _horner_rows(p, anchors)
         size, two, floor = np.abs(vals), 2.0 * noise, floor[:, None]
         zero = (size <= (tol * scale)[:, None]) & (size <= np.where(floor > two, floor, two))
         pos = vals > 0
-        at, col = np.nonzero(~(zero[:, :-1] | zero[:, 1:]) & (pos[:, :-1] != pos[:, 1:]) & (cols[:-1] < last))
+        change, runs = pos[:, :-1] != pos[:, 1:], not full or zero.any()
+        if runs:  # else no value is zero and every row has d + 1 anchors
+            change &= ~(zero[:, :-1] | zero[:, 1:]) & (cols[:-1] < last)
+        at, col = np.nonzero(change)
         x = _polish_brackets(p[at], dp[at], anchors[at, col], anchors[at, col + 1])
-        # each run of zero values between the anchors is one cluster
-        inner = zero & (cols >= 1) & (cols < last)
-        rr, k = np.nonzero(inner[:, 1:] & ~inner[:, :-1])
-        # in the order found: the simple roots left to right, then the runs'
-        simple = np.bincount(at, minlength=m)
-        width = int((simple + np.bincount(rr, minlength=m)).max(initial=0))
-        roots, mult = np.full((m, width), np.inf), np.zeros((m, width), dtype=int)
-        place = np.arange(at.size) - np.searchsorted(at, at)
-        roots[at, place], mult[at, place] = x, 1
-        if rr.size:
+        if not runs and at.size == m * d:  # d simple roots in every row
+            roots, mult, rr = x.reshape(m, d), np.ones((m, d), dtype=int), ()
+        else:
+            # each run of zero values between the anchors is one cluster
+            inner = zero & (cols >= 1) & (cols < last)
+            rr, k = np.nonzero(inner[:, 1:] & ~inner[:, :-1])
+            # in the order found: the simple roots left to right, then the runs'
+            simple = np.bincount(at, minlength=m)
+            width = int((simple + np.bincount(rr, minlength=m)).max(initial=0))
+            roots, mult = np.full((m, width), np.inf), np.zeros((m, width), dtype=int)
+            place = np.arange(at.size) - np.searchsorted(at, at)
+            roots[at, place], mult[at, place] = x, 1
+        if len(rr):
             k += 1  # each run's first column, j its last
             j = np.nonzero(inner[:, :-1] & ~inner[:, 1:])[1]
             run = j - k + 2
@@ -798,7 +815,7 @@ def _rebuild(c: np.ndarray, tol: np.ndarray, noise_floor: np.ndarray) -> tuple[n
                 xr[sel] = _polish_mult_root(p[rr[sel]], xr[sel], fold)
             place = simple[rr] + np.arange(rr.size) - np.searchsorted(rr, rr)
             roots[rr, place], mult[rr, place] = xr, run
-        if rr.size or (roots[:, 1:] < roots[:, :-1]).any():
+        if len(rr) or (roots[:, 1:] < roots[:, :-1]).any():
             order = np.argsort(roots, axis=1, kind="stable")
             roots, mult = roots[np.arange(m)[:, None], order], mult[np.arange(m)[:, None], order]
     return roots, mult

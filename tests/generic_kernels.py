@@ -6,7 +6,9 @@ evaluated on every row and its Newton steps take the values of
 `np.unique(axis=0)`; the gathers are `np.take_along_axis` and the norms
 `np.linalg.norm`; `lifting._exit_candidates` keys its points by tuples;
 `hyperpoly.roots_batch` runs the certificate on every row of degree >= 3
-before the fallback; `hyperpoly._roots_with_fallback` deflates exact zero
+before the fallback; `hyperpoly._polish_brackets` reads its coefficients as
+strided column slices, writes every live bracket's result at every step and
+shrinks its arrays at every step a bracket stops; `hyperpoly._roots_with_fallback` deflates exact zero
 roots, refuses an overflowing recentring and promotes a short rebuild on
 the block, without the row form.  The lean forms must give every row these
 bits, and every refused block its error."""
@@ -220,3 +222,38 @@ def exit_candidates(orbit, predicted: np.ndarray, dt: float):
     ranks = sorted(by_rank)
     pts = np.array([by_rank[r] for r in ranks])
     return pts, ranks, np.linalg.norm(pts - predicted, axis=1) / dt
+
+
+def polish_brackets(c: np.ndarray, dc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """hyperpoly._polish_brackets, shrinking its arrays at every step."""
+    def horner(p, x):
+        out = p[:, 0]
+        for j in range(1, p.shape[1]):
+            out = out * x + p[:, j]
+        return out
+
+    with np.errstate(all="ignore"):
+        neg = horner(c, lo) < 0.0
+        x, move = 0.5 * (lo + hi), hi - lo
+        out, live = np.empty_like(x), np.arange(x.size)
+        while live.size >= hp._ARRAY_BRACKETS:
+            fx = horner(c, x)
+            root = fx == 0.0
+            side = (fx < 0.0) == neg
+            lo, hi = np.where(side, x, lo), np.where(side, hi, x)
+            step = fx / horner(dc, x)
+            x_new, size = x - step, np.abs(step)
+            small = size <= 2.0 * hp._EPS * np.fmax(1.0, np.abs(x))
+            newton = (lo < x_new) & (x_new < hi) & (size <= 0.5 * np.abs(move))
+            mid = 0.5 * (lo + hi)
+            flat = ~(small | newton) & ((mid <= lo) | (mid >= hi))
+            out[live] = np.where(root | flat, x, x_new)
+            x_new = np.where(newton, x_new, mid)
+            move, x = x_new - x, x_new
+            go = ~(root | small | flat)
+            if not go.all():
+                live, c, dc, lo, hi, x, move, neg = (
+                    live[go], c[go], dc[go], lo[go], hi[go], x[go], move[go], neg[go])
+    out[live] = [hp._polish_simple(*state) for state in zip(
+        c.tolist(), dc.tolist(), lo.tolist(), hi.tolist(), x.tolist(), move.tolist(), neg.tolist())]
+    return out

@@ -1,7 +1,7 @@
 """The tests' scalar oracles for the block kernels of `orbitlift.hyperpoly`:
-the Horner noise bound, the multiple-root Newton and the cluster collapse,
-one point and one row at a time on floats.  The block kernels must give
-every row these bits."""
+the Horner noise bound, the multiple-root Newton, the bracket polish's step
+count and the cluster collapse, one point and one row at a time on floats.
+The block kernels must give every row these bits."""
 
 import math
 
@@ -42,6 +42,32 @@ def polish_mult_root(c: np.ndarray, x: float, mult: int) -> float:
         if abs(step) <= 1e-16 * max(1.0, abs(x)):
             break
     return x
+
+
+def polish_steps(c: list[float], lo: float, hi: float) -> tuple[int, str]:
+    """The number of values of c that the safeguarded Newton of
+    hyperpoly._polish_simple takes from the midpoint of (lo, hi), and the
+    exit it leaves by: "root" at c(x) = 0, "small" at a Newton step of at
+    most 2 eps max(1, |x|), "flat" when no float lies between lo and hi."""
+    dc = hp._deriv(c)
+    neg = hp._horner(c, lo) < 0.0
+    x, move, steps = 0.5 * (lo + hi), hi - lo, 0
+    while True:
+        steps += 1
+        fx = hp._horner(c, x)
+        if fx == 0.0:
+            return steps, "root"
+        lo, hi = (x, hi) if (fx < 0.0) == neg else (lo, x)
+        dfx = hp._horner(dc, x)
+        step = fx / dfx if dfx else math.inf
+        if abs(step) <= 2.0 * float(np.finfo(float).eps) * max(1.0, abs(x)):
+            return steps, "small"
+        x_new = x - step
+        if not (lo < x_new < hi and abs(step) <= 0.5 * abs(move)):
+            x_new = 0.5 * (lo + hi)
+            if x_new <= lo or x_new >= hi:
+                return steps, "flat"
+        move, x = x_new - x, x_new
 
 
 def collapse_clusters(values: np.ndarray, tol: float, c: np.ndarray) -> np.ndarray:

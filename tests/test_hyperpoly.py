@@ -379,6 +379,77 @@ def large_bracket_blocks():
         yield deg, group
 
 
+def clustered_polish_calls():
+    # the bracket blocks the interlacing rebuild polishes on seeded clustered
+    # blocks of 257 rows, t in [-1, 1]: degree 3 to 7, roots in lanes 2 apart
+    # that move with t, near pairs 1e-6 .. 1e-3 apart, and triple roots
+    rng = np.random.default_rng(38)
+    t = np.linspace(-1.0, 1.0, 257)
+    calls, kernel = [], hp._polish_brackets
+
+    def record(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    hp._polish_brackets = record
+    try:
+        for deg in range(3, 8):
+            pairs, triples = {3: (1, 0), 4: (0, 1), 5: (1, 1), 6: (1, 1), 7: (2, 1)}[deg]
+            lanes = iter(rng.permutation(np.arange(-4.0, 4.0)) * 2.0)
+            roots = []
+            for _ in range(pairs):
+                r = next(lanes) + rng.uniform(-0.5, 0.5) * t + rng.uniform(-0.3, 0.3) * t * t
+                roots += [r, r + 10.0 ** rng.uniform(-6.0, -3.0)]
+            for _ in range(triples):
+                roots += [next(lanes) + rng.uniform(-0.5, 0.5) * t] * 3
+            while len(roots) < deg:
+                roots.append(next(lanes) + rng.uniform(-0.5, 0.5) * t)
+            rows = np.array(hp._elementary(list(np.sort(np.array(roots), axis=0)))).T
+            hp._roots_with_fallback(rows, 1e-10)
+    finally:
+        hp._polish_brackets = kernel
+    return calls
+
+
+def one_step_brackets(count):
+    # (c, lo, hi) of degree 3 that stop at their first value: the root 0.5
+    # at the midpoint of (0, 1), exactly, and two adjacent floats inside a
+    # near pair, where Newton's step is far too long to take
+    out = []
+    for k in range(count):
+        if k % 2 == 0:
+            out.append((full_coeffs(from_roots([0.5, -1.0 - k / 8.0, 2.0 + k / 8.0])), 0.0, 1.0))
+        else:
+            lo = 1.0 + 1e-9 * (1 + k % 5)
+            c = full_coeffs(from_roots([1.0, 1.0 + 1e-8, 3.0 + k / 8.0]))
+            out.append((c, lo, float(np.nextafter(lo, 2.0))))
+    return out
+
+
+def short_brackets(rng, count):
+    # the middle root of three 1 .. 2 apart, from between its neighbours: a
+    # handful of steps
+    out = []
+    for _ in range(count):
+        r = np.cumsum(rng.uniform(1.0, 2.0, 3)) - 3.0
+        out.append((full_coeffs(from_roots(r)), 0.5 * (r[0] + r[1]), 0.5 * (r[1] + r[2])))
+    return out
+
+
+def long_brackets(rng, count):
+    # the upper root of a near pair 1e-6 .. 1e-4 apart, from the pair's
+    # midpoint: Newton crawls towards it for 18 steps and more
+    out = []
+    for _ in range(count):
+        r, g, s = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-6.0, -4.0), rng.uniform(3.0, 5.0)
+        out.append((full_coeffs(from_roots([r, r + g, s])), r + 0.5 * g, r + 0.5 * (s - r)))
+    return out
+
+
+def float_polish(group):
+    return np.array([hp._polish_simple(c.tolist(), hp._deriv(c).tolist(), lo, hi) for c, lo, hi in group])
+
+
 def polish_block(group):
     C = np.array([c for c, _, _ in group])
     return hp._polish_brackets(C, C[:, :-1] * np.arange(C.shape[1] - 1, 0, -1),
@@ -429,6 +500,62 @@ class TestPolishKernels:
             monkeypatch.undo()
             for (c, lo, hi), r in zip(group[:3], ref):
                 assert bits(polish_block([(c, lo, hi)])[0]) == bits(np.float64(r))
+
+    def test_lean_loop_matches_the_generic_kernel_on_clustered_blocks(self):
+        calls = clustered_polish_calls()
+        steps = [[scalar_kernels.polish_steps(c, lo, hi) for c, lo, hi in zip(
+            C.tolist(), LO.tolist(), HI.tolist())] for C, _, LO, HI in calls]
+        # over a thousand brackets take 20 steps and more, and every exit is taken
+        assert sum(n >= 20 for call in steps for n, _ in call) >= 1000
+        assert {exit for call in steps for _, exit in call} == {"root", "small", "flat"}
+        for C, dC, LO, HI in calls:
+            got = hp._polish_brackets(C, dC, LO, HI)
+            assert bits(got) == bits(generic_kernels.polish_brackets(C, dC, LO, HI))
+            ref = [hp._polish_simple(c, dc, lo, hi) for c, dc, lo, hi in zip(
+                C.tolist(), dC.tolist(), LO.tolist(), HI.tolist())]
+            assert bits(got) == bits(np.array(ref))
+
+    @pytest.mark.parametrize("one, short, long, handoff", [
+        (16, 20, 100, False),  # 16 of 136 stop at the first step: the stopped slots stay
+        (48, 0, 100, False),   # 48 of 148 stop at the first step: the arrays shrink
+        (10, 0, 60, True),     # 60 live after the first step, with 10 of 70 stopped
+        (100, 0, 50, True),    # 50 live after the first step
+    ])
+    def test_exits_and_handoff_in_the_middle_of_a_block(self, monkeypatch, one, short, long, handoff):
+        rng = np.random.default_rng(one)
+        group = one_step_brackets(one) + short_brackets(rng, short) + long_brackets(rng, long)
+        group = [group[k] for k in rng.permutation(len(group))]
+        steps = [scalar_kernels.polish_steps(c.tolist(), lo, hi) for c, lo, hi in group]
+        assert sum(n == 1 for n, _ in steps) == one and min(n for n, _ in steps if n > 1) >= 3
+        # the first step's brackets stop at P(x) = 0 or with no float between
+        # their ends, the short ones at a small step, all with long ones live
+        exits = {exit for _, exit in steps}
+        assert exits == {"root", "small", "flat"} if short else exits >= {"root", "flat"}
+        assert (len(group) - one < hp._ARRAY_BRACKETS) == handoff
+        kernel, resumed = hp._polish_simple, []
+
+        def counted(c, dc, lo, hi, x=None, move=0.0, neg=False):
+            resumed.append(x is not None and (x != 0.5 * (lo + hi) or move != hi - lo))
+            return kernel(c, dc, lo, hi, x, move, neg)
+
+        monkeypatch.setattr(hp, "_polish_simple", counted)
+        got = polish_block(group)
+        # the live brackets go on to floats from their state: after the first
+        # step, or later, when fewer than _ARRAY_BRACKETS are left
+        assert all(resumed) and 0 < len(resumed) < hp._ARRAY_BRACKETS
+        assert (len(resumed) == len(group) - one) == handoff
+        monkeypatch.undo()
+        ref = float_polish(group)
+        assert bits(got) == bits(ref)
+        C = np.array([c for c, _, _ in group])
+        lo, hi = np.array([b[1] for b in group]), np.array([b[2] for b in group])
+        assert bits(generic_kernels.polish_brackets(C, hp._deriv(C), lo, hi)) == bits(ref)
+
+    def test_empty_and_small_blocks(self):
+        empty = hp._polish_brackets(np.empty((0, 4)), np.empty((0, 3)), np.empty(0), np.empty(0))
+        assert empty.shape == (0,) and empty.dtype == float
+        group = long_brackets(np.random.default_rng(7), hp._ARRAY_BRACKETS - 1)
+        assert bits(polish_block(group)) == bits(float_polish(group))
 
     def test_answers_lie_at_a_sign_change_or_in_the_noise(self):
         for c, lo, hi in polish_cases():
