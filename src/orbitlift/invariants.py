@@ -379,13 +379,15 @@ class OrbitBlock:
         """For each orbit k, the point of it nearest p[k], where p[k] is one
         point or several (p of shape (len, dim) or (len, s, dim)), by one
         call for the block: `_nearest` for A, B and D, `_listed_nearest`
-        for I2."""
+        for I2.  Several points an orbit repeat its A, B or D row for each;
+        one point an orbit takes the rows as they are."""
         p = np.asarray(p, dtype=float)
         if self.group.kind == "I2":
             at = _listed_nearest(self.spectra, p.reshape(len(self), -1, 2))
             return self.spectra[np.arange(len(self))[:, None], at].reshape(p.shape)
-        each = p[0].size // p.shape[-1]
-        spectra, parity = np.repeat(self.spectra, each, axis=0), np.repeat(self.parity, each)
+        spectra, parity = self.spectra, self.parity
+        if p.ndim == 3 and p.shape[1] > 1:  # several points an orbit
+            spectra, parity = spectra.repeat(p.shape[1], axis=0), parity.repeat(p.shape[1])
         return _nearest(self.group.kind, spectra, parity, p.reshape(spectra.shape)).reshape(p.shape)
 
 
@@ -397,41 +399,36 @@ def _chamber_block(group: ReflectionGroup, spectra: np.ndarray, parity: np.ndarr
     again when the parity is fixed.  The least distance is sqrt(2) times the
     least gap between runs, and for B also 2 times the least nonzero
     modulus, for D with a fixed parity sqrt(2) (s_1 + s_2).  The sizes are
-    Python ints, computed once per distinct row of traits (the places in
-    the runs; for B and D also the nonzero count and the fixed parity): one
-    lexsort puts equal trait rows together, and each row that differs from
-    the one before it starts the next distinct row."""
+    Python ints, computed once per distinct row of traits (where the runs
+    start; for B and D also which values are nonzero, and the fixed parity),
+    each trait row keyed by its bytes."""
     n = spectra.shape[1]
     with np.errstate(over="ignore"):  # a value too large to scale by 10^_DEDUP_DECIMALS rounds to inf
         keys = np.round(spectra, _DEDUP_DECIMALS)
     new_run = keys[:, 1:] != keys[:, :-1]
-    # each value's place in its run: the places of a run of L multiply to L!
-    place = np.ones(spectra.shape, dtype=np.int64)
-    for j in range(1, n):
-        place[:, j] = np.where(new_run[:, j - 1], 1, place[:, j - 1] + 1)
-    dist = math.sqrt(2.0) * np.where(new_run, np.diff(spectra, axis=1), np.inf).min(axis=1)
-    traits = [place]
+    dist = math.sqrt(2.0) * np.where(new_run, spectra[:, 1:] - spectra[:, :-1], np.inf).min(axis=1)
+    traits = new_run
     if group.kind != "A":
         nonzero = keys != 0.0
         fixed = parity != 0.0
         least = np.where(nonzero, spectra, np.inf).min(axis=1)
         paired = math.sqrt(2.0) * (spectra[:, 0] + spectra[:, 1])
         dist = np.minimum(dist, np.where(fixed, paired, 2.0 * least))
-        traits += [np.count_nonzero(nonzero, axis=1)[:, None], fixed[:, None]]
-    traits = np.concatenate(traits, axis=1)
-    order = np.lexsort(traits.T)
-    ranked = traits[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    sizes = []
-    for row in ranked[new].tolist():
-        size = math.factorial(n) // math.prod(row[:n])
+        traits = np.concatenate([new_run, nonzero, fixed[:, None]], axis=1)
+    codes = traits.view(np.dtype((np.void, traits.shape[1]))).ravel().tolist()
+    size_of = dict(zip(codes, range(len(codes))))  # a row of each distinct code
+    for code, i in size_of.items():
+        row = traits[i].tolist()
+        # the places of a run of L values multiply to L!
+        place = perms = 1
+        for starts in row[: n - 1]:
+            place = 1 if starts else place + 1
+            perms *= place
+        size = math.factorial(n) // perms
         if group.kind != "A":
-            size = size * 2 ** row[n] // (2 if row[n + 1] else 1)
-        sizes.append(size)
-    sizes = np.array(sizes, dtype=object)[inverse]
+            size = size * 2 ** sum(row[n - 1 : 2 * n - 1]) // (2 if row[-1] else 1)
+        size_of[code] = size
+    sizes = np.array(list(map(size_of.__getitem__, codes)), dtype=object)
     return OrbitBlock(group, spectra, parity, sizes, dist, np.max(np.abs(spectra), axis=1))
 
 
@@ -453,20 +450,23 @@ def _nearest(kind: str, spectra: np.ndarray, parity, rows: np.ndarray) -> np.nda
         v[at, np.argsort(rows, axis=1, kind="stable")] = spectra
         return v
     # within a tie of |p|, positive coordinates take the smallest moduli in
-    # index order and the others the largest: the lexicographic first
+    # index order and the others the largest: the lexicographic first, as
+    # one tie key, the index for positive p_i and 2n - 1 minus it for the rest
     idx = np.arange(n)
     neg = ~(rows > 0.0)
-    order = np.lexsort((np.where(neg, -idx, idx), neg, np.abs(rows)), axis=1)
+    order = np.lexsort((np.where(neg, 2 * n - 1 - idx, idx), np.abs(rows)), axis=1)
     v[at, order] = spectra
-    v = np.where(neg, -v, v) + 0.0  # + 0.0 turns -0.0 into 0.0
+    np.negative(v, out=v, where=neg)
+    v += 0.0  # turns -0.0 into 0.0
     if kind == "D":
         # the least |v_i p_i| sits at the least |p_i| on the least modulus,
         # the first of the order, which among ties is the first positive
         # p_i, else the last p_i: the flip that keeps the lexicographic first
         odd = np.logical_xor.reduce(v < 0.0, axis=1)
         wrong = np.flatnonzero(np.where(odd, parity > 0.0, parity < 0.0))
-        j = order[wrong, 0]
-        v[wrong, j] = -v[wrong, j]
+        if wrong.size:
+            j = order[wrong, 0]
+            v[wrong, j] = -v[wrong, j]
     return v
 
 
@@ -476,8 +476,9 @@ def _listed_nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     size), and its queries queries[k], (N, s, 2): the first listed point
     wins an exact tie, and padding is never chosen."""
     diff = points[:, None, :, :] - queries[:, :, None, :]
-    d = np.sqrt(np.add.reduce(diff * diff, axis=3))
-    return np.argmin(np.where(np.isnan(d), np.inf, d), axis=2)
+    diff *= diff
+    # fmin turns the padding's NaN distances into inf
+    return np.argmin(np.fmin(np.sqrt(diff[..., 0] + diff[..., 1]), np.inf), axis=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -720,7 +721,7 @@ def _sqrt_spectra(a: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
     lies below -tol*scale raises, with its row as `index`: NotInImage below
     -10*tol*scale, ToleranceViolation above it."""
     scale = 1.0 + np.max(np.abs(a), axis=1)
-    lo = np.min(vals, axis=1)
+    lo = vals[:, 0]  # the roots are sorted
     below = np.flatnonzero(lo < -tol * scale)
     if below.size:
         k = int(below[0])
@@ -752,7 +753,7 @@ def _sqrt_spectra(a: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
         k[live] = j + 1
     # the whole run of values equal to the first nonzero one stays nonzero
     at = vals[np.arange(m), np.minimum(k, n - 1)][:, None]
-    k = np.where(k < n, np.count_nonzero(vals < at, axis=1), k)
+    k = np.where(k < n, (vals < at).sum(axis=1), k)
     zero |= np.arange(n) < k[:, None]
     return np.sqrt(np.where(zero, 0.0, vals))
 
@@ -800,36 +801,54 @@ def _dihedral_block(map_: OrbitMapSigma, rows: np.ndarray, tol: float) -> OrbitB
     on_mirror = origin | (excess >= -tol * rm)
     cosine = np.where(on_mirror, np.copysign(1.0, target), target / np.where(on_mirror, 1.0, rm))
     theta = np.array([math.acos(c) for c in cosine.tolist()]) / m
-    angles = theta[:, None] + 2.0 * math.pi * np.arange(m) / m
-    pts = r[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    angles = theta[:, None] + _turns(m)
+    k = 2 * m
+    pts = np.empty((len(rows), k, 2))
+    np.cos(angles, out=pts[:, :m, 0])
+    np.sin(angles, out=pts[:, :m, 1])
+    pts[:, :m] *= r[:, None, None]
     # trig of multiples of pi/2 lands a few ulp off the axes (sin(pi) =
     # 1.2e-16); snap, so that a point on an axis has an exact zero
-    pts[np.abs(pts) <= 1e-15 * r[:, None, None]] = 0.0
-    pts[origin] = 0.0
-    pts = np.concatenate([pts, pts * [1.0, -1.0]], axis=1)
+    half = pts[:, :m]
+    half[np.abs(half) <= 1e-15 * r[:, None, None]] = 0.0
+    half[origin] = 0.0
+    # the mirror images (x, -y)
+    pts[:, m:, 0] = half[:, :, 0]
+    np.negative(half[:, :, 1], out=pts[:, m:, 1])
     # a mirror row keeps its m rotations, the origin its first point; the
-    # rest are padding, which sorts last
-    count = np.where(origin, 1, np.where(on_mirror, m, 2 * m))
-    live = np.arange(2 * m) < count[:, None]
-    keys = np.where(live[:, :, None], np.round(pts, _DEDUP_DECIMALS), np.inf)
-    order = np.lexsort((keys[:, :, 1], keys[:, :, 0]), axis=1)
-    at = np.arange(len(rows))[:, None]
-    keys, pts, live = keys[at, order], pts[at, order], live[at, order]
+    # rest are padding, which sorts last.  Each point's key is its rounded
+    # (x, y) as one complex number, which sorts by x, then by y
+    count = np.where(origin, 1, np.where(on_mirror, m, k))
+    live = np.arange(k) < count[:, None]
+    keys = np.where(live[:, :, None], np.round(pts, _DEDUP_DECIMALS), np.inf).view(complex)[:, :, 0]
+    # gathers along each row, as indices into the flattened rows
+    base = (np.arange(len(rows)) * k)[:, None]
+    at = (np.argsort(keys, axis=1, kind="stable") + base).ravel()
+    keys, pts, live = keys.ravel()[at].reshape(-1, k), pts.reshape(-1, 2)[at], live.ravel()[at].reshape(-1, k)
     # of the points with one key the first one listed stays, as in _dedup_points
-    live[:, 1:] &= (keys[:, 1:] != keys[:, :-1]).any(axis=2)
-    pts = pts[at, np.argsort(~live, axis=1, kind="stable")]
+    live[:, 1:] &= keys[:, 1:] != keys[:, :-1]
+    pts = pts[(np.argsort(~live, axis=1, kind="stable") + base).ravel()].reshape(-1, k, 2)
     sizes = live.sum(axis=1)
-    pts[np.arange(2 * m) >= sizes[:, None]] = np.nan
+    pts[np.arange(k) >= sizes[:, None]] = np.nan
     # the points lie on a circle, so the least distance is between two
     # neighbours in angle: each point's to its successor, wrapping within
     # the row's size (NaN padding sorts last)
-    order = np.argsort(np.arctan2(pts[:, :, 1], pts[:, :, 0]), axis=1)
-    ring = pts[at, order]
-    d = ring - ring[at, np.arange(1, 2 * m + 1) % sizes[:, None]]
-    least = np.fmin.reduce(np.sqrt(d[:, :, 0] * d[:, :, 0] + d[:, :, 1] * d[:, :, 1]), axis=1)
+    ring = (np.argsort(np.arctan2(pts[:, :, 1], pts[:, :, 0]), axis=1) + base).ravel()
+    after = ring[(np.arange(1, k + 1) % sizes[:, None] + base).ravel()]
+    flat = pts.reshape(-1, 2)
+    d = flat[ring] - flat[after]
+    least = np.fmin.reduce(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]).reshape(-1, k), axis=1)
     least[sizes == 1] = np.inf
     return OrbitBlock(map_.group, pts, np.zeros(len(rows)), np.array(sizes.tolist(), dtype=object),
-                      least, np.nanmax(np.abs(pts), axis=(1, 2)))
+                      least, np.fmax.reduce(np.abs(pts).reshape(len(rows), -1), axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _turns(m: int) -> np.ndarray:
+    """The angles 2 pi k / m, k < m, of the rotations of I2(m)."""
+    turns = 2.0 * math.pi * np.arange(m) / m
+    turns.flags.writeable = False
+    return turns
 
 
 def _pow(x: float, e: int) -> float:

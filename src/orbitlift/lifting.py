@@ -105,17 +105,20 @@ def _evidence(values: np.ndarray, grid: Grid, levels: int) -> tuple[tuple[Regula
 
 def _continue(values: np.ndarray, orbits, i: int) -> None:
     """values[i] := the point of orbits[i] nearest the linear continuation
-    of values[i-2], values[i-1] (the previous value when i == 1)."""
-    pred = values[i - 1] if i == 1 else 2.0 * values[i - 1] - values[i - 2]
+    of values[i-2], values[i-1]: the previous value when i == 1, and for
+    i == 0 the start that values[0] holds on entry."""
+    pred = values[max(i - 1, 0)] if i < 2 else 2.0 * values[i - 1] - values[i - 2]
     values[i] = orbits[i].nearest(pred)
 
 
 @np.errstate(over="ignore")  # a continuation of values near the largest float overflows to inf
 def _follow(values: np.ndarray, orbits: OrbitBlock, i: int, j: int) -> None:
-    """values[i:j] := what _continue gives sample by sample, for i >= 1.
+    """values[i:j] := what _continue gives sample by sample; for i == 0,
+    values[0] holds the start on entry.
 
     Samples of every family go in verified blocks.  Every value of a block
-    is guessed as the point of its orbit nearest the last known value; the
+    is guessed as the point of its orbit nearest the last known value (the
+    start, for i == 0, which makes the guess of sample 0 its value); the
     linear continuations are made from the guesses, and their nearest
     points found, in one call each.  The prefix whose nearest points are
     the guesses, bit for bit, is accepted: each of its continuations was
@@ -135,14 +138,20 @@ def _follow(values: np.ndarray, orbits: OrbitBlock, i: int, j: int) -> None:
             i, size, singles = i + 1, 2, max(singles - 1, 0)
             continue
         block = orbits[i:k]
-        guess = block.nearest(np.broadcast_to(values[i - 1], (k - i,) + values.shape[1:]))
+        last = max(i - 1, 0)
+        guess = block.nearest(values[last : last + 1].repeat(k - i, axis=0))
         seq = np.concatenate([values[max(i - 2, 0) : i], guess])
         pred = 2.0 * seq[1:-1] - seq[:-2]
-        if i == 1:
-            pred = np.concatenate([values[:1], pred])
+        if i < 2:
+            # samples 0 and 1 continue the value before them alone: the
+            # start and value 0
+            pred = np.concatenate([values[:1], guess[:1]][: 2 - i] + [pred])
         near = block.nearest(pred)
-        same = (near.view(np.int64) == guess.view(np.int64)).reshape(k - i, -1).all(axis=1)
-        m = k - i if same.all() else int(np.argmin(same))
+        if near.tobytes() == guess.tobytes():
+            m = k - i
+        else:
+            same = (near.view(np.int64) == guess.view(np.int64)).reshape(k - i, -1).all(axis=1)
+            m = int(np.argmin(same))
         values[i : i + m] = guess[:m]
         if i + m == k:
             i, size, cool = k, 2 * size, 1
@@ -157,8 +166,8 @@ def _track(orbits: OrbitBlock, start: np.ndarray) -> np.ndarray:
     """Nearest-point tracking with linear extrapolation, from the point of
     the first orbit nearest start; start may hold one strand per row."""
     vals = np.empty((len(orbits),) + start.shape)
-    vals[0] = orbits[0].nearest(start)
-    _follow(vals, orbits, 1, len(orbits))
+    vals[0] = start
+    _follow(vals, orbits, 0, len(orbits))
     return vals
 
 
@@ -221,7 +230,7 @@ def _exit_candidates(orbit: Orbit, predicted: np.ndarray, dt: float):
     the best cost hold the best point, the runner-up and every near-tie,
     which is all the chooser reads; the edges of the hull are reflections,
     and for I2, whose orbit points lie on a circle, neighbours in angle."""
-    batches, seen = [], set()
+    batches, costs, seen = [], [], set()
     best = np.inf
     near = orbit.nearest(predicted)[None, :]
     # each point is expanded once: the nearest point first, whatever its
@@ -238,8 +247,9 @@ def _exit_candidates(orbit: Orbit, predicted: np.ndarray, dt: float):
             break
         seen.update(new)
         pts = cand[list(new.values())]
-        batches.append(pts)
         cost = _norms(pts - predicted) / dt
+        batches.append(pts)
+        costs.append(cost)
         best = min(best, float(cost.min()))
         fresh = pts[expanded:][cost[expanded:] <= best + _TIE_TOL]
         if not fresh.size:
@@ -251,8 +261,8 @@ def _exit_candidates(orbit: Orbit, predicted: np.ndarray, dt: float):
     for i, r in enumerate(orbit.ranks(found)):
         by_rank.setdefault(r, i)
     ranks = sorted(by_rank)
-    pts = found[[by_rank[r] for r in ranks]]
-    return pts, ranks, _norms(pts - predicted) / dt
+    keep = [by_rank[r] for r in ranks]
+    return found[keep], ranks, np.concatenate(costs)[keep]
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

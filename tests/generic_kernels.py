@@ -6,7 +6,12 @@ evaluated on every row and its Newton steps take the values of
 `np.unique(axis=0)`; the gathers are `np.take_along_axis` and the norms
 `np.linalg.norm`; `lifting._exit_candidates` keys its points by tuples;
 `hyperpoly.roots_batch` runs the certificate on every row of degree >= 3
-before the fallback; `hyperpoly._polish_brackets` reads its coefficients as
+before the fallback; `invariants._nearest` breaks ties by a three-key
+lexsort, sets signs by np.where and indexes the D parity flip on every
+call, and `OrbitBlock.nearest` repeats every row for each query;
+`lifting._estimate_window` tracks each of its two segments sample by
+sample from the point nearest its start, and `lifting._exit_candidates`
+computes the costs of the points it keeps again; `hyperpoly._polish_brackets` reads its coefficients as
 strided column slices, writes every live bracket's result at every step and
 shrinks its arrays at every step a bracket stops; `hyperpoly._roots_with_fallback` deflates exact zero
 roots, refuses an overflowing recentring and promotes a short rebuild on
@@ -21,6 +26,7 @@ from orbitlift import hyperpoly as hp
 from orbitlift import invariants as inv
 from orbitlift import lifting as lf
 from orbitlift.errors import NotFinite, RowError
+from orbitlift.windows import fit_side, risky_run
 
 
 def certified_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -154,10 +160,68 @@ def listed_nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.argmin(np.where(np.isnan(d), np.inf, d), axis=2)
 
 
+def nearest(kind: str, spectra: np.ndarray, parity, rows: np.ndarray) -> np.ndarray:
+    """invariants._nearest."""
+    m, n = rows.shape
+    at = np.arange(m)[:, None]
+    v = np.empty_like(rows)
+    if kind == "A":
+        v[at, np.argsort(rows, axis=1, kind="stable")] = spectra
+        return v
+    idx = np.arange(n)
+    neg = ~(rows > 0.0)
+    order = np.lexsort((np.where(neg, -idx, idx), neg, np.abs(rows)), axis=1)
+    v[at, order] = spectra
+    v = np.where(neg, -v, v) + 0.0
+    if kind == "D":
+        odd = np.logical_xor.reduce(v < 0.0, axis=1)
+        wrong = np.flatnonzero(np.where(odd, parity > 0.0, parity < 0.0))
+        j = order[wrong, 0]
+        v[wrong, j] = -v[wrong, j]
+    return v
+
+
 def block_nearest(block: inv.OrbitBlock, p: np.ndarray) -> np.ndarray:
-    """OrbitBlock.nearest of an I2 block."""
-    at = listed_nearest(block.spectra, p.reshape(len(block), -1, 2))
-    return np.take_along_axis(block.spectra, at[:, :, None], axis=1).reshape(p.shape)
+    """OrbitBlock.nearest."""
+    p = np.asarray(p, dtype=float)
+    if block.group.kind == "I2":
+        at = listed_nearest(block.spectra, p.reshape(len(block), -1, 2))
+        return np.take_along_axis(block.spectra, at[:, :, None], axis=1).reshape(p.shape)
+    each = p[0].size // p.shape[-1]
+    spectra, parity = np.repeat(block.spectra, each, axis=0), np.repeat(block.parity, each)
+    return nearest(block.group.kind, spectra, parity, p.reshape(spectra.shape)).reshape(p.shape)
+
+
+@np.errstate(over="ignore")
+def track(orbits: inv.OrbitBlock, start: np.ndarray) -> np.ndarray:
+    """lifting._track, one sample at a time."""
+    vals = np.empty((len(orbits),) + start.shape)
+    vals[0] = block_nearest(orbits[:1], start[None])[0]
+    for k in range(1, len(orbits)):
+        pred = vals[0] if k == 1 else 2.0 * vals[k - 1] - vals[k - 2]
+        vals[k] = block_nearest(orbits[k : k + 1], pred[None])[0]
+    return vals
+
+
+def estimate_window(tpts, orbits, center_t, eps, left_anchor):
+    """lifting._estimate_window."""
+    w = lf._SIDE_WINDOW
+    lo, hi = risky_run(tpts, lf._risky(orbits, eps), center_t)
+    if lo - w < 0 or hi + 1 + 2 >= tpts.size:
+        return None
+    left_vals = track(orbits[lo - w : lo], left_anchor)
+    ls, lq = fit_side(tpts[lo - w : lo] - center_t, left_vals)
+    dt = float(tpts[hi + 1]) - float(tpts[lo - 1])
+    predicted = left_vals[-1] + dt * ls
+    exit_orbit = orbits[hi + 1]
+    cands, ranks, cost = exit_candidates(exit_orbit, predicted, dt)
+    right = slice(hi + 1, min(hi + 1 + w, tpts.size))
+    tracks = track(orbits[right], cands)
+    cs, cq = fit_side(tpts[right] - center_t, tracks.reshape(tracks.shape[0], -1))
+    return lf._WindowEstimate(
+        ls, lq, exit_orbit.size, cands, ranks, cost,
+        cs.reshape(cands.shape), cq.reshape(cands.shape), (lo, hi),
+    )
 
 
 def dihedral_block(map_, rows: np.ndarray, tol: float) -> inv.OrbitBlock:

@@ -808,6 +808,40 @@ class TestLeanKernels:
             assert inv._listed_nearest(got.spectra, q).tolist() == generic_kernels.listed_nearest(
                 want.spectra, q).tolist()
 
+    @pytest.mark.parametrize("spec", ["A:3", "B:2", "B:4", "D:3", "D:4", "D:5"])
+    def test_nearest_matches_the_repeated_rows(self, spec):
+        """_nearest, OrbitBlock.nearest and Orbit.nearest against the kernel
+        with the three-key lexsort and the flip indexed on every call, on
+        every orbit's row repeated for each query (generic_kernels.nearest
+        and block_nearest): one and three queries an orbit, ties of |p_i|
+        and signed zeros in the queries, zero moduli, and D rows with and
+        without a parity flip."""
+        import zlib
+
+        g = inv.parse_group(spec)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()) + 39)
+        spectra, parity = _chamber_rows(g, rng, 65)
+        block = inv._chamber_block(g, spectra, parity)
+        for shape in ((65, g.dim), (65, 1, g.dim), (65, 3, g.dim)):
+            p = rng.uniform(-3.0, 3.0, shape) * rng.choice([0.0, -0.0, 1.0, 1.0], shape)
+            p[::3, ..., 1] = -p[::3, ..., 0]  # ties of |p_i| with both signs
+            assert (np.signbit(p) & (p == 0.0)).any()
+            got = block.nearest(p)
+            assert got.tobytes() == generic_kernels.block_nearest(block, p).tobytes()
+            rows = p.reshape(-1, g.dim)
+            each = rows.shape[0] // 65
+            args = (np.repeat(spectra, each, axis=0), np.repeat(parity, each), rows)
+            assert inv._nearest(g.kind, *args).tobytes() == generic_kernels.nearest(g.kind, *args).tobytes()
+            for k in (0, 7, 64):
+                want = generic_kernels.nearest(g.kind, spectra[k], parity[k], p[k].reshape(-1, g.dim))
+                assert block[k].nearest(p[k]).tobytes() == want.reshape(p[k].shape).tobytes()
+            if g.kind == "D":
+                # the B answer has the wrong parity on some fixed rows: those flip
+                b = generic_kernels.nearest("B", *args)
+                fixed = args[1] != 0.0
+                flipped = (got.reshape(-1, g.dim) != b).any(axis=1)
+                assert flipped[fixed].any() and not flipped[fixed].all()
+
 
 RANK_GROUPS = [f"A:{n}" for n in range(1, 6)] + [f"B:{n}" for n in range(2, 6)] + [
     f"D:{n}" for n in range(3, 6)]

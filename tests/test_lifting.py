@@ -945,6 +945,72 @@ class TestBlockTracker:
         assert len(calls) <= bound * (t.size - 1)
 
 
+class TestWindowEstimate:
+    """`_estimate_window`, whose tracks each take the start into their first
+    block and whose exit candidates keep the costs of their search, against
+    its form that tracks each segment one sample at a time from the point
+    nearest its start, on the generic kernels, and computes the kept
+    candidates' costs again (`generic_kernels.estimate_window`): every
+    field, bit for bit."""
+
+    @staticmethod
+    def _same(got, want):
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        for f in ("left_slope", "left_quad", "candidates", "cost", "cand_slopes", "cand_quads"):
+            assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+            assert getattr(got, f).shape == getattr(want, f).shape, f
+        assert (got.size, got.ranks, got.run) == (want.size, want.ranks, want.run)
+
+    @staticmethod
+    def _cases(g, m, rng):
+        """(points, orbits, eps) of lines through one mirror at levels 5 and
+        6, and of fast paths that cross mirrors between most samples."""
+        for level in (5, 6):
+            c, v = _mirror_line(g, int(rng.integers(1 << 30)), level)
+            t = cd.Grid.dyadic(-1, 1, level).points
+            orbits = inv.orbits_at(m, _sigma_of_line(g, c, v).evaluate(t))
+            yield t, orbits, lf._EPS_FACTOR * max(float(np.max(orbits.max_abs)), 1e-30), c + t[:, None] * v
+        t = cd.Grid.dyadic(-1, 1, 6).points
+        for freq in (25.0, 40.0):
+            a, b, phase = (rng.uniform(-2.0, 2.0, g.dim) for _ in range(3))
+            pts = a + b * np.sin(freq * t[:, None] + phase)
+            orbits = inv.orbits_at(m, m.evaluate(pts))
+            for eps in (1e-3, 0.3):
+                yield t, orbits, eps * float(np.max(orbits.max_abs)), pts
+
+    @pytest.mark.parametrize("spec", ["A:2", "A:4", "B:3", "D:3", "D:4", "I2:3", "I2:6"])
+    def test_estimate_matches_the_sample_by_sample_form(self, spec, monkeypatch):
+        """Windows at every sample's time, so also where the exit segment is
+        cut short by the domain end, from anchors on the path, moved by a
+        group element and far off it; the fast paths' guesses fail in the
+        middle of blocks and send the tracks to single steps."""
+        import zlib
+
+        g, m = group_and_map(spec)
+        rng = np.random.default_rng(zlib.crc32(spec.encode()) + 39)
+        singles, calls = [], []
+        cont, block_nearest = lf._continue, inv.OrbitBlock.nearest
+        monkeypatch.setattr(lf, "_continue", lambda *a: singles.append(1) or cont(*a))
+        monkeypatch.setattr(inv.OrbitBlock, "nearest", lambda b, p: calls.append(1) or block_nearest(b, p))
+        element = g.elements()[-1] if g.order <= 400 else np.eye(g.dim)[::-1]
+        cut = failed = estimates = 0
+        for t, orbits, eps, pts in self._cases(g, m, rng):
+            for i in range(0, t.size, 3):
+                for anchor in (pts[max(i - 9, 0)], element @ pts[max(i - 9, 0)], rng.uniform(-3.0, 3.0, g.dim)):
+                    calls.clear()
+                    got = lf._estimate_window(t, orbits, float(t[i]), eps, anchor)
+                    made = len(calls)
+                    self._same(got, generic_kernels.estimate_window(t, orbits, float(t[i]), eps, anchor))
+                    if got is not None:
+                        estimates += 1
+                        cut += got.run[1] + 1 + lf._SIDE_WINDOW > t.size
+                        # two calls a track when every guess holds
+                        failed += made > 4
+        assert estimates > 50 and cut and failed and singles
+
+
 class TestNearZeroCoordinate:
     """D lines of perfbench's lift inputs (level 5) on which a coordinate
     passes within 6e-5 of 0 at a sample.  A free parity beside a nonzero
