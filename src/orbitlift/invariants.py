@@ -755,6 +755,14 @@ def _sqrt_spectra(a: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
     at = vals[np.arange(m), np.minimum(k, n - 1)][:, None]
     k = np.where(k < n, (vals < at).sum(axis=1), k)
     zero |= np.arange(n) < k[:, None]
+    # a least root far below the next one is known to the rounding noise of
+    # the largest roots alone; the constant term, their product (Vieta),
+    # gives it to its own relative accuracy
+    rest = np.prod(vals[:, 1:], axis=1)
+    small = ~zero[:, 0] & (vals[:, 0] < 1e-4 * vals[:, 1]) & (a[:, -1] > 0.0) & np.isfinite(rest)
+    if small.any():
+        vals = vals.copy()
+        vals[small, 0] = a[small, -1] / rest[small]
     return np.sqrt(np.where(zero, 0.0, vals))
 
 

@@ -1064,3 +1064,18 @@ class TestNearZeroCoordinate:
                 moved = np.einsum("wij,nj->wni", elements, gamma[seg])
                 dev = np.max(np.abs(moved - lift.values[seg]), axis=2) / bound[seg]
                 assert np.min(np.max(dev, axis=1)) <= 1.0
+
+    @pytest.mark.parametrize("t0", [0.0, 0.125])
+    def test_a_coordinate_through_zero_at_a_sample_lifts_twice_differentiable(self, t0):
+        """The seed-35001 line with coordinate 1 through 0 exactly at the
+        sample t0.  Near t0 the least root of the squares polynomial lies far
+        below the others: read from the constant term (Vieta) it keeps its
+        own relative accuracy.  As the solve gives it, to the rounding noise
+        of the largest roots, coordinate 3 certifies only C1."""
+        g, m = group_and_map("D:4")
+        c = np.array([-2.345920769694515, 0.0, -1.0964516067428978, 2.399834457253638])
+        v = np.array([-0.09500790457502088, 0.04274343260679288, 0.6323920475191301, -0.7676110963709515])
+        c[1] = -v[1] * t0
+        lift = lf.lift_curve(g, m, _sigma_of_line(g, c, v), cd.Grid.dyadic(-1, 1, 5))
+        assert [r.verdict for r in lift.reports] == [rc.TWICE] * 4
+        assert lift.unresolved == () and lift.residual_ok
