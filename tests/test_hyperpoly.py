@@ -1208,6 +1208,38 @@ class TestRowForm:
         assert len({index for _, index in outcomes}) > 3
 
 
+class TestRebuildBlock:
+    """The block rebuild gives every row the roots and multiplicities that
+    the row form gives it alone, rows short of real roots included."""
+
+    def test_rows_short_of_real_critical_points(self):
+        # recentred monic rows whose derivatives have complex roots, beside
+        # hyperbolic ones: on some level a row has fewer than d - 1 real
+        # critical points, and its anchors past its upper bound are masked
+        # to that bound
+        rootsets = [
+            [1j, -1j, 2.0, -2.0],
+            [0.5 + 2j, 0.5 - 2j, -1.0, 0.0],
+            [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j],
+            [3.0, -1.0, -1.0, -1.0],
+            [1.5, 0.5, -0.5, -1.5],
+        ]
+        c = []
+        for r in rootsets:
+            r = np.array(r, dtype=complex)
+            c.append(np.real(np.poly(r - r.mean())))
+        c = np.array(c)
+        short = [np.abs(np.roots(np.polyder(row)).imag).max() > 0.1 for row in c]
+        assert any(short) and not all(short)
+        noise = 4.0 * c.shape[1] * np.finfo(float).eps
+        roots, mult = hp._rebuild(c, np.full(len(c), 1e-10), np.full(len(c), noise))
+        for row, r, k in zip(c, roots.tolist(), mult.tolist()):
+            got = [(x, j) for x, j in zip(r, k) if j]
+            assert got == hp._row_rebuild(row.tolist(), 1e-10, noise), row
+        # the row {0.5 +- 2i, -1, 0} finds its two real roots
+        assert mult[1].sum() == 2
+
+
 class TestUncommonRowsInABlock:
     """A block of more than _FLOAT_ROWS rows rebuilds its common rows on the
     block kernels and hands the others to the row form: an exact zero
