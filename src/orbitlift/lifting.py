@@ -195,6 +195,14 @@ class _WindowEstimate:
 
 
 def _estimate_window(tpts, orbits, center_t, eps, left_anchor):
+    """The estimate of the window at center_t, or None when a side has too
+    few samples.  The incoming strand is tracked over the `_SIDE_WINDOW`
+    samples before the risky run, from the point nearest left_anchor, and
+    the exit candidates' strands over up to as many from the exit sample
+    on, cut short by the domain end.  Each side is one tracking pass
+    (`_track`), which takes the point nearest its start as the first
+    block's first guess; the exit candidates come from the incoming
+    strand's continuation, so the exit side is tracked after it."""
     w = _SIDE_WINDOW
     lo, hi = risky_run(tpts, _risky(orbits, eps), center_t)
     if lo - w < 0 or hi + 1 + 2 >= tpts.size:
@@ -247,8 +255,8 @@ def _exit_candidates(orbit: Orbit, predicted: np.ndarray, dt: float):
             break
         seen.update(new)
         pts = cand[list(new.values())]
-        cost = _norms(pts - predicted) / dt
         batches.append(pts)
+        cost = _norms(pts - predicted) / dt
         costs.append(cost)
         best = min(best, float(cost.min()))
         fresh = pts[expanded:][cost[expanded:] <= best + _TIE_TOL]
