@@ -11,9 +11,10 @@ lexsort, sets signs by np.where and indexes the D parity flip on every
 call, and `OrbitBlock.nearest` repeats every row for each query;
 `lifting._estimate_window` tracks each of its two segments sample by
 sample from the point nearest its start, and `lifting._exit_candidates`
-computes the costs of the points it keeps again; `hyperpoly._polish_brackets` reads its coefficients as
-strided column slices, writes every live bracket's result at every step and
-shrinks its arrays at every step a bracket stops; `hyperpoly._roots_with_fallback` deflates exact zero
+computes the costs of the points it keeps again;
+`hyperpoly._polish_brackets` reads its coefficients as strided column
+slices, writes every live bracket's result at every step and shrinks its
+arrays at every step a bracket stops; `hyperpoly._roots_with_fallback` deflates exact zero
 roots, refuses an overflowing recentring and promotes a short rebuild on
 the block, without the row form.  The lean forms must give every row these
 bits, and every refused block its error."""
