@@ -758,11 +758,12 @@ def _sqrt_spectra(a: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
     # a least root far below the next one is known to the rounding noise of
     # the largest roots alone; the constant term, their product (Vieta),
     # gives it to its own relative accuracy
-    rest = np.prod(vals[:, 1:], axis=1)
-    small = ~zero[:, 0] & (vals[:, 0] < 1e-4 * vals[:, 1]) & (a[:, -1] > 0.0) & np.isfinite(rest)
+    with np.errstate(all="ignore"):  # a product past float range gives no root
+        least = a[:, -1] / np.prod(vals[:, 1:], axis=1)
+    small = ~zero[:, 0] & (vals[:, 0] < 1e-4 * vals[:, 1]) & (least > 0.0) & (least < vals[:, 1])
     if small.any():
         vals = vals.copy()
-        vals[small, 0] = a[small, -1] / rest[small]
+        vals[small, 0] = least[small]
     return np.sqrt(np.where(zero, 0.0, vals))
 
 
