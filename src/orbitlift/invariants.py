@@ -758,12 +758,13 @@ def _sqrt_spectra(a: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
     # a least root far below the next one is known to the rounding noise of
     # the largest roots alone; the constant term, their product (Vieta),
     # gives it to its own relative accuracy
-    with np.errstate(all="ignore"):  # a product past float range gives no root
-        least = a[:, -1] / np.prod(vals[:, 1:], axis=1)
-    small = ~zero[:, 0] & (vals[:, 0] < 1e-4 * vals[:, 1]) & (least > 0.0) & (least < vals[:, 1])
-    if small.any():
+    small = np.flatnonzero(~zero[:, 0] & (vals[:, 0] < 1e-4 * vals[:, 1]))
+    if small.size:
+        with np.errstate(all="ignore"):  # a product past float range gives no root
+            least = a[small, -1] / np.prod(vals[small, 1:], axis=1)
+        keep = (least > 0.0) & (least < vals[small, 1])
         vals = vals.copy()
-        vals[small, 0] = least[small]
+        vals[small[keep], 0] = least[keep]
     return np.sqrt(np.where(zero, 0.0, vals))
 
 
