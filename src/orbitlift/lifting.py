@@ -137,22 +137,25 @@ def _follow(values: np.ndarray, orbits: OrbitBlock, i: int, j: int) -> None:
             _continue(values, orbits, i)
             i, size, singles = i + 1, 2, max(singles - 1, 0)
             continue
-        block = orbits[i:k]
+        block = orbits if k - i == len(orbits) else orbits[i:k]
         last = max(i - 1, 0)
         guess = block.nearest(values[last : last + 1].repeat(k - i, axis=0))
-        seq = np.concatenate([values[max(i - 2, 0) : i], guess])
+        # samples 0 and 1 continue the value before them alone: the start
+        # and value 0
+        head = [values[:1].copy(), guess[:1]][: 2 - i] if i < 2 else None
+        # the guesses stand in for the values; steps after a mismatch write
+        # over the ones past it
+        values[i:k] = guess
+        seq = values[max(i - 2, 0) : k]
         pred = 2.0 * seq[1:-1] - seq[:-2]
-        if i < 2:
-            # samples 0 and 1 continue the value before them alone: the
-            # start and value 0
-            pred = np.concatenate([values[:1], guess[:1]][: 2 - i] + [pred])
+        if head:
+            pred = np.concatenate(head + [pred])
         near = block.nearest(pred)
         if near.tobytes() == guess.tobytes():
             m = k - i
         else:
             same = (near.view(np.int64) == guess.view(np.int64)).reshape(k - i, -1).all(axis=1)
             m = int(np.argmin(same))
-        values[i : i + m] = guess[:m]
         if i + m == k:
             i, size, cool = k, 2 * size, 1
         else:
