@@ -326,6 +326,18 @@ class TestSmallModuli:
         least = np.sort(np.abs(fib), axis=1)[:, :2]
         assert np.all(least[:, 0] == least[:, 1]) and np.all(least > 0.0)
 
+    def test_vieta_least_root_only_between_zero_and_the_next_root(self):
+        # the squares 1e-6 < 1 < 2 as a solve gives them, with constant
+        # terms that put a_3 / (1 * 2) at 1.2e-6, past the next root (2) and
+        # below 0: only the first replaces the least root, so the spectra
+        # stay sorted and real whatever the constant term
+        vals = np.array([[1e-6, 1.0, 2.0]] * 3)
+        a = np.array([[3.000001, 2.000003, c] for c in (2.4e-6, 4.0, -2e-6)])
+        got = inv._sqrt_spectra(a, vals, 1e-10)
+        assert got[0, 0] == np.sqrt(1.2e-6)
+        assert np.all(got[1:, 0] == np.sqrt(1e-6))
+        assert np.all(got[:, 1:] == np.sqrt(vals[:, 1:]))
+
     @pytest.mark.parametrize("spec", [f"B:{n}" for n in range(2, 6)] + [f"D:{n}" for n in range(3, 6)])
     def test_one_zero_rule_for_sizes_and_parity(self, spec):
         # one coordinate at +-c 10^-k, k = 0..12: a modulus the solve keeps
