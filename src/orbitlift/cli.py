@@ -207,13 +207,10 @@ def cmd_certify(args) -> int:
         lines.append("source: expr")
         lines.append(f"curve: {args.curve}")
         lines.append("columns: 1")
-        rep = regcheck.certify(
-            lambda pts: curvedsl.evaluate_expr(expr, pts),
-            args.domain or (-1.0, 1.0),
-            levels=args.levels,
-            base_level=max(1, (8 if args.level is None else args.level) - args.levels + 1),
-        )
-        reports.append(("f", rep))
+        domain = args.domain or (-1.0, 1.0)
+        # the samples of the level-L grid, certified as a CSV of them is: at most L levels
+        grid = curvedsl.Grid.dyadic(*domain, 8 if args.level is None else args.level)
+        reports.append(("f", regcheck.certify_samples(curvedsl.evaluate_expr(expr, grid.points), domain, args.levels)))
     for name, rep in reports:
         lines.append(f"column[{name}].verdict: {rep.verdict}")
     for name, rep in reports:

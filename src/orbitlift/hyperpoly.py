@@ -26,36 +26,37 @@ are the expected regime here and must not surface as spurious complex
 pairs.  Complex pairs within the tolerance ball are promoted to real
 multiple roots; a pair outside it raises NotHyperbolic.
 
-A block of more than _FLOAT_ROWS refused rows is rebuilt together, one
-derivative level at a time.  This block form vectorizes the common rows;
-the row form (_row_roots, one row at a time on Python floats) solves every
-uncommon one: an exact root at 0, a recentring that overflows, a rebuild
-short of n real roots.  The anchors of all rows are evaluated, with their
-Horner noise bounds, as one array.  The brackets of all rows are polished
-in one call: on arrays while _ARRAY_BRACKETS or more of them are live, then
-on Python floats, each straggler resumed where the arrays left it.  The
-runs of zero values of all rows are polished as multiple roots by one
-Newton per multiplicity.  The cluster collapse then runs once over every
-row with a near gap, its widths scanned column by column and its multiple
-roots again polished by one Newton per cluster size.  A smaller block, such
-as the one crossing row of a curve that the certificate refuses at a
-collision, is solved in the row form whole, which spares it the block
-kernels' fixed numpy costs per level.  The array and float forms of a
-kernel run the same float operations in the same order, both forms sort as
-np.sort does, and a cluster's mean is summed in np.mean's order, so a row
-gets the same bits alone, in the row form or in a block of any size.
+roots_batch is one flow.  It picks the rows the certificate sees, hands
+the rows it refuses to one fallback that never raises, and raises the first
+refused row.  The certificate sees every row unless the block is solved
+proof first, where the certificate would refuse most rows: a finite block
+of degree >= 3 and at least _PROOF_ROWS rows (a sampled curve) whose first,
+middle and last rows all show an eigenvalue gap of at most the
+certificate's least gap.  There the fallback solves every row first, and a
+row whose rebuilt roots prove, by Rouché's theorem at its narrowest pair,
+that P has two roots closer than any certificate allows, or a complex pair,
+skips the eigensolve.  Both orders give every row the same bits and every
+refused block the same error.
 
-roots_batch does this work in one of two orders.  Certificate first, the
-default, runs the eigensolve on every row and rebuilds the rows it refuses.
-Proof first runs where the certificate would refuse most rows: a finite
-block of degree >= 3 and at least _PROOF_ROWS rows (a sampled curve) whose
-first, middle and last rows all show an eigenvalue gap of at most the
-certificate's least gap.  There every row is rebuilt first.  A row whose
-rebuilt roots prove, by Rouché's theorem at its narrowest pair, that P has
-two roots closer than any certificate allows, or a complex pair, falls
-back without the eigensolve, and only the other rows go through the
-certificate.  Both orders give every row the same bits and every refused
-block the same error.
+The fallback (_fallback) alone chooses how a row is rebuilt.  A block of at
+most _FLOAT_ROWS rows, such as the one crossing row of a curve that the
+certificate refuses at a collision, is solved in the row form (_row_roots,
+one row at a time on Python floats), which spares it the block kernels'
+fixed numpy costs per level.  A larger block is rebuilt together, one
+derivative level at a time (_block_roots).  This block form vectorizes the
+common rows, and the row form solves every uncommon one: an exact root at
+0, a recentring that overflows, a rebuild short of n real roots.  The
+anchors of all rows are evaluated, with their Horner noise bounds, as one
+array.  The brackets of all rows are polished in one call: on arrays while
+_ARRAY_BRACKETS or more of them are live, then on Python floats, each
+straggler resumed where the arrays left it.  The runs of zero values of all
+rows are polished as multiple roots by one Newton per multiplicity.  The
+cluster collapse then runs once over every row with a near gap, its widths
+scanned column by column and its multiple roots again polished by one
+Newton per cluster size.  The array and float forms of a kernel run the
+same float operations in the same order, both forms sort as np.sort does,
+and a cluster's mean is summed in np.mean's order, so a row gets the same
+bits alone, in the row form or in a block of any size.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,7 +86,7 @@ _GAP_MARGIN = 2.0
 # bracket take 36 ms and floats alone 299 ms.  The select and lift rounds of
 # those seeds polish no block: their rebuilds run in the row form.
 _ARRAY_BRACKETS = 64
-# _uncertified_roots solves a block of degree >= 3 with at most this many rows
+# _fallback solves a block of degree >= 3 with at most this many rows
 # one row at a time on Python floats (_row_roots).  On blocks of 1-12 rows of
 # degree 3-8 that each hold a double root (2-core x86 host, best of 15), that
 # takes 0.14-0.27 of the block kernels' time on 1 row, 0.81-0.96 on 8, 0.95-1.06 on 10.
@@ -169,7 +170,9 @@ def roots(poly: MonicHyperbolic, tol: float = 1e-10) -> RootMultiset:
 
 def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Sorted roots of each row of an (N, n) block of coefficient vectors,
-    and the (N,) mask of the rows the certificate refused.
+    and the (N,) mask of the rows that fell back: every row of degree <= 2,
+    whether or not its closed form needed the tol-ball, and each row of
+    degree >= 3 that the certificate refused.
 
     One stacked eigensolve of the companion matrices and _BATCH_NEWTON
     Newton steps give candidate roots r_0 < ... < r_(n-1) for every row.  A
@@ -183,114 +186,105 @@ def roots_batch(rows, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     * P(r - d) P(r + d) < 0 with d = 1e-9 max(1, |r|), so each root lies
       within d of its r.
     The signs are evaluated only for the rows whose candidates are finite
-    and pass the gap test; the others are refused without them.  The
-    refused rows, and every row of degree <= 2, are solved together by the
-    fallback: the closed forms, else the interlacing rebuild, which runs
-    level by level over a block of more than _FLOAT_ROWS of them and one
-    row at a time on Python floats over a smaller one, by the same float
-    operations in the same order.  Each row's answer is the one it gets
-    alone.  The first row refused raises, carrying its
-    row index as `index`: NotFinite for a row that is not finite, else the
-    fallback's NotHyperbolic, RootSolveFailed or NotFinite.
+    and pass the gap test; the others are refused without them.
 
-    That is the certificate-first order.  A finite block of degree >= 3
-    with at least _PROOF_ROWS rows runs proof first when one eigensolve of
-    its first, middle and last rows finds a gap of at most
-    _GAP_MARGIN * tol^(1/2) in all three: every row is rebuilt, without
-    raising; the rows that _refused_by_proof shows the certificate must
-    refuse fall back at once; the others go through the certificate as
-    above, and the first refused row that failed its rebuild raises.  The mask, every root and every
-    error are those of the certificate-first order.
+    The certificate sees every row, a row that is not finite as zeros, which
+    it refuses.  A finite block of degree >= 3 with at least _PROOF_ROWS rows
+    runs proof first when one eigensolve of its first, middle and last rows
+    finds a gap of at most _GAP_MARGIN * tol^(1/2) in all three: the fallback
+    solves every row first, and the certificate sees only the rows that
+    _refused_by_proof cannot show it would refuse.  The finite rows that
+    fall back get the fallback's roots (_fallback), each the answer it gets
+    alone.  Then the first refused row raises, carrying its row index as
+    `index`: NotFinite for a row that is not finite, else the fallback's
+    NotHyperbolic, RootSolveFailed or NotFinite.  Both orders give every
+    row the same roots, mask and error.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError("rows must be an (N, n) array with n >= 1")
+    m, n = rows.shape
     finite = np.isfinite(rows).all(axis=1)
-    if rows.shape[1] >= 3 and rows.shape[0] >= _PROOF_ROWS and finite.all() and _clustered_ends(rows, tol):
-        return _proof_first(rows, tol)
-    if rows.shape[1] >= 3:
-        # a non-finite row is solved as zeros, which no certificate accepts
-        values, good = _certified_roots(np.where(finite[:, None], rows, 0.0), tol)
-        fell_back = ~(finite & good)
+    all_finite = bool(finite.all())
+    proof_first = n >= 3 and m >= _PROOF_ROWS and all_finite and _clustered_ends(rows, tol)
+    if proof_first:
+        values, refused = _fallback(rows, tol)
+        seen = np.flatnonzero(~_refused_by_proof(rows, values, tol))
     else:
-        values, fell_back = np.empty(rows.shape), np.ones(rows.shape[0], dtype=bool)
-    # the first row that is not finite ends the block
-    stop = rows.shape[0] if finite.all() else int(np.argmin(finite))
-    todo = fell_back[:stop].nonzero()[0]
-    if todo.size:
-        try:
-            values[todo] = _uncertified_roots(rows[todo], tol)
-        except RowError as exc:
-            exc.index = int(todo[exc.index])
-            raise
-    if stop < rows.shape[0]:
-        raise NotFinite("coefficients must be finite", index=stop)
+        values, refused, seen = np.empty(rows.shape), {}, slice(None if n >= 3 else 0)
+    fell_back, cand = np.ones(m, dtype=bool), rows[seen]
+    if len(cand):  # certificate first, a row that is not finite is seen as zeros
+        x, good = _certified_roots(cand if all_finite else np.where(finite[:, None], cand, 0.0), tol)
+        fell_back[seen] = ~good
+        values[seen] = np.where(good[:, None], x, values[seen])
+    todo = () if proof_first else np.flatnonzero(fell_back if all_finite else fell_back & finite)
+    if len(todo):
+        values[todo], refused = _fallback(rows[todo], tol)
+        refused = {int(todo[i]): exc for i, exc in refused.items()}
+    if not all_finite:
+        refused.update((i, NotFinite("coefficients must be finite")) for i in np.flatnonzero(~finite).tolist())
+    first = min((i for i in refused if fell_back[i]), default=None)
+    if first is not None:
+        refused[first].index = first
+        raise refused[first]
     return values, fell_back
 
 
-def _uncertified_roots(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Sorted roots of a block of rows the certificate refused (or of degree
-    <= 2), from the closed forms or the interlacing rebuild.  Nothing ties a
-    rebuilt answer to the coefficients as the closed forms' tol-ball rule
-    does, so it must give them back to within 10 tol^(1/2) scale, or raise
-    RootSolveFailed: roots are told apart only beyond the pair width
-    tol^(1/2), and a collapsed cluster moves the coefficients by as much.
-    The first failing row raises, with its index in the block as `index`:
-    NotFinite when its roots, or the polynomial recentred to find them,
-    overflow.  A block of degree >= 3 and at most _FLOAT_ROWS rows is solved
-    and checked one row at a time on Python floats (_row_roots), by the
-    block's operations in the block's order, so it gets the same bits."""
+def _fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, dict[int, RowError]]:
+    """The sorted roots of each row of a block, from the closed forms or the
+    interlacing rebuild, and the error of each row it refuses, keyed by the
+    row's index in the block, with `index` unset.  It never raises.
+
+    A row of degree <= 2 takes the closed forms; one without real roots is
+    refused with NotHyperbolic, or NotFinite when its roots overflow.  Rows
+    of degree n >= 3 are rebuilt, and here alone the form is chosen: the row
+    form (_row_roots) solves a block of at most _FLOAT_ROWS rows whole, and
+    each uncommon row that the block form (_block_roots) leaves in a larger
+    one.  Nothing ties a rebuilt answer to the coefficients as the closed
+    forms' tol-ball rule does, so it must give them back to within
+    10 tol^(1/2) scale, checked on Python floats for the row form's rows and
+    on arrays for the block's: roots are told apart only beyond the pair
+    width tol^(1/2), and a collapsed cluster moves the coefficients by as
+    much.  A rebuilt row is refused with NotFinite when its roots, or the
+    polynomial recentred to find them, overflow, NotHyperbolic when a
+    complex pair remains, and RootSolveFailed when it fails that check."""
     m, n = rows.shape
-    if n >= 3 and m <= _FLOAT_ROWS:
-        out = []
-        for i, row in enumerate(rows.tolist()):
-            vals, solved = _row_roots(row, tol)
-            vals = _sorted(vals)
-            miss = max(abs(ej - aj) for ej, aj in zip(_elementary(vals), row))  # max(), as in the block
-            if not (solved and miss <= 10.0 * math.sqrt(tol) * (1.0 + max(map(abs, row)))):
-                raise _refusal(i, n, tol, solved, any(map(math.isinf, vals)), miss)
-            out.append(vals)
-        return np.array(out)
-    vals, failed, refusal = _checked_roots(rows, tol)
-    if failed.any():
-        raise refusal(int(np.argmax(failed)))
-    return vals
-
-
-def _checked_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, Callable[[int], RowError]]:
-    """The block form of _uncertified_roots without raising: the sorted
-    roots of every row, the mask of the rows that fail, and the error of a
-    failing row given its index in the block."""
-    n = rows.shape[1]
-    vals, solved = _roots_with_fallback(rows, tol)
-    failed, miss = ~solved, None
-    if n >= 3:
-        vals = np.sort(vals, axis=1)
-        with np.errstate(invalid="ignore"):  # a refused row's nan or inf roots
-            e = np.array(_elementary(list(vals.T))).T
-        gap = np.abs(e - rows)
+    bound = 10.0 * math.sqrt(tol)
+    if n <= 2:
+        values, real = (rows.copy(), np.ones(m, dtype=bool)) if n == 1 else _quadratic_roots(rows, tol)
+        failing, rest = [(i, False, None) for i in np.flatnonzero(~real).tolist()], ()
+    elif m <= _FLOAT_ROWS:
+        values, failing, rest = np.empty((m, n)), [], range(m)
+    else:
+        values, common = _block_roots(rows, tol)
+        with np.errstate(all="ignore"):
+            values = np.sort(values, axis=1)
+            gap = np.abs(np.array(_elementary(list(values.T))).T - rows)
         miss = gap[:, 0]
         for j in range(1, n):
             miss = np.where(gap[:, j] > miss, gap[:, j], miss)  # max(), as on floats
-        scale = 1.0 + np.max(np.abs(rows), axis=1)
-        failed |= ~(miss <= 10.0 * math.sqrt(tol) * scale)
-    return vals, failed, lambda i: _refusal(i, n, tol, solved[i], np.isinf(vals[i]).any(),
-                                            miss[i] if solved[i] else None)
+        bad = common & ~(miss <= bound * (1.0 + np.max(np.abs(rows), axis=1)))
+        failing, rest = [(i, True, miss[i]) for i in np.flatnonzero(bad).tolist()], np.flatnonzero(~common).tolist()
+    for i in rest:
+        row = rows[i].tolist()
+        vals, solved = _row_roots(row, tol)
+        values[i] = vals = _sorted(vals)
+        miss = max(abs(ej - aj) for ej, aj in zip(_elementary(vals), row))  # max(), as on arrays
+        if not (solved and miss <= bound * (1.0 + max(map(abs, row)))):
+            failing.append((i, solved, miss))
+    return values, {i: _refusal(n, tol, solved, np.isinf(values[i]).any(), miss) for i, solved, miss in failing}
 
 
-def _refusal(index: int, n: int, tol: float, solved: bool, overflow: bool, miss) -> RowError:
-    """The error of a failing row of _uncertified_roots."""
+def _refusal(n: int, tol: float, solved: bool, overflow: bool, miss) -> RowError:
+    """The error of a row that _fallback refuses."""
     if not solved and overflow:
-        exc = NotFinite(f"the roots, or the recentred polynomial, overflow (degree {n})")
-    elif not solved:
-        exc = NotHyperbolic(f"certified complex root pair (degree {n}, tol {tol:g})")
-    else:
-        exc = RootSolveFailed(f"roots fail the backward check: they miss the coefficients"
-                              f" by {miss:.3g} (degree {n}, tol {tol:g})")
-    exc.index = index
-    return exc
+        return NotFinite(f"the roots, or the recentred polynomial, overflow (degree {n})")
+    if not solved:
+        return NotHyperbolic(f"certified complex root pair (degree {n}, tol {tol:g})")
+    return RootSolveFailed(f"roots fail the backward check: they miss the coefficients"
+                           f" by {miss:.3g} (degree {n}, tol {tol:g})")
 
 
 # -- certified roots: one stacked eigensolve, checked by sign alternation ----
@@ -367,26 +361,6 @@ def _clustered_ends(rows: np.ndarray, tol: float) -> bool:
     with np.errstate(all="ignore"):
         gaps = np.diff(_eigenvalues(_descending(rows[[0, len(rows) // 2, -1]])), axis=1)
     return bool((gaps <= _GAP_MARGIN * math.sqrt(tol)).any(axis=1).all())
-
-
-def _proof_first(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """roots_batch on a finite block of degree >= 3, proof first: every row
-    is rebuilt, the rows whose rebuilt roots prove that the certificate
-    refuses them fall back without the eigensolve, and only the others go
-    through the certificate.  Each row gets the bits, and a refused row the
-    error, that the certificate-first order gives it."""
-    with np.errstate(all="ignore"):
-        values, failed, refusal = _checked_roots(rows, tol)
-    todo = np.flatnonzero(~_refused_by_proof(rows, values, tol))
-    fell_back = np.ones(rows.shape[0], dtype=bool)
-    if todo.size:  # no certificate pass when the proof refuses every row
-        x, good = _certified_roots(rows[todo], tol)
-        certified = todo[good]
-        values[certified] = x[good]
-        fell_back[certified] = False
-    if (fell_back & failed).any():
-        raise refusal(int(np.argmax(fell_back & failed)))
-    return values, fell_back
 
 
 def _refused_by_proof(rows: np.ndarray, values: np.ndarray, tol: float) -> np.ndarray:
@@ -853,28 +827,20 @@ def _quadratic_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     return vals, (~double | (-disc <= 4.0 * tol * scale / s / s)) & ~np.isinf(r1)
 
 
-def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of each row (not sorted), from the closed forms or the
-    interlacing rebuild, and the mask of the rows found hyperbolic.  A row
-    refused because its roots or its recentring overflow holds an inf.
-
-    The block form vectorizes the common rows, those whose recentring stays
-    finite and whose rebuild finds exactly n real roots.  Every other row
-    gets what the row form (_row_roots) gives it: an exact root at 0, a
-    recentring that overflows, a rebuild short of n real roots (the tol-ball
-    promotion) or past them."""
+def _block_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The block form of the rebuild on rows of degree n >= 3: the sorted
+    roots of each common row, and the mask of those rows.  A common row's
+    recentring stays finite and its rebuild finds exactly n real roots; the
+    others (an exact root at 0, a recentring that overflows, a rebuild short
+    of n real roots or past them) read NaN, left to the row form."""
     m, n = rows.shape
-    if n == 1:
-        return rows.copy(), np.ones(m, dtype=bool)
-    if n == 2:
-        return _quadratic_roots(rows, tol)
     # Recenter at the root centroid: clusters far from the origin are badly
     # conditioned in the raw coefficients, and the centroid is exact in a1.
     # The tol-ball stays anchored to the ORIGINAL coefficient scale, so the
     # effective tolerance in the shifted frame compensates for the rescaling.
     mu = rows[:, 0] / n
     scale = 1.0 + np.max(np.abs(rows), axis=1)
-    out, ok = np.empty((m, n)), np.zeros(m, dtype=bool)
+    out, ok = np.full((m, n), np.nan), np.zeros(m, dtype=bool)
     with np.errstate(all="ignore"):
         c = np.array(_taylor_shift(_descending(rows).T, mu)).T
         # rounding inside the shift leaves absolute coefficient noise at the
@@ -892,8 +858,6 @@ def _roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
         if near.any():
             vals[near] = _collapse_clusters(vals[near], tol, c[keep[near]])
         out[keep], ok[keep] = vals + mu[keep, None], True
-    for i in np.flatnonzero(~ok).tolist():
-        out[i], ok[i] = _row_roots(rows[i].tolist(), tol)
     return out, ok
 
 
@@ -914,9 +878,8 @@ def _sorted(values: list[float]) -> list[float]:
 
 
 def _row_roots(row: list[float], tol: float) -> tuple[list[float], bool]:
-    """_roots_with_fallback on one row of degree n >= 3: its roots and
-    whether it was found hyperbolic.  It alone decides what an uncommon row
-    gets: an exact root at 0 is deflated, a recentring that overflows reads
+    """The rebuild on one row of degree n >= 3: its roots and whether it was
+    found hyperbolic.  It alone decides what an uncommon row gets: an exact root at 0 is deflated, a recentring that overflows reads
     +inf, and a rebuild short of n real roots is promoted in the tol-ball."""
     n = len(row)
     c = [1.0] + [a if j % 2 else -a for j, a in enumerate(row)]

@@ -14,10 +14,11 @@ sample from the point nearest its start, and `lifting._exit_candidates`
 computes the costs of the points it keeps again;
 `hyperpoly._polish_brackets` reads its coefficients as strided column
 slices, writes every live bracket's result at every step and shrinks its
-arrays at every step a bracket stops; `hyperpoly._roots_with_fallback` deflates exact zero
-roots, refuses an overflowing recentring and promotes a short rebuild on
-the block, without the row form.  The lean forms must give every row these
-bits, and every refused block its error."""
+arrays at every step a bracket stops; `hyperpoly._fallback` deflates exact
+zero roots, refuses an overflowing recentring and promotes a short rebuild
+on the block, without the row form, and checks every row on arrays.  The
+lean forms must give every row these bits, and every refused block its
+error."""
 
 import math
 
@@ -26,7 +27,7 @@ import numpy as np
 from orbitlift import hyperpoly as hp
 from orbitlift import invariants as inv
 from orbitlift import lifting as lf
-from orbitlift.errors import NotFinite, RowError
+from orbitlift.errors import NotFinite
 from orbitlift.windows import fit_side, risky_run
 
 
@@ -74,18 +75,38 @@ def certificate_first_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, n
     stop = rows.shape[0] if finite.all() else int(np.argmin(finite))
     todo = fell_back[:stop].nonzero()[0]
     if todo.size:
-        try:
-            values[todo] = hp._uncertified_roots(rows[todo], tol)
-        except RowError as exc:
-            exc.index = int(todo[exc.index])
-            raise
+        values[todo], refused = hp._fallback(rows[todo], tol)
+        if refused:
+            exc = refused[min(refused)]
+            exc.index = int(todo[min(refused)])
+            raise exc
     if stop < rows.shape[0]:
         raise NotFinite("coefficients must be finite", index=stop)
     return values, fell_back
 
 
+def fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, dict]:
+    """hyperpoly._fallback with every row on the block kernels
+    (roots_with_fallback below) and the backward check on arrays."""
+    n = rows.shape[1]
+    vals, solved = roots_with_fallback(rows, tol)
+    failed, miss = ~solved, np.full(rows.shape[0], np.nan)
+    if n >= 3:
+        with np.errstate(all="ignore"):
+            vals = np.sort(vals, axis=1)
+            gap = np.abs(np.array(hp._elementary(list(vals.T))).T - rows)
+        miss = gap[:, 0]
+        for j in range(1, n):
+            miss = np.where(gap[:, j] > miss, gap[:, j], miss)
+        failed |= ~(miss <= 10.0 * math.sqrt(tol) * (1.0 + np.max(np.abs(rows), axis=1)))
+    return vals, {i: hp._refusal(n, tol, solved[i], np.isinf(vals[i]).any(), miss[i])
+                  for i in np.flatnonzero(failed).tolist()}
+
+
 def roots_with_fallback(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """hyperpoly._roots_with_fallback with every uncommon row on the block."""
+    """Roots of each row (not sorted), from the closed forms or the rebuild,
+    and the mask of the rows found hyperbolic: hyperpoly._block_roots with
+    every uncommon row on the block, without the row form."""
     m, n = rows.shape
     if n == 1:
         return rows.copy(), np.ones(m, dtype=bool)

@@ -87,6 +87,28 @@ class TestCertify:
         assert code == EXIT_OK
         assert f"column[f].verdict: {regcheck.LIPSCHITZ}" in rep.read_text()
 
+    @pytest.mark.parametrize("level", [4, 5, 6, 8])
+    def test_expression_certifies_its_level_as_its_csv_does(self, level, tmp_path):
+        # at most `level` levels, the finest of them `level`: the report of
+        # the expression's rows at that level, read from a CSV
+        from orbitlift.curvedsl import Grid, write_samples_csv
+
+        t = Grid.dyadic(-1.0, 1.0, level).points
+        write_samples_csv(tmp_path / "f.csv", t, (t * t)[:, None], ["f"])
+        reports = [tmp_path / "expr.txt", tmp_path / "csv.txt"]
+        assert run(["certify", "--curve", "t^2", "--level", str(level), "--report", str(reports[0])]) == EXIT_OK
+        assert run(["certify", "--csv", str(tmp_path / "f.csv"), "--report", str(reports[1])]) == EXIT_OK
+        expr, rows = (report.read_text().splitlines() for report in reports)
+        assert expr[3:] == rows[2:]  # past the headers tool/source/curve/columns and tool/source/columns
+        assert f"column[f].report.levels: {min(level, 6)}" in expr
+        assert f"column[f].report.level[{min(level, 6) - 1}].k: {level}" in expr
+
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_expression_below_four_levels_exit_2(self, level, capsys):
+        assert run(["certify", "--curve", "t^2", "--level", str(level)]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: need at least 4 dyadic levels of samples\n"
+
     def test_strict_inconclusive_exit_3(self, tmp_path):
         code = run([
             "certify", "--curve", "powabs(t,0.8)", "--domain", "-1:1", "--level", "9",
@@ -671,6 +693,63 @@ class TestStartup:
             assert "numpy" in loaded
 
 
+GOLDEN = Path(__file__).with_name("readme_golden")
+GOLDEN_FILES = sorted(f.name for f in GOLDEN.glob("*") if f.name != "manifest.json")
+
+
+def readme_outputs(tmp_path) -> tuple[dict, dict]:
+    """The exit codes of the README commands (TestStartup.readme_commands,
+    select and lift also writing their CSVs, as the README's do), each run
+    in a fresh process, and every output's bytes by file name: each
+    command's stdout as NAME.stdout, and the reports and CSVs it writes."""
+    src = str(Path(orbitlift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
+               COLUMNS="80")  # --help wraps at the terminal's width
+    (tmp_path / "out").mkdir()
+    exits, outputs = {}, {}
+    for name, argv in TestStartup.readme_commands(tmp_path / "out").items():
+        key = name.lstrip("-")
+        if name in ("select", "lift"):
+            argv = argv + ["--out", str(tmp_path / "out" / f"{key}.csv")]
+        proc = subprocess.run([sys.executable, "-m", "orbitlift.cli", *argv], env=env, capture_output=True)
+        exits[key], outputs[f"{key}.stdout"] = proc.returncode, proc.stdout
+    outputs.update((f.name, f.read_bytes()) for f in (tmp_path / "out").iterdir() if f.name != "branches.csv")
+    return exits, outputs
+
+
+def golden_versions() -> dict:
+    return {"numpy": np.__version__, "python": "%d.%d" % sys.version_info[:2]}
+
+
+class TestReadmeGolden:
+    """The README commands give the stdout, exit codes, reports and CSVs
+    recorded under tests/readme_golden, byte for byte.  Their floats follow
+    numpy's kernels and the help text Python's argparse, so the files hold
+    the versions they were made with, and the test is skipped on others.
+    `PYTHONPATH=src python tests/test_cli.py` writes them anew."""
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        manifest = json.loads((GOLDEN / "manifest.json").read_text())
+        made = {k: manifest[k] for k in ("numpy", "python")}
+        if made != golden_versions():
+            pytest.skip(f"not comparable: made with {made}, running {golden_versions()}")
+        return manifest, readme_outputs(tmp_path_factory.mktemp("readme"))
+
+    def test_exit_codes(self, outputs):
+        manifest, (exits, _) = outputs
+        assert exits == manifest["exit"]
+
+    def test_the_same_files(self, outputs):
+        _, (_, got) = outputs
+        assert sorted(got) == GOLDEN_FILES
+
+    @pytest.mark.parametrize("name", GOLDEN_FILES)
+    def test_output(self, outputs, name):
+        _, (_, got) = outputs
+        assert got.get(name) == (GOLDEN / name).read_bytes(), name
+
+
 class TestPackageSurface:
     SUBMODULES = ["catalog", "curvedsl", "errors", "hyperpoly", "invariants", "lifting", "regcheck", "rootflow"]
 
@@ -712,3 +791,17 @@ class TestPackageSurface:
         with pytest.raises(AttributeError, match="no attribute 'nosuchmodule'"):
             orbitlift.nosuchmodule
         assert not hasattr(orbitlift, "windows_")
+
+
+if __name__ == "__main__":
+    # rewrite tests/readme_golden from this checkout's program
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        exits, outputs = readme_outputs(Path(tmp))
+    GOLDEN.mkdir(exist_ok=True)
+    for old in GOLDEN.iterdir():
+        old.unlink()
+    for name, data in outputs.items():
+        (GOLDEN / name).write_bytes(data)
+    (GOLDEN / "manifest.json").write_text(json.dumps(dict(golden_versions(), exit=exits), indent=2) + "\n")

@@ -405,7 +405,7 @@ def clustered_polish_calls():
             while len(roots) < deg:
                 roots.append(next(lanes) + rng.uniform(-0.5, 0.5) * t)
             rows = np.array(hp._elementary(list(np.sort(np.array(roots), axis=0)))).T
-            hp._roots_with_fallback(rows, 1e-10)
+            hp._block_roots(rows, 1e-10)
     finally:
         hp._polish_brackets = kernel
     return calls
@@ -684,21 +684,23 @@ class TestBlockKernels:
             got = (0.0 + hp._mean_sum(list(terms))) / n
             assert bits(got) == bits(np.array([np.mean(terms[:, k]) for k in range(5)])), n
 
-    def test_deflated_row_collapses_with_its_raw_coefficients(self):
+    def test_deflated_row_collapses_with_its_raw_coefficients(self, monkeypatch):
         # roots {0, 2e-9, 3e-9, 1, 2}: the constant term is exactly 0, so the
         # fallback deflates the 0 and collapses the cluster with the row's
         # own coefficients, in the block as alone
         rows = np.array([from_roots([0.0, 2e-9, 3e-9, 1.0, 2.0]).coeffs,
                          from_roots([-1.0, 0.5, 0.5 + 1e-9, 1.0, 2.0]).coeffs])
         assert rows[0, -1] == 0.0
-        got, ok = hp._roots_with_fallback(rows, 1e-10)
-        assert ok.all()
-        rest, _ = hp._roots_with_fallback(rows[:1, :-1], 1e-10)
+        alone = hp._fallback(rows[:1], 1e-10)[0][0]
+        monkeypatch.setattr(hp, "_FLOAT_ROWS", 0)
+        got, refused = hp._fallback(rows, 1e-10)
+        assert not refused
+        rest, _ = hp._fallback(rows[:1, :-1], 1e-10)
         c = np.concatenate(([1.0], rows[0] * (-1.0) ** np.arange(1, 6)))
         ref = scalar_kernels.collapse_clusters(np.sort(np.append(rest[0], 0.0)), 1e-10, c)
         assert bits(got[0]) == bits(ref)
         assert got[0, 0] == got[0, 1] == got[0, 2] != 0.0
-        assert bits(hp._roots_with_fallback(rows[:1], 1e-10)[0][0]) == bits(got[0])
+        assert bits(alone) == bits(got[0])
 
 
 def delta(r):
@@ -1124,11 +1126,12 @@ def row_form_rows():
 
 
 def solve(rows, tol=1e-10):
-    """_uncertified_roots' roots, or its error's type, index and message."""
-    try:
-        return hp._uncertified_roots(np.array(rows, dtype=float), tol)
-    except RowError as exc:
-        return type(exc), exc.index, str(exc)
+    """_fallback's roots, or its first refused row's error type, index and message."""
+    values, refused = hp._fallback(np.array(rows, dtype=float), tol)
+    if refused:
+        first = min(refused)
+        return type(refused[first]), first, str(refused[first])
+    return values
 
 
 def same(a, b):
@@ -1144,9 +1147,9 @@ class TestRowForm:
         kernel, calls = hp._row_roots, []
         monkeypatch.setattr(hp, "_row_roots", lambda row, tol: calls.append(row) or kernel(row, tol))
         rows = np.array([from_roots([1.0, 1.0, 2.0 + k]).coeffs for k in range(hp._FLOAT_ROWS + 1)])
-        hp._uncertified_roots(rows[:-1], 1e-10)
+        hp._fallback(rows[:-1], 1e-10)
         assert len(calls) == hp._FLOAT_ROWS
-        hp._uncertified_roots(rows, 1e-10)
+        hp._fallback(rows, 1e-10)
         assert len(calls) == hp._FLOAT_ROWS
 
     def test_recorded_calls(self, monkeypatch):
@@ -1172,7 +1175,7 @@ class TestRowForm:
         monkeypatch.setattr(hp, "_row_roots", lambda row, tol: handed.append(row) or kernel(row, tol))
         monkeypatch.setattr(hp, "_FLOAT_ROWS", 0)
         blocks = [solve([row]) for row in rows]
-        monkeypatch.setattr(hp, "_roots_with_fallback", generic_kernels.roots_with_fallback)
+        monkeypatch.setattr(hp, "_fallback", generic_kernels.fallback)
         for row, a, b in zip(rows, floats, blocks):
             assert same(a, b) and same(a, solve([row])), row
         kinds = {"ok" if isinstance(a, np.ndarray) else a[0] for a in floats}
@@ -1198,7 +1201,7 @@ class TestRowForm:
                 block = np.array(group[i:i + k])
                 got, past = solve(block), solve(np.vstack([block, extra]))
                 with monkeypatch.context() as patch:
-                    patch.setattr(hp, "_roots_with_fallback", generic_kernels.roots_with_fallback)
+                    patch.setattr(hp, "_fallback", generic_kernels.fallback)
                     want = solve(np.vstack([block, extra]))
                 if isinstance(got, np.ndarray):
                     assert bits(got) == bits(past[:k]) == bits(want[:k])
@@ -1277,13 +1280,35 @@ class TestUncommonRowsInABlock:
             assert batch(block) == (NotFinite, at, alone[-1][2])
             assert self.OVERFLOW.tolist() in handed
         # the block fallback that keeps every row on the block kernels agrees
-        monkeypatch.setattr(hp, "_roots_with_fallback", generic_kernels.roots_with_fallback)
+        monkeypatch.setattr(hp, "_fallback", generic_kernels.fallback)
         assert same_outcome(batch(np.array(rows)), (values, fell_back))
 
+    def test_the_block_checks_its_common_rows(self, monkeypatch):
+        # a common row whose block roots miss its coefficients is refused by
+        # the check on arrays, with the miss the check on floats reads
+        rows = np.array(self.ORDINARY)
+        kernel = hp._block_roots
+
+        def nudged(rows, tol):
+            values, common = kernel(rows, tol)
+            values[4] += 1e-3
+            return values, common
+
+        monkeypatch.setattr(hp, "_block_roots", nudged)
+        values, refused = hp._fallback(rows, 1e-10)
+        assert list(refused) == [4] and type(refused[4]) is RootSolveFailed
+        row = rows[4].tolist()
+        miss = max(abs(e - a) for e, a in zip(hp._elementary(values[4].tolist()), row))
+        assert str(refused[4]) == f"roots fail the backward check: they miss the coefficients by {miss:.3g}" \
+                                  " (degree 4, tol 1e-10)"
+        assert batch(rows) == (RootSolveFailed, 4, str(refused[4]))
+
     def test_an_empty_block_and_a_block_of_uncommon_rows(self):
-        for rows in (np.empty((0, 4)), np.array([self.ZERO, self.promoted()] * 5)):
-            values, ok = hp._roots_with_fallback(rows, 1e-10)
-            assert values.shape == rows.shape and ok.all()
+        values, common = hp._block_roots(np.empty((0, 4)), 1e-10)
+        assert values.shape == (0, 4) and common.shape == (0,)
+        rows = np.array([self.ZERO, self.promoted()] * 5)
+        values, refused = hp._fallback(rows, 1e-10)
+        assert values.shape == rows.shape and not refused and not hp._block_roots(rows, 1e-10)[1].any()
 
 
 
@@ -1335,7 +1360,7 @@ class TestProofFirst:
         for n in range(3, 8):
             block = np.array([row for deg, row in rows if deg == n])
             with np.errstate(all="ignore"):
-                values = hp._checked_roots(block, 1e-10)[0]
+                values = hp._fallback(block, 1e-10)[0]
             proven = hp._refused_by_proof(block, values, 1e-10)
             _, good = hp._certified_roots(block[proven], 1e-10)
             assert not good.any()
@@ -1347,7 +1372,7 @@ class TestProofFirst:
     def test_the_proof_leaves_triple_roots_and_wide_pairs(self):
         rows = np.array([from_roots(r).coeffs for r in (
             [1.0, 1.0, 1.0, 3.0], [1.0, 1.0 + 3e-5, 2.0, 3.0], [1.0, 1.0, 2.0, 3.0], [1.0, 1.0 + 1e-7, 2.0, 3.0])])
-        values = hp._checked_roots(rows, 1e-10)[0]
+        values = hp._fallback(rows, 1e-10)[0]
         assert hp._refused_by_proof(rows, values, 1e-10).tolist() == [False, False, True, True]
         # a row that is not finite proves nothing
         values[3, 0] = np.nan

@@ -211,3 +211,69 @@ def test_a_coordinate_near_zero(spec, k, oracle_seeds):
         rng = np.random.default_rng([seed, GROUPS.index(spec), k, 15])
         c, v = near_zero_line(g, rng, level, k)
         check_lift(g, c, v, level)
+
+
+def two_wall_line(g, rng, level):
+    """A line c + v t, |v| = 1, that meets one reflecting hyperplane at an
+    interior sample i and another at sample i + j, j = 1..3, each with
+    normal speed in [0.3, 0.9], and stays 0.1 away from every hyperplane
+    whose normal is not in the span of those two.  The hyperplanes whose
+    normals are in it meet where those two meet, and the line crosses them
+    wherever it does (on I2, every hyperplane)."""
+    nrm = normals(g)
+    t = cd.Grid.dyadic(-1, 1, level).points
+    while True:
+        i = int(rng.integers(SIDE + 2, t.size - SIDE - 4))
+        j = int(rng.integers(1, 4))
+        pair = rng.choice(len(nrm), 2, replace=False)
+        n2 = nrm[pair]
+        v = rng.normal(size=g.dim)
+        v /= np.linalg.norm(v)
+        speed = np.abs(n2 @ v)
+        if np.any(speed < 0.3) or np.any(speed > 0.9):
+            continue
+        # q = gamma(t_i) on the first hyperplane, and gamma(t_(i+j)) on the second
+        p = rng.uniform(-3.0, 3.0, g.dim)
+        target = np.array([0.0, -(n2[1] @ v) * (t[i + j] - t[i])])
+        q = p - n2.T @ np.linalg.solve(n2 @ n2.T, n2 @ p - target)
+        c = q - t[i] * v
+        proj = nrm - (nrm @ n2.T) @ np.linalg.solve(n2 @ n2.T, n2)
+        others = nrm[np.linalg.norm(proj, axis=1) > 1e-9]
+        ends = np.stack([c - v, c + v]) @ others.T
+        if np.any(np.abs(ends) < 0.1) or np.any(np.sign(ends[0]) != np.sign(ends[1])):
+            continue
+        return c, v
+
+
+# two crossings two or three samples apart, with the hyperplanes through
+# their meeting crossed between samples, give a lift that is w.gamma before
+# them and w'.gamma after, w' != w, and no unresolved window; one sample
+# apart, about a third of the lines do too (ROADMAP item 16)
+TWO_WALLS = pytest.mark.xfail(strict=True, reason="ROADMAP item 16: two walls within three samples fold the lift")
+
+
+@TWO_WALLS
+@pytest.mark.parametrize("spec", GROUPS)
+def test_lines_through_two_walls_within_three_samples(spec, oracle_seeds):
+    g = inv.parse_group(spec)
+    for seed in oracle_seeds:
+        rng = np.random.default_rng([seed, GROUPS.index(spec), 2, 16])
+        for level in (5, 6):
+            c, v = two_wall_line(g, rng, level)
+            check_lift(g, c, v, level)
+
+
+# the squares polynomial's roots {t^2, 0, ...} collapse near t = 0, which
+# moves its coefficients by up to tol^(2/3) (ROADMAP item 1)
+COLLAPSED = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the collapse width is absolute near the origin")
+
+
+@pytest.mark.parametrize("spec,level", [
+    pytest.param(spec, level, marks=COLLAPSED if spec in ("B:4", "D:4") and level == 6 else ())
+    for spec in ("A:1", "A:2", "A:3", "B:2", "B:3", "B:4", "D:4", "I2:3", "I2:4") for level in (5, 6)
+])
+def test_a_line_through_the_origin_along_a_mirror(spec, level):
+    # sigma(t v), v the maximal-isotropy vector of the last summand: the
+    # curve reaches the point of largest isotropy, the origin, at t = 0
+    g = inv.parse_group(spec)
+    check_lift(g, np.zeros(g.dim), inv._summands(g)[-1][1], level)
